@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .operators import (
     PSI_SQUARE,
     MultiplicityZ2,
     ScalarField,
+    _validate_time,
     chain_rule_residual,
     pi_psi,
 )
@@ -100,8 +102,7 @@ class RunConfig:
         if not self.t_grid or not self.coord_grid:
             raise DomainError("time and coordinate grids must be nonempty")
         for t in self.t_grid:
-            if not (math.isfinite(t) and t > 0.0):
-                raise DomainError(f"times must be finite and positive, got {t!r}")
+            _validate_time(t)
         for c in self.coord_grid:
             if not math.isfinite(c):
                 raise DomainError(f"coordinates must be finite, got {c!r}")
@@ -120,11 +121,11 @@ class RunConfig:
     def dimension(self) -> int:
         return len(self.kappa)
 
-    @property
-    def points(self) -> list[tuple[float, ...]]:
-        """The coordinate grid tensored to dimension d."""
+    @cached_property
+    def points(self) -> tuple[tuple[float, ...], ...]:
+        """The coordinate grid tensored to dimension d, built on first use."""
         grids = np.meshgrid(*([np.asarray(self.coord_grid)] * self.dimension), indexing="ij")
-        return [tuple(float(g.flat[i]) for g in grids) for i in range(grids[0].size)]
+        return tuple(tuple(float(g.flat[i]) for g in grids) for i in range(grids[0].size))
 
     @property
     def convention(self) -> MeasureConvention | None:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .kernel import (
     _DEFAULT_REL_TOL,
+    _coordinate,
     log_kernel,
     log_kernel_derivatives,
     moment_ratios,
@@ -31,6 +32,8 @@ from .operators import (
     MultiplicityZ2,
     ScalarField,
     SpaceTimeField,
+    _validate_point,
+    _validate_time,
     reflection_epsilon,
 )
 from .quadrature import DomainError, gauss_jacobi_rule
@@ -220,59 +223,31 @@ class LiYauDecomposition:
 
 
 def _liyau_coordinate(t, u, v, kappa_i, axis, rel_tol) -> LiYauCoordinate:
-    if kappa_i == 0.0:
-        # Gaussian coordinate: I = -1/(2t) meets the bound exactly
-        return LiYauCoordinate(
-            axis=axis,
-            a=0.0 if v == 0.0 else u * v / (2.0 * t),
-            variance_term=0.0,
-            f_value=0.0,
-            j_value=0.0,
-            i_value=-1.0 / (2.0 * t),
-            deficit=0.0,
-        )
-    a = u * v / (2.0 * t)
-    ratios = moment_ratios(a, kappa_i, rel_tol)
-    variance_term = v * v / (4.0 * t * t) * ratios.variance
-    dxx = -1.0 / (2.0 * t) + variance_term
+    c = _coordinate(t, u, v, kappa_i, rel_tol)
+    # a Gaussian coordinate (kappa_i = 0) has no reflection part and meets
+    # the bound exactly
+    f_value = f_of_a(c.a, kappa_i, rel_tol) if kappa_i > 0.0 else 0.0
     if abs(u) < 1e-7 * (1.0 + abs(u)):
         # the analytic reflection term divides by u^2; at the hyperplane the
         # coordinate contribution is the removable-singularity limit
         # (1 + 2 kappa) d_uu log p, matching the generic Dunkl Laplacian
-        f_value = f_of_a(a, kappa_i, rel_tol)
-        j_value = 2.0 * kappa_i * dxx
-        i_value = (1.0 + 2.0 * kappa_i) * dxx
-        deficit = (1.0 + 2.0 * kappa_i) * variance_term
+        j_value = 2.0 * kappa_i * c.d_uu
+        i_value = (1.0 + 2.0 * kappa_i) * c.d_uu
+        deficit = (1.0 + 2.0 * kappa_i) * c.variance_term
     else:
-        f_value = f_of_a(a, kappa_i, rel_tol)
         reflection_term = kappa_i / (u * u) * f_value
         j_value = -kappa_i / t + reflection_term
-        i_value = dxx + j_value
-        deficit = variance_term + reflection_term
+        i_value = c.d_uu + j_value
+        deficit = c.variance_term + reflection_term
     return LiYauCoordinate(
         axis=axis,
-        a=a,
-        variance_term=variance_term,
+        a=c.a,
+        variance_term=c.variance_term,
         f_value=f_value,
         j_value=j_value,
         i_value=i_value,
         deficit=deficit,
     )
-
-
-def _prepare_grid_point(t, x, y, kappa):
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
-        raise DomainError(f"time must be finite and > 0, got {t!r}")
-    kappa = MultiplicityZ2.of(kappa)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.size != kappa.d or y.size != kappa.d:
-        raise DomainError(
-            f"points have dimensions {x.size}, {y.size}; multiplicity has {kappa.d}"
-        )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError("points must be finite")
-    return float(t), x, y, kappa
 
 
 def liyau_functional(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> LiYauDecomposition:
@@ -282,17 +257,19 @@ def liyau_functional(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> LiYau
     branch of the generic Dunkl Laplacian; all others use the analytic
     moment-ratio form.  The two agree to 1e-8 wherever both are usable.
     """
-    t, x, y, kappa = _prepare_grid_point(t, x, y, kappa)
+    t = _validate_time(t)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d)
+    y = _validate_point(y, kappa.d)
     eps = reflection_epsilon(x)
     coords = []
-    for i in range(kappa.d):
-        u = x[i]
+    for i, (u, v, k) in enumerate(zip(x.tolist(), y.tolist(), kappa.values)):
         # the scan tables use the same branch rule with the coordinate's own
         # scale; the full-point epsilon only differs for |x_i| in the dead
         # zone between the two, which the default grids never touch
         if abs(u) < eps:
             u = 0.0
-        coords.append(_liyau_coordinate(t, u, y[i], kappa.values[i], i, rel_tol))
+        coords.append(_liyau_coordinate(t, u, v, k, i, rel_tol))
     total = -sum(c.i_value for c in coords)
     bound = (kappa.d + 2.0 * kappa.lambda_total) / (2.0 * t)
     return LiYauDecomposition(
@@ -325,7 +302,7 @@ def liyau_report(
 
 def liyau_deficit_1d(t, u, v, kappa_i, rel_tol: float = _DEFAULT_REL_TOL) -> float:
     """The coordinate deficit at one (t, x_i, y_i)."""
-    return _liyau_coordinate(float(t), float(u), float(v), float(kappa_i), 0, rel_tol).deficit
+    return _liyau_coordinate(_validate_time(t), float(u), float(v), float(kappa_i), 0, rel_tol).deficit
 
 
 @dataclass(frozen=True)
@@ -349,17 +326,18 @@ def liyau_coordinate_table(
     coords: Sequence[float] = DEFAULT_COORDS,
     rel_tol: float = _DEFAULT_REL_TOL,
 ) -> CoordinateTable:
+    t = _validate_time(t)
     coords = tuple(float(c) for c in coords)
     n = len(coords)
     deficit = np.empty((n, n))
     i_value = np.empty((n, n))
     for ix, u in enumerate(coords):
         for iy, v in enumerate(coords):
-            c = _liyau_coordinate(float(t), u, v, float(kappa_i), 0, rel_tol)
+            c = _liyau_coordinate(t, u, v, float(kappa_i), 0, rel_tol)
             deficit[ix, iy] = c.deficit
             i_value[ix, iy] = c.i_value
     return CoordinateTable(
-        t=float(t), kappa_i=float(kappa_i), coords=coords, deficit=deficit, i_value=i_value
+        t=t, kappa_i=float(kappa_i), coords=coords, deficit=deficit, i_value=i_value
     )
 
 
@@ -439,7 +417,7 @@ def iter_liyau_reports(
     coords = tuple(float(c) for c in coords)
     n = len(coords)
     d = kappa.d
-    for t in sorted(float(v) for v in t_values):
+    for t in sorted(_validate_time(v) for v in t_values):
         tables = [liyau_coordinate_table(t, k, coords, rel_tol) for k in kappa.values]
         bound = (d + 2.0 * kappa.lambda_total) / (2.0 * t)
         for combo in itertools.product(range(n), repeat=2 * d):
@@ -463,23 +441,12 @@ def iter_liyau_reports(
 # fields built from the kernel
 
 
-def _validate_center(y, kappa):
-    kappa = MultiplicityZ2.of(kappa)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size != kappa.d:
-        raise DomainError(f"point has dimension {y.size}, multiplicity has {kappa.d}")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("point must be finite")
-    return y, kappa
-
-
 def log_kernel_field(t, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> ScalarField:
     """x -> log p_t(x, y) with its analytic derivatives, for feeding the
     generic Dunkl operators."""
-    y, kappa = _validate_center(y, kappa)
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"time must be finite and > 0, got {t!r}")
+    kappa = MultiplicityZ2.of(kappa)
+    y = _validate_point(y, kappa.d)
+    t = _validate_time(t)
     return ScalarField(
         value=lambda x: log_kernel(t, x, y, kappa, rel_tol),
         gradient=lambda x: np.asarray(
@@ -497,7 +464,8 @@ def kernel_solution_field(y0, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> Space
     Derivatives of the value are assembled from the log-derivatives:
     grad u = u grad log u, d_ii u = u (d_ii log u + (d_i log u)^2).
     """
-    y0, kappa = _validate_center(y0, kappa)
+    kappa = MultiplicityZ2.of(kappa)
+    y0 = _validate_point(y0, kappa.d)
 
     def value(t, x):
         return math.exp(log_kernel(t, x, y0, kappa, rel_tol))
@@ -602,16 +570,13 @@ def log_convexity_check(
     diagonal with entries (y_i/2t)^2 var(a_i); convexity is exactly their
     nonnegativity.  lhs is the largest violation, rhs is 0.
     """
-    t, x, y, kappa = _prepare_grid_point(t, x, y, kappa)
+    t = _validate_time(t)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d)
+    y = _validate_point(y, kappa.d)
     worst = -math.inf
-    for i in range(kappa.d):
-        k = kappa.values[i]
-        if k == 0.0:
-            entry = 0.0  # Gaussian: log q is linear in x_i
-        else:
-            a = x[i] * y[i] / (2.0 * t)
-            entry = (y[i] / (2.0 * t)) ** 2 * moment_ratios(a, k, rel_tol).variance
-        worst = max(worst, -entry)
+    for u, v, k in zip(x.tolist(), y.tolist(), kappa.values):
+        worst = max(worst, -_coordinate(t, u, v, k, rel_tol).variance_term)
     return VerificationReport.build(
         claim_id="log_convexity_diag",
         grid_point=(t, tuple(x), tuple(y)),
@@ -632,10 +597,11 @@ def log_convexity_midpoint_check(
 ) -> VerificationReport:
     """Midpoint convexity of log q_t(., y) checked by direct evaluation:
     log q((z1+z2)/2) <= (log q(z1) + log q(z2)) / 2."""
-    t, z1, y, kappa = _prepare_grid_point(t, z1, y, kappa)
-    z2 = np.atleast_1d(np.asarray(z2, dtype=float))
-    if z2.size != kappa.d or not np.all(np.isfinite(z2)):
-        raise DomainError("second point must be finite with matching dimension")
+    t = _validate_time(t)
+    kappa = MultiplicityZ2.of(kappa)
+    z1 = _validate_point(z1, kappa.d)
+    z2 = _validate_point(z2, kappa.d)
+    y = _validate_point(y, kappa.d)
 
     def log_q(z):
         zero = np.zeros(kappa.d)

@@ -26,14 +26,16 @@ Gauss-Weierstrass kernel and every formula has a closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _accel
-from .operators import MultiplicityZ2
+from .operators import MultiplicityZ2, _validate_point, _validate_time
 from .quadrature import (
     NODE_CAP,
     NODE_START,
@@ -50,7 +52,7 @@ __all__ = [
     "MomentRatios",
     "TILT_SWITCH",
     "e_kappa",
-    "kernel",
+    "heat_kernel",
     "kernel_1d",
     "kernel_derivatives_1d_batch",
     "log_e_kappa",
@@ -82,16 +84,15 @@ def log_gaussian_mass(kappa: float) -> float:
     return (kappa + 0.5) * math.log(2.0) + log_gamma(kappa + 0.5)
 
 
-def _log_e_normalizer(kappa: float) -> float:
-    # C_kappa = Gamma(kappa + 1/2) / (sqrt(pi) Gamma(kappa)); C_kappa m0(0) = 1
-    return log_gamma(kappa + 0.5) - 0.5 * math.log(math.pi) - log_gamma(kappa)
-
-
-def _validate_time(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"time must be positive and finite, got {t!r}")
-    return t
+@functools.lru_cache(maxsize=256)
+def _log_normalizers(kappa: float) -> tuple[float, float]:
+    """(log c_kappa, log C_kappa) for kappa > 0, where C_kappa = Gamma(kappa +
+    1/2) / (sqrt(pi) Gamma(kappa)) makes C_kappa m0(0) = 1.  Every scalar
+    kernel evaluation needs both, so they are computed once per kappa."""
+    return (
+        log_gaussian_mass(kappa),
+        log_gamma(kappa + 0.5) - 0.5 * math.log(math.pi) - log_gamma(kappa),
+    )
 
 
 def _adaptive_eval(evaluate, a_sub, rel_tol, max_nodes):
@@ -228,6 +229,30 @@ def moment_ratios(
         return _MOMENT_CACHE.setdefault(key, ratios)
 
 
+def _tilted_terms(a, kappa: float, rel_tol: float, max_nodes: int):
+    """(log E_kappa, r1, r2) at the tilt a, a float or an array, for kappa > 0.
+
+    A float tilt reads the cached scalar moment_ratios, an array makes one
+    moment_stats call; the two agree only to round-off, so a float never goes
+    through a one-element array.  a = 0 is the exact limit: E_kappa = 1 and
+    r1 = r2 = 1/(2 kappa + 1), the moments of the untilted density.
+    """
+    at_zero = 1.0 / (2.0 * kappa + 1.0)
+    if not isinstance(a, np.ndarray):
+        if a == 0.0:
+            return 0.0, at_zero, at_zero
+        ratios = moment_ratios(a, kappa, rel_tol, max_nodes)
+        return _log_normalizers(kappa)[1] + ratios.log_m0, ratios.r1, ratios.r2
+    log_e = np.zeros(a.shape)
+    r1 = np.full(a.shape, at_zero)
+    r2 = np.full(a.shape, at_zero)
+    live = a != 0.0
+    if live.any():
+        log_m0, r1[live], r2[live] = moment_stats(a[live], kappa, rel_tol, max_nodes)
+        log_e[live] = _log_normalizers(kappa)[1] + log_m0
+    return log_e, r1, r2
+
+
 def log_e_kappa(x: float, y: float, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
     """log E_kappa(x, y) for a single coordinate pair.
 
@@ -240,9 +265,7 @@ def log_e_kappa(x: float, y: float, kappa: float, rel_tol: float = _DEFAULT_REL_
     a = float(x) * float(y)
     if kappa == 0.0:
         return a
-    if a == 0.0:
-        return 0.0
-    return _log_e_normalizer(kappa) + float(moment_ratios(a, kappa, rel_tol).log_m0)
+    return _tilted_terms(a, kappa, rel_tol, NODE_CAP)[0]
 
 
 def e_kappa(x: float, y: float, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
@@ -251,23 +274,62 @@ def e_kappa(x: float, y: float, kappa: float, rel_tol: float = _DEFAULT_REL_TOL)
     return math.exp(log_e_kappa(x, y, kappa, rel_tol))
 
 
-def _log_kernel_1d_prefactor(t: float, kappa: float) -> float:
-    return -log_gaussian_mass(kappa) - (kappa + 0.5) * math.log(2.0 * t)
+class _Coordinate(NamedTuple):
+    """One coordinate of log p_t(u, v) and its derivatives in u and t; each
+    entry is a float or an array shaped like v."""
+
+    a: float | np.ndarray
+    log_p: float | np.ndarray
+    d_u: float | np.ndarray
+    variance_term: float | np.ndarray
+    d_uu: float | np.ndarray
+    d_t: float | np.ndarray
+
+
+def _coordinate(
+    t: float,
+    u: float,
+    v,
+    kappa: float,
+    rel_tol: float,
+    max_nodes: int = NODE_CAP,
+) -> _Coordinate:
+    """The per-coordinate kernel formulas, at a validated time t and a float
+    or array v.  For kappa > 0, with the tilt a = u v / (2t) and the moment
+    ratios r1, r2 at a:
+
+        log p = -log c_kappa - (kappa + 1/2) log(2t) - (u^2 + v^2)/(4t)
+                + log E_kappa(a)
+        d_u   = -u/(2t) + v/(2t) r1
+        d_uu  = -1/(2t) + variance_term,  variance_term = v^2/(4t^2) (r2 - r1^2)
+        d_t   = -(kappa + 1/2)/t + (u^2 + v^2)/(4t^2) - (a/t) r1
+
+    kappa = 0 is the Gauss-Weierstrass kernel, in closed form.
+    """
+    a = u * v / (2.0 * t)
+    if kappa == 0.0:
+        diff = u - v
+        log_p = -0.5 * math.log(4.0 * math.pi * t) - diff * diff / (4.0 * t)
+        d_u = -diff / (2.0 * t)
+        variance_term = 0.0 * (v * v)  # +0.0, shaped like v
+        d_t = -0.5 / t + diff * diff / (4.0 * t * t)
+    else:
+        log_e, r1, r2 = _tilted_terms(a, kappa, rel_tol, max_nodes)
+        log_p = (
+            -_log_normalizers(kappa)[0]
+            - (kappa + 0.5) * math.log(2.0 * t)
+            - (u * u + v * v) / (4.0 * t)
+            + log_e
+        )
+        d_u = -u / (2.0 * t) + v / (2.0 * t) * r1
+        variance_term = v * v / (4.0 * t * t) * (r2 - r1 * r1)
+        d_t = -(kappa + 0.5) / t + (u * u + v * v) / (4.0 * t * t) - (a / t) * r1
+    return _Coordinate(a, log_p, d_u, variance_term, -1.0 / (2.0 * t) + variance_term, d_t)
 
 
 def log_kernel_1d(t: float, u: float, v: float, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
     """log p_t(u, v) for one coordinate."""
-    t = _validate_time(t)
-    kappa = float(kappa)
-    u = float(u)
-    v = float(v)
-    if kappa == 0.0:
-        return -0.5 * math.log(4.0 * math.pi * t) - (u - v) ** 2 / (4.0 * t)
-    a = u * v / (2.0 * t)
-    log_e = 0.0 if a == 0.0 else _log_e_normalizer(kappa) + float(
-        moment_ratios(a, kappa, rel_tol).log_m0
-    )
-    return _log_kernel_1d_prefactor(t, kappa) - (u * u + v * v) / (4.0 * t) + log_e
+    return _coordinate(_validate_time(t), float(u), float(v), float(kappa), rel_tol).log_p
 
 
 def kernel_1d(t: float, u: float, v: float, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
@@ -275,29 +337,16 @@ def kernel_1d(t: float, u: float, v: float, kappa: float, rel_tol: float = _DEFA
     return math.exp(log_kernel_1d(t, u, v, kappa, rel_tol))
 
 
-def _prepare_point(t, x, y, kappa):
-    t = _validate_time(t)
-    kappa = MultiplicityZ2.of(kappa)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.size != kappa.d or y.size != kappa.d:
-        raise DomainError(
-            f"points have dimensions {x.size}, {y.size}; multiplicity has {kappa.d}"
-        )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError("points must be finite")
-    return t, x, y, kappa
-
-
 def log_kernel(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> float:
     """log p_t(x, y), the sum of the per-coordinate logs."""
-    t, x, y, kappa = _prepare_point(t, x, y, kappa)
-    return float(
-        sum(log_kernel_1d(t, x[i], y[i], kappa.values[i], rel_tol) for i in range(kappa.d))
-    )
+    t = _validate_time(t)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d).tolist()
+    y = _validate_point(y, kappa.d).tolist()
+    return float(sum(_coordinate(t, u, v, k, rel_tol).log_p for u, v, k in zip(x, y, kappa.values)))
 
 
-def kernel(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def heat_kernel(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> float:
     """p_t(x, y).  Underflows to 0.0 in the far field; use log_kernel there."""
     return math.exp(min(log_kernel(t, x, y, kappa, rel_tol), 709.0))
 
@@ -331,62 +380,23 @@ class KernelPoint:
 
 
 def log_kernel_derivatives(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> KernelPoint:
-    """Derivatives of log p_t(., y) at x, assembled per coordinate.
-
-    For kappa_i > 0, with a_i = x_i y_i / (2t) and the moment ratios at a_i:
-
-        d_i   log p = -x_i/(2t) + y_i/(2t) r1
-        d_ii  log p = -1/(2t) + y_i^2/(4t^2) (r2 - r1^2)
-        d_t   log p = sum_i [ -(kappa_i + 1/2)/t + (x_i^2 + y_i^2)/(4t^2)
-                              - (a_i/t) r1 ]
-
-    kappa_i = 0 coordinates use the Gaussian closed forms (the same
-    expressions with r1 = r2 = 1).
-    """
-    t, x, y, kappa = _prepare_point(t, x, y, kappa)
-    d = kappa.d
-    grad = np.empty(d)
-    hess = np.empty(d)
-    dt_total = 0.0
-    log_total = 0.0
-    for i in range(d):
-        k = kappa.values[i]
-        u = x[i]
-        v = y[i]
-        if k == 0.0:
-            log_total += -0.5 * math.log(4.0 * math.pi * t) - (u - v) ** 2 / (4.0 * t)
-            grad[i] = -(u - v) / (2.0 * t)
-            hess[i] = -1.0 / (2.0 * t)
-            dt_total += -0.5 / t + (u - v) ** 2 / (4.0 * t * t)
-            continue
-        a = u * v / (2.0 * t)
-        if a == 0.0:
-            log_m0, r1, r2 = (
-                -_log_e_normalizer(k),
-                1.0 / (2.0 * k + 1.0),
-                1.0 / (2.0 * k + 1.0),
-            )
-        else:
-            ratios = moment_ratios(a, k, rel_tol)
-            log_m0, r1, r2 = ratios.log_m0, ratios.r1, ratios.r2
-        log_total += (
-            _log_kernel_1d_prefactor(t, k)
-            - (u * u + v * v) / (4.0 * t)
-            + _log_e_normalizer(k)
-            + log_m0
-        )
-        grad[i] = -u / (2.0 * t) + v / (2.0 * t) * r1
-        hess[i] = -1.0 / (2.0 * t) + v * v / (4.0 * t * t) * (r2 - r1 * r1)
-        dt_total += -(k + 0.5) / t + (u * u + v * v) / (4.0 * t * t) - (a / t) * r1
+    """Derivatives of log p_t(., y) at x, assembled per coordinate: the
+    gradient and diagonal Hessian entries are the coordinates' d_u and d_uu,
+    and d_t log p is the sum of their d_t."""
+    t = _validate_time(t)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d)
+    y = _validate_point(y, kappa.d)
+    coords = [_coordinate(t, u, v, k, rel_tol) for u, v, k in zip(x.tolist(), y.tolist(), kappa.values)]
     return KernelPoint(
         t=t,
         x=x.copy(),
         y=y.copy(),
         kappa=kappa,
-        log_p=float(log_total),
-        grad_x_log_p=grad,
-        hess_diag_x_log_p=hess,
-        dt_log_p=float(dt_total),
+        log_p=float(sum(c.log_p for c in coords)),
+        grad_x_log_p=np.array([c.d_u for c in coords]),
+        hess_diag_x_log_p=np.array([c.d_uu for c in coords]),
+        dt_log_p=float(sum(c.d_t for c in coords)),
     )
 
 
@@ -400,36 +410,6 @@ def kernel_derivatives_1d_batch(
 ):
     """(log p, d/du log p, d2/du2 log p, d/dt log p) for one coordinate at a
     batch of right arguments v, the workhorse of semigroup quadrature."""
-    t = _validate_time(t)
-    kappa = float(kappa)
-    u = float(u)
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if kappa == 0.0:
-        diff = u - v
-        log_p = -0.5 * math.log(4.0 * math.pi * t) - diff * diff / (4.0 * t)
-        d1 = -diff / (2.0 * t)
-        d2 = np.full(v.shape, -1.0 / (2.0 * t))
-        dt = -0.5 / t + diff * diff / (4.0 * t * t)
-        return log_p, d1, d2, dt
-    a = u * v / (2.0 * t)
-    log_m0 = np.empty(v.shape)
-    r1 = np.empty(v.shape)
-    r2 = np.empty(v.shape)
-    zero = a == 0.0
-    if zero.any():
-        log_m0[zero] = -_log_e_normalizer(kappa)
-        r1[zero] = 1.0 / (2.0 * kappa + 1.0)
-        r2[zero] = 1.0 / (2.0 * kappa + 1.0)
-    live = ~zero
-    if live.any():
-        log_m0[live], r1[live], r2[live] = moment_stats(a[live], kappa, rel_tol, max_nodes)
-    log_p = (
-        _log_kernel_1d_prefactor(t, kappa)
-        - (u * u + v * v) / (4.0 * t)
-        + _log_e_normalizer(kappa)
-        + log_m0
-    )
-    d1 = -u / (2.0 * t) + v / (2.0 * t) * r1
-    d2 = -1.0 / (2.0 * t) + v * v / (4.0 * t * t) * (r2 - r1 * r1)
-    dt = -(kappa + 0.5) / t + (u * u + v * v) / (4.0 * t * t) - (a / t) * r1
-    return log_p, d1, d2, dt
+    c = _coordinate(_validate_time(t), float(u), v, float(kappa), rel_tol, max_nodes)
+    return c.log_p, c.d_u, c.d_uu, c.d_t

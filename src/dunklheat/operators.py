@@ -32,7 +32,6 @@ __all__ = [
     "PSI_EXP",
     "PSI_LOG",
     "PSI_SQUARE",
-    "RootSystemZ2",
     "ScalarField",
     "SmoothFunction",
     "SpaceTimeField",
@@ -85,23 +84,22 @@ class MultiplicityZ2:
         return np.asarray(self.values, dtype=float)
 
 
-@dataclass(frozen=True)
-class RootSystemZ2:
-    """The root system {+-sqrt(2) e_i} normalized to |alpha|^2 = 2, so the
-    general reflection formula collapses to a per-coordinate sign flip."""
+def _validate_time(t) -> float:
+    """The one time check of the package: t must be a finite int or float > 0."""
+    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
+        raise DomainError(f"time must be finite and > 0, got {t!r}")
+    return float(t)
 
-    d: int
 
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.d!r}")
-
-    @property
-    def positive_roots(self) -> np.ndarray:
-        return math.sqrt(2.0) * np.eye(self.d)
-
-    def reflect(self, x: np.ndarray, axis: int) -> np.ndarray:
-        return reflect(x, axis)
+def _validate_point(x, d: int) -> np.ndarray:
+    """The one point check of the package: x as a 1-d float array of d finite
+    coordinates."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1 or x.size != d:
+        raise DomainError(f"expected a point with {d} coordinates, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("coordinates must be finite")
+    return x
 
 
 def reflect(x: np.ndarray, axis: int) -> np.ndarray:
@@ -182,16 +180,6 @@ class SpaceTimeField:
     gradient: Callable[[float, np.ndarray], np.ndarray]
     hessian_diag: Callable[[float, np.ndarray], np.ndarray]
     time_derivative: Callable[[float, np.ndarray], float]
-    analytic: bool = True
-
-    def at(self, t: float) -> ScalarField:
-        """Freeze time: the spatial slice as a ScalarField."""
-        return ScalarField(
-            value=lambda x: self.value(t, x),
-            gradient=lambda x: self.gradient(t, x),
-            hessian_diag=lambda x: self.hessian_diag(t, x),
-            analytic=self.analytic,
-        )
 
 
 @dataclass(frozen=True)
@@ -232,18 +220,11 @@ def compose_field(psi: SmoothFunction, f: ScalarField) -> ScalarField:
     )
 
 
-def _prepare(x, kappa):
-    x = np.asarray(x, dtype=float)
-    kappa = MultiplicityZ2.of(kappa)
-    if kappa.d != x.size:
-        raise DomainError(f"point has dimension {x.size}, multiplicity has {kappa.d}")
-    return x, kappa
-
-
 def dunkl_derivative(f: ScalarField, x, axis: int, kappa) -> float:
     """D_i f(x).  On the hyperplane |x_i| < eps the difference quotient is
     replaced by its limit (1 + 2 kappa_i) d_i f(x)."""
-    x, kappa = _prepare(x, kappa)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d)
     if not 0 <= axis < x.size:
         raise DomainError(f"axis {axis} out of range for dimension {x.size}")
     k = kappa.values[axis]
@@ -257,7 +238,8 @@ def dunkl_derivative(f: ScalarField, x, axis: int, kappa) -> float:
 
 def dunkl_gradient(f: ScalarField, x, kappa) -> np.ndarray:
     """All d Dunkl derivatives at once."""
-    x, kappa = _prepare(x, kappa)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d)
     return np.array([dunkl_derivative(f, x, i, kappa) for i in range(x.size)])
 
 
@@ -268,7 +250,8 @@ def dunkl_laplacian(f: ScalarField, x, kappa) -> float:
     2 kappa_i d_ii f(x) when |x_i| < eps, so the whole i-th contribution
     degenerates to (1 + 2 kappa_i) d_ii f(x) there.
     """
-    x, kappa = _prepare(x, kappa)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d)
     grad = np.asarray(f.gradient(x), dtype=float)
     hess = np.asarray(f.hessian_diag(x), dtype=float)
     total = float(hess.sum())
@@ -298,7 +281,8 @@ def pi_psi(f: ScalarField, psi: SmoothFunction, x, kappa) -> float:
     psi''(f) delta^2/2 + O(delta^3) with delta = f(r_i x) - f(x) =
     -2 x_i d_i f + O(x_i^2).
     """
-    x, kappa = _prepare(x, kappa)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d)
     fx = float(f.value(x))
     total = 0.0
     eps = reflection_epsilon(x)
@@ -337,7 +321,8 @@ def chain_rule_residual(f: ScalarField, psi: SmoothFunction, x, kappa) -> ChainR
     its contract is |residual| <= 1e-8 * scale for analytic fields, where
     scale is the largest magnitude among the rhs terms and the lhs.
     """
-    x, kappa = _prepare(x, kappa)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d)
     lhs = dunkl_laplacian(compose_field(psi, f), x, kappa)
     fx = float(f.value(x))
     grad = np.asarray(f.gradient(x), dtype=float)

@@ -27,12 +27,20 @@ import numpy as np
 
 from .inequalities import DEFAULT_TOLERANCE, VerificationReport
 from .kernel import (
+    _DEFAULT_REL_TOL,
     kernel_derivatives_1d_batch,
     log_gaussian_mass,
     log_kernel,
     log_kernel_derivatives,
 )
-from .operators import MultiplicityZ2, ScalarField, SpaceTimeField, dunkl_laplacian
+from .operators import (
+    MultiplicityZ2,
+    ScalarField,
+    SpaceTimeField,
+    _validate_point,
+    _validate_time,
+    dunkl_laplacian,
+)
 from .quadrature import (
     NODE_START,
     ConvergenceError,
@@ -62,27 +70,10 @@ __all__ = [
     "uniform_profile",
 ]
 
-_DEFAULT_REL_TOL = 1e-10
 _WINDOW_SIGMAS = 30.0
 _PANEL_SIGMAS = 8.0
 _PANEL_NODE_CAP = 512
 _PROFILE_SAMPLES = 257
-
-
-def _validate_time(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"time must be finite and positive, got {t!r}")
-    return t
-
-
-def _point(x, d: int) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1 or x.size != d:
-        raise DomainError(f"expected a point with {d} coordinates, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError("coordinates must be finite")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +105,7 @@ class WeightedMeasure:
         return math.exp(sum(log_gaussian_mass(k) for k in self.kappa.values))
 
     def density(self, x) -> float:
-        x = _point(x, self.d)
+        x = _validate_point(x, self.d)
         out = 1.0
         for xi, k in zip(x, self.kappa.values):
             out *= abs(float(xi)) ** (2.0 * k)
@@ -235,7 +226,7 @@ class InitialDatum:
         return len(self.profiles)
 
     def value(self, x) -> float:
-        x = _point(x, self.dimension)
+        x = _validate_point(x, self.dimension)
         out = 1.0
         for p, xi in zip(self.profiles, x):
             if xi < p.lo or xi > p.hi:
@@ -367,7 +358,7 @@ def apply_semigroup(
     quadrature to relative accuracy tol.  Positive for every valid datum."""
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
-    x = _point(x, kappa.d)
+    x = _validate_point(x, kappa.d)
     if f.dimension != kappa.d:
         raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
     total = 1.0
@@ -406,7 +397,7 @@ def semigroup_solution(
 
     def moments(t, x):
         t = _validate_time(t)
-        x = _point(x, kappa.d)
+        x = _validate_point(x, kappa.d)
         return [coordinate(i, t, float(x[i])) for i in range(kappa.d)]
 
     def value(t, x) -> float:
@@ -449,7 +440,7 @@ def liyau_for_solution(
     field, so nothing here reuses the per-coordinate moment analysis."""
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
-    x = _point(x, kappa.d)
+    x = _validate_point(x, kappa.d)
     if f.dimension != kappa.d:
         raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
     memo: dict[tuple[int, float], np.ndarray] = {}
@@ -468,16 +459,16 @@ def liyau_for_solution(
         return got
 
     def log_value(z) -> float:
-        z = _point(z, kappa.d)
+        z = _validate_point(z, kappa.d)
         return float(sum(math.log(coordinate(i, float(z[i]))[0]) for i in range(kappa.d)))
 
     def log_gradient(z) -> np.ndarray:
-        z = _point(z, kappa.d)
+        z = _validate_point(z, kappa.d)
         ms = [coordinate(i, float(z[i])) for i in range(kappa.d)]
         return np.array([m[1] / m[0] for m in ms])
 
     def log_hessian(z) -> np.ndarray:
-        z = _point(z, kappa.d)
+        z = _validate_point(z, kappa.d)
         ms = [coordinate(i, float(z[i])) for i in range(kappa.d)]
         return np.array([m[2] / m[0] - (m[1] / m[0]) ** 2 for m in ms])
 
@@ -549,7 +540,7 @@ def normalization_check(
     """
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
-    x = _point(x, kappa.d)
+    x = _validate_point(x, kappa.d)
     lhs = 1.0
     for i, k in enumerate(kappa.values):
         shift = log_gaussian_mass(k) - convention.log_normalizer(k)
@@ -582,8 +573,8 @@ def chapman_kolmogorov_check(
     kappa = MultiplicityZ2.of(kappa)
     s = _validate_time(s)
     t = _validate_time(t)
-    x = _point(x, kappa.d)
-    y = _point(y, kappa.d)
+    x = _validate_point(x, kappa.d)
+    y = _validate_point(y, kappa.d)
     lhs = 1.0
     for i, k in enumerate(kappa.values):
         lhs *= _ck_coordinate(s, t, float(x[i]), float(y[i]), k, rel_tol, max_nodes)
@@ -626,8 +617,8 @@ def heat_residual(t: float, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> f
     the kernel as a plain spatial field, scaled by p(x, y) throughout."""
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
-    x = _point(x, kappa.d)
-    y = _point(y, kappa.d)
+    x = _validate_point(x, kappa.d)
+    y = _validate_point(y, kappa.d)
     ref = log_kernel_derivatives(t, x, y, kappa, rel_tol)
     log_p0 = ref.log_p
 

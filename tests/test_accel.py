@@ -89,7 +89,10 @@ def test_fallback_flag_forces_numpy_and_agrees():
         "r = moment_ratios(3.0, 0.5)\n"
         "print(repr(r.log_m0), repr(r.r1), repr(r.r2))\n"
     )
-    env = dict(os.environ, DUNKLHEAT_NO_NUMBA="1")
+    # the child imports the package from wherever this process found it
+    src = os.path.dirname(os.path.dirname(_accel.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, DUNKLHEAT_NO_NUMBA="1", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

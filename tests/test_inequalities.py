@@ -311,9 +311,6 @@ def test_kernel_solution_field_derivatives():
     )
     dt = oracle.central_d1(lambda s: u.value(s, x), t, 1e-4 * t)
     assert abs(u.time_derivative(t, x) - dt) <= 1e-7 * max(1.0, abs(dt))
-    frozen = u.at(t)
-    assert frozen.value(x) == val
-    assert frozen.analytic is True
 
 
 # ---------------------------------------------------------------------------

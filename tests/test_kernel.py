@@ -1,16 +1,19 @@
 """Tilted moments, the kernel function E_kappa, and kernel derivatives."""
 
+import importlib
 import math
+import types
 
 import numpy as np
 import pytest
 
 import _oracles as oracle
+import dunklheat
 from dunklheat.kernel import (
     TILT_SWITCH,
     KernelPoint,
     e_kappa,
-    kernel,
+    heat_kernel,
     kernel_1d,
     kernel_derivatives_1d_batch,
     log_e_kappa,
@@ -202,6 +205,14 @@ def test_kernel_1d_matches_bessel_closed_form(t, u, v):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def test_kernel_submodule_is_not_shadowed():
+    import dunklheat.kernel as kernel_module
+
+    assert isinstance(dunklheat.kernel, types.ModuleType)
+    assert kernel_module is importlib.import_module("dunklheat.kernel")
+    assert dunklheat.heat_kernel is heat_kernel
+
+
 def test_kernel_symmetry_exact():
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -220,7 +231,7 @@ def test_kernel_product_structure():
     total = log_kernel(t, x, y, kappa)
     parts = sum(log_kernel_1d(t, x[i], y[i], kappa[i]) for i in range(3))
     assert abs(total - parts) < 1e-14
-    val = kernel(t, x, y, kappa)
+    val = heat_kernel(t, x, y, kappa)
     assert abs(val - math.exp(total)) <= 1e-14 * math.exp(total)
 
 
@@ -329,13 +340,45 @@ def test_second_log_derivative_lower_bound():
 def test_batch_derivatives_match_scalar_path():
     t, u, kappa = 0.4, 1.3, 0.75
     v = np.linspace(-8.0, 8.0, 41)
+    assert v[20] == 0.0
     log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, u, v, kappa)
     for j in (0, 7, 20, 33, 40):
         ref = log_kernel_derivatives(t, [u], [v[j]], [kappa])
-        assert abs(log_p[j] - ref.log_p) < 1e-12
-        assert abs(d1[j] - ref.grad_x_log_p[0]) < 1e-12
-        assert abs(d2[j] - ref.hess_diag_x_log_p[0]) < 1e-12
-        assert abs(dt[j] - ref.dt_log_p) < 1e-12
+        got = (log_p[j], d1[j], d2[j], dt[j])
+        want = (ref.log_p, ref.grad_x_log_p[0], ref.hess_diag_x_log_p[0], ref.dt_log_p)
+        if v[j] == 0.0:
+            # a = 0 takes the exact limit on both paths, no moments involved
+            assert got == want
+        else:
+            # batched and scalar moments agree only to round-off
+            assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
+    # u = 0 puts every tilt at 0
+    log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, 0.0, v, kappa)
+    for j in (0, 7, 20, 33, 40):
+        ref = log_kernel_derivatives(t, [0.0], [v[j]], [kappa])
+        assert (log_p[j], d1[j], d2[j], dt[j]) == (
+            ref.log_p, ref.grad_x_log_p[0], ref.hess_diag_x_log_p[0], ref.dt_log_p
+        )
+
+
+def test_log_kernel_is_exactly_the_log_p_of_the_derivative_path():
+    # both paths evaluate the same per-coordinate formulas, so they agree to
+    # the last bit, including on the hyperplanes x_i = 0 or y_i = 0 (a = 0)
+    # and on Gaussian (kappa_i = 0) coordinates
+    rng = np.random.default_rng(43)
+    for n in range(300):
+        t = float(10.0 ** rng.uniform(-2.0, 2.0))
+        d = int(rng.integers(1, 4))
+        x = rng.uniform(-10.0, 10.0, d)
+        y = rng.uniform(-10.0, 10.0, d)
+        kappa = rng.uniform(0.1, 2.5, d)
+        if n % 3 == 1:
+            x[rng.integers(d)] = 0.0
+        if n % 3 == 2:
+            y[rng.integers(d)] = 0.0
+        if n % 5 == 0:
+            kappa[rng.integers(d)] = 0.0
+        assert log_kernel(t, x, y, kappa) == log_kernel_derivatives(t, x, y, kappa).log_p
 
 
 def test_batch_derivatives_gaussian_branch():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+import dunklheat as dh
 from dunklheat.operators import (
     EPS_REFLECTION_SCALE,
     PSI_CUBE,
@@ -14,7 +15,6 @@ from dunklheat.operators import (
     PSI_SQUARE,
     ChainRuleResidual,
     MultiplicityZ2,
-    RootSystemZ2,
     ScalarField,
     SmoothFunction,
     chain_rule_residual,
@@ -105,17 +105,6 @@ def test_multiplicity_rejects_bad_values():
         MultiplicityZ2(())
 
 
-def test_root_system_geometry():
-    rs = RootSystemZ2(3)
-    roots = rs.positive_roots
-    assert roots.shape == (3, 3)
-    for alpha in roots:
-        assert abs(float(alpha @ alpha) - 2.0) < 1e-15
-    np.testing.assert_array_equal(rs.reflect([1.0, -2.0, 3.0], 1), [1.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        RootSystemZ2(0)
-
-
 def test_reflect_flips_one_sign_and_leaves_input_alone():
     x = np.array([1.0, 2.0])
     y = reflect(x, 0)
@@ -130,6 +119,70 @@ def test_reflect_flips_one_sign_and_leaves_input_alone():
 def test_reflection_epsilon_scales_with_norm():
     assert reflection_epsilon(np.zeros(2)) == EPS_REFLECTION_SCALE
     assert abs(reflection_epsilon(np.array([3.0, 4.0])) - 6.0 * EPS_REFLECTION_SCALE) < 1e-22
+
+
+# ---------------------------------------------------------------------------
+# one time check and one point check behind every entry point
+
+_K = [0.5]
+_DATUM = dh.InitialDatum.bumps([0.0], [1.0])
+
+TIME_ENTRY_POINTS = {
+    "log_kernel_1d": lambda t: dh.log_kernel_1d(t, 1.0, 0.5, 0.5),
+    "log_kernel": lambda t: dh.log_kernel(t, [1.0], [0.5], _K),
+    "heat_kernel": lambda t: dh.heat_kernel(t, [1.0], [0.5], _K),
+    "log_kernel_derivatives": lambda t: dh.log_kernel_derivatives(t, [1.0], [0.5], _K),
+    "kernel_derivatives_1d_batch": lambda t: dh.kernel_derivatives_1d_batch(t, 1.0, [0.5], 0.5),
+    "liyau_functional": lambda t: dh.liyau_functional(t, [1.0], [0.5], _K),
+    "log_convexity_check": lambda t: dh.log_convexity_check(t, [1.0], [0.5], _K),
+    "log_convexity_midpoint_check": lambda t: dh.log_convexity_midpoint_check(t, [1.0], [0.0], [0.5], _K),
+    "log_kernel_field": lambda t: dh.log_kernel_field(t, [0.5], _K),
+    "apply_semigroup": lambda t: dh.apply_semigroup(_DATUM, t, [0.5], _K),
+    "semigroup_solution": lambda t: dh.semigroup_solution(_DATUM, _K).value(t, [0.5]),
+    "liyau_for_solution": lambda t: dh.liyau_for_solution(_DATUM, t, [0.5], _K),
+    "normalization_check": lambda t: dh.normalization_check(t, [0.5], _K),
+    "chapman_kolmogorov_check s": lambda t: dh.chapman_kolmogorov_check(t, 1.0, [1.0], [0.5], _K),
+    "chapman_kolmogorov_check t": lambda t: dh.chapman_kolmogorov_check(1.0, t, [1.0], [0.5], _K),
+    "heat_residual": lambda t: dh.heat_residual(t, [1.0], [0.5], _K),
+    "liyau_deficit_1d": lambda t: dh.liyau_deficit_1d(t, 1.0, 0.5, 0.5),
+    "liyau_coordinate_table": lambda t: dh.liyau_coordinate_table(t, 0.5),
+    "liyau_grid_extrema": lambda t: dh.liyau_grid_extrema(t, _K),
+    "iter_liyau_reports": lambda t: next(dh.iter_liyau_reports([t], _K)),
+}
+
+POINT_ENTRY_POINTS = {
+    "log_kernel x": lambda x: dh.log_kernel(1.0, x, [0.5], _K),
+    "log_kernel y": lambda x: dh.log_kernel(1.0, [0.5], x, _K),
+    "log_kernel_derivatives": lambda x: dh.log_kernel_derivatives(1.0, x, [0.5], _K),
+    "liyau_functional": lambda x: dh.liyau_functional(1.0, [0.5], x, _K),
+    "log_convexity_check": lambda x: dh.log_convexity_check(1.0, x, [0.5], _K),
+    "log_convexity_midpoint_check z2": lambda x: dh.log_convexity_midpoint_check(1.0, [1.0], x, [0.5], _K),
+    "log_kernel_field": lambda x: dh.log_kernel_field(1.0, x, _K),
+    "kernel_solution_field": lambda x: dh.kernel_solution_field(x, _K),
+    "apply_semigroup": lambda x: dh.apply_semigroup(_DATUM, 1.0, x, _K),
+    "normalization_check": lambda x: dh.normalization_check(1.0, x, _K),
+    "chapman_kolmogorov_check": lambda x: dh.chapman_kolmogorov_check(1.0, 1.0, [1.0], x, _K),
+    "heat_residual": lambda x: dh.heat_residual(1.0, x, [0.5], _K),
+    "WeightedMeasure.density": lambda x: dh.WeightedMeasure.of(_K).density(x),
+    "InitialDatum.value": lambda x: _DATUM.value(x),
+    "dunkl_derivative": lambda x: dunkl_derivative(ScalarField.from_callable(lambda z: 1.0), x, 0, _K),
+    "dunkl_laplacian": lambda x: dunkl_laplacian(ScalarField.from_callable(lambda z: 1.0), x, _K),
+    "pi_psi": lambda x: pi_psi(ScalarField.from_callable(lambda z: 1.0), PSI_LOG, x, _K),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIME_ENTRY_POINTS))
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan, "1.0", None])
+def test_every_time_entry_point_rejects_bad_times(name, t):
+    with pytest.raises(DomainError):
+        TIME_ENTRY_POINTS[name](t)
+
+
+@pytest.mark.parametrize("name", sorted(POINT_ENTRY_POINTS))
+@pytest.mark.parametrize("x", [[math.nan], [math.inf], [1.0, 2.0], [[0.5]]])
+def test_every_point_entry_point_rejects_bad_points(name, x):
+    with pytest.raises(DomainError):
+        POINT_ENTRY_POINTS[name](x)
 
 
 # ---------------------------------------------------------------------------
