@@ -7,8 +7,9 @@ rhs, deficit, tol, pass, extra; the rows are sorted by claim and grid point,
 so output is deterministic for a fixed configuration and seed.
 
 Exit status: 0 when every row passes, 1 on any violation, 2 for
-configuration errors, 3 when quadrature fails to converge (the offending
-grid point is named on stderr).
+configuration errors, 3 when quadrature fails to converge, 4 when any other
+numerical failure (an overflow, a moment ratio out of range) stops a grid
+point.  For 3 and 4 the offending grid point is named on stderr.
 """
 
 from __future__ import annotations
@@ -180,11 +181,17 @@ def _sort_key(row: dict):
     return (row["claim_id"], flatten(row["grid_point"]))
 
 
+class _NumericalFailure(Exception):
+    """A grid point stopped by a numerical failure other than convergence."""
+
+
 def _at_point(point, fn):
     try:
         return fn()
     except ConvergenceError as e:
         raise ConvergenceError(f"{e} [grid point {_plain(point)}]") from e
+    except (ArithmeticError, RuntimeError) as e:
+        raise _NumericalFailure(f"{type(e).__name__}: {e} [grid point {_plain(point)}]") from e
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +319,7 @@ def _time_pairs(t_grid):
     return pairs
 
 
-def _normalization_rows(cfg: RunConfig) -> list[dict]:
+def _semigroup_check(cfg: RunConfig) -> list[dict]:
     rows = []
     kwargs = {} if cfg.convention is None else {"convention": cfg.convention}
     for t in cfg.t_grid:
@@ -323,11 +330,6 @@ def _normalization_rows(cfg: RunConfig) -> list[dict]:
                 lambda: normalization_check(t, x, cfg.kappa, max_nodes=cfg.max_nodes, **kwargs),
             )
             rows.append(_row(report))
-    return rows
-
-
-def _semigroup_check(cfg: RunConfig) -> list[dict]:
-    rows = _normalization_rows(cfg)
     for s, t in _time_pairs(cfg.t_grid):
         for x in cfg.points:
             for y in (x, tuple(-v for v in x)):
@@ -446,8 +448,6 @@ def _claims_verify(cfg: RunConfig) -> list[dict]:
         z1 = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
         z2 = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
         rows.append(_row(log_convexity_midpoint_check(t, z1, z2, y, cfg.kappa, tol=cfg.tol)))
-
-    rows.extend(_normalization_rows(cfg))
     return rows
 
 
@@ -676,5 +676,8 @@ def main(argv=None) -> int:
     except ConvergenceError as e:
         print(f"convergence failure: {e}", file=sys.stderr)
         return 3
+    except _NumericalFailure as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 4
     _emit(_render(rows, config), config)
     return 0 if all(row["pass"] for row in rows) else 1

@@ -15,10 +15,17 @@ cut into panels a few sigma wide; a panel touching v = 0 absorbs the
 full accuracy through the kink, and everywhere else the weight is smooth
 and Gauss-Legendre panels apply it pointwise.  All node counts double
 together until the weighted sums stabilize.
+
+Every solution path (`semigroup_solution`, `apply_semigroup`,
+`liyau_for_solution`) reads a coordinate's moments from `_profile_moments`,
+a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries keyed on (t, u,
+kappa_i, profile, rel_tol, max_nodes).  It raises ConvergenceError where
+the mass underflows to 0: no value, ratio or log is representable there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -74,6 +81,7 @@ _WINDOW_SIGMAS = 30.0
 _PANEL_SIGMAS = 8.0
 _PANEL_NODE_CAP = 512
 _PROFILE_SAMPLES = 257
+_SOLUTION_CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +333,12 @@ def _adaptive_panel_sum(panels, exponent, values, units, rel_tol, max_nodes):
     raise ConvergenceError(f"panel quadrature stalled at {max_nodes} nodes per panel")
 
 
-def _profile_moments(t, u, kappa_i, profile, rel_tol, max_nodes):
+@functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
+def _profile_moments(t, u, kappa_i, profile, rel_tol, max_nodes) -> np.ndarray:
     """(I0, I1, I2, It): the integrals of f(v) D p_t(u, v) |v|^(2 kappa) dv
-    for D = id, d/du, d^2/du^2, d/dt.  Differentiation happens under the
-    integral sign, on the kernel factor, so the four share one node set."""
+    for D = id, d/du, d^2/du^2, d/dt, as a read-only array.  Differentiation
+    happens under the integral sign, on the kernel factor, so the four share
+    one node set.  Callers pass all six arguments positionally: one key each."""
     sigma = math.sqrt(2.0 * t)
     segments = _cut_segments(_window_segments(u, sigma, profile.lo, profile.hi), profile.knots)
     panels = [c for seg in segments for c in _split_panel(*seg, sigma)]
@@ -339,7 +349,30 @@ def _profile_moments(t, u, kappa_i, profile, rel_tol, max_nodes):
         return np.stack([base, base * d1, base * (d2 + d1 * d1), base * dt])
 
     units = np.array([1.0, sigma, sigma * sigma, t])
-    return _adaptive_panel_sum(panels, 2.0 * kappa_i, values, units, rel_tol, max_nodes)
+    moments = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, units, rel_tol, max_nodes)
+    if not moments[0] > 0.0:
+        raise ConvergenceError(
+            f"solution mass underflowed at u = {u}, t = {t}: the point is too far"
+            " from the support for double precision"
+        )
+    moments.setflags(write=False)
+    return moments
+
+
+def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2, rel_tol, max_nodes):
+    """moments(t, x): the cached moments of every coordinate at (t, x)."""
+    if f.dimension != kappa.d:
+        raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
+
+    def moments(t, x) -> list[np.ndarray]:
+        t = _validate_time(t)
+        x = _validate_point(x, kappa.d)
+        return [
+            _profile_moments(t, float(xi), k, p, rel_tol, max_nodes)
+            for xi, k, p in zip(x, kappa.values, f.profiles)
+        ]
+
+    return moments
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +388,9 @@ def apply_semigroup(
     max_nodes: int = _PANEL_NODE_CAP,
 ) -> float:
     """u(t, x): the solution started from f, evaluated by per-coordinate
-    quadrature to relative accuracy tol.  Positive for every valid datum."""
-    kappa = MultiplicityZ2.of(kappa)
-    t = _validate_time(t)
-    x = _validate_point(x, kappa.d)
-    if f.dimension != kappa.d:
-        raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
-    total = 1.0
-    for i, k in enumerate(kappa.values):
-        mass = _profile_moments(t, float(x[i]), k, f.profiles[i], tol, max_nodes)[0]
-        if not mass > 0.0:
-            raise ConvergenceError(
-                f"coordinate {i} mass underflowed: the evaluation point is too "
-                "far from the support for double precision"
-            )
-        total *= mass
-    return float(total)
+    quadrature to relative accuracy tol; `semigroup_solution(...).value`.
+    Positive, or ConvergenceError where a coordinate's mass underflows."""
+    return semigroup_solution(f, kappa, tol, max_nodes).value(t, x)
 
 
 def semigroup_solution(
@@ -381,48 +401,28 @@ def semigroup_solution(
 ) -> SpaceTimeField:
     """The solution started from f, with space and time derivatives taken
     under the integral sign (they hit the kernel factors, which are known in
-    closed form up to the tilted moments)."""
-    kappa = MultiplicityZ2.of(kappa)
-    if f.dimension != kappa.d:
-        raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
-    memo: dict[tuple[int, float, float], np.ndarray] = {}
+    closed form up to the tilted moments).
 
-    def coordinate(i: int, t: float, ui: float) -> np.ndarray:
-        key = (i, t, ui)
-        got = memo.get(key)
-        if got is None:
-            got = _profile_moments(t, ui, kappa.values[i], f.profiles[i], rel_tol, max_nodes)
-            memo[key] = got
-        return got
-
-    def moments(t, x):
-        t = _validate_time(t)
-        x = _validate_point(x, kappa.d)
-        return [coordinate(i, t, float(x[i])) for i in range(kappa.d)]
+    Every callable reads the per-coordinate moments from the module's
+    bounded cache, so fields built for the same datum share their work, and
+    raises ConvergenceError at a point where a coordinate's mass underflows
+    rather than returning 0 (and a 0/0 gradient)."""
+    moments = _solution_moments(f, MultiplicityZ2.of(kappa), rel_tol, max_nodes)
 
     def value(t, x) -> float:
         return float(np.prod([m[0] for m in moments(t, x)]))
 
-    def gradient(t, x) -> np.ndarray:
+    def scaled(t, x, j: int) -> list[float]:
+        # u times the j-th moment ratio of each coordinate
         ms = moments(t, x)
         val = np.prod([m[0] for m in ms])
-        return np.array([val / m[0] * m[1] for m in ms])
-
-    def hessian_diag(t, x) -> np.ndarray:
-        ms = moments(t, x)
-        val = np.prod([m[0] for m in ms])
-        return np.array([val / m[0] * m[2] for m in ms])
-
-    def time_derivative(t, x) -> float:
-        ms = moments(t, x)
-        val = np.prod([m[0] for m in ms])
-        return float(sum(val / m[0] * m[3] for m in ms))
+        return [val / m[0] * m[j] for m in ms]
 
     return SpaceTimeField(
         value=value,
-        gradient=gradient,
-        hessian_diag=hessian_diag,
-        time_derivative=time_derivative,
+        gradient=lambda t, x: np.array(scaled(t, x, 1)),
+        hessian_diag=lambda t, x: np.array(scaled(t, x, 2)),
+        time_derivative=lambda t, x: float(sum(scaled(t, x, 3))),
     )
 
 
@@ -437,40 +437,21 @@ def liyau_for_solution(
 ) -> VerificationReport:
     """-L log u(t, x) <= (d + 2 lambda)/(2t) for the solution u started from
     f, with L applied as the generic difference operator to the quadrature
-    field, so nothing here reuses the per-coordinate moment analysis."""
+    field, so nothing here reuses the per-coordinate moment analysis.  The
+    moments come from the same cache as `semigroup_solution`."""
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
     x = _validate_point(x, kappa.d)
-    if f.dimension != kappa.d:
-        raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
-    memo: dict[tuple[int, float], np.ndarray] = {}
-
-    def coordinate(i: int, ui: float) -> np.ndarray:
-        key = (i, ui)
-        got = memo.get(key)
-        if got is None:
-            got = _profile_moments(t, ui, kappa.values[i], f.profiles[i], rel_tol, max_nodes)
-            if not got[0] > 0.0:
-                raise ConvergenceError(
-                    f"coordinate {i} mass underflowed at u = {ui}; log u is not"
-                    " representable there"
-                )
-            memo[key] = got
-        return got
+    moments = functools.partial(_solution_moments(f, kappa, rel_tol, max_nodes), t)
 
     def log_value(z) -> float:
-        z = _validate_point(z, kappa.d)
-        return float(sum(math.log(coordinate(i, float(z[i]))[0]) for i in range(kappa.d)))
+        return float(sum(math.log(m[0]) for m in moments(z)))
 
     def log_gradient(z) -> np.ndarray:
-        z = _validate_point(z, kappa.d)
-        ms = [coordinate(i, float(z[i])) for i in range(kappa.d)]
-        return np.array([m[1] / m[0] for m in ms])
+        return np.array([m[1] / m[0] for m in moments(z)])
 
     def log_hessian(z) -> np.ndarray:
-        z = _validate_point(z, kappa.d)
-        ms = [coordinate(i, float(z[i])) for i in range(kappa.d)]
-        return np.array([m[2] / m[0] - (m[1] / m[0]) ** 2 for m in ms])
+        return np.array([m[2] / m[0] - (m[1] / m[0]) ** 2 for m in moments(z)])
 
     field = ScalarField(value=log_value, gradient=log_gradient, hessian_diag=log_hessian)
     lhs = -dunkl_laplacian(field, x, kappa)
@@ -620,21 +601,16 @@ def heat_residual(t: float, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> f
     x = _validate_point(x, kappa.d)
     y = _validate_point(y, kappa.d)
     ref = log_kernel_derivatives(t, x, y, kappa, rel_tol)
-    log_p0 = ref.log_p
+    g = ref.grad_x_log_p
 
     def value(z) -> float:
-        return math.exp(log_kernel(t, z, y, kappa, rel_tol) - log_p0)
+        # p(z, y) / p(x, y): exactly 1 at x, where log_kernel equals ref.log_p
+        if np.array_equal(z, x):
+            return 1.0
+        return math.exp(log_kernel(t, z, y, kappa, rel_tol) - ref.log_p)
 
-    def gradient(z) -> np.ndarray:
-        kp = log_kernel_derivatives(t, z, y, kappa, rel_tol)
-        return math.exp(kp.log_p - log_p0) * kp.grad_x_log_p
-
-    def hessian_diag(z) -> np.ndarray:
-        kp = log_kernel_derivatives(t, z, y, kappa, rel_tol)
-        g = kp.grad_x_log_p
-        return math.exp(kp.log_p - log_p0) * (kp.hess_diag_x_log_p + g * g)
-
-    field = ScalarField(value=value, gradient=gradient, hessian_diag=hessian_diag)
+    # dunkl_laplacian takes the derivatives at x only, where ref holds them
+    field = ScalarField(value, lambda z: g, lambda z: ref.hess_diag_x_log_p + g * g)
     lap = dunkl_laplacian(field, x, kappa)
     dt = ref.dt_log_p
     scale = max(abs(dt), abs(lap), 1.0 / t)

@@ -208,22 +208,19 @@ class TestClaimsVerify:
             "chain_rule",
             "log_convexity_diag",
             "log_convexity_midpoint",
-            "kernel_normalization",
-        } <= claims
+        } == claims
         assert sum(r["claim_id"] == "chain_rule" for r in rows) >= 10
 
     def test_scaled_normalizer_fails_normalization_rows_only(self, capsys):
         code, out, _ = run_cli(
             [
-                "claims-verify",
+                "semigroup-check",
                 "--kappa",
                 "0.5",
                 "--t",
                 "0.5",
                 "--coords",
                 "-1,2",
-                "--augment",
-                "3",
                 "--c-scale",
                 "1.5",
                 "--reproducible",
@@ -357,3 +354,17 @@ class TestExitCodes:
         assert code == 3
         assert "convergence failure" in err
         assert "[grid point [0.01, [40.0]]]" in err
+
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["--kappa", "1e-8", "--t", "1e-6", "--coords=-1000,0,1000"], "RuntimeError"),
+            (["--kappa", "200", "--t", "0.01", "--coords=-3,3"], "OverflowError"),
+        ],
+    )
+    def test_numerical_failure_returns_four_with_grid_point(self, capsys, argv, cause):
+        code, out, err = run_cli(["liyau-scan", *argv], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"numerical failure: {cause}")
+        assert "[grid point [" in err

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from dunklheat import cli, semigroup
 from dunklheat.inequalities import gradient_form_check, harnack_check, liyau_functional
 from dunklheat.kernel import kernel_1d, log_gaussian_mass
 from dunklheat.operators import ScalarField
-from dunklheat.quadrature import DomainError
+from dunklheat.quadrature import ConvergenceError, DomainError
 from dunklheat.semigroup import (
     HALF_WEIGHT_CONVENTION,
     InitialDatum,
@@ -176,6 +177,80 @@ def test_solution_field_derivatives_match_finite_differences():
     assert u.time_derivative(t, x) == pytest.approx(dt, rel=1e-9)
 
 
+@pytest.mark.parametrize("t, x", [(0.01, 40.0), (1e-4, -8.0)])
+def test_underflowed_solution_raises_on_every_path(t, x):
+    # the CLI's bump datum at kappa = 0.5: the mass at x underflows to 0
+    f = InitialDatum.bumps([0.0], [1.5], power=3)
+    u = semigroup_solution(f, [0.5])
+    for evaluate in (u.value, u.gradient, u.hessian_diag, u.time_derivative):
+        with pytest.raises(ConvergenceError, match="underflowed"):
+            evaluate(t, [x])
+    with pytest.raises(ConvergenceError, match="underflowed"):
+        apply_semigroup(f, t, [x], [0.5])
+    with pytest.raises(ConvergenceError, match="underflowed"):
+        liyau_for_solution(f, t, [x], [0.5])
+
+
+def _count_ladders(monkeypatch) -> list:
+    calls = []
+    ladder = semigroup._adaptive_panel_sum
+
+    def counted(*args):
+        calls.append(args)
+        return ladder(*args)
+
+    monkeypatch.setattr(semigroup, "_adaptive_panel_sum", counted)
+    return calls
+
+
+def test_solution_moments_are_cached_read_only_and_bounded(monkeypatch):
+    calls = _count_ladders(monkeypatch)
+    f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
+    t, x = 0.7, [1.0, 2.0]
+    first = semigroup_solution(f, [0.5, 1.5])
+    value = first.value(t, x)
+    assert len(calls) == 2
+    # a second field, the derivatives and apply_semigroup all hit the cache
+    second = semigroup_solution(f, [0.5, 1.5])
+    assert second.value(t, x) == value == apply_semigroup(f, t, x, [0.5, 1.5])
+    second.gradient(t, x)
+    second.time_derivative(t, x)
+    assert len(calls) == 2
+    moments = semigroup._profile_moments(t, 1.0, 0.5, f.profiles[0], semigroup._DEFAULT_REL_TOL, 512)
+    assert not moments.flags.writeable
+    with pytest.raises(ValueError):
+        moments[0] = 0.0
+    assert semigroup._profile_moments.cache_info().maxsize == semigroup._SOLUTION_CACHE_SIZE
+
+
+def test_solution_scan_runs_one_ladder_per_distinct_coordinate_integral(monkeypatch, capsys):
+    calls = _count_ladders(monkeypatch)
+    argv = ["solution-scan", "--kappa", "0.5,1.5", "--t", "0.5", "--coords=-1,0,1", "--reproducible"]
+    assert cli.main(argv) == 0
+    # one per (datum, t, axis, u): 3 data, 1 time, 2 axes, 3 coordinates
+    assert len(calls) == 3 * 1 * 2 * 3
+
+
+def test_liyau_for_solution_agrees_cold_and_after_the_field_filled_the_cache(monkeypatch):
+    kappa, t, x = [0.5, 1.5], 0.7, [1.0, -2.0]
+
+    def datum():
+        # fresh profile objects, so nothing is cached for them yet
+        return InitialDatum(
+            (bump_profile(0.5, 1.0, power=3), two_bump_profile(-2.0, 2.0, 0.8, power=3))
+        )
+
+    cold = liyau_for_solution(datum(), t, x, kappa)
+    f = datum()
+    u = semigroup_solution(f, kappa)
+    for z in ([1.0, -2.0], [-1.0, 2.0]):  # x and both reflections, coordinate by coordinate
+        u.value(t, z)
+    calls = _count_ladders(monkeypatch)
+    warm = liyau_for_solution(f, t, x, kappa)
+    assert calls == []
+    assert warm == cold
+
+
 # ---------------------------------------------------------------------------
 # normalization and the convention lock
 
@@ -276,6 +351,31 @@ def test_heat_residual_generic_points(t, x, y, kappa):
 
 def test_heat_residual_on_hyperplane():
     assert heat_residual(0.5, [0.0, 1.0], [2.0, -1.0], [1.0, 0.25]) < 1e-6
+
+
+def test_heat_residual_evaluates_the_kernel_once_per_point(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, tuple(args[1])))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(semigroup, "log_kernel", counted("log_kernel", semigroup.log_kernel))
+    monkeypatch.setattr(
+        semigroup,
+        "log_kernel_derivatives",
+        counted("derivatives", semigroup.log_kernel_derivatives),
+    )
+    assert heat_residual(0.5, [1.0, -2.0], [0.3, 1.5], [0.5, 1.5]) < 1e-7
+    # the derivatives at x, then the kernel at each reflected point
+    assert calls == [
+        ("derivatives", (1.0, -2.0)),
+        ("log_kernel", (-1.0, -2.0)),
+        ("log_kernel", (1.0, 2.0)),
+    ]
 
 
 # ---------------------------------------------------------------------------
