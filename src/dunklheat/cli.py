@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -27,9 +28,11 @@ from functools import cached_property
 import numpy as np
 
 from .inequalities import (
+    LiYauDecomposition,
     VerificationReport,
     gradient_form_check,
     harnack_check,
+    iter_liyau_grid,
     liyau_functional,
     log_convexity_check,
     log_convexity_midpoint_check,
@@ -77,6 +80,9 @@ _DEFAULT_KAPPA = (0.5, 1.5)
 _DEFAULT_T = (0.01, 0.1, 1.0, 10.0)
 _DEFAULT_COORDS = (-3.0, -1.0, 0.0, 1.0, 3.0)
 _EQUALITY_FLAG = 1e-8
+# one encoder for every JSON line and CSV column: json.dumps with separators
+# builds a new JSONEncoder on each call
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ def _row(report: VerificationReport, extra: dict | None = None) -> dict:
 def _plain(value):
     """Tuples to lists, numpy scalars to floats: JSON-ready grid points."""
     if isinstance(value, (tuple, list, np.ndarray)):
-        return [_plain(v) for v in value]
+        return [v if type(v) is float else _plain(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
         return float(value)
     return value
@@ -172,7 +178,10 @@ def _sort_key(row: dict):
         if isinstance(value, list):
             out = []
             for v in value:
-                out.extend(flatten(v))
+                if type(v) is float:
+                    out.append((0, v))
+                else:
+                    out.extend(flatten(v))
             return out
         if isinstance(value, (int, float)):
             return [(0, float(value))]
@@ -223,38 +232,40 @@ def _kernel_eval(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def _liyau_points(cfg: RunConfig):
-    for t in cfg.t_grid:
-        for x in cfg.points:
-            for y in cfg.points:
-                yield t, x, y
-    if cfg.augment:
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(cfg.augment):
-            t = float(10.0 ** rng.uniform(-2.0, 2.0))
-            x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
-            y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
-            yield t, x, y
+def _liyau_row(dec: LiYauDecomposition, tol: float) -> dict:
+    report = dec.report(tol)
+    coordinates = dec.coordinates
+    return _row(
+        report,
+        extra={
+            "equality": bool(report.deficit <= _EQUALITY_FLAG),
+            "a": [c.a for c in coordinates],
+            "variance_term": [c.variance_term for c in coordinates],
+            "f_value": [c.f_value for c in coordinates],
+            "i_value": [c.i_value for c in coordinates],
+        },
+    )
 
 
 def _liyau_scan(cfg: RunConfig) -> list[dict]:
     rows = []
-    for t, x, y in _liyau_points(cfg):
-        point = (t, x, y)
-        dec = _at_point(point, lambda: liyau_functional(t, x, y, cfg.kappa))
-        report = dec.report(cfg.tol)
-        rows.append(
-            _row(
-                report,
-                extra={
-                    "equality": bool(report.deficit <= _EQUALITY_FLAG),
-                    "a": [c.a for c in dec.coordinates],
-                    "variance_term": [c.variance_term for c in dec.coordinates],
-                    "f_value": [c.f_value for c in dec.coordinates],
-                    "i_value": [c.i_value for c in dec.coordinates],
-                },
-            )
-        )
+    for t in cfg.t_grid:
+        grid = iter_liyau_grid(t, cfg.kappa, cfg.coord_grid)
+        try:
+            rows.extend(_liyau_row(dec, cfg.tol) for dec in grid)
+        except (ArithmeticError, RuntimeError):
+            # a coordinate table failed: go through the points of t one by
+            # one to name the first that stops
+            for x, y in itertools.product(cfg.points, repeat=2):
+                _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
+            raise
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.augment):
+        t = float(10.0 ** rng.uniform(-2.0, 2.0))
+        x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
+        y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
+        dec = _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
+        rows.append(_liyau_row(dec, cfg.tol))
     return rows
 
 
@@ -395,17 +406,19 @@ def _claims_verify(cfg: RunConfig) -> list[dict]:
 
     for k in kappa_values:
         for a in np.linspace(-200.0, 200.0, 41):
-            value = f_of_a(float(a), k)
+            point = (float(a), k)
+            value = _at_point(point, lambda: f_of_a(float(a), k))
             report = VerificationReport.build(
-                "f_nonneg", (float(a), k), lhs=0.0, rhs=value, tolerance=1e-10
+                "f_nonneg", point, lhs=0.0, rhs=value, tolerance=1e-10
             )
             rows.append(_row(report))
         grid = np.linspace(-5.0, 5.0, 101)
-        h = [h_of_a(float(a), k) for a in grid]
+        h = [_at_point((float(a), k), lambda: h_of_a(float(a), k)) for a in grid]
         for a in grid[grid >= 0.0]:
-            gap = abs(h_of_a(float(a), k) + h_of_a(-float(a), k))
+            point = (float(a), k)
+            gap = _at_point(point, lambda: abs(h_of_a(float(a), k) + h_of_a(-float(a), k)))
             report = VerificationReport.build(
-                "h_antisymmetric", (float(a), k), lhs=gap, rhs=0.0, tolerance=1e-10, deficit=-gap
+                "h_antisymmetric", point, lhs=gap, rhs=0.0, tolerance=1e-10, deficit=-gap
             )
             rows.append(_row(report))
         for i in range(len(grid) - 1):
@@ -444,10 +457,15 @@ def _claims_verify(cfg: RunConfig) -> list[dict]:
         t = float(10.0 ** rng.uniform(-1.0, 1.0))
         x = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
         y = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
-        rows.append(_row(log_convexity_check(t, x, y, cfg.kappa, tol=cfg.tol)))
+        report = _at_point((t, x, y), lambda: log_convexity_check(t, x, y, cfg.kappa, tol=cfg.tol))
+        rows.append(_row(report))
         z1 = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
         z2 = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
-        rows.append(_row(log_convexity_midpoint_check(t, z1, z2, y, cfg.kappa, tol=cfg.tol)))
+        report = _at_point(
+            (t, z1, z2, y),
+            lambda: log_convexity_midpoint_check(t, z1, z2, y, cfg.kappa, tol=cfg.tol),
+        )
+        rows.append(_row(report))
     return rows
 
 
@@ -514,26 +532,26 @@ def _meta_line(cfg: RunConfig) -> dict:
 
 
 def _render(rows: list[dict], cfg: RunConfig) -> str:
+    encode = _COMPACT_JSON.encode
     if cfg.output_format == "json-lines":
-        lines = [json.dumps({"meta": _meta_line(cfg)}, separators=(",", ":"))]
-        lines.extend(json.dumps(row, separators=(",", ":")) for row in rows)
+        lines = [encode({"meta": _meta_line(cfg)})]
+        lines.extend(encode(row) for row in rows)
         return "\n".join(lines) + "\n"
     buffer = io.StringIO()
-    meta = _meta_line(cfg)
-    buffer.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
+    buffer.write("# " + encode(_meta_line(cfg)) + "\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_COLUMNS)
     for row in rows:
         writer.writerow(
             [
                 row["claim_id"],
-                json.dumps(row["grid_point"], separators=(",", ":")),
+                encode(row["grid_point"]),
                 repr(row["lhs"]),
                 repr(row["rhs"]),
                 repr(row["deficit"]),
                 repr(row["tol"]),
                 "pass" if row["pass"] else "fail",
-                json.dumps(row["extra"], separators=(",", ":")),
+                encode(row["extra"]),
             ]
         )
     return buffer.getvalue()

@@ -29,12 +29,12 @@ from .kernel import (
     moment_ratios,
 )
 from .operators import (
+    EPS_REFLECTION_SCALE,
     MultiplicityZ2,
     ScalarField,
     SpaceTimeField,
     _validate_point,
     _validate_time,
-    reflection_epsilon,
 )
 from .quadrature import DomainError, gauss_jacobi_rule
 
@@ -52,6 +52,7 @@ __all__ = [
     "gradient_form_check",
     "h_of_a",
     "harnack_check",
+    "iter_liyau_grid",
     "iter_liyau_reports",
     "kernel_solution_field",
     "liyau_coordinate_table",
@@ -180,7 +181,6 @@ class LiYauCoordinate:
     distance to the per-coordinate bound -(1 + 2 kappa_i)/(2t).
     """
 
-    axis: int
     a: float
     variance_term: float
     f_value: float
@@ -192,19 +192,22 @@ class LiYauCoordinate:
 @dataclass(frozen=True)
 class LiYauDecomposition:
     """-Delta_kappa(log p_t(., y))(x) <= (d + 2 lambda_kappa)/(2t), split
-    into its coordinate contributions; total is the left-hand side."""
+    into its coordinate contributions, coordinates[i] for axis i; total is
+    the left-hand side."""
 
     t: float
-    x: np.ndarray
-    y: np.ndarray
+    x: tuple[float, ...]
+    y: tuple[float, ...]
     kappa: MultiplicityZ2
     coordinates: tuple[LiYauCoordinate, ...]
-    total: float
-    bound: float
 
-    def __post_init__(self):
-        self.x.setflags(write=False)
-        self.y.setflags(write=False)
+    @property
+    def total(self) -> float:
+        return float(-sum(c.i_value for c in self.coordinates))
+
+    @property
+    def bound(self) -> float:
+        return (self.kappa.d + 2.0 * self.kappa.lambda_total) / (2.0 * self.t)
 
     @property
     def deficit(self) -> float:
@@ -214,7 +217,7 @@ class LiYauDecomposition:
     def report(self, tol: float = DEFAULT_TOLERANCE) -> "VerificationReport":
         return VerificationReport.build(
             claim_id="liyau_log_kernel",
-            grid_point=(self.t, tuple(self.x), tuple(self.y)),
+            grid_point=(self.t, self.x, self.y),
             lhs=self.total,
             rhs=self.bound,
             tolerance=tol,
@@ -222,12 +225,17 @@ class LiYauDecomposition:
         )
 
 
-def _liyau_coordinate(t, u, v, kappa_i, axis, rel_tol) -> LiYauCoordinate:
+def _liyau_coordinate(t, u, v, kappa_i, rel_tol) -> LiYauCoordinate:
+    # the one hyperplane rule: a coordinate within EPS_REFLECTION_SCALE of
+    # its own scale sits on x_i = 0
+    on_hyperplane = abs(u) < EPS_REFLECTION_SCALE * (1.0 + abs(u))
+    if on_hyperplane:
+        u = 0.0
     c = _coordinate(t, u, v, kappa_i, rel_tol)
     # a Gaussian coordinate (kappa_i = 0) has no reflection part and meets
     # the bound exactly
     f_value = f_of_a(c.a, kappa_i, rel_tol) if kappa_i > 0.0 else 0.0
-    if abs(u) < 1e-7 * (1.0 + abs(u)):
+    if on_hyperplane:
         # the analytic reflection term divides by u^2; at the hyperplane the
         # coordinate contribution is the removable-singularity limit
         # (1 + 2 kappa) d_uu log p, matching the generic Dunkl Laplacian
@@ -240,7 +248,6 @@ def _liyau_coordinate(t, u, v, kappa_i, axis, rel_tol) -> LiYauCoordinate:
         i_value = c.d_uu + j_value
         deficit = c.variance_term + reflection_term
     return LiYauCoordinate(
-        axis=axis,
         a=c.a,
         variance_term=c.variance_term,
         f_value=f_value,
@@ -253,34 +260,20 @@ def _liyau_coordinate(t, u, v, kappa_i, axis, rel_tol) -> LiYauCoordinate:
 def liyau_functional(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> LiYauDecomposition:
     """Evaluate -Delta_kappa(log p_t(., y))(x) coordinate by coordinate.
 
-    Coordinates with |x_i| below the hyperplane threshold take the limit
-    branch of the generic Dunkl Laplacian; all others use the analytic
-    moment-ratio form.  The two agree to 1e-8 wherever both are usable.
+    A coordinate with |x_i| < EPS_REFLECTION_SCALE (1 + |x_i|) sits on its
+    hyperplane and takes the limit branch of the generic Dunkl Laplacian;
+    all others use the analytic moment-ratio form.  The two agree to 1e-8
+    wherever both are usable.  The rule reads x_i alone, so every point of
+    a product grid gets the terms of its coordinate tables.
     """
     t = _validate_time(t)
     kappa = MultiplicityZ2.of(kappa)
-    x = _validate_point(x, kappa.d)
-    y = _validate_point(y, kappa.d)
-    eps = reflection_epsilon(x)
-    coords = []
-    for i, (u, v, k) in enumerate(zip(x.tolist(), y.tolist(), kappa.values)):
-        # the scan tables use the same branch rule with the coordinate's own
-        # scale; the full-point epsilon only differs for |x_i| in the dead
-        # zone between the two, which the default grids never touch
-        if abs(u) < eps:
-            u = 0.0
-        coords.append(_liyau_coordinate(t, u, v, k, i, rel_tol))
-    total = -sum(c.i_value for c in coords)
-    bound = (kappa.d + 2.0 * kappa.lambda_total) / (2.0 * t)
-    return LiYauDecomposition(
-        t=t,
-        x=x.copy(),
-        y=y.copy(),
-        kappa=kappa,
-        coordinates=tuple(coords),
-        total=float(total),
-        bound=float(bound),
+    x = tuple(_validate_point(x, kappa.d).tolist())
+    y = tuple(_validate_point(y, kappa.d).tolist())
+    coords = tuple(
+        _liyau_coordinate(t, u, v, k, rel_tol) for u, v, k in zip(x, y, kappa.values)
     )
+    return LiYauDecomposition(t=t, x=x, y=y, kappa=kappa, coordinates=coords)
 
 
 def liyau_report(
@@ -296,28 +289,29 @@ def liyau_report(
 
 
 # ---------------------------------------------------------------------------
-# grid scans: the deficit is an exact sum of per-coordinate terms, so a
-# product grid reduces to one small table per (t, kappa_i)
+# grid scans: the deficit is an exact sum of per-coordinate terms, so every
+# point of a product grid reads its terms from one small table per
+# (t, kappa_i); liyau_coordinate_table is the only place they are computed
 
 
 def liyau_deficit_1d(t, u, v, kappa_i, rel_tol: float = _DEFAULT_REL_TOL) -> float:
     """The coordinate deficit at one (t, x_i, y_i)."""
-    return _liyau_coordinate(_validate_time(t), float(u), float(v), float(kappa_i), 0, rel_tol).deficit
+    return _liyau_coordinate(_validate_time(t), float(u), float(v), float(kappa_i), rel_tol).deficit
 
 
 @dataclass(frozen=True)
 class CoordinateTable:
-    """Per-coordinate values on a coords x coords grid at fixed (t, kappa_i)."""
+    """Per-coordinate terms on a coords x coords grid at fixed (t, kappa_i):
+    entries[ix][iy] at (x_i, y_i) = (coords[ix], coords[iy])."""
 
     t: float
     kappa_i: float
     coords: tuple[float, ...]
+    entries: tuple[tuple[LiYauCoordinate, ...], ...]
     deficit: np.ndarray  # [ix, iy]
-    i_value: np.ndarray  # [ix, iy]
 
     def __post_init__(self):
         self.deficit.setflags(write=False)
-        self.i_value.setflags(write=False)
 
 
 def liyau_coordinate_table(
@@ -327,18 +321,13 @@ def liyau_coordinate_table(
     rel_tol: float = _DEFAULT_REL_TOL,
 ) -> CoordinateTable:
     t = _validate_time(t)
+    kappa_i = float(kappa_i)
     coords = tuple(float(c) for c in coords)
-    n = len(coords)
-    deficit = np.empty((n, n))
-    i_value = np.empty((n, n))
-    for ix, u in enumerate(coords):
-        for iy, v in enumerate(coords):
-            c = _liyau_coordinate(t, u, v, float(kappa_i), 0, rel_tol)
-            deficit[ix, iy] = c.deficit
-            i_value[ix, iy] = c.i_value
-    return CoordinateTable(
-        t=t, kappa_i=float(kappa_i), coords=coords, deficit=deficit, i_value=i_value
+    entries = tuple(
+        tuple(_liyau_coordinate(t, u, v, kappa_i, rel_tol) for v in coords) for u in coords
     )
+    deficit = np.array([[c.deficit for c in row] for row in entries], dtype=float)
+    return CoordinateTable(t=t, kappa_i=kappa_i, coords=coords, entries=entries, deficit=deficit)
 
 
 @dataclass(frozen=True)
@@ -404,6 +393,33 @@ def liyau_grid_extrema(
     )
 
 
+def iter_liyau_grid(
+    t: float,
+    kappa,
+    coords: Sequence[float] = DEFAULT_COORDS,
+    rel_tol: float = _DEFAULT_REL_TOL,
+) -> Iterator[LiYauDecomposition]:
+    """The decomposition at every (x, y) of the product grid at time t, in
+    lexicographic index order, read from one coordinate table per distinct
+    kappa_i."""
+    t = _validate_time(t)
+    kappa = MultiplicityZ2.of(kappa)
+    coords = tuple(float(c) for c in coords)
+    tables = {}
+    for k in kappa.values:
+        if k not in tables:
+            tables[k] = liyau_coordinate_table(t, k, coords, rel_tol).entries
+    axes = [tables[k] for k in kappa.values]
+    index = list(itertools.product(range(len(coords)), repeat=kappa.d))
+    points = [tuple(coords[j] for j in ix) for ix in index]
+    for ix, x in zip(index, points):
+        # the table row of x_i on each axis; y_i then picks the entry
+        rows = [entries[u] for entries, u in zip(axes, ix)]
+        for iy, y in zip(index, points):
+            coordinates = tuple(map(tuple.__getitem__, rows, iy))
+            yield LiYauDecomposition(t=t, x=x, y=y, kappa=kappa, coordinates=coordinates)
+
+
 def iter_liyau_reports(
     t_values: Sequence[float],
     kappa,
@@ -413,28 +429,9 @@ def iter_liyau_reports(
 ) -> Iterator[VerificationReport]:
     """All Li-Yau reports on the product grid, assembled from coordinate
     tables; rows stream in lexicographic (t, x, y) order."""
-    kappa = MultiplicityZ2.of(kappa)
-    coords = tuple(float(c) for c in coords)
-    n = len(coords)
-    d = kappa.d
     for t in sorted(_validate_time(v) for v in t_values):
-        tables = [liyau_coordinate_table(t, k, coords, rel_tol) for k in kappa.values]
-        bound = (d + 2.0 * kappa.lambda_total) / (2.0 * t)
-        for combo in itertools.product(range(n), repeat=2 * d):
-            ix = combo[:d]
-            iy = combo[d:]
-            x = tuple(coords[j] for j in ix)
-            y = tuple(coords[j] for j in iy)
-            total = -sum(tables[i].i_value[ix[i], iy[i]] for i in range(d))
-            deficit = sum(tables[i].deficit[ix[i], iy[i]] for i in range(d))
-            yield VerificationReport.build(
-                claim_id="liyau_log_kernel",
-                grid_point=(t, x, y),
-                lhs=float(total),
-                rhs=bound,
-                tolerance=tol,
-                deficit=float(deficit),
-            )
+        for dec in iter_liyau_grid(t, kappa, coords, rel_tol):
+            yield dec.report(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -462,25 +459,34 @@ def kernel_solution_field(y0, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> Space
     """u(t, x) = p_t(x, y0), the fundamental solution centred at y0.
 
     Derivatives of the value are assembled from the log-derivatives:
-    grad u = u grad log u, d_ii u = u (d_ii log u + (d_i log u)^2).
+    grad u = u grad log u, d_ii u = u (d_ii log u + (d_i log u)^2).  The
+    value and every derivative at one (t, x) share one kernel evaluation.
     """
     kappa = MultiplicityZ2.of(kappa)
     y0 = _validate_point(y0, kappa.d)
+    last = {}
+
+    def derivatives(t, x):
+        key = (_validate_time(t), _validate_point(x, kappa.d).tobytes())
+        if key not in last:
+            last.clear()
+            last[key] = log_kernel_derivatives(t, x, y0, kappa, rel_tol)
+        return last[key]
 
     def value(t, x):
-        return math.exp(log_kernel(t, x, y0, kappa, rel_tol))
+        return math.exp(derivatives(t, x).log_p)
 
     def gradient(t, x):
-        kp = log_kernel_derivatives(t, x, y0, kappa, rel_tol)
+        kp = derivatives(t, x)
         return math.exp(kp.log_p) * np.asarray(kp.grad_x_log_p)
 
     def hessian_diag(t, x):
-        kp = log_kernel_derivatives(t, x, y0, kappa, rel_tol)
+        kp = derivatives(t, x)
         g = np.asarray(kp.grad_x_log_p)
         return math.exp(kp.log_p) * (np.asarray(kp.hess_diag_x_log_p) + g * g)
 
     def time_derivative(t, x):
-        kp = log_kernel_derivatives(t, x, y0, kappa, rel_tol)
+        kp = derivatives(t, x)
         return math.exp(kp.log_p) * kp.dt_log_p
 
     return SpaceTimeField(

@@ -4,13 +4,16 @@ Everything drives dunklheat.cli.main directly with argv lists; stdout is the
 contract (JSON lines or CSV) and the exit code is the verdict.
 """
 
+import collections
 import csv
 import io
 import json
 
 import pytest
 
+from dunklheat import cli, inequalities
 from dunklheat.cli import _COLUMNS, main
+from dunklheat.inequalities import liyau_functional
 
 
 def run_cli(argv, capsys):
@@ -368,3 +371,67 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"numerical failure: {cause}")
         assert "[grid point [" in err
+
+    def test_grid_failure_names_the_first_grid_point_that_stops(self, capsys):
+        # the kappa = 200 table overflows; its first entry is on axis 1
+        code, _, err = run_cli(
+            ["liyau-scan", "--kappa", "0.5,200", "--t", "0.01", "--coords=-3,0,3"], capsys
+        )
+        assert code == 4
+        assert err == (
+            "numerical failure: OverflowError: math range error "
+            "[grid point [0.01, [-3.0, -3.0], [-3.0, -3.0]]]\n"
+        )
+
+    def test_claims_verify_numerical_failure_returns_four_with_grid_point(self, capsys):
+        code, out, err = run_cli(["claims-verify", "--kappa", "200", "--reproducible"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure: OverflowError")
+        assert "[grid point [-200.0, 200.0]]" in err
+
+
+class TestLiYauGrid:
+    """Grid rows of liyau-scan come from per-(t, kappa_i) coordinate tables;
+    each must be the row liyau_functional gives at the same point."""
+
+    @pytest.mark.parametrize(
+        "kappa, t_grid, coords",
+        [
+            ("0.5", "1,0.1,1", "3,-0.0,0,1.5e-7,10,3,-1"),
+            ("0,1.5", "10,0.01", "-0.0,1.5e-7,10,10,0"),
+            ("0.5,0,2", "1,0.1", "1.5e-7,-0.0,10,-1"),
+        ],
+    )
+    def test_grid_rows_equal_rows_built_pointwise(self, capsys, kappa, t_grid, coords):
+        argv = ["liyau-scan", f"--kappa={kappa}", f"--t={t_grid}", f"--coords={coords}"]
+        code, out, _ = run_cli([*argv, "--reproducible"], capsys)
+        assert code == 0
+        lines = out.splitlines()[1:]
+        kappa_values = [float(k) for k in kappa.split(",")]
+        n = len(coords.split(","))
+        assert len(lines) == len(t_grid.split(",")) * n ** (2 * len(kappa_values))
+        for line in lines:
+            t, x, y = json.loads(line)["grid_point"]
+            dec = liyau_functional(t, x, y, kappa_values)
+            # JSON text compares every float to the bit, signed zeros too
+            assert line == cli._COMPACT_JSON.encode(cli._liyau_row(dec, 1e-9))
+
+    def test_grid_evaluates_each_coordinate_term_once(self, monkeypatch, capsys):
+        terms = collections.Counter()
+        pointwise = []
+        original = inequalities._liyau_coordinate
+
+        def counting(t, u, v, kappa_i, *rest):
+            terms[(kappa_i, u, v)] += 1
+            return original(t, u, v, kappa_i, *rest)
+
+        monkeypatch.setattr(inequalities, "_liyau_coordinate", counting)
+        monkeypatch.setattr(cli, "liyau_functional", lambda *a: pointwise.append(a))
+        argv = ["liyau-scan", "--kappa", "0.5,1.5,0.25", "--t", "0.5", "--coords=-1,0,1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3**6
+        assert len(terms) == 3 * 9
+        assert set(terms.values()) == {1}
+        assert pointwise == []

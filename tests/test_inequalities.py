@@ -1,12 +1,14 @@
 """Li-Yau bound, its scalar ingredients f and h, and the derived
 parabolic inequalities."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import _oracles as oracle
+from dunklheat import inequalities
 from dunklheat.inequalities import (
     DEFAULT_COORDS,
     GridExtrema,
@@ -164,7 +166,7 @@ def test_decomposition_fields_are_consistent():
     assert len(dec.coordinates) == 2
     assert dec.bound == (2 + 2.0 * 2.0) / (2.0 * t)
     for i, c in enumerate(dec.coordinates):
-        assert c.axis == i
+        assert c == liyau_functional(t, [x[i]], [y[i]], [kappa[i]]).coordinates[0]
         assert c.a == x[i] * y[i] / (2.0 * t)
         assert c.variance_term >= 0.0
         assert c.f_value >= 0.0
@@ -238,6 +240,27 @@ def test_table_entries_match_scalar_deficits():
     for ix, u in enumerate(table.coords):
         for iy, v in enumerate(table.coords):
             assert table.deficit[ix, iy] == liyau_deficit_1d(0.1, u, v, 0.5)
+
+
+def test_table_keeps_every_coordinate_term():
+    coords = (-3.0, -0.0, 0.0, 1e-8, 1.0)
+    table = liyau_coordinate_table(0.1, 0.5, coords=coords)
+    for ix, u in enumerate(coords):
+        for iy, v in enumerate(coords):
+            c = table.entries[ix][iy]
+            assert c == liyau_functional(0.1, [u], [v], [0.5]).coordinates[0]
+            assert table.deficit[ix, iy] == c.deficit
+
+
+def test_hyperplane_rule_reads_the_coordinate_alone():
+    # |x_i| below 1e-7 (1 + |x_i|) is the hyperplane whatever the other
+    # coordinates are; 1.5e-7 is not, even next to a large coordinate
+    for other in (0.0, 10.0, 1e6):
+        on = liyau_functional(0.5, [5e-8, other], [1.0, 2.0], [0.5, 1.5]).coordinates[0]
+        off = liyau_functional(0.5, [1.5e-7, other], [1.0, 2.0], [0.5, 1.5]).coordinates[0]
+        assert on == liyau_functional(0.5, [0.0], [1.0], [0.5]).coordinates[0]
+        assert off == liyau_functional(0.5, [1.5e-7], [1.0], [0.5]).coordinates[0]
+        assert off.a != 0.0 and on.a == 0.0
 
 
 def test_full_grid_reports_match_direct_evaluation():
@@ -328,6 +351,28 @@ def test_gradient_form_on_kernel_solutions():
         beta = (2 + 2.0 * lam) / (2.0 * t)
         r = gradient_form_check(u, t, x, beta)
         assert r.claim_id == "gradient_form" and r.passed
+
+
+def test_kernel_solution_field_evaluates_the_kernel_once_per_point(monkeypatch):
+    calls = collections.Counter()
+    for name in ("log_kernel", "log_kernel_derivatives"):
+
+        def counting(*args, _name=name, _original=getattr(inequalities, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inequalities, name, counting)
+    kappa, y0, t = [0.5, 1.5], [0.5, -1.0], 0.7
+    u = kernel_solution_field(y0, kappa)
+    gradient_form_check(u, t, [1.0, 2.0], beta=10.0)
+    assert calls == {"log_kernel_derivatives": 1}
+    for x in ([1.0, 2.0], [-0.3, 0.0], [-0.3, -0.0], [1.0, 2.0]):
+        kp = log_kernel_derivatives(t, x, y0, kappa)
+        assert u.value(t, x) == math.exp(log_kernel(t, x, y0, kappa))
+        grad = math.exp(kp.log_p) * np.asarray(kp.grad_x_log_p)
+        np.testing.assert_array_equal(u.gradient(t, x), grad)
+        assert u.time_derivative(t, x) == math.exp(kp.log_p) * kp.dt_log_p
+        assert u.value(2.0 * t, x) == math.exp(log_kernel(2.0 * t, x, y0, kappa))
 
 
 def test_gradient_form_lhs_is_the_log_derivative_combination():

@@ -148,6 +148,7 @@ TIME_ENTRY_POINTS = {
     "liyau_coordinate_table": lambda t: dh.liyau_coordinate_table(t, 0.5),
     "liyau_grid_extrema": lambda t: dh.liyau_grid_extrema(t, _K),
     "iter_liyau_reports": lambda t: next(dh.iter_liyau_reports([t], _K)),
+    "iter_liyau_grid": lambda t: next(dh.iter_liyau_grid(t, _K)),
 }
 
 POINT_ENTRY_POINTS = {

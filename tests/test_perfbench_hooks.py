@@ -39,7 +39,8 @@ def test_traced_liyau_scan_reports_every_declared_layer_metric():
     original = kernel.moment_ratios
     with tracer_module.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
         assert kernel.moment_ratios is not original
-        code = cli.main(["liyau-scan", "--kappa", "0.5", "--t", "0.5", "--coords", "0,1", "--reproducible"])
+        argv = ["liyau-scan", "--kappa", "0.5", "--t", "0.5", "--coords", "0,1", "--augment", "2"]
+        code = cli.main([*argv, "--reproducible"])
     assert code == 0
     assert _bindings() == before
     metrics = tracer.metrics()
@@ -47,5 +48,7 @@ def test_traced_liyau_scan_reports_every_declared_layer_metric():
     # trace.overhead_s is traced minus untraced wall time, which the runner
     # forms from two processes; every other per-layer metric is the tracer's
     assert set(metrics) == declared - {"trace.overhead_s"}
-    assert metrics["cli.rows"] == 4
-    assert metrics["inequalities.liyau_functional_calls"] == 4
+    # grid rows come from coordinate tables; only the augment points call
+    # liyau_functional
+    assert metrics["cli.rows"] == 4 + 2
+    assert metrics["inequalities.liyau_functional_calls"] == 2
