@@ -5,30 +5,19 @@ reduces to the same three weighted sums
 
     S_k(a) = sum_j w_j p(s_j)^k exp(tilt_j(a)),   k = 0, 1, 2,
 
-taken over a batch of tilt values a.  numba compiles the scalar-loop twins
-when importable; set DUNKLHEAT_NO_NUMBA=1 to force the pure numpy path,
-which does the same math by broadcasting and pays for the full
-(batch, nodes) temporary instead.  fastmath stays off: downstream
-tolerances sit at 1e-9..1e-12 and reassociation is not worth the risk.
+taken over a batch of tilt values a.  Both functions broadcast the whole
+(batch, nodes) array in numpy.
 """
-
-import os
 
 import numpy as np
 
 __all__ = ["USING_NUMBA", "jacobi_tilted_sums", "laguerre_tilted_sums"]
 
-try:
-    if os.environ.get("DUNKLHEAT_NO_NUMBA", "0") == "1":
-        raise ImportError("numba disabled via DUNKLHEAT_NO_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
+# No compiled backend; perfbench/child.py and perfbench/tracer.py read this flag.
+USING_NUMBA = False
 
 
-def jacobi_tilted_sums_numpy(nodes, weights, a):
+def jacobi_tilted_sums(nodes, weights, a):
     """S_k(a) = sum_j w_j s_j^k exp(a (s_j - sign(a))), k = 0, 1, 2.
 
     The shift by sign(a) keeps every exponent <= 0, so nothing overflows for
@@ -42,7 +31,7 @@ def jacobi_tilted_sums_numpy(nodes, weights, a):
     return s0, s1, s2
 
 
-def laguerre_tilted_sums_numpy(nodes, weights, abs_a, factor_exp):
+def laguerre_tilted_sums(nodes, weights, abs_a, factor_exp):
     """S_k = sum_j w_j q_j^factor_exp u_j^k with q_j = 2 - r_j/|a| and
     u_j = 1 - r_j/|a|, k = 0, 1, 2.
 
@@ -59,62 +48,3 @@ def laguerre_tilted_sums_numpy(nodes, weights, abs_a, factor_exp):
     s1 = (fac * u).sum(axis=1)
     s2 = (fac * u * u).sum(axis=1)
     return s0, s1, s2
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_tilted_sums_jit(nodes, weights, a):
-        m = a.shape[0]
-        n = nodes.shape[0]
-        s0 = np.empty(m)
-        s1 = np.empty(m)
-        s2 = np.empty(m)
-        for i in range(m):
-            ai = a[i]
-            shift = 1.0 if ai > 0.0 else (-1.0 if ai < 0.0 else 0.0)
-            acc0 = 0.0
-            acc1 = 0.0
-            acc2 = 0.0
-            for j in range(n):
-                s = nodes[j]
-                w = weights[j] * np.exp(ai * (s - shift))
-                acc0 += w
-                acc1 += w * s
-                acc2 += w * s * s
-            s0[i] = acc0
-            s1[i] = acc1
-            s2[i] = acc2
-        return s0, s1, s2
-
-    @njit(cache=True)
-    def _laguerre_tilted_sums_jit(nodes, weights, abs_a, factor_exp):
-        m = abs_a.shape[0]
-        n = nodes.shape[0]
-        s0 = np.empty(m)
-        s1 = np.empty(m)
-        s2 = np.empty(m)
-        for i in range(m):
-            aa = abs_a[i]
-            acc0 = 0.0
-            acc1 = 0.0
-            acc2 = 0.0
-            for j in range(n):
-                q = 2.0 - nodes[j] / aa
-                if q <= 0.0:
-                    continue
-                u = 1.0 - nodes[j] / aa
-                w = weights[j] * q**factor_exp
-                acc0 += w
-                acc1 += w * u
-                acc2 += w * u * u
-            s0[i] = acc0
-            s1[i] = acc1
-            s2[i] = acc2
-        return s0, s1, s2
-
-    jacobi_tilted_sums = _jacobi_tilted_sums_jit
-    laguerre_tilted_sums = _laguerre_tilted_sums_jit
-else:
-    jacobi_tilted_sums = jacobi_tilted_sums_numpy
-    laguerre_tilted_sums = laguerre_tilted_sums_numpy

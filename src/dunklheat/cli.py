@@ -7,9 +7,10 @@ rhs, deficit, tol, pass, extra; the rows are sorted by claim and grid point,
 so output is deterministic for a fixed configuration and seed.
 
 Exit status: 0 when every row passes, 1 on any violation, 2 for
-configuration errors, 3 when quadrature fails to converge, 4 when any other
-numerical failure (an overflow, a moment ratio out of range) stops a grid
-point.  For 3 and 4 the offending grid point is named on stderr.
+configuration errors (an --out path that cannot be written included), 3
+when quadrature fails to converge, 4 when any other numerical failure (an
+overflow, a moment ratio out of range) stops a grid point.  For 3 and 4 the
+offending grid point is named on stderr.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ class RunConfig:
             raise DomainError(f"max-nodes below 64 cannot converge, got {self.max_nodes}")
         if self.augment < 0:
             raise DomainError(f"augment must be nonnegative, got {self.augment}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.output_format not in ("json-lines", "csv"):
             raise DomainError(f"unknown format {self.output_format!r}")
         if not (math.isfinite(self.c_scale) and self.c_scale > 0.0):
@@ -697,5 +700,11 @@ def main(argv=None) -> int:
     except _NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    _emit(_render(rows, config), config)
+    text = _render(rows, config)
+    try:
+        _emit(text, config)
+    except OSError as e:
+        target = config.output_path or "stdout"
+        print(f"configuration error: cannot write {target}: {e.strerror or e}", file=sys.stderr)
+        return 2
     return 0 if all(row["pass"] for row in rows) else 1

@@ -40,7 +40,6 @@ from .quadrature import DomainError, gauss_jacobi_rule
 
 __all__ = [
     "DEFAULT_COORDS",
-    "DEFAULT_KAPPAS",
     "DEFAULT_TIMES",
     "DEFAULT_TOLERANCE",
     "CoordinateTable",
@@ -68,7 +67,6 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_TIMES = tuple(float(t) for t in np.logspace(-2.0, 2.0, 9))
 DEFAULT_COORDS = (-10.0, -3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0, 10.0)
-DEFAULT_KAPPAS = (0.25, 0.5, 1.0, 2.5)
 
 # below this |a| the direct formula for f loses all digits to cancellation
 # (f ~ 2 var(0) a^2 while its terms are O(1)); switch to the integral form

@@ -311,7 +311,7 @@ def _coordinate(
         diff = u - v
         log_p = -0.5 * math.log(4.0 * math.pi * t) - diff * diff / (4.0 * t)
         d_u = -diff / (2.0 * t)
-        variance_term = 0.0 * (v * v)  # +0.0, shaped like v
+        variance_term = 0.0 * abs(v)  # +0.0, shaped like v
         d_t = -0.5 / t + diff * diff / (4.0 * t * t)
     else:
         log_e, r1, r2 = _tilted_terms(a, kappa, rel_tol, max_nodes)

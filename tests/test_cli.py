@@ -345,6 +345,24 @@ class TestExitCodes:
         assert code == 2
         assert "tol" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["liyau-scan", "--seed", "-1", "--augment", "1"], ["harnack-scan", "--seed", "-5"]],
+    )
+    def test_negative_seed_returns_two(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: seed must be nonnegative")
+
+    def test_unwritable_out_returns_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.jsonl"
+        code, out, err = run_cli(["liyau-scan", "--kappa", "0.5", "--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"configuration error: cannot write {path}: ")
+        assert not path.exists()
+
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -391,3 +391,9 @@ def test_batch_derivatives_gaussian_branch():
         assert abs(d1[j] - g1) < 1e-14
         assert abs(d2[j] - g2) < 1e-14
         assert abs(dt[j] - gt) < 1e-14
+
+
+def test_gaussian_branch_variance_term_is_zero_at_huge_coordinates():
+    # 0.0 * v**2 is 0.0 * inf = nan once |v| > 1.3e154
+    _, _, d2, _ = kernel_derivatives_1d_batch(1.0, 1e200, np.array([1e200]), 0.0)
+    assert d2[0] == -0.5
