@@ -8,9 +8,11 @@ so output is deterministic for a fixed configuration and seed.
 
 Exit status: 0 when every row passes, 1 on any violation, 2 for
 configuration errors (an --out path that cannot be written included), 3
-when quadrature fails to converge, 4 when any other numerical failure (an
-overflow, a moment ratio out of range) stops a grid point.  For 3 and 4 the
-offending grid point is named on stderr.
+when quadrature fails to converge (an integration window lost to rounding
+included), 4 when any other numerical failure (an overflow, a moment ratio
+out of range, a non-finite value that JSON cannot spell) stops a grid
+point; then nothing is written.  For 3 and 4 the offending grid point is
+named on stderr.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ _DEFAULT_T = (0.01, 0.1, 1.0, 10.0)
 _DEFAULT_COORDS = (-3.0, -1.0, 0.0, 1.0, 3.0)
 _EQUALITY_FLAG = 1e-8
 # one encoder for every JSON line and CSV column: json.dumps with separators
-# builds a new JSONEncoder on each call
-_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+# builds a new JSONEncoder on each call.  NaN and Infinity are not JSON, so
+# a row holding one fails to encode rather than printing them.
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -535,29 +538,35 @@ def _meta_line(cfg: RunConfig) -> dict:
 
 
 def _render(rows: list[dict], cfg: RunConfig) -> str:
+    """The output text; a _NumericalFailure naming the grid point of the first
+    row holding a non-finite value, before anything is written."""
     encode = _COMPACT_JSON.encode
-    if cfg.output_format == "json-lines":
-        lines = [encode({"meta": _meta_line(cfg)})]
-        lines.extend(encode(row) for row in rows)
-        return "\n".join(lines) + "\n"
-    buffer = io.StringIO()
-    buffer.write("# " + encode(_meta_line(cfg)) + "\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row["claim_id"],
-                encode(row["grid_point"]),
-                repr(row["lhs"]),
-                repr(row["rhs"]),
-                repr(row["deficit"]),
-                repr(row["tol"]),
-                "pass" if row["pass"] else "fail",
-                encode(row["extra"]),
-            ]
-        )
-    return buffer.getvalue()
+    try:
+        if cfg.output_format == "json-lines":
+            lines = [encode({"meta": _meta_line(cfg)})]
+            for row in rows:
+                lines.append(encode(row))
+            return "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        buffer.write("# " + encode(_meta_line(cfg)) + "\n")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(_COLUMNS)
+        for row in rows:
+            writer.writerow(
+                [
+                    row["claim_id"],
+                    encode(row["grid_point"]),
+                    repr(row["lhs"]),
+                    repr(row["rhs"]),
+                    repr(row["deficit"]),
+                    repr(row["tol"]),
+                    "pass" if row["pass"] else "fail",
+                    encode(row["extra"]),
+                ]
+            )
+        return buffer.getvalue()
+    except ValueError as e:
+        raise _NumericalFailure(f"{type(e).__name__}: {e} [grid point {row['grid_point']}]") from e
 
 
 def _emit(text: str, cfg: RunConfig) -> None:
@@ -691,6 +700,7 @@ def main(argv=None) -> int:
             c_scale=args.c_scale,
         )
         rows = run(config)
+        text = _render(rows, config)
     except DomainError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
@@ -700,7 +710,6 @@ def main(argv=None) -> int:
     except _NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    text = _render(rows, config)
     try:
         _emit(text, config)
     except OSError as e:

@@ -6,21 +6,24 @@ semigroup to product initial data, checking that the kernel integrates to
 one, and composing two kernels are per-coordinate quadratures followed by a
 product over coordinates.
 
-Each 1d integral runs over the window [max(0, |u| - 30 sigma), |u| + 30
-sigma] on both half-lines, sigma = sqrt(2t): the kernel is controlled by a
-Gaussian in the reflection distance min(|u - v|, |u + v|) = ||u| - |v||, so
-the omitted region carries less than e^(-450) of the mass.  The window is
-cut into panels a few sigma wide; a panel touching v = 0 absorbs the
-|v|^(2 kappa) factor into a Gauss-Jacobi rule so low multiplicities keep
-full accuracy through the kink, and everywhere else the weight is smooth
-and Gauss-Legendre panels apply it pointwise.  All node counts double
-together until the weighted sums stabilize.
+Each 1d integral states a window in |v| and an integrand; `_panels` lays
+out the quadrature for all three.  The window of p_t(u, .) is |v| within 30
+sigma of |u|, sigma = sqrt(2t): the kernel is controlled by a Gaussian in
+the reflection distance ||u| - |v||, so the omitted region carries less
+than e^(-450) of the mass.  A profile's integral intersects it with the
+support, or takes the whole support when they miss; Chapman-Kolmogorov
+takes the hull of its two kernels' windows.  Panels are cut at 0, at knots
+and every few sigma; one touching v = 0 absorbs the |v|^(2 kappa) factor
+into a Gauss-Jacobi rule so low multiplicities keep full accuracy through
+the kink, elsewhere Gauss-Legendre panels apply the weight pointwise.  All
+node counts double together until the weighted sums stabilize.
 
-Every solution path (`semigroup_solution`, `apply_semigroup`,
-`liyau_for_solution`) reads a coordinate's moments from `_profile_moments`,
-a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries keyed on (t, u,
-kappa_i, profile, rel_tol, max_nodes).  It raises ConvergenceError where
-the mass underflows to 0: no value, ratio or log is representable there.
+Each integral is a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries,
+called with positional arguments: `_profile_moments` feeds every solution
+path, `_plain_mass` feeds `normalization_check` and `_ck_coordinate` feeds
+`chapman_kolmogorov_check`.  They raise ConvergenceError where no value is
+representable: where a solution's mass underflows to 0, and where 30 sigma
+vanishes next to |u| in double precision, leaving a kernel window no width.
 """
 
 from __future__ import annotations
@@ -247,44 +250,33 @@ class InitialDatum:
 # the windowed panel integrator
 
 
-def _window_segments(u: float, sigma: float, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Intervals covering [lo, hi] intersected with the two-sided window
-    ||v| - |u|| <= 30 sigma, none of them straddling 0."""
+def _window(u: float, sigma: float) -> tuple[float, float]:
+    """(inner, outer): the radii |v| within 30 sigma of |u|."""
     width = _WINDOW_SIGMAS * sigma
-    au = abs(u)
-    inner, outer = max(0.0, au - width), au + width
-    segments = []
-    for s_lo, s_hi in ((-outer, -inner), (inner, outer)):
-        a, b = max(s_lo, lo), min(s_hi, hi)
+    return max(0.0, abs(u) - width), abs(u) + width
+
+
+def _panels(inner, outer, sigma, lo=-math.inf, hi=math.inf, knots=()) -> list[tuple[float, float]]:
+    """Panels covering [lo, hi] intersected with inner <= |v| <= outer, cut at
+    0 and at the knots and into pieces at most _PANEL_SIGMAS sigma wide.
+    Empty when that set is, which includes a window that rounding has left
+    without width."""
+    panels = []
+    for a, b in ((max(-outer, lo), min(-inner, hi)), (max(inner, lo), min(outer, hi))):
         if b > a:
-            segments.append((a, b))
-    if not segments:
-        # support entirely inside the negligible-mass gap: integrate it anyway,
-        # the result is genuinely tiny rather than zero
-        segments = [(lo, hi)]
-    split = []
-    for a, b in segments:
-        if a < 0.0 < b:
-            split.extend([(a, 0.0), (0.0, b)])
-        else:
-            split.append((a, b))
-    return split
+            cuts = [a, *(k for k in knots if a < k < b), b]
+            for c, d in zip(cuts[:-1], cuts[1:]):
+                pieces = max(1, math.ceil((d - c) / (_PANEL_SIGMAS * sigma)))
+                edges = np.linspace(c, d, pieces + 1)
+                panels.extend(zip(edges[:-1], edges[1:]))
+    return panels
 
 
-def _split_panel(a: float, b: float, sigma: float) -> list[tuple[float, float]]:
-    pieces = max(1, math.ceil((b - a) / (_PANEL_SIGMAS * sigma)))
-    edges = np.linspace(a, b, pieces + 1)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _cut_segments(segments, knots) -> list[tuple[float, float]]:
-    if not knots:
-        return list(segments)
-    out = []
-    for a, b in segments:
-        edges = [a] + [k for k in knots if a < k < b] + [b]
-        out.extend(zip(edges[:-1], edges[1:]))
-    return out
+def _lost_window(where: str) -> ConvergenceError:
+    return ConvergenceError(
+        f"integration window lost to rounding at {where}: 30 sigma vanishes next to the"
+        " coordinate in double precision"
+    )
 
 
 def _panel_nodes(a: float, b: float, exponent: float, n: int):
@@ -340,8 +332,10 @@ def _profile_moments(t, u, kappa_i, profile, rel_tol, max_nodes) -> np.ndarray:
     happens under the integral sign, on the kernel factor, so the four share
     one node set.  Callers pass all six arguments positionally: one key each."""
     sigma = math.sqrt(2.0 * t)
-    segments = _cut_segments(_window_segments(u, sigma, profile.lo, profile.hi), profile.knots)
-    panels = [c for seg in segments for c in _split_panel(*seg, sigma)]
+    support = (sigma, profile.lo, profile.hi, profile.knots)
+    # a support the window misses is integrated whole anyway: the result is
+    # genuinely tiny rather than zero
+    panels = _panels(*_window(u, sigma), *support) or _panels(0.0, math.inf, *support)
 
     def values(v):
         log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, u, v, kappa_i, rel_tol)
@@ -491,10 +485,13 @@ HALF_WEIGHT_CONVENTION = MeasureConvention(
 )
 
 
+@functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
 def _plain_mass(t, u, kappa_i, exponent, rel_tol, max_nodes) -> float:
+    """The integral of p_t(u, v) |v|^exponent dv."""
     sigma = math.sqrt(2.0 * t)
-    segments = _window_segments(u, sigma, -math.inf, math.inf)
-    panels = [c for seg in segments for c in _split_panel(*seg, sigma)]
+    panels = _panels(*_window(u, sigma), sigma)
+    if not panels:
+        raise _lost_window(f"u = {u}, t = {t}")
 
     def values(v):
         log_p = kernel_derivatives_1d_batch(t, u, v, kappa_i, rel_tol)[0]
@@ -570,18 +567,16 @@ def chapman_kolmogorov_check(
     )
 
 
+@functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
 def _ck_coordinate(s, t, xi, yi, kappa_i, rel_tol, max_nodes) -> float:
-    w_s = _WINDOW_SIGMAS * math.sqrt(2.0 * s)
-    w_t = _WINDOW_SIGMAS * math.sqrt(2.0 * t)
-    inner = max(0.0, min(abs(xi) - w_s, abs(yi) - w_t))
-    outer = max(abs(xi) + w_s, abs(yi) + w_t)
-    # the hull of the two windows: anything between the kernels' centers
-    # matters even when their windows are disjoint
-    sigma = min(math.sqrt(2.0 * s), math.sqrt(2.0 * t))
-    panels = []
-    for a, b in ((-outer, -inner), (inner, outer)):
-        if b > a:
-            panels.extend(_split_panel(a, b, sigma))
+    """The integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the hull of
+    the two kernels' windows: anything between their centers matters even
+    when the windows are disjoint."""
+    sigma_s, sigma_t = math.sqrt(2.0 * s), math.sqrt(2.0 * t)
+    (inner_s, outer_s), (inner_t, outer_t) = _window(xi, sigma_s), _window(yi, sigma_t)
+    panels = _panels(min(inner_s, inner_t), max(outer_s, outer_t), min(sigma_s, sigma_t))
+    if not panels:
+        raise _lost_window(f"x = {xi}, y = {yi}, s = {s}, t = {t}")
 
     def values(v):
         lp_s = kernel_derivatives_1d_batch(s, xi, v, kappa_i, rel_tol)[0]

@@ -329,6 +329,21 @@ class TestOutputForms:
         assert "generated" not in meta
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_every_line_is_strict_json(capsys, command):
+    argv = [command, "--kappa", "0.5,1.5", "--t", "0.5", "--coords", "0,1", "--augment", "2", "--reproducible"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) > 1
+    for line in lines:
+        json.loads(line, parse_constant=_reject_constant)
+
+
 class TestExitCodes:
     def test_unparseable_kappa_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -389,6 +404,33 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"numerical failure: {cause}")
         assert "[grid point [" in err
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["--kappa", "0.5", "--t", "1", "--coords", "1e200"], "u = 1e+200, t = 1.0"),
+            (["--kappa", "0", "--t", "1e-300", "--coords", "1"], "u = 1.0, t = 1e-300"),
+        ],
+    )
+    def test_window_lost_to_rounding_returns_three_with_grid_point(self, capsys, argv, where):
+        code, out, err = run_cli(["semigroup-check", *argv], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"convergence failure: integration window lost to rounding at {where}:")
+        assert err.endswith("]]]\n") and "[grid point [" in err
+
+    @pytest.mark.parametrize("output_format", ["json-lines", "csv"])
+    def test_non_finite_value_returns_four_and_writes_nothing(self, capsys, tmp_path, output_format):
+        # the tilt a = u v / (2t) overflows to inf at u = v = 1e200
+        argv = ["liyau-scan", "--kappa", "0", "--t", "1", "--coords", "1e200", "--format", output_format]
+        want = (
+            "numerical failure: ValueError: Out of range float values are not JSON compliant"
+            " [grid point [1.0, [1e+200], [1e+200]]]\n"
+        )
+        assert run_cli([*argv, "--reproducible"], capsys) == (4, "", want)
+        target = tmp_path / "rows"
+        assert run_cli([*argv, "--out", str(target)], capsys) == (4, "", want)
+        assert not target.exists()
 
     def test_grid_failure_names_the_first_grid_point_that_stops(self, capsys):
         # the kappa = 200 table overflows; its first entry is on axis 1

@@ -2,7 +2,9 @@
 
 `perfbench/` is outside the tier-1 test paths, so this loads its tracer by
 path, unedited, and checks that a traced CLI run reports exactly the
-per-layer metrics `BENCHMARK.json` declares.
+per-layer metrics `BENCHMARK.json` declares, and that its semigroup hooks
+(the `_adaptive_panel_sum` ladder and `kernel_derivatives_1d_batch` with `v`
+third) still see the panel quadrature.
 """
 
 import contextlib
@@ -12,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from dunklheat import cli, kernel
+from dunklheat import cli, kernel, semigroup
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,3 +54,25 @@ def test_traced_liyau_scan_reports_every_declared_layer_metric():
     # liyau_functional
     assert metrics["cli.rows"] == 4 + 2
     assert metrics["inequalities.liyau_functional_calls"] == 2
+
+
+def test_traced_semigroup_check_sees_the_panel_quadrature():
+    tracer_module = _load_tracer()
+    # cold caches, so every coordinate integral runs its ladder under the tracer
+    for cache in (semigroup._profile_moments, semigroup._plain_mass, semigroup._ck_coordinate):
+        cache.cache_clear()
+    before = _bindings()
+    with tracer_module.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["semigroup-check", "--t", "0.5", "--coords", "0,1", "--reproducible"])
+    assert code == 0
+    assert _bindings() == before
+    metrics = tracer.metrics()
+    # 4 normalization, 8 Chapman-Kolmogorov and 4 heat-equation rows
+    assert metrics["cli.rows"] == 16
+    assert metrics["semigroup.check_calls.chapman_kolmogorov_check"] == 8
+    assert metrics["semigroup.panel_levels"] > 0
+    # the hook reads the node array v as the third argument
+    assert metrics["semigroup.panel_nodes"] > metrics["semigroup.panel_levels"]
+    # one ladder per distinct coordinate integral: 2 axes times 2 normalization
+    # coordinates and 3 Chapman-Kolmogorov pairs, (0, -0.0) being (0, 0)
+    assert tracer.calls["semigroup._adaptive_panel_sum"] == 2 * (2 + 3)

@@ -2,7 +2,9 @@
 normalization, Chapman-Kolmogorov, the heat equation itself, and the bound
 for solutions started from product bumps."""
 
+import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +223,56 @@ def test_solution_moments_are_cached_read_only_and_bounded(monkeypatch):
     with pytest.raises(ValueError):
         moments[0] = 0.0
     assert semigroup._profile_moments.cache_info().maxsize == semigroup._SOLUTION_CACHE_SIZE
+
+
+def _clear_coordinate_caches():
+    for cache in (semigroup._profile_moments, semigroup._plain_mass, semigroup._ck_coordinate):
+        cache.cache_clear()
+        assert cache.cache_info().maxsize == semigroup._SOLUTION_CACHE_SIZE
+
+
+def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkeypatch, capsys):
+    _clear_coordinate_caches()
+    calls = _count_ladders(monkeypatch)
+    assert cli.main(["semigroup-check", "--reproducible"]) == 0
+    # the integrand is a closure of the integral that laid out the panels
+    integrals = collections.Counter(values.__qualname__.split(".")[0] for _, _, values, *_ in calls)
+    # normalization: 4 times, 5 coordinates, 2 axes.  Chapman-Kolmogorov: 7
+    # time pairs, 2 axes and 9 (x_i, y_i): y_i = x_i at 5 coordinates and
+    # y_i = -x_i at 4, since (0, -0.0) is the integral of (0, 0)
+    assert integrals == {"_plain_mass": 4 * 5 * 2, "_ck_coordinate": 7 * 2 * 9}
+
+
+def test_kernel_checks_read_cached_coordinate_integrals(monkeypatch):
+    kappa, x = [0.5, 1.5], [1.0, 0.0]
+    _clear_coordinate_caches()
+    cold_mass = normalization_check(0.5, x, kappa)
+    cold_ck = chapman_kolmogorov_check(0.3, 0.7, x, [-1.0, -0.0], kappa)
+    _clear_coordinate_caches()
+    # fills the y_i = 0.0 entry, which the y_i = -0.0 call below reads
+    assert chapman_kolmogorov_check(0.3, 0.7, x, [-1.0, 0.0], kappa).lhs == cold_ck.lhs
+    normalization_check(0.5, x, kappa)
+    calls = _count_ladders(monkeypatch)
+    assert normalization_check(0.5, x, kappa) == cold_mass
+    assert chapman_kolmogorov_check(0.3, 0.7, x, [-1.0, -0.0], kappa) == cold_ck
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "check, where",
+    [
+        (lambda: normalization_check(1.0, [1e200], [0.5]), "u = 1e+200, t = 1.0"),
+        (lambda: normalization_check(1e-300, [1.0], [0.0]), "u = 1.0, t = 1e-300"),
+        (
+            lambda: chapman_kolmogorov_check(1e-3, 1e-3, [1e17], [1e17], [0.5]),
+            "x = 1e+17, y = 1e+17, s = 0.001, t = 0.001",
+        ),
+    ],
+)
+def test_kernel_window_lost_to_rounding_raises_convergence_error(check, where):
+    # 30 sigma is below half an ulp of the coordinate: the window has no width
+    with pytest.raises(ConvergenceError, match=f"window lost to rounding at {re.escape(where)}:"):
+        check()
 
 
 def test_solution_scan_runs_one_ladder_per_distinct_coordinate_integral(monkeypatch, capsys):
