@@ -27,6 +27,7 @@ from .kernel import (
     log_kernel,
     log_kernel_derivatives,
     moment_ratios,
+    moment_stats,
 )
 from .operators import (
     EPS_REFLECTION_SCALE,
@@ -89,7 +90,8 @@ def f_of_a(a: float, kappa_i: float, rel_tol: float = _DEFAULT_REL_TOL) -> float
         f(a) = integral_{-a}^{a} (s + a) var(s) ds
 
     is used instead: every factor is nonnegative, so the result carries
-    full relative accuracy all the way down to f(0) = 0.
+    full relative accuracy all the way down to f(0) = 0.  One batched
+    moment_stats call gives the variance at every node of its rule.
     """
     a = float(a)
     if not math.isfinite(a):
@@ -103,10 +105,11 @@ def f_of_a(a: float, kappa_i: float, rel_tol: float = _DEFAULT_REL_TOL) -> float
     # f(a) = int_{-a}^{a} (s + a) var(s) ds (oriented); s = a*node turns it
     # into a^2 int_{-1}^1 (1 + node) var(a*node) dnode, a sum of positives
     rule = gauss_jacobi_rule(0.0, 0.0, _F_RULE_NODES)
+    _, r1, r2 = moment_stats(a * rule.nodes, kappa_i, rel_tol).tolist()
     total = 0.0
-    for node, weight in zip(rule.nodes, rule.weights):
-        total += weight * (1.0 + node) * moment_ratios(a * node, kappa_i, rel_tol).variance
-    return float(a * a * total)
+    for node, weight, m1, m2 in zip(rule.nodes.tolist(), rule.weights.tolist(), r1, r2):
+        total += weight * (1.0 + node) * (m2 - m1 * m1)
+    return a * a * total
 
 
 def h_of_a(a: float, kappa_i: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:

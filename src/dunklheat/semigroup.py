@@ -22,8 +22,9 @@ Each integral is a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries,
 called with positional arguments: `_profile_moments` feeds every solution
 path, `_plain_mass` feeds `normalization_check` and `_ck_coordinate` feeds
 `chapman_kolmogorov_check`.  They raise ConvergenceError where no value is
-representable: where a solution's mass underflows to 0, and where 30 sigma
-vanishes next to |u| in double precision, leaving a kernel window no width.
+representable: where a solution's mass underflows to 0, where 30 sigma
+vanishes next to |u| in double precision, leaving a kernel window no width,
+and where a layout would need more than _PANEL_CAP panels.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ __all__ = [
 _WINDOW_SIGMAS = 30.0
 _PANEL_SIGMAS = 8.0
 _PANEL_NODE_CAP = 512
+# panels per layout; past it one ladder level holds hundreds of MB of node
+# temporaries (23,886 panels peaked at 951 MB), and sigma = inf asks for NaN
+_PANEL_CAP = 10_000
 _PROFILE_SAMPLES = 257
 _SOLUTION_CACHE_SIZE = 4096
 
@@ -260,14 +264,20 @@ def _panels(inner, outer, sigma, lo=-math.inf, hi=math.inf, knots=()) -> list[tu
     """Panels covering [lo, hi] intersected with inner <= |v| <= outer, cut at
     0 and at the knots and into pieces at most _PANEL_SIGMAS sigma wide.
     Empty when that set is, which includes a window that rounding has left
-    without width."""
+    without width.  Raises ConvergenceError for more than _PANEL_CAP panels
+    or a sigma that is not finite."""
     panels = []
     for a, b in ((max(-outer, lo), min(-inner, hi)), (max(inner, lo), min(outer, hi))):
         if b > a:
             cuts = [a, *(k for k in knots if a < k < b), b]
             for c, d in zip(cuts[:-1], cuts[1:]):
-                pieces = max(1, math.ceil((d - c) / (_PANEL_SIGMAS * sigma)))
-                edges = np.linspace(c, d, pieces + 1)
+                pieces = (d - c) / (_PANEL_SIGMAS * sigma)
+                if not len(panels) + pieces <= _PANEL_CAP:
+                    raise ConvergenceError(
+                        f"panel layout over [{c}, {d}] needs {pieces:.3g} panels of"
+                        f" {_PANEL_SIGMAS:g} sigma, sigma = {sigma:.3g}, more than the cap of {_PANEL_CAP}"
+                    )
+                edges = np.linspace(c, d, max(1, math.ceil(pieces)) + 1)
                 panels.extend(zip(edges[:-1], edges[1:]))
     return panels
 

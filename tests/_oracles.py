@@ -107,6 +107,29 @@ def brute_force_f(a, kappa, n_panels=100_000):
     return 2.0 * a * r1_pos + log_m0_neg - log_m0_pos
 
 
+def f_reference(a, kappa):
+    """f(a) = 2 a r1(a) + log m0(-a) - log m0(a) from Kummer's function M at
+    60 digits.  s = 2x - 1 turns the moment integral into a multiple of
+    e^(-b) M(kappa+1, 2 kappa+1, 2b), so up to a constant that cancels in f
+
+        log m0(b) = -b + log M(kappa+1, 2 kappa+1, 2b),
+        r1(a) = -1 + 2 (kappa+1)/(2 kappa+1)
+                     M(kappa+2, 2 kappa+2, 2a) / M(kappa+1, 2 kappa+1, 2a).
+
+    The working precision absorbs the O(a) -> O(a^2) cancellation near 0.
+    """
+    with mpmath.workdps(60):
+        aa = mpmath.mpf(a)
+        k = mpmath.mpf(kappa)
+
+        def log_m0(b):
+            return -b + mpmath.log(mpmath.hyp1f1(k + 1, 2 * k + 1, 2 * b))
+
+        m = mpmath.hyp1f1(k + 1, 2 * k + 1, 2 * aa)
+        r1 = -1 + 2 * (k + 1) / (2 * k + 1) * mpmath.hyp1f1(k + 2, 2 * k + 2, 2 * aa) / m
+        return float(2 * aa * r1 + log_m0(-aa) - log_m0(aa))
+
+
 def brute_force_log_e(x, y, kappa, n_panels=100_000):
     """log E_kappa(x, y) from the brute-force m0 and the exact constant."""
     log_c = gammaln(kappa + 0.5) - 0.5 * math.log(math.pi) - gammaln(kappa)

@@ -419,6 +419,26 @@ class TestExitCodes:
         assert err.startswith(f"convergence failure: integration window lost to rounding at {where}:")
         assert err.endswith("]]]\n") and "[grid point [" in err
 
+    @pytest.mark.parametrize(
+        "argv, point",
+        [
+            # sigma = sqrt(2t) overflows to inf, so the panel width is inf/inf
+            (["semigroup-check", "--t", "1e308"], "[grid point [1e+308, [-3.0, -3.0]]]"),
+            # the window rounds away and the whole-support fallback would ask
+            # for ~1e149 panels of 8 sigma
+            (
+                ["solution-scan", "--kappa", "0.5", "--t", "1e-300", "--coords", "1"],
+                "[grid point [1e-300, [1.0]]]",
+            ),
+        ],
+    )
+    def test_unplaceable_panels_return_three_with_grid_point(self, capsys, argv, point):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("convergence failure: panel layout over [")
+        assert err.endswith(f"{point}\n") and err.count("\n") == 1
+
     @pytest.mark.parametrize("output_format", ["json-lines", "csv"])
     def test_non_finite_value_returns_four_and_writes_nothing(self, capsys, tmp_path, output_format):
         # the tilt a = u v / (2t) overflows to inf at u = v = 1e200

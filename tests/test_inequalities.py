@@ -29,9 +29,9 @@ from dunklheat.inequalities import (
     log_convexity_midpoint_check,
     log_kernel_field,
 )
-from dunklheat.kernel import log_kernel, log_kernel_derivatives, moment_ratios
+from dunklheat.kernel import _MOMENT_CACHE, log_kernel, log_kernel_derivatives, moment_ratios
 from dunklheat.operators import ScalarField, SpaceTimeField, dunkl_laplacian
-from dunklheat.quadrature import DomainError
+from dunklheat.quadrature import DomainError, gauss_jacobi_rule
 
 KAPPA_GRID = [0.25, 0.5, 1.0, 2.5]
 
@@ -78,6 +78,78 @@ def test_f_small_tilt_keeps_relative_accuracy():
         for a in (1e-3, 1e-5, 1e-7):
             ratio = f_of_a(a, kappa) / (lead * a * a)
             assert abs(ratio - 1.0) <= 1.0 * a + 1e-12, (kappa, a, ratio)
+
+
+# tilts below the direct-formula switch, where f comes from its integral form
+SMALL_TILTS = [
+    *np.random.default_rng(2024).uniform(-1.0, 1.0, 16).tolist(),
+    1e-7,
+    1e-5,
+    -1e-5,
+    0.999,
+    -0.999,
+]
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [
+        0.25,
+        0.5,
+        2.5,
+        1000.0,
+        pytest.param(
+            1e-8,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="r2 - r1^2 cancels at tiny kappa: about 1e-8 relative (ROADMAP item 2)",
+            ),
+        ),
+    ],
+)
+def test_f_small_tilt_matches_kummer_reference(kappa):
+    for a in SMALL_TILTS:
+        want = oracle.f_reference(a, kappa)
+        assert abs(f_of_a(a, kappa) - want) <= 1e-13 * want, (a, kappa)
+
+
+def test_f_small_tilt_is_one_batched_moment_call(monkeypatch):
+    stats_calls, ratio_calls = [], []
+    stats, ratios = inequalities.moment_stats, inequalities.moment_ratios
+
+    def counting_stats(a, *rest):
+        stats_calls.append(np.size(a))
+        return stats(a, *rest)
+
+    def counting_ratios(a, *rest):
+        ratio_calls.append(a)
+        return ratios(a, *rest)
+
+    monkeypatch.setattr(inequalities, "moment_stats", counting_stats)
+    monkeypatch.setattr(inequalities, "moment_ratios", counting_ratios)
+    entries = len(_MOMENT_CACHE)
+    f_of_a(0.3712345, 0.75)
+    assert stats_calls == [inequalities._F_RULE_NODES]
+    assert ratio_calls == []
+    assert len(_MOMENT_CACHE) == entries
+    # the direct branch is the displayed formula: r1 and log m0 at +-a
+    stats_calls.clear()
+    f_of_a(-1.2345678, 0.75)
+    assert stats_calls == []
+    assert ratio_calls == [-1.2345678, 1.2345678]
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.5, 200.0])
+def test_f_small_tilt_equals_per_node_scalar_sum(kappa):
+    # the integral form summed node by node from cached scalar moments; the
+    # batched call may differ from it only by round-off in the tilted sums
+    rule = gauss_jacobi_rule(0.0, 0.0, inequalities._F_RULE_NODES)
+    for a in np.random.default_rng(7).uniform(-1.0, 1.0, 24).tolist():
+        total = 0.0
+        for node, weight in zip(rule.nodes, rule.weights):
+            total += weight * (1.0 + node) * moment_ratios(a * node, kappa).variance
+        want = float(a * a * total)
+        assert abs(f_of_a(a, kappa) - want) <= 2e-15 * want, (a, kappa)
 
 
 def test_f_domain_errors():
