@@ -3,8 +3,11 @@
 Each subcommand sweeps one claim suite over a configurable grid and emits one
 row per checked point, as JSON lines (canonical) or CSV (a fixed-column
 projection of the same rows).  Every row carries claim_id, grid_point, lhs,
-rhs, deficit, tol, pass, extra; the rows are sorted by claim and grid point,
-so output is deterministic for a fixed configuration and seed.
+rhs, deficit, tol, pass, extra; the rows are in order of claim and grid point,
+so output is deterministic for a fixed configuration and seed.  The two grid
+suites (kernel-eval, liyau-scan) walk their (t, x, y) grid in that order and
+render each row as soon as it is built, with no sort of the full row list;
+the other suites sort their rows.
 
 Exit status: 0 when every row passes, 1 on any violation, 2 for
 configuration errors (an --out path that cannot be written included), 3
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import heapq
 import itertools
 import json
 import math
@@ -27,6 +30,8 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
@@ -87,6 +92,9 @@ _EQUALITY_FLAG = 1e-8
 # builds a new JSONEncoder on each call.  NaN and Infinity are not JSON, so
 # a row holding one fails to encode rather than printing them.
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+# a csv writer whose writerow returns the rendered line: writerow hands back
+# what its file's write returns
+_CSV_LINE = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n")
 
 
 @dataclass(frozen=True)
@@ -213,29 +221,56 @@ def _at_point(point, fn):
 # suites
 
 
-def _kernel_eval(cfg: RunConfig) -> list[dict]:
-    rows = []
-    for t in cfg.t_grid:
-        for x in cfg.points:
-            for y in cfg.points:
-                point = (t, x, y)
-                kp = _at_point(point, lambda: log_kernel_derivatives(t, x, y, cfg.kappa))
-                p = kp.p if math.isfinite(kp.p) else None
-                report = VerificationReport.build(
-                    "kernel_point", point, lhs=kp.log_p, rhs=kp.log_p, tolerance=cfg.tol
-                )
-                rows.append(
-                    _row(
-                        report,
-                        extra={
-                            "p": p,
-                            "grad_x_log_p": _plain(kp.grad_x_log_p),
-                            "hess_diag_x_log_p": _plain(kp.hess_diag_x_log_p),
-                            "dt_log_p": kp.dt_log_p,
-                        },
-                    )
-                )
-    return rows
+def _value_groups(values) -> list[list[int]]:
+    """The indices of values grouped by equal value (-0.0 with 0.0), groups in
+    ascending order of value, indices ascending within a group."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return [list(group) for _, group in itertools.groupby(order, key=values.__getitem__)]
+
+
+def _grid_walk(cfg: RunConfig) -> Iterator[tuple[float, Iterator]]:
+    """The (t, x, y) product grid in output order: one (t, index pairs) per
+    group of equal times, where each pair (ix, iy) of index tuples into the
+    coordinate grid is one row.
+
+    Output order is a stable sort by (t, x, y) values of the generation order
+    (t position, x index tuple, y index tuple), so rows of equal values keep
+    their index order.  The walk nests: t value, x values, y values, then t
+    position, x index tuple, y index tuple.  Sorting the indices alone would
+    break ties in the wrong places.
+    """
+    blocks = [
+        list(itertools.product(*groups))
+        for groups in itertools.product(_value_groups(cfg.coord_grid), repeat=cfg.dimension)
+    ]
+    for times in _value_groups(cfg.t_grid):
+        pairs = (
+            pair for xs in blocks for ys in blocks for _ in times for pair in itertools.product(xs, ys)
+        )
+        yield cfg.t_grid[times[0]], pairs
+
+
+def _kernel_eval(cfg: RunConfig) -> Iterator[dict]:
+    coords = tuple(float(c) for c in cfg.coord_grid)
+    for t, pairs in _grid_walk(cfg):
+        for ix, iy in pairs:
+            x = tuple(map(coords.__getitem__, ix))
+            y = tuple(map(coords.__getitem__, iy))
+            point = (t, x, y)
+            kp = _at_point(point, lambda: log_kernel_derivatives(t, x, y, cfg.kappa))
+            p = kp.p if math.isfinite(kp.p) else None
+            report = VerificationReport.build(
+                "kernel_point", point, lhs=kp.log_p, rhs=kp.log_p, tolerance=cfg.tol
+            )
+            yield _row(
+                report,
+                extra={
+                    "p": p,
+                    "grad_x_log_p": _plain(kp.grad_x_log_p),
+                    "hess_diag_x_log_p": _plain(kp.hess_diag_x_log_p),
+                    "dt_log_p": kp.dt_log_p,
+                },
+            )
 
 
 def _liyau_row(dec: LiYauDecomposition, tol: float) -> dict:
@@ -253,26 +288,35 @@ def _liyau_row(dec: LiYauDecomposition, tol: float) -> dict:
     )
 
 
-def _liyau_scan(cfg: RunConfig) -> list[dict]:
-    rows = []
-    for t in cfg.t_grid:
-        grid = iter_liyau_grid(t, cfg.kappa, cfg.coord_grid)
-        try:
-            rows.extend(_liyau_row(dec, cfg.tol) for dec in grid)
-        except (ArithmeticError, RuntimeError):
-            # a coordinate table failed: go through the points of t one by
-            # one to name the first that stops
-            for x, y in itertools.product(cfg.points, repeat=2):
-                _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
-            raise
+def _liyau_scan(cfg: RunConfig) -> Iterator[dict]:
+    """Grid rows in output order, merged with the --augment rows, which are
+    evaluated first and sorted among themselves."""
+    augment = []
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.augment):
         t = float(10.0 ** rng.uniform(-2.0, 2.0))
         x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
         y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
         dec = _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
-        rows.append(_liyau_row(dec, cfg.tol))
-    return rows
+        augment.append(_liyau_row(dec, cfg.tol))
+    augment.sort(key=_sort_key)
+    # stable: a grid row goes before an augment row of equal key, and once
+    # one input runs out no more keys are computed
+    return heapq.merge(_liyau_grid_rows(cfg), augment, key=_sort_key)
+
+
+def _liyau_grid_rows(cfg: RunConfig) -> Iterator[dict]:
+    for t, pairs in _grid_walk(cfg):
+        try:
+            grid = iter_liyau_grid(t, cfg.kappa, cfg.coord_grid, index_pairs=pairs)
+        except (ArithmeticError, RuntimeError):
+            # a coordinate table failed: go through the points of t one by
+            # one to name the first that stops
+            for x, y in itertools.product(cfg.points, repeat=2):
+                _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
+            raise
+        for dec in grid:
+            yield _liyau_row(dec, cfg.tol)
 
 
 def _initial_data(d: int) -> dict[str, InitialDatum]:
@@ -304,7 +348,7 @@ def _solution_scan(cfg: RunConfig) -> list[dict]:
                     point, lambda: gradient_form_check(field, t, x, beta, tol=cfg.tol)
                 )
                 rows.append(_row(report, extra={"datum": name, "beta": beta}))
-    return rows
+    return sorted(rows, key=_sort_key)
 
 
 def _harnack_scan(cfg: RunConfig) -> list[dict]:
@@ -327,7 +371,7 @@ def _harnack_scan(cfg: RunConfig) -> list[dict]:
             ),
         )
         rows.append(_row(report, extra={"datum": "bump"}))
-    return rows
+    return sorted(rows, key=_sort_key)
 
 
 def _time_pairs(t_grid):
@@ -369,7 +413,7 @@ def _semigroup_check(cfg: RunConfig) -> list[dict]:
                 "heat_equation", point, lhs=residual, rhs=bound, tolerance=0.0
             )
             rows.append(_row(report, extra={"hyperplane": on_hyperplane}))
-    return rows
+    return sorted(rows, key=_sort_key)
 
 
 def _claim_fields(d: int):
@@ -472,7 +516,7 @@ def _claims_verify(cfg: RunConfig) -> list[dict]:
             lambda: log_convexity_midpoint_check(t, z1, z2, y, cfg.kappa, tol=cfg.tol),
         )
         rows.append(_row(report))
-    return rows
+    return sorted(rows, key=_sort_key)
 
 
 _SUITES = {
@@ -487,35 +531,34 @@ _SUITES = {
 
 def _report(cfg: RunConfig) -> list[dict]:
     """Aggregate every claim suite into one summary row per claim."""
-    collected: dict[str, list[dict]] = {}
+    tallies: dict[str, list] = {}  # claim_id -> [rows, failures, worst deficit]
     for command in ("liyau-scan", "solution-scan", "harnack-scan", "semigroup-check", "claims-verify"):
         for row in _SUITES[command](cfg):
-            collected.setdefault(row["claim_id"], []).append(row)
-    rows = []
-    for claim_id, claim_rows in collected.items():
-        failures = sum(not r["pass"] for r in claim_rows)
-        worst = min(r["deficit"] for r in claim_rows)
-        rows.append(
-            {
-                "claim_id": claim_id,
-                "grid_point": ["summary"],
-                "lhs": float(failures),
-                "rhs": 0.0,
-                "deficit": worst,
-                "tol": 0.0,
-                "pass": failures == 0,
-                "extra": {"rows": len(claim_rows), "failures": failures, "worst_deficit": worst},
-            }
-        )
-    return rows
+            tally = tallies.setdefault(row["claim_id"], [0, 0, math.inf])
+            tally[0] += 1
+            tally[1] += not row["pass"]
+            tally[2] = min(tally[2], row["deficit"])
+    rows = [
+        {
+            "claim_id": claim_id,
+            "grid_point": ["summary"],
+            "lhs": float(failures),
+            "rhs": 0.0,
+            "deficit": worst,
+            "tol": 0.0,
+            "pass": failures == 0,
+            "extra": {"rows": count, "failures": failures, "worst_deficit": worst},
+        }
+        for claim_id, (count, failures, worst) in tallies.items()
+    ]
+    return sorted(rows, key=_sort_key)
 
 
-def run(config: RunConfig) -> list[dict]:
-    """Execute the configured suite and return its rows, sorted."""
+def run(config: RunConfig) -> list[tuple[bool, str]]:
+    """Execute the configured suite: one (pass flag, output line) per row, in
+    output order, each line rendered as soon as its row is built."""
     suite = _report if config.command == "report" else _SUITES[config.command]
-    rows = suite(config)
-    rows.sort(key=_sort_key)
-    return rows
+    return [(row["pass"], _render(row, config.output_format)) for row in suite(config)]
 
 
 # ---------------------------------------------------------------------------
@@ -537,34 +580,32 @@ def _meta_line(cfg: RunConfig) -> dict:
     return meta
 
 
-def _render(rows: list[dict], cfg: RunConfig) -> str:
-    """The output text; a _NumericalFailure naming the grid point of the first
-    row holding a non-finite value, before anything is written."""
+def _header(cfg: RunConfig) -> str:
+    """The meta line, and for CSV the column line, that open the output."""
+    if cfg.output_format == "json-lines":
+        return _COMPACT_JSON.encode({"meta": _meta_line(cfg)}) + "\n"
+    return "# " + _COMPACT_JSON.encode(_meta_line(cfg)) + "\n" + _CSV_LINE.writerow(_COLUMNS)
+
+
+def _render(row: dict, output_format: str) -> str:
+    """One output line, newline included; a _NumericalFailure naming the
+    row's grid point if it holds a non-finite value."""
     encode = _COMPACT_JSON.encode
     try:
-        if cfg.output_format == "json-lines":
-            lines = [encode({"meta": _meta_line(cfg)})]
-            for row in rows:
-                lines.append(encode(row))
-            return "\n".join(lines) + "\n"
-        buffer = io.StringIO()
-        buffer.write("# " + encode(_meta_line(cfg)) + "\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["claim_id"],
-                    encode(row["grid_point"]),
-                    repr(row["lhs"]),
-                    repr(row["rhs"]),
-                    repr(row["deficit"]),
-                    repr(row["tol"]),
-                    "pass" if row["pass"] else "fail",
-                    encode(row["extra"]),
-                ]
-            )
-        return buffer.getvalue()
+        if output_format == "json-lines":
+            return encode(row) + "\n"
+        return _CSV_LINE.writerow(
+            [
+                row["claim_id"],
+                encode(row["grid_point"]),
+                repr(row["lhs"]),
+                repr(row["rhs"]),
+                repr(row["deficit"]),
+                repr(row["tol"]),
+                "pass" if row["pass"] else "fail",
+                encode(row["extra"]),
+            ]
+        )
     except ValueError as e:
         raise _NumericalFailure(f"{type(e).__name__}: {e} [grid point {row['grid_point']}]") from e
 
@@ -700,7 +741,7 @@ def main(argv=None) -> int:
             c_scale=args.c_scale,
         )
         rows = run(config)
-        text = _render(rows, config)
+        text = _header(config) + "".join(line for _, line in rows)
     except DomainError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
@@ -716,4 +757,4 @@ def main(argv=None) -> int:
         target = config.output_path or "stdout"
         print(f"configuration error: cannot write {target}: {e.strerror or e}", file=sys.stderr)
         return 2
-    return 0 if all(row["pass"] for row in rows) else 1
+    return 0 if all(passed for passed, _ in rows) else 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -226,7 +226,9 @@ class LiYauDecomposition:
         )
 
 
-def _liyau_coordinate(t, u, v, kappa_i, rel_tol) -> LiYauCoordinate:
+def _liyau_coordinate(t, u, v, kappa_i, rel_tol, f_values: dict) -> LiYauCoordinate:
+    """The terms at one (t, x_i, y_i); f_values maps the tilts already seen
+    at this kappa_i to f(a) and takes the new one."""
     # the one hyperplane rule: a coordinate within EPS_REFLECTION_SCALE of
     # its own scale sits on x_i = 0
     on_hyperplane = abs(u) < EPS_REFLECTION_SCALE * (1.0 + abs(u))
@@ -235,7 +237,11 @@ def _liyau_coordinate(t, u, v, kappa_i, rel_tol) -> LiYauCoordinate:
     c = _coordinate(t, u, v, kappa_i, rel_tol)
     # a Gaussian coordinate (kappa_i = 0) has no reflection part and meets
     # the bound exactly
-    f_value = f_of_a(c.a, kappa_i, rel_tol) if kappa_i > 0.0 else 0.0
+    f_value = 0.0
+    if kappa_i > 0.0:
+        if c.a not in f_values:
+            f_values[c.a] = f_of_a(c.a, kappa_i, rel_tol)
+        f_value = f_values[c.a]
     if on_hyperplane:
         # the analytic reflection term divides by u^2; at the hyperplane the
         # coordinate contribution is the removable-singularity limit
@@ -272,7 +278,7 @@ def liyau_functional(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> LiYau
     x = tuple(_validate_point(x, kappa.d).tolist())
     y = tuple(_validate_point(y, kappa.d).tolist())
     coords = tuple(
-        _liyau_coordinate(t, u, v, k, rel_tol) for u, v, k in zip(x, y, kappa.values)
+        _liyau_coordinate(t, u, v, k, rel_tol, {}) for u, v, k in zip(x, y, kappa.values)
     )
     return LiYauDecomposition(t=t, x=x, y=y, kappa=kappa, coordinates=coords)
 
@@ -297,7 +303,8 @@ def liyau_report(
 
 def liyau_deficit_1d(t, u, v, kappa_i, rel_tol: float = _DEFAULT_REL_TOL) -> float:
     """The coordinate deficit at one (t, x_i, y_i)."""
-    return _liyau_coordinate(_validate_time(t), float(u), float(v), float(kappa_i), rel_tol).deficit
+    t = _validate_time(t)
+    return _liyau_coordinate(t, float(u), float(v), float(kappa_i), rel_tol, {}).deficit
 
 
 @dataclass(frozen=True)
@@ -324,8 +331,11 @@ def liyau_coordinate_table(
     t = _validate_time(t)
     kappa_i = float(kappa_i)
     coords = tuple(float(c) for c in coords)
+    # (u, v), (v, u) and (-u, -v) share their tilt: one f(a) serves them all
+    f_values = {}
     entries = tuple(
-        tuple(_liyau_coordinate(t, u, v, kappa_i, rel_tol) for v in coords) for u in coords
+        tuple(_liyau_coordinate(t, u, v, kappa_i, rel_tol, f_values) for v in coords)
+        for u in coords
     )
     deficit = np.array([[c.deficit for c in row] for row in entries], dtype=float)
     return CoordinateTable(t=t, kappa_i=kappa_i, coords=coords, entries=entries, deficit=deficit)
@@ -399,10 +409,13 @@ def iter_liyau_grid(
     kappa,
     coords: Sequence[float] = DEFAULT_COORDS,
     rel_tol: float = _DEFAULT_REL_TOL,
+    index_pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
 ) -> Iterator[LiYauDecomposition]:
-    """The decomposition at every (x, y) of the product grid at time t, in
-    lexicographic index order, read from one coordinate table per distinct
-    kappa_i."""
+    """The decomposition at (x, y) = (coords[ix], coords[iy]) for each pair
+    of index tuples (ix, iy) in index_pairs, by default every point of the
+    product grid at time t in lexicographic index order.  Terms are read
+    from one coordinate table per distinct kappa_i; the tables are built
+    before this returns, so a table that fails raises here."""
     t = _validate_time(t)
     kappa = MultiplicityZ2.of(kappa)
     coords = tuple(float(c) for c in coords)
@@ -411,14 +424,23 @@ def iter_liyau_grid(
         if k not in tables:
             tables[k] = liyau_coordinate_table(t, k, coords, rel_tol).entries
     axes = [tables[k] for k in kappa.values]
-    index = list(itertools.product(range(len(coords)), repeat=kappa.d))
-    points = [tuple(coords[j] for j in ix) for ix in index]
-    for ix, x in zip(index, points):
-        # the table row of x_i on each axis; y_i then picks the entry
-        rows = [entries[u] for entries, u in zip(axes, ix)]
-        for iy, y in zip(index, points):
+    if index_pairs is None:
+        index = itertools.product(range(len(coords)), repeat=kappa.d)
+        index_pairs = itertools.product(index, repeat=2)
+
+    def decompositions():
+        last = None
+        for ix, iy in index_pairs:
+            if ix != last:
+                # the table row of x_i on each axis; y_i then picks the entry
+                x = tuple(map(coords.__getitem__, ix))
+                rows = [entries[u] for entries, u in zip(axes, ix)]
+                last = ix
             coordinates = tuple(map(tuple.__getitem__, rows, iy))
+            y = tuple(map(coords.__getitem__, iy))
             yield LiYauDecomposition(t=t, x=x, y=y, kappa=kappa, coordinates=coordinates)
+
+    return decompositions()
 
 
 def iter_liyau_reports(

@@ -314,6 +314,9 @@ def _coordinate(
         variance_term = 0.0 * abs(v)  # +0.0, shaped like v
         d_t = -0.5 / t + diff * diff / (4.0 * t * t)
     else:
+        # an infinite tilt is an overflow of u v / (2t), not a bad input
+        if not (np.isfinite(a).all() if isinstance(a, np.ndarray) else math.isfinite(a)):
+            raise OverflowError(f"tilt u v / (2t) overflows at u = {u!r}, t = {t!r}")
         log_e, r1, r2 = _tilted_terms(a, kappa, rel_tol, max_nodes)
         log_p = (
             -_log_normalizers(kappa)[0]

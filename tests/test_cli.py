@@ -7,13 +7,17 @@ contract (JSON lines or CSV) and the exit code is the verdict.
 import collections
 import csv
 import io
+import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 
 from dunklheat import cli, inequalities
 from dunklheat.cli import _COLUMNS, main
-from dunklheat.inequalities import liyau_functional
+from dunklheat.inequalities import VerificationReport, liyau_functional
+from dunklheat.kernel import log_kernel_derivatives
 
 
 def run_cli(argv, capsys):
@@ -463,6 +467,17 @@ class TestExitCodes:
             "[grid point [0.01, [-3.0, -3.0], [-3.0, -3.0]]]\n"
         )
 
+    @pytest.mark.parametrize("command", ["kernel-eval", "liyau-scan"])
+    def test_tilt_overflow_returns_four_with_grid_point(self, capsys, command):
+        # a = u v / (2t) overflows at u = v = 1e200: a numerical failure at
+        # that point, not a configuration error
+        argv = [command, "--kappa", "0.5", "--t", "1", "--coords", "1e200", "--reproducible"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure: OverflowError: ")
+        assert err.endswith("[grid point [1.0, [1e+200], [1e+200]]]\n")
+
     def test_claims_verify_numerical_failure_returns_four_with_grid_point(self, capsys):
         code, out, err = run_cli(["claims-verify", "--kappa", "200", "--reproducible"], capsys)
         assert code == 4
@@ -515,3 +530,108 @@ class TestLiYauGrid:
         assert len(terms) == 3 * 9
         assert set(terms.values()) == {1}
         assert pointwise == []
+
+    @pytest.mark.parametrize("output_format", ["json-lines", "csv"])
+    @pytest.mark.parametrize("command", ["liyau-scan", "kernel-eval"])
+    @pytest.mark.parametrize(
+        "kappa, t_grid, coords, augment",
+        [
+            # unsorted and duplicated times, duplicated coordinates, -0.0
+            # next to 0.0: rows of equal keys must keep their generation order
+            ("0.5", "1,0.1,1", "3,-0.0,0,1.5e-7,3,-1", 0),
+            ("0.5,1.5", "1,1,0.5", "0,-0.0,0,1", 30),
+            ("0,2", "0.1,0.1", "-0.0,1,0,-0.0", 4),
+        ],
+    )
+    def test_output_is_the_sorted_generation_order(
+        self, capsys, output_format, command, kappa, t_grid, coords, augment
+    ):
+        seed = 3
+        argv = [command, f"--kappa={kappa}", f"--t={t_grid}", f"--coords={coords}"]
+        argv += ["--augment", str(augment), "--seed", str(seed), "--format", output_format]
+        code, out, _ = run_cli([*argv, "--reproducible"], capsys)
+        assert code == 0
+        kappa_values = [float(k) for k in kappa.split(",")]
+        points = list(itertools.product([float(c) for c in coords.split(",")], repeat=len(kappa_values)))
+        # the reference: rows in generation order (t position, x index, y
+        # index, then the --augment points), stably sorted by _sort_key
+        rows = []
+        for t in [float(v) for v in t_grid.split(",")]:
+            for x, y in itertools.product(points, repeat=2):
+                rows.append(_grid_row(command, t, x, y, kappa_values))
+        if command == "liyau-scan":
+            rng = np.random.default_rng(seed)
+            for _ in range(augment):
+                t = float(10.0 ** rng.uniform(-2.0, 2.0))
+                x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, len(kappa_values)))
+                y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, len(kappa_values)))
+                rows.append(_grid_row(command, t, x, y, kappa_values))
+        rows = sorted(rows, key=cli._sort_key)
+        encode = cli._COMPACT_JSON.encode
+        if output_format == "json-lines":
+            want = [encode(row) for row in rows]
+            assert out.splitlines()[1:] == want
+            return
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(_COLUMNS)
+        for row in rows:
+            writer.writerow(
+                [
+                    row["claim_id"],
+                    encode(row["grid_point"]),
+                    repr(row["lhs"]),
+                    repr(row["rhs"]),
+                    repr(row["deficit"]),
+                    repr(row["tol"]),
+                    "pass" if row["pass"] else "fail",
+                    encode(row["extra"]),
+                ]
+            )
+        assert out.splitlines()[1:] == buffer.getvalue().splitlines()
+
+    def test_grid_rows_are_not_sorted(self, monkeypatch, capsys):
+        keys = []
+        original = cli._sort_key
+
+        def counting(row):
+            keys.append(row["grid_point"])
+            return original(row)
+
+        monkeypatch.setattr(cli, "_sort_key", counting)
+        argv = ["liyau-scan", "--kappa", "0.5,1.5,0.25", "--t", "0.5", "--coords=-1,0,1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3**6
+        # the merge with no --augment rows keys the first grid row at most
+        assert len(keys) <= 1
+
+    def test_one_table_per_distinct_time_and_multiplicity(self, monkeypatch, capsys):
+        builds = collections.Counter()
+        original = inequalities.liyau_coordinate_table
+
+        def counting(t, kappa_i, *rest):
+            builds[(t, kappa_i)] += 1
+            return original(t, kappa_i, *rest)
+
+        monkeypatch.setattr(inequalities, "liyau_coordinate_table", counting)
+        argv = ["liyau-scan", "--kappa", "0.5,1.5,0.25", "--t", "0.5,0.5", "--coords=-1,0,1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * 3**6
+        assert builds == {(0.5, 0.5): 1, (0.5, 1.5): 1, (0.5, 0.25): 1}
+
+
+def _grid_row(command, t, x, y, kappa):
+    """The row of one (t, x, y) point, evaluated on its own."""
+    if command == "liyau-scan":
+        return cli._liyau_row(liyau_functional(t, x, y, kappa), 1e-9)
+    kp = log_kernel_derivatives(t, x, y, kappa)
+    report = VerificationReport.build("kernel_point", (t, x, y), lhs=kp.log_p, rhs=kp.log_p, tolerance=1e-9)
+    extra = {
+        "p": kp.p if math.isfinite(kp.p) else None,
+        "grad_x_log_p": kp.grad_x_log_p.tolist(),
+        "hess_diag_x_log_p": kp.hess_diag_x_log_p.tolist(),
+        "dt_log_p": kp.dt_log_p,
+    }
+    return cli._row(report, extra=extra)

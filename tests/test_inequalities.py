@@ -324,6 +324,33 @@ def test_table_keeps_every_coordinate_term():
             assert table.deficit[ix, iy] == c.deficit
 
 
+def test_table_computes_f_once_per_distinct_tilt(monkeypatch):
+    # the twelve tables of the d = 3 default liyau-scan grid: 4 times by
+    # kappa_i in {0.5, 1.5, 0.25} on coordinates -3, -1, 0, 1, 3.  Each holds
+    # 25 entries but 7 distinct tilts a = uv/(2t), uv in {0, +-1, +-3, +-9}:
+    # (u, v), (v, u) and (-u, -v) share theirs
+    tilts = []
+    original = inequalities.f_of_a
+
+    def counting(a, *rest):
+        tilts.append(a)
+        return original(a, *rest)
+
+    monkeypatch.setattr(inequalities, "f_of_a", counting)
+    coords = (-3.0, -1.0, 0.0, 1.0, 3.0)
+    grid = [(t, k) for t in (0.01, 0.1, 1.0, 10.0) for k in (0.5, 1.5, 0.25)]
+    tables = [liyau_coordinate_table(t, k, coords) for t, k in grid]
+    assert len(tilts) == 12 * 7
+    # the integral form runs at 0 < |a| < 1: six tilts at t = 10, two at t = 1
+    assert sum(0.0 < abs(a) < inequalities._F_DIRECT_SWITCH for a in tilts) == 3 * (6 + 2)
+    monkeypatch.undo()
+    for (t, k), table in zip(grid, tables):
+        for ix, u in enumerate(coords):
+            for iy, v in enumerate(coords):
+                want = liyau_functional(t, [u], [v], [k]).coordinates[0]
+                assert repr(table.entries[ix][iy]) == repr(want)
+
+
 def test_hyperplane_rule_reads_the_coordinate_alone():
     # |x_i| below 1e-7 (1 + |x_i|) is the hyperplane whatever the other
     # coordinates are; 1.5e-7 is not, even next to a large coordinate
