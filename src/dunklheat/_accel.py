@@ -5,8 +5,9 @@ reduces to the same three weighted sums
 
     S_k(a) = sum_j w_j p(s_j)^k exp(tilt_j(a)),   k = 0, 1, 2,
 
-taken over a batch of tilt values a.  Both functions broadcast the whole
-(batch, nodes) array in numpy.
+taken over a batch of tilt values a.  Both functions broadcast the
+(batch, nodes) array in numpy and reduce it row by row, so a tilt's sums are
+the same bits alone or in any batch; kernel.moment_stats bounds the batch.
 """
 
 import numpy as np
@@ -26,8 +27,10 @@ def jacobi_tilted_sums(nodes, weights, a):
     shift = np.sign(a)
     ew = np.exp(a[:, None] * (nodes[None, :] - shift[:, None])) * weights[None, :]
     s0 = ew.sum(axis=1)
-    s1 = ew @ nodes
-    s2 = ew @ (nodes * nodes)
+    # one dot product per row: a matrix-vector product would round each row
+    # differently depending on the batch size
+    s1 = np.vecdot(ew, nodes)
+    s2 = np.vecdot(ew, nodes * nodes)
     return s0, s1, s2
 
 

@@ -41,6 +41,7 @@ from .inequalities import (
     gradient_form_check,
     harnack_check,
     iter_liyau_grid,
+    iter_liyau_points,
     liyau_functional,
     log_convexity_check,
     log_convexity_midpoint_check,
@@ -290,19 +291,30 @@ def _liyau_row(dec: LiYauDecomposition, tol: float) -> dict:
 
 def _liyau_scan(cfg: RunConfig) -> Iterator[dict]:
     """Grid rows in output order, merged with the --augment rows, which are
-    evaluated first and sorted among themselves."""
-    augment = []
+    evaluated first, in one batch, and sorted among themselves."""
     rng = np.random.default_rng(cfg.seed)
+    points = []
     for _ in range(cfg.augment):
         t = float(10.0 ** rng.uniform(-2.0, 2.0))
         x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
         y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
-        dec = _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
-        augment.append(_liyau_row(dec, cfg.tol))
-    augment.sort(key=_sort_key)
+        points.append((t, x, y))
+    try:
+        decs = iter_liyau_points(points, cfg.kappa)
+    except (ArithmeticError, RuntimeError):
+        _replay(points, cfg)
+        raise
+    augment = sorted((_liyau_row(dec, cfg.tol) for dec in decs), key=_sort_key)
     # stable: a grid row goes before an augment row of equal key, and once
     # one input runs out no more keys are computed
     return heapq.merge(_liyau_grid_rows(cfg), augment, key=_sort_key)
+
+
+def _replay(points, cfg: RunConfig) -> None:
+    """After a batched evaluation failed, go through its points one by one to
+    name the first that stops."""
+    for t, x, y in points:
+        _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
 
 
 def _liyau_grid_rows(cfg: RunConfig) -> Iterator[dict]:
@@ -310,10 +322,8 @@ def _liyau_grid_rows(cfg: RunConfig) -> Iterator[dict]:
         try:
             grid = iter_liyau_grid(t, cfg.kappa, cfg.coord_grid, index_pairs=pairs)
         except (ArithmeticError, RuntimeError):
-            # a coordinate table failed: go through the points of t one by
-            # one to name the first that stops
-            for x, y in itertools.product(cfg.points, repeat=2):
-                _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
+            # a coordinate table failed
+            _replay(((t, x, y) for x, y in itertools.product(cfg.points, repeat=2)), cfg)
             raise
         for dec in grid:
             yield _liyau_row(dec, cfg.tol)

@@ -53,6 +53,7 @@ __all__ = [
     "h_of_a",
     "harnack_check",
     "iter_liyau_grid",
+    "iter_liyau_points",
     "iter_liyau_reports",
     "kernel_solution_field",
     "liyau_coordinate_table",
@@ -81,35 +82,48 @@ _F_RULE_NODES = 32
 
 def f_of_a(a: float, kappa_i: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
     """f(a) = 2a r1(a) + log m0(-a) - log m0(a), the reflection defect of
-    the one-dimensional log-kernel.  Nonnegative for every tilt.
-
-    For |a| >= 1 the displayed formula is evaluated directly.  Below that it
-    cancels catastrophically (the value is ~ 2 var(0) a^2 against O(1)
-    terms), so the equivalent integral form
-
-        f(a) = integral_{-a}^{a} (s + a) var(s) ds
-
-    is used instead: every factor is nonnegative, so the result carries
-    full relative accuracy all the way down to f(0) = 0.  One batched
-    moment_stats call gives the variance at every node of its rule.
+    the one-dimensional log-kernel.  Nonnegative for every tilt.  The scalar
+    face of _f_values, which gives the same bits for a in any batch.
     """
     a = float(a)
     if not math.isfinite(a):
         raise DomainError(f"tilt must be finite, got {a!r}")
-    if a == 0.0:
-        return 0.0
-    if abs(a) >= _F_DIRECT_SWITCH:
-        plus = moment_ratios(a, kappa_i, rel_tol)
-        minus = moment_ratios(-a, kappa_i, rel_tol)
-        return 2.0 * a * plus.r1 + minus.log_m0 - plus.log_m0
-    # f(a) = int_{-a}^{a} (s + a) var(s) ds (oriented); s = a*node turns it
-    # into a^2 int_{-1}^1 (1 + node) var(a*node) dnode, a sum of positives
-    rule = gauss_jacobi_rule(0.0, 0.0, _F_RULE_NODES)
-    _, r1, r2 = moment_stats(a * rule.nodes, kappa_i, rel_tol).tolist()
-    total = 0.0
-    for node, weight, m1, m2 in zip(rule.nodes.tolist(), rule.weights.tolist(), r1, r2):
-        total += weight * (1.0 + node) * (m2 - m1 * m1)
-    return a * a * total
+    return float(_f_values(np.array([a]), kappa_i, rel_tol)[0])
+
+
+def _f_values(a: np.ndarray, kappa_i: float, rel_tol: float) -> np.ndarray:
+    """f at each finite tilt of the 1-d array a, computed once per distinct
+    tilt.
+
+    For |a| >= 1 the displayed formula is evaluated directly, from one
+    moment_stats call on [a, -a].  Below that it cancels catastrophically
+    (the value is ~ 2 var(0) a^2 against O(1) terms), so the equivalent
+    integral form
+
+        f(a) = integral_{-a}^{a} (s + a) var(s) ds
+
+    is used instead: every factor is nonnegative, so the result carries
+    full relative accuracy all the way down to f(0) = 0.  One moment_stats
+    call gives the variance at every node tilt of every such a.
+    """
+    tilts, inverse = np.unique(a, return_inverse=True)
+    f = np.zeros(tilts.size)
+    direct = np.abs(tilts) >= _F_DIRECT_SWITCH
+    if direct.any():
+        d = tilts[direct]
+        log_m0, r1, _ = moment_stats(np.concatenate([d, -d]), kappa_i, rel_tol)
+        f[direct] = 2.0 * d * r1[: d.size] + log_m0[d.size :] - log_m0[: d.size]
+    small = ~direct & (tilts != 0.0)
+    if small.any():
+        # f(a) = int_{-a}^{a} (s + a) var(s) ds (oriented); s = a*node turns it
+        # into a^2 int_{-1}^1 (1 + node) var(a*node) dnode, a sum of positives
+        s = tilts[small]
+        rule = gauss_jacobi_rule(0.0, 0.0, _F_RULE_NODES)
+        _, r1, r2 = moment_stats(np.outer(s, rule.nodes).ravel(), kappa_i, rel_tol).reshape(3, s.size, -1)
+        terms = (rule.weights * (1.0 + rule.nodes)) * (r2 - r1 * r1)
+        # a running sum in node order: the same bits as a node-by-node sum
+        f[small] = s * s * np.cumsum(terms, axis=1)[:, -1]
+    return f[inverse]
 
 
 def h_of_a(a: float, kappa_i: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
@@ -226,42 +240,30 @@ class LiYauDecomposition:
         )
 
 
-def _liyau_coordinate(t, u, v, kappa_i, rel_tol, f_values: dict) -> LiYauCoordinate:
-    """The terms at one (t, x_i, y_i); f_values maps the tilts already seen
-    at this kappa_i to f(a) and takes the new one."""
+def _liyau_terms(t, u, v, kappa_i: float, rel_tol: float) -> tuple[list[float], ...]:
+    """The terms at each (t, x_i, y_i) of the equal-length float arrays t, u,
+    v, all at one kappa_i: one list per LiYauCoordinate field, in field
+    order.  Each entry is the same bits in any batch."""
     # the one hyperplane rule: a coordinate within EPS_REFLECTION_SCALE of
     # its own scale sits on x_i = 0
-    on_hyperplane = abs(u) < EPS_REFLECTION_SCALE * (1.0 + abs(u))
-    if on_hyperplane:
-        u = 0.0
-    c = _coordinate(t, u, v, kappa_i, rel_tol)
-    # a Gaussian coordinate (kappa_i = 0) has no reflection part and meets
-    # the bound exactly
-    f_value = 0.0
-    if kappa_i > 0.0:
-        if c.a not in f_values:
-            f_values[c.a] = f_of_a(c.a, kappa_i, rel_tol)
-        f_value = f_values[c.a]
-    if on_hyperplane:
+    on_hyperplane = np.abs(u) < EPS_REFLECTION_SCALE * (1.0 + np.abs(u))
+    u = np.where(on_hyperplane, 0.0, u)
+    # scalar float semantics: a product past the float range is inf, silently
+    with np.errstate(over="ignore"):
+        c = _coordinate(t, u, v, kappa_i, rel_tol)
+        # a Gaussian coordinate (kappa_i = 0) has no reflection part and
+        # meets the bound exactly
+        f_value = _f_values(c.a, kappa_i, rel_tol) if kappa_i > 0.0 else np.zeros(u.shape)
         # the analytic reflection term divides by u^2; at the hyperplane the
         # coordinate contribution is the removable-singularity limit
         # (1 + 2 kappa) d_uu log p, matching the generic Dunkl Laplacian
-        j_value = 2.0 * kappa_i * c.d_uu
-        i_value = (1.0 + 2.0 * kappa_i) * c.d_uu
-        deficit = (1.0 + 2.0 * kappa_i) * c.variance_term
-    else:
-        reflection_term = kappa_i / (u * u) * f_value
-        j_value = -kappa_i / t + reflection_term
-        i_value = c.d_uu + j_value
-        deficit = c.variance_term + reflection_term
-    return LiYauCoordinate(
-        a=c.a,
-        variance_term=c.variance_term,
-        f_value=f_value,
-        j_value=j_value,
-        i_value=i_value,
-        deficit=deficit,
-    )
+        reflection_term = kappa_i / np.where(on_hyperplane, 1.0, u * u) * f_value
+        j_value = np.where(on_hyperplane, 2.0 * kappa_i * c.d_uu, -kappa_i / t + reflection_term)
+        i_value = np.where(on_hyperplane, (1.0 + 2.0 * kappa_i) * c.d_uu, c.d_uu + j_value)
+        deficit = np.where(
+            on_hyperplane, (1.0 + 2.0 * kappa_i) * c.variance_term, c.variance_term + reflection_term
+        )
+    return tuple(x.tolist() for x in (c.a, c.variance_term, f_value, j_value, i_value, deficit))
 
 
 def liyau_functional(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> LiYauDecomposition:
@@ -273,14 +275,30 @@ def liyau_functional(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> LiYau
     wherever both are usable.  The rule reads x_i alone, so every point of
     a product grid gets the terms of its coordinate tables.
     """
-    t = _validate_time(t)
+    return next(iter_liyau_points([(t, x, y)], kappa, rel_tol))
+
+
+def iter_liyau_points(points, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> Iterator[LiYauDecomposition]:
+    """liyau_functional at each (t, x, y) of points, in order, bit for bit,
+    from one batched evaluation of the coordinate terms per axis.  The terms
+    are computed before this returns, so a point that fails raises here."""
     kappa = MultiplicityZ2.of(kappa)
-    x = tuple(_validate_point(x, kappa.d).tolist())
-    y = tuple(_validate_point(y, kappa.d).tolist())
-    coords = tuple(
-        _liyau_coordinate(t, u, v, k, rel_tol, {}) for u, v, k in zip(x, y, kappa.values)
+    ts, xs, ys = [], [], []
+    for t, x, y in points:
+        ts.append(_validate_time(t))
+        xs.append(tuple(_validate_point(x, kappa.d).tolist()))
+        ys.append(tuple(_validate_point(y, kappa.d).tolist()))
+    t_all = np.array(ts)
+    x_all = np.array(xs).reshape(len(ts), kappa.d)
+    y_all = np.array(ys).reshape(len(ts), kappa.d)
+    axes = [
+        map(LiYauCoordinate, *_liyau_terms(t_all, x_all[:, i], y_all[:, i], k, rel_tol))
+        for i, k in enumerate(kappa.values)
+    ]
+    return (
+        LiYauDecomposition(t=t, x=x, y=y, kappa=kappa, coordinates=coords)
+        for t, x, y, coords in zip(ts, xs, ys, zip(*axes))
     )
-    return LiYauDecomposition(t=t, x=x, y=y, kappa=kappa, coordinates=coords)
 
 
 def liyau_report(
@@ -303,8 +321,8 @@ def liyau_report(
 
 def liyau_deficit_1d(t, u, v, kappa_i, rel_tol: float = _DEFAULT_REL_TOL) -> float:
     """The coordinate deficit at one (t, x_i, y_i)."""
-    t = _validate_time(t)
-    return _liyau_coordinate(t, float(u), float(v), float(kappa_i), rel_tol, {}).deficit
+    t, u, v = (np.array([w]) for w in (_validate_time(t), float(u), float(v)))
+    return _liyau_terms(t, u, v, float(kappa_i), rel_tol)[-1][0]
 
 
 @dataclass(frozen=True)
@@ -331,13 +349,13 @@ def liyau_coordinate_table(
     t = _validate_time(t)
     kappa_i = float(kappa_i)
     coords = tuple(float(c) for c in coords)
-    # (u, v), (v, u) and (-u, -v) share their tilt: one f(a) serves them all
-    f_values = {}
-    entries = tuple(
-        tuple(_liyau_coordinate(t, u, v, kappa_i, rel_tol, f_values) for v in coords)
-        for u in coords
-    )
-    deficit = np.array([[c.deficit for c in row] for row in entries], dtype=float)
+    n = len(coords)
+    grid = np.array(coords)
+    # entry (ix, iy) is flat index ix * n + iy
+    terms = _liyau_terms(np.full(n * n, t), np.repeat(grid, n), np.tile(grid, n), kappa_i, rel_tol)
+    flat = list(map(LiYauCoordinate, *terms))
+    entries = tuple(tuple(flat[ix * n : (ix + 1) * n]) for ix in range(n))
+    deficit = np.array(terms[-1]).reshape(n, n)
     return CoordinateTable(t=t, kappa_i=kappa_i, coords=coords, entries=entries, deficit=deficit)
 
 

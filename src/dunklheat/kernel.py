@@ -69,6 +69,9 @@ __all__ = [
 TILT_SWITCH = 50.0
 
 _DEFAULT_REL_TOL = 1e-10
+# tilts per block of a moment_stats call: bounds the (block, nodes)
+# temporaries of the tilted sums
+_TILT_BLOCK = 512
 
 
 def log_gaussian_mass(kappa: float) -> float:
@@ -131,50 +134,51 @@ def moment_stats(a, kappa: float, rel_tol: float = _DEFAULT_REL_TOL, max_nodes: 
     """(log m0, r1, r2) for a batch of tilts, as a (3, len(a)) array.
 
     Requires kappa > 0; kappa = 0 callers use their Gaussian closed forms
-    and never need moments.
+    and never need moments.  Each tilt's values are the same bits alone, in
+    any batch, or through moment_ratios: the tilts go through in blocks of
+    _TILT_BLOCK, which bounds the (block, nodes) temporaries of the tilted
+    sums, and every sum is reduced tilt by tilt.
     """
     kappa = float(kappa)
     if not kappa > 0.0:
         raise DomainError(f"moment_stats requires kappa > 0, got {kappa}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.ndim != 1:
+        raise DomainError(f"tilts must be a float or a 1-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("tilts must be finite")
+
+    def eval_jacobi(n, sub):
+        rule = gauss_jacobi_rule(kappa - 1.0, kappa, n)
+        s0, s1, s2 = _accel.jacobi_tilted_sums(rule.nodes, rule.weights, sub)
+        return np.abs(sub) + np.log(s0), s1 / s0, s2 / s0
+
+    # 1 - s = r/a: weight becomes r^(kappa-1) e^(-r), the leftover factor
+    # (2 - r/a)^kappa is smooth, and log m0 = a - kappa log a + log(sum)
+    def eval_pos(n, sub):
+        rule = gauss_laguerre_rule(kappa - 1.0, n)
+        s0, s1, s2 = _accel.laguerre_tilted_sums(rule.nodes, rule.weights, sub, kappa)
+        return sub - kappa * np.log(sub) + np.log(s0), s1 / s0, s2 / s0
+
+    # mirror substitution 1 + s = r/|a|: weight r^kappa e^(-r), factor
+    # (2 - r/|a|)^(kappa-1), s = -(1 - r/|a|) so the odd moment flips sign
+    def eval_neg(n, sub):
+        aa = -sub
+        rule = gauss_laguerre_rule(kappa, n)
+        s0, s1, s2 = _accel.laguerre_tilted_sums(rule.nodes, rule.weights, aa, kappa - 1.0)
+        return aa - (kappa + 1.0) * np.log(aa) + np.log(s0), -s1 / s0, s2 / s0
+
     out = np.empty((3, a.size))
-
-    abs_a = np.abs(a)
-    small = abs_a <= TILT_SWITCH
-    idx = np.flatnonzero(small)
-    if idx.size:
-
-        def eval_jacobi(n, sub):
-            rule = gauss_jacobi_rule(kappa - 1.0, kappa, n)
-            s0, s1, s2 = _accel.jacobi_tilted_sums(rule.nodes, rule.weights, sub)
-            return np.abs(sub) + np.log(s0), s1 / s0, s2 / s0
-
-        out[:, idx] = _adaptive_eval(eval_jacobi, a[idx], rel_tol, max_nodes)
-
-    idx = np.flatnonzero(a > TILT_SWITCH)
-    if idx.size:
-        # 1 - s = r/a: weight becomes r^(kappa-1) e^(-r), the leftover factor
-        # (2 - r/a)^kappa is smooth, and log m0 = a - kappa log a + log(sum)
-        def eval_pos(n, sub):
-            rule = gauss_laguerre_rule(kappa - 1.0, n)
-            s0, s1, s2 = _accel.laguerre_tilted_sums(rule.nodes, rule.weights, sub, kappa)
-            return sub - kappa * np.log(sub) + np.log(s0), s1 / s0, s2 / s0
-
-        out[:, idx] = _adaptive_eval(eval_pos, a[idx], rel_tol, max_nodes)
-
-    idx = np.flatnonzero(a < -TILT_SWITCH)
-    if idx.size:
-        # mirror substitution 1 + s = r/|a|: weight r^kappa e^(-r), factor
-        # (2 - r/|a|)^(kappa-1), s = -(1 - r/|a|) so the odd moment flips sign
-        def eval_neg(n, sub):
-            aa = -sub
-            rule = gauss_laguerre_rule(kappa, n)
-            s0, s1, s2 = _accel.laguerre_tilted_sums(rule.nodes, rule.weights, aa, kappa - 1.0)
-            return aa - (kappa + 1.0) * np.log(aa) + np.log(s0), -s1 / s0, s2 / s0
-
-        out[:, idx] = _adaptive_eval(eval_neg, a[idx], rel_tol, max_nodes)
+    for lo in range(0, a.size, _TILT_BLOCK):
+        block, block_out = a[lo : lo + _TILT_BLOCK], out[:, lo : lo + _TILT_BLOCK]
+        for evaluate, chosen in (
+            (eval_jacobi, np.abs(block) <= TILT_SWITCH),
+            (eval_pos, block > TILT_SWITCH),
+            (eval_neg, block < -TILT_SWITCH),
+        ):
+            idx = np.flatnonzero(chosen)
+            if idx.size:
+                block_out[:, idx] = _adaptive_eval(evaluate, block[idx], rel_tol, max_nodes)
 
     if not (np.all(out[1] > -1.0) and np.all(out[1] < 1.0)):
         raise RuntimeError("moment ratio r1 escaped (-1, 1)")
@@ -233,9 +237,9 @@ def _tilted_terms(a, kappa: float, rel_tol: float, max_nodes: int):
     """(log E_kappa, r1, r2) at the tilt a, a float or an array, for kappa > 0.
 
     A float tilt reads the cached scalar moment_ratios, an array makes one
-    moment_stats call; the two agree only to round-off, so a float never goes
-    through a one-element array.  a = 0 is the exact limit: E_kappa = 1 and
-    r1 = r2 = 1/(2 kappa + 1), the moments of the untilted density.
+    moment_stats call; the two give the same bits.  a = 0 is the exact
+    limit: E_kappa = 1 and r1 = r2 = 1/(2 kappa + 1), the moments of the
+    untilted density.
     """
     at_zero = 1.0 / (2.0 * kappa + 1.0)
     if not isinstance(a, np.ndarray):
@@ -287,16 +291,16 @@ class _Coordinate(NamedTuple):
 
 
 def _coordinate(
-    t: float,
-    u: float,
+    t,
+    u,
     v,
     kappa: float,
     rel_tol: float,
     max_nodes: int = NODE_CAP,
 ) -> _Coordinate:
-    """The per-coordinate kernel formulas, at a validated time t and a float
-    or array v.  For kappa > 0, with the tilt a = u v / (2t) and the moment
-    ratios r1, r2 at a:
+    """The per-coordinate kernel formulas, at validated times t.  v is a
+    float or an array; t and u are floats, or arrays shaped like v.  For
+    kappa > 0, with the tilt a = u v / (2t) and the moment ratios r1, r2 at a:
 
         log p = -log c_kappa - (kappa + 1/2) log(2t) - (u^2 + v^2)/(4t)
                 + log E_kappa(a)
@@ -306,21 +310,24 @@ def _coordinate(
 
     kappa = 0 is the Gauss-Weierstrass kernel, in closed form.
     """
+    log = np.log if isinstance(t, np.ndarray) else math.log
     a = u * v / (2.0 * t)
     if kappa == 0.0:
         diff = u - v
-        log_p = -0.5 * math.log(4.0 * math.pi * t) - diff * diff / (4.0 * t)
+        log_p = -0.5 * log(4.0 * math.pi * t) - diff * diff / (4.0 * t)
         d_u = -diff / (2.0 * t)
         variance_term = 0.0 * abs(v)  # +0.0, shaped like v
         d_t = -0.5 / t + diff * diff / (4.0 * t * t)
     else:
         # an infinite tilt is an overflow of u v / (2t), not a bad input
         if not (np.isfinite(a).all() if isinstance(a, np.ndarray) else math.isfinite(a)):
-            raise OverflowError(f"tilt u v / (2t) overflows at u = {u!r}, t = {t!r}")
+            bad = ~np.isfinite(a)
+            u_at, t_at = (float(np.broadcast_to(w, bad.shape)[bad][0]) for w in (u, t))
+            raise OverflowError(f"tilt u v / (2t) overflows at u = {u_at!r}, t = {t_at!r}")
         log_e, r1, r2 = _tilted_terms(a, kappa, rel_tol, max_nodes)
         log_p = (
             -_log_normalizers(kappa)[0]
-            - (kappa + 0.5) * math.log(2.0 * t)
+            - (kappa + 0.5) * log(2.0 * t)
             - (u * u + v * v) / (4.0 * t)
             + log_e
         )

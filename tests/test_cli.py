@@ -467,6 +467,19 @@ class TestExitCodes:
             "[grid point [0.01, [-3.0, -3.0], [-3.0, -3.0]]]\n"
         )
 
+    def test_augment_failure_names_the_first_augment_point_that_stops(self, capsys):
+        # the --augment points are evaluated in one batch; augment points 1
+        # and 2 both overflow (kappa = 1000 Laguerre rules), and the first is
+        # named
+        argv = ["liyau-scan", "--kappa", "1000", "--t", "1", "--coords", "0", "--augment", "3"]
+        code, out, err = run_cli([*argv, "--reproducible"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "numerical failure: OverflowError: math range error [grid point "
+            "[0.07958454908395947, [-3.9966743017754913], [7.471068907925236]]]\n"
+        )
+
     @pytest.mark.parametrize("command", ["kernel-eval", "liyau-scan"])
     def test_tilt_overflow_returns_four_with_grid_point(self, capsys, command):
         # a = u v / (2t) overflows at u = v = 1e200: a numerical failure at
@@ -515,13 +528,14 @@ class TestLiYauGrid:
     def test_grid_evaluates_each_coordinate_term_once(self, monkeypatch, capsys):
         terms = collections.Counter()
         pointwise = []
-        original = inequalities._liyau_coordinate
+        original = inequalities._liyau_terms
 
         def counting(t, u, v, kappa_i, *rest):
-            terms[(kappa_i, u, v)] += 1
+            for pair in zip(u.tolist(), v.tolist()):
+                terms[(kappa_i, *pair)] += 1
             return original(t, u, v, kappa_i, *rest)
 
-        monkeypatch.setattr(inequalities, "_liyau_coordinate", counting)
+        monkeypatch.setattr(inequalities, "_liyau_terms", counting)
         monkeypatch.setattr(cli, "liyau_functional", lambda *a: pointwise.append(a))
         argv = ["liyau-scan", "--kappa", "0.5,1.5,0.25", "--t", "0.5", "--coords=-1,0,1"]
         code, out, _ = run_cli(argv, capsys)

@@ -18,6 +18,7 @@ from dunklheat.inequalities import (
     gradient_form_check,
     h_of_a,
     harnack_check,
+    iter_liyau_points,
     iter_liyau_reports,
     kernel_solution_field,
     liyau_coordinate_table,
@@ -132,24 +133,26 @@ def test_f_small_tilt_is_one_batched_moment_call(monkeypatch):
     assert stats_calls == [inequalities._F_RULE_NODES]
     assert ratio_calls == []
     assert len(_MOMENT_CACHE) == entries
-    # the direct branch is the displayed formula: r1 and log m0 at +-a
+    # the direct branch is the displayed formula: r1 and log m0 at +-a, from
+    # one batched call
     stats_calls.clear()
     f_of_a(-1.2345678, 0.75)
-    assert stats_calls == []
-    assert ratio_calls == [-1.2345678, 1.2345678]
+    assert stats_calls == [2]
+    assert ratio_calls == []
+    assert len(_MOMENT_CACHE) == entries
 
 
 @pytest.mark.parametrize("kappa", [0.25, 1.5, 200.0])
 def test_f_small_tilt_equals_per_node_scalar_sum(kappa):
-    # the integral form summed node by node from cached scalar moments; the
-    # batched call may differ from it only by round-off in the tilted sums
+    # the integral form summed node by node from cached scalar moments: the
+    # batched call has the same moment bits and the same summation order
     rule = gauss_jacobi_rule(0.0, 0.0, inequalities._F_RULE_NODES)
     for a in np.random.default_rng(7).uniform(-1.0, 1.0, 24).tolist():
         total = 0.0
         for node, weight in zip(rule.nodes, rule.weights):
             total += weight * (1.0 + node) * moment_ratios(a * node, kappa).variance
         want = float(a * a * total)
-        assert abs(f_of_a(a, kappa) - want) <= 2e-15 * want, (a, kappa)
+        assert f_of_a(a, kappa) == want, (a, kappa)
 
 
 def test_f_domain_errors():
@@ -328,27 +331,55 @@ def test_table_computes_f_once_per_distinct_tilt(monkeypatch):
     # the twelve tables of the d = 3 default liyau-scan grid: 4 times by
     # kappa_i in {0.5, 1.5, 0.25} on coordinates -3, -1, 0, 1, 3.  Each holds
     # 25 entries but 7 distinct tilts a = uv/(2t), uv in {0, +-1, +-3, +-9}:
-    # (u, v), (v, u) and (-u, -v) share theirs
-    tilts = []
-    original = inequalities.f_of_a
+    # (u, v), (v, u) and (-u, -v) share theirs, and f(0) = 0 needs no moments
+    calls = []
+    original = inequalities.moment_stats
 
     def counting(a, *rest):
-        tilts.append(a)
+        calls.append(np.asarray(a))
         return original(a, *rest)
 
-    monkeypatch.setattr(inequalities, "f_of_a", counting)
+    monkeypatch.setattr(inequalities, "moment_stats", counting)
     coords = (-3.0, -1.0, 0.0, 1.0, 3.0)
     grid = [(t, k) for t in (0.01, 0.1, 1.0, 10.0) for k in (0.5, 1.5, 0.25)]
     tables = [liyau_coordinate_table(t, k, coords) for t, k in grid]
-    assert len(tilts) == 12 * 7
-    # the integral form runs at 0 < |a| < 1: six tilts at t = 10, two at t = 1
-    assert sum(0.0 < abs(a) < inequalities._F_DIRECT_SWITCH for a in tilts) == 3 * (6 + 2)
+    # at most one call per branch and table: [a, -a] for the direct tilts,
+    # a times every rule node for the integral-form tilts 0 < |a| < 1
+    direct = [a for a in calls if np.all(np.abs(a) >= inequalities._F_DIRECT_SWITCH)]
+    integral = [a for a in calls if np.all(np.abs(a) < inequalities._F_DIRECT_SWITCH)]
+    assert len(direct) + len(integral) == len(calls) <= 2 * 12
+    # the integral form runs at six tilts at t = 10 and two at t = 1
+    assert sum(a.size for a in integral) == 3 * (6 + 2) * inequalities._F_RULE_NODES
+    assert sum(a.size for a in direct) == 2 * (12 * 6 - 3 * (6 + 2))
     monkeypatch.undo()
     for (t, k), table in zip(grid, tables):
         for ix, u in enumerate(coords):
             for iy, v in enumerate(coords):
                 want = liyau_functional(t, [u], [v], [k]).coordinates[0]
                 assert repr(table.entries[ix][iy]) == repr(want)
+
+
+def test_batched_points_equal_points_one_by_one():
+    # every branch in one batch: Gaussian and moment coordinates, hyperplane
+    # coordinates (+-0.0 and below 1e-7 (1 + |x_i|)), y_i = 0, repeated
+    # tilts, direct and integral-form f, Jacobi and Laguerre moments
+    rng = np.random.default_rng(19)
+    kappa = (0.0, 0.5, 2.5)
+    points = [
+        (float(10.0 ** rng.uniform(-2.0, 2.0)), rng.uniform(-10.0, 10.0, 3), rng.uniform(-10.0, 10.0, 3))
+        for _ in range(60)
+    ]
+    points += [
+        (0.5, [1.0, -0.0, 5e-8], [2.0, 3.0, -1.0]),
+        (0.5, [2.0, 1.0, 1.0], [1.0, 2.0, 2.0]),
+        (0.01, [-3.0, 3.0, 9.0], [0.0, -3.0, 9.0]),
+        (0.01, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+    ]
+    batched = list(iter_liyau_points(points, kappa))
+    assert len(batched) == len(points)
+    for dec, (t, x, y) in zip(batched, points):
+        assert repr(dec) == repr(liyau_functional(t, x, y, kappa))
+    assert list(iter_liyau_points([], kappa)) == []
 
 
 def test_hyperplane_rule_reads_the_coordinate_alone():

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -24,7 +25,7 @@ from dunklheat.kernel import (
     moment_ratios,
     moment_stats,
 )
-from dunklheat.quadrature import ConvergenceError, DomainError
+from dunklheat.quadrature import NODE_START, ConvergenceError, DomainError
 
 KAPPA_GRID = [0.25, 0.5, 1.0, 2.5]
 
@@ -115,6 +116,43 @@ def test_moment_domain_errors():
 def test_moment_convergence_error_on_tiny_cap():
     with pytest.raises(ConvergenceError):
         moment_stats(np.array([3.0]), 0.5, max_nodes=32)
+
+
+def test_moment_stats_rejects_tilt_arrays_that_are_not_1d():
+    with pytest.raises(DomainError, match="1-d"):
+        moment_stats(np.array([[1.0, 2.0]]), 0.5)
+
+
+@pytest.mark.parametrize("kappa", [0.25, 0.5, 1.5, 1000.0])
+def test_moment_stats_is_batch_invariant(kappa):
+    # |a| < 1, 1 <= |a| <= 50 (Jacobi) and +-(50, 5000] (Laguerre); at
+    # kappa = 1000 the Laguerre rules overflow (ROADMAP item 2), so only the
+    # Jacobi tilts are checked there
+    rng = np.random.default_rng(11)
+    tilts = [rng.uniform(-1.0, 1.0, 40), rng.uniform(1.0, TILT_SWITCH, 40) * rng.choice([-1.0, 1.0], 40)]
+    if kappa < 1000.0:
+        tilts.append(rng.uniform(TILT_SWITCH, 5000.0, 40) * rng.choice([-1.0, 1.0], 40))
+        tilts.append([5000.0, -5000.0, np.nextafter(TILT_SWITCH, np.inf), -TILT_SWITCH])
+    a = rng.permutation(np.concatenate(tilts))
+    batch = moment_stats(a, kappa)
+    for i, ai in enumerate(a.tolist()):
+        alone = moment_stats(a[i : i + 1], kappa)[:, 0]
+        ratios = moment_ratios(ai, kappa)
+        assert batch[:, i].tolist() == alone.tolist() == [ratios.log_m0, ratios.r1, ratios.r2], ai
+
+
+def test_moment_stats_bounds_its_temporaries():
+    # 50,000 Jacobi tilts need at least NODE_START nodes each; the tilts go
+    # through in blocks, so no (batch, nodes) array of the whole call is made
+    a = np.random.default_rng(5).uniform(-TILT_SWITCH, TILT_SWITCH, 50_000)
+    moment_stats(a[:10], 0.5)  # rules built outside the measurement
+    tracemalloc.start()
+    try:
+        moment_stats(a, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * a.size * NODE_START * 8
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +384,9 @@ def test_batch_derivatives_match_scalar_path():
         ref = log_kernel_derivatives(t, [u], [v[j]], [kappa])
         got = (log_p[j], d1[j], d2[j], dt[j])
         want = (ref.log_p, ref.grad_x_log_p[0], ref.hess_diag_x_log_p[0], ref.dt_log_p)
-        if v[j] == 0.0:
-            # a = 0 takes the exact limit on both paths, no moments involved
-            assert got == want
-        else:
-            # batched and scalar moments agree only to round-off
-            assert all(abs(g - w) < 1e-12 for g, w in zip(got, want))
+        # batched and scalar moments are the same bits; a = 0 (j = 20) takes
+        # the exact limit on both paths, no moments involved
+        assert got == want
     # u = 0 puts every tilt at 0
     log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, 0.0, v, kappa)
     for j in (0, 7, 20, 33, 40):

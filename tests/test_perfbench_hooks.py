@@ -50,10 +50,10 @@ def test_traced_liyau_scan_reports_every_declared_layer_metric():
     # trace.overhead_s is traced minus untraced wall time, which the runner
     # forms from two processes; every other per-layer metric is the tracer's
     assert set(metrics) == declared - {"trace.overhead_s"}
-    # grid rows come from coordinate tables; only the augment points call
-    # liyau_functional
+    # grid rows come from coordinate tables and the augment rows from one
+    # batched evaluation: no row calls liyau_functional
     assert metrics["cli.rows"] == 4 + 2
-    assert metrics["inequalities.liyau_functional_calls"] == 2
+    assert metrics["inequalities.liyau_functional_calls"] == 0
 
 
 def test_traced_semigroup_check_sees_the_panel_quadrature():
