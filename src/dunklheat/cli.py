@@ -169,7 +169,7 @@ class RunConfig:
 def _row(report: VerificationReport, extra: dict | None = None) -> dict:
     return {
         "claim_id": report.claim_id,
-        "grid_point": _plain(report.grid_point),
+        "grid_point": report.grid_point,
         "lhs": report.lhs,
         "rhs": report.rhs,
         "deficit": report.deficit,
@@ -180,7 +180,8 @@ def _row(report: VerificationReport, extra: dict | None = None) -> dict:
 
 
 def _plain(value):
-    """Tuples to lists, numpy scalars to floats: JSON-ready grid points."""
+    """Tuples and arrays to lists, numpy scalars to floats: kernel-eval's
+    derivative arrays as JSON lists, and grid points as messages print them."""
     if isinstance(value, (tuple, list, np.ndarray)):
         return [v if type(v) is float else _plain(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
@@ -189,20 +190,8 @@ def _plain(value):
 
 
 def _sort_key(row: dict):
-    def flatten(value):
-        if isinstance(value, list):
-            out = []
-            for v in value:
-                if type(v) is float:
-                    out.append((0, v))
-                else:
-                    out.extend(flatten(v))
-            return out
-        if isinstance(value, (int, float)):
-            return [(0, float(value))]
-        return [(1, str(value))]
-
-    return (row["claim_id"], flatten(row["grid_point"]))
+    # the grid points of one claim share one shape, so they compare as tuples
+    return (row["claim_id"], row["grid_point"])
 
 
 class _NumericalFailure(Exception):
@@ -290,8 +279,8 @@ def _liyau_row(dec: LiYauDecomposition, tol: float) -> dict:
 
 
 def _liyau_scan(cfg: RunConfig) -> Iterator[dict]:
-    """Grid rows in output order, merged with the --augment rows, which are
-    evaluated first, in one batch, and sorted among themselves."""
+    """Grid rows in output order, merged with the --augment rows: their
+    points are sorted, then evaluated first, in one batch."""
     rng = np.random.default_rng(cfg.seed)
     points = []
     for _ in range(cfg.augment):
@@ -300,11 +289,11 @@ def _liyau_scan(cfg: RunConfig) -> Iterator[dict]:
         y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
         points.append((t, x, y))
     try:
-        decs = iter_liyau_points(points, cfg.kappa)
+        decs = iter_liyau_points(sorted(points), cfg.kappa)
     except (ArithmeticError, RuntimeError):
         _replay(points, cfg)
         raise
-    augment = sorted((_liyau_row(dec, cfg.tol) for dec in decs), key=_sort_key)
+    augment = (_liyau_row(dec, cfg.tol) for dec in decs)
     # stable: a grid row goes before an augment row of equal key, and once
     # one input runs out no more keys are computed
     return heapq.merge(_liyau_grid_rows(cfg), augment, key=_sort_key)
@@ -617,7 +606,7 @@ def _render(row: dict, output_format: str) -> str:
             ]
         )
     except ValueError as e:
-        raise _NumericalFailure(f"{type(e).__name__}: {e} [grid point {row['grid_point']}]") from e
+        raise _NumericalFailure(f"{type(e).__name__}: {e} [grid point {_plain(row['grid_point'])}]") from e
 
 
 def _emit(text: str, cfg: RunConfig) -> None:

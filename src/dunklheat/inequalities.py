@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .kernel import (
-    _DEFAULT_REL_TOL,
     _coordinate,
     log_kernel,
     log_kernel_derivatives,
@@ -80,7 +79,7 @@ _F_RULE_NODES = 32
 # the two scalar functions carrying the whole Li-Yau argument
 
 
-def f_of_a(a: float, kappa_i: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def f_of_a(a: float, kappa_i: float) -> float:
     """f(a) = 2a r1(a) + log m0(-a) - log m0(a), the reflection defect of
     the one-dimensional log-kernel.  Nonnegative for every tilt.  The scalar
     face of _f_values, which gives the same bits for a in any batch.
@@ -88,10 +87,10 @@ def f_of_a(a: float, kappa_i: float, rel_tol: float = _DEFAULT_REL_TOL) -> float
     a = float(a)
     if not math.isfinite(a):
         raise DomainError(f"tilt must be finite, got {a!r}")
-    return float(_f_values(np.array([a]), kappa_i, rel_tol)[0])
+    return float(_f_values(np.array([a]), kappa_i)[0])
 
 
-def _f_values(a: np.ndarray, kappa_i: float, rel_tol: float) -> np.ndarray:
+def _f_values(a: np.ndarray, kappa_i: float) -> np.ndarray:
     """f at each finite tilt of the 1-d array a, computed once per distinct
     tilt.
 
@@ -111,7 +110,7 @@ def _f_values(a: np.ndarray, kappa_i: float, rel_tol: float) -> np.ndarray:
     direct = np.abs(tilts) >= _F_DIRECT_SWITCH
     if direct.any():
         d = tilts[direct]
-        log_m0, r1, _ = moment_stats(np.concatenate([d, -d]), kappa_i, rel_tol)
+        log_m0, r1, _ = moment_stats(np.concatenate([d, -d]), kappa_i)
         f[direct] = 2.0 * d * r1[: d.size] + log_m0[d.size :] - log_m0[: d.size]
     small = ~direct & (tilts != 0.0)
     if small.any():
@@ -119,14 +118,14 @@ def _f_values(a: np.ndarray, kappa_i: float, rel_tol: float) -> np.ndarray:
         # into a^2 int_{-1}^1 (1 + node) var(a*node) dnode, a sum of positives
         s = tilts[small]
         rule = gauss_jacobi_rule(0.0, 0.0, _F_RULE_NODES)
-        _, r1, r2 = moment_stats(np.outer(s, rule.nodes).ravel(), kappa_i, rel_tol).reshape(3, s.size, -1)
+        _, r1, r2 = moment_stats(np.outer(s, rule.nodes).ravel(), kappa_i).reshape(3, s.size, -1)
         terms = (rule.weights * (1.0 + rule.nodes)) * (r2 - r1 * r1)
         # a running sum in node order: the same bits as a node-by-node sum
         f[small] = s * s * np.cumsum(terms, axis=1)[:, -1]
     return f[inverse]
 
 
-def h_of_a(a: float, kappa_i: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def h_of_a(a: float, kappa_i: float) -> float:
     """h(a) / (m0(a) m0(-a)) = r1(a) - r1(-a).
 
     The unscaled h is a difference of products of moment integrals and
@@ -138,7 +137,7 @@ def h_of_a(a: float, kappa_i: float, rel_tol: float = _DEFAULT_REL_TOL) -> float
         raise DomainError(f"tilt must be finite, got {a!r}")
     if a == 0.0:
         return 0.0
-    return moment_ratios(a, kappa_i, rel_tol).r1 - moment_ratios(-a, kappa_i, rel_tol).r1
+    return moment_ratios(a, kappa_i).r1 - moment_ratios(-a, kappa_i).r1
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +239,22 @@ class LiYauDecomposition:
         )
 
 
-def _liyau_terms(t, u, v, kappa_i: float, rel_tol: float) -> tuple[list[float], ...]:
+def _liyau_terms(t, u, v, kappa_i: float) -> tuple[list[float], ...]:
     """The terms at each (t, x_i, y_i) of the equal-length float arrays t, u,
     v, all at one kappa_i: one list per LiYauCoordinate field, in field
-    order.  Each entry is the same bits in any batch."""
+    order.  Each entry is the same bits in any batch.  Raises
+    FloatingPointError where a term other than the tilt is not finite."""
     # the one hyperplane rule: a coordinate within EPS_REFLECTION_SCALE of
     # its own scale sits on x_i = 0
     on_hyperplane = np.abs(u) < EPS_REFLECTION_SCALE * (1.0 + np.abs(u))
     u = np.where(on_hyperplane, 0.0, u)
-    # scalar float semantics: a product past the float range is inf, silently
-    with np.errstate(over="ignore"):
-        c = _coordinate(t, u, v, kappa_i, rel_tol)
+    # scalar float semantics, silently: a product past the float range is
+    # inf, and the check below refuses the non-finite terms a row would carry
+    with np.errstate(all="ignore"):
+        c = _coordinate(t, u, v, kappa_i)
         # a Gaussian coordinate (kappa_i = 0) has no reflection part and
         # meets the bound exactly
-        f_value = _f_values(c.a, kappa_i, rel_tol) if kappa_i > 0.0 else np.zeros(u.shape)
+        f_value = _f_values(c.a, kappa_i) if kappa_i > 0.0 else np.zeros(u.shape)
         # the analytic reflection term divides by u^2; at the hyperplane the
         # coordinate contribution is the removable-singularity limit
         # (1 + 2 kappa) d_uu log p, matching the generic Dunkl Laplacian
@@ -263,10 +264,19 @@ def _liyau_terms(t, u, v, kappa_i: float, rel_tol: float) -> tuple[list[float], 
         deficit = np.where(
             on_hyperplane, (1.0 + 2.0 * kappa_i) * c.variance_term, c.variance_term + reflection_term
         )
-    return tuple(x.tolist() for x in (c.a, c.variance_term, f_value, j_value, i_value, deficit))
+    terms = (c.a, c.variance_term, f_value, j_value, i_value, deficit)
+    # a Gaussian coordinate's tilt may overflow without harm to its terms
+    for field, term in zip(fields(LiYauCoordinate)[1:], terms[1:]):
+        bad = np.flatnonzero(~np.isfinite(term))
+        if bad.size:
+            u_at, v_at, t_at = (float(w[bad[0]]) for w in (u, v, t))
+            raise FloatingPointError(
+                f"Li-Yau {field.name} is not finite at u = {u_at!r}, v = {v_at!r}, t = {t_at!r}"
+            )
+    return tuple(x.tolist() for x in terms)
 
 
-def liyau_functional(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> LiYauDecomposition:
+def liyau_functional(t, x, y, kappa) -> LiYauDecomposition:
     """Evaluate -Delta_kappa(log p_t(., y))(x) coordinate by coordinate.
 
     A coordinate with |x_i| < EPS_REFLECTION_SCALE (1 + |x_i|) sits on its
@@ -275,10 +285,10 @@ def liyau_functional(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> LiYau
     wherever both are usable.  The rule reads x_i alone, so every point of
     a product grid gets the terms of its coordinate tables.
     """
-    return next(iter_liyau_points([(t, x, y)], kappa, rel_tol))
+    return next(iter_liyau_points([(t, x, y)], kappa))
 
 
-def iter_liyau_points(points, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> Iterator[LiYauDecomposition]:
+def iter_liyau_points(points, kappa) -> Iterator[LiYauDecomposition]:
     """liyau_functional at each (t, x, y) of points, in order, bit for bit,
     from one batched evaluation of the coordinate terms per axis.  The terms
     are computed before this returns, so a point that fails raises here."""
@@ -292,7 +302,7 @@ def iter_liyau_points(points, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> Itera
     x_all = np.array(xs).reshape(len(ts), kappa.d)
     y_all = np.array(ys).reshape(len(ts), kappa.d)
     axes = [
-        map(LiYauCoordinate, *_liyau_terms(t_all, x_all[:, i], y_all[:, i], k, rel_tol))
+        map(LiYauCoordinate, *_liyau_terms(t_all, x_all[:, i], y_all[:, i], k))
         for i, k in enumerate(kappa.values)
     ]
     return (
@@ -301,16 +311,9 @@ def iter_liyau_points(points, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> Itera
     )
 
 
-def liyau_report(
-    t,
-    x,
-    y,
-    kappa,
-    tol: float = DEFAULT_TOLERANCE,
-    rel_tol: float = _DEFAULT_REL_TOL,
-) -> VerificationReport:
+def liyau_report(t, x, y, kappa, tol: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Li-Yau bound for the heat kernel at one grid point."""
-    return liyau_functional(t, x, y, kappa, rel_tol).report(tol)
+    return liyau_functional(t, x, y, kappa).report(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +322,10 @@ def liyau_report(
 # (t, kappa_i); liyau_coordinate_table is the only place they are computed
 
 
-def liyau_deficit_1d(t, u, v, kappa_i, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def liyau_deficit_1d(t, u, v, kappa_i) -> float:
     """The coordinate deficit at one (t, x_i, y_i)."""
     t, u, v = (np.array([w]) for w in (_validate_time(t), float(u), float(v)))
-    return _liyau_terms(t, u, v, float(kappa_i), rel_tol)[-1][0]
+    return _liyau_terms(t, u, v, float(kappa_i))[-1][0]
 
 
 @dataclass(frozen=True)
@@ -344,7 +347,6 @@ def liyau_coordinate_table(
     t: float,
     kappa_i: float,
     coords: Sequence[float] = DEFAULT_COORDS,
-    rel_tol: float = _DEFAULT_REL_TOL,
 ) -> CoordinateTable:
     t = _validate_time(t)
     kappa_i = float(kappa_i)
@@ -352,7 +354,7 @@ def liyau_coordinate_table(
     n = len(coords)
     grid = np.array(coords)
     # entry (ix, iy) is flat index ix * n + iy
-    terms = _liyau_terms(np.full(n * n, t), np.repeat(grid, n), np.tile(grid, n), kappa_i, rel_tol)
+    terms = _liyau_terms(np.full(n * n, t), np.repeat(grid, n), np.tile(grid, n), kappa_i)
     flat = list(map(LiYauCoordinate, *terms))
     entries = tuple(tuple(flat[ix * n : (ix + 1) * n]) for ix in range(n))
     deficit = np.array(terms[-1]).reshape(n, n)
@@ -382,7 +384,7 @@ def liyau_grid_extrema(
     t: float,
     kappa,
     coords: Sequence[float] = DEFAULT_COORDS,
-    rel_tol: float = _DEFAULT_REL_TOL,
+    *,
     _table_cache: dict | None = None,
 ) -> GridExtrema:
     kappa = MultiplicityZ2.of(kappa)
@@ -394,11 +396,11 @@ def liyau_grid_extrema(
     max_y0_total = 0.0
     argmin_x, argmin_y, argmax_x = [], [], []
     for k in kappa.values:
-        key = (t, k, coords, rel_tol)
+        key = (t, k, coords)
         if _table_cache is not None and key in _table_cache:
             table = _table_cache[key]
         else:
-            table = liyau_coordinate_table(t, k, coords, rel_tol)
+            table = liyau_coordinate_table(t, k, coords)
             if _table_cache is not None:
                 _table_cache[key] = table
         flat = int(np.argmin(table.deficit))
@@ -426,7 +428,7 @@ def iter_liyau_grid(
     t: float,
     kappa,
     coords: Sequence[float] = DEFAULT_COORDS,
-    rel_tol: float = _DEFAULT_REL_TOL,
+    *,
     index_pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
 ) -> Iterator[LiYauDecomposition]:
     """The decomposition at (x, y) = (coords[ix], coords[iy]) for each pair
@@ -440,7 +442,7 @@ def iter_liyau_grid(
     tables = {}
     for k in kappa.values:
         if k not in tables:
-            tables[k] = liyau_coordinate_table(t, k, coords, rel_tol).entries
+            tables[k] = liyau_coordinate_table(t, k, coords).entries
     axes = [tables[k] for k in kappa.values]
     if index_pairs is None:
         index = itertools.product(range(len(coords)), repeat=kappa.d)
@@ -466,12 +468,11 @@ def iter_liyau_reports(
     kappa,
     coords: Sequence[float] = DEFAULT_COORDS,
     tol: float = DEFAULT_TOLERANCE,
-    rel_tol: float = _DEFAULT_REL_TOL,
 ) -> Iterator[VerificationReport]:
     """All Li-Yau reports on the product grid, assembled from coordinate
     tables; rows stream in lexicographic (t, x, y) order."""
     for t in sorted(_validate_time(v) for v in t_values):
-        for dec in iter_liyau_grid(t, kappa, coords, rel_tol):
+        for dec in iter_liyau_grid(t, kappa, coords):
             yield dec.report(tol)
 
 
@@ -479,24 +480,20 @@ def iter_liyau_reports(
 # fields built from the kernel
 
 
-def log_kernel_field(t, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> ScalarField:
+def log_kernel_field(t, y, kappa) -> ScalarField:
     """x -> log p_t(x, y) with its analytic derivatives, for feeding the
     generic Dunkl operators."""
     kappa = MultiplicityZ2.of(kappa)
     y = _validate_point(y, kappa.d)
     t = _validate_time(t)
     return ScalarField(
-        value=lambda x: log_kernel(t, x, y, kappa, rel_tol),
-        gradient=lambda x: np.asarray(
-            log_kernel_derivatives(t, x, y, kappa, rel_tol).grad_x_log_p
-        ),
-        hessian_diag=lambda x: np.asarray(
-            log_kernel_derivatives(t, x, y, kappa, rel_tol).hess_diag_x_log_p
-        ),
+        value=lambda x: log_kernel(t, x, y, kappa),
+        gradient=lambda x: np.asarray(log_kernel_derivatives(t, x, y, kappa).grad_x_log_p),
+        hessian_diag=lambda x: np.asarray(log_kernel_derivatives(t, x, y, kappa).hess_diag_x_log_p),
     )
 
 
-def kernel_solution_field(y0, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> SpaceTimeField:
+def kernel_solution_field(y0, kappa) -> SpaceTimeField:
     """u(t, x) = p_t(x, y0), the fundamental solution centred at y0.
 
     Derivatives of the value are assembled from the log-derivatives:
@@ -511,7 +508,7 @@ def kernel_solution_field(y0, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> Space
         key = (_validate_time(t), _validate_point(x, kappa.d).tobytes())
         if key not in last:
             last.clear()
-            last[key] = log_kernel_derivatives(t, x, y0, kappa, rel_tol)
+            last[key] = log_kernel_derivatives(t, x, y0, kappa)
         return last[key]
 
     def value(t, x):
@@ -609,7 +606,6 @@ def log_convexity_check(
     y,
     kappa,
     tol: float = DEFAULT_TOLERANCE,
-    rel_tol: float = _DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Convexity of x -> log(p_t(x, y) / p_t(x, 0)).
 
@@ -623,7 +619,7 @@ def log_convexity_check(
     y = _validate_point(y, kappa.d)
     worst = -math.inf
     for u, v, k in zip(x.tolist(), y.tolist(), kappa.values):
-        worst = max(worst, -_coordinate(t, u, v, k, rel_tol).variance_term)
+        worst = max(worst, -_coordinate(t, u, v, k).variance_term)
     return VerificationReport.build(
         claim_id="log_convexity_diag",
         grid_point=(t, tuple(x), tuple(y)),
@@ -640,7 +636,6 @@ def log_convexity_midpoint_check(
     y,
     kappa,
     tol: float = DEFAULT_TOLERANCE,
-    rel_tol: float = _DEFAULT_REL_TOL,
 ) -> VerificationReport:
     """Midpoint convexity of log q_t(., y) checked by direct evaluation:
     log q((z1+z2)/2) <= (log q(z1) + log q(z2)) / 2."""
@@ -652,7 +647,7 @@ def log_convexity_midpoint_check(
 
     def log_q(z):
         zero = np.zeros(kappa.d)
-        return log_kernel(t, z, y, kappa, rel_tol) - log_kernel(t, z, zero, kappa, rel_tol)
+        return log_kernel(t, z, y, kappa) - log_kernel(t, z, zero, kappa)
 
     mid = 0.5 * (z1 + z2)
     lhs = log_q(mid)

@@ -16,7 +16,9 @@ takes the hull of its two kernels' windows.  Panels are cut at 0, at knots
 and every few sigma; one touching v = 0 absorbs the |v|^(2 kappa) factor
 into a Gauss-Jacobi rule so low multiplicities keep full accuracy through
 the kink, elsewhere Gauss-Legendre panels apply the weight pointwise.  All
-node counts double together until the weighted sums stabilize.
+node counts double together until two levels' weighted sums agree to
+_PANEL_REL_TOL (1e-10); the kernel values inside them settle to the
+kernel's own default tolerance.
 
 Each integral is a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries,
 called with positional arguments: `_profile_moments` feeds every solution
@@ -38,7 +40,6 @@ import numpy as np
 
 from .inequalities import DEFAULT_TOLERANCE, VerificationReport
 from .kernel import (
-    _DEFAULT_REL_TOL,
     kernel_derivatives_1d_batch,
     log_gaussian_mass,
     log_kernel,
@@ -84,6 +85,7 @@ __all__ = [
 _WINDOW_SIGMAS = 30.0
 _PANEL_SIGMAS = 8.0
 _PANEL_NODE_CAP = 512
+_PANEL_REL_TOL = 1e-10
 # panels per layout; past it one ladder level holds hundreds of MB of node
 # temporaries (23,886 panels peaked at 951 MB), and sigma = inf asks for NaN
 _PANEL_CAP = 10_000
@@ -310,9 +312,9 @@ def _panel_nodes(a: float, b: float, exponent: float, n: int):
     return v, w
 
 
-def _adaptive_panel_sum(panels, exponent, values, units, rel_tol, max_nodes):
+def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
     """Weighted sums sum_j w_j values(v_j) over all panels, doubling every
-    panel's node count until the sums stabilize.
+    panel's node count until two levels agree to _PANEL_REL_TOL.
 
     `values` maps a node array (m,) to integrand rows (k, m); `units` rescales
     the k sums to a common magnitude so the stopping test is relative in the
@@ -327,7 +329,7 @@ def _adaptive_panel_sum(panels, exponent, values, units, rel_tol, max_nodes):
         if prev is not None:
             scaled = cur * units
             err = np.abs(scaled - prev * units).max()
-            if err <= rel_tol * max(np.abs(scaled).max(), np.abs(prev * units).max()):
+            if err <= _PANEL_REL_TOL * max(np.abs(scaled).max(), np.abs(prev * units).max()):
                 return cur
             if np.abs(scaled).max() == 0.0:
                 return cur
@@ -336,11 +338,11 @@ def _adaptive_panel_sum(panels, exponent, values, units, rel_tol, max_nodes):
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
-def _profile_moments(t, u, kappa_i, profile, rel_tol, max_nodes) -> np.ndarray:
+def _profile_moments(t, u, kappa_i, profile, max_nodes) -> np.ndarray:
     """(I0, I1, I2, It): the integrals of f(v) D p_t(u, v) |v|^(2 kappa) dv
     for D = id, d/du, d^2/du^2, d/dt, as a read-only array.  Differentiation
     happens under the integral sign, on the kernel factor, so the four share
-    one node set.  Callers pass all six arguments positionally: one key each."""
+    one node set.  Callers pass all five arguments positionally: one key each."""
     sigma = math.sqrt(2.0 * t)
     support = (sigma, profile.lo, profile.hi, profile.knots)
     # a support the window misses is integrated whole anyway: the result is
@@ -348,12 +350,12 @@ def _profile_moments(t, u, kappa_i, profile, rel_tol, max_nodes) -> np.ndarray:
     panels = _panels(*_window(u, sigma), *support) or _panels(0.0, math.inf, *support)
 
     def values(v):
-        log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, u, v, kappa_i, rel_tol)
+        log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, u, v, kappa_i)
         base = np.asarray(profile.fn(v), dtype=float) * np.exp(log_p)
         return np.stack([base, base * d1, base * (d2 + d1 * d1), base * dt])
 
     units = np.array([1.0, sigma, sigma * sigma, t])
-    moments = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, units, rel_tol, max_nodes)
+    moments = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, units, max_nodes)
     if not moments[0] > 0.0:
         raise ConvergenceError(
             f"solution mass underflowed at u = {u}, t = {t}: the point is too far"
@@ -363,7 +365,7 @@ def _profile_moments(t, u, kappa_i, profile, rel_tol, max_nodes) -> np.ndarray:
     return moments
 
 
-def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2, rel_tol, max_nodes):
+def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2, max_nodes):
     """moments(t, x): the cached moments of every coordinate at (t, x)."""
     if f.dimension != kappa.d:
         raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
@@ -372,7 +374,7 @@ def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2, rel_tol, max_nodes
         t = _validate_time(t)
         x = _validate_point(x, kappa.d)
         return [
-            _profile_moments(t, float(xi), k, p, rel_tol, max_nodes)
+            _profile_moments(t, float(xi), k, p, max_nodes)
             for xi, k, p in zip(x, kappa.values, f.profiles)
         ]
 
@@ -388,19 +390,19 @@ def apply_semigroup(
     t: float,
     x,
     kappa,
-    tol: float = _DEFAULT_REL_TOL,
+    *,
     max_nodes: int = _PANEL_NODE_CAP,
 ) -> float:
     """u(t, x): the solution started from f, evaluated by per-coordinate
-    quadrature to relative accuracy tol; `semigroup_solution(...).value`.
-    Positive, or ConvergenceError where a coordinate's mass underflows."""
-    return semigroup_solution(f, kappa, tol, max_nodes).value(t, x)
+    panel quadrature; `semigroup_solution(...).value`.  Positive, or
+    ConvergenceError where a coordinate's mass underflows."""
+    return semigroup_solution(f, kappa, max_nodes=max_nodes).value(t, x)
 
 
 def semigroup_solution(
     f: InitialDatum,
     kappa,
-    rel_tol: float = _DEFAULT_REL_TOL,
+    *,
     max_nodes: int = _PANEL_NODE_CAP,
 ) -> SpaceTimeField:
     """The solution started from f, with space and time derivatives taken
@@ -411,7 +413,7 @@ def semigroup_solution(
     bounded cache, so fields built for the same datum share their work, and
     raises ConvergenceError at a point where a coordinate's mass underflows
     rather than returning 0 (and a 0/0 gradient)."""
-    moments = _solution_moments(f, MultiplicityZ2.of(kappa), rel_tol, max_nodes)
+    moments = _solution_moments(f, MultiplicityZ2.of(kappa), max_nodes)
 
     def value(t, x) -> float:
         return float(np.prod([m[0] for m in moments(t, x)]))
@@ -436,7 +438,7 @@ def liyau_for_solution(
     x,
     kappa,
     tol: float = DEFAULT_TOLERANCE,
-    rel_tol: float = _DEFAULT_REL_TOL,
+    *,
     max_nodes: int = _PANEL_NODE_CAP,
 ) -> VerificationReport:
     """-L log u(t, x) <= (d + 2 lambda)/(2t) for the solution u started from
@@ -446,7 +448,7 @@ def liyau_for_solution(
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
     x = _validate_point(x, kappa.d)
-    moments = functools.partial(_solution_moments(f, kappa, rel_tol, max_nodes), t)
+    moments = functools.partial(_solution_moments(f, kappa, max_nodes), t)
 
     def log_value(z) -> float:
         return float(sum(math.log(m[0]) for m in moments(z)))
@@ -496,7 +498,7 @@ HALF_WEIGHT_CONVENTION = MeasureConvention(
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
-def _plain_mass(t, u, kappa_i, exponent, rel_tol, max_nodes) -> float:
+def _plain_mass(t, u, kappa_i, exponent, max_nodes) -> float:
     """The integral of p_t(u, v) |v|^exponent dv."""
     sigma = math.sqrt(2.0 * t)
     panels = _panels(*_window(u, sigma), sigma)
@@ -504,10 +506,10 @@ def _plain_mass(t, u, kappa_i, exponent, rel_tol, max_nodes) -> float:
         raise _lost_window(f"u = {u}, t = {t}")
 
     def values(v):
-        log_p = kernel_derivatives_1d_batch(t, u, v, kappa_i, rel_tol)[0]
+        log_p = kernel_derivatives_1d_batch(t, u, v, kappa_i)[0]
         return np.exp(log_p)[None, :]
 
-    total = _adaptive_panel_sum(panels, exponent, values, np.ones(1), rel_tol, max_nodes)
+    total = _adaptive_panel_sum(panels, exponent, values, np.ones(1), max_nodes)
     return float(total[0])
 
 
@@ -516,7 +518,7 @@ def normalization_check(
     x,
     kappa,
     tol: float = 1e-8,
-    rel_tol: float = _DEFAULT_REL_TOL,
+    *,
     max_nodes: int = _PANEL_NODE_CAP,
     convention: MeasureConvention = MARKOV_CONVENTION,
 ) -> VerificationReport:
@@ -535,7 +537,7 @@ def normalization_check(
         exponent = float(convention.weight_exponent(k))
         if not exponent > -1.0:
             raise DomainError(f"weight exponent must exceed -1, got {exponent}")
-        lhs *= math.exp(shift) * _plain_mass(t, float(x[i]), k, exponent, rel_tol, max_nodes)
+        lhs *= math.exp(shift) * _plain_mass(t, float(x[i]), k, exponent, max_nodes)
     return VerificationReport.build(
         "kernel_normalization",
         (t, tuple(float(v) for v in x)),
@@ -553,7 +555,7 @@ def chapman_kolmogorov_check(
     y,
     kappa,
     tol: float = 1e-6,
-    rel_tol: float = _DEFAULT_REL_TOL,
+    *,
     max_nodes: int = _PANEL_NODE_CAP,
 ) -> VerificationReport:
     """integral of p_s(x, z) p_t(z, y) dmu(z) equals p_(s+t)(x, y), compared
@@ -565,8 +567,8 @@ def chapman_kolmogorov_check(
     y = _validate_point(y, kappa.d)
     lhs = 1.0
     for i, k in enumerate(kappa.values):
-        lhs *= _ck_coordinate(s, t, float(x[i]), float(y[i]), k, rel_tol, max_nodes)
-    rhs = math.exp(log_kernel(s + t, x, y, kappa, rel_tol))
+        lhs *= _ck_coordinate(s, t, float(x[i]), float(y[i]), k, max_nodes)
+    rhs = math.exp(log_kernel(s + t, x, y, kappa))
     return VerificationReport.build(
         "chapman_kolmogorov",
         (s, t, tuple(float(v) for v in x), tuple(float(v) for v in y)),
@@ -578,7 +580,7 @@ def chapman_kolmogorov_check(
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
-def _ck_coordinate(s, t, xi, yi, kappa_i, rel_tol, max_nodes) -> float:
+def _ck_coordinate(s, t, xi, yi, kappa_i, max_nodes) -> float:
     """The integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the hull of
     the two kernels' windows: anything between their centers matters even
     when the windows are disjoint."""
@@ -589,15 +591,15 @@ def _ck_coordinate(s, t, xi, yi, kappa_i, rel_tol, max_nodes) -> float:
         raise _lost_window(f"x = {xi}, y = {yi}, s = {s}, t = {t}")
 
     def values(v):
-        lp_s = kernel_derivatives_1d_batch(s, xi, v, kappa_i, rel_tol)[0]
-        lp_t = kernel_derivatives_1d_batch(t, yi, v, kappa_i, rel_tol)[0]
+        lp_s = kernel_derivatives_1d_batch(s, xi, v, kappa_i)[0]
+        lp_t = kernel_derivatives_1d_batch(t, yi, v, kappa_i)[0]
         return np.exp(lp_s + lp_t)[None, :]
 
-    total = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, np.ones(1), rel_tol, max_nodes)
+    total = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, np.ones(1), max_nodes)
     return float(total[0])
 
 
-def heat_residual(t: float, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def heat_residual(t: float, x, y, kappa) -> float:
     """Relative defect of d/dt p = L p at (t, x, y): the time derivative from
     the moment analysis against the generic difference operator applied to
     the kernel as a plain spatial field, scaled by p(x, y) throughout."""
@@ -605,14 +607,14 @@ def heat_residual(t: float, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> f
     t = _validate_time(t)
     x = _validate_point(x, kappa.d)
     y = _validate_point(y, kappa.d)
-    ref = log_kernel_derivatives(t, x, y, kappa, rel_tol)
+    ref = log_kernel_derivatives(t, x, y, kappa)
     g = ref.grad_x_log_p
 
     def value(z) -> float:
         # p(z, y) / p(x, y): exactly 1 at x, where log_kernel equals ref.log_p
         if np.array_equal(z, x):
             return 1.0
-        return math.exp(log_kernel(t, z, y, kappa, rel_tol) - ref.log_p)
+        return math.exp(log_kernel(t, z, y, kappa) - ref.log_p)
 
     # dunkl_laplacian takes the derivatives at x only, where ref holds them
     field = ScalarField(value, lambda z: g, lambda z: ref.hess_diag_x_log_p + g * g)

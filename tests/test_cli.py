@@ -491,6 +491,36 @@ class TestExitCodes:
         assert err.startswith("numerical failure: OverflowError: ")
         assert err.endswith("[grid point [1.0, [1e+200], [1e+200]]]\n")
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            # 4t^2 underflows to 0, so the variance term at v = 0 is 0/0
+            (
+                ["liyau-scan", "--kappa", "0.5"],
+                (
+                    4,
+                    "numerical failure: FloatingPointError: Li-Yau variance_term is not finite at"
+                    " u = 0.0, v = 0.0, t = 1e-300 [grid point [1e-300, [0.0], [0.0]]]\n",
+                ),
+            ),
+            (
+                ["semigroup-check", "--kappa", "0"],
+                (
+                    4,
+                    "numerical failure: ZeroDivisionError: float division by zero"
+                    " [grid point [1e-300, 1e-300, [0.0], [0.0]]]\n",
+                ),
+            ),
+            # the overflowing d_t is not part of a Li-Yau row
+            (["liyau-scan", "--kappa", "0"], (0, "")),
+        ],
+    )
+    # a numpy warning would print to stderr outside pytest
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_time_fails_numerically_without_warnings(self, capsys, argv, want):
+        code, _, err = run_cli([*argv, "--t", "1e-300", "--coords", "0", "--reproducible"], capsys)
+        assert (code, err) == want
+
     def test_claims_verify_numerical_failure_returns_four_with_grid_point(self, capsys):
         code, out, err = run_cli(["claims-verify", "--kappa", "200", "--reproducible"], capsys)
         assert code == 4

@@ -1,6 +1,7 @@
 """Tilted moments, the kernel function E_kappa, and kernel derivatives."""
 
 import importlib
+import inspect
 import math
 import tracemalloc
 import types
@@ -432,3 +433,29 @@ def test_gaussian_branch_variance_term_is_zero_at_huge_coordinates():
     # 0.0 * v**2 is 0.0 * inf = nan once |v| > 1.3e154
     _, _, d2, _ = kernel_derivatives_1d_batch(1.0, 1e200, np.array([1e200]), 0.0)
     assert d2[0] == -0.5
+
+
+# ---------------------------------------------------------------------------
+# the tolerance of the moment ladder
+
+
+def test_only_kernel_functions_take_a_moment_tolerance():
+    public = [getattr(dunklheat, name) for name in dunklheat.__all__]
+    takers = [
+        fn for fn in public if inspect.isfunction(fn) and "rel_tol" in inspect.signature(fn).parameters
+    ]
+    assert takers
+    assert {fn.__module__ for fn in takers} == {"dunklheat.kernel"}
+    assert "tol" not in inspect.signature(dunklheat.apply_semigroup).parameters
+    # a stale positional tolerance is a TypeError, not another setting
+    keyword_only = {
+        dunklheat.apply_semigroup: "max_nodes",
+        dunklheat.semigroup_solution: "max_nodes",
+        dunklheat.liyau_for_solution: "max_nodes",
+        dunklheat.normalization_check: "max_nodes",
+        dunklheat.chapman_kolmogorov_check: "max_nodes",
+        dunklheat.iter_liyau_grid: "index_pairs",
+        dunklheat.liyau_grid_extrema: "_table_cache",
+    }
+    for fn, name in keyword_only.items():
+        assert inspect.signature(fn).parameters[name].kind is inspect.Parameter.KEYWORD_ONLY, fn.__name__

@@ -218,7 +218,7 @@ def test_solution_moments_are_cached_read_only_and_bounded(monkeypatch):
     second.gradient(t, x)
     second.time_derivative(t, x)
     assert len(calls) == 2
-    moments = semigroup._profile_moments(t, 1.0, 0.5, f.profiles[0], semigroup._DEFAULT_REL_TOL, 512)
+    moments = semigroup._profile_moments(t, 1.0, 0.5, f.profiles[0], 512)
     assert not moments.flags.writeable
     with pytest.raises(ValueError):
         moments[0] = 0.0
