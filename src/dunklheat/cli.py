@@ -725,20 +725,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_join_list_flags(list(argv)))
     try:
-        config = RunConfig(
-            command=args.command,
-            kappa=tuple(args.kappa),
-            t_grid=tuple(args.t_grid),
-            coord_grid=tuple(args.coord_grid),
-            tol=args.tol,
-            max_nodes=args.max_nodes,
-            seed=args.seed,
-            augment=args.augment,
-            output_format=args.output_format,
-            output_path=args.output_path,
-            reproducible=args.reproducible,
-            c_scale=args.c_scale,
-        )
+        config = RunConfig(**vars(args))
         rows = run(config)
         text = _header(config) + "".join(line for _, line in rows)
     except DomainError as e:

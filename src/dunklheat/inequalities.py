@@ -4,12 +4,14 @@ Everything here reduces to one-dimensional facts about the tilted moment
 ratios: the Li-Yau bound decomposes coordinate-wise, and each coordinate
 deficit is a sum of two nonnegative pieces
 
-    deficit_i = (y_i^2 / 4t^2) var(a_i)  +  (kappa_i / x_i^2) f(a_i),
+    deficit_i = (y_i / 2t)^2 (var(a_i) + kappa_i phi(a_i)),
 
-with a_i = x_i y_i / (2t), var the tilted variance, and f the reflection
-defect of the log-kernel.  Deficits are always computed in this cancelled
-form; the report-level rhs - lhs agrees with it to round-off but would lose
-digits on its own when t is small.
+with a_i = x_i y_i / (2t), var the tilted variance, and phi(a) = f(a)/a^2
+the reflection defect f of the log-kernel over a^2 (phi(0) = 2 var(0)).
+Both are positive for kappa_i > 0, so a coordinate meets its bound exactly
+when y_i = 0 or kappa_i = 0.  Deficits are always computed in this
+cancelled form; the report-level rhs - lhs agrees with it to round-off but
+would lose digits on its own when t is small.
 """
 
 from __future__ import annotations
@@ -87,42 +89,45 @@ def f_of_a(a: float, kappa_i: float) -> float:
     a = float(a)
     if not math.isfinite(a):
         raise DomainError(f"tilt must be finite, got {a!r}")
-    return float(_f_values(np.array([a]), kappa_i)[0])
+    return float(_f_values(np.array([a]), kappa_i)[0][0])
 
 
-def _f_values(a: np.ndarray, kappa_i: float) -> np.ndarray:
-    """f at each finite tilt of the 1-d array a, computed once per distinct
-    tilt.
+def _f_values(a: np.ndarray, kappa_i: float) -> tuple[np.ndarray, np.ndarray]:
+    """f and phi(a) = f(a)/a^2 at each finite tilt of the 1-d array a,
+    computed once per distinct tilt.
 
-    For |a| >= 1 the displayed formula is evaluated directly, from one
-    moment_stats call on [a, -a].  Below that it cancels catastrophically
-    (the value is ~ 2 var(0) a^2 against O(1) terms), so the equivalent
-    integral form
+    For |a| >= 1 the displayed formula for f is evaluated directly, from one
+    moment_stats call on [a, -a], and phi = f/a^2.  Below that it cancels
+    catastrophically (the value is ~ 2 var(0) a^2 against O(1) terms), so
+    phi comes from the equivalent integral form
 
-        f(a) = integral_{-a}^{a} (s + a) var(s) ds
+        phi(a) = integral_{-1}^{1} (1 + n) var(a n) dn
 
-    is used instead: every factor is nonnegative, so the result carries
-    full relative accuracy all the way down to f(0) = 0.  One moment_stats
-    call gives the variance at every node tilt of every such a.
+    instead, and f = a^2 phi: every factor is nonnegative, so both carry
+    full relative accuracy all the way down to the closed form phi(0) =
+    2 var(0) = 4 kappa/(2 kappa + 1)^2.  One moment_stats call gives the
+    variance at every node tilt of every such a.
     """
     tilts, inverse = np.unique(a, return_inverse=True)
     f = np.zeros(tilts.size)
+    phi = np.full(tilts.size, 4.0 * kappa_i / (2.0 * kappa_i + 1.0) ** 2)
     direct = np.abs(tilts) >= _F_DIRECT_SWITCH
     if direct.any():
         d = tilts[direct]
         log_m0, r1, _ = moment_stats(np.concatenate([d, -d]), kappa_i)
         f[direct] = 2.0 * d * r1[: d.size] + log_m0[d.size :] - log_m0[: d.size]
+        phi[direct] = f[direct] / d / d
     small = ~direct & (tilts != 0.0)
     if small.any():
-        # f(a) = int_{-a}^{a} (s + a) var(s) ds (oriented); s = a*node turns it
-        # into a^2 int_{-1}^1 (1 + node) var(a*node) dnode, a sum of positives
+        # f(a) = int_{-a}^{a} (s + a) var(s) ds (oriented), and s = a*n
         s = tilts[small]
         rule = gauss_jacobi_rule(0.0, 0.0, _F_RULE_NODES)
         _, r1, r2 = moment_stats(np.outer(s, rule.nodes).ravel(), kappa_i).reshape(3, s.size, -1)
         terms = (rule.weights * (1.0 + rule.nodes)) * (r2 - r1 * r1)
         # a running sum in node order: the same bits as a node-by-node sum
-        f[small] = s * s * np.cumsum(terms, axis=1)[:, -1]
-    return f[inverse]
+        phi[small] = np.cumsum(terms, axis=1)[:, -1]
+        f[small] = s * s * phi[small]
+    return f[inverse], phi[inverse]
 
 
 def h_of_a(a: float, kappa_i: float) -> float:
@@ -188,10 +193,11 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class LiYauCoordinate:
-    """Per-coordinate pieces of the Li-Yau sum.
+    """Per-coordinate pieces of the Li-Yau sum, with w = y_i/(2t).
 
     i_value is the full coordinate contribution to the Laplacian of the
-    log-kernel; j_value its reflection part; deficit the cancelled-form
+    log-kernel; j_value = -kappa_i/t + kappa_i w^2 phi(a) its reflection
+    part; deficit = w^2 (var(a) + kappa_i phi(a)) the cancelled-form
     distance to the per-coordinate bound -(1 + 2 kappa_i)/(2t).
     """
 
@@ -245,25 +251,23 @@ def _liyau_terms(t, u, v, kappa_i: float) -> tuple[list[float], ...]:
     order.  Each entry is the same bits in any batch.  Raises
     FloatingPointError where a term other than the tilt is not finite."""
     # the one hyperplane rule: a coordinate within EPS_REFLECTION_SCALE of
-    # its own scale sits on x_i = 0
-    on_hyperplane = np.abs(u) < EPS_REFLECTION_SCALE * (1.0 + np.abs(u))
-    u = np.where(on_hyperplane, 0.0, u)
+    # its own scale sits on x_i = 0, where a = 0
+    u = np.where(np.abs(u) < EPS_REFLECTION_SCALE * (1.0 + np.abs(u)), 0.0, u)
     # scalar float semantics, silently: a product past the float range is
     # inf, and the check below refuses the non-finite terms a row would carry
     with np.errstate(all="ignore"):
         c = _coordinate(t, u, v, kappa_i)
-        # a Gaussian coordinate (kappa_i = 0) has no reflection part and
-        # meets the bound exactly
-        f_value = _f_values(c.a, kappa_i) if kappa_i > 0.0 else np.zeros(u.shape)
-        # the analytic reflection term divides by u^2; at the hyperplane the
-        # coordinate contribution is the removable-singularity limit
-        # (1 + 2 kappa) d_uu log p, matching the generic Dunkl Laplacian
-        reflection_term = kappa_i / np.where(on_hyperplane, 1.0, u * u) * f_value
-        j_value = np.where(on_hyperplane, 2.0 * kappa_i * c.d_uu, -kappa_i / t + reflection_term)
-        i_value = np.where(on_hyperplane, (1.0 + 2.0 * kappa_i) * c.d_uu, c.d_uu + j_value)
-        deficit = np.where(
-            on_hyperplane, (1.0 + 2.0 * kappa_i) * c.variance_term, c.variance_term + reflection_term
-        )
+        if kappa_i > 0.0:
+            f_value, phi = _f_values(c.a, kappa_i)
+            w = v / (2.0 * t)
+            reflection = kappa_i * (w * w) * phi
+        else:
+            # a Gaussian coordinate has no reflection part and meets the
+            # bound exactly, whatever the size of w
+            f_value = reflection = np.zeros(u.shape)
+        j_value = -kappa_i / t + reflection
+        i_value = c.d_uu + j_value
+        deficit = c.variance_term + reflection
     terms = (c.a, c.variance_term, f_value, j_value, i_value, deficit)
     # a Gaussian coordinate's tilt may overflow without harm to its terms
     for field, term in zip(fields(LiYauCoordinate)[1:], terms[1:]):
@@ -279,11 +283,12 @@ def _liyau_terms(t, u, v, kappa_i: float) -> tuple[list[float], ...]:
 def liyau_functional(t, x, y, kappa) -> LiYauDecomposition:
     """Evaluate -Delta_kappa(log p_t(., y))(x) coordinate by coordinate.
 
-    A coordinate with |x_i| < EPS_REFLECTION_SCALE (1 + |x_i|) sits on its
-    hyperplane and takes the limit branch of the generic Dunkl Laplacian;
-    all others use the analytic moment-ratio form.  The two agree to 1e-8
-    wherever both are usable.  The rule reads x_i alone, so every point of
-    a product grid gets the terms of its coordinate tables.
+    Every coordinate takes the one moment-ratio form in w = y_i/(2t) and
+    the tilt a; a coordinate with |x_i| < EPS_REFLECTION_SCALE (1 + |x_i|)
+    sits on its hyperplane and takes it at a = 0, which is the
+    removable-singularity limit of the generic Dunkl Laplacian.  The rule
+    reads x_i alone, so every point of a product grid gets the terms of its
+    coordinate tables.
     """
     return next(iter_liyau_points([(t, x, y)], kappa))
 
@@ -384,8 +389,6 @@ def liyau_grid_extrema(
     t: float,
     kappa,
     coords: Sequence[float] = DEFAULT_COORDS,
-    *,
-    _table_cache: dict | None = None,
 ) -> GridExtrema:
     kappa = MultiplicityZ2.of(kappa)
     coords = tuple(float(c) for c in coords)
@@ -395,14 +398,11 @@ def liyau_grid_extrema(
     min_total = 0.0
     max_y0_total = 0.0
     argmin_x, argmin_y, argmax_x = [], [], []
+    tables = {}
     for k in kappa.values:
-        key = (t, k, coords)
-        if _table_cache is not None and key in _table_cache:
-            table = _table_cache[key]
-        else:
-            table = liyau_coordinate_table(t, k, coords)
-            if _table_cache is not None:
-                _table_cache[key] = table
+        if k not in tables:
+            tables[k] = liyau_coordinate_table(t, k, coords)
+        table = tables[k]
         flat = int(np.argmin(table.deficit))
         ix, iy = divmod(flat, len(coords))
         min_total += table.deficit[ix, iy]

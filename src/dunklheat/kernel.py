@@ -293,15 +293,18 @@ class _Coordinate(NamedTuple):
 def _coordinate(t, u, v, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> _Coordinate:
     """The per-coordinate kernel formulas, at validated times t.  v is a
     float or an array; t and u are floats, or arrays shaped like v.  For
-    kappa > 0, with the tilt a = u v / (2t) and the moment ratios r1, r2 at a:
+    kappa > 0, with p = u/(2t), w = v/(2t), the tilt a = u v / (2t) and the
+    moment ratios r1, r2 at a:
 
-        log p = -log c_kappa - (kappa + 1/2) log(2t) - (u^2 + v^2)/(4t)
-                + log E_kappa(a)
-        d_u   = -u/(2t) + v/(2t) r1
-        d_uu  = -1/(2t) + variance_term,  variance_term = v^2/(4t^2) (r2 - r1^2)
-        d_t   = -(kappa + 1/2)/t + (u^2 + v^2)/(4t^2) - (a/t) r1
+        log p_t = -log c_kappa - (kappa + 1/2) log(2t) - (u^2 + v^2)/(4t)
+                  + log E_kappa(a)
+        d_u     = -p + w r1
+        d_uu    = -1/(2t) + variance_term,  variance_term = w^2 (r2 - r1^2)
+        d_t     = -(kappa + 1/2)/t + (p^2 + w^2) - (a/t) r1
 
-    kappa = 0 is the Gauss-Weierstrass kernel, in closed form.
+    kappa = 0 is the Gauss-Weierstrass kernel, in closed form, with
+    d_t = -1/(2t) + d_u^2.  No formula divides by t^2, which underflows at
+    tiny t.
     """
     log = np.log if isinstance(t, np.ndarray) else math.log
     a = u * v / (2.0 * t)
@@ -310,7 +313,7 @@ def _coordinate(t, u, v, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> _Co
         log_p = -0.5 * log(4.0 * math.pi * t) - diff * diff / (4.0 * t)
         d_u = -diff / (2.0 * t)
         variance_term = 0.0 * abs(v)  # +0.0, shaped like v
-        d_t = -0.5 / t + diff * diff / (4.0 * t * t)
+        d_t = -0.5 / t + d_u * d_u
     else:
         # an infinite tilt is an overflow of u v / (2t), not a bad input
         if not (np.isfinite(a).all() if isinstance(a, np.ndarray) else math.isfinite(a)):
@@ -324,9 +327,10 @@ def _coordinate(t, u, v, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> _Co
             - (u * u + v * v) / (4.0 * t)
             + log_e
         )
-        d_u = -u / (2.0 * t) + v / (2.0 * t) * r1
-        variance_term = v * v / (4.0 * t * t) * (r2 - r1 * r1)
-        d_t = -(kappa + 0.5) / t + (u * u + v * v) / (4.0 * t * t) - (a / t) * r1
+        p, w = u / (2.0 * t), v / (2.0 * t)
+        d_u = -p + w * r1
+        variance_term = w * w * (r2 - r1 * r1)
+        d_t = -(kappa + 0.5) / t + (p * p + w * w) - (a / t) * r1
     return _Coordinate(a, log_p, d_u, variance_term, -1.0 / (2.0 * t) + variance_term, d_t)
 
 
@@ -375,7 +379,7 @@ class KernelPoint:
         for arr in (self.x, self.y, self.grad_x_log_p, self.hess_diag_x_log_p):
             arr.setflags(write=False)
         if not math.isfinite(self.log_p) or not math.isfinite(self.dt_log_p):
-            raise DomainError("kernel point has non-finite entries")
+            raise FloatingPointError("kernel point has non-finite entries")
 
     @property
     def p(self) -> float:
@@ -406,8 +410,8 @@ def log_kernel_derivatives(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) ->
 def kernel_derivatives_1d_batch(t: float, u: float, v, kappa: float, rel_tol: float = _DEFAULT_REL_TOL):
     """(log p, d/du log p, d2/du2 log p, d/dt log p) for one coordinate at a
     batch of right arguments v, the workhorse of semigroup quadrature.
-    Entries take their IEEE values without a numpy warning (d/dt log p is
-    0/0 once 4t^2 underflows); callers check the entries they use."""
+    Entries take their IEEE values without a numpy warning (past the float
+    range a term is infinite); callers check the entries they use."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     with np.errstate(all="ignore"):
         c = _coordinate(_validate_time(t), float(u), v, float(kappa), rel_tol)

@@ -88,14 +88,13 @@ def test_02_liyau_bound_product_grids():
     """The main bound over every multiplicity tuple from the reference
     grid, d in {1, 2}: no deficit below -1e-9, equality attained at y = 0."""
     start = time.perf_counter()
-    cache = {}
     worst_min = math.inf
     worst_y0 = -math.inf
     n_points = 0
     for d in (1, 2):
         for kappa in itertools.product(KAPPA_GRID, repeat=d):
             for t in DEFAULT_TIMES:
-                ext = liyau_grid_extrema(t, kappa, _table_cache=cache)
+                ext = liyau_grid_extrema(t, kappa)
                 n_points += ext.n_points
                 worst_min = min(worst_min, ext.min_deficit)
                 worst_y0 = max(worst_y0, ext.max_deficit_y0)

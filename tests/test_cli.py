@@ -494,32 +494,39 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, want",
         [
-            # 4t^2 underflows to 0, so the variance term at v = 0 is 0/0
+            # 4t^2 underflows to 0, yet no term divides by it: every term
+            # is finite and every row passes
+            (["liyau-scan", "--kappa", "0.5", "--t", "1e-300", "--coords", "0"], (0, "")),
+            (["semigroup-check", "--kappa", "0", "--t", "1e-300", "--coords", "0"], (0, "")),
+            (["liyau-scan", "--kappa", "0", "--t", "1e-300", "--coords", "0"], (0, "")),
+            (["kernel-eval", "--kappa", "0.5", "--t", "1e-300", "--coords", "0"], (0, "")),
+            # x_i = 1e-100 is on the hyperplane; w^2 is finite at 1e-100
+            # and at 1e-50 although v^2 and 4t^2 are not
+            (["liyau-scan", "--kappa", "0.5", "--t", "1e-200", "--coords", "1e-100"], (0, "")),
+            (["liyau-scan", "--kappa", "0.5", "--t", "1e-200", "--coords", "1e-50"], (0, "")),
+            # d_t log p holds (v/2t)^2, past the float range at v = 1
             (
-                ["liyau-scan", "--kappa", "0.5"],
+                ["kernel-eval", "--kappa", "0.5", "--t", "1e-200", "--coords", "0,1"],
                 (
                     4,
-                    "numerical failure: FloatingPointError: Li-Yau variance_term is not finite at"
-                    " u = 0.0, v = 0.0, t = 1e-300 [grid point [1e-300, [0.0], [0.0]]]\n",
+                    "numerical failure: FloatingPointError: kernel point has non-finite entries"
+                    " [grid point [1e-200, [0.0], [1.0]]]\n",
                 ),
             ),
-            (
-                ["semigroup-check", "--kappa", "0"],
-                (
-                    4,
-                    "numerical failure: ZeroDivisionError: float division by zero"
-                    " [grid point [1e-300, 1e-300, [0.0], [0.0]]]\n",
-                ),
-            ),
-            # the overflowing d_t is not part of a Li-Yau row
-            (["liyau-scan", "--kappa", "0"], (0, "")),
         ],
     )
     # a numpy warning would print to stderr outside pytest
     @pytest.mark.filterwarnings("error")
     def test_underflowed_time_fails_numerically_without_warnings(self, capsys, argv, want):
-        code, _, err = run_cli([*argv, "--t", "1e-300", "--coords", "0", "--reproducible"], capsys)
+        code, out, err = run_cli([*argv, "--reproducible"], capsys)
         assert (code, err) == want
+        # the JSON encoder refuses non-finite values, so the rows are finite
+        rows = [json.loads(line) for line in out.splitlines()[1:]]
+        assert all(row["pass"] for row in rows)
+        for row in rows:
+            if row["claim_id"] == "liyau_log_kernel" and not any(row["grid_point"][2]):
+                # y = 0 is an equality case
+                assert row["deficit"] == 0.0 and row["extra"]["equality"], row
 
     def test_claims_verify_numerical_failure_returns_four_with_grid_point(self, capsys):
         code, out, err = run_cli(["claims-verify", "--kappa", "200", "--reproducible"], capsys)

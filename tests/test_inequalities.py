@@ -114,6 +114,74 @@ def test_f_small_tilt_matches_kummer_reference(kappa):
         assert abs(f_of_a(a, kappa) - want) <= 1e-13 * want, (a, kappa)
 
 
+# tilts at or above the direct-formula switch, up to |a| = 1000
+DIRECT_TILTS = [
+    *(np.resize([1.0, -1.0], 16) * 10.0 ** np.random.default_rng(2105).uniform(0.0, 3.0, 16)).tolist(),
+    1.0,
+    -1.0,
+    50.0,
+    -50.5,
+    1000.0,
+    -1000.0,
+]
+
+
+@pytest.mark.parametrize(
+    "kappa, tilts",
+    [
+        (0.25, SMALL_TILTS + DIRECT_TILTS),
+        (0.5, SMALL_TILTS + DIRECT_TILTS),
+        (2.5, SMALL_TILTS + DIRECT_TILTS),
+        (10.0, SMALL_TILTS + DIRECT_TILTS),
+        # the direct branch overflows in the kappa = 1000 Laguerre rules
+        (1000.0, SMALL_TILTS),
+        pytest.param(
+            1e-8,
+            SMALL_TILTS + DIRECT_TILTS,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="r2 - r1^2 cancels at tiny kappa: about 1e-8 (small) and 7e-8 (direct) "
+                "relative (ROADMAP item 2)",
+            ),
+        ),
+    ],
+    ids=["0.25", "0.5", "2.5", "10.0", "1000.0-small", "1e-08"],
+)
+def test_phi_matches_kummer_reference(kappa, tilts):
+    # phi(a) = f(a)/a^2, the reflection factor of the coordinate deficit
+    for a in tilts:
+        want = oracle.f_reference(a, kappa) / (a * a)
+        got = inequalities._f_values(np.array([a]), kappa)[1][0]
+        assert abs(got - want) <= 1e-13 * want, (a, kappa)
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [
+        0.25,
+        0.5,
+        1.0,
+        2.5,
+        1000.0,
+        pytest.param(
+            1e-8,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="r2 - r1^2 at a = 0 cancels at tiny kappa: 6.2e-10 relative (ROADMAP item 2)",
+            ),
+        ),
+    ],
+)
+def test_hyperplane_deficit_is_the_a_zero_value(kappa):
+    # at a = 0 the deficit w^2 (var + kappa phi) is w^2 2 kappa/(2 kappa + 1),
+    # w = y_i/(2t), at every time, also where 4t^2 underflows
+    for t, y in ((0.3, 1.7), (0.01, -3.0), (100.0, 10.0), (1e-200, 1e-50)):
+        w = y / (2.0 * t)
+        want = w * w * 2.0 * kappa / (2.0 * kappa + 1.0)
+        for x in (0.0, -0.0, 5e-8):
+            assert abs(liyau_deficit_1d(t, x, y, kappa) - want) <= 1e-15 * want, (t, y, x)
+
+
 def test_f_small_tilt_is_one_batched_moment_call(monkeypatch):
     stats_calls, ratio_calls = [], []
     stats, ratios = inequalities.moment_stats, inequalities.moment_ratios
