@@ -7,14 +7,19 @@ rhs, deficit, tol, pass, extra; the rows are in order of claim and grid point,
 so output is deterministic for a fixed configuration and seed.  The two grid
 suites (kernel-eval, liyau-scan) walk their (t, x, y) grid in that order and
 render each row as soon as it is built, with no sort of the full row list;
-the other suites sort their rows.
+the other suites sort their rows.  One renderer joins a row's column texts
+into its JSON or CSV line.  Li-Yau rows join texts rendered once per
+coordinate-table entry, coordinate value and time (repr, which is how the
+JSON encoder writes a float), so a row renders only its lhs and deficit;
+every other row takes its texts from the JSON encoder.  The bytes are those
+of encoding each whole row.
 
 Exit status: 0 when every row passes, 1 on any violation, 2 for
 configuration errors (an --out path that cannot be written included), 3
 when quadrature fails to converge (an integration window lost to rounding
 included), 4 when any other numerical failure (an overflow, a moment ratio
-out of range, a non-finite value that JSON cannot spell) stops a grid
-point; then nothing is written.  For 3 and 4 the offending grid point is
+out of range, a Li-Yau sum past the float range, a non-finite value that
+JSON cannot spell) stops a grid point; then nothing is written.  For 3 and 4 the offending grid point is
 named on stderr.
 """
 
@@ -31,16 +36,19 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .inequalities import (
+    LiYauCoordinate,
     LiYauDecomposition,
     VerificationReport,
+    _liyau_bound,
+    _liyau_tables,
+    _walk_tables,
     gradient_form_check,
     harnack_check,
-    iter_liyau_grid,
     iter_liyau_points,
     liyau_functional,
     log_convexity_check,
@@ -166,17 +174,49 @@ class RunConfig:
 # row assembly
 
 
-def _row(report: VerificationReport, extra: dict | None = None) -> dict:
-    return {
-        "claim_id": report.claim_id,
-        "grid_point": report.grid_point,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "deficit": report.deficit,
-        "tol": report.tolerance,
-        "pass": report.passed,
-        "extra": extra or {},
-    }
+class _Row(NamedTuple):
+    """One output row: what the merge, the sort and the report tally read,
+    and texts(), the JSON text of the grid_point, lhs, rhs, deficit, tol and
+    extra columns, which _render joins into a JSON or CSV line.  The texts
+    are made only for a row that is written: report tallies rows unwritten."""
+
+    claim_id: str
+    grid_point: tuple
+    passed: bool
+    deficit: float
+    texts: Callable[[], tuple[str, str, str, str, str, str]]
+
+
+def _encode(value, point) -> str:
+    """The JSON text of value; a _NumericalFailure naming the grid point if
+    it holds a non-finite float."""
+    try:
+        return _COMPACT_JSON.encode(value)
+    except ValueError as e:
+        raise _failure(e, point) from e
+
+
+def _encoded_row(claim_id, grid_point, lhs, rhs, deficit, tol, passed, extra) -> _Row:
+    """A row whose column texts come from the JSON encoder."""
+    values = (grid_point, lhs, rhs, deficit, tol, extra)
+
+    def texts():
+        return tuple(_encode(v, grid_point) for v in values)
+
+    return _Row(claim_id, tuple(grid_point), passed, deficit, texts)
+
+
+def _row(report: VerificationReport, extra: dict | None = None) -> _Row:
+    return _encoded_row(
+        report.claim_id,
+        report.grid_point,
+        report.lhs,
+        report.rhs,
+        report.deficit,
+        report.tolerance,
+        report.passed,
+        extra or {},
+    )
 
 
 def _plain(value):
@@ -189,13 +229,17 @@ def _plain(value):
     return value
 
 
-def _sort_key(row: dict):
+def _sort_key(row: _Row):
     # the grid points of one claim share one shape, so they compare as tuples
-    return (row["claim_id"], row["grid_point"])
+    return (row.claim_id, row.grid_point)
 
 
 class _NumericalFailure(Exception):
     """A grid point stopped by a numerical failure other than convergence."""
+
+
+def _failure(error: Exception, point) -> _NumericalFailure:
+    return _NumericalFailure(f"{type(error).__name__}: {error} [grid point {_plain(point)}]")
 
 
 def _at_point(point, fn):
@@ -204,7 +248,7 @@ def _at_point(point, fn):
     except ConvergenceError as e:
         raise ConvergenceError(f"{e} [grid point {_plain(point)}]") from e
     except (ArithmeticError, RuntimeError) as e:
-        raise _NumericalFailure(f"{type(e).__name__}: {e} [grid point {_plain(point)}]") from e
+        raise _failure(e, point) from e
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +284,7 @@ def _grid_walk(cfg: RunConfig) -> Iterator[tuple[float, Iterator]]:
         yield cfg.t_grid[times[0]], pairs
 
 
-def _kernel_eval(cfg: RunConfig) -> Iterator[dict]:
+def _kernel_eval(cfg: RunConfig) -> Iterator[_Row]:
     coords = tuple(float(c) for c in cfg.coord_grid)
     for t, pairs in _grid_walk(cfg):
         for ix, iy in pairs:
@@ -263,22 +307,55 @@ def _kernel_eval(cfg: RunConfig) -> Iterator[dict]:
             )
 
 
-def _liyau_row(dec: LiYauDecomposition, tol: float) -> dict:
-    report = dec.report(tol)
-    coordinates = dec.coordinates
-    return _row(
-        report,
-        extra={
-            "equality": bool(report.deficit <= _EQUALITY_FLAG),
-            "a": [c.a for c in coordinates],
-            "variance_term": [c.variance_term for c in coordinates],
-            "f_value": [c.f_value for c in coordinates],
-            "i_value": [c.i_value for c in coordinates],
-        },
-    )
+def _term_texts(c: LiYauCoordinate) -> tuple:
+    """A coordinate term as Li-Yau rows read it: the two floats a row sums,
+    then the JSON text of its a, variance_term, f_value and i_value.  Only a
+    Gaussian coordinate's tilt can be non-finite; it stays a float, which
+    JSON cannot spell, and a row that joins it refuses."""
+    a = repr(c.a) if math.isfinite(c.a) else c.a
+    return c.i_value, c.deficit, a, repr(c.variance_term), repr(c.f_value), repr(c.i_value)
 
 
-def _liyau_scan(cfg: RunConfig) -> Iterator[dict]:
+def _liyau_rows(t: float, cfg: RunConfig):
+    """The Li-Yau row builder at time t: row(x, y, x_text, y_text, terms)
+    with terms[i] the _term_texts of axis i.  The texts of t, the bound
+    and tol are rendered here, once."""
+    bound = _liyau_bound(t, MultiplicityZ2.of(cfg.kappa))
+    t_text, bound_text, tol, tol_text = repr(t), repr(bound), cfg.tol, repr(cfg.tol)
+    isfinite = math.isfinite
+    bound_finite = isfinite(bound)
+
+    def row(x, y, x_text, y_text, terms) -> _Row:
+        i_values, deficits, a, variance, f, i = zip(*terms)
+        # LiYauDecomposition's total and deficit: the same sums, in axis order
+        lhs = -sum(i_values)
+        deficit = sum(deficits)
+        point = (t, x, y)
+        if not (isfinite(lhs) and bound_finite and isfinite(deficit)):
+            for name, value in (("lhs", lhs), ("rhs", bound), ("deficit", deficit)):
+                if not isfinite(value):
+                    error = FloatingPointError(f"Li-Yau {name} is not finite")
+                    raise _failure(error, point)
+
+        def texts():
+            try:
+                a_text = ",".join(a)
+            except TypeError:
+                _encode(a, point)  # a tilt stayed a float: the encoder refuses it
+            equality = "true" if deficit <= _EQUALITY_FLAG else "false"
+            extra = (
+                f'{{"equality":{equality},"a":[{a_text}],"variance_term":[{",".join(variance)}],'
+                f'"f_value":[{",".join(f)}],"i_value":[{",".join(i)}]}}'
+            )
+            point_text = f"[{t_text},[{x_text}],[{y_text}]]"
+            return (point_text, repr(lhs), bound_text, repr(deficit), tol_text, extra)
+
+        return _Row("liyau_log_kernel", point, deficit >= -tol, deficit, texts)
+
+    return row
+
+
+def _liyau_scan(cfg: RunConfig) -> Iterator[_Row]:
     """Grid rows in output order, merged with the --augment rows: their
     points are sorted, then evaluated first, in one batch."""
     rng = np.random.default_rng(cfg.seed)
@@ -293,10 +370,16 @@ def _liyau_scan(cfg: RunConfig) -> Iterator[dict]:
     except (ArithmeticError, RuntimeError):
         _replay(points, cfg)
         raise
-    augment = (_liyau_row(dec, cfg.tol) for dec in decs)
+    augment = (_augment_row(dec, cfg) for dec in decs)
     # stable: a grid row goes before an augment row of equal key, and once
     # one input runs out no more keys are computed
     return heapq.merge(_liyau_grid_rows(cfg), augment, key=_sort_key)
+
+
+def _augment_row(dec: LiYauDecomposition, cfg: RunConfig) -> _Row:
+    row = _liyau_rows(dec.t, cfg)
+    terms = tuple(map(_term_texts, dec.coordinates))
+    return row(dec.x, dec.y, ",".join(map(repr, dec.x)), ",".join(map(repr, dec.y)), terms)
 
 
 def _replay(points, cfg: RunConfig) -> None:
@@ -306,16 +389,31 @@ def _replay(points, cfg: RunConfig) -> None:
         _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
 
 
-def _liyau_grid_rows(cfg: RunConfig) -> Iterator[dict]:
+def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
+    """Grid rows in output order, each joined from texts rendered once: per
+    coordinate-table entry, per index tuple and per time."""
+    coords = cfg.coord_grid
+    # every index tuple's point and its JSON text inside the brackets
+    points = {
+        ix: (tuple(map(coords.__getitem__, ix)), ",".join(repr(coords[i]) for i in ix))
+        for ix in itertools.product(range(len(coords)), repeat=cfg.dimension)
+    }
     for t, pairs in _grid_walk(cfg):
         try:
-            grid = iter_liyau_grid(t, cfg.kappa, cfg.coord_grid, index_pairs=pairs)
+            tables = _liyau_tables(t, cfg.kappa, coords)
         except (ArithmeticError, RuntimeError):
             # a coordinate table failed
             _replay(((t, x, y) for x, y in itertools.product(cfg.points, repeat=2)), cfg)
             raise
-        for dec in grid:
-            yield _liyau_row(dec, cfg.tol)
+        term_texts = {
+            k: tuple(tuple(map(_term_texts, entries)) for entries in table.entries)
+            for k, table in tables.items()
+        }
+        row = _liyau_rows(t, cfg)
+        for ix, iy, terms in _walk_tables([term_texts[k] for k in cfg.kappa], pairs):
+            x, x_text = points[ix]
+            y, y_text = points[iy]
+            yield row(x, y, x_text, y_text, terms)
 
 
 def _initial_data(d: int) -> dict[str, InitialDatum]:
@@ -327,7 +425,7 @@ def _initial_data(d: int) -> dict[str, InitialDatum]:
     }
 
 
-def _solution_scan(cfg: RunConfig) -> list[dict]:
+def _solution_scan(cfg: RunConfig) -> list[_Row]:
     rows = []
     lam = sum(cfg.kappa)
     for name, datum in _initial_data(cfg.dimension).items():
@@ -350,7 +448,7 @@ def _solution_scan(cfg: RunConfig) -> list[dict]:
     return sorted(rows, key=_sort_key)
 
 
-def _harnack_scan(cfg: RunConfig) -> list[dict]:
+def _harnack_scan(cfg: RunConfig) -> list[_Row]:
     rows = []
     count = cfg.augment if cfg.augment else 200
     datum = _initial_data(cfg.dimension)["bump"]
@@ -379,7 +477,7 @@ def _time_pairs(t_grid):
     return pairs
 
 
-def _semigroup_check(cfg: RunConfig) -> list[dict]:
+def _semigroup_check(cfg: RunConfig) -> list[_Row]:
     rows = []
     kwargs = {} if cfg.convention is None else {"convention": cfg.convention}
     for t in cfg.t_grid:
@@ -449,7 +547,7 @@ def _claim_fields(d: int):
     return {"exponential": exponential(), "shifted_square": shifted_square(), "gaussian": gaussian()}
 
 
-def _claims_verify(cfg: RunConfig) -> list[dict]:
+def _claims_verify(cfg: RunConfig) -> list[_Row]:
     rows = []
     kappa_values = sorted(set(cfg.kappa) - {0.0}) or [0.5]
 
@@ -528,26 +626,26 @@ _SUITES = {
 }
 
 
-def _report(cfg: RunConfig) -> list[dict]:
+def _report(cfg: RunConfig) -> list[_Row]:
     """Aggregate every claim suite into one summary row per claim."""
     tallies: dict[str, list] = {}  # claim_id -> [rows, failures, worst deficit]
     for command in ("liyau-scan", "solution-scan", "harnack-scan", "semigroup-check", "claims-verify"):
         for row in _SUITES[command](cfg):
-            tally = tallies.setdefault(row["claim_id"], [0, 0, math.inf])
+            tally = tallies.setdefault(row.claim_id, [0, 0, math.inf])
             tally[0] += 1
-            tally[1] += not row["pass"]
-            tally[2] = min(tally[2], row["deficit"])
+            tally[1] += not row.passed
+            tally[2] = min(tally[2], row.deficit)
     rows = [
-        {
-            "claim_id": claim_id,
-            "grid_point": ["summary"],
-            "lhs": float(failures),
-            "rhs": 0.0,
-            "deficit": worst,
-            "tol": 0.0,
-            "pass": failures == 0,
-            "extra": {"rows": count, "failures": failures, "worst_deficit": worst},
-        }
+        _encoded_row(
+            claim_id,
+            ("summary",),
+            float(failures),
+            0.0,
+            worst,
+            0.0,
+            failures == 0,
+            {"rows": count, "failures": failures, "worst_deficit": worst},
+        )
         for claim_id, (count, failures, worst) in tallies.items()
     ]
     return sorted(rows, key=_sort_key)
@@ -557,7 +655,7 @@ def run(config: RunConfig) -> list[tuple[bool, str]]:
     """Execute the configured suite: one (pass flag, output line) per row, in
     output order, each line rendered as soon as its row is built."""
     suite = _report if config.command == "report" else _SUITES[config.command]
-    return [(row["pass"], _render(row, config.output_format)) for row in suite(config)]
+    return [(row.passed, _render(row, config.output_format)) for row in suite(config)]
 
 
 # ---------------------------------------------------------------------------
@@ -586,27 +684,19 @@ def _header(cfg: RunConfig) -> str:
     return "# " + _COMPACT_JSON.encode(_meta_line(cfg)) + "\n" + _CSV_LINE.writerow(_COLUMNS)
 
 
-def _render(row: dict, output_format: str) -> str:
-    """One output line, newline included; a _NumericalFailure naming the
-    row's grid point if it holds a non-finite value."""
-    encode = _COMPACT_JSON.encode
-    try:
-        if output_format == "json-lines":
-            return encode(row) + "\n"
-        return _CSV_LINE.writerow(
-            [
-                row["claim_id"],
-                encode(row["grid_point"]),
-                repr(row["lhs"]),
-                repr(row["rhs"]),
-                repr(row["deficit"]),
-                repr(row["tol"]),
-                "pass" if row["pass"] else "fail",
-                encode(row["extra"]),
-            ]
+def _render(row: _Row, output_format: str) -> str:
+    """The one renderer: a row's output line, newline included, for every
+    suite and both formats."""
+    grid_point, lhs, rhs, deficit, tol, extra = row.texts()
+    if output_format == "json-lines":
+        # claim ids are plain identifiers, which JSON quotes as they are
+        passed = "true" if row.passed else "false"
+        return (
+            f'{{"claim_id":"{row.claim_id}","grid_point":{grid_point},"lhs":{lhs},"rhs":{rhs},'
+            f'"deficit":{deficit},"tol":{tol},"pass":{passed},"extra":{extra}}}\n'
         )
-    except ValueError as e:
-        raise _NumericalFailure(f"{type(e).__name__}: {e} [grid point {_plain(row['grid_point'])}]") from e
+    passed = "pass" if row.passed else "fail"
+    return _CSV_LINE.writerow((row.claim_id, grid_point, lhs, rhs, deficit, tol, passed, extra))
 
 
 def _emit(text: str, cfg: RunConfig) -> None:

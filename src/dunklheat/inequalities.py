@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -227,7 +227,7 @@ class LiYauDecomposition:
 
     @property
     def bound(self) -> float:
-        return (self.kappa.d + 2.0 * self.kappa.lambda_total) / (2.0 * self.t)
+        return _liyau_bound(self.t, self.kappa)
 
     @property
     def deficit(self) -> float:
@@ -243,6 +243,11 @@ class LiYauDecomposition:
             tolerance=tol,
             deficit=self.deficit,
         )
+
+
+def _liyau_bound(t: float, kappa: MultiplicityZ2) -> float:
+    """The right-hand side (d + 2 lambda_kappa)/(2t) of the Li-Yau bound."""
+    return (kappa.d + 2.0 * kappa.lambda_total) / (2.0 * t)
 
 
 def _liyau_terms(t, u, v, kappa_i: float) -> tuple[list[float], ...]:
@@ -398,10 +403,8 @@ def liyau_grid_extrema(
     min_total = 0.0
     max_y0_total = 0.0
     argmin_x, argmin_y, argmax_x = [], [], []
-    tables = {}
+    tables = _liyau_tables(t, kappa.values, coords)
     for k in kappa.values:
-        if k not in tables:
-            tables[k] = liyau_coordinate_table(t, k, coords)
         table = tables[k]
         flat = int(np.argmin(table.deficit))
         ix, iy = divmod(flat, len(coords))
@@ -424,43 +427,53 @@ def liyau_grid_extrema(
     )
 
 
+def _liyau_tables(t: float, kappa_values, coords) -> dict[float, CoordinateTable]:
+    """The coordinate table of each distinct kappa_i at time t, all built
+    before this returns, so a table that fails raises here."""
+    tables = {}
+    for k in kappa_values:
+        if k not in tables:
+            tables[k] = liyau_coordinate_table(t, k, coords)
+    return tables
+
+
+def _walk_tables(axes, index_pairs) -> Iterator[tuple[tuple, tuple, tuple]]:
+    """(ix, iy, entries) for each pair of index tuples, where entries[i] =
+    axes[i][ix[i]][iy[i]] and each axes[i] is a table's entries (tuples of
+    tuples) or a table of anything derived from them, laid out alike.  The
+    one walk from grid indices to table entries."""
+    last = None
+    for ix, iy in index_pairs:
+        if ix != last:
+            # the table row of x_i on each axis; y_i then picks the entry
+            rows = [entries[u] for entries, u in zip(axes, ix)]
+            last = ix
+        yield ix, iy, tuple(map(tuple.__getitem__, rows, iy))
+
+
 def iter_liyau_grid(
     t: float,
     kappa,
     coords: Sequence[float] = DEFAULT_COORDS,
-    *,
-    index_pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]] | None = None,
 ) -> Iterator[LiYauDecomposition]:
-    """The decomposition at (x, y) = (coords[ix], coords[iy]) for each pair
-    of index tuples (ix, iy) in index_pairs, by default every point of the
-    product grid at time t in lexicographic index order.  Terms are read
-    from one coordinate table per distinct kappa_i; the tables are built
-    before this returns, so a table that fails raises here."""
+    """The decomposition at every point (x, y) of the product grid at time
+    t, in lexicographic index order.  Terms are read from one coordinate
+    table per distinct kappa_i; the tables are built before this returns,
+    so a table that fails raises here."""
     t = _validate_time(t)
     kappa = MultiplicityZ2.of(kappa)
     coords = tuple(float(c) for c in coords)
-    tables = {}
-    for k in kappa.values:
-        if k not in tables:
-            tables[k] = liyau_coordinate_table(t, k, coords).entries
-    axes = [tables[k] for k in kappa.values]
-    if index_pairs is None:
-        index = itertools.product(range(len(coords)), repeat=kappa.d)
-        index_pairs = itertools.product(index, repeat=2)
-
-    def decompositions():
-        last = None
-        for ix, iy in index_pairs:
-            if ix != last:
-                # the table row of x_i on each axis; y_i then picks the entry
-                x = tuple(map(coords.__getitem__, ix))
-                rows = [entries[u] for entries, u in zip(axes, ix)]
-                last = ix
-            coordinates = tuple(map(tuple.__getitem__, rows, iy))
-            y = tuple(map(coords.__getitem__, iy))
-            yield LiYauDecomposition(t=t, x=x, y=y, kappa=kappa, coordinates=coordinates)
-
-    return decompositions()
+    tables = _liyau_tables(t, kappa.values, coords)
+    axes = [tables[k].entries for k in kappa.values]
+    index = itertools.product(range(len(coords)), repeat=kappa.d)
+    index_pairs = itertools.product(index, repeat=2)
+    point = coords.__getitem__
+    return (
+        LiYauDecomposition(
+            t=t, x=tuple(map(point, ix)), y=tuple(map(point, iy)), kappa=kappa, coordinates=entries
+        )
+        for ix, iy, entries in _walk_tables(axes, index_pairs)
+    )
 
 
 def iter_liyau_reports(

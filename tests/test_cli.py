@@ -16,7 +16,7 @@ import pytest
 
 from dunklheat import cli, inequalities
 from dunklheat.cli import _COLUMNS, main
-from dunklheat.inequalities import VerificationReport, liyau_functional
+from dunklheat.inequalities import VerificationReport, iter_liyau_points, liyau_functional
 from dunklheat.kernel import log_kernel_derivatives
 
 
@@ -270,6 +270,20 @@ class TestReport:
             assert row["lhs"] == 0.0
 
 
+    def test_only_the_summary_rows_are_rendered(self, monkeypatch, capsys):
+        # the suites' rows are tallied, never written, so never encoded
+        encoded = []
+        original = cli._encode
+        monkeypatch.setattr(cli, "_encode", lambda value, point: encoded.append(point) or original(value, point))
+        argv = ["report", "--kappa", "0.5", "--t", "0.5", "--coords", "0,1", "--augment", "2"]
+        code, out, _ = run_cli([*argv, "--reproducible"], capsys)
+        assert code == 0
+        _, rows = parse_jsonl(out)
+        assert len(rows) > 5
+        # six encoded columns per summary row
+        assert encoded == [("summary",)] * 6 * len(rows)
+
+
 class TestOutputForms:
     def test_csv_projection_has_fixed_header(self, capsys):
         code, out, _ = run_cli(
@@ -456,6 +470,24 @@ class TestExitCodes:
         assert run_cli([*argv, "--out", str(target)], capsys) == (4, "", want)
         assert not target.exists()
 
+    @pytest.mark.parametrize("augment", ["0", "1"])
+    @pytest.mark.parametrize("output_format", ["json-lines", "csv"])
+    def test_overflowing_row_sum_returns_four_and_writes_nothing(
+        self, capsys, tmp_path, output_format, augment
+    ):
+        # each coordinate's i_value is about -1e308, finite, but the sum of
+        # three overflows; the --augment point comes before it and passes
+        argv = ["liyau-scan", "--kappa", "0.5,0.5,0.5", "--t", "1e-308", "--coords", "0"]
+        argv += ["--augment", augment, "--format", output_format]
+        want = (
+            "numerical failure: FloatingPointError: Li-Yau lhs is not finite"
+            " [grid point [1e-308, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]\n"
+        )
+        assert run_cli([*argv, "--reproducible"], capsys) == (4, "", want)
+        target = tmp_path / "rows"
+        assert run_cli([*argv, "--out", str(target)], capsys) == (4, "", want)
+        assert not target.exists()
+
     def test_grid_failure_names_the_first_grid_point_that_stops(self, capsys):
         # the kappa = 200 table overflows; its first entry is on axis 1
         code, _, err = run_cli(
@@ -556,11 +588,12 @@ class TestLiYauGrid:
         kappa_values = [float(k) for k in kappa.split(",")]
         n = len(coords.split(","))
         assert len(lines) == len(t_grid.split(",")) * n ** (2 * len(kappa_values))
-        for line in lines:
-            t, x, y = json.loads(line)["grid_point"]
-            dec = liyau_functional(t, x, y, kappa_values)
+        points = [json.loads(line)["grid_point"] for line in lines]
+        # one batch equals liyau_functional point by point, bit for bit
+        # (tests/test_inequalities.py pins that)
+        for line, dec in zip(lines, iter_liyau_points(points, kappa_values), strict=True):
             # JSON text compares every float to the bit, signed zeros too
-            assert line == cli._COMPACT_JSON.encode(cli._liyau_row(dec, 1e-9))
+            assert line == cli._COMPACT_JSON.encode(_liyau_row(dec, 1e-9))
 
     def test_grid_evaluates_each_coordinate_term_once(self, monkeypatch, capsys):
         terms = collections.Counter()
@@ -585,39 +618,46 @@ class TestLiYauGrid:
     @pytest.mark.parametrize("output_format", ["json-lines", "csv"])
     @pytest.mark.parametrize("command", ["liyau-scan", "kernel-eval"])
     @pytest.mark.parametrize(
-        "kappa, t_grid, coords, augment",
+        "kappa, t_grid, coords, augment, tol",
         [
             # unsorted and duplicated times, duplicated coordinates, -0.0
             # next to 0.0: rows of equal keys must keep their generation order
-            ("0.5", "1,0.1,1", "3,-0.0,0,1.5e-7,3,-1", 0),
-            ("0.5,1.5", "1,1,0.5", "0,-0.0,0,1", 30),
-            ("0,2", "0.1,0.1", "-0.0,1,0,-0.0", 4),
+            pytest.param("0.5", "1,0.1,1", "3,-0.0,0,1.5e-7,3,-1", 0, 1e-9, id="0.5-1,0.1,1-3,-0.0,0,1.5e-7,3,-1-0"),
+            pytest.param("0.5,1.5", "1,1,0.5", "0,-0.0,0,1", 30, 1e-9, id="0.5,1.5-1,1,0.5-0,-0.0,0,1-30"),
+            pytest.param("0,2", "0.1,0.1", "-0.0,1,0,-0.0", 4, 1e-9, id="0,2-0.1,0.1--0.0,1,0,-0.0-4"),
+            # a tol other than the default, a Gaussian axis beside a
+            # reflecting one, equality rows (y = 0) beside the others
+            ("1.5,0", "0.5,2", "0,-2,1,-0.0", 5, 1e-3),
         ],
     )
     def test_output_is_the_sorted_generation_order(
-        self, capsys, output_format, command, kappa, t_grid, coords, augment
+        self, capsys, output_format, command, kappa, t_grid, coords, augment, tol
     ):
         seed = 3
-        argv = [command, f"--kappa={kappa}", f"--t={t_grid}", f"--coords={coords}"]
+        argv = [command, f"--kappa={kappa}", f"--t={t_grid}", f"--coords={coords}", f"--tol={tol}"]
         argv += ["--augment", str(augment), "--seed", str(seed), "--format", output_format]
         code, out, _ = run_cli([*argv, "--reproducible"], capsys)
         assert code == 0
         kappa_values = [float(k) for k in kappa.split(",")]
         points = list(itertools.product([float(c) for c in coords.split(",")], repeat=len(kappa_values)))
         # the reference: rows in generation order (t position, x index, y
-        # index, then the --augment points), stably sorted by _sort_key
+        # index, then the --augment points), stably sorted by claim id and
+        # grid point
         rows = []
         for t in [float(v) for v in t_grid.split(",")]:
             for x, y in itertools.product(points, repeat=2):
-                rows.append(_grid_row(command, t, x, y, kappa_values))
+                rows.append(_grid_row(command, t, x, y, kappa_values, tol))
         if command == "liyau-scan":
             rng = np.random.default_rng(seed)
             for _ in range(augment):
                 t = float(10.0 ** rng.uniform(-2.0, 2.0))
                 x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, len(kappa_values)))
                 y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, len(kappa_values)))
-                rows.append(_grid_row(command, t, x, y, kappa_values))
-        rows = sorted(rows, key=cli._sort_key)
+                rows.append(_grid_row(command, t, x, y, kappa_values, tol))
+            equality = [row["extra"]["equality"] for row in rows]
+            assert any(equality) and not all(equality)
+        rows = sorted(rows, key=lambda row: (row["claim_id"], row["grid_point"]))
+        assert {row["tol"] for row in rows} == {tol}
         encode = cli._COMPACT_JSON.encode
         if output_format == "json-lines":
             want = [encode(row) for row in rows]
@@ -646,7 +686,7 @@ class TestLiYauGrid:
         original = cli._sort_key
 
         def counting(row):
-            keys.append(row["grid_point"])
+            keys.append(row.grid_point)
             return original(row)
 
         monkeypatch.setattr(cli, "_sort_key", counting)
@@ -673,16 +713,46 @@ class TestLiYauGrid:
         assert builds == {(0.5, 0.5): 1, (0.5, 1.5): 1, (0.5, 0.25): 1}
 
 
-def _grid_row(command, t, x, y, kappa):
+def _grid_row(command, t, x, y, kappa, tol):
     """The row of one (t, x, y) point, evaluated on its own."""
     if command == "liyau-scan":
-        return cli._liyau_row(liyau_functional(t, x, y, kappa), 1e-9)
+        return _liyau_row(liyau_functional(t, x, y, kappa), tol)
     kp = log_kernel_derivatives(t, x, y, kappa)
-    report = VerificationReport.build("kernel_point", (t, x, y), lhs=kp.log_p, rhs=kp.log_p, tolerance=1e-9)
+    report = VerificationReport.build("kernel_point", (t, x, y), lhs=kp.log_p, rhs=kp.log_p, tolerance=tol)
     extra = {
         "p": kp.p if math.isfinite(kp.p) else None,
         "grad_x_log_p": kp.grad_x_log_p.tolist(),
         "hess_diag_x_log_p": kp.hess_diag_x_log_p.tolist(),
         "dt_log_p": kp.dt_log_p,
     }
-    return cli._row(report, extra=extra)
+    return _row(report, extra)
+
+
+# Reference rows as dicts in column order, for the JSON encoder: built from
+# the library's reports on their own, never through the CLI's renderer.
+
+
+def _row(report, extra):
+    return {
+        "claim_id": report.claim_id,
+        "grid_point": report.grid_point,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "deficit": report.deficit,
+        "tol": report.tolerance,
+        "pass": report.passed,
+        "extra": extra,
+    }
+
+
+def _liyau_row(dec, tol):
+    report = dec.report(tol)
+    coordinates = dec.coordinates
+    extra = {
+        "equality": bool(report.deficit <= 1e-8),
+        "a": [c.a for c in coordinates],
+        "variance_term": [c.variance_term for c in coordinates],
+        "f_value": [c.f_value for c in coordinates],
+        "i_value": [c.i_value for c in coordinates],
+    }
+    return _row(report, extra)

@@ -460,7 +460,6 @@ def test_only_kernel_functions_take_a_moment_tolerance():
         dunklheat.liyau_for_solution: "max_nodes",
         dunklheat.normalization_check: "max_nodes",
         dunklheat.chapman_kolmogorov_check: "max_nodes",
-        dunklheat.iter_liyau_grid: "index_pairs",
     }
     for fn, name in keyword_only.items():
         assert inspect.signature(fn).parameters[name].kind is inspect.Parameter.KEYWORD_ONLY, fn.__name__
