@@ -12,7 +12,8 @@ into its JSON or CSV line.  Li-Yau rows join texts rendered once per
 coordinate-table entry, coordinate value and time (repr, which is how the
 JSON encoder writes a float), so a row renders only its lhs and deficit;
 every other row takes its texts from the JSON encoder.  The bytes are those
-of encoding each whole row.
+of encoding each whole row.  All rows are built before the first write, and
+the lines are then written one by one, never joined into one text.
 
 Exit status: 0 when every row passes, 1 on any violation, 2 for
 configuration errors (an --out path that cannot be written included), 3
@@ -26,6 +27,7 @@ named on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import heapq
 import itertools
@@ -699,12 +701,16 @@ def _render(row: _Row, output_format: str) -> str:
     return _CSV_LINE.writerow((row.claim_id, grid_point, lhs, rhs, deficit, tol, passed, extra))
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
+def _emit(header: str, rows: list[tuple[bool, str]], cfg: RunConfig) -> None:
+    """Write the header, then the row lines one by one, so the output is
+    never held as one joined text."""
     if cfg.output_path is None:
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        target = open(cfg.output_path, "w", encoding="utf-8")
+    with target as handle:
+        handle.write(header)
+        handle.writelines(line for _, line in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +823,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(**vars(args))
         rows = run(config)
-        text = _header(config) + "".join(line for _, line in rows)
+        header = _header(config)
     except DomainError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
@@ -828,7 +834,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
     try:
-        _emit(text, config)
+        _emit(header, rows, config)
     except OSError as e:
         target = config.output_path or "stdout"
         print(f"configuration error: cannot write {target}: {e.strerror or e}", file=sys.stderr)

@@ -5,9 +5,12 @@ The Jacobi weight (1-s)^alpha (1+s)^beta is singular at s = 1 whenever
 alpha < 0 (alpha = kappa - 1 with kappa < 1 in the intended use); the rule
 absorbs the singularity exactly by construction, so only the bounded smooth
 part of an integrand is ever sampled.  Nodes are the eigenvalues of the
-symmetric tridiagonal matrix of recurrence coefficients
-(scipy.linalg.eigh_tridiagonal); weights are mu0 times the squared first
-eigenvector components.
+symmetric tridiagonal (Jacobi) matrix of recurrence coefficients, stored
+dense and solved by numpy.linalg.eigh; weights are mu0 times the squared
+first eigenvector components.  The scans and checks build rules of 32 to
+256 nodes, where the dense solve costs about what a tridiagonal solver
+does and needs nothing beyond numpy; a ladder that climbs towards NODE_CAP
+pays more, cubically in n.
 
 Rules are immutable and cached: scans request the same (alpha, beta, n)
 thousands of times and adaptive callers walk the same doubling ladder.
@@ -20,7 +23,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "NODE_CAP",
@@ -141,9 +143,12 @@ def _validate_order(n) -> int:
 
 
 def _golub_welsch(diag, off, mu0):
-    if diag.size == 1:
-        return diag.copy(), np.array([mu0])
-    vals, vecs = eigh_tridiagonal(diag, off)
+    n = diag.size
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = diag
+    jacobi.flat[1 :: n + 1] = off
+    jacobi.flat[n :: n + 1] = off
+    vals, vecs = np.linalg.eigh(jacobi)
     return vals, mu0 * vecs[0, :] ** 2
 
 

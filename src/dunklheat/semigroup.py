@@ -319,21 +319,32 @@ def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
     `values` maps a node array (m,) to integrand rows (k, m); `units` rescales
     the k sums to a common magnitude so the stopping test is relative in the
     largest component and absolute, at the same scale, in the rest.
+
+    Nearly every ladder stops at its second level, so the first two levels
+    share one `values` call.  The kernel gives a node the same bits in any
+    batch, and each level sums its own contiguous slice, so the sums equal
+    those of one call per level.
     """
+    ladder = list(node_ladder(NODE_START, max_nodes))
     prev = None
-    for n in node_ladder(NODE_START, max_nodes):
-        parts = [_panel_nodes(a, b, exponent, n) for a, b in panels]
-        v = np.concatenate([p[0] for p in parts])
-        w = np.concatenate([p[1] for p in parts])
-        cur = np.asarray(values(v)) @ w
-        if prev is not None:
-            scaled = cur * units
-            err = np.abs(scaled - prev * units).max()
-            if err <= _PANEL_REL_TOL * max(np.abs(scaled).max(), np.abs(prev * units).max()):
-                return cur
-            if np.abs(scaled).max() == 0.0:
-                return cur
-        prev = cur
+    for calls in (ladder[:2], *([n] for n in ladder[2:])):
+        layouts = []
+        for n in calls:
+            parts = [_panel_nodes(a, b, exponent, n) for a, b in panels]
+            layouts.append((np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])))
+        rows = np.asarray(values(np.concatenate([v for v, _ in layouts])))
+        start = 0
+        for v, w in layouts:
+            cur = np.ascontiguousarray(rows[:, start : start + v.size]) @ w
+            start += v.size
+            if prev is not None:
+                scaled = cur * units
+                err = np.abs(scaled - prev * units).max()
+                if err <= _PANEL_REL_TOL * max(np.abs(scaled).max(), np.abs(prev * units).max()):
+                    return cur
+                if np.abs(scaled).max() == 0.0:
+                    return cur
+            prev = cur
     raise ConvergenceError(f"panel quadrature stalled at {max_nodes} nodes per panel")
 
 

@@ -5,6 +5,7 @@ machinery: the fast paths are judged against brute-force graded panels,
 elementary closed forms, and high-precision special-function identities.
 """
 
+import functools
 import math
 
 import mpmath
@@ -263,3 +264,15 @@ def central_d2(f, x, h):
         + 16 * f(x - h)
         - f(x - 2 * h)
     ) / (12 * h * h)
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_rule_reference(qtype, exponents, n):
+    """(nodes, weights) of mpmath's n-point Gauss rule, computed at 20
+    digits and rounded to float, nodes increasing.  qtype is "jacobi" with
+    exponents (alpha, beta) or "glaguerre" with exponents (alpha,), as in
+    mpmath.gauss_quadrature.  Cached: one rule at n = 256 takes seconds."""
+    with mpmath.workdps(20):
+        nodes, weights = mpmath.mp.gauss_quadrature(n, qtype, *(mpmath.mpf(e) for e in exponents))
+        pairs = sorted((float(x), float(w)) for x, w in zip(nodes, weights))
+    return np.array([x for x, _ in pairs]), np.array([w for _, w in pairs])

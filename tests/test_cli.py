@@ -10,6 +10,10 @@ import io
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -345,6 +349,20 @@ class TestOutputForms:
         _, out, _ = run_cli(args + ["--reproducible"], capsys)
         meta, _ = parse_jsonl(out)
         assert "generated" not in meta
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh process: other tests import scipy into this one
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = "import sys, dunklheat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 def _reject_constant(name):
