@@ -291,25 +291,33 @@ def _lost_window(where: str) -> ConvergenceError:
     )
 
 
-def _panel_nodes(a: float, b: float, exponent: float, n: int):
-    """Nodes and weights for the integral of g(v) |v|^exponent over [a, b],
-    where (a, b) never contains 0.  A panel with an endpoint at 0 moves the
-    weight into a Gauss-Jacobi rule; elsewhere the weight is smooth and is
-    evaluated at Legendre nodes."""
-    if exponent > 0.0 and (a == 0.0 or b == 0.0):
+def _level_nodes(a: np.ndarray, b: np.ndarray, exponent: float, n: int):
+    """Nodes and weights, panel after panel, for the integral of
+    g(v) |v|^exponent over the panels [a_j, b_j] at n nodes each, where no
+    (a_j, b_j) contains 0.  A panel with an endpoint at 0 moves the weight
+    into the Gauss-Jacobi rule of exponent (0, exponent); elsewhere the
+    weight is smooth and is evaluated at the Gauss-Legendre nodes.  Each
+    rule is looked up once for all the panels it serves."""
+    v = np.empty((a.size, n))
+    w = np.empty((a.size, n))
+    at_zero = ((a == 0.0) | (b == 0.0)) & (exponent > 0.0)
+    smooth = ~at_zero
+    if smooth.any():
+        rule = gauss_jacobi_rule(0.0, 0.0, n)
+        lo, hi = a[smooth, None], b[smooth, None]
+        v[smooth] = 0.5 * (lo + hi) + 0.5 * (hi - lo) * rule.nodes
+        w[smooth] = 0.5 * (hi - lo) * rule.weights
+        if exponent != 0.0:
+            w[smooth] *= np.abs(v[smooth]) ** exponent
+    if at_zero.any():
         rule = gauss_jacobi_rule(0.0, exponent, n)
-        scale = (b if a == 0.0 else -a) / 2.0
-        v = scale * (1.0 + rule.nodes)
-        w = scale ** (exponent + 1.0) * rule.weights
-        if b == 0.0:
-            v = -v
-        return v, w
-    rule = gauss_jacobi_rule(0.0, 0.0, n)
-    v = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
-    w = 0.5 * (b - a) * rule.weights
-    if exponent != 0.0:
-        w = w * np.abs(v) ** exponent
-    return v, w
+        lo, hi = a[at_zero], b[at_zero]
+        scale = np.where(lo == 0.0, hi, -lo) / 2.0
+        sign = np.where(hi == 0.0, -1.0, 1.0)
+        v[at_zero] = sign[:, None] * (scale[:, None] * (1.0 + rule.nodes))
+        # Python's float power, at most one panel per side of 0
+        w[at_zero] = np.array([float(c) ** (exponent + 1.0) for c in scale])[:, None] * rule.weights
+    return v.ravel(), w.ravel()
 
 
 def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
@@ -325,13 +333,11 @@ def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
     batch, and each level sums its own contiguous slice, so the sums equal
     those of one call per level.
     """
+    a, b = np.array(panels, dtype=float).reshape(-1, 2).T
     ladder = list(node_ladder(NODE_START, max_nodes))
     prev = None
     for calls in (ladder[:2], *([n] for n in ladder[2:])):
-        layouts = []
-        for n in calls:
-            parts = [_panel_nodes(a, b, exponent, n) for a, b in panels]
-            layouts.append((np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])))
+        layouts = [_level_nodes(a, b, exponent, n) for n in calls]
         rows = np.asarray(values(np.concatenate([v for v, _ in layouts])))
         start = 0
         for v, w in layouts:

@@ -193,6 +193,67 @@ def test_underflowed_solution_raises_on_every_path(t, x):
         liyau_for_solution(f, t, [x], [0.5])
 
 
+# ---------------------------------------------------------------------------
+# the panel integrator
+
+
+def _panel_formula(a, b, exponent, n):
+    """One panel's nodes and weights, the formula the level builder
+    broadcasts over every panel of a level."""
+    if exponent > 0.0 and (a == 0.0 or b == 0.0):
+        rule = semigroup.gauss_jacobi_rule(0.0, exponent, n)
+        scale = (b if a == 0.0 else -a) / 2.0
+        v = scale * (1.0 + rule.nodes)
+        w = scale ** (exponent + 1.0) * rule.weights
+        return (-v if b == 0.0 else v), w
+    rule = semigroup.gauss_jacobi_rule(0.0, 0.0, n)
+    v = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
+    w = 0.5 * (b - a) * rule.weights
+    if exponent != 0.0:
+        w = w * np.abs(v) ** exponent
+    return v, w
+
+
+@pytest.mark.parametrize("exponent", [0.0, 1.0, 3.0, 0.5])
+@pytest.mark.parametrize(
+    "window",
+    [
+        (0.0, 2.3, 0.11),  # both sides of 0, one panel touching it on each
+        (0.7, 3.1, 0.05),  # both sides, none touching 0
+        (0.0, 0.5, 1.0),  # one panel per side, both touching 0
+    ],
+)
+def test_level_nodes_equal_the_per_panel_formula_bit_for_bit(exponent, window):
+    panels = semigroup._panels(*window)
+    a, b = np.array(panels).T
+    for n in (32, 64):
+        v, w = semigroup._level_nodes(a, b, exponent, n)
+        parts = [_panel_formula(lo, hi, exponent, n) for lo, hi in panels]
+        assert v.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+        assert w.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+
+
+@pytest.mark.parametrize("exponent", [0.0, 1.0])
+def test_panel_ladder_looks_each_rule_up_once_per_level(monkeypatch, exponent):
+    lookups = collections.Counter()
+    rule = semigroup.gauss_jacobi_rule
+
+    def counted(alpha, beta, n):
+        lookups[alpha, beta, n] += 1
+        return rule(alpha, beta, n)
+
+    monkeypatch.setattr(semigroup, "gauss_jacobi_rule", counted)
+    panels = semigroup._panels(0.0, 2.3, 0.11)
+    noise = np.random.default_rng(3)
+    with pytest.raises(ConvergenceError, match="stalled at 128 nodes"):
+        # noise never settles, so the ladder climbs through all three levels
+        semigroup._adaptive_panel_sum(
+            panels, exponent, lambda v: noise.random((1, v.size)), np.ones(1), 128
+        )
+    kinds = [(0.0, 0.0)] + ([(0.0, exponent)] if exponent > 0.0 else [])
+    assert lookups == {(*kind, n): 1 for kind in kinds for n in (32, 64, 128)}
+
+
 def _count_ladders(monkeypatch) -> list:
     calls = []
     ladder = semigroup._adaptive_panel_sum
