@@ -89,6 +89,20 @@ def test_jacobi_interlacing_random_exponents():
         assert np.all(big[:-1] < small) and np.all(small < big[1:])
 
 
+@pytest.mark.parametrize("beta,n", [(150.0, 256), (200.0, 256), (200.0, 512)])
+def test_jacobi_rule_with_underflowed_tail_weights(beta, n):
+    # the weights nearest s = -1 underflow to exactly 0.0; the panel
+    # quadrature asks for these rules (beta = 2 kappa) once kappa >= 75
+    rule = gauss_jacobi_rule(0.0, beta, n)
+    assert np.all(rule.weights >= 0.0) and (rule.weights == 0.0).any()
+    assert np.all(np.diff(rule.nodes) > 0.0)
+    mass = weight_mass(0.0, beta)
+    assert abs(float(rule.weights.sum()) - mass) <= 1e-12 * mass
+    # the integral of s (1+s)^beta over [-1, 1]
+    first = 2.0 ** (beta + 2.0) / (beta + 2.0) - 2.0 ** (beta + 1.0) / (beta + 1.0)
+    assert rule.integrate(rule.nodes) == pytest.approx(first, rel=1e-12)
+
+
 def test_laguerre_interlacing():
     small = gauss_laguerre_rule(0.75, 12).nodes
     big = gauss_laguerre_rule(0.75, 13).nodes
