@@ -8,25 +8,29 @@ product over coordinates.
 
 Each 1d integral states a window in |v| and an integrand; `_panels` lays
 out the quadrature for all three.  The window of p_t(u, .) is |v| within 30
-sigma of |u|, sigma = sqrt(2t): the kernel is controlled by a Gaussian in
-the reflection distance ||u| - |v||, so the omitted region carries less
-than e^(-450) of the mass.  A profile's integral intersects it with the
-support, or takes the whole support when they miss; Chapman-Kolmogorov
-takes the hull of its two kernels' windows.  Panels are cut at 0, at knots
-and every few sigma; one touching v = 0 absorbs the |v|^(2 kappa) factor
-into a Gauss-Jacobi rule so low multiplicities keep full accuracy through
-the kink, elsewhere Gauss-Legendre panels apply the weight pointwise.  All
-node counts double together until two levels' weighted sums agree to
-_PANEL_REL_TOL (1e-10); the kernel values inside them settle to the
-kernel's own default tolerance.
+sigma of |u|, sigma = sqrt(2t): E_kappa(a) <= e^|a| (Rosler 1998) bounds
+the kernel by a Gaussian in the reflection distance ||u| - |v||, so the
+omitted region carries less than e^(-450) of the mass.  A profile's
+integral intersects it with the support, or takes the whole support when
+they miss.  In Chapman-Kolmogorov the two kernels' Gaussians multiply to
+one Gaussian in |v|, centred between |x| and |y| and narrower than either,
+and the integral takes that envelope's window.  Panels are cut at 0, at
+knots and every few sigma; one touching v = 0 absorbs the |v|^(2 kappa)
+factor into a Gauss-Jacobi rule so low multiplicities keep full accuracy
+through the kink, elsewhere Gauss-Legendre panels apply the weight
+pointwise.  All node counts double together until two levels' weighted
+sums agree to _PANEL_REL_TOL (1e-10); the kernel values inside them settle
+to the kernel's own default tolerance.  Each level's nodes come from one
+array operation over the panel edges.
 
 Each integral is a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries,
 called with positional arguments: `_profile_moments` feeds every solution
 path, `_plain_mass` feeds `normalization_check` and `_ck_coordinate` feeds
 `chapman_kolmogorov_check`.  They raise ConvergenceError where no value is
-representable: where a solution's mass underflows to 0, where 30 sigma
-vanishes next to |u| in double precision, leaving a kernel window no width,
-and where a layout would need more than _PANEL_CAP panels.
+representable: where an integral underflows to 0 (the integrands are
+formed in linear space), where 30 sigma vanishes next to |u| in double
+precision, leaving a window no width, and where a layout would need more
+than _PANEL_CAP panels.
 """
 
 from __future__ import annotations
@@ -315,8 +319,9 @@ def _level_nodes(a: np.ndarray, b: np.ndarray, exponent: float, n: int):
         scale = np.where(lo == 0.0, hi, -lo) / 2.0
         sign = np.where(hi == 0.0, -1.0, 1.0)
         v[at_zero] = sign[:, None] * (scale[:, None] * (1.0 + rule.nodes))
-        # Python's float power, at most one panel per side of 0
-        w[at_zero] = np.array([float(c) ** (exponent + 1.0) for c in scale])[:, None] * rule.weights
+        # one scalar power per panel, as in a single panel's formula; there
+        # is at most one such panel on each side of 0
+        w[at_zero] = np.array([c ** (exponent + 1.0) for c in scale])[:, None] * rule.weights
     return v.ravel(), w.ravel()
 
 
@@ -526,8 +531,12 @@ def _plain_mass(t, u, kappa_i, exponent, max_nodes) -> float:
         log_p = kernel_derivatives_1d_batch(t, u, v, kappa_i)[0]
         return np.exp(log_p)[None, :]
 
-    total = _adaptive_panel_sum(panels, exponent, values, np.ones(1), max_nodes)
-    return float(total[0])
+    total = float(_adaptive_panel_sum(panels, exponent, values, np.ones(1), max_nodes)[0])
+    if not total > 0.0:
+        raise ConvergenceError(
+            f"kernel mass underflowed at u = {u}, t = {t}: the integrand is below the double range"
+        )
+    return total
 
 
 def normalization_check(
@@ -598,12 +607,17 @@ def chapman_kolmogorov_check(
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
 def _ck_coordinate(s, t, xi, yi, kappa_i, max_nodes) -> float:
-    """The integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the hull of
-    the two kernels' windows: anything between their centers matters even
-    when the windows are disjoint."""
+    """The integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the
+    window of the product's own Gaussian envelope.  Each kernel is at most
+    its Gaussian in ||u| - |v||, and the two Gaussians multiply to
+        exp(-(|v| - c)^2 / (2 sigma^2)) exp(-(|xi| - |yi|)^2 / (4 (s + t))),
+    c = (t |xi| + s |yi|) / (s + t), sigma^2 = 2 s t / (s + t): one Gaussian
+    in |v|, narrower than either kernel's, centred between their centres."""
     sigma_s, sigma_t = math.sqrt(2.0 * s), math.sqrt(2.0 * t)
-    (inner_s, outer_s), (inner_t, outer_t) = _window(xi, sigma_s), _window(yi, sigma_t)
-    panels = _panels(min(inner_s, inner_t), max(outer_s, outer_t), min(sigma_s, sigma_t))
+    sigma = sigma_s * sigma_t / math.hypot(sigma_s, sigma_t)
+    # c as |xi| moved towards |yi|: no product t |xi| to overflow
+    center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
+    panels = _panels(*_window(center, sigma), sigma)
     if not panels:
         raise _lost_window(f"x = {xi}, y = {yi}, s = {s}, t = {t}")
 
@@ -612,8 +626,13 @@ def _ck_coordinate(s, t, xi, yi, kappa_i, max_nodes) -> float:
         lp_t = kernel_derivatives_1d_batch(t, yi, v, kappa_i)[0]
         return np.exp(lp_s + lp_t)[None, :]
 
-    total = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, np.ones(1), max_nodes)
-    return float(total[0])
+    total = float(_adaptive_panel_sum(panels, 2.0 * kappa_i, values, np.ones(1), max_nodes)[0])
+    if not total > 0.0:
+        raise ConvergenceError(
+            f"Chapman-Kolmogorov integral underflowed at x = {xi}, y = {yi}, s = {s}, t = {t}:"
+            " the kernel product is below the double range"
+        )
+    return total
 
 
 def heat_residual(t: float, x, y, kappa) -> float:

@@ -427,6 +427,31 @@ class TestExitCodes:
         assert "convergence failure" in err
         assert "[grid point [0.01, [40.0]]]" in err
 
+    def test_underflowed_kernel_product_returns_three_with_grid_point(self, capsys):
+        # p_1(1, v) p_1(v, 1) at kappa = 80 is below the double range
+        # wherever |v|^160 makes its integral 1.95e-191
+        argv = ["semigroup-check", "--kappa", "80", "--t", "1", "--coords", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "convergence failure: Chapman-Kolmogorov integral underflowed at"
+            " x = 1.0, y = 1.0, s = 1.0, t = 1.0:"
+        )
+        assert err.endswith("[grid point [1.0, 1.0, [1.0], [1.0]]]\n") and err.count("\n") == 1
+
+    def test_far_apart_chapman_kolmogorov_times_pass(self, capsys):
+        # at s = 1e-6, t = 1000 the hull of the two kernels' windows needed
+        # 1.19e5 panels; the product's envelope is as narrow as p_s
+        argv = ["semigroup-check", "--t", "1e-6,1000", "--coords", "1", "--reproducible"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err == ""
+        ck = [line for line in out.splitlines() if line.startswith('{"claim_id":"chapman_kolmogorov"')]
+        # the pairs (s, t) with s <= t, and y = x and y = -x
+        assert len(ck) == 3 * 2
+        assert any('"grid_point":[1e-06,1000.0,' in line for line in ck)
+
     @pytest.mark.parametrize(
         "argv, cause",
         [

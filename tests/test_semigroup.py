@@ -12,7 +12,7 @@ import pytest
 import _oracles as oracle
 from dunklheat import cli, semigroup
 from dunklheat.inequalities import gradient_form_check, harnack_check, liyau_functional
-from dunklheat.kernel import kernel_1d, log_gaussian_mass
+from dunklheat.kernel import kernel_1d, log_gaussian_mass, log_kernel
 from dunklheat.operators import ScalarField
 from dunklheat.quadrature import ConvergenceError, DomainError
 from dunklheat.semigroup import (
@@ -302,6 +302,12 @@ def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkey
     # time pairs, 2 axes and 9 (x_i, y_i): y_i = x_i at 5 coordinates and
     # y_i = -x_i at 4, since (0, -0.0) is the integral of (0, 0)
     assert integrals == {"_plain_mass": 4 * 5 * 2, "_ck_coordinate": 7 * 2 * 9}
+    # each Chapman-Kolmogorov integral covers the window of its product's
+    # Gaussian envelope (the hull of the two kernels' windows took 2,096)
+    panels = collections.Counter()
+    for layout, _, values, *_ in calls:
+        panels[values.__qualname__.split(".")[0]] += len(layout)
+    assert panels["_ck_coordinate"] == 1248
 
 
 def test_kernel_checks_read_cached_coordinate_integrals(monkeypatch):
@@ -435,6 +441,16 @@ def test_chapman_kolmogorov_random_points():
         assert r.claim_id == "chapman_kolmogorov"
         assert r.passed, (s, t, x, y, r.deficit)
         assert r.deficit > -1e-10
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 1.5])
+def test_chapman_kolmogorov_where_the_product_sits_in_one_kernels_tail(kappa):
+    # p_s(5, .) has sigma = 0.045 and p_t(., 0.3) sigma = 0.32: the product
+    # peaks at |v| = 4.9, 15 of p_t's sigmas from its centre
+    s, t, x, y = 0.001, 0.05, [5.0], [0.3]
+    r = chapman_kolmogorov_check(s, t, x, y, [kappa])
+    assert r.rhs == math.exp(log_kernel(s + t, x, y, [kappa])) > 0.0
+    assert r.passed and abs(r.lhs / r.rhs - 1.0) < r.tolerance
 
 
 def test_chapman_kolmogorov_validation():
