@@ -295,34 +295,38 @@ def _lost_window(where: str) -> ConvergenceError:
     )
 
 
-def _level_nodes(a: np.ndarray, b: np.ndarray, exponent: float, n: int):
-    """Nodes and weights, panel after panel, for the integral of
-    g(v) |v|^exponent over the panels [a_j, b_j] at n nodes each, where no
-    (a_j, b_j) contains 0.  A panel with an endpoint at 0 moves the weight
-    into the Gauss-Jacobi rule of exponent (0, exponent); elsewhere the
-    weight is smooth and is evaluated at the Gauss-Legendre nodes.  Each
-    rule is looked up once for all the panels it serves."""
-    v = np.empty((a.size, n))
-    w = np.empty((a.size, n))
+def _panel_levels(panels, exponent: float):
+    """level(n) -> (v, w): nodes and weights, panel after panel, for the
+    integral of g(v) |v|^exponent over the panels at n nodes each, where no
+    panel's interior contains 0.  A panel with an endpoint at 0 moves the
+    weight into the Gauss-Jacobi rule of exponent (0, exponent); elsewhere
+    the weight is smooth and is evaluated at the Gauss-Legendre nodes.  A
+    level looks each rule up once and lays out all panels from it."""
+    a, b = np.array(panels, dtype=float).reshape(-1, 2).T
+    mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
     at_zero = ((a == 0.0) | (b == 0.0)) & (exponent > 0.0)
-    smooth = ~at_zero
-    if smooth.any():
+    smooth = ~at_zero[:, None]
+    # (row, half-width, side) of the panels at 0, at most one on each side
+    ends = []
+    for j in np.flatnonzero(at_zero):
+        scale = (b[j] if a[j] == 0.0 else -a[j]) / 2.0
+        ends.append((j, scale, -1.0 if b[j] == 0.0 else 1.0))
+
+    def level(n: int):
         rule = gauss_jacobi_rule(0.0, 0.0, n)
-        lo, hi = a[smooth, None], b[smooth, None]
-        v[smooth] = 0.5 * (lo + hi) + 0.5 * (hi - lo) * rule.nodes
-        w[smooth] = 0.5 * (hi - lo) * rule.weights
+        v = mid + half * rule.nodes
+        w = half * rule.weights
         if exponent != 0.0:
-            w[smooth] *= np.abs(v[smooth]) ** exponent
-    if at_zero.any():
-        rule = gauss_jacobi_rule(0.0, exponent, n)
-        lo, hi = a[at_zero], b[at_zero]
-        scale = np.where(lo == 0.0, hi, -lo) / 2.0
-        sign = np.where(hi == 0.0, -1.0, 1.0)
-        v[at_zero] = sign[:, None] * (scale[:, None] * (1.0 + rule.nodes))
-        # one scalar power per panel, as in a single panel's formula; there
-        # is at most one such panel on each side of 0
-        w[at_zero] = np.array([c ** (exponent + 1.0) for c in scale])[:, None] * rule.weights
-    return v.ravel(), w.ravel()
+            w *= np.power(np.abs(v), exponent, out=np.ones_like(v), where=smooth)
+        if ends:
+            rule = gauss_jacobi_rule(0.0, exponent, n)
+            for j, scale, side in ends:
+                v[j] = side * (scale * (1.0 + rule.nodes))
+                # a scalar power, as in one panel's own formula
+                w[j] = scale ** (exponent + 1.0) * rule.weights
+        return v.ravel(), w.ravel()
+
+    return level
 
 
 def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
@@ -338,11 +342,11 @@ def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
     batch, and each level sums its own contiguous slice, so the sums equal
     those of one call per level.
     """
-    a, b = np.array(panels, dtype=float).reshape(-1, 2).T
+    level = _panel_levels(panels, exponent)
     ladder = list(node_ladder(NODE_START, max_nodes))
     prev = None
     for calls in (ladder[:2], *([n] for n in ladder[2:])):
-        layouts = [_level_nodes(a, b, exponent, n) for n in calls]
+        layouts = [level(n) for n in calls]
         rows = np.asarray(values(np.concatenate([v for v, _ in layouts])))
         start = 0
         for v, w in layouts:

@@ -223,11 +223,11 @@ def _panel_formula(a, b, exponent, n):
         (0.0, 0.5, 1.0),  # one panel per side, both touching 0
     ],
 )
-def test_level_nodes_equal_the_per_panel_formula_bit_for_bit(exponent, window):
+def test_panel_levels_equal_the_per_panel_formula_bit_for_bit(exponent, window):
     panels = semigroup._panels(*window)
-    a, b = np.array(panels).T
+    level = semigroup._panel_levels(panels, exponent)
     for n in (32, 64):
-        v, w = semigroup._level_nodes(a, b, exponent, n)
+        v, w = level(n)
         parts = [_panel_formula(lo, hi, exponent, n) for lo, hi in panels]
         assert v.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
         assert w.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
