@@ -20,8 +20,8 @@ factor into a Gauss-Jacobi rule so low multiplicities keep full accuracy
 through the kink, elsewhere Gauss-Legendre panels apply the weight
 pointwise.  All node counts double together until two levels' weighted
 sums agree to _PANEL_REL_TOL (1e-10); the kernel values inside them settle
-to the kernel's own default tolerance.  Each level's nodes come from one
-array operation over the panel edges.
+to the kernel's own default tolerance.  A level's nodes and weights are
+built for all panels at once, with one lookup of each Gauss rule.
 
 Each integral is a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries,
 called with positional arguments: `_profile_moments` feeds every solution
@@ -313,11 +313,14 @@ def _panel_levels(panels, exponent: float):
         ends.append((j, scale, -1.0 if b[j] == 0.0 else 1.0))
 
     def level(n: int):
-        rule = gauss_jacobi_rule(0.0, 0.0, n)
-        v = mid + half * rule.nodes
-        w = half * rule.weights
-        if exponent != 0.0:
-            w *= np.power(np.abs(v), exponent, out=np.ones_like(v), where=smooth)
+        if len(ends) < a.size:
+            rule = gauss_jacobi_rule(0.0, 0.0, n)
+            v = mid + half * rule.nodes
+            w = half * rule.weights
+            if exponent != 0.0:
+                w *= np.power(np.abs(v), exponent, out=np.ones_like(v), where=smooth)
+        else:
+            v, w = np.empty((a.size, n)), np.empty((a.size, n))
         if ends:
             rule = gauss_jacobi_rule(0.0, exponent, n)
             for j, scale, side in ends:

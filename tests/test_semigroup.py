@@ -252,6 +252,10 @@ def test_panel_ladder_looks_each_rule_up_once_per_level(monkeypatch, exponent):
         )
     kinds = [(0.0, 0.0)] + ([(0.0, exponent)] if exponent > 0.0 else [])
     assert lookups == {(*kind, n): 1 for kind in kinds for n in (32, 64, 128)}
+    # two panels, both at 0: no Legendre rule is looked up
+    lookups.clear()
+    semigroup._panel_levels(semigroup._panels(0.0, 0.5, 1.0), 1.0)(32)
+    assert lookups == {(0.0, 1.0, 32): 1}
 
 
 def _count_ladders(monkeypatch) -> list:
