@@ -428,8 +428,8 @@ class TestExitCodes:
         assert "[grid point [0.01, [40.0]]]" in err
 
     def test_underflowed_kernel_product_returns_three_with_grid_point(self, capsys):
-        # p_1(1, v) p_1(v, 1) at kappa = 80 is below the double range
-        # wherever |v|^160 makes its integral 1.95e-191
+        # at kappa = 80 the integrand p_1(1, v) p_1(v, 1) underflows in linear
+        # space, though |v|^160 lifts its integral to p_2(1, 1) = 1.95e-191
         argv = ["semigroup-check", "--kappa", "80", "--t", "1", "--coords", "1"]
         code, out, err = run_cli(argv, capsys)
         assert code == 3

@@ -346,6 +346,25 @@ def test_kernel_window_lost_to_rounding_raises_convergence_error(check, where):
         check()
 
 
+@pytest.mark.parametrize(
+    "integral, where",
+    [
+        # p_1(1, .) at kappa = 150 carries 1 / c_kappa ~ 1e-307 and no weight
+        (
+            lambda: semigroup._plain_mass(1.0, 1.0, 150.0, 0.0, 512),
+            "kernel mass underflowed at u = 1.0, t = 1.0",
+        ),
+        (
+            lambda: chapman_kolmogorov_check(1.0, 1.0, [1.0], [1.0], [80.0]),
+            "Chapman-Kolmogorov integral underflowed at x = 1.0, y = 1.0, s = 1.0, t = 1.0",
+        ),
+    ],
+)
+def test_kernel_integral_underflowed_to_zero_raises_convergence_error(integral, where):
+    with pytest.raises(ConvergenceError, match=f"^{re.escape(where)}:"):
+        integral()
+
+
 def test_solution_scan_runs_one_ladder_per_distinct_coordinate_integral(monkeypatch, capsys):
     calls = _count_ladders(monkeypatch)
     argv = ["solution-scan", "--kappa", "0.5,1.5", "--t", "0.5", "--coords=-1,0,1", "--reproducible"]
