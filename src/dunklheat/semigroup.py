@@ -14,11 +14,12 @@ omitted region carries less than e^(-450) of the mass.  A profile's
 integral intersects it with the support, or takes the whole support when
 they miss.  In Chapman-Kolmogorov the two kernels' Gaussians multiply to
 one Gaussian in |v|, centred between |x| and |y| and narrower than either,
-and the integral takes that envelope's window.  Panels are cut at 0, at
-knots and every few sigma; one touching v = 0 absorbs the |v|^(2 kappa)
-factor into a Gauss-Jacobi rule so low multiplicities keep full accuracy
-through the kink, elsewhere Gauss-Legendre panels apply the weight
-pointwise.  All node counts double together until two levels' weighted
+and the integral takes that envelope's window; at kappa = 0, where the
+kernels are signed Gaussians, it is centred between x and y.  Panels are
+cut at 0, at knots and every few sigma; one touching v = 0 absorbs the
+|v|^(2 kappa) factor into a Gauss-Jacobi rule so low multiplicities keep
+full accuracy through the kink, elsewhere Gauss-Legendre panels apply the
+weight pointwise.  All node counts double together until two levels' weighted
 sums agree to _PANEL_REL_TOL (1e-10); the kernel values inside them settle
 to the kernel's own default tolerance.  A level's nodes and weights are
 built for all panels at once, with one lookup of each Gauss rule.
@@ -288,13 +289,6 @@ def _panels(inner, outer, sigma, lo=-math.inf, hi=math.inf, knots=()) -> list[tu
     return panels
 
 
-def _lost_window(where: str) -> ConvergenceError:
-    return ConvergenceError(
-        f"integration window lost to rounding at {where}: 30 sigma vanishes next to the"
-        " coordinate in double precision"
-    )
-
-
 def _panel_levels(panels, exponent: float):
     """level(n) -> (v, w): nodes and weights, panel after panel, for the
     integral of g(v) |v|^exponent over the panels at n nodes each, where no
@@ -305,7 +299,6 @@ def _panel_levels(panels, exponent: float):
     a, b = np.array(panels, dtype=float).reshape(-1, 2).T
     mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
     at_zero = ((a == 0.0) | (b == 0.0)) & (exponent > 0.0)
-    smooth = ~at_zero[:, None]
     # (row, half-width, side) of the panels at 0, at most one on each side
     ends = []
     for j in np.flatnonzero(at_zero):
@@ -313,14 +306,10 @@ def _panel_levels(panels, exponent: float):
         ends.append((j, scale, -1.0 if b[j] == 0.0 else 1.0))
 
     def level(n: int):
-        if len(ends) < a.size:
-            rule = gauss_jacobi_rule(0.0, 0.0, n)
-            v = mid + half * rule.nodes
-            w = half * rule.weights
-            if exponent != 0.0:
-                w *= np.power(np.abs(v), exponent, out=np.ones_like(v), where=smooth)
-        else:
-            v, w = np.empty((a.size, n)), np.empty((a.size, n))
+        rule = gauss_jacobi_rule(0.0, 0.0, n)
+        v = mid + half * rule.nodes
+        # |v|^0 is exactly 1, so exponent 0 leaves the Legendre weights' bits
+        w = half * rule.weights * np.abs(v) ** exponent
         if ends:
             rule = gauss_jacobi_rule(0.0, exponent, n)
             for j, scale, side in ends:
@@ -364,6 +353,21 @@ def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
                     return cur
             prev = cur
     raise ConvergenceError(f"panel quadrature stalled at {max_nodes} nodes per panel")
+
+
+def _positive_total(panels, exponent, values, max_nodes, integral, where) -> float:
+    """The one-row ladder sum of a kernel integral, or ConvergenceError where
+    no value is representable: rounding left the window no width, or the
+    linear-space integrand underflowed and the sum is 0."""
+    if not panels:
+        raise ConvergenceError(
+            f"integration window lost to rounding at {where}: 30 sigma vanishes next to the"
+            " coordinate in double precision"
+        )
+    total = float(_adaptive_panel_sum(panels, exponent, values, np.ones(1), max_nodes)[0])
+    if not total > 0.0:
+        raise ConvergenceError(f"{integral} underflowed at {where}: the integrand is below the double range")
+    return total
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
@@ -531,19 +535,12 @@ def _plain_mass(t, u, kappa_i, exponent, max_nodes) -> float:
     """The integral of p_t(u, v) |v|^exponent dv."""
     sigma = math.sqrt(2.0 * t)
     panels = _panels(*_window(u, sigma), sigma)
-    if not panels:
-        raise _lost_window(f"u = {u}, t = {t}")
 
     def values(v):
         log_p = kernel_derivatives_1d_batch(t, u, v, kappa_i)[0]
         return np.exp(log_p)[None, :]
 
-    total = float(_adaptive_panel_sum(panels, exponent, values, np.ones(1), max_nodes)[0])
-    if not total > 0.0:
-        raise ConvergenceError(
-            f"kernel mass underflowed at u = {u}, t = {t}: the integrand is below the double range"
-        )
-    return total
+    return _positive_total(panels, exponent, values, max_nodes, "kernel mass", f"u = {u}, t = {t}")
 
 
 def normalization_check(
@@ -619,27 +616,39 @@ def _ck_coordinate(s, t, xi, yi, kappa_i, max_nodes) -> float:
     its Gaussian in ||u| - |v||, and the two Gaussians multiply to
         exp(-(|v| - c)^2 / (2 sigma^2)) exp(-(|xi| - |yi|)^2 / (4 (s + t))),
     c = (t |xi| + s |yi|) / (s + t), sigma^2 = 2 s t / (s + t): one Gaussian
-    in |v|, narrower than either kernel's, centred between their centres."""
+    in |v|, narrower than either kernel's, centred between their centres.
+
+    For kappa > 0 the envelope is tight up to a polynomial factor: E_kappa(a)
+    grows like e^|a| at both signs of a.  At kappa = 0 it is not, since E_0(a)
+    = e^a: the kernels are signed Gaussians and their product sits at the
+    signed centre (t xi + s yi) / (s + t), which the window of c misses when
+    xi yi < 0 and c is far from 0 (xi = -yi = 33, s = t = 1 loses 99.7% of
+    the mass).  There the window is centred on the signed centre.  The same
+    signed term is part of every E_kappa; c's window misses it only when
+    |xi yi| / (s + t) > 450, where it weighs about e^(-450) / kappa of the
+    integral: below double precision unless kappa is below about 1e-180."""
     sigma_s, sigma_t = math.sqrt(2.0 * s), math.sqrt(2.0 * t)
     sigma = sigma_s * sigma_t / math.hypot(sigma_s, sigma_t)
-    # c as |xi| moved towards |yi|: no product t |xi| to overflow
-    center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
+    # each centre as xi moved towards yi: no product t xi to overflow
+    if kappa_i == 0.0:
+        center = xi + s / (s + t) * (yi - xi)
+    else:
+        center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
     panels = _panels(*_window(center, sigma), sigma)
-    if not panels:
-        raise _lost_window(f"x = {xi}, y = {yi}, s = {s}, t = {t}")
 
     def values(v):
         lp_s = kernel_derivatives_1d_batch(s, xi, v, kappa_i)[0]
         lp_t = kernel_derivatives_1d_batch(t, yi, v, kappa_i)[0]
         return np.exp(lp_s + lp_t)[None, :]
 
-    total = float(_adaptive_panel_sum(panels, 2.0 * kappa_i, values, np.ones(1), max_nodes)[0])
-    if not total > 0.0:
-        raise ConvergenceError(
-            f"Chapman-Kolmogorov integral underflowed at x = {xi}, y = {yi}, s = {s}, t = {t}:"
-            " the kernel product is below the double range"
-        )
-    return total
+    return _positive_total(
+        panels,
+        2.0 * kappa_i,
+        values,
+        max_nodes,
+        "Chapman-Kolmogorov integral",
+        f"x = {xi}, y = {yi}, s = {s}, t = {t}",
+    )
 
 
 def heat_residual(t: float, x, y, kappa) -> float:

@@ -452,6 +452,15 @@ class TestExitCodes:
         assert len(ck) == 3 * 2
         assert any('"grid_point":[1e-06,1000.0,' in line for line in ck)
 
+    def test_gaussian_chapman_kolmogorov_across_the_origin_passes(self, capsys):
+        # at kappa = 0 the row y = -x = -33 has its mass at v = 0, 30 sigma
+        # below the inner edge of the window around |x|
+        argv = ["semigroup-check", "--kappa", "0", "--t", "1", "--coords", "33", "--reproducible"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err == ""
+        assert '"grid_point":[1.0,1.0,[33.0],[-33.0]]' in out
+
     @pytest.mark.parametrize(
         "argv, cause",
         [

@@ -252,10 +252,6 @@ def test_panel_ladder_looks_each_rule_up_once_per_level(monkeypatch, exponent):
         )
     kinds = [(0.0, 0.0)] + ([(0.0, exponent)] if exponent > 0.0 else [])
     assert lookups == {(*kind, n): 1 for kind in kinds for n in (32, 64, 128)}
-    # two panels, both at 0: no Legendre rule is looked up
-    lookups.clear()
-    semigroup._panel_levels(semigroup._panels(0.0, 0.5, 1.0), 1.0)(32)
-    assert lookups == {(0.0, 1.0, 32): 1}
 
 
 def _count_ladders(monkeypatch) -> list:
@@ -473,6 +469,16 @@ def test_chapman_kolmogorov_where_the_product_sits_in_one_kernels_tail(kappa):
     s, t, x, y = 0.001, 0.05, [5.0], [0.3]
     r = chapman_kolmogorov_check(s, t, x, y, [kappa])
     assert r.rhs == math.exp(log_kernel(s + t, x, y, [kappa])) > 0.0
+    assert r.passed and abs(r.lhs / r.rhs - 1.0) < r.tolerance
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_chapman_kolmogorov_across_the_origin(kappa):
+    # at kappa = 0 the kernels are signed Gaussians, so their product sits at
+    # (t x + s y) / (s + t) = 0, 33 sigma inside |v| = 33, the centre of
+    # their envelope in |v|; for kappa > 0 the reflected terms carry the mass
+    r = chapman_kolmogorov_check(1.0, 1.0, [33.0], [-33.0], [kappa])
+    assert r.rhs == math.exp(log_kernel(2.0, [33.0], [-33.0], [kappa])) > 0.0
     assert r.passed and abs(r.lhs / r.rhs - 1.0) < r.tolerance
 
 
