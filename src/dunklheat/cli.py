@@ -117,7 +117,6 @@ class RunConfig:
     t_grid: tuple[float, ...]
     coord_grid: tuple[float, ...]
     tol: float
-    max_nodes: int
     seed: int
     augment: int
     output_format: str
@@ -138,8 +137,6 @@ class RunConfig:
                 raise DomainError(f"coordinates must be finite, got {c!r}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DomainError(f"tol must be positive, got {self.tol!r}")
-        if self.max_nodes < 64:
-            raise DomainError(f"max-nodes below 64 cannot converge, got {self.max_nodes}")
         if self.augment < 0:
             raise DomainError(f"augment must be nonnegative, got {self.augment}")
         if self.seed < 0:
@@ -431,17 +428,12 @@ def _solution_scan(cfg: RunConfig) -> list[_Row]:
     rows = []
     lam = sum(cfg.kappa)
     for name, datum in _initial_data(cfg.dimension).items():
-        field = semigroup_solution(datum, cfg.kappa, max_nodes=cfg.max_nodes)
+        field = semigroup_solution(datum, cfg.kappa)
         for t in cfg.t_grid:
             beta = (cfg.dimension + 2.0 * lam) / (2.0 * t)
             for x in cfg.points:
                 point = (t, x)
-                report = _at_point(
-                    point,
-                    lambda: liyau_for_solution(
-                        datum, t, x, cfg.kappa, tol=cfg.tol, max_nodes=cfg.max_nodes
-                    ),
-                )
+                report = _at_point(point, lambda: liyau_for_solution(datum, t, x, cfg.kappa, tol=cfg.tol))
                 rows.append(_row(report, extra={"datum": name}))
                 report = _at_point(
                     point, lambda: gradient_form_check(field, t, x, beta, tol=cfg.tol)
@@ -454,7 +446,7 @@ def _harnack_scan(cfg: RunConfig) -> list[_Row]:
     rows = []
     count = cfg.augment if cfg.augment else 200
     datum = _initial_data(cfg.dimension)["bump"]
-    field = semigroup_solution(datum, cfg.kappa, max_nodes=cfg.max_nodes)
+    field = semigroup_solution(datum, cfg.kappa)
     lam = sum(cfg.kappa)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(count):
@@ -485,21 +477,13 @@ def _semigroup_check(cfg: RunConfig) -> list[_Row]:
     for t in cfg.t_grid:
         for x in cfg.points:
             point = (t, x)
-            report = _at_point(
-                point,
-                lambda: normalization_check(t, x, cfg.kappa, max_nodes=cfg.max_nodes, **kwargs),
-            )
+            report = _at_point(point, lambda: normalization_check(t, x, cfg.kappa, **kwargs))
             rows.append(_row(report))
     for s, t in _time_pairs(cfg.t_grid):
         for x in cfg.points:
             for y in (x, tuple(-v for v in x)):
                 point = (s, t, x, y)
-                report = _at_point(
-                    point,
-                    lambda: chapman_kolmogorov_check(
-                        s, t, x, y, cfg.kappa, max_nodes=cfg.max_nodes
-                    ),
-                )
+                report = _at_point(point, lambda: chapman_kolmogorov_check(s, t, x, y, cfg.kappa))
                 rows.append(_row(report))
     reversed_points = list(reversed(cfg.points))
     for t in cfg.t_grid:
@@ -772,12 +756,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated coordinate values, tensored to dimension d (default -3,-1,0,1,3)",
     )
     common.add_argument("--tol", type=float, default=1e-9, help="pass tolerance (default 1e-9)")
-    common.add_argument(
-        "--max-nodes",
-        type=int,
-        default=512,
-        help="node cap per quadrature panel for semigroup integrals (default 512)",
-    )
     common.add_argument(
         "--seed", type=int, default=7, help="seed for randomized grid augmentation (default 7)"
     )

@@ -20,6 +20,10 @@ boundary layer at s = sign(a).  Beyond that the exact substitution
 whose node demand is flat in |a|, so tilts of order 10^4 (small t, far
 corners of a grid) cost the same as tilts of order 10^2.
 
+Both branches double their node count from NODE_START until two orders
+agree to _MOMENT_REL_TOL (1e-10), up to NODE_CAP (4096) nodes.  That
+contract is fixed, so the moment cache keys on (a, kappa) alone.
+
 kappa = 0 coordinates never touch quadrature: the kernel degenerates to the
 Gauss-Weierstrass kernel and every formula has a closed form.
 """
@@ -68,7 +72,7 @@ __all__ = [
 # wide window around it (regression-tested), so the exact value is not delicate.
 TILT_SWITCH = 50.0
 
-_DEFAULT_REL_TOL = 1e-10
+_MOMENT_REL_TOL = 1e-10
 # tilts per block of a moment_stats call: bounds the (block, nodes)
 # temporaries of the tilted sums
 _TILT_BLOCK = 512
@@ -98,23 +102,23 @@ def _log_normalizers(kappa: float) -> tuple[float, float]:
     )
 
 
-def _adaptive_eval(evaluate, a_sub, rel_tol, max_nodes):
+def _adaptive_eval(evaluate, a_sub):
     """Double the node count until (log m0, r1, r2) settle entry by entry.
 
     evaluate(n, a) returns the three arrays at rule order n; two successive
-    orders within rel_tol certify an entry.  The log m0 comparison is
+    orders within _MOMENT_REL_TOL certify an entry.  The log m0 comparison is
     absolute on the log scale, which is relative on m0 itself.
     """
     out = np.empty((3, a_sub.size))
     pending = np.arange(a_sub.size)
     prev = None
-    for n in node_ladder(NODE_START, max_nodes):
+    for n in node_ladder(NODE_START, NODE_CAP):
         cur = np.stack(evaluate(n, a_sub[pending]))
         if prev is not None:
             ok = (
-                (np.abs(cur[0] - prev[0]) <= rel_tol * np.maximum(1.0, np.abs(cur[0])))
-                & (np.abs(cur[1] - prev[1]) <= rel_tol)
-                & (np.abs(cur[2] - prev[2]) <= rel_tol)
+                (np.abs(cur[0] - prev[0]) <= _MOMENT_REL_TOL * np.maximum(1.0, np.abs(cur[0])))
+                & (np.abs(cur[1] - prev[1]) <= _MOMENT_REL_TOL)
+                & (np.abs(cur[2] - prev[2]) <= _MOMENT_REL_TOL)
             )
             out[:, pending[ok]] = cur[:, ok]
             pending = pending[~ok]
@@ -125,12 +129,12 @@ def _adaptive_eval(evaluate, a_sub, rel_tol, max_nodes):
             prev = cur
     worst = float(np.abs(a_sub[pending]).max())
     raise ConvergenceError(
-        f"tilted moments did not settle within {max_nodes} nodes "
-        f"(rel_tol={rel_tol}, {pending.size} tilts pending, worst |a|={worst})"
+        f"tilted moments did not settle within {NODE_CAP} nodes "
+        f"(rel_tol={_MOMENT_REL_TOL}, {pending.size} tilts pending, worst |a|={worst})"
     )
 
 
-def moment_stats(a, kappa: float, rel_tol: float = _DEFAULT_REL_TOL, max_nodes: int = NODE_CAP):
+def moment_stats(a, kappa: float):
     """(log m0, r1, r2) for a batch of tilts, as a (3, len(a)) array.
 
     Requires kappa > 0; kappa = 0 callers use their Gaussian closed forms
@@ -178,7 +182,7 @@ def moment_stats(a, kappa: float, rel_tol: float = _DEFAULT_REL_TOL, max_nodes: 
         ):
             idx = np.flatnonzero(chosen)
             if idx.size:
-                block_out[:, idx] = _adaptive_eval(evaluate, block[idx], rel_tol, max_nodes)
+                block_out[:, idx] = _adaptive_eval(evaluate, block[idx])
 
     if not (np.all(out[1] > -1.0) and np.all(out[1] < 1.0)):
         raise RuntimeError("moment ratio r1 escaped (-1, 1)")
@@ -210,30 +214,25 @@ _MOMENT_CACHE: dict[tuple, MomentRatios] = {}
 _MOMENT_LOCK = threading.Lock()
 
 
-def moment_ratios(
-    a: float,
-    kappa: float,
-    rel_tol: float = _DEFAULT_REL_TOL,
-    max_nodes: int = NODE_CAP,
-) -> MomentRatios:
+def moment_ratios(a: float, kappa: float) -> MomentRatios:
     """Cached scalar interface to moment_stats.
 
     Scans hit the same tilt for many grid points (a depends only on
     x_i y_i / (2t)), so memoizing on the exact float arguments removes most
     quadrature work.
     """
-    key = (float(a), float(kappa), float(rel_tol), int(max_nodes))
+    key = (float(a), float(kappa))
     with _MOMENT_LOCK:
         hit = _MOMENT_CACHE.get(key)
     if hit is not None:
         return hit
-    log_m0, r1, r2 = (float(v) for v in moment_stats(a, kappa, rel_tol, max_nodes)[:, 0])
+    log_m0, r1, r2 = (float(v) for v in moment_stats(a, kappa)[:, 0])
     ratios = MomentRatios(a=float(a), kappa=float(kappa), log_m0=log_m0, r1=r1, r2=r2)
     with _MOMENT_LOCK:
         return _MOMENT_CACHE.setdefault(key, ratios)
 
 
-def _tilted_terms(a, kappa: float, rel_tol: float):
+def _tilted_terms(a, kappa: float):
     """(log E_kappa, r1, r2) at the tilt a, a float or an array, for kappa > 0.
 
     A float tilt reads the cached scalar moment_ratios, an array makes one
@@ -245,19 +244,19 @@ def _tilted_terms(a, kappa: float, rel_tol: float):
     if not isinstance(a, np.ndarray):
         if a == 0.0:
             return 0.0, at_zero, at_zero
-        ratios = moment_ratios(a, kappa, rel_tol)
+        ratios = moment_ratios(a, kappa)
         return _log_normalizers(kappa)[1] + ratios.log_m0, ratios.r1, ratios.r2
     log_e = np.zeros(a.shape)
     r1 = np.full(a.shape, at_zero)
     r2 = np.full(a.shape, at_zero)
     live = a != 0.0
     if live.any():
-        log_m0, r1[live], r2[live] = moment_stats(a[live], kappa, rel_tol)
+        log_m0, r1[live], r2[live] = moment_stats(a[live], kappa)
         log_e[live] = _log_normalizers(kappa)[1] + log_m0
     return log_e, r1, r2
 
 
-def log_e_kappa(x: float, y: float, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def log_e_kappa(x: float, y: float, kappa: float) -> float:
     """log E_kappa(x, y) for a single coordinate pair.
 
     E_0(x, y) = e^(x y) exactly; for kappa > 0 the integral representation
@@ -269,13 +268,13 @@ def log_e_kappa(x: float, y: float, kappa: float, rel_tol: float = _DEFAULT_REL_
     a = float(x) * float(y)
     if kappa == 0.0:
         return a
-    return _tilted_terms(a, kappa, rel_tol)[0]
+    return _tilted_terms(a, kappa)[0]
 
 
-def e_kappa(x: float, y: float, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def e_kappa(x: float, y: float, kappa: float) -> float:
     """E_kappa(x, y) itself; raises OverflowError where only the log form
     can represent the value."""
-    return math.exp(log_e_kappa(x, y, kappa, rel_tol))
+    return math.exp(log_e_kappa(x, y, kappa))
 
 
 class _Coordinate(NamedTuple):
@@ -290,7 +289,7 @@ class _Coordinate(NamedTuple):
     d_t: float | np.ndarray
 
 
-def _coordinate(t, u, v, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> _Coordinate:
+def _coordinate(t, u, v, kappa: float) -> _Coordinate:
     """The per-coordinate kernel formulas, at validated times t.  v is a
     float or an array; t and u are floats, or arrays shaped like v.  For
     kappa > 0, with p = u/(2t), w = v/(2t), the tilt a = u v / (2t) and the
@@ -320,7 +319,7 @@ def _coordinate(t, u, v, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> _Co
             bad = ~np.isfinite(a)
             u_at, t_at = (float(np.broadcast_to(w, bad.shape)[bad][0]) for w in (u, t))
             raise OverflowError(f"tilt u v / (2t) overflows at u = {u_at!r}, t = {t_at!r}")
-        log_e, r1, r2 = _tilted_terms(a, kappa, rel_tol)
+        log_e, r1, r2 = _tilted_terms(a, kappa)
         log_p = (
             -_log_normalizers(kappa)[0]
             - (kappa + 0.5) * log(2.0 * t)
@@ -334,28 +333,29 @@ def _coordinate(t, u, v, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> _Co
     return _Coordinate(a, log_p, d_u, variance_term, -1.0 / (2.0 * t) + variance_term, d_t)
 
 
-def log_kernel_1d(t: float, u: float, v: float, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def log_kernel_1d(t: float, u: float, v: float, kappa: float) -> float:
     """log p_t(u, v) for one coordinate."""
-    return _coordinate(_validate_time(t), float(u), float(v), float(kappa), rel_tol).log_p
+    return _coordinate(_validate_time(t), float(u), float(v), float(kappa)).log_p
 
 
-def kernel_1d(t: float, u: float, v: float, kappa: float, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def kernel_1d(t: float, u: float, v: float, kappa: float) -> float:
     """p_t(u, v) for one coordinate (symmetric and strictly positive)."""
-    return math.exp(log_kernel_1d(t, u, v, kappa, rel_tol))
+    return math.exp(log_kernel_1d(t, u, v, kappa))
 
 
-def log_kernel(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> float:
+def log_kernel(t, x, y, kappa) -> float:
     """log p_t(x, y), the sum of the per-coordinate logs."""
     t = _validate_time(t)
     kappa = MultiplicityZ2.of(kappa)
     x = _validate_point(x, kappa.d).tolist()
     y = _validate_point(y, kappa.d).tolist()
-    return float(sum(_coordinate(t, u, v, k, rel_tol).log_p for u, v, k in zip(x, y, kappa.values)))
+    return float(sum(_coordinate(t, u, v, k).log_p for u, v, k in zip(x, y, kappa.values)))
 
 
-def heat_kernel(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> float:
-    """p_t(x, y).  Underflows to 0.0 in the far field; use log_kernel there."""
-    return math.exp(min(log_kernel(t, x, y, kappa, rel_tol), 709.0))
+def heat_kernel(t, x, y, kappa) -> float:
+    """p_t(x, y).  Underflows to 0.0 in the far field and raises
+    OverflowError where only log_kernel can represent the value."""
+    return math.exp(log_kernel(t, x, y, kappa))
 
 
 @dataclass(frozen=True)
@@ -386,7 +386,7 @@ class KernelPoint:
         return math.exp(self.log_p) if self.log_p < 709.0 else math.inf
 
 
-def log_kernel_derivatives(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) -> KernelPoint:
+def log_kernel_derivatives(t, x, y, kappa) -> KernelPoint:
     """Derivatives of log p_t(., y) at x, assembled per coordinate: the
     gradient and diagonal Hessian entries are the coordinates' d_u and d_uu,
     and d_t log p is the sum of their d_t."""
@@ -394,7 +394,7 @@ def log_kernel_derivatives(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) ->
     kappa = MultiplicityZ2.of(kappa)
     x = _validate_point(x, kappa.d)
     y = _validate_point(y, kappa.d)
-    coords = [_coordinate(t, u, v, k, rel_tol) for u, v, k in zip(x.tolist(), y.tolist(), kappa.values)]
+    coords = [_coordinate(t, u, v, k) for u, v, k in zip(x.tolist(), y.tolist(), kappa.values)]
     return KernelPoint(
         t=t,
         x=x.copy(),
@@ -407,12 +407,12 @@ def log_kernel_derivatives(t, x, y, kappa, rel_tol: float = _DEFAULT_REL_TOL) ->
     )
 
 
-def kernel_derivatives_1d_batch(t: float, u: float, v, kappa: float, rel_tol: float = _DEFAULT_REL_TOL):
+def kernel_derivatives_1d_batch(t: float, u: float, v, kappa: float):
     """(log p, d/du log p, d2/du2 log p, d/dt log p) for one coordinate at a
     batch of right arguments v, the workhorse of semigroup quadrature.
     Entries take their IEEE values without a numpy warning (past the float
     range a term is infinite); callers check the entries they use."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     with np.errstate(all="ignore"):
-        c = _coordinate(_validate_time(t), float(u), v, float(kappa), rel_tol)
+        c = _coordinate(_validate_time(t), float(u), v, float(kappa))
     return c.log_p, c.d_u, c.d_uu, c.d_t

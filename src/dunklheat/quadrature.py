@@ -117,12 +117,6 @@ _CACHE: dict[tuple, object] = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def _key_float(x: float) -> float:
-    # 15 significant digits: collapses -0.0/0.0 and string-parsed duplicates
-    # without ever merging genuinely distinct parameters.
-    return float(f"{float(x):.15g}")
-
-
 def _cached(key, builder):
     with _CACHE_LOCK:
         hit = _CACHE.get(key)
@@ -200,11 +194,12 @@ def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> JacobiRule:
     a non-positive order.
     """
     n = _validate_order(n)
-    alpha = float(alpha)
-    beta = float(beta)
+    # + 0.0 folds -0.0 into 0.0; the key is otherwise the exact float
+    alpha = float(alpha) + 0.0
+    beta = float(beta) + 0.0
     if not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"Jacobi exponents must exceed -1, got {(alpha, beta)}")
-    key = ("jacobi", _key_float(alpha), _key_float(beta), n)
+    key = ("jacobi", alpha, beta, n)
     return _cached(key, lambda: _build_jacobi(alpha, beta, n))
 
 
@@ -234,10 +229,10 @@ def gauss_laguerre_rule(exponent: float, n: int) -> HalflineRule:
     exponent must exceed -1.  Weight sum equals Gamma(exponent + 1).
     """
     n = _validate_order(n)
-    exponent = float(exponent)
+    exponent = float(exponent) + 0.0
     if not exponent > -1.0:
         raise DomainError(f"Laguerre exponent must exceed -1, got {exponent}")
-    key = ("laguerre", _key_float(exponent), n)
+    key = ("laguerre", exponent, n)
 
     def build():
         nodes, weights = _build_laguerre(exponent, n)

@@ -20,13 +20,15 @@ cut at 0, at knots and every few sigma; one touching v = 0 absorbs the
 |v|^(2 kappa) factor into a Gauss-Jacobi rule so low multiplicities keep
 full accuracy through the kink, elsewhere Gauss-Legendre panels apply the
 weight pointwise.  All node counts double together until two levels' weighted
-sums agree to _PANEL_REL_TOL (1e-10); the kernel values inside them settle
-to the kernel's own default tolerance.  A level's nodes and weights are
-built for all panels at once, with one lookup of each Gauss rule.
+sums agree to _PANEL_REL_TOL (1e-10), up to _PANEL_NODE_CAP (512) nodes per
+panel; the kernel values inside them settle to the kernel's fixed 1e-10.  A
+level's nodes and weights are built for all panels at once, with one lookup
+of each Gauss rule.
 
 Each integral is a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries,
-called with positional arguments: `_profile_moments` feeds every solution
-path, `_plain_mass` feeds `normalization_check` and `_ck_coordinate` feeds
+called with positional arguments that name the point alone, since the
+accuracy contract is fixed: `_profile_moments` feeds every solution path,
+`_plain_mass` feeds `normalization_check` and `_ck_coordinate` feeds
 `chapman_kolmogorov_check`.  They raise ConvergenceError where no value is
 representable: where an integral underflows to 0 (the integrands are
 formed in linear space), where 30 sigma vanishes next to |u| in double
@@ -267,36 +269,40 @@ def _window(u: float, sigma: float) -> tuple[float, float]:
     return max(0.0, abs(u) - width), abs(u) + width
 
 
-def _panels(inner, outer, sigma, lo=-math.inf, hi=math.inf, knots=()) -> list[tuple[float, float]]:
-    """Panels covering [lo, hi] intersected with inner <= |v| <= outer, cut at
-    0 and at the knots and into pieces at most _PANEL_SIGMAS sigma wide.
-    Empty when that set is, which includes a window that rounding has left
-    without width.  Raises ConvergenceError for more than _PANEL_CAP panels
-    or a sigma that is not finite."""
-    panels = []
+def _panels(inner, outer, sigma, lo=-math.inf, hi=math.inf, knots=()) -> np.ndarray:
+    """The (m, 2) edges of panels covering [lo, hi] intersected with inner <=
+    |v| <= outer, cut at 0 and at the knots and into pieces at most
+    _PANEL_SIGMAS sigma wide.  Empty when that set is, which includes a window
+    that rounding has left without width.  Raises ConvergenceError for more
+    than _PANEL_CAP panels or a sigma that is not finite."""
+    lo_edges, hi_edges, count = [], [], 0
     for a, b in ((max(-outer, lo), min(-inner, hi)), (max(inner, lo), min(outer, hi))):
         if b > a:
             cuts = [a, *(k for k in knots if a < k < b), b]
             for c, d in zip(cuts[:-1], cuts[1:]):
                 pieces = (d - c) / (_PANEL_SIGMAS * sigma)
-                if not len(panels) + pieces <= _PANEL_CAP:
+                if not count + pieces <= _PANEL_CAP:
                     raise ConvergenceError(
                         f"panel layout over [{c}, {d}] needs {pieces:.3g} panels of"
                         f" {_PANEL_SIGMAS:g} sigma, sigma = {sigma:.3g}, more than the cap of {_PANEL_CAP}"
                     )
                 edges = np.linspace(c, d, max(1, math.ceil(pieces)) + 1)
-                panels.extend(zip(edges[:-1], edges[1:]))
-    return panels
+                lo_edges.append(edges[:-1])
+                hi_edges.append(edges[1:])
+                count += edges.size - 1
+    if not lo_edges:
+        return np.empty((0, 2))
+    return np.array([np.concatenate(lo_edges), np.concatenate(hi_edges)]).T
 
 
 def _panel_levels(panels, exponent: float):
     """level(n) -> (v, w): nodes and weights, panel after panel, for the
-    integral of g(v) |v|^exponent over the panels at n nodes each, where no
-    panel's interior contains 0.  A panel with an endpoint at 0 moves the
-    weight into the Gauss-Jacobi rule of exponent (0, exponent); elsewhere
-    the weight is smooth and is evaluated at the Gauss-Legendre nodes.  A
-    level looks each rule up once and lays out all panels from it."""
-    a, b = np.array(panels, dtype=float).reshape(-1, 2).T
+    integral of g(v) |v|^exponent over the panels, (m, 2) edges, at n nodes
+    each, where no panel's interior contains 0.  A panel with an endpoint at
+    0 moves the weight into the Gauss-Jacobi rule of exponent (0, exponent);
+    elsewhere the weight is smooth and is evaluated at the Gauss-Legendre
+    nodes.  A level looks each rule up once and lays out all panels from it."""
+    a, b = panels.T
     mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
     at_zero = ((a == 0.0) | (b == 0.0)) & (exponent > 0.0)
     # (row, half-width, side) of the panels at 0, at most one on each side
@@ -321,9 +327,10 @@ def _panel_levels(panels, exponent: float):
     return level
 
 
-def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
+def _adaptive_panel_sum(panels, exponent, values, units):
     """Weighted sums sum_j w_j values(v_j) over all panels, doubling every
-    panel's node count until two levels agree to _PANEL_REL_TOL.
+    panel's node count until two levels agree to _PANEL_REL_TOL, up to
+    _PANEL_NODE_CAP.
 
     `values` maps a node array (m,) to integrand rows (k, m); `units` rescales
     the k sums to a common magnitude so the stopping test is relative in the
@@ -335,7 +342,7 @@ def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
     those of one call per level.
     """
     level = _panel_levels(panels, exponent)
-    ladder = list(node_ladder(NODE_START, max_nodes))
+    ladder = list(node_ladder(NODE_START, _PANEL_NODE_CAP))
     prev = None
     for calls in (ladder[:2], *([n] for n in ladder[2:])):
         layouts = [level(n) for n in calls]
@@ -352,35 +359,37 @@ def _adaptive_panel_sum(panels, exponent, values, units, max_nodes):
                 if np.abs(scaled).max() == 0.0:
                     return cur
             prev = cur
-    raise ConvergenceError(f"panel quadrature stalled at {max_nodes} nodes per panel")
+    raise ConvergenceError(f"panel quadrature stalled at {_PANEL_NODE_CAP} nodes per panel")
 
 
-def _positive_total(panels, exponent, values, max_nodes, integral, where) -> float:
+def _positive_total(panels, exponent, values, integral, where) -> float:
     """The one-row ladder sum of a kernel integral, or ConvergenceError where
     no value is representable: rounding left the window no width, or the
     linear-space integrand underflowed and the sum is 0."""
-    if not panels:
+    if not len(panels):
         raise ConvergenceError(
             f"integration window lost to rounding at {where}: 30 sigma vanishes next to the"
             " coordinate in double precision"
         )
-    total = float(_adaptive_panel_sum(panels, exponent, values, np.ones(1), max_nodes)[0])
+    total = float(_adaptive_panel_sum(panels, exponent, values, np.ones(1))[0])
     if not total > 0.0:
         raise ConvergenceError(f"{integral} underflowed at {where}: the integrand is below the double range")
     return total
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
-def _profile_moments(t, u, kappa_i, profile, max_nodes) -> np.ndarray:
+def _profile_moments(t, u, kappa_i, profile) -> np.ndarray:
     """(I0, I1, I2, It): the integrals of f(v) D p_t(u, v) |v|^(2 kappa) dv
     for D = id, d/du, d^2/du^2, d/dt, as a read-only array.  Differentiation
     happens under the integral sign, on the kernel factor, so the four share
-    one node set.  Callers pass all five arguments positionally: one key each."""
+    one node set.  Callers pass all four arguments positionally: one key each."""
     sigma = math.sqrt(2.0 * t)
     support = (sigma, profile.lo, profile.hi, profile.knots)
     # a support the window misses is integrated whole anyway: the result is
     # genuinely tiny rather than zero
-    panels = _panels(*_window(u, sigma), *support) or _panels(0.0, math.inf, *support)
+    panels = _panels(*_window(u, sigma), *support)
+    if not len(panels):
+        panels = _panels(0.0, math.inf, *support)
 
     def values(v):
         log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, u, v, kappa_i)
@@ -388,7 +397,7 @@ def _profile_moments(t, u, kappa_i, profile, max_nodes) -> np.ndarray:
         return np.stack([base, base * d1, base * (d2 + d1 * d1), base * dt])
 
     units = np.array([1.0, sigma, sigma * sigma, t])
-    moments = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, units, max_nodes)
+    moments = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, units)
     if not moments[0] > 0.0:
         raise ConvergenceError(
             f"solution mass underflowed at u = {u}, t = {t}: the point is too far"
@@ -398,7 +407,7 @@ def _profile_moments(t, u, kappa_i, profile, max_nodes) -> np.ndarray:
     return moments
 
 
-def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2, max_nodes):
+def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2):
     """moments(t, x): the cached moments of every coordinate at (t, x)."""
     if f.dimension != kappa.d:
         raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
@@ -406,10 +415,7 @@ def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2, max_nodes):
     def moments(t, x) -> list[np.ndarray]:
         t = _validate_time(t)
         x = _validate_point(x, kappa.d)
-        return [
-            _profile_moments(t, float(xi), k, p, max_nodes)
-            for xi, k, p in zip(x, kappa.values, f.profiles)
-        ]
+        return [_profile_moments(t, float(xi), k, p) for xi, k, p in zip(x, kappa.values, f.profiles)]
 
     return moments
 
@@ -418,26 +424,14 @@ def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2, max_nodes):
 # semigroup application
 
 
-def apply_semigroup(
-    f: InitialDatum,
-    t: float,
-    x,
-    kappa,
-    *,
-    max_nodes: int = _PANEL_NODE_CAP,
-) -> float:
+def apply_semigroup(f: InitialDatum, t: float, x, kappa) -> float:
     """u(t, x): the solution started from f, evaluated by per-coordinate
     panel quadrature; `semigroup_solution(...).value`.  Positive, or
     ConvergenceError where a coordinate's mass underflows."""
-    return semigroup_solution(f, kappa, max_nodes=max_nodes).value(t, x)
+    return semigroup_solution(f, kappa).value(t, x)
 
 
-def semigroup_solution(
-    f: InitialDatum,
-    kappa,
-    *,
-    max_nodes: int = _PANEL_NODE_CAP,
-) -> SpaceTimeField:
+def semigroup_solution(f: InitialDatum, kappa) -> SpaceTimeField:
     """The solution started from f, with space and time derivatives taken
     under the integral sign (they hit the kernel factors, which are known in
     closed form up to the tilted moments).
@@ -446,7 +440,7 @@ def semigroup_solution(
     bounded cache, so fields built for the same datum share their work, and
     raises ConvergenceError at a point where a coordinate's mass underflows
     rather than returning 0 (and a 0/0 gradient)."""
-    moments = _solution_moments(f, MultiplicityZ2.of(kappa), max_nodes)
+    moments = _solution_moments(f, MultiplicityZ2.of(kappa))
 
     def value(t, x) -> float:
         return float(np.prod([m[0] for m in moments(t, x)]))
@@ -466,13 +460,7 @@ def semigroup_solution(
 
 
 def liyau_for_solution(
-    f: InitialDatum,
-    t: float,
-    x,
-    kappa,
-    tol: float = DEFAULT_TOLERANCE,
-    *,
-    max_nodes: int = _PANEL_NODE_CAP,
+    f: InitialDatum, t: float, x, kappa, tol: float = DEFAULT_TOLERANCE
 ) -> VerificationReport:
     """-L log u(t, x) <= (d + 2 lambda)/(2t) for the solution u started from
     f, with L applied as the generic difference operator to the quadrature
@@ -481,7 +469,7 @@ def liyau_for_solution(
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
     x = _validate_point(x, kappa.d)
-    moments = functools.partial(_solution_moments(f, kappa, max_nodes), t)
+    moments = functools.partial(_solution_moments(f, kappa), t)
 
     def log_value(z) -> float:
         return float(sum(math.log(m[0]) for m in moments(z)))
@@ -531,7 +519,7 @@ HALF_WEIGHT_CONVENTION = MeasureConvention(
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
-def _plain_mass(t, u, kappa_i, exponent, max_nodes) -> float:
+def _plain_mass(t, u, kappa_i, exponent) -> float:
     """The integral of p_t(u, v) |v|^exponent dv."""
     sigma = math.sqrt(2.0 * t)
     panels = _panels(*_window(u, sigma), sigma)
@@ -540,7 +528,7 @@ def _plain_mass(t, u, kappa_i, exponent, max_nodes) -> float:
         log_p = kernel_derivatives_1d_batch(t, u, v, kappa_i)[0]
         return np.exp(log_p)[None, :]
 
-    return _positive_total(panels, exponent, values, max_nodes, "kernel mass", f"u = {u}, t = {t}")
+    return _positive_total(panels, exponent, values, "kernel mass", f"u = {u}, t = {t}")
 
 
 def normalization_check(
@@ -549,7 +537,6 @@ def normalization_check(
     kappa,
     tol: float = 1e-8,
     *,
-    max_nodes: int = _PANEL_NODE_CAP,
     convention: MeasureConvention = MARKOV_CONVENTION,
 ) -> VerificationReport:
     """integral of p_t(x, .) against the measure equals 1.
@@ -567,7 +554,7 @@ def normalization_check(
         exponent = float(convention.weight_exponent(k))
         if not exponent > -1.0:
             raise DomainError(f"weight exponent must exceed -1, got {exponent}")
-        lhs *= math.exp(shift) * _plain_mass(t, float(x[i]), k, exponent, max_nodes)
+        lhs *= math.exp(shift) * _plain_mass(t, float(x[i]), k, exponent)
     return VerificationReport.build(
         "kernel_normalization",
         (t, tuple(float(v) for v in x)),
@@ -578,16 +565,7 @@ def normalization_check(
     )
 
 
-def chapman_kolmogorov_check(
-    s: float,
-    t: float,
-    x,
-    y,
-    kappa,
-    tol: float = 1e-6,
-    *,
-    max_nodes: int = _PANEL_NODE_CAP,
-) -> VerificationReport:
+def chapman_kolmogorov_check(s: float, t: float, x, y, kappa, tol: float = 1e-6) -> VerificationReport:
     """integral of p_s(x, z) p_t(z, y) dmu(z) equals p_(s+t)(x, y), compared
     in relative terms since the kernel value sets the only natural scale."""
     kappa = MultiplicityZ2.of(kappa)
@@ -597,7 +575,7 @@ def chapman_kolmogorov_check(
     y = _validate_point(y, kappa.d)
     lhs = 1.0
     for i, k in enumerate(kappa.values):
-        lhs *= _ck_coordinate(s, t, float(x[i]), float(y[i]), k, max_nodes)
+        lhs *= _ck_coordinate(s, t, float(x[i]), float(y[i]), k)
     rhs = math.exp(log_kernel(s + t, x, y, kappa))
     return VerificationReport.build(
         "chapman_kolmogorov",
@@ -610,7 +588,7 @@ def chapman_kolmogorov_check(
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
-def _ck_coordinate(s, t, xi, yi, kappa_i, max_nodes) -> float:
+def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
     """The integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the
     window of the product's own Gaussian envelope.  Each kernel is at most
     its Gaussian in ||u| - |v||, and the two Gaussians multiply to
@@ -645,7 +623,6 @@ def _ck_coordinate(s, t, xi, yi, kappa_i, max_nodes) -> float:
         panels,
         2.0 * kappa_i,
         values,
-        max_nodes,
         "Chapman-Kolmogorov integral",
         f"x = {xi}, y = {yi}, s = {s}, t = {t}",
     )

@@ -1,5 +1,6 @@
 """Tilted moments, the kernel function E_kappa, and kernel derivatives."""
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -11,6 +12,7 @@ import pytest
 
 import _oracles as oracle
 import dunklheat
+from dunklheat import cli, kernel
 from dunklheat.kernel import (
     TILT_SWITCH,
     KernelPoint,
@@ -114,9 +116,11 @@ def test_moment_domain_errors():
         moment_ratios(float("inf"), 0.5)
 
 
-def test_moment_convergence_error_on_tiny_cap():
-    with pytest.raises(ConvergenceError):
-        moment_stats(np.array([3.0]), 0.5, max_nodes=32)
+def test_moment_convergence_error_on_tiny_cap(monkeypatch):
+    # one rung of the ladder: no two orders to compare
+    monkeypatch.setattr(kernel, "NODE_CAP", NODE_START)
+    with pytest.raises(ConvergenceError, match=f"did not settle within {NODE_START} nodes"):
+        moment_stats(np.array([3.0]), 0.5)
 
 
 def test_moment_stats_rejects_tilt_arrays_that_are_not_1d():
@@ -280,6 +284,16 @@ def test_kernel_log_survives_value_underflow():
     assert kernel_1d(0.01, 10.0, 0.0, 0.5) == 0.0  # underflow, not an error
 
 
+def test_heat_kernel_raises_overflow_error_past_the_float_range():
+    # log p = 1723.19 here; the value itself has no double
+    log_p = log_kernel(1e-300, [0.0], [0.0], [2.0])
+    assert log_p == pytest.approx(1723.19, abs=0.01)
+    with pytest.raises(OverflowError):
+        heat_kernel(1e-300, [0.0], [0.0], [2.0])
+    with pytest.raises(OverflowError):
+        kernel_1d(1e-300, 0.0, 0.0, 2.0)
+
+
 def test_log_kernel_at_tiny_time_is_finite():
     # p_t(0, 0) = 1/(4t) at kappa = 1/2 is past the float range but its log
     # is not, and no term divides by the 4t^2 that underflows to 0
@@ -349,7 +363,7 @@ def test_log_kernel_derivatives_match_finite_differences(t, x, y, kappa):
         def along(s, i=i):
             z = x.copy()
             z[i] = s
-            return log_kernel(t, z, y, kappa, rel_tol=1e-13)
+            return log_kernel(t, z, y, kappa)
 
         h = 1e-3 * (1.0 + abs(x[i])) * min(1.0, math.sqrt(t))
         d1 = oracle.central_d1(along, x[i], h)
@@ -357,7 +371,7 @@ def test_log_kernel_derivatives_match_finite_differences(t, x, y, kappa):
         assert abs(got.grad_x_log_p[i] - d1) <= 1e-7 * max(1.0, abs(d1))
         assert abs(got.hess_diag_x_log_p[i] - d2) <= 1e-6 * max(1.0, abs(d2))
     ht = 1e-4 * t
-    dt = oracle.central_d1(lambda s: log_kernel(s, x, y, kappa, rel_tol=1e-13), t, ht)
+    dt = oracle.central_d1(lambda s: log_kernel(s, x, y, kappa), t, ht)
     assert abs(got.dt_log_p - dt) <= 1e-7 * max(1.0, abs(dt))
 
 
@@ -442,24 +456,18 @@ def test_gaussian_branch_variance_term_is_zero_at_huge_coordinates():
 
 
 # ---------------------------------------------------------------------------
-# the tolerance of the moment ladder
+# the fixed accuracy contract of the ladders
 
 
-def test_only_kernel_functions_take_a_moment_tolerance():
+def test_no_public_function_takes_a_ladder_tolerance_or_cap(capsys):
     public = [getattr(dunklheat, name) for name in dunklheat.__all__]
-    takers = [
-        fn for fn in public if inspect.isfunction(fn) and "rel_tol" in inspect.signature(fn).parameters
-    ]
-    assert takers
-    assert {fn.__module__ for fn in takers} == {"dunklheat.kernel"}
+    functions = [fn for fn in public if inspect.isfunction(fn)]
+    assert dunklheat.moment_stats in functions and dunklheat.apply_semigroup in functions
+    for fn in functions:
+        assert not {"rel_tol", "max_nodes"} & set(inspect.signature(fn).parameters), fn.__name__
     assert "tol" not in inspect.signature(dunklheat.apply_semigroup).parameters
-    # a stale positional tolerance is a TypeError, not another setting
-    keyword_only = {
-        dunklheat.apply_semigroup: "max_nodes",
-        dunklheat.semigroup_solution: "max_nodes",
-        dunklheat.liyau_for_solution: "max_nodes",
-        dunklheat.normalization_check: "max_nodes",
-        dunklheat.chapman_kolmogorov_check: "max_nodes",
-    }
-    for fn, name in keyword_only.items():
-        assert inspect.signature(fn).parameters[name].kind is inspect.Parameter.KEYWORD_ONLY, fn.__name__
+    assert "max_nodes" not in {f.name for f in dataclasses.fields(cli.RunConfig)}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["semigroup-check", "--max-nodes", "512"])
+    assert exc.value.code == 2
+    assert "--max-nodes" in capsys.readouterr().err

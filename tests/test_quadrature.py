@@ -228,10 +228,22 @@ def test_cache_returns_identical_object():
     a = gauss_jacobi_rule(-0.5, 0.5, 16)
     b = gauss_jacobi_rule(-0.5, 0.5, 16)
     assert a is b
-    # keys collapse float noise below 15 significant digits
+    # distinct exponents are never merged, however close; -0.0 is 0.0
     c = gauss_jacobi_rule(0.1 + 0.2, 0.5, 16)
     d = gauss_jacobi_rule(0.3, 0.5, 16)
-    assert c is d
+    assert c is not d
+    assert gauss_jacobi_rule(-0.0, 0.5, 16) is gauss_jacobi_rule(0.0, 0.5, 16)
+    assert gauss_laguerre_rule(-0.0, 16) is gauss_laguerre_rule(0.0, 16)
+
+
+def test_cached_rules_carry_the_exponents_requested():
+    requested = [0.3, 0.1 + 0.2, 0.3 + 1e-15, 0.3 - 1e-15, -0.5, -0.5 + 1e-16, 2.0 / 3.0]
+    for first in (requested, requested[::-1]):
+        for x in first:
+            rule = gauss_jacobi_rule(x, 0.25, 8)
+            assert (rule.alpha, rule.beta) == (x, 0.25)
+            assert gauss_jacobi_rule(0.25, x, 8).beta == x
+            assert gauss_laguerre_rule(x, 8).exponent == x
 
 
 def test_cache_is_thread_safe():

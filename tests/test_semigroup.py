@@ -243,13 +243,12 @@ def test_panel_ladder_looks_each_rule_up_once_per_level(monkeypatch, exponent):
         return rule(alpha, beta, n)
 
     monkeypatch.setattr(semigroup, "gauss_jacobi_rule", counted)
+    monkeypatch.setattr(semigroup, "_PANEL_NODE_CAP", 128)
     panels = semigroup._panels(0.0, 2.3, 0.11)
     noise = np.random.default_rng(3)
     with pytest.raises(ConvergenceError, match="stalled at 128 nodes"):
         # noise never settles, so the ladder climbs through all three levels
-        semigroup._adaptive_panel_sum(
-            panels, exponent, lambda v: noise.random((1, v.size)), np.ones(1), 128
-        )
+        semigroup._adaptive_panel_sum(panels, exponent, lambda v: noise.random((1, v.size)), np.ones(1))
     kinds = [(0.0, 0.0)] + ([(0.0, exponent)] if exponent > 0.0 else [])
     assert lookups == {(*kind, n): 1 for kind in kinds for n in (32, 64, 128)}
 
@@ -279,7 +278,7 @@ def test_solution_moments_are_cached_read_only_and_bounded(monkeypatch):
     second.gradient(t, x)
     second.time_derivative(t, x)
     assert len(calls) == 2
-    moments = semigroup._profile_moments(t, 1.0, 0.5, f.profiles[0], 512)
+    moments = semigroup._profile_moments(t, 1.0, 0.5, f.profiles[0])
     assert not moments.flags.writeable
     with pytest.raises(ValueError):
         moments[0] = 0.0
@@ -347,7 +346,7 @@ def test_kernel_window_lost_to_rounding_raises_convergence_error(check, where):
     [
         # p_1(1, .) at kappa = 150 carries 1 / c_kappa ~ 1e-307 and no weight
         (
-            lambda: semigroup._plain_mass(1.0, 1.0, 150.0, 0.0, 512),
+            lambda: semigroup._plain_mass(1.0, 1.0, 150.0, 0.0),
             "kernel mass underflowed at u = 1.0, t = 1.0",
         ),
         (
