@@ -383,7 +383,10 @@ class KernelPoint:
 
     @property
     def p(self) -> float:
-        return math.exp(self.log_p) if self.log_p < 709.0 else math.inf
+        try:
+            return math.exp(self.log_p)
+        except OverflowError:
+            return math.inf
 
 
 def log_kernel_derivatives(t, x, y, kappa) -> KernelPoint:

@@ -30,16 +30,28 @@ called with positional arguments that name the point alone, since the
 accuracy contract is fixed: `_profile_moments` feeds every solution path,
 `_plain_mass` feeds `normalization_check` and `_ck_coordinate` feeds
 `chapman_kolmogorov_check`.  They raise ConvergenceError where no value is
-representable: where an integral underflows to 0 (the integrands are
-formed in linear space), where 30 sigma vanishes next to |u| in double
-precision, leaving a window no width, and where a layout would need more
-than _PANEL_CAP panels.
+representable: where an integral underflows to 0 or a Chapman-Kolmogorov
+integrand overflows (the integrands are formed in linear space), where 30
+sigma vanishes next to |u| in double precision, leaving a window no width,
+and where a layout would need more than _PANEL_CAP panels.
+
+A fourth LRU cache, `_log_row`, keeps the last _ROW_CACHE_SIZE (32)
+log-kernel rows log p_t(u, .) that Chapman-Kolmogorov integrands read,
+keyed on (t, u, kappa_i) and the bytes of the node array.  For kappa_i > 0
+the envelope's window depends on |x_i| and |y_i| alone, so the integrals of
+(x_i, y_i) and (x_i, -y_i) lay out the same nodes and share the row of x_i;
+at s = t and x_i = y_i the two factors are one row.  Default
+`semigroup-check` reads 252 rows and computes 100.  An entry holds 16 bytes
+per node, the key's and the row's.  A 60-sigma window cut every 8 sigma is
+at most 16 panels, so an entry has at most 16 * 512 nodes, 128 KiB, and the
+cache holds at most 4 MiB.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,6 +110,11 @@ _PANEL_REL_TOL = 1e-10
 _PANEL_CAP = 10_000
 _PROFILE_SAMPLES = 257
 _SOLUTION_CACHE_SIZE = 4096
+# log-kernel rows kept for the Chapman-Kolmogorov integrals.  Default
+# semigroup-check reuses a row at most 19 distinct rows later, when (s, t)
+# and (t, s) at x_i = y_i share both; at 16 it recomputed 6 of its 100 rows
+_ROW_CACHE_SIZE = 32
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +411,9 @@ def _profile_moments(t, u, kappa_i, profile) -> np.ndarray:
     def values(v):
         log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, u, v, kappa_i)
         base = np.asarray(profile.fn(v), dtype=float) * np.exp(log_p)
+        # far from the support the kernel underflows to 0 while d1^2 can
+        # overflow: 0 * inf would be NaN where the integrand is simply 0
+        d1, d2, dt = (np.where(base == 0.0, 0.0, d) for d in (d1, d2, dt))
         return np.stack([base, base * d1, base * (d2 + d1 * d1), base * dt])
 
     units = np.array([1.0, sigma, sigma * sigma, t])
@@ -614,18 +634,29 @@ def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
         center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
     panels = _panels(*_window(center, sigma), sigma)
 
-    def values(v):
-        lp_s = kernel_derivatives_1d_batch(s, xi, v, kappa_i)[0]
-        lp_t = kernel_derivatives_1d_batch(t, yi, v, kappa_i)[0]
-        return np.exp(lp_s + lp_t)[None, :]
+    where = f"x = {xi}, y = {yi}, s = {s}, t = {t}"
 
-    return _positive_total(
-        panels,
-        2.0 * kappa_i,
-        values,
-        "Chapman-Kolmogorov integral",
-        f"x = {xi}, y = {yi}, s = {s}, t = {t}",
-    )
+    def values(v):
+        nodes = v.tobytes()
+        log_product = _log_row(s, xi, kappa_i, nodes) + _log_row(t, yi, kappa_i, nodes)
+        if (log_product > _LOG_DOUBLE_MAX).any():
+            raise ConvergenceError(
+                f"Chapman-Kolmogorov integrand overflows the double range at {where}: the"
+                " kernel product is formed in linear space"
+            )
+        return np.exp(log_product)[None, :]
+
+    return _positive_total(panels, 2.0 * kappa_i, values, "Chapman-Kolmogorov integral", where)
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _log_row(t, u, kappa_i, nodes) -> np.ndarray:
+    """log p_t(u, v) at the nodes v whose float64 bytes are `nodes`, as a
+    read-only array shared by every integrand that reads it.  u = -0.0
+    shares the key of 0.0, which leaves log p unchanged."""
+    row = kernel_derivatives_1d_batch(t, u, np.frombuffer(nodes), kappa_i)[0]
+    row.setflags(write=False)
+    return row
 
 
 def heat_residual(t: float, x, y, kappa) -> float:

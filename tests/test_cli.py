@@ -146,6 +146,17 @@ class TestKernelEval:
             assert len(extra["hess_diag_x_log_p"]) == 1
             assert isinstance(extra["dt_log_p"], float)
 
+    # a numpy warning would print to stderr outside pytest
+    @pytest.mark.filterwarnings("error")
+    def test_kernel_value_is_written_up_to_the_float_range(self, capsys):
+        # log p = 709.5: p = exp(709.5) = 1.35e308 is a double, not null
+        argv = ["kernel-eval", "--kappa", "2", "--t", "1.2465553432995325e-124", "--coords", "0"]
+        code, out, err = run_cli([*argv, "--reproducible"], capsys)
+        assert (code, err) == (0, "")
+        _, (row,) = parse_jsonl(out)
+        assert row["lhs"] == 709.5
+        assert row["extra"]["p"] == math.exp(709.5)
+
 
 class TestSolutionAndHarnack:
     def test_solution_scan_passes_on_small_grid(self, capsys):
@@ -426,6 +437,33 @@ class TestExitCodes:
         assert code == 3
         assert "convergence failure" in err
         assert "[grid point [0.01, [40.0]]]" in err
+
+    # a numpy warning would print to stderr outside pytest
+    @pytest.mark.filterwarnings("error")
+    def test_far_field_solution_point_returns_three_with_grid_point(self, capsys):
+        # p_1(1e200, v) underflows to 0 on the support, where (d/du log p)^2
+        # overflows: the mass underflow is reported, not a stalled ladder
+        argv = ["solution-scan", "--kappa", "0", "--t", "1", "--coords", "1e200"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("convergence failure: solution mass underflowed at u = 1e+200, t = 1.0:")
+        assert err.endswith("[grid point [1.0, [1e+200]]]\n") and err.count("\n") == 1
+
+    # a numpy warning would print to stderr outside pytest
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_kernel_product_returns_three_with_grid_point(self, capsys):
+        # p_s(0, 0) p_t(0, 0) = 1 / (16 s t) at kappa = 0.5 is past the float
+        # range at s = t = 1e-300, though the log of each factor is finite
+        argv = ["semigroup-check", "--kappa", "0.5", "--t", "1e-300", "--coords", "0"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "convergence failure: Chapman-Kolmogorov integrand overflows the double range at"
+            " x = 0.0, y = 0.0, s = 1e-300, t = 1e-300:"
+        )
+        assert err.endswith("[grid point [1e-300, 1e-300, [0.0], [0.0]]]\n") and err.count("\n") == 1
 
     def test_underflowed_kernel_product_returns_three_with_grid_point(self, capsys):
         # at kappa = 80 the integrand p_1(1, v) p_1(v, 1) underflows in linear

@@ -294,6 +294,14 @@ def test_heat_kernel_raises_overflow_error_past_the_float_range():
         kernel_1d(1e-300, 0.0, 0.0, 2.0)
 
 
+def test_kernel_point_value_is_finite_up_to_the_float_range():
+    # log p = 709.5 at kappa = 2, x = y = 0: exp(709.5) = 1.35e308 is a double
+    point = log_kernel_derivatives(1.2465553432995325e-124, [0.0], [0.0], [2.0])
+    assert point.log_p == 709.5
+    assert point.p == math.exp(709.5) == pytest.approx(1.355e308, rel=1e-3)
+    assert log_kernel_derivatives(1e-300, [0.0], [0.0], [2.0]).p == math.inf
+
+
 def test_log_kernel_at_tiny_time_is_finite():
     # p_t(0, 0) = 1/(4t) at kappa = 1/2 is past the float range but its log
     # is not, and no term divides by the 4t^2 that underflows to 0

@@ -5,6 +5,7 @@ for solutions started from product bumps."""
 import collections
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -289,6 +290,7 @@ def _clear_coordinate_caches():
     for cache in (semigroup._profile_moments, semigroup._plain_mass, semigroup._ck_coordinate):
         cache.cache_clear()
         assert cache.cache_info().maxsize == semigroup._SOLUTION_CACHE_SIZE
+    semigroup._log_row.cache_clear()
 
 
 def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkeypatch, capsys):
@@ -307,6 +309,40 @@ def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkey
     for layout, _, values, *_ in calls:
         panels[values.__qualname__.split(".")[0]] += len(layout)
     assert panels["_ck_coordinate"] == 1248
+
+
+def test_chapman_kolmogorov_integrals_compute_each_kernel_row_once(monkeypatch, capsys):
+    _clear_coordinate_caches()
+    rows, computed = [], []
+    log_row, batch = semigroup._log_row, semigroup.kernel_derivatives_1d_batch
+
+    def requested(t, u, kappa_i, nodes):
+        # u = -0.0 shares the key of 0.0
+        rows.append((t, u + 0.0, kappa_i, nodes))
+        return log_row(t, u, kappa_i, nodes)
+
+    def evaluated(t, u, v, kappa_i):
+        if sys._getframe(1).f_code.co_name == "_log_row":
+            computed.append((t, u + 0.0, kappa_i, v.tobytes()))
+        return batch(t, u, v, kappa_i)
+
+    monkeypatch.setattr(semigroup, "_log_row", requested)
+    monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", evaluated)
+    assert cli.main(["semigroup-check", "--reproducible"]) == 0
+    # each of the 7 * 2 * 9 integrals settles in its first ladder call, which
+    # reads two rows; most are shared by (x_i, y_i) and (x_i, -y_i) or by the
+    # two factors at s = t, x_i = y_i
+    assert len(rows) == 252
+    assert len(computed) == len(set(rows)) == 100
+    assert set(computed) == set(rows)
+
+
+def test_log_row_is_cached_and_read_only():
+    v = np.linspace(-2.0, 2.0, 9)
+    row = semigroup._log_row(0.5, 1.0, 0.5, v.tobytes())
+    assert semigroup._log_row(0.5, 1.0, 0.5, v.tobytes()) is row
+    assert not row.flags.writeable
+    np.testing.assert_array_equal(row, semigroup.kernel_derivatives_1d_batch(0.5, 1.0, v, 0.5)[0])
 
 
 def test_kernel_checks_read_cached_coordinate_integrals(monkeypatch):
