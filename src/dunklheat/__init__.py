@@ -4,174 +4,12 @@ inequalities the kernel satisfies."""
 
 __version__ = "0.1.0"
 
-from .inequalities import (
-    DEFAULT_COORDS,
-    DEFAULT_TIMES,
-    DEFAULT_TOLERANCE,
-    CoordinateTable,
-    GridExtrema,
-    LiYauCoordinate,
-    LiYauDecomposition,
-    VerificationReport,
-    f_of_a,
-    gradient_form_check,
-    h_of_a,
-    harnack_check,
-    iter_liyau_grid,
-    iter_liyau_points,
-    iter_liyau_reports,
-    kernel_solution_field,
-    liyau_coordinate_table,
-    liyau_deficit_1d,
-    liyau_functional,
-    liyau_grid_extrema,
-    liyau_report,
-    log_convexity_check,
-    log_convexity_midpoint_check,
-    log_kernel_field,
-)
-from .kernel import (
-    TILT_SWITCH,
-    KernelPoint,
-    MomentRatios,
-    e_kappa,
-    heat_kernel,
-    kernel_1d,
-    kernel_derivatives_1d_batch,
-    log_e_kappa,
-    log_gaussian_mass,
-    log_kernel,
-    log_kernel_1d,
-    log_kernel_derivatives,
-    moment_ratios,
-    moment_stats,
-)
-from .operators import (
-    EPS_REFLECTION_SCALE,
-    PSI_CUBE,
-    PSI_EXP,
-    PSI_LOG,
-    PSI_SQUARE,
-    ChainRuleResidual,
-    MultiplicityZ2,
-    ScalarField,
-    SmoothFunction,
-    SpaceTimeField,
-    chain_rule_residual,
-    compose_field,
-    dunkl_derivative,
-    dunkl_gradient,
-    dunkl_laplacian,
-    pi_psi,
-    reflect,
-    reflection_epsilon,
-)
-from .quadrature import (
-    ConvergenceError,
-    DomainError,
-    HalflineRule,
-    JacobiRule,
-    gauss_jacobi_rule,
-    gauss_laguerre_rule,
-    halfline_rule,
-    log_gamma,
-)
-from .semigroup import (
-    HALF_WEIGHT_CONVENTION,
-    MARKOV_CONVENTION,
-    InitialDatum,
-    MeasureConvention,
-    Profile,
-    WeightedMeasure,
-    apply_semigroup,
-    bump_profile,
-    chapman_kolmogorov_check,
-    heat_residual,
-    liyau_for_solution,
-    normalization_check,
-    semigroup_solution,
-    two_bump_profile,
-    uniform_profile,
-)
+from . import inequalities, kernel, operators, quadrature, semigroup
+from .inequalities import *  # noqa: F403
+from .kernel import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .semigroup import *  # noqa: F403
 
-__all__ = [
-    "DEFAULT_COORDS",
-    "DEFAULT_TIMES",
-    "DEFAULT_TOLERANCE",
-    "EPS_REFLECTION_SCALE",
-    "HALF_WEIGHT_CONVENTION",
-    "MARKOV_CONVENTION",
-    "PSI_CUBE",
-    "PSI_EXP",
-    "PSI_LOG",
-    "PSI_SQUARE",
-    "TILT_SWITCH",
-    "ChainRuleResidual",
-    "ConvergenceError",
-    "CoordinateTable",
-    "DomainError",
-    "GridExtrema",
-    "HalflineRule",
-    "InitialDatum",
-    "JacobiRule",
-    "KernelPoint",
-    "LiYauCoordinate",
-    "LiYauDecomposition",
-    "MeasureConvention",
-    "MomentRatios",
-    "MultiplicityZ2",
-    "Profile",
-    "ScalarField",
-    "SmoothFunction",
-    "SpaceTimeField",
-    "VerificationReport",
-    "WeightedMeasure",
-    "apply_semigroup",
-    "bump_profile",
-    "chain_rule_residual",
-    "chapman_kolmogorov_check",
-    "compose_field",
-    "dunkl_derivative",
-    "dunkl_gradient",
-    "dunkl_laplacian",
-    "e_kappa",
-    "f_of_a",
-    "gauss_jacobi_rule",
-    "gauss_laguerre_rule",
-    "gradient_form_check",
-    "h_of_a",
-    "halfline_rule",
-    "harnack_check",
-    "heat_kernel",
-    "heat_residual",
-    "iter_liyau_grid",
-    "iter_liyau_points",
-    "iter_liyau_reports",
-    "kernel_1d",
-    "kernel_derivatives_1d_batch",
-    "kernel_solution_field",
-    "liyau_coordinate_table",
-    "liyau_deficit_1d",
-    "liyau_for_solution",
-    "liyau_functional",
-    "liyau_grid_extrema",
-    "liyau_report",
-    "log_convexity_check",
-    "log_convexity_midpoint_check",
-    "log_e_kappa",
-    "log_gamma",
-    "log_gaussian_mass",
-    "log_kernel",
-    "log_kernel_1d",
-    "log_kernel_derivatives",
-    "log_kernel_field",
-    "moment_ratios",
-    "moment_stats",
-    "normalization_check",
-    "pi_psi",
-    "reflect",
-    "reflection_epsilon",
-    "semigroup_solution",
-    "two_bump_profile",
-    "uniform_profile",
-]
+# a public name is declared once, in its module's __all__
+__all__ = sorted({name for m in (inequalities, kernel, operators, quadrature, semigroup) for name in m.__all__})

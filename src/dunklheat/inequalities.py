@@ -16,7 +16,6 @@ would lose digits on its own when t is small.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
@@ -33,7 +32,6 @@ from .kernel import (
 from .operators import (
     EPS_REFLECTION_SCALE,
     MultiplicityZ2,
-    ScalarField,
     SpaceTimeField,
     _validate_point,
     _validate_time,
@@ -53,18 +51,13 @@ __all__ = [
     "gradient_form_check",
     "h_of_a",
     "harnack_check",
-    "iter_liyau_grid",
     "iter_liyau_points",
-    "iter_liyau_reports",
     "kernel_solution_field",
     "liyau_coordinate_table",
-    "liyau_deficit_1d",
     "liyau_functional",
     "liyau_grid_extrema",
-    "liyau_report",
     "log_convexity_check",
     "log_convexity_midpoint_check",
-    "log_kernel_field",
 ]
 
 DEFAULT_TOLERANCE = 1e-9
@@ -321,21 +314,10 @@ def iter_liyau_points(points, kappa) -> Iterator[LiYauDecomposition]:
     )
 
 
-def liyau_report(t, x, y, kappa, tol: float = DEFAULT_TOLERANCE) -> VerificationReport:
-    """Li-Yau bound for the heat kernel at one grid point."""
-    return liyau_functional(t, x, y, kappa).report(tol)
-
-
 # ---------------------------------------------------------------------------
 # grid scans: the deficit is an exact sum of per-coordinate terms, so every
 # point of a product grid reads its terms from one small table per
 # (t, kappa_i); liyau_coordinate_table is the only place they are computed
-
-
-def liyau_deficit_1d(t, u, v, kappa_i) -> float:
-    """The coordinate deficit at one (t, x_i, y_i)."""
-    t, u, v = (np.array([w]) for w in (_validate_time(t), float(u), float(v)))
-    return _liyau_terms(t, u, v, float(kappa_i))[-1][0]
 
 
 @dataclass(frozen=True)
@@ -451,59 +433,8 @@ def _walk_tables(axes, index_pairs) -> Iterator[tuple[tuple, tuple, tuple]]:
         yield ix, iy, tuple(map(tuple.__getitem__, rows, iy))
 
 
-def iter_liyau_grid(
-    t: float,
-    kappa,
-    coords: Sequence[float] = DEFAULT_COORDS,
-) -> Iterator[LiYauDecomposition]:
-    """The decomposition at every point (x, y) of the product grid at time
-    t, in lexicographic index order.  Terms are read from one coordinate
-    table per distinct kappa_i; the tables are built before this returns,
-    so a table that fails raises here."""
-    t = _validate_time(t)
-    kappa = MultiplicityZ2.of(kappa)
-    coords = tuple(float(c) for c in coords)
-    tables = _liyau_tables(t, kappa.values, coords)
-    axes = [tables[k].entries for k in kappa.values]
-    index = itertools.product(range(len(coords)), repeat=kappa.d)
-    index_pairs = itertools.product(index, repeat=2)
-    point = coords.__getitem__
-    return (
-        LiYauDecomposition(
-            t=t, x=tuple(map(point, ix)), y=tuple(map(point, iy)), kappa=kappa, coordinates=entries
-        )
-        for ix, iy, entries in _walk_tables(axes, index_pairs)
-    )
-
-
-def iter_liyau_reports(
-    t_values: Sequence[float],
-    kappa,
-    coords: Sequence[float] = DEFAULT_COORDS,
-    tol: float = DEFAULT_TOLERANCE,
-) -> Iterator[VerificationReport]:
-    """All Li-Yau reports on the product grid, assembled from coordinate
-    tables; rows stream in lexicographic (t, x, y) order."""
-    for t in sorted(_validate_time(v) for v in t_values):
-        for dec in iter_liyau_grid(t, kappa, coords):
-            yield dec.report(tol)
-
-
 # ---------------------------------------------------------------------------
 # fields built from the kernel
-
-
-def log_kernel_field(t, y, kappa) -> ScalarField:
-    """x -> log p_t(x, y) with its analytic derivatives, for feeding the
-    generic Dunkl operators."""
-    kappa = MultiplicityZ2.of(kappa)
-    y = _validate_point(y, kappa.d)
-    t = _validate_time(t)
-    return ScalarField(
-        value=lambda x: log_kernel(t, x, y, kappa),
-        gradient=lambda x: np.asarray(log_kernel_derivatives(t, x, y, kappa).grad_x_log_p),
-        hessian_diag=lambda x: np.asarray(log_kernel_derivatives(t, x, y, kappa).hess_diag_x_log_p),
-    )
 
 
 def kernel_solution_field(y0, kappa) -> SpaceTimeField:
@@ -560,6 +491,7 @@ def gradient_form_check(
     tol: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """|grad u|^2/u^2 - (d_t u)/u <= beta at (t, x)."""
+    t = _validate_time(t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     value = float(u.value(t, x))
     if not (math.isfinite(value) and value > 0.0):
@@ -569,7 +501,7 @@ def gradient_form_check(
     lhs = float(grad @ grad) / (value * value) - dt / value
     return VerificationReport.build(
         claim_id="gradient_form",
-        grid_point=(float(t), tuple(x)),
+        grid_point=(t, tuple(x)),
         lhs=lhs,
         rhs=float(beta),
         tolerance=tol,
@@ -591,9 +523,9 @@ def harnack_check(
     Compared in log space: the right-hand side overflows long before the
     inequality gets interesting.
     """
-    s = float(s)
-    t = float(t)
-    if not (0.0 < s < t):
+    s = _validate_time(s)
+    t = _validate_time(t)
+    if not s < t:
         raise DomainError(f"need 0 < s < t, got s={s!r}, t={t!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))

@@ -55,14 +55,10 @@ __all__ = [
     "KernelPoint",
     "MomentRatios",
     "TILT_SWITCH",
-    "e_kappa",
-    "heat_kernel",
-    "kernel_1d",
     "kernel_derivatives_1d_batch",
     "log_e_kappa",
     "log_gaussian_mass",
     "log_kernel",
-    "log_kernel_1d",
     "log_kernel_derivatives",
     "moment_ratios",
     "moment_stats",
@@ -271,12 +267,6 @@ def log_e_kappa(x: float, y: float, kappa: float) -> float:
     return _tilted_terms(a, kappa)[0]
 
 
-def e_kappa(x: float, y: float, kappa: float) -> float:
-    """E_kappa(x, y) itself; raises OverflowError where only the log form
-    can represent the value."""
-    return math.exp(log_e_kappa(x, y, kappa))
-
-
 class _Coordinate(NamedTuple):
     """One coordinate of log p_t(u, v) and its derivatives in u and t; each
     entry is a float or an array shaped like v."""
@@ -333,16 +323,6 @@ def _coordinate(t, u, v, kappa: float) -> _Coordinate:
     return _Coordinate(a, log_p, d_u, variance_term, -1.0 / (2.0 * t) + variance_term, d_t)
 
 
-def log_kernel_1d(t: float, u: float, v: float, kappa: float) -> float:
-    """log p_t(u, v) for one coordinate."""
-    return _coordinate(_validate_time(t), float(u), float(v), float(kappa)).log_p
-
-
-def kernel_1d(t: float, u: float, v: float, kappa: float) -> float:
-    """p_t(u, v) for one coordinate (symmetric and strictly positive)."""
-    return math.exp(log_kernel_1d(t, u, v, kappa))
-
-
 def log_kernel(t, x, y, kappa) -> float:
     """log p_t(x, y), the sum of the per-coordinate logs."""
     t = _validate_time(t)
@@ -350,12 +330,6 @@ def log_kernel(t, x, y, kappa) -> float:
     x = _validate_point(x, kappa.d).tolist()
     y = _validate_point(y, kappa.d).tolist()
     return float(sum(_coordinate(t, u, v, k).log_p for u, v, k in zip(x, y, kappa.values)))
-
-
-def heat_kernel(t, x, y, kappa) -> float:
-    """p_t(x, y).  Underflows to 0.0 in the far field and raises
-    OverflowError where only log_kernel can represent the value."""
-    return math.exp(log_kernel(t, x, y, kappa))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ instead of losing everything to cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "chain_rule_residual",
     "compose_field",
     "dunkl_derivative",
-    "dunkl_gradient",
     "dunkl_laplacian",
     "pi_psi",
     "reflect",
@@ -47,12 +46,16 @@ __all__ = [
 
 # hyperplane threshold is relative to the point's size: 1e-7 * (1 + |x|)
 EPS_REFLECTION_SCALE = 1e-7
+# smallest positive multiplicity of the documented domain; below it the
+# tilted moments lose their stated accuracy and then their range checks
+_KAPPA_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
 class MultiplicityZ2:
-    """Multiplicity function on the roots of Z_2^d: one kappa_i >= 0 per
-    coordinate, constant on each conjugacy class (here: each coordinate)."""
+    """Multiplicity function on the roots of Z_2^d: one kappa_i per
+    coordinate, constant on each conjugacy class (here: each coordinate).
+    Each kappa_i is 0 or at least 1e-8, the documented domain."""
 
     values: tuple[float, ...]
 
@@ -62,6 +65,10 @@ class MultiplicityZ2:
         for k in self.values:
             if not (math.isfinite(k) and k >= 0.0):
                 raise DomainError(f"multiplicities must be finite and >= 0, got {k!r}")
+            if 0.0 < k < _KAPPA_FLOOR:
+                raise DomainError(
+                    f"multiplicity {k!r} is below the floor {_KAPPA_FLOOR:g}: each must be 0 or >= {_KAPPA_FLOOR:g}"
+                )
 
     @classmethod
     def of(cls, values) -> "MultiplicityZ2":
@@ -79,9 +86,6 @@ class MultiplicityZ2:
     def lambda_total(self) -> float:
         """lambda_kappa = sum_i kappa_i, the homogeneity shift of the measure."""
         return float(sum(self.values))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 def _validate_time(t) -> float:
@@ -122,15 +126,14 @@ class ScalarField:
     """A scalar function with analytic first and diagonal second derivatives.
 
     value, gradient, hessian_diag are callables of a point in R^d.  Fields
-    built by `from_callable` differentiate numerically instead and are
-    flagged `analytic=False`: good to ~1e-10 (gradient) and ~1e-9 (hessian),
-    not to the 1e-12 the analytic contracts assume.
+    built by `from_callable` differentiate numerically instead: good to
+    ~1e-10 (gradient) and ~1e-9 (hessian), not to the 1e-12 the analytic
+    contracts assume.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian_diag: Callable[[np.ndarray], np.ndarray]
-    analytic: bool = True
 
     @classmethod
     def from_callable(cls, f: Callable[[np.ndarray], float], rel_step: float = 1e-5):
@@ -167,7 +170,7 @@ class ScalarField:
                 ) / (12 * h * h)
             return out
 
-        return cls(value=f, gradient=gradient, hessian_diag=hessian_diag, analytic=False)
+        return cls(value=f, gradient=gradient, hessian_diag=hessian_diag)
 
 
 @dataclass(frozen=True)
@@ -215,9 +218,7 @@ def compose_field(psi: SmoothFunction, f: ScalarField) -> ScalarField:
         g = f.gradient(x)
         return psi.second_deriv(fx) * g * g + psi.deriv(fx) * f.hessian_diag(x)
 
-    return ScalarField(
-        value=value, gradient=gradient, hessian_diag=hessian_diag, analytic=f.analytic
-    )
+    return ScalarField(value=value, gradient=gradient, hessian_diag=hessian_diag)
 
 
 def dunkl_derivative(f: ScalarField, x, axis: int, kappa) -> float:
@@ -234,13 +235,6 @@ def dunkl_derivative(f: ScalarField, x, axis: int, kappa) -> float:
     if abs(x[axis]) < reflection_epsilon(x):
         return (1.0 + 2.0 * k) * di
     return di + k / x[axis] * (f.value(x) - f.value(reflect(x, axis)))
-
-
-def dunkl_gradient(f: ScalarField, x, kappa) -> np.ndarray:
-    """All d Dunkl derivatives at once."""
-    kappa = MultiplicityZ2.of(kappa)
-    x = _validate_point(x, kappa.d)
-    return np.array([dunkl_derivative(f, x, i, kappa) for i in range(x.size)])
 
 
 def dunkl_laplacian(f: ScalarField, x, kappa) -> float:

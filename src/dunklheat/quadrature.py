@@ -25,17 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NODE_CAP",
-    "NODE_START",
     "ConvergenceError",
     "DomainError",
-    "HalflineRule",
-    "JacobiRule",
+    "GaussRule",
     "gauss_jacobi_rule",
     "gauss_laguerre_rule",
-    "halfline_rule",
     "log_gamma",
-    "node_ladder",
 ]
 
 NODE_START = 32
@@ -64,16 +59,13 @@ def log_gamma(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class JacobiRule:
-    """n-point Gauss rule for integrals of f(s) (1-s)^alpha (1+s)^beta ds
-    over [-1, 1].
-
-    Exact for polynomial f up to degree 2n - 1.  Arrays are read-only; rules
-    are shared through the cache and must never be mutated.
+class GaussRule:
+    """n-point Gauss rule of a weight function: sum(weights * f(nodes))
+    integrates f against the weight, exactly for polynomial f up to degree
+    2n - 1.  Nodes increase.  Arrays are read-only; rules are shared
+    through the cache and must never be mutated.
     """
 
-    alpha: float
-    beta: float
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -81,39 +73,8 @@ class JacobiRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values sampled at `nodes`."""
-        return float(self.weights @ np.asarray(values))
-
-
-@dataclass(frozen=True)
-class HalflineRule:
-    """n-point Gauss rule for integrals of f(u) u^exponent e^(-u) du over
-    [0, inf), with exponent = kappa - 1/2 in the intended use (the image of
-    the weight |y|^(2 kappa) e^(-c y^2) under u = c y^2)."""
-
-    exponent: float
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values sampled at `nodes`."""
-        return float(self.weights @ np.asarray(values))
-
-
-_CACHE: dict[tuple, object] = {}
+_CACHE: dict[tuple, GaussRule] = {}
 _CACHE_LOCK = threading.Lock()
 
 
@@ -146,7 +107,7 @@ def _golub_welsch(diag, off, mu0):
     return vals, mu0 * vecs[0, :] ** 2
 
 
-def _build_jacobi(alpha: float, beta: float, n: int) -> JacobiRule:
+def _build_jacobi(alpha: float, beta: float, n: int) -> GaussRule:
     ab = alpha + beta
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)
@@ -183,11 +144,12 @@ def _build_jacobi(alpha: float, beta: float, n: int) -> JacobiRule:
         raise RuntimeError(f"negative Jacobi weight for {(alpha, beta, n)}")
     if abs(float(weights.sum()) - mu0) > _WEIGHT_SUM_RTOL * mu0:
         raise RuntimeError(f"Jacobi weight sum off for {(alpha, beta, n)}")
-    return JacobiRule(alpha=alpha, beta=beta, nodes=nodes, weights=weights)
+    return GaussRule(nodes=nodes, weights=weights)
 
 
-def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> JacobiRule:
-    """Cached n-point Gauss-Jacobi rule for exponents alpha, beta > -1.
+def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> GaussRule:
+    """Cached n-point Gauss-Jacobi rule, weight (1-s)^alpha (1+s)^beta on
+    [-1, 1], for exponents alpha, beta > -1.
 
     Weight sum equals 2^(alpha+beta+1) B(alpha+1, beta+1); nodes of
     successive orders interlace.  Raises DomainError for exponents <= -1 or
@@ -203,7 +165,7 @@ def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> JacobiRule:
     return _cached(key, lambda: _build_jacobi(alpha, beta, n))
 
 
-def _build_laguerre(exponent: float, n: int):
+def _build_laguerre(exponent: float, n: int) -> GaussRule:
     k = np.arange(float(n))
     diag = 2.0 * k + exponent + 1.0
     off = np.sqrt(k[1:] * (k[1:] + exponent)) if n > 1 else np.empty(0)
@@ -220,11 +182,12 @@ def _build_laguerre(exponent: float, n: int):
         raise RuntimeError(f"negative Laguerre weight for {(exponent, n)}")
     if abs(float(weights.sum()) - mu0) > _WEIGHT_SUM_RTOL * mu0:
         raise RuntimeError(f"Laguerre weight sum off for {(exponent, n)}")
-    return nodes, weights
+    return GaussRule(nodes=nodes, weights=weights)
 
 
-def gauss_laguerre_rule(exponent: float, n: int) -> HalflineRule:
-    """Cached n-point generalized Gauss-Laguerre rule, weight u^exponent e^(-u).
+def gauss_laguerre_rule(exponent: float, n: int) -> GaussRule:
+    """Cached n-point generalized Gauss-Laguerre rule, weight u^exponent e^(-u)
+    on [0, inf).
 
     exponent must exceed -1.  Weight sum equals Gamma(exponent + 1).
     """
@@ -233,26 +196,7 @@ def gauss_laguerre_rule(exponent: float, n: int) -> HalflineRule:
     if not exponent > -1.0:
         raise DomainError(f"Laguerre exponent must exceed -1, got {exponent}")
     key = ("laguerre", exponent, n)
-
-    def build():
-        nodes, weights = _build_laguerre(exponent, n)
-        return HalflineRule(exponent=exponent, nodes=nodes, weights=weights)
-
-    return _cached(key, build)
-
-
-def halfline_rule(kappa: float, n: int) -> HalflineRule:
-    """Cached rule for integrals of g(y) y^(2 kappa) e^(-c y^2) dy over
-    [0, inf): substituting u = c y^2 gives weight u^(kappa - 1/2) e^(-u)
-    (times the constant c^(-kappa-1/2) / 2, which the caller owns).
-
-    kappa must be positive; kappa = 0 integrals are plain Gaussian moments
-    and never come through here.
-    """
-    kappa = float(kappa)
-    if not kappa > 0.0:
-        raise DomainError(f"halfline_rule requires kappa > 0, got {kappa}")
-    return gauss_laguerre_rule(kappa - 0.5, n)
+    return _cached(key, lambda: _build_laguerre(exponent, n))
 
 
 def node_ladder(start: int = NODE_START, cap: int = NODE_CAP):

@@ -1,4 +1,4 @@
-"""The weighted measure, the semigroup action, and global kernel identities.
+"""The semigroup action and the global kernel identities.
 
 Everything here reduces to one-dimensional integrals against the weight
 |v|^(2 kappa): the kernel factorizes over coordinates, so applying the
@@ -77,20 +77,14 @@ from .quadrature import (
     ConvergenceError,
     DomainError,
     gauss_jacobi_rule,
-    gauss_laguerre_rule,
-    halfline_rule,
-    log_gamma,
     node_ladder,
 )
 
 __all__ = [
-    "HALF_WEIGHT_CONVENTION",
     "MARKOV_CONVENTION",
     "InitialDatum",
     "MeasureConvention",
     "Profile",
-    "WeightedMeasure",
-    "apply_semigroup",
     "bump_profile",
     "chapman_kolmogorov_check",
     "heat_residual",
@@ -98,7 +92,6 @@ __all__ = [
     "normalization_check",
     "semigroup_solution",
     "two_bump_profile",
-    "uniform_profile",
 ]
 
 _WINDOW_SIGMAS = 30.0
@@ -115,52 +108,6 @@ _SOLUTION_CACHE_SIZE = 4096
 # and (t, s) at x_i = y_i share both; at 16 it recomputed 6 of its 100 rows
 _ROW_CACHE_SIZE = 32
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
-
-
-# ---------------------------------------------------------------------------
-# the measure
-
-
-@dataclass(frozen=True)
-class WeightedMeasure:
-    """The reference measure with density prod_i |x_i|^(2 kappa_i).
-
-    c_kappa is its Gaussian mass: the integral of e^(-|x|^2 / 2), equal to
-    prod_i 2^(kappa_i + 1/2) Gamma(kappa_i + 1/2).  `gaussian_mass` recomputes
-    it by half-line quadrature as a cross-check on both the constant and the
-    quadrature rules.
-    """
-
-    kappa: MultiplicityZ2
-
-    @classmethod
-    def of(cls, kappa) -> "WeightedMeasure":
-        return cls(MultiplicityZ2.of(kappa))
-
-    @property
-    def d(self) -> int:
-        return self.kappa.d
-
-    @property
-    def c_kappa(self) -> float:
-        return math.exp(sum(log_gaussian_mass(k) for k in self.kappa.values))
-
-    def density(self, x) -> float:
-        x = _validate_point(x, self.d)
-        out = 1.0
-        for xi, k in zip(x, self.kappa.values):
-            out *= abs(float(xi)) ** (2.0 * k)
-        return out
-
-    def gaussian_mass(self, n: int = 96) -> float:
-        """c_kappa by quadrature.  Substituting u = y^2/4 leaves the integrand
-        e^(-u) to be sampled at the rule's nodes, so nodes and weights are
-        both exercised rather than summed trivially."""
-        total = 1.0
-        for k in self.kappa.values:
-            rule = halfline_rule(k, n) if k > 0.0 else gauss_laguerre_rule(-0.5, n)
-            total *= 4.0 ** (k + 0.5) * float(rule.weights @ np.exp(-rule.nodes))
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +170,6 @@ def two_bump_profile(center_a: float, center_b: float, radius: float, power: int
         hi=max(first.hi, second.hi),
         knots=(first.lo, first.hi, second.lo, second.hi),
     )
-
-
-def uniform_profile(lo: float, hi: float) -> Profile:
-    """The indicator of [lo, hi].  Its edges are panel boundaries for the
-    quadrature, so the jump is never sampled."""
-    return Profile(fn=lambda v: np.ones_like(np.asarray(v, dtype=float)), lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)
@@ -444,13 +385,6 @@ def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2):
 # semigroup application
 
 
-def apply_semigroup(f: InitialDatum, t: float, x, kappa) -> float:
-    """u(t, x): the solution started from f, evaluated by per-coordinate
-    panel quadrature; `semigroup_solution(...).value`.  Positive, or
-    ConvergenceError where a coordinate's mass underflows."""
-    return semigroup_solution(f, kappa).value(t, x)
-
-
 def semigroup_solution(f: InitialDatum, kappa) -> SpaceTimeField:
     """The solution started from f, with space and time derivatives taken
     under the integral sign (they hit the kernel factors, which are known in
@@ -528,15 +462,6 @@ MARKOV_CONVENTION = MeasureConvention(
     weight_exponent=lambda k: 2.0 * k,
     log_normalizer=log_gaussian_mass,
 )
-
-HALF_WEIGHT_CONVENTION = MeasureConvention(
-    # the plausible-looking alternative: exponent kappa with a bare Gamma
-    # normalizer.  Mass is conserved only at one time per kappa; see the
-    # regression tests.
-    weight_exponent=lambda k: k,
-    log_normalizer=lambda k: log_gamma(k + 0.5),
-)
-
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
 def _plain_mass(t, u, kappa_i, exponent) -> float:

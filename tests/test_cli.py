@@ -402,6 +402,18 @@ class TestExitCodes:
         assert code == 2
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("kappa", ["1e-9", "1e-12", "1e-300"])
+    def test_kappa_below_the_floor_returns_two(self, capsys, kappa):
+        # the documented domain is kappa = 0 or kappa >= 1e-8; below it the
+        # moments lost accuracy (exit 1), then their range checks (exit 4)
+        code, out, err = run_cli(["semigroup-check", "--kappa", f"0.5,{kappa}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"configuration error: multiplicity {float(kappa)!r} is below the floor 1e-08:"
+            " each must be 0 or >= 1e-08\n"
+        )
+
     def test_negative_tol_returns_two(self, capsys):
         code, _, err = run_cli(["liyau-scan", "--tol", "-1"], capsys)
         assert code == 2

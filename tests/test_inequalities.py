@@ -2,6 +2,7 @@
 parabolic inequalities."""
 
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -19,16 +20,12 @@ from dunklheat.inequalities import (
     h_of_a,
     harnack_check,
     iter_liyau_points,
-    iter_liyau_reports,
     kernel_solution_field,
     liyau_coordinate_table,
-    liyau_deficit_1d,
     liyau_functional,
     liyau_grid_extrema,
-    liyau_report,
     log_convexity_check,
     log_convexity_midpoint_check,
-    log_kernel_field,
 )
 from dunklheat.kernel import _MOMENT_CACHE, log_kernel, log_kernel_derivatives, moment_ratios
 from dunklheat.operators import ScalarField, SpaceTimeField, dunkl_laplacian
@@ -179,7 +176,8 @@ def test_hyperplane_deficit_is_the_a_zero_value(kappa):
         w = y / (2.0 * t)
         want = w * w * 2.0 * kappa / (2.0 * kappa + 1.0)
         for x in (0.0, -0.0, 5e-8):
-            assert abs(liyau_deficit_1d(t, x, y, kappa) - want) <= 1e-15 * want, (t, y, x)
+            got = liyau_functional(t, [x], [y], [kappa]).coordinates[0].deficit
+            assert abs(got - want) <= 1e-15 * want, (t, y, x)
 
 
 def test_f_small_tilt_is_one_batched_moment_call(monkeypatch):
@@ -331,7 +329,11 @@ def test_decomposition_fields_are_consistent():
 def test_functional_matches_generic_dunkl_laplacian(t, x, y, kappa):
     # two computation paths: analytic per-coordinate moments against the
     # generic difference operator applied to the log-kernel field
-    field = log_kernel_field(t, y, kappa)
+    field = ScalarField(
+        value=lambda z: log_kernel(t, z, y, kappa),
+        gradient=lambda z: log_kernel_derivatives(t, z, y, kappa).grad_x_log_p,
+        hessian_diag=lambda z: log_kernel_derivatives(t, z, y, kappa).hess_diag_x_log_p,
+    )
     generic = dunkl_laplacian(field, np.asarray(x, dtype=float), kappa)
     dec = liyau_functional(t, x, y, kappa)
     assert abs(-generic - dec.total) <= 1e-8 * max(1.0, abs(dec.total))
@@ -355,7 +357,7 @@ def test_unbalanced_deficit_is_nonnegative_on_random_grid():
         x = rng.uniform(-10.0, 10.0, d)
         y = rng.uniform(-10.0, 10.0, d)
         kappa = rng.uniform(0.05, 2.5, d)
-        report = liyau_report(t, x, y, kappa)
+        report = liyau_functional(t, x, y, kappa).report()
         assert report.claim_id == "liyau_log_kernel"
         assert report.passed
         assert report.deficit >= -1e-9
@@ -382,7 +384,7 @@ def test_table_entries_match_scalar_deficits():
     table = liyau_coordinate_table(0.1, 0.5, coords=(-3.0, 0.0, 1.0))
     for ix, u in enumerate(table.coords):
         for iy, v in enumerate(table.coords):
-            assert table.deficit[ix, iy] == liyau_deficit_1d(0.1, u, v, 0.5)
+            assert table.deficit[ix, iy] == liyau_functional(0.1, [u], [v], [0.5]).coordinates[0].deficit
 
 
 def test_table_keeps_every_coordinate_term():
@@ -461,34 +463,22 @@ def test_hyperplane_rule_reads_the_coordinate_alone():
         assert off.a != 0.0 and on.a == 0.0
 
 
-def test_full_grid_reports_match_direct_evaluation():
-    coords = (-1.0, 0.0, 3.0)
-    reports = list(iter_liyau_reports([0.5], [0.5, 1.5], coords=coords))
-    assert len(reports) == 3 ** 4
-    for r in reports[:: 7]:
-        t, x, y = r.grid_point
-        direct = liyau_report(t, x, y, [0.5, 1.5])
-        assert abs(r.deficit - direct.deficit) <= 1e-13 * max(1.0, abs(direct.deficit))
-        assert abs(r.lhs - direct.lhs) <= 1e-12 * max(1.0, abs(direct.lhs))
-
-
 def test_extrema_agree_with_enumeration():
     coords = (-1.0, -0.3, 0.0, 3.0)
     ex = liyau_grid_extrema(0.1, [0.5, 2.5], coords=coords)
     assert isinstance(ex, GridExtrema)
-    reports = list(iter_liyau_reports([0.1], [0.5, 2.5], coords=coords))
-    assert ex.n_points == len(reports)
-    assert ex.min_deficit == min(r.deficit for r in reports)
-    y0_max = max(
-        r.deficit for r in reports if all(v == 0.0 for v in r.grid_point[2])
-    )
+    grid = list(itertools.product(coords, repeat=2))
+    decs = [liyau_functional(0.1, x, y, [0.5, 2.5]) for x in grid for y in grid]
+    assert ex.n_points == len(decs)
+    assert ex.min_deficit == min(dec.deficit for dec in decs)
+    y0_max = max(dec.deficit for dec in decs if all(v == 0.0 for v in dec.y))
     assert ex.max_deficit_y0 == y0_max
 
 
 def test_extrema_argmin_reconstructs_a_real_point():
     ex = liyau_grid_extrema(0.1, [0.5, 2.5], coords=DEFAULT_COORDS)
     x, y = ex.argmin
-    direct = liyau_report(0.1, x, y, [0.5, 2.5])
+    direct = liyau_functional(0.1, x, y, [0.5, 2.5])
     assert abs(direct.deficit - ex.min_deficit) <= 1e-12 * max(1.0, abs(ex.min_deficit))
 
 
@@ -507,16 +497,6 @@ def test_grid_deficit_nonnegative_for_sampled_slice():
 
 # ---------------------------------------------------------------------------
 # space-time fields
-
-
-def test_log_kernel_field_matches_kernel_module():
-    t, y, kappa = 0.4, [0.5, -1.0], [0.5, 1.5]
-    field = log_kernel_field(t, y, kappa)
-    x = np.array([1.2, 0.7])
-    kp = log_kernel_derivatives(t, x, y, kappa)
-    assert field.value(x) == log_kernel(t, x, y, kappa)
-    np.testing.assert_array_equal(field.gradient(x), kp.grad_x_log_p)
-    np.testing.assert_array_equal(field.hessian_diag(x), kp.hess_diag_x_log_p)
 
 
 def test_kernel_solution_field_derivatives():

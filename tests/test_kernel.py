@@ -4,6 +4,8 @@ import dataclasses
 import importlib
 import inspect
 import math
+import pathlib
+import re
 import tracemalloc
 import types
 
@@ -16,14 +18,10 @@ from dunklheat import cli, kernel
 from dunklheat.kernel import (
     TILT_SWITCH,
     KernelPoint,
-    e_kappa,
-    heat_kernel,
-    kernel_1d,
     kernel_derivatives_1d_batch,
     log_e_kappa,
     log_gaussian_mass,
     log_kernel,
-    log_kernel_1d,
     log_kernel_derivatives,
     moment_ratios,
     moment_stats,
@@ -173,7 +171,7 @@ def test_e_kappa_zero_multiplicity_is_plain_exponential():
 def test_e_kappa_at_zero_argument_is_one(kappa):
     assert log_e_kappa(1.7, 0.0, kappa) == 0.0
     assert log_e_kappa(0.0, -2.9, kappa) == 0.0
-    assert e_kappa(3.0, 0.0, kappa) == 1.0
+    assert log_e_kappa(3.0, 0.0, kappa) == 0.0
 
 
 def test_e_kappa_frozen_bessel_values():
@@ -190,7 +188,7 @@ def test_e_kappa_symmetry_and_positivity():
         x, y = rng.uniform(-4.0, 4.0, size=2)
         kappa = float(rng.uniform(0.2, 3.0))
         assert log_e_kappa(x, y, kappa) == log_e_kappa(y, x, kappa)
-        assert e_kappa(x, y, kappa) > 0.0
+        assert math.isfinite(log_e_kappa(x, y, kappa))  # E_kappa > 0
 
 
 def test_e_kappa_small_multiplicity_limit_is_gaussian():
@@ -211,12 +209,6 @@ def test_e_kappa_domain():
         log_e_kappa(1.0, 1.0, -0.25)
 
 
-def test_e_kappa_plain_variant_raises_on_overflow():
-    assert math.isfinite(log_e_kappa(30.0, 30.0, 0.5))  # log form is fine
-    with pytest.raises(OverflowError):
-        e_kappa(30.0, 30.0, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # kernel values
 
@@ -229,7 +221,7 @@ def test_gaussian_mass_closed_form():
 
 def test_kernel_1d_zero_multiplicity_is_heat_kernel():
     for t, u, v in [(0.5, 1.0, -1.0), (0.01, 3.0, 2.5), (100.0, 0.0, 7.0)]:
-        assert abs(log_kernel_1d(t, u, v, 0.0) - oracle.gaussian_log_kernel(t, u, v)) < 1e-14
+        assert abs(log_kernel(t, [u], [v], [0.0]) - oracle.gaussian_log_kernel(t, u, v)) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -244,7 +236,7 @@ def test_kernel_1d_matches_bessel_closed_form(t, u, v):
         - (u * u + v * v) / (4.0 * t)
         + oracle.log_e_kappa_half(u / s, v / s)
     )
-    got = log_kernel_1d(t, u, v, 0.5)
+    got = log_kernel(t, [u], [v], [0.5])
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -253,7 +245,7 @@ def test_kernel_submodule_is_not_shadowed():
 
     assert isinstance(dunklheat.kernel, types.ModuleType)
     assert kernel_module is importlib.import_module("dunklheat.kernel")
-    assert dunklheat.heat_kernel is heat_kernel
+    assert dunklheat.log_kernel is log_kernel
 
 
 def test_kernel_symmetry_exact():
@@ -272,26 +264,14 @@ def test_kernel_product_structure():
     y = np.array([0.5, 0.0, -1.1])
     kappa = [0.5, 0.0, 1.5]
     total = log_kernel(t, x, y, kappa)
-    parts = sum(log_kernel_1d(t, x[i], y[i], kappa[i]) for i in range(3))
+    parts = sum(log_kernel(t, [x[i]], [y[i]], [kappa[i]]) for i in range(3))
     assert abs(total - parts) < 1e-14
-    val = heat_kernel(t, x, y, kappa)
-    assert abs(val - math.exp(total)) <= 1e-14 * math.exp(total)
 
 
 def test_kernel_log_survives_value_underflow():
     val = log_kernel(0.01, [10.0], [0.0], [0.5])
     assert val < -2000.0
-    assert kernel_1d(0.01, 10.0, 0.0, 0.5) == 0.0  # underflow, not an error
-
-
-def test_heat_kernel_raises_overflow_error_past_the_float_range():
-    # log p = 1723.19 here; the value itself has no double
-    log_p = log_kernel(1e-300, [0.0], [0.0], [2.0])
-    assert log_p == pytest.approx(1723.19, abs=0.01)
-    with pytest.raises(OverflowError):
-        heat_kernel(1e-300, [0.0], [0.0], [2.0])
-    with pytest.raises(OverflowError):
-        kernel_1d(1e-300, 0.0, 0.0, 2.0)
+    assert math.exp(val) == 0.0  # the value underflows; its log does not
 
 
 def test_kernel_point_value_is_finite_up_to_the_float_range():
@@ -337,9 +317,9 @@ def test_kernel_upper_bound_reflection_distance():
 
 def test_kernel_domain_errors():
     with pytest.raises(DomainError):
-        log_kernel_1d(0.0, 1.0, 1.0, 0.5)
+        log_kernel(0.0, [1.0], [1.0], [0.5])
     with pytest.raises(DomainError):
-        log_kernel_1d(-1.0, 1.0, 1.0, 0.5)
+        log_kernel(-1.0, [1.0], [1.0], [0.5])
     with pytest.raises(DomainError):
         log_kernel(1.0, [1.0, 2.0], [1.0], [0.5, 0.5])
     with pytest.raises(DomainError):
@@ -470,12 +450,30 @@ def test_gaussian_branch_variance_term_is_zero_at_huge_coordinates():
 def test_no_public_function_takes_a_ladder_tolerance_or_cap(capsys):
     public = [getattr(dunklheat, name) for name in dunklheat.__all__]
     functions = [fn for fn in public if inspect.isfunction(fn)]
-    assert dunklheat.moment_stats in functions and dunklheat.apply_semigroup in functions
+    assert dunklheat.moment_stats in functions and dunklheat.semigroup_solution in functions
     for fn in functions:
         assert not {"rel_tol", "max_nodes"} & set(inspect.signature(fn).parameters), fn.__name__
-    assert "tol" not in inspect.signature(dunklheat.apply_semigroup).parameters
+    assert "tol" not in inspect.signature(dunklheat.semigroup_solution).parameters
     assert "max_nodes" not in {f.name for f in dataclasses.fields(cli.RunConfig)}
     with pytest.raises(SystemExit) as exc:
         cli.main(["semigroup-check", "--max-nodes", "512"])
     assert exc.value.code == 2
     assert "--max-nodes" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the public API
+
+
+def test_readme_lists_the_public_api():
+    # each item of the README's "Library API" list names a module, then every
+    # name of its __all__, sorted; together they are the package's __all__
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for item in re.split(r"^- ", section, flags=re.M)[1:]:
+        module, *names = re.findall(r"`([^`]+)`", item)
+        assert names == sorted(importlib.import_module(module).__all__), module
+        listed += names
+    assert sorted(listed) == dunklheat.__all__
+    assert len(listed) == len(set(listed))

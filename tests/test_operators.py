@@ -20,7 +20,6 @@ from dunklheat.operators import (
     chain_rule_residual,
     compose_field,
     dunkl_derivative,
-    dunkl_gradient,
     dunkl_laplacian,
     pi_psi,
     reflect,
@@ -93,7 +92,7 @@ def test_multiplicity_of_accepts_scalars_sequences_and_self():
 def test_multiplicity_lambda_total_and_array():
     k = MultiplicityZ2.of([0.25, 0.0, 2.5])
     assert k.lambda_total == 2.75
-    np.testing.assert_array_equal(k.as_array(), [0.25, 0.0, 2.5])
+    assert MultiplicityZ2.of(np.array([0.25, 0.0, 2.5])) == k
 
 
 def test_multiplicity_rejects_bad_values():
@@ -103,6 +102,14 @@ def test_multiplicity_rejects_bad_values():
         MultiplicityZ2.of(float("nan"))
     with pytest.raises(DomainError):
         MultiplicityZ2(())
+
+
+@pytest.mark.parametrize("kappa", [1e-9, 1e-12, 2e-16, 1e-300, 5e-324])
+def test_multiplicity_rejects_values_below_the_floor(kappa):
+    # the documented domain is kappa = 0 or kappa >= 1e-8
+    with pytest.raises(DomainError, match=f"multiplicity {kappa!r} is below the floor 1e-08"):
+        MultiplicityZ2.of([0.5, kappa])
+    assert MultiplicityZ2.of([0.0, 1e-8]).values == (0.0, 1e-8)
 
 
 def test_reflect_flips_one_sign_and_leaves_input_alone():
@@ -126,29 +133,32 @@ def test_reflection_epsilon_scales_with_norm():
 
 _K = [0.5]
 _DATUM = dh.InitialDatum.bumps([0.0], [1.0])
+# a field that checks nothing itself, so only the check's own validation acts
+_CONSTANT_FIELD = dh.SpaceTimeField(
+    value=lambda t, x: 1.0,
+    gradient=lambda t, x: np.zeros(1),
+    hessian_diag=lambda t, x: np.zeros(1),
+    time_derivative=lambda t, x: 0.0,
+)
 
 TIME_ENTRY_POINTS = {
-    "log_kernel_1d": lambda t: dh.log_kernel_1d(t, 1.0, 0.5, 0.5),
     "log_kernel": lambda t: dh.log_kernel(t, [1.0], [0.5], _K),
-    "heat_kernel": lambda t: dh.heat_kernel(t, [1.0], [0.5], _K),
     "log_kernel_derivatives": lambda t: dh.log_kernel_derivatives(t, [1.0], [0.5], _K),
     "kernel_derivatives_1d_batch": lambda t: dh.kernel_derivatives_1d_batch(t, 1.0, [0.5], 0.5),
     "liyau_functional": lambda t: dh.liyau_functional(t, [1.0], [0.5], _K),
     "log_convexity_check": lambda t: dh.log_convexity_check(t, [1.0], [0.5], _K),
     "log_convexity_midpoint_check": lambda t: dh.log_convexity_midpoint_check(t, [1.0], [0.0], [0.5], _K),
-    "log_kernel_field": lambda t: dh.log_kernel_field(t, [0.5], _K),
-    "apply_semigroup": lambda t: dh.apply_semigroup(_DATUM, t, [0.5], _K),
     "semigroup_solution": lambda t: dh.semigroup_solution(_DATUM, _K).value(t, [0.5]),
     "liyau_for_solution": lambda t: dh.liyau_for_solution(_DATUM, t, [0.5], _K),
     "normalization_check": lambda t: dh.normalization_check(t, [0.5], _K),
     "chapman_kolmogorov_check s": lambda t: dh.chapman_kolmogorov_check(t, 1.0, [1.0], [0.5], _K),
     "chapman_kolmogorov_check t": lambda t: dh.chapman_kolmogorov_check(1.0, t, [1.0], [0.5], _K),
     "heat_residual": lambda t: dh.heat_residual(t, [1.0], [0.5], _K),
-    "liyau_deficit_1d": lambda t: dh.liyau_deficit_1d(t, 1.0, 0.5, 0.5),
     "liyau_coordinate_table": lambda t: dh.liyau_coordinate_table(t, 0.5),
     "liyau_grid_extrema": lambda t: dh.liyau_grid_extrema(t, _K),
-    "iter_liyau_reports": lambda t: next(dh.iter_liyau_reports([t], _K)),
-    "iter_liyau_grid": lambda t: next(dh.iter_liyau_grid(t, _K)),
+    "gradient_form_check": lambda t: dh.gradient_form_check(_CONSTANT_FIELD, t, [0.5], 1.0),
+    "harnack_check s": lambda t: dh.harnack_check(_CONSTANT_FIELD, t, [0.1], 2.0, [0.2], lambda_kappa=0.5, d=1),
+    "harnack_check t": lambda t: dh.harnack_check(_CONSTANT_FIELD, 0.5, [0.1], t, [0.2], lambda_kappa=0.5, d=1),
 }
 
 POINT_ENTRY_POINTS = {
@@ -158,13 +168,10 @@ POINT_ENTRY_POINTS = {
     "liyau_functional": lambda x: dh.liyau_functional(1.0, [0.5], x, _K),
     "log_convexity_check": lambda x: dh.log_convexity_check(1.0, x, [0.5], _K),
     "log_convexity_midpoint_check z2": lambda x: dh.log_convexity_midpoint_check(1.0, [1.0], x, [0.5], _K),
-    "log_kernel_field": lambda x: dh.log_kernel_field(1.0, x, _K),
     "kernel_solution_field": lambda x: dh.kernel_solution_field(x, _K),
-    "apply_semigroup": lambda x: dh.apply_semigroup(_DATUM, 1.0, x, _K),
     "normalization_check": lambda x: dh.normalization_check(1.0, x, _K),
     "chapman_kolmogorov_check": lambda x: dh.chapman_kolmogorov_check(1.0, 1.0, [1.0], x, _K),
     "heat_residual": lambda x: dh.heat_residual(1.0, x, [0.5], _K),
-    "WeightedMeasure.density": lambda x: dh.WeightedMeasure.of(_K).density(x),
     "InitialDatum.value": lambda x: _DATUM.value(x),
     "dunkl_derivative": lambda x: dunkl_derivative(ScalarField.from_callable(lambda z: 1.0), x, 0, _K),
     "dunkl_laplacian": lambda x: dunkl_laplacian(ScalarField.from_callable(lambda z: 1.0), x, _K),
@@ -193,7 +200,6 @@ def test_every_point_entry_point_rejects_bad_points(name, x):
 def test_from_callable_matches_analytic_derivatives():
     f = exp_field()
     g = ScalarField.from_callable(f.value)
-    assert g.analytic is False and f.analytic is True
     x = np.array([0.7, -1.2])
     np.testing.assert_allclose(g.gradient(x), f.gradient(x), rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(g.hessian_diag(x), f.hessian_diag(x), rtol=1e-7, atol=1e-9)
@@ -217,7 +223,6 @@ def test_compose_field_chain_rule():
     np.testing.assert_allclose(g.gradient(x), f.gradient(x) / fx, rtol=1e-14)
     want = f.hessian_diag(x) / fx - (f.gradient(x) / fx) ** 2
     np.testing.assert_allclose(g.hessian_diag(x), want, rtol=1e-13)
-    assert g.analytic is True
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +261,6 @@ def test_derivative_hyperplane_limit_is_continuous():
     for eps, tol in [(1e-3, 1e-3), (1e-5, 1e-5)]:
         off = dunkl_derivative(f, np.array([eps, 1.0]), 0, kappa)
         assert abs(off - limit) <= tol * max(1.0, abs(limit))
-
-
-def test_gradient_collects_all_axes():
-    f = poly_field()
-    x = np.array([0.6, 1.9])
-    kappa = [0.5, 1.5]
-    g = dunkl_gradient(f, x, kappa)
-    for i in range(2):
-        assert g[i] == dunkl_derivative(f, x, i, kappa)
 
 
 def test_dimension_mismatch_raises():
@@ -440,7 +436,7 @@ def test_chain_rule_zero_multiplicity_is_classical():
 def test_fields_are_frozen():
     f = poly_field()
     with pytest.raises(Exception):
-        f.analytic = False
+        f.value = None
     k = MultiplicityZ2.of(0.5)
     with pytest.raises(Exception):
         k.values = (1.0,)

@@ -8,13 +8,13 @@ import pytest
 from scipy.special import gammaln
 
 import _oracles as oracle
+from dunklheat import quadrature
 from dunklheat.quadrature import (
     NODE_CAP,
     NODE_START,
     DomainError,
     gauss_jacobi_rule,
     gauss_laguerre_rule,
-    halfline_rule,
     log_gamma,
     node_ladder,
 )
@@ -64,7 +64,7 @@ def test_jacobi_monomial_exactness(alpha, beta, n):
     rule = gauss_jacobi_rule(alpha, beta, n)
     mass = weight_mass(alpha, beta)
     for m in range(2 * n):
-        got = rule.integrate(rule.nodes**m)
+        got = float(rule.weights @ rule.nodes**m)
         want = oracle.jacobi_monomial_integral(alpha, beta, m)
         assert abs(got - want) <= 1e-10 * max(mass, abs(want)), (m, got, want)
 
@@ -100,7 +100,7 @@ def test_jacobi_rule_with_underflowed_tail_weights(beta, n):
     assert abs(float(rule.weights.sum()) - mass) <= 1e-12 * mass
     # the integral of s (1+s)^beta over [-1, 1]
     first = 2.0 ** (beta + 2.0) / (beta + 2.0) - 2.0 ** (beta + 1.0) / (beta + 1.0)
-    assert rule.integrate(rule.nodes) == pytest.approx(first, rel=1e-12)
+    assert float(rule.weights @ rule.nodes) == pytest.approx(first, rel=1e-12)
 
 
 def test_laguerre_interlacing():
@@ -109,11 +109,14 @@ def test_laguerre_interlacing():
     assert np.all(big[:-1] < small) and np.all(small < big[1:])
 
 
+# the half-line rule of the weight y^(2 kappa) e^(-c y^2) over [0, inf):
+# u = c y^2 turns it into the Laguerre weight u^(kappa - 1/2) e^(-u)
+
+
 @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0, 2.5])
 @pytest.mark.parametrize("n", [1, 4, 64])
 def test_halfline_weight_sum_is_gamma(kappa, n):
-    rule = halfline_rule(kappa, n)
-    assert rule.exponent == kappa - 0.5
+    rule = gauss_laguerre_rule(kappa - 0.5, n)
     mass = math.exp(gammaln(kappa + 0.5))
     assert abs(float(rule.weights.sum()) - mass) <= 1e-12 * mass
 
@@ -121,9 +124,9 @@ def test_halfline_weight_sum_is_gamma(kappa, n):
 @pytest.mark.parametrize("kappa", [0.25, 1.0, 2.5])
 def test_halfline_monomial_exactness(kappa):
     n = 20
-    rule = halfline_rule(kappa, n)
+    rule = gauss_laguerre_rule(kappa - 0.5, n)
     for m in range(2 * n):
-        got = rule.integrate(rule.nodes**m)
+        got = float(rule.weights @ rule.nodes**m)
         want = oracle.laguerre_monomial_integral(kappa - 0.5, m)
         assert abs(got - want) <= 1e-10 * want
 
@@ -131,10 +134,10 @@ def test_halfline_monomial_exactness(kappa):
 @pytest.mark.parametrize("kappa,c", [(0.5, 0.25), (1.5, 2.0)])
 def test_halfline_gaussian_moments_via_substitution(kappa, c):
     # int_0^inf y^(2k) e^(-c y^2) y^(2j) dy, mapped through u = c y^2
-    rule = halfline_rule(kappa, 24)
+    rule = gauss_laguerre_rule(kappa - 0.5, 24)
     for j in range(4):
         y_pow = (rule.nodes / c) ** j
-        got = 0.5 * c ** (-kappa - 0.5) * rule.integrate(y_pow)
+        got = 0.5 * c ** (-kappa - 0.5) * float(rule.weights @ y_pow)
         want = 0.5 * c ** (-kappa - j - 0.5) * math.exp(gammaln(kappa + j + 0.5))
         assert abs(got - want) <= 1e-12 * want
 
@@ -224,6 +227,20 @@ def test_weights_match_mpmath(qtype, exponents, n):
     assert np.abs(got - want).max() <= 1e-13 * want.sum()
 
 
+# the n = 256 references above are long-double polishes where long double is
+# wider than double; one rule of each family anchors them to mpmath, at the
+# kappa = 1e-8 exponents, where they agree least (2e-16 relative in nodes,
+# 6e-16 of the weight sum in the Jacobi weight at s ~ 1)
+@pytest.mark.parametrize(
+    "qtype,exponents", [("jacobi", (1e-8 - 1.0, 1e-8)), ("glaguerre", (1e-8 - 1.0,))]
+)
+def test_long_double_reference_matches_mpmath(qtype, exponents):
+    nodes, weights = oracle.polished_rule_reference(qtype, exponents, 256)
+    want_nodes, want_weights = oracle.mpmath_rule_reference(qtype, exponents, 256)
+    np.testing.assert_array_less(np.abs(nodes - want_nodes), 1e-15 * np.abs(want_nodes))
+    assert np.abs(weights - want_weights).max() <= 1e-15 * want_weights.sum()
+
+
 def test_cache_returns_identical_object():
     a = gauss_jacobi_rule(-0.5, 0.5, 16)
     b = gauss_jacobi_rule(-0.5, 0.5, 16)
@@ -237,13 +254,14 @@ def test_cache_returns_identical_object():
 
 
 def test_cached_rules_carry_the_exponents_requested():
+    # each exact exponent has its own cache entry, whichever is asked first
     requested = [0.3, 0.1 + 0.2, 0.3 + 1e-15, 0.3 - 1e-15, -0.5, -0.5 + 1e-16, 2.0 / 3.0]
     for first in (requested, requested[::-1]):
         for x in first:
-            rule = gauss_jacobi_rule(x, 0.25, 8)
-            assert (rule.alpha, rule.beta) == (x, 0.25)
-            assert gauss_jacobi_rule(0.25, x, 8).beta == x
-            assert gauss_laguerre_rule(x, 8).exponent == x
+            assert gauss_jacobi_rule(x, 0.25, 8) is quadrature._CACHE[("jacobi", x, 0.25, 8)]
+            assert gauss_jacobi_rule(0.25, x, 8) is quadrature._CACHE[("jacobi", 0.25, x, 8)]
+            assert gauss_laguerre_rule(x, 8) is quadrature._CACHE[("laguerre", x, 8)]
+    assert len({id(gauss_laguerre_rule(x, 8)) for x in requested}) == len(set(requested))
 
 
 def test_cache_is_thread_safe():
@@ -283,10 +301,12 @@ def test_order_domain(n):
 
 
 def test_halfline_kappa_domain():
+    # kappa - 1/2 > -1: every kappa >= 0 has its half-line rule
+    assert gauss_laguerre_rule(0.0 - 0.5, 8).nodes.size == 8
     with pytest.raises(DomainError):
-        halfline_rule(0.0, 8)
+        gauss_laguerre_rule(-0.5 - 0.5, 8)
     with pytest.raises(DomainError):
-        halfline_rule(-0.5, 8)
+        gauss_laguerre_rule(-1.0 - 0.5, 8)
 
 
 def test_log_gamma_matches_reference():

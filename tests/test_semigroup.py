@@ -13,15 +13,13 @@ import pytest
 import _oracles as oracle
 from dunklheat import cli, semigroup
 from dunklheat.inequalities import gradient_form_check, harnack_check, liyau_functional
-from dunklheat.kernel import kernel_1d, log_gaussian_mass, log_kernel
+from dunklheat.kernel import log_gaussian_mass, log_kernel
 from dunklheat.operators import ScalarField
-from dunklheat.quadrature import ConvergenceError, DomainError
+from dunklheat.quadrature import ConvergenceError, DomainError, gauss_laguerre_rule
 from dunklheat.semigroup import (
-    HALF_WEIGHT_CONVENTION,
     InitialDatum,
+    MeasureConvention,
     Profile,
-    WeightedMeasure,
-    apply_semigroup,
     bump_profile,
     chapman_kolmogorov_check,
     heat_residual,
@@ -29,7 +27,6 @@ from dunklheat.semigroup import (
     normalization_check,
     semigroup_solution,
     two_bump_profile,
-    uniform_profile,
 )
 
 
@@ -37,26 +34,17 @@ from dunklheat.semigroup import (
 # the measure
 
 
-def test_c_kappa_closed_forms():
-    assert WeightedMeasure.of(0.5).c_kappa == pytest.approx(2.0, rel=1e-14)
-    assert WeightedMeasure.of(0.0).c_kappa == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
-    want = math.exp(log_gaussian_mass(0.25) + log_gaussian_mass(2.5))
-    assert WeightedMeasure.of([0.25, 2.5]).c_kappa == pytest.approx(want, rel=1e-14)
-
-
 @pytest.mark.parametrize("kappa", [[0.5], [0.0], [0.25, 2.5], [1.0, 0.0, 0.5]])
 def test_gaussian_mass_quadrature_agrees(kappa):
-    m = WeightedMeasure.of(kappa)
-    assert m.gaussian_mass() == pytest.approx(m.c_kappa, rel=1e-10)
-
-
-def test_density_values():
-    m = WeightedMeasure.of([0.5, 1.0])
-    assert m.density([2.0, -3.0]) == pytest.approx(2.0 * 9.0, rel=1e-14)
-    assert m.density([0.0, 1.0]) == 0.0  # hyperplane zero for kappa > 0
-    assert WeightedMeasure.of(0.0).density([0.0]) == 1.0  # kappa = 0: no weight
-    with pytest.raises(DomainError):
-        m.density([1.0])
+    # c_kappa = prod_i of the integral of e^(-y^2/2) |y|^(2 kappa_i) over R.
+    # u = y^2/4 makes each 4^(kappa_i + 1/2) times the integral of e^(-u)
+    # against u^(kappa_i - 1/2) e^(-u), so the rule's nodes and weights are
+    # both exercised rather than summed trivially
+    total = 1.0
+    for k in kappa:
+        rule = gauss_laguerre_rule(k - 0.5, 96)
+        total *= 4.0 ** (k + 0.5) * float(rule.weights @ np.exp(-rule.nodes))
+    assert total == pytest.approx(math.exp(sum(log_gaussian_mass(k) for k in kappa)), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +104,16 @@ def test_bumps_broadcasts_scalar_radius():
 # semigroup application
 
 
+def _indicator(lo, hi):
+    """The indicator of [lo, hi].  Its edges are panel boundaries for the
+    quadrature, so the jump is never sampled."""
+    return Profile(fn=lambda v: np.ones_like(np.asarray(v, dtype=float)), lo=lo, hi=hi)
+
+
 def test_gaussian_convolution_matches_error_function():
-    f = InitialDatum((uniform_profile(-1.0, 2.0),))
+    f = InitialDatum((_indicator(-1.0, 2.0),))
     for t, x in ((0.3, 0.5), (0.01, -0.9), (2.0, 4.0)):
-        got = apply_semigroup(f, t, [x], [0.0])
+        got = semigroup_solution(f, [0.0]).value(t, [x])
         want = 0.5 * (
             math.erf((2.0 - x) / math.sqrt(4.0 * t)) - math.erf((-1.0 - x) / math.sqrt(4.0 * t))
         )
@@ -127,34 +121,35 @@ def test_gaussian_convolution_matches_error_function():
 
 
 def test_conservation_of_mass_on_a_huge_box():
-    box = InitialDatum((uniform_profile(-80.0, 80.0), uniform_profile(-80.0, 80.0)))
+    box = InitialDatum((_indicator(-80.0, 80.0), _indicator(-80.0, 80.0)))
     for t, x in ((0.5, [1.0, -2.0]), (0.05, [0.0, 3.0])):
-        assert apply_semigroup(box, t, x, [0.5, 1.5]) == pytest.approx(1.0, abs=1e-11)
+        assert semigroup_solution(box, [0.5, 1.5]).value(t, x) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_short_time_limit_recovers_the_datum():
     f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
     x = [0.3, -0.5]
-    assert abs(apply_semigroup(f, 1e-4, x, [0.5, 1.5]) - f.value(x)) < 1e-3
+    assert abs(semigroup_solution(f, [0.5, 1.5]).value(1e-4, x) - f.value(x)) < 1e-3
 
 
 def test_semigroup_positivity():
     f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
+    u = semigroup_solution(f, [0.5, 1.5])
     rng = np.random.default_rng(41)
     for _ in range(10):
         t = float(10.0 ** rng.uniform(-2.0, 1.0))
         x = rng.uniform(-4.0, 4.0, 2)
-        assert apply_semigroup(f, t, x, [0.5, 1.5]) > 0.0
+        assert u.value(t, x) > 0.0
     # far outside the support the value is tiny but still positive
-    assert 0.0 < apply_semigroup(f, 0.05, [6.0, -7.0], [0.5, 1.5]) < 1e-30
+    assert 0.0 < u.value(0.05, [6.0, -7.0]) < 1e-30
 
 
 def test_semigroup_factorizes_over_coordinates():
     f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
     t, x, kappa = 0.7, [1.0, 2.0], [0.5, 1.5]
-    whole = apply_semigroup(f, t, x, kappa)
+    whole = semigroup_solution(f, kappa).value(t, x)
     parts = [
-        apply_semigroup(InitialDatum((f.profiles[i],)), t, [x[i]], [kappa[i]]) for i in range(2)
+        semigroup_solution(InitialDatum((f.profiles[i],)), [kappa[i]]).value(t, [x[i]]) for i in range(2)
     ]
     assert whole == pytest.approx(parts[0] * parts[1], rel=1e-13)
     assert whole == pytest.approx(0.005684145711157724, rel=1e-11)
@@ -163,16 +158,15 @@ def test_semigroup_factorizes_over_coordinates():
 def test_apply_semigroup_validation():
     f = InitialDatum.bumps([0.0], [1.0])
     with pytest.raises(DomainError):
-        apply_semigroup(f, 0.0, [0.0], [0.5])
+        semigroup_solution(f, [0.5]).value(0.0, [0.0])
     with pytest.raises(DomainError):
-        apply_semigroup(f, 1.0, [0.0, 1.0], [0.5, 0.5])
+        semigroup_solution(f, [0.5, 0.5]).value(1.0, [0.0, 1.0])
 
 
 def test_solution_field_derivatives_match_finite_differences():
     f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
     u = semigroup_solution(f, [0.5, 1.5])
     t, x = 0.7, np.array([1.0, 2.0])
-    assert u.value(t, x) == apply_semigroup(f, t, x, [0.5, 1.5])
     slice_field = ScalarField.from_callable(lambda z: u.value(t, z))
     np.testing.assert_allclose(u.gradient(t, x), slice_field.gradient(x), rtol=1e-9)
     np.testing.assert_allclose(u.hessian_diag(t, x), slice_field.hessian_diag(x), rtol=1e-8)
@@ -188,8 +182,6 @@ def test_underflowed_solution_raises_on_every_path(t, x):
     for evaluate in (u.value, u.gradient, u.hessian_diag, u.time_derivative):
         with pytest.raises(ConvergenceError, match="underflowed"):
             evaluate(t, [x])
-    with pytest.raises(ConvergenceError, match="underflowed"):
-        apply_semigroup(f, t, [x], [0.5])
     with pytest.raises(ConvergenceError, match="underflowed"):
         liyau_for_solution(f, t, [x], [0.5])
 
@@ -273,9 +265,9 @@ def test_solution_moments_are_cached_read_only_and_bounded(monkeypatch):
     first = semigroup_solution(f, [0.5, 1.5])
     value = first.value(t, x)
     assert len(calls) == 2
-    # a second field, the derivatives and apply_semigroup all hit the cache
+    # a second field and the derivatives all hit the cache
     second = semigroup_solution(f, [0.5, 1.5])
-    assert second.value(t, x) == value == apply_semigroup(f, t, x, [0.5, 1.5])
+    assert second.value(t, x) == value
     second.gradient(t, x)
     second.time_derivative(t, x)
     assert len(calls) == 2
@@ -453,8 +445,13 @@ def test_normalization_on_random_grid():
 
 
 def test_alternative_convention_fails_with_time_dependent_error():
-    # weight |v|^kappa with normalizer Gamma(kappa + 1/2): the mass comes out
-    # proportional to t^(-kappa/2), so no constant rescue is possible
+    # the plausible-looking alternative, weight |v|^kappa with normalizer
+    # Gamma(kappa + 1/2): the mass comes out proportional to t^(-kappa/2), so
+    # no constant rescue is possible
+    HALF_WEIGHT_CONVENTION = MeasureConvention(
+        weight_exponent=lambda k: k,
+        log_normalizer=lambda k: math.lgamma(k + 0.5),
+    )
     t1, t2, k = 0.25, 4.0, 0.5
     bad1 = normalization_check(t1, [0.0], [k], convention=HALF_WEIGHT_CONVENTION)
     bad2 = normalization_check(t2, [0.0], [k], convention=HALF_WEIGHT_CONVENTION)
@@ -481,7 +478,7 @@ def test_chapman_kolmogorov_gaussian_closed_form():
 def test_chapman_kolmogorov_squares_to_the_double_time_diagonal():
     r = chapman_kolmogorov_check(0.4, 0.4, [1.3], [1.3], [1.5])
     assert r.passed
-    assert r.rhs == pytest.approx(kernel_1d(0.8, 1.3, 1.3, 1.5), rel=1e-12)
+    assert r.rhs == pytest.approx(math.exp(log_kernel(0.8, [1.3], [1.3], [1.5])), rel=1e-12)
 
 
 def test_chapman_kolmogorov_random_points():
