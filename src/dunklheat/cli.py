@@ -47,18 +47,17 @@ from .inequalities import (
     LiYauDecomposition,
     VerificationReport,
     _liyau_bound,
-    _liyau_tables,
-    _walk_tables,
     gradient_form_check,
     harnack_check,
     iter_liyau_points,
+    liyau_coordinate_table,
     liyau_functional,
     log_convexity_check,
     log_convexity_midpoint_check,
     f_of_a,
     h_of_a,
 )
-from .kernel import log_gaussian_mass, log_kernel_derivatives
+from .kernel import log_kernel_derivatives
 from .operators import (
     PSI_CUBE,
     PSI_EXP,
@@ -66,6 +65,7 @@ from .operators import (
     PSI_SQUARE,
     MultiplicityZ2,
     ScalarField,
+    _validate_point,
     _validate_time,
     chain_rule_residual,
     pi_psi,
@@ -73,7 +73,6 @@ from .operators import (
 from .quadrature import ConvergenceError, DomainError
 from .semigroup import (
     InitialDatum,
-    MeasureConvention,
     bump_profile,
     chapman_kolmogorov_check,
     heat_residual,
@@ -122,7 +121,6 @@ class RunConfig:
     output_format: str
     output_path: str | None
     reproducible: bool
-    c_scale: float
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
@@ -132,9 +130,7 @@ class RunConfig:
             raise DomainError("time and coordinate grids must be nonempty")
         for t in self.t_grid:
             _validate_time(t)
-        for c in self.coord_grid:
-            if not math.isfinite(c):
-                raise DomainError(f"coordinates must be finite, got {c!r}")
+        _validate_point(self.coord_grid, len(self.coord_grid))
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DomainError(f"tol must be positive, got {self.tol!r}")
         if self.augment < 0:
@@ -143,8 +139,6 @@ class RunConfig:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
         if self.output_format not in ("json-lines", "csv"):
             raise DomainError(f"unknown format {self.output_format!r}")
-        if not (math.isfinite(self.c_scale) and self.c_scale > 0.0):
-            raise DomainError(f"normalizer scale must be positive, got {self.c_scale!r}")
 
     @property
     def dimension(self) -> int:
@@ -153,20 +147,7 @@ class RunConfig:
     @cached_property
     def points(self) -> tuple[tuple[float, ...], ...]:
         """The coordinate grid tensored to dimension d, built on first use."""
-        grids = np.meshgrid(*([np.asarray(self.coord_grid)] * self.dimension), indexing="ij")
-        return tuple(tuple(float(g.flat[i]) for g in grids) for i in range(grids[0].size))
-
-    @property
-    def convention(self) -> MeasureConvention | None:
-        """None for the built-in convention; a scaled normalizer otherwise
-        (the deliberate-failure hook for negative-control tests)."""
-        if self.c_scale == 1.0:
-            return None
-        shift = math.log(self.c_scale)
-        return MeasureConvention(
-            weight_exponent=lambda k: 2.0 * k,
-            log_normalizer=lambda k: log_gaussian_mass(k) + shift,
-        )
+        return tuple(itertools.product(self.coord_grid, repeat=self.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +380,7 @@ def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
     }
     for t, pairs in _grid_walk(cfg):
         try:
-            tables = _liyau_tables(t, cfg.kappa, coords)
+            tables = {k: liyau_coordinate_table(t, k, coords) for k in dict.fromkeys(cfg.kappa)}
         except (ArithmeticError, RuntimeError):
             # a coordinate table failed
             _replay(((t, x, y) for x, y in itertools.product(cfg.points, repeat=2)), cfg)
@@ -408,11 +389,17 @@ def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
             k: tuple(tuple(map(_term_texts, entries)) for entries in table.entries)
             for k, table in tables.items()
         }
+        axes = [term_texts[k] for k in cfg.kappa]
         row = _liyau_rows(t, cfg)
-        for ix, iy, terms in _walk_tables([term_texts[k] for k in cfg.kappa], pairs):
-            x, x_text = points[ix]
+        last = None
+        for ix, iy in pairs:
+            if ix != last:
+                # the table row of x_i on each axis; y_i then picks the entry
+                rows = [entries[u] for entries, u in zip(axes, ix)]
+                x, x_text = points[ix]
+                last = ix
             y, y_text = points[iy]
-            yield row(x, y, x_text, y_text, terms)
+            yield row(x, y, x_text, y_text, tuple(map(tuple.__getitem__, rows, iy)))
 
 
 def _initial_data(d: int) -> dict[str, InitialDatum]:
@@ -426,11 +413,11 @@ def _initial_data(d: int) -> dict[str, InitialDatum]:
 
 def _solution_scan(cfg: RunConfig) -> list[_Row]:
     rows = []
-    lam = sum(cfg.kappa)
+    kappa = MultiplicityZ2.of(cfg.kappa)
     for name, datum in _initial_data(cfg.dimension).items():
         field = semigroup_solution(datum, cfg.kappa)
         for t in cfg.t_grid:
-            beta = (cfg.dimension + 2.0 * lam) / (2.0 * t)
+            beta = _liyau_bound(t, kappa)
             for x in cfg.points:
                 point = (t, x)
                 report = _at_point(point, lambda: liyau_for_solution(datum, t, x, cfg.kappa, tol=cfg.tol))
@@ -473,11 +460,10 @@ def _time_pairs(t_grid):
 
 def _semigroup_check(cfg: RunConfig) -> list[_Row]:
     rows = []
-    kwargs = {} if cfg.convention is None else {"convention": cfg.convention}
     for t in cfg.t_grid:
         for x in cfg.points:
             point = (t, x)
-            report = _at_point(point, lambda: normalization_check(t, x, cfg.kappa, **kwargs))
+            report = _at_point(point, lambda: normalization_check(t, x, cfg.kappa))
             rows.append(_row(report))
     for s, t in _time_pairs(cfg.t_grid):
         for x in cfg.points:
@@ -778,7 +764,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress the generated-at timestamp so output is byte-stable",
     )
-    common.add_argument("--c-scale", type=float, default=1.0, help=argparse.SUPPRESS)
     descriptions = {
         "kernel-eval": "print the kernel, its log, and all derivatives at grid points",
         "liyau-scan": "sweep the log-kernel bound and emit per-coordinate decompositions",

@@ -33,7 +33,9 @@ from .operators import (
     EPS_REFLECTION_SCALE,
     MultiplicityZ2,
     SpaceTimeField,
+    _validate_multiplicity,
     _validate_point,
+    _validate_tilts,
     _validate_time,
 )
 from .quadrature import DomainError, gauss_jacobi_rule
@@ -79,10 +81,7 @@ def f_of_a(a: float, kappa_i: float) -> float:
     the one-dimensional log-kernel.  Nonnegative for every tilt.  The scalar
     face of _f_values, which gives the same bits for a in any batch.
     """
-    a = float(a)
-    if not math.isfinite(a):
-        raise DomainError(f"tilt must be finite, got {a!r}")
-    return float(_f_values(np.array([a]), kappa_i)[0][0])
+    return float(_f_values(_validate_tilts(float(a)), _validate_multiplicity(kappa_i))[0][0])
 
 
 def _f_values(a: np.ndarray, kappa_i: float) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +129,8 @@ def h_of_a(a: float, kappa_i: float) -> float:
     overflows for |a| > ~350; dividing by the positive factor m0(a) m0(-a)
     preserves the sign, the zero at a = 0, and the monotonicity.
     """
-    a = float(a)
-    if not math.isfinite(a):
-        raise DomainError(f"tilt must be finite, got {a!r}")
+    (a,) = _validate_tilts(float(a)).tolist()
+    kappa_i = _validate_multiplicity(kappa_i)
     if a == 0.0:
         return 0.0
     return moment_ratios(a, kappa_i).r1 - moment_ratios(-a, kappa_i).r1
@@ -341,10 +339,10 @@ def liyau_coordinate_table(
     coords: Sequence[float] = DEFAULT_COORDS,
 ) -> CoordinateTable:
     t = _validate_time(t)
-    kappa_i = float(kappa_i)
-    coords = tuple(float(c) for c in coords)
+    kappa_i = _validate_multiplicity(kappa_i)
+    grid = _validate_point(coords, len(coords))
+    coords = tuple(grid.tolist())
     n = len(coords)
-    grid = np.array(coords)
     # entry (ix, iy) is flat index ix * n + iy
     terms = _liyau_terms(np.full(n * n, t), np.repeat(grid, n), np.tile(grid, n), kappa_i)
     flat = list(map(LiYauCoordinate, *terms))
@@ -385,7 +383,7 @@ def liyau_grid_extrema(
     min_total = 0.0
     max_y0_total = 0.0
     argmin_x, argmin_y, argmax_x = [], [], []
-    tables = _liyau_tables(t, kappa.values, coords)
+    tables = {k: liyau_coordinate_table(t, k, coords) for k in dict.fromkeys(kappa.values)}
     for k in kappa.values:
         table = tables[k]
         flat = int(np.argmin(table.deficit))
@@ -407,30 +405,6 @@ def liyau_grid_extrema(
         max_deficit_y0=float(max_y0_total),
         argmax_y0=(tuple(argmax_x), (0.0,) * kappa.d),
     )
-
-
-def _liyau_tables(t: float, kappa_values, coords) -> dict[float, CoordinateTable]:
-    """The coordinate table of each distinct kappa_i at time t, all built
-    before this returns, so a table that fails raises here."""
-    tables = {}
-    for k in kappa_values:
-        if k not in tables:
-            tables[k] = liyau_coordinate_table(t, k, coords)
-    return tables
-
-
-def _walk_tables(axes, index_pairs) -> Iterator[tuple[tuple, tuple, tuple]]:
-    """(ix, iy, entries) for each pair of index tuples, where entries[i] =
-    axes[i][ix[i]][iy[i]] and each axes[i] is a table's entries (tuples of
-    tuples) or a table of anything derived from them, laid out alike.  The
-    one walk from grid indices to table entries."""
-    last = None
-    for ix, iy in index_pairs:
-        if ix != last:
-            # the table row of x_i on each axis; y_i then picks the entry
-            rows = [entries[u] for entries, u in zip(axes, ix)]
-            last = ix
-        yield ix, iy, tuple(map(tuple.__getitem__, rows, iy))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +466,7 @@ def gradient_form_check(
 ) -> VerificationReport:
     """|grad u|^2/u^2 - (d_t u)/u <= beta at (t, x)."""
     t = _validate_time(t)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _validate_point(x, np.size(x))
     value = float(u.value(t, x))
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"field must be positive at the check point, got {value!r}")
@@ -527,8 +501,8 @@ def harnack_check(
     t = _validate_time(t)
     if not s < t:
         raise DomainError(f"need 0 < s < t, got s={s!r}, t={t!r}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x = _validate_point(x, d)
+    y = _validate_point(y, d)
     us = float(u.value(s, x))
     ut = float(u.value(t, y))
     if not (us > 0.0 and ut > 0.0):

@@ -39,7 +39,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _accel
-from .operators import MultiplicityZ2, _validate_point, _validate_time
+from .operators import (
+    MultiplicityZ2,
+    _validate_multiplicity,
+    _validate_point,
+    _validate_tilts,
+    _validate_time,
+)
 from .quadrature import (
     NODE_CAP,
     NODE_START,
@@ -81,9 +87,7 @@ def log_gaussian_mass(kappa: float) -> float:
     This is the per-coordinate normalizer that makes the kernel a Markov
     density for the measure |u|^(2 kappa) du.
     """
-    kappa = float(kappa)
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be >= 0, got {kappa}")
+    kappa = _validate_multiplicity(kappa)
     return (kappa + 0.5) * math.log(2.0) + log_gamma(kappa + 0.5)
 
 
@@ -139,14 +143,10 @@ def moment_stats(a, kappa: float):
     _TILT_BLOCK, which bounds the (block, nodes) temporaries of the tilted
     sums, and every sum is reduced tilt by tilt.
     """
-    kappa = float(kappa)
-    if not kappa > 0.0:
+    kappa = _validate_multiplicity(kappa)
+    if kappa == 0.0:
         raise DomainError(f"moment_stats requires kappa > 0, got {kappa}")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.ndim != 1:
-        raise DomainError(f"tilts must be a float or a 1-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("tilts must be finite")
+    a = _validate_tilts(a)
 
     def eval_jacobi(n, sub):
         rule = gauss_jacobi_rule(kappa - 1.0, kappa, n)
@@ -258,9 +258,7 @@ def log_e_kappa(x: float, y: float, kappa: float) -> float:
     E_0(x, y) = e^(x y) exactly; for kappa > 0 the integral representation
     C_kappa m0(x y) applies, and E_kappa(x, 0) = 1 because C_kappa m0(0) = 1.
     """
-    kappa = float(kappa)
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be >= 0, got {kappa}")
+    kappa = _validate_multiplicity(kappa)
     a = float(x) * float(y)
     if kappa == 0.0:
         return a
@@ -391,5 +389,5 @@ def kernel_derivatives_1d_batch(t: float, u: float, v, kappa: float):
     range a term is infinite); callers check the entries they use."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     with np.errstate(all="ignore"):
-        c = _coordinate(_validate_time(t), float(u), v, float(kappa))
+        c = _coordinate(_validate_time(t), float(u), v, _validate_multiplicity(kappa))
     return c.log_p, c.d_u, c.d_uu, c.d_t

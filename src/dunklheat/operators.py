@@ -63,12 +63,7 @@ class MultiplicityZ2:
         if len(self.values) == 0:
             raise DomainError("multiplicity needs at least one coordinate")
         for k in self.values:
-            if not (math.isfinite(k) and k >= 0.0):
-                raise DomainError(f"multiplicities must be finite and >= 0, got {k!r}")
-            if 0.0 < k < _KAPPA_FLOOR:
-                raise DomainError(
-                    f"multiplicity {k!r} is below the floor {_KAPPA_FLOOR:g}: each must be 0 or >= {_KAPPA_FLOOR:g}"
-                )
+            _validate_multiplicity(k)
 
     @classmethod
     def of(cls, values) -> "MultiplicityZ2":
@@ -86,6 +81,19 @@ class MultiplicityZ2:
     def lambda_total(self) -> float:
         """lambda_kappa = sum_i kappa_i, the homogeneity shift of the measure."""
         return float(sum(self.values))
+
+
+def _validate_multiplicity(k) -> float:
+    """The one multiplicity check of the package: kappa_i as a float, finite
+    and either 0 or at least _KAPPA_FLOOR."""
+    k = float(k)
+    if not (math.isfinite(k) and k >= 0.0):
+        raise DomainError(f"multiplicities must be finite and >= 0, got {k!r}")
+    if 0.0 < k < _KAPPA_FLOOR:
+        raise DomainError(
+            f"multiplicity {k!r} is below the floor {_KAPPA_FLOOR:g}: each must be 0 or >= {_KAPPA_FLOOR:g}"
+        )
+    return k
 
 
 def _validate_time(t) -> float:
@@ -106,11 +114,28 @@ def _validate_point(x, d: int) -> np.ndarray:
     return x
 
 
+def _validate_tilts(a) -> np.ndarray:
+    """The one tilt check of the package: a as a 1-d float array of finite
+    tilts."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.ndim != 1:
+        raise DomainError(f"tilts must be a float or a 1-d array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("tilts must be finite")
+    return a
+
+
+def _validate_axis(axis: int, d: int) -> int:
+    """The one axis check of the package: a 0-based coordinate index below d."""
+    if not 0 <= axis < d:
+        raise DomainError(f"axis {axis} out of range for dimension {d}")
+    return axis
+
+
 def reflect(x: np.ndarray, axis: int) -> np.ndarray:
     """Image of x under the sign flip of the given coordinate (0-based)."""
     x = np.asarray(x, dtype=float)
-    if not 0 <= axis < x.size:
-        raise DomainError(f"axis {axis} out of range for dimension {x.size}")
+    axis = _validate_axis(axis, x.size)
     out = x.copy()
     out[axis] = -out[axis]
     return out
@@ -226,9 +251,7 @@ def dunkl_derivative(f: ScalarField, x, axis: int, kappa) -> float:
     replaced by its limit (1 + 2 kappa_i) d_i f(x)."""
     kappa = MultiplicityZ2.of(kappa)
     x = _validate_point(x, kappa.d)
-    if not 0 <= axis < x.size:
-        raise DomainError(f"axis {axis} out of range for dimension {x.size}")
-    k = kappa.values[axis]
+    k = kappa.values[_validate_axis(axis, x.size)]
     di = float(f.gradient(x)[axis])
     if k == 0.0:
         return di

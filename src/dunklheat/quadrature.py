@@ -97,14 +97,31 @@ def _validate_order(n) -> int:
     return int(n)
 
 
-def _golub_welsch(diag, off, mu0):
+def _golub_welsch(diag, off, mu0, family: str, domain: tuple[float, float], params) -> GaussRule:
+    """The rule of the recurrence (diag, off) with weight sum mu0, checked:
+    nodes inside the open domain and strictly increasing, weights >= 0 and
+    summing to mu0.  Messages name the family and its params."""
     n = diag.size
     jacobi = np.zeros((n, n))
     jacobi.flat[:: n + 1] = diag
     jacobi.flat[1 :: n + 1] = off
     jacobi.flat[n :: n + 1] = off
-    vals, vecs = np.linalg.eigh(jacobi)
-    return vals, mu0 * vecs[0, :] ** 2
+    nodes, vecs = np.linalg.eigh(jacobi)
+    weights = mu0 * vecs[0, :] ** 2
+
+    lo, hi = domain
+    if not (np.all(nodes > lo) and np.all(nodes < hi)):
+        raise RuntimeError(f"{family} nodes escaped ({lo:g}, {hi:g}) for {params}")
+    if n > 1 and not np.all(np.diff(nodes) > 0.0):
+        raise RuntimeError(f"{family} nodes not strictly increasing for {params}")
+    # at large n the weights nearest an endpoint with a large exponent, or in
+    # the Laguerre far tail, underflow to exactly 0.0; that is the only
+    # nonpositive value tolerated
+    if not np.all(weights >= 0.0):
+        raise RuntimeError(f"negative {family} weight for {params}")
+    if abs(float(weights.sum()) - mu0) > _WEIGHT_SUM_RTOL * mu0:
+        raise RuntimeError(f"{family} weight sum off for {params}")
+    return GaussRule(nodes=nodes, weights=weights)
 
 
 def _build_jacobi(alpha: float, beta: float, n: int) -> GaussRule:
@@ -132,19 +149,7 @@ def _build_jacobi(alpha: float, beta: float, n: int) -> GaussRule:
         + log_gamma(beta + 1.0)
         - log_gamma(ab + 2.0)
     )
-    nodes, weights = _golub_welsch(diag, off, mu0)
-
-    if not (np.all(nodes > -1.0) and np.all(nodes < 1.0)):
-        raise RuntimeError(f"Jacobi nodes escaped (-1, 1) for {(alpha, beta, n)}")
-    if n > 1 and not np.all(np.diff(nodes) > 0.0):
-        raise RuntimeError(f"Jacobi nodes not strictly increasing for {(alpha, beta, n)}")
-    # for a large exponent at large n the weights nearest its endpoint
-    # underflow to exactly 0.0; that is the only nonpositive value tolerated
-    if not np.all(weights >= 0.0):
-        raise RuntimeError(f"negative Jacobi weight for {(alpha, beta, n)}")
-    if abs(float(weights.sum()) - mu0) > _WEIGHT_SUM_RTOL * mu0:
-        raise RuntimeError(f"Jacobi weight sum off for {(alpha, beta, n)}")
-    return GaussRule(nodes=nodes, weights=weights)
+    return _golub_welsch(diag, off, mu0, "Jacobi", (-1.0, 1.0), (alpha, beta, n))
 
 
 def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> GaussRule:
@@ -170,19 +175,7 @@ def _build_laguerre(exponent: float, n: int) -> GaussRule:
     diag = 2.0 * k + exponent + 1.0
     off = np.sqrt(k[1:] * (k[1:] + exponent)) if n > 1 else np.empty(0)
     mu0 = math.exp(log_gamma(exponent + 1.0))
-    nodes, weights = _golub_welsch(diag, off, mu0)
-
-    if not np.all(nodes > 0.0):
-        raise RuntimeError(f"Laguerre nodes escaped (0, inf) for {(exponent, n)}")
-    if n > 1 and not np.all(np.diff(nodes) > 0.0):
-        raise RuntimeError(f"Laguerre nodes not strictly increasing for {(exponent, n)}")
-    # far-tail weights underflow to exactly 0.0 at large n; that is the only
-    # nonpositive value tolerated
-    if not np.all(weights >= 0.0):
-        raise RuntimeError(f"negative Laguerre weight for {(exponent, n)}")
-    if abs(float(weights.sum()) - mu0) > _WEIGHT_SUM_RTOL * mu0:
-        raise RuntimeError(f"Laguerre weight sum off for {(exponent, n)}")
-    return GaussRule(nodes=nodes, weights=weights)
+    return _golub_welsch(diag, off, mu0, "Laguerre", (0.0, math.inf), (exponent, n))
 
 
 def gauss_laguerre_rule(exponent: float, n: int) -> GaussRule:

@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .inequalities import DEFAULT_TOLERANCE, VerificationReport
+from .inequalities import DEFAULT_TOLERANCE, VerificationReport, _liyau_bound
 from .kernel import (
     kernel_derivatives_1d_batch,
     log_gaussian_mass,
@@ -436,7 +436,7 @@ def liyau_for_solution(
 
     field = ScalarField(value=log_value, gradient=log_gradient, hessian_diag=log_hessian)
     lhs = -dunkl_laplacian(field, x, kappa)
-    rhs = (kappa.d + 2.0 * kappa.lambda_total) / (2.0 * t)
+    rhs = _liyau_bound(t, kappa)
     return VerificationReport.build("liyau_solution", (t, tuple(float(v) for v in x)), lhs, rhs, tol)
 
 

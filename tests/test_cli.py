@@ -6,6 +6,7 @@ contract (JSON lines or CSV) and the exit code is the verdict.
 
 import collections
 import csv
+import functools
 import io
 import itertools
 import json
@@ -21,7 +22,8 @@ import pytest
 from dunklheat import cli, inequalities
 from dunklheat.cli import _COLUMNS, main
 from dunklheat.inequalities import VerificationReport, iter_liyau_points, liyau_functional
-from dunklheat.kernel import log_kernel_derivatives
+from dunklheat.kernel import log_gaussian_mass, log_kernel_derivatives
+from dunklheat.semigroup import MeasureConvention, normalization_check
 
 
 def run_cli(argv, capsys):
@@ -233,20 +235,15 @@ class TestClaimsVerify:
         } == claims
         assert sum(r["claim_id"] == "chain_rule" for r in rows) >= 10
 
-    def test_scaled_normalizer_fails_normalization_rows_only(self, capsys):
+    def test_scaled_normalizer_fails_normalization_rows_only(self, monkeypatch, capsys):
+        # the negative control: a normalizer 1.5 times too large
+        scaled = MeasureConvention(
+            weight_exponent=lambda k: 2.0 * k,
+            log_normalizer=lambda k: log_gaussian_mass(k) + math.log(1.5),
+        )
+        monkeypatch.setattr(cli, "normalization_check", functools.partial(normalization_check, convention=scaled))
         code, out, _ = run_cli(
-            [
-                "semigroup-check",
-                "--kappa",
-                "0.5",
-                "--t",
-                "0.5",
-                "--coords",
-                "-1,2",
-                "--c-scale",
-                "1.5",
-                "--reproducible",
-            ],
+            ["semigroup-check", "--kappa", "0.5", "--t", "0.5", "--coords", "-1,2", "--reproducible"],
             capsys,
         )
         assert code == 1
@@ -801,13 +798,13 @@ class TestLiYauGrid:
 
     def test_one_table_per_distinct_time_and_multiplicity(self, monkeypatch, capsys):
         builds = collections.Counter()
-        original = inequalities.liyau_coordinate_table
+        original = cli.liyau_coordinate_table
 
         def counting(t, kappa_i, *rest):
             builds[(t, kappa_i)] += 1
             return original(t, kappa_i, *rest)
 
-        monkeypatch.setattr(inequalities, "liyau_coordinate_table", counting)
+        monkeypatch.setattr(cli, "liyau_coordinate_table", counting)
         argv = ["liyau-scan", "--kappa", "0.5,1.5,0.25", "--t", "0.5,0.5", "--coords=-1,0,1"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0

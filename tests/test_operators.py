@@ -1,6 +1,7 @@
 """Rational Dunkl operators for the sign-flip group and the chain rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,21 @@ POINT_ENTRY_POINTS = {
     "dunkl_derivative": lambda x: dunkl_derivative(ScalarField.from_callable(lambda z: 1.0), x, 0, _K),
     "dunkl_laplacian": lambda x: dunkl_laplacian(ScalarField.from_callable(lambda z: 1.0), x, _K),
     "pi_psi": lambda x: pi_psi(ScalarField.from_callable(lambda z: 1.0), PSI_LOG, x, _K),
+    "harnack_check x": lambda x: dh.harnack_check(_CONSTANT_FIELD, 0.5, x, 1.0, [0.2], lambda_kappa=0.5, d=1),
+    "harnack_check y": lambda x: dh.harnack_check(_CONSTANT_FIELD, 0.5, [0.1], 1.0, x, lambda_kappa=0.5, d=1),
+}
+
+# the functions of one coordinate's kappa_i, each checked against the floor
+KAPPA_ENTRY_POINTS = {
+    "log_gaussian_mass": lambda k: dh.log_gaussian_mass(k),
+    "log_e_kappa": lambda k: dh.log_e_kappa(1.0, 1.0, k),
+    "moment_stats": lambda k: dh.moment_stats([1.0], k),
+    "kernel_derivatives_1d_batch": lambda k: dh.kernel_derivatives_1d_batch(1.0, 1.0, [0.5], k),
+    "f_of_a": lambda k: dh.f_of_a(0.5, k),
+    "f_of_a at a = 0": lambda k: dh.f_of_a(0.0, k),
+    "h_of_a": lambda k: dh.h_of_a(0.5, k),
+    "h_of_a at a = 0": lambda k: dh.h_of_a(0.0, k),
+    "liyau_coordinate_table": lambda k: dh.liyau_coordinate_table(1.0, k, [0.0, 1.0]),
 }
 
 
@@ -191,6 +207,41 @@ def test_every_time_entry_point_rejects_bad_times(name, t):
 def test_every_point_entry_point_rejects_bad_points(name, x):
     with pytest.raises(DomainError):
         POINT_ENTRY_POINTS[name](x)
+
+
+@pytest.mark.parametrize("name", sorted(KAPPA_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "kappa,message",
+    [
+        (1e-300, "multiplicity 1e-300 is below the floor 1e-08: each must be 0 or >= 1e-08"),
+        (1e-12, "multiplicity 1e-12 is below the floor 1e-08: each must be 0 or >= 1e-08"),
+        (-1.0, "multiplicities must be finite and >= 0, got -1.0"),
+        (math.nan, "multiplicities must be finite and >= 0, got nan"),
+        (math.inf, "multiplicities must be finite and >= 0, got inf"),
+    ],
+    ids=["1e-300", "1e-12", "-1", "nan", "inf"],
+)
+def test_every_kappa_entry_point_rejects_bad_multiplicities(name, kappa, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError) as exc:
+            KAPPA_ENTRY_POINTS[name](kappa)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("x", [[math.nan], [0.5, math.inf], [[0.5]]])
+def test_gradient_form_check_rejects_bad_points(x):
+    # the field fixes no dimension, so any length of a 1-d point is accepted
+    with pytest.raises(DomainError):
+        dh.gradient_form_check(_CONSTANT_FIELD, 1.0, x, 1.0)
+
+
+@pytest.mark.parametrize("coords", [[0.0, math.inf], [0.0, math.nan], [-math.inf, 0.0]])
+def test_grid_functions_reject_non_finite_coordinates(coords):
+    with pytest.raises(DomainError, match="coordinates must be finite"):
+        dh.liyau_coordinate_table(1.0, 0.5, coords)
+    with pytest.raises(DomainError, match="coordinates must be finite"):
+        dh.liyau_grid_extrema(1.0, [0.5, 0.0], coords)
 
 
 # ---------------------------------------------------------------------------
