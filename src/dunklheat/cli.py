@@ -420,7 +420,7 @@ def _solution_scan(cfg: RunConfig) -> list[_Row]:
             beta = _liyau_bound(t, kappa)
             for x in cfg.points:
                 point = (t, x)
-                report = _at_point(point, lambda: liyau_for_solution(datum, t, x, cfg.kappa, tol=cfg.tol))
+                report = _at_point(point, lambda: liyau_for_solution(field, t, x, cfg.kappa, tol=cfg.tol))
                 rows.append(_row(report, extra={"datum": name}))
                 report = _at_point(
                     point, lambda: gradient_form_check(field, t, x, beta, tol=cfg.tol)

@@ -412,11 +412,10 @@ def liyau_grid_extrema(
 
 
 def kernel_solution_field(y0, kappa) -> SpaceTimeField:
-    """u(t, x) = p_t(x, y0), the fundamental solution centred at y0.
+    """log u(t, x) = log p_t(x, y0), the fundamental solution centred at y0.
 
-    Derivatives of the value are assembled from the log-derivatives:
-    grad u = u grad log u, d_ii u = u (d_ii log u + (d_i log u)^2).  The
-    value and every derivative at one (t, x) share one kernel evaluation.
+    Every callable reads one field of the same kernel evaluation, kept for
+    the last (t, x) asked for.
     """
     kappa = MultiplicityZ2.of(kappa)
     y0 = _validate_point(y0, kappa.d)
@@ -429,27 +428,11 @@ def kernel_solution_field(y0, kappa) -> SpaceTimeField:
             last[key] = log_kernel_derivatives(t, x, y0, kappa)
         return last[key]
 
-    def value(t, x):
-        return math.exp(derivatives(t, x).log_p)
-
-    def gradient(t, x):
-        kp = derivatives(t, x)
-        return math.exp(kp.log_p) * np.asarray(kp.grad_x_log_p)
-
-    def hessian_diag(t, x):
-        kp = derivatives(t, x)
-        g = np.asarray(kp.grad_x_log_p)
-        return math.exp(kp.log_p) * (np.asarray(kp.hess_diag_x_log_p) + g * g)
-
-    def time_derivative(t, x):
-        kp = derivatives(t, x)
-        return math.exp(kp.log_p) * kp.dt_log_p
-
     return SpaceTimeField(
-        value=value,
-        gradient=gradient,
-        hessian_diag=hessian_diag,
-        time_derivative=time_derivative,
+        log_value=lambda t, x: derivatives(t, x).log_p,
+        log_gradient=lambda t, x: derivatives(t, x).grad_x_log_p,
+        log_hessian_diag=lambda t, x: derivatives(t, x).hess_diag_x_log_p,
+        log_time_derivative=lambda t, x: derivatives(t, x).dt_log_p,
     )
 
 
@@ -464,15 +447,11 @@ def gradient_form_check(
     beta: float,
     tol: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
-    """|grad u|^2/u^2 - (d_t u)/u <= beta at (t, x)."""
+    """|grad log u|^2 - d_t log u <= beta at (t, x)."""
     t = _validate_time(t)
     x = _validate_point(x, np.size(x))
-    value = float(u.value(t, x))
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"field must be positive at the check point, got {value!r}")
-    grad = np.asarray(u.gradient(t, x), dtype=float)
-    dt = float(u.time_derivative(t, x))
-    lhs = float(grad @ grad) / (value * value) - dt / value
+    g = np.asarray(u.log_gradient(t, x), dtype=float)
+    lhs = float(g @ g) - float(u.log_time_derivative(t, x))
     return VerificationReport.build(
         claim_id="gradient_form",
         grid_point=(t, tuple(x)),
@@ -503,13 +482,10 @@ def harnack_check(
         raise DomainError(f"need 0 < s < t, got s={s!r}, t={t!r}")
     x = _validate_point(x, d)
     y = _validate_point(y, d)
-    us = float(u.value(s, x))
-    ut = float(u.value(t, y))
-    if not (us > 0.0 and ut > 0.0):
-        raise DomainError("field must be positive at both check points")
     gap = float((x - y) @ (x - y))
-    lhs = math.log(us)
-    rhs = math.log(ut) + (lambda_kappa + d / 2.0) * math.log(t / s) + gap / (4.0 * (t - s))
+    lhs = float(u.log_value(s, x))
+    rhs = float(u.log_value(t, y)) + (lambda_kappa + d / 2.0) * math.log(t / s)
+    rhs += gap / (4.0 * (t - s))
     return VerificationReport.build(
         claim_id="harnack",
         grid_point=(s, tuple(x), t, tuple(y)),

@@ -200,14 +200,15 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """A positive space-time function u(t, x) with the derivatives the
-    parabolic inequalities consume: space gradient, diagonal space Hessian,
-    and time derivative.  All callables take (t, x)."""
+    """A positive space-time function u(t, x), held as log u with the
+    derivatives the parabolic inequalities consume: its space gradient,
+    diagonal space Hessian and time derivative.  All callables take (t, x).
+    The log form stays finite where u itself underflows."""
 
-    value: Callable[[float, np.ndarray], float]
-    gradient: Callable[[float, np.ndarray], np.ndarray]
-    hessian_diag: Callable[[float, np.ndarray], np.ndarray]
-    time_derivative: Callable[[float, np.ndarray], float]
+    log_value: Callable[[float, np.ndarray], float]
+    log_gradient: Callable[[float, np.ndarray], np.ndarray]
+    log_hessian_diag: Callable[[float, np.ndarray], np.ndarray]
+    log_time_derivative: Callable[[float, np.ndarray], float]
 
 
 @dataclass(frozen=True)

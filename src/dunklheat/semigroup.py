@@ -4,7 +4,7 @@ Everything here reduces to one-dimensional integrals against the weight
 |v|^(2 kappa): the kernel factorizes over coordinates, so applying the
 semigroup to product initial data, checking that the kernel integrates to
 one, and composing two kernels are per-coordinate quadratures followed by a
-product over coordinates.
+product over coordinates (a sum of logs for a solution field).
 
 Each 1d integral states a window in |v| and an integrand; `_panels` lays
 out the quadrature for all three.  The window of p_t(u, .) is |v| within 30
@@ -368,8 +368,22 @@ def _profile_moments(t, u, kappa_i, profile) -> np.ndarray:
     return moments
 
 
-def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2):
-    """moments(t, x): the cached moments of every coordinate at (t, x)."""
+# ---------------------------------------------------------------------------
+# semigroup application
+
+
+def semigroup_solution(f: InitialDatum, kappa) -> SpaceTimeField:
+    """log u for the solution u started from f, with space and time
+    derivatives taken under the integral sign (they hit the kernel factors,
+    which are known in closed form up to the tilted moments).  u is the
+    product of the coordinates' masses I0, so log u is the sum of their logs
+    and each derivative of log u is a moment ratio: nothing forms u itself,
+    which underflows long before its log leaves the double range.
+
+    Every callable reads the per-coordinate moments from the module's
+    bounded cache, so fields built for the same datum share their work, and
+    raises ConvergenceError at a point where a coordinate's mass underflows."""
+    kappa = MultiplicityZ2.of(kappa)
     if f.dimension != kappa.d:
         raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
 
@@ -378,63 +392,32 @@ def _solution_moments(f: InitialDatum, kappa: MultiplicityZ2):
         x = _validate_point(x, kappa.d)
         return [_profile_moments(t, float(xi), k, p) for xi, k, p in zip(x, kappa.values, f.profiles)]
 
-    return moments
+    def log_value(t, x) -> float:
+        return float(sum(math.log(m[0]) for m in moments(t, x)))
 
+    def log_gradient(t, x) -> np.ndarray:
+        return np.array([m[1] / m[0] for m in moments(t, x)])
 
-# ---------------------------------------------------------------------------
-# semigroup application
+    def log_hessian_diag(t, x) -> np.ndarray:
+        return np.array([m[2] / m[0] - (m[1] / m[0]) ** 2 for m in moments(t, x)])
 
+    def log_time_derivative(t, x) -> float:
+        return float(sum(m[3] / m[0] for m in moments(t, x)))
 
-def semigroup_solution(f: InitialDatum, kappa) -> SpaceTimeField:
-    """The solution started from f, with space and time derivatives taken
-    under the integral sign (they hit the kernel factors, which are known in
-    closed form up to the tilted moments).
-
-    Every callable reads the per-coordinate moments from the module's
-    bounded cache, so fields built for the same datum share their work, and
-    raises ConvergenceError at a point where a coordinate's mass underflows
-    rather than returning 0 (and a 0/0 gradient)."""
-    moments = _solution_moments(f, MultiplicityZ2.of(kappa))
-
-    def value(t, x) -> float:
-        return float(np.prod([m[0] for m in moments(t, x)]))
-
-    def scaled(t, x, j: int) -> list[float]:
-        # u times the j-th moment ratio of each coordinate
-        ms = moments(t, x)
-        val = np.prod([m[0] for m in ms])
-        return [val / m[0] * m[j] for m in ms]
-
-    return SpaceTimeField(
-        value=value,
-        gradient=lambda t, x: np.array(scaled(t, x, 1)),
-        hessian_diag=lambda t, x: np.array(scaled(t, x, 2)),
-        time_derivative=lambda t, x: float(sum(scaled(t, x, 3))),
-    )
+    return SpaceTimeField(log_value, log_gradient, log_hessian_diag, log_time_derivative)
 
 
 def liyau_for_solution(
-    f: InitialDatum, t: float, x, kappa, tol: float = DEFAULT_TOLERANCE
+    u: SpaceTimeField, t: float, x, kappa, tol: float = DEFAULT_TOLERANCE
 ) -> VerificationReport:
-    """-L log u(t, x) <= (d + 2 lambda)/(2t) for the solution u started from
-    f, with L applied as the generic difference operator to the quadrature
-    field, so nothing here reuses the per-coordinate moment analysis.  The
-    moments come from the same cache as `semigroup_solution`."""
+    """-L log u(t, x) <= (d + 2 lambda)/(2t) for the solution field u, with L
+    applied as the generic difference operator to the time-t slice of log u,
+    so nothing here reuses the per-coordinate moment analysis."""
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
     x = _validate_point(x, kappa.d)
-    moments = functools.partial(_solution_moments(f, kappa), t)
-
-    def log_value(z) -> float:
-        return float(sum(math.log(m[0]) for m in moments(z)))
-
-    def log_gradient(z) -> np.ndarray:
-        return np.array([m[1] / m[0] for m in moments(z)])
-
-    def log_hessian(z) -> np.ndarray:
-        return np.array([m[2] / m[0] - (m[1] / m[0]) ** 2 for m in moments(z)])
-
-    field = ScalarField(value=log_value, gradient=log_gradient, hessian_diag=log_hessian)
+    slices = (u.log_value, u.log_gradient, u.log_hessian_diag)
+    field = ScalarField(*(functools.partial(g, t) for g in slices))
     lhs = -dunkl_laplacian(field, x, kappa)
     rhs = _liyau_bound(t, kappa)
     return VerificationReport.build("liyau_solution", (t, tuple(float(v) for v in x)), lhs, rhs, tol)

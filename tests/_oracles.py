@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own quadrature and moment
 machinery: the fast paths are judged against brute-force graded panels,
 elementary closed forms, and high-precision special-function identities.
 The one exception seeds a long-double Newton polish with the package's Gauss
-nodes, and then checks that the polish found every root.
+nodes, and then checks that the polish found every root.  The analytic
+scalar fields are closed forms held in the package's `ScalarField`.
 """
 
 import functools
@@ -13,6 +14,8 @@ import math
 import mpmath
 import numpy as np
 from scipy.special import gammaln
+
+from dunklheat.operators import ScalarField
 
 # 4-point Gauss-Legendre rule on [-1, 1], used only as the per-panel rule of
 # the brute-force integrator below.
@@ -266,6 +269,37 @@ def central_d2(f, x, h):
         + 16 * f(x - h)
         - f(x - 2 * h)
     ) / (12 * h * h)
+
+
+# ---------------------------------------------------------------------------
+# analytic scalar fields (for the Dunkl operators and the chain rule)
+
+
+def exp_field(c=(0.3, -0.2)):
+    c = np.asarray(c, dtype=float)
+    return ScalarField(
+        value=lambda x: math.exp(float(c @ x)),
+        gradient=lambda x: c * math.exp(float(c @ x)),
+        hessian_diag=lambda x: c * c * math.exp(float(c @ x)),
+    )
+
+
+def gaussian_field():
+    # exp(-|x|^2/2), even in every coordinate
+    return ScalarField(
+        value=lambda x: math.exp(-0.5 * float(x @ x)),
+        gradient=lambda x: -x * math.exp(-0.5 * float(x @ x)),
+        hessian_diag=lambda x: (x * x - 1.0) * math.exp(-0.5 * float(x @ x)),
+    )
+
+
+def positive_poly_field():
+    # 12 + x0 + x0^2 x1, positive on [-2, 2]^2, not sign-flip invariant
+    return ScalarField(
+        value=lambda x: 12.0 + x[0] + x[0] ** 2 * x[1],
+        gradient=lambda x: np.array([1.0 + 2.0 * x[0] * x[1], x[0] ** 2]),
+        hessian_diag=lambda x: np.array([2.0 * x[1], 0.0]),
+    )
 
 
 # n above this takes the long-double polish where long double is wide

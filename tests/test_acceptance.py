@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 import _oracles as oracle
-from test_operators import exp_field, gaussian_field, positive_poly_field
+from _oracles import exp_field, gaussian_field, positive_poly_field
 
 from dunklheat.cli import main as cli_main
 from dunklheat.inequalities import (

@@ -178,6 +178,24 @@ class TestSolutionAndHarnack:
         for row in by_claim["gradient_form"]:
             assert row["rhs"] == pytest.approx(row["extra"]["beta"])
 
+    @pytest.mark.parametrize(
+        "kappa, coords",
+        [
+            # the product of the two coordinate masses underflows to 0
+            ("0.5,0.5", "2.9"),
+            # u * u underflows to 0 in |grad u|^2 / u^2
+            ("0.5,0.5,0.5", "2.2"),
+        ],
+    )
+    def test_solution_scan_passes_where_u_underflows(self, capsys, kappa, coords):
+        argv = ["solution-scan", "--kappa", kappa, "--t", "0.001", "--coords", coords, "--reproducible"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err == ""
+        _, rows = parse_jsonl(out)
+        assert len(rows) == 6
+        assert all(row["pass"] for row in rows)
+
     def test_harnack_scan_row_count_follows_augment(self, capsys):
         code, out, _ = run_cli(
             ["harnack-scan", "--kappa", "0.5", "--augment", "10", "--reproducible"], capsys

@@ -30,6 +30,7 @@ from dunklheat.inequalities import (
 from dunklheat.kernel import _MOMENT_CACHE, log_kernel, log_kernel_derivatives, moment_ratios
 from dunklheat.operators import ScalarField, SpaceTimeField, dunkl_laplacian
 from dunklheat.quadrature import DomainError, gauss_jacobi_rule
+from dunklheat.semigroup import InitialDatum, semigroup_solution
 
 KAPPA_GRID = [0.25, 0.5, 1.0, 2.5]
 
@@ -503,15 +504,14 @@ def test_kernel_solution_field_derivatives():
     u = kernel_solution_field([0.5, -1.0], [0.5, 1.5])
     t = 0.7
     x = np.array([1.0, 2.0])
-    val = u.value(t, x)
-    assert val > 0.0
-    slice_field = ScalarField.from_callable(lambda z: u.value(t, z))
-    np.testing.assert_allclose(u.gradient(t, x), slice_field.gradient(x), rtol=1e-7)
+    assert math.isfinite(u.log_value(t, x))
+    slice_field = ScalarField.from_callable(lambda z: u.log_value(t, z))
+    np.testing.assert_allclose(u.log_gradient(t, x), slice_field.gradient(x), rtol=1e-7)
     np.testing.assert_allclose(
-        u.hessian_diag(t, x), slice_field.hessian_diag(x), rtol=1e-6
+        u.log_hessian_diag(t, x), slice_field.hessian_diag(x), rtol=1e-6
     )
-    dt = oracle.central_d1(lambda s: u.value(s, x), t, 1e-4 * t)
-    assert abs(u.time_derivative(t, x) - dt) <= 1e-7 * max(1.0, abs(dt))
+    dt = oracle.central_d1(lambda s: u.log_value(s, x), t, 1e-4 * t)
+    assert abs(u.log_time_derivative(t, x) - dt) <= 1e-7 * max(1.0, abs(dt))
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +546,11 @@ def test_kernel_solution_field_evaluates_the_kernel_once_per_point(monkeypatch):
     assert calls == {"log_kernel_derivatives": 1}
     for x in ([1.0, 2.0], [-0.3, 0.0], [-0.3, -0.0], [1.0, 2.0]):
         kp = log_kernel_derivatives(t, x, y0, kappa)
-        assert u.value(t, x) == math.exp(log_kernel(t, x, y0, kappa))
-        grad = math.exp(kp.log_p) * np.asarray(kp.grad_x_log_p)
-        np.testing.assert_array_equal(u.gradient(t, x), grad)
-        assert u.time_derivative(t, x) == math.exp(kp.log_p) * kp.dt_log_p
-        assert u.value(2.0 * t, x) == math.exp(log_kernel(2.0 * t, x, y0, kappa))
+        assert u.log_value(t, x) == log_kernel(t, x, y0, kappa)
+        np.testing.assert_array_equal(u.log_gradient(t, x), kp.grad_x_log_p)
+        np.testing.assert_array_equal(u.log_hessian_diag(t, x), kp.hess_diag_x_log_p)
+        assert u.log_time_derivative(t, x) == kp.dt_log_p
+        assert u.log_value(2.0 * t, x) == log_kernel(2.0 * t, x, y0, kappa)
 
 
 def test_gradient_form_lhs_is_the_log_derivative_combination():
@@ -572,26 +572,26 @@ def test_gradient_form_gaussian_equality_at_center():
     assert abs(r.deficit) < 1e-12
 
 
-def test_gradient_form_rejects_nonpositive_field():
-    bad = SpaceTimeField(
-        value=lambda t, x: -1.0,
-        gradient=lambda t, x: np.zeros(1),
-        hessian_diag=lambda t, x: np.zeros(1),
-        time_derivative=lambda t, x: 0.0,
-    )
-    with pytest.raises(DomainError):
-        gradient_form_check(bad, 1.0, [0.0], beta=1.0)
-
-
 def test_gradient_form_constant_field_passes_any_nonnegative_beta():
     const = SpaceTimeField(
-        value=lambda t, x: 3.0,
-        gradient=lambda t, x: np.zeros(2),
-        hessian_diag=lambda t, x: np.zeros(2),
-        time_derivative=lambda t, x: 0.0,
+        log_value=lambda t, x: math.log(3.0),
+        log_gradient=lambda t, x: np.zeros(2),
+        log_hessian_diag=lambda t, x: np.zeros(2),
+        log_time_derivative=lambda t, x: 0.0,
     )
     r = gradient_form_check(const, 1.0, [1.0, 2.0], beta=0.0)
     assert r.lhs == 0.0 and r.passed
+
+
+def test_solution_checks_hold_where_u_underflows():
+    # the CLI's bump datum at kappa = (0.5, 0.5): u(0.001, x) is below the
+    # double range, but log u, about -1023, is not
+    kappa, t, x = [0.5, 0.5], 0.001, [2.9, 2.9]
+    u = semigroup_solution(InitialDatum.bumps([0.0, 0.0], [1.5], power=3), kappa)
+    assert math.exp(u.log_value(t, x)) == 0.0
+    beta = (2 + 2.0 * sum(kappa)) / (2.0 * t)
+    assert gradient_form_check(u, t, x, beta).passed
+    assert harnack_check(u, t, x, 2.0 * t, x, lambda_kappa=1.0, d=2).passed
 
 
 # ---------------------------------------------------------------------------

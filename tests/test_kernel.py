@@ -465,11 +465,14 @@ def test_no_public_function_takes_a_ladder_tolerance_or_cap(capsys):
 # the public API
 
 
+def _readme() -> str:
+    return (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_lists_the_public_api():
     # each item of the README's "Library API" list names a module, then every
     # name of its __all__, sorted; together they are the package's __all__
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    section = _readme().split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
     listed = []
     for item in re.split(r"^- ", section, flags=re.M)[1:]:
         module, *names = re.findall(r"`([^`]+)`", item)
@@ -477,3 +480,9 @@ def test_readme_lists_the_public_api():
         listed += names
     assert sorted(listed) == dunklheat.__all__
     assert len(listed) == len(set(listed))
+
+
+def test_readme_quick_start_runs():
+    # the one python block of the README runs as written
+    (block,) = re.findall(r"^```python\n(.*?)^```$", _readme(), flags=re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})

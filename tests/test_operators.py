@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from _oracles import exp_field, gaussian_field, positive_poly_field
 import dunklheat as dh
 from dunklheat.operators import (
     EPS_REFLECTION_SCALE,
@@ -39,33 +40,6 @@ def poly_field():
         value=lambda x: x[0] ** 2 * x[1] + 3.0 * x[0] - x[1] ** 3 + 5.0,
         gradient=lambda x: np.array([2.0 * x[0] * x[1] + 3.0, x[0] ** 2 - 3.0 * x[1] ** 2]),
         hessian_diag=lambda x: np.array([2.0 * x[1], -6.0 * x[1]]),
-    )
-
-
-def exp_field(c=(0.3, -0.2)):
-    c = np.asarray(c, dtype=float)
-    return ScalarField(
-        value=lambda x: math.exp(float(c @ x)),
-        gradient=lambda x: c * math.exp(float(c @ x)),
-        hessian_diag=lambda x: c * c * math.exp(float(c @ x)),
-    )
-
-
-def gaussian_field():
-    # exp(-|x|^2/2), even in every coordinate
-    return ScalarField(
-        value=lambda x: math.exp(-0.5 * float(x @ x)),
-        gradient=lambda x: -x * math.exp(-0.5 * float(x @ x)),
-        hessian_diag=lambda x: (x * x - 1.0) * math.exp(-0.5 * float(x @ x)),
-    )
-
-
-def positive_poly_field():
-    # 12 + x0 + x0^2 x1, positive on [-2, 2]^2, not sign-flip invariant
-    return ScalarField(
-        value=lambda x: 12.0 + x[0] + x[0] ** 2 * x[1],
-        gradient=lambda x: np.array([1.0 + 2.0 * x[0] * x[1], x[0] ** 2]),
-        hessian_diag=lambda x: np.array([2.0 * x[1], 0.0]),
     )
 
 
@@ -134,12 +108,13 @@ def test_reflection_epsilon_scales_with_norm():
 
 _K = [0.5]
 _DATUM = dh.InitialDatum.bumps([0.0], [1.0])
+_SOLUTION = dh.semigroup_solution(_DATUM, _K)
 # a field that checks nothing itself, so only the check's own validation acts
 _CONSTANT_FIELD = dh.SpaceTimeField(
-    value=lambda t, x: 1.0,
-    gradient=lambda t, x: np.zeros(1),
-    hessian_diag=lambda t, x: np.zeros(1),
-    time_derivative=lambda t, x: 0.0,
+    log_value=lambda t, x: 0.0,
+    log_gradient=lambda t, x: np.zeros(1),
+    log_hessian_diag=lambda t, x: np.zeros(1),
+    log_time_derivative=lambda t, x: 0.0,
 )
 
 TIME_ENTRY_POINTS = {
@@ -149,8 +124,8 @@ TIME_ENTRY_POINTS = {
     "liyau_functional": lambda t: dh.liyau_functional(t, [1.0], [0.5], _K),
     "log_convexity_check": lambda t: dh.log_convexity_check(t, [1.0], [0.5], _K),
     "log_convexity_midpoint_check": lambda t: dh.log_convexity_midpoint_check(t, [1.0], [0.0], [0.5], _K),
-    "semigroup_solution": lambda t: dh.semigroup_solution(_DATUM, _K).value(t, [0.5]),
-    "liyau_for_solution": lambda t: dh.liyau_for_solution(_DATUM, t, [0.5], _K),
+    "semigroup_solution": lambda t: dh.semigroup_solution(_DATUM, _K).log_value(t, [0.5]),
+    "liyau_for_solution": lambda t: dh.liyau_for_solution(_SOLUTION, t, [0.5], _K),
     "normalization_check": lambda t: dh.normalization_check(t, [0.5], _K),
     "chapman_kolmogorov_check s": lambda t: dh.chapman_kolmogorov_check(t, 1.0, [1.0], [0.5], _K),
     "chapman_kolmogorov_check t": lambda t: dh.chapman_kolmogorov_check(1.0, t, [1.0], [0.5], _K),

@@ -113,7 +113,7 @@ def _indicator(lo, hi):
 def test_gaussian_convolution_matches_error_function():
     f = InitialDatum((_indicator(-1.0, 2.0),))
     for t, x in ((0.3, 0.5), (0.01, -0.9), (2.0, 4.0)):
-        got = semigroup_solution(f, [0.0]).value(t, [x])
+        got = math.exp(semigroup_solution(f, [0.0]).log_value(t, [x]))
         want = 0.5 * (
             math.erf((2.0 - x) / math.sqrt(4.0 * t)) - math.erf((-1.0 - x) / math.sqrt(4.0 * t))
         )
@@ -122,14 +122,15 @@ def test_gaussian_convolution_matches_error_function():
 
 def test_conservation_of_mass_on_a_huge_box():
     box = InitialDatum((_indicator(-80.0, 80.0), _indicator(-80.0, 80.0)))
+    u = semigroup_solution(box, [0.5, 1.5])
     for t, x in ((0.5, [1.0, -2.0]), (0.05, [0.0, 3.0])):
-        assert semigroup_solution(box, [0.5, 1.5]).value(t, x) == pytest.approx(1.0, abs=1e-11)
+        assert math.exp(u.log_value(t, x)) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_short_time_limit_recovers_the_datum():
     f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
     x = [0.3, -0.5]
-    assert abs(semigroup_solution(f, [0.5, 1.5]).value(1e-4, x) - f.value(x)) < 1e-3
+    assert abs(math.exp(semigroup_solution(f, [0.5, 1.5]).log_value(1e-4, x)) - f.value(x)) < 1e-3
 
 
 def test_semigroup_positivity():
@@ -139,17 +140,18 @@ def test_semigroup_positivity():
     for _ in range(10):
         t = float(10.0 ** rng.uniform(-2.0, 1.0))
         x = rng.uniform(-4.0, 4.0, 2)
-        assert u.value(t, x) > 0.0
+        assert math.isfinite(u.log_value(t, x))
     # far outside the support the value is tiny but still positive
-    assert 0.0 < u.value(0.05, [6.0, -7.0]) < 1e-30
+    assert -math.inf < u.log_value(0.05, [6.0, -7.0]) < math.log(1e-30)
 
 
 def test_semigroup_factorizes_over_coordinates():
     f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
     t, x, kappa = 0.7, [1.0, 2.0], [0.5, 1.5]
-    whole = semigroup_solution(f, kappa).value(t, x)
+    whole = math.exp(semigroup_solution(f, kappa).log_value(t, x))
     parts = [
-        semigroup_solution(InitialDatum((f.profiles[i],)), [kappa[i]]).value(t, [x[i]]) for i in range(2)
+        math.exp(semigroup_solution(InitialDatum((f.profiles[i],)), [kappa[i]]).log_value(t, [x[i]]))
+        for i in range(2)
     ]
     assert whole == pytest.approx(parts[0] * parts[1], rel=1e-13)
     assert whole == pytest.approx(0.005684145711157724, rel=1e-11)
@@ -158,20 +160,20 @@ def test_semigroup_factorizes_over_coordinates():
 def test_apply_semigroup_validation():
     f = InitialDatum.bumps([0.0], [1.0])
     with pytest.raises(DomainError):
-        semigroup_solution(f, [0.5]).value(0.0, [0.0])
+        semigroup_solution(f, [0.5]).log_value(0.0, [0.0])
     with pytest.raises(DomainError):
-        semigroup_solution(f, [0.5, 0.5]).value(1.0, [0.0, 1.0])
+        semigroup_solution(f, [0.5, 0.5]).log_value(1.0, [0.0, 1.0])
 
 
 def test_solution_field_derivatives_match_finite_differences():
     f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
     u = semigroup_solution(f, [0.5, 1.5])
     t, x = 0.7, np.array([1.0, 2.0])
-    slice_field = ScalarField.from_callable(lambda z: u.value(t, z))
-    np.testing.assert_allclose(u.gradient(t, x), slice_field.gradient(x), rtol=1e-9)
-    np.testing.assert_allclose(u.hessian_diag(t, x), slice_field.hessian_diag(x), rtol=1e-8)
-    dt = oracle.central_d1(lambda s: u.value(s, x), t, 1e-5)
-    assert u.time_derivative(t, x) == pytest.approx(dt, rel=1e-9)
+    slice_field = ScalarField.from_callable(lambda z: u.log_value(t, z))
+    np.testing.assert_allclose(u.log_gradient(t, x), slice_field.gradient(x), rtol=1e-9)
+    np.testing.assert_allclose(u.log_hessian_diag(t, x), slice_field.hessian_diag(x), rtol=1e-8)
+    dt = oracle.central_d1(lambda s: u.log_value(s, x), t, 1e-5)
+    assert u.log_time_derivative(t, x) == pytest.approx(dt, rel=1e-9)
 
 
 @pytest.mark.parametrize("t, x", [(0.01, 40.0), (1e-4, -8.0)])
@@ -179,11 +181,11 @@ def test_underflowed_solution_raises_on_every_path(t, x):
     # the CLI's bump datum at kappa = 0.5: the mass at x underflows to 0
     f = InitialDatum.bumps([0.0], [1.5], power=3)
     u = semigroup_solution(f, [0.5])
-    for evaluate in (u.value, u.gradient, u.hessian_diag, u.time_derivative):
+    for evaluate in (u.log_value, u.log_gradient, u.log_hessian_diag, u.log_time_derivative):
         with pytest.raises(ConvergenceError, match="underflowed"):
             evaluate(t, [x])
     with pytest.raises(ConvergenceError, match="underflowed"):
-        liyau_for_solution(f, t, [x], [0.5])
+        liyau_for_solution(u, t, [x], [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +265,13 @@ def test_solution_moments_are_cached_read_only_and_bounded(monkeypatch):
     f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
     t, x = 0.7, [1.0, 2.0]
     first = semigroup_solution(f, [0.5, 1.5])
-    value = first.value(t, x)
+    value = first.log_value(t, x)
     assert len(calls) == 2
     # a second field and the derivatives all hit the cache
     second = semigroup_solution(f, [0.5, 1.5])
-    assert second.value(t, x) == value
-    second.gradient(t, x)
-    second.time_derivative(t, x)
+    assert second.log_value(t, x) == value
+    second.log_gradient(t, x)
+    second.log_time_derivative(t, x)
     assert len(calls) == 2
     moments = semigroup._profile_moments(t, 1.0, 0.5, f.profiles[0])
     assert not moments.flags.writeable
@@ -405,13 +407,12 @@ def test_liyau_for_solution_agrees_cold_and_after_the_field_filled_the_cache(mon
             (bump_profile(0.5, 1.0, power=3), two_bump_profile(-2.0, 2.0, 0.8, power=3))
         )
 
-    cold = liyau_for_solution(datum(), t, x, kappa)
-    f = datum()
-    u = semigroup_solution(f, kappa)
+    cold = liyau_for_solution(semigroup_solution(datum(), kappa), t, x, kappa)
+    u = semigroup_solution(datum(), kappa)
     for z in ([1.0, -2.0], [-1.0, 2.0]):  # x and both reflections, coordinate by coordinate
-        u.value(t, z)
+        u.log_value(t, z)
     calls = _count_ladders(monkeypatch)
-    warm = liyau_for_solution(f, t, x, kappa)
+    warm = liyau_for_solution(u, t, x, kappa)
     assert calls == []
     assert warm == cold
 
@@ -575,7 +576,7 @@ def test_heat_residual_evaluates_the_kernel_once_per_point(monkeypatch):
 def test_classical_bound_for_zero_multiplicity():
     f = InitialDatum.bumps([0.2], [1.5], power=2)
     for t in (0.05, 0.5, 5.0):
-        r = liyau_for_solution(f, t, [0.8], [0.0])
+        r = liyau_for_solution(semigroup_solution(f, [0.0]), t, [0.8], [0.0])
         assert r.claim_id == "liyau_solution"
         assert r.rhs == pytest.approx(0.5 / t)
         assert r.passed
@@ -590,7 +591,7 @@ def test_solution_bound_concentrates_to_the_kernel_bound():
     diffs = []
     for radius in (1e-2, 1e-3):
         f = InitialDatum.bumps(y0, [radius, radius], power=3)
-        r = liyau_for_solution(f, 0.7, [1.0, 2.0], kappa)
+        r = liyau_for_solution(semigroup_solution(f, kappa), 0.7, [1.0, 2.0], kappa)
         diffs.append(abs(r.lhs - dec.total))
     assert diffs[0] < 5e-4
     assert diffs[1] < diffs[0] / 50.0
@@ -600,9 +601,10 @@ def test_two_bump_solution_passes_on_grid():
     f = InitialDatum(
         (two_bump_profile(-2.0, 2.0, 0.8, power=3), bump_profile(0.5, 1.0, power=3))
     )
+    u = semigroup_solution(f, [1.0, 0.5])
     for t in (0.1, 1.0, 10.0):
         for x0 in (-3.0, 0.0, 1.0, 10.0):
-            r = liyau_for_solution(f, t, [x0, 0.3], [1.0, 0.5])
+            r = liyau_for_solution(u, t, [x0, 0.3], [1.0, 0.5])
             assert r.passed, (t, x0, r.lhs, r.rhs)
 
 
@@ -634,8 +636,8 @@ def test_harnack_for_semigroup_solutions():
 
 
 def test_liyau_for_solution_validation():
-    f = InitialDatum.bumps([0.0], [1.0])
+    u = semigroup_solution(InitialDatum.bumps([0.0], [1.0]), [0.5])
     with pytest.raises(DomainError):
-        liyau_for_solution(f, -1.0, [0.0], [0.5])
+        liyau_for_solution(u, -1.0, [0.0], [0.5])
     with pytest.raises(DomainError):
-        liyau_for_solution(f, 1.0, [0.0, 0.0], [0.5, 0.5])
+        liyau_for_solution(u, 1.0, [0.0, 0.0], [0.5, 0.5])
