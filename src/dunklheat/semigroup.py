@@ -12,28 +12,33 @@ sigma of |u|, sigma = sqrt(2t): E_kappa(a) <= e^|a| (Rosler 1998) bounds
 the kernel by a Gaussian in the reflection distance ||u| - |v||, so the
 omitted region carries less than e^(-450) of the mass.  A profile's
 integral intersects it with the support, or takes the whole support when
-they miss.  In Chapman-Kolmogorov the two kernels' Gaussians multiply to
-one Gaussian in |v|, centred between |x| and |y| and narrower than either,
-and the integral takes that envelope's window; at kappa = 0, where the
-kernels are signed Gaussians, it is centred between x and y.  Panels are
-cut at 0, at knots and every few sigma; one touching v = 0 absorbs the
-|v|^(2 kappa) factor into a Gauss-Jacobi rule so low multiplicities keep
-full accuracy through the kink, elsewhere Gauss-Legendre panels apply the
-weight pointwise.  All node counts double together until two levels' weighted
-sums agree to _PANEL_REL_TOL (1e-10), up to _PANEL_NODE_CAP (512) nodes per
-panel; the kernel values inside them settle to the kernel's fixed 1e-10.  A
-level's nodes and weights are built for all panels at once, with one lookup
-of each Gauss rule.
+they miss or the integrand is 0 all over the window.  In Chapman-Kolmogorov
+the two kernels' Gaussians multiply to one Gaussian in |v|, centred between
+|x| and |y| and narrower than either, and the integral takes that
+envelope's window; at kappa = 0, where the kernels are signed Gaussians, it
+is centred between x and y.  Panels are cut at 0, at knots and every few
+sigma; one touching v = 0 absorbs the |v|^(2 kappa) factor into a
+Gauss-Jacobi rule so low multiplicities keep full accuracy through the
+kink, elsewhere Gauss-Legendre panels apply the weight pointwise.  All node
+counts double together until two levels' weighted sums agree to
+_PANEL_REL_TOL (1e-10), up to _PANEL_NODE_CAP (512) nodes per panel; the
+kernel values inside them settle to the kernel's fixed 1e-10.  A level's
+nodes and weights are built for all panels at once, with one lookup of each
+Gauss rule.  Integrands and weights are logs (log f + log p_t or two
+log-kernel rows, and 2 kappa log|v|), which `_adaptive_panel_sum`
+exponentiates shifted by their largest term.  Each integral returns its
+log, found wherever that log is finite, however far outside the double
+range the integrand or weight is.
 
 Each integral is a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries,
 called with positional arguments that name the point alone, since the
 accuracy contract is fixed: `_profile_moments` feeds every solution path,
 `_plain_mass` feeds `normalization_check` and `_ck_coordinate` feeds
 `chapman_kolmogorov_check`.  They raise ConvergenceError where no value is
-representable: where an integral underflows to 0 or a Chapman-Kolmogorov
-integrand overflows (the integrands are formed in linear space), where 30
-sigma vanishes next to |u| in double precision, leaving a window no width,
-and where a layout would need more than _PANEL_CAP panels.
+representable: where a solution's integrand is 0 on the whole support (u^2
+overflows far from it), where 30 sigma vanishes next to |u| in double
+precision, leaving a window no width, and where a layout would need more
+than _PANEL_CAP panels.
 
 A fourth LRU cache, `_log_row`, keeps the last _ROW_CACHE_SIZE (32)
 log-kernel rows log p_t(u, .) that Chapman-Kolmogorov integrands read,
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -107,7 +112,6 @@ _SOLUTION_CACHE_SIZE = 4096
 # semigroup-check reuses a row at most 19 distinct rows later, when (s, t)
 # and (t, s) at x_i = y_i share both; at 16 it recomputed 6 of its 100 rows
 _ROW_CACHE_SIZE = 32
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +150,10 @@ def bump_profile(center: float, radius: float, power: int = 2) -> Profile:
     derivatives at the support edge."""
     center = float(center)
     radius = float(radius)
-    power = int(power)
     if not (math.isfinite(center) and math.isfinite(radius) and radius > 0.0):
         raise DomainError(f"bump needs finite center and positive radius, got {(center, radius)}")
-    if power < 1:
-        raise DomainError(f"bump power must be a positive integer, got {power}")
+    if isinstance(power, bool) or not isinstance(power, numbers.Integral) or power < 1:
+        raise DomainError(f"bump power must be a positive integer, got {power!r}")
 
     def fn(v):
         s = (np.asarray(v, dtype=float) - center) / radius
@@ -254,45 +257,51 @@ def _panels(inner, outer, sigma, lo=-math.inf, hi=math.inf, knots=()) -> np.ndar
 
 
 def _panel_levels(panels, exponent: float):
-    """level(n) -> (v, w): nodes and weights, panel after panel, for the
-    integral of g(v) |v|^exponent over the panels, (m, 2) edges, at n nodes
-    each, where no panel's interior contains 0.  A panel with an endpoint at
-    0 moves the weight into the Gauss-Jacobi rule of exponent (0, exponent);
-    elsewhere the weight is smooth and is evaluated at the Gauss-Legendre
-    nodes.  A level looks each rule up once and lays out all panels from it."""
+    """level(n) -> (v, log_w): nodes and log-weights, panel after panel, for
+    the integral of g(v) |v|^exponent over the panels, (m, 2) edges, at n
+    nodes each, where no panel's interior contains 0.  A panel with an
+    endpoint at 0 moves the weight into the Gauss-Jacobi rule of exponent
+    (0, exponent), where an underflowed weight has log -inf; elsewhere the
+    smooth weight's log is added at the Gauss-Legendre nodes.  A level looks
+    each rule up once and lays out all panels from it."""
     a, b = panels.T
     mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
-    at_zero = ((a == 0.0) | (b == 0.0)) & (exponent > 0.0)
     # (row, half-width, side) of the panels at 0, at most one on each side
     ends = []
-    for j in np.flatnonzero(at_zero):
+    for j in np.flatnonzero(((a == 0.0) | (b == 0.0)) & (exponent > 0.0)):
         scale = (b[j] if a[j] == 0.0 else -a[j]) / 2.0
         ends.append((j, scale, -1.0 if b[j] == 0.0 else 1.0))
 
     def level(n: int):
         rule = gauss_jacobi_rule(0.0, 0.0, n)
         v = mid + half * rule.nodes
-        # |v|^0 is exactly 1, so exponent 0 leaves the Legendre weights' bits
-        w = half * rule.weights * np.abs(v) ** exponent
+        log_w = np.log(half) + np.log(rule.weights)
+        if exponent != 0.0:
+            log_w += exponent * np.log(np.abs(v))
         if ends:
             rule = gauss_jacobi_rule(0.0, exponent, n)
+            with np.errstate(divide="ignore"):
+                log_weights = np.log(rule.weights)
             for j, scale, side in ends:
                 v[j] = side * (scale * (1.0 + rule.nodes))
-                # a scalar power, as in one panel's own formula
-                w[j] = scale ** (exponent + 1.0) * rule.weights
-        return v.ravel(), w.ravel()
+                log_w[j] = (exponent + 1.0) * math.log(scale) + log_weights
+        return v.ravel(), log_w.ravel()
 
     return level
 
 
 def _adaptive_panel_sum(panels, exponent, values, units):
-    """Weighted sums sum_j w_j values(v_j) over all panels, doubling every
-    panel's node count until two levels agree to _PANEL_REL_TOL, up to
-    _PANEL_NODE_CAP.
+    """(shift, sums): the integrals sum_j w_j g(v_j) factors[i, j] over all
+    panels, as exp(shift) * sums[i], doubling every panel's node count until
+    two levels agree to _PANEL_REL_TOL, up to _PANEL_NODE_CAP.
 
-    `values` maps a node array (m,) to integrand rows (k, m); `units` rescales
-    the k sums to a common magnitude so the stopping test is relative in the
-    largest component and absolute, at the same scale, in the rest.
+    `values` maps a node array (m,) to log g (-inf where g is 0) and factor
+    rows (k, m).  This is where logs become numbers: each term is exp(log g
+    + log w - shift), the shift fixed at the first call's largest log term,
+    one exp per node.  If g is 0 at every node of that call, the shift is
+    -inf and the sums are ones.  `units` rescales the k sums to a common magnitude so
+    the stopping test is relative in the largest component and absolute, at
+    the same scale, in the rest.
 
     Nearly every ladder stops at its second level, so the first two levels
     share one `values` call.  The kernel gives a node the same bits in any
@@ -301,69 +310,74 @@ def _adaptive_panel_sum(panels, exponent, values, units):
     """
     level = _panel_levels(panels, exponent)
     ladder = list(node_ladder(NODE_START, _PANEL_NODE_CAP))
-    prev = None
+    shift, prev = None, None
     for calls in (ladder[:2], *([n] for n in ladder[2:])):
         layouts = [level(n) for n in calls]
-        rows = np.asarray(values(np.concatenate([v for v, _ in layouts])))
+        log_g, factors = values(np.concatenate([v for v, _ in layouts]))
+        log_terms = log_g + np.concatenate([log_w for _, log_w in layouts])
+        if shift is None:
+            shift = float(log_terms.max())
+            if shift == -math.inf:
+                return shift, np.ones(len(units))
+        terms = np.exp(log_terms - shift)
         start = 0
-        for v, w in layouts:
-            cur = np.ascontiguousarray(rows[:, start : start + v.size]) @ w
+        for v, _ in layouts:
+            cur = np.ascontiguousarray(factors[:, start : start + v.size]) @ terms[start : start + v.size]
             start += v.size
             if prev is not None:
                 scaled = cur * units
                 err = np.abs(scaled - prev * units).max()
                 if err <= _PANEL_REL_TOL * max(np.abs(scaled).max(), np.abs(prev * units).max()):
-                    return cur
-                if np.abs(scaled).max() == 0.0:
-                    return cur
+                    return shift, cur
             prev = cur
     raise ConvergenceError(f"panel quadrature stalled at {_PANEL_NODE_CAP} nodes per panel")
 
 
-def _positive_total(panels, exponent, values, integral, where) -> float:
-    """The one-row ladder sum of a kernel integral, or ConvergenceError where
-    no value is representable: rounding left the window no width, or the
-    linear-space integrand underflowed and the sum is 0."""
+def _log_total(center, sigma, exponent, values, where) -> float:
+    """log of a kernel integral over the window of `center`, or
+    ConvergenceError where rounding left that window no width."""
+    panels = _panels(*_window(center, sigma), sigma)
     if not len(panels):
         raise ConvergenceError(
             f"integration window lost to rounding at {where}: 30 sigma vanishes next to the"
             " coordinate in double precision"
         )
-    total = float(_adaptive_panel_sum(panels, exponent, values, np.ones(1))[0])
-    if not total > 0.0:
-        raise ConvergenceError(f"{integral} underflowed at {where}: the integrand is below the double range")
-    return total
+    shift, sums = _adaptive_panel_sum(panels, exponent, values, np.ones(1))
+    return shift + math.log(sums[0])
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
 def _profile_moments(t, u, kappa_i, profile) -> np.ndarray:
-    """(I0, I1, I2, It): the integrals of f(v) D p_t(u, v) |v|^(2 kappa) dv
-    for D = id, d/du, d^2/du^2, d/dt, as a read-only array.  Differentiation
-    happens under the integral sign, on the kernel factor, so the four share
-    one node set.  Callers pass all four arguments positionally: one key each."""
+    """(log I0, I1/I0, I2/I0, It/I0), I the integrals of f(v) D p_t(u, v)
+    |v|^(2 kappa) dv for D = id, d/du, d^2/du^2, d/dt, as a read-only array.
+    Differentiation happens under the integral sign, on the kernel factor, so
+    the four share one node set.  Positional arguments only: one key each."""
     sigma = math.sqrt(2.0 * t)
-    support = (sigma, profile.lo, profile.hi, profile.knots)
-    # a support the window misses is integrated whole anyway: the result is
-    # genuinely tiny rather than zero
-    panels = _panels(*_window(u, sigma), *support)
-    if not len(panels):
-        panels = _panels(0.0, math.inf, *support)
 
     def values(v):
         log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, u, v, kappa_i)
-        base = np.asarray(profile.fn(v), dtype=float) * np.exp(log_p)
-        # far from the support the kernel underflows to 0 while d1^2 can
-        # overflow: 0 * inf would be NaN where the integrand is simply 0
-        d1, d2, dt = (np.where(base == 0.0, 0.0, d) for d in (d1, d2, dt))
-        return np.stack([base, base * d1, base * (d2 + d1 * d1), base * dt])
+        # f may dip to -1e-12 of its peak (InitialDatum's check): that is 0
+        with np.errstate(divide="ignore"):
+            log_g = np.log(np.maximum(np.asarray(profile.fn(v), dtype=float), 0.0)) + log_p
+        # where g is 0, far from the support, d1^2 can overflow: zero it there
+        d1, d2, dt = (np.where(log_g == -math.inf, 0.0, d) for d in (d1, d2, dt))
+        return log_g, np.stack([np.ones_like(d1), d1, d2 + d1 * d1, dt])
 
     units = np.array([1.0, sigma, sigma * sigma, t])
-    moments = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, units)
-    if not moments[0] > 0.0:
+    # a window that misses the support, or where f p_t is 0 at every node,
+    # gets the whole support: the mass is tiny there, not zero
+    for window in (_window(u, sigma), (0.0, math.inf)):
+        panels = _panels(*window, sigma, profile.lo, profile.hi, profile.knots)
+        if len(panels):
+            shift, sums = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, units)
+            if shift > -math.inf:
+                break
+    else:
         raise ConvergenceError(
             f"solution mass underflowed at u = {u}, t = {t}: the point is too far"
             " from the support for double precision"
         )
+    moments = np.array([shift + math.log(sums[0]), *(sums[1:] / sums[0])])
     moments.setflags(write=False)
     return moments
 
@@ -378,7 +392,7 @@ def semigroup_solution(f: InitialDatum, kappa) -> SpaceTimeField:
     which are known in closed form up to the tilted moments).  u is the
     product of the coordinates' masses I0, so log u is the sum of their logs
     and each derivative of log u is a moment ratio: nothing forms u itself,
-    which underflows long before its log leaves the double range.
+    or any I0, which underflow long before their logs leave the double range.
 
     Every callable reads the per-coordinate moments from the module's
     bounded cache, so fields built for the same datum share their work, and
@@ -393,16 +407,16 @@ def semigroup_solution(f: InitialDatum, kappa) -> SpaceTimeField:
         return [_profile_moments(t, float(xi), k, p) for xi, k, p in zip(x, kappa.values, f.profiles)]
 
     def log_value(t, x) -> float:
-        return float(sum(math.log(m[0]) for m in moments(t, x)))
+        return float(sum(m[0] for m in moments(t, x)))
 
     def log_gradient(t, x) -> np.ndarray:
-        return np.array([m[1] / m[0] for m in moments(t, x)])
+        return np.array([m[1] for m in moments(t, x)])
 
     def log_hessian_diag(t, x) -> np.ndarray:
-        return np.array([m[2] / m[0] - (m[1] / m[0]) ** 2 for m in moments(t, x)])
+        return np.array([m[2] - m[1] ** 2 for m in moments(t, x)])
 
     def log_time_derivative(t, x) -> float:
-        return float(sum(m[3] / m[0] for m in moments(t, x)))
+        return float(sum(m[3] for m in moments(t, x)))
 
     return SpaceTimeField(log_value, log_gradient, log_hessian_diag, log_time_derivative)
 
@@ -448,15 +462,11 @@ MARKOV_CONVENTION = MeasureConvention(
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
 def _plain_mass(t, u, kappa_i, exponent) -> float:
-    """The integral of p_t(u, v) |v|^exponent dv."""
-    sigma = math.sqrt(2.0 * t)
-    panels = _panels(*_window(u, sigma), sigma)
-
+    """log of the integral of p_t(u, v) |v|^exponent dv."""
     def values(v):
-        log_p = kernel_derivatives_1d_batch(t, u, v, kappa_i)[0]
-        return np.exp(log_p)[None, :]
+        return kernel_derivatives_1d_batch(t, u, v, kappa_i)[0], np.ones((1, v.size))
 
-    return _positive_total(panels, exponent, values, "kernel mass", f"u = {u}, t = {t}")
+    return _log_total(u, math.sqrt(2.0 * t), exponent, values, f"u = {u}, t = {t}")
 
 
 def normalization_check(
@@ -476,20 +486,20 @@ def normalization_check(
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
     x = _validate_point(x, kappa.d)
-    lhs = 1.0
+    log_lhs = 0.0
     for i, k in enumerate(kappa.values):
         shift = log_gaussian_mass(k) - convention.log_normalizer(k)
         exponent = float(convention.weight_exponent(k))
         if not exponent > -1.0:
             raise DomainError(f"weight exponent must exceed -1, got {exponent}")
-        lhs *= math.exp(shift) * _plain_mass(t, float(x[i]), k, exponent)
+        log_lhs += shift + _plain_mass(t, float(x[i]), k, exponent)
     return VerificationReport.build(
         "kernel_normalization",
         (t, tuple(float(v) for v in x)),
-        lhs=lhs,
+        lhs=math.exp(log_lhs),
         rhs=1.0,
         tolerance=tol,
-        deficit=-abs(lhs - 1.0),
+        deficit=-abs(math.expm1(log_lhs)),
     )
 
 
@@ -501,23 +511,21 @@ def chapman_kolmogorov_check(s: float, t: float, x, y, kappa, tol: float = 1e-6)
     t = _validate_time(t)
     x = _validate_point(x, kappa.d)
     y = _validate_point(y, kappa.d)
-    lhs = 1.0
-    for i, k in enumerate(kappa.values):
-        lhs *= _ck_coordinate(s, t, float(x[i]), float(y[i]), k)
-    rhs = math.exp(log_kernel(s + t, x, y, kappa))
+    log_lhs = sum(_ck_coordinate(s, t, float(x[i]), float(y[i]), k) for i, k in enumerate(kappa.values))
+    log_rhs = log_kernel(s + t, x, y, kappa)
     return VerificationReport.build(
         "chapman_kolmogorov",
         (s, t, tuple(float(v) for v in x), tuple(float(v) for v in y)),
-        lhs=lhs,
-        rhs=rhs,
+        lhs=math.exp(log_lhs),
+        rhs=math.exp(log_rhs),
         tolerance=tol,
-        deficit=-abs(lhs / rhs - 1.0),
+        deficit=-abs(math.expm1(log_lhs - log_rhs)),
     )
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
 def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
-    """The integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the
+    """log of the integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the
     window of the product's own Gaussian envelope.  Each kernel is at most
     its Gaussian in ||u| - |v||, and the two Gaussians multiply to
         exp(-(|v| - c)^2 / (2 sigma^2)) exp(-(|xi| - |yi|)^2 / (4 (s + t))),
@@ -540,21 +548,12 @@ def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
         center = xi + s / (s + t) * (yi - xi)
     else:
         center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
-    panels = _panels(*_window(center, sigma), sigma)
-
-    where = f"x = {xi}, y = {yi}, s = {s}, t = {t}"
 
     def values(v):
         nodes = v.tobytes()
-        log_product = _log_row(s, xi, kappa_i, nodes) + _log_row(t, yi, kappa_i, nodes)
-        if (log_product > _LOG_DOUBLE_MAX).any():
-            raise ConvergenceError(
-                f"Chapman-Kolmogorov integrand overflows the double range at {where}: the"
-                " kernel product is formed in linear space"
-            )
-        return np.exp(log_product)[None, :]
+        return _log_row(s, xi, kappa_i, nodes) + _log_row(t, yi, kappa_i, nodes), np.ones((1, v.size))
 
-    return _positive_total(panels, 2.0 * kappa_i, values, "Chapman-Kolmogorov integral", where)
+    return _log_total(center, sigma, 2.0 * kappa_i, values, f"x = {xi}, y = {yi}, s = {s}, t = {t}")
 
 
 @functools.lru_cache(maxsize=_ROW_CACHE_SIZE)

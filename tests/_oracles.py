@@ -13,7 +13,8 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.special import gammaln
+from scipy import integrate
+from scipy.special import gammaln, ive
 
 from dunklheat.operators import ScalarField
 
@@ -206,6 +207,29 @@ def log_e_kappa_half(x, y):
     with mpmath.workdps(50):
         aa = mpmath.mpf(x) * mpmath.mpf(y)
         return float(mpmath.log(mpmath.besseli(0, aa) + mpmath.besseli(1, aa)))
+
+
+def log_e_kappa(x, y, kappa):
+    """log E_kappa(x, y) from the Bessel form (Rosler 1998), a = xy != 0:
+    E_kappa = Gamma(kappa + 1/2) (|a|/2)^(1/2 - kappa)
+              (I_(kappa - 1/2)(|a|) + sign(a) I_(kappa + 1/2)(|a|))."""
+    with mpmath.workdps(50):
+        aa = mpmath.mpf(x) * mpmath.mpf(y)
+        k, z = mpmath.mpf(kappa), abs(aa)
+        bessel = mpmath.besseli(k - 0.5, z) + mpmath.sign(aa) * mpmath.besseli(k + 0.5, z)
+        return float(mpmath.log(mpmath.gamma(k + 0.5) * (z / 2) ** (0.5 - k) * bessel))
+
+
+def log_kernel_1d(t, u, v, kappa):
+    """log p_t(u, v) for kappa > 0, uv != 0, from the Bessel form of E_kappa:
+    p_t = (2t)^(-kappa - 1/2) / c_kappa exp(-(u^2 + v^2)/(4t))
+    E_kappa(u / sqrt(2t), v / sqrt(2t)), c_kappa = 2^(kappa + 1/2) Gamma(kappa + 1/2)."""
+    with mpmath.workdps(50):
+        t, u, v, k = (mpmath.mpf(z) for z in (t, u, v, kappa))
+        log_c = (k + 0.5) * mpmath.log(2) + mpmath.loggamma(k + 0.5)
+        s = mpmath.sqrt(2 * t)
+        rest = -log_c - (k + 0.5) * mpmath.log(2 * t) - (u * u + v * v) / (4 * t)
+        return float(rest + log_e_kappa(u / s, v / s, kappa))
 
 
 def gaussian_log_kernel(t, u, v):
@@ -403,3 +427,47 @@ def polished_rule_reference(qtype, exponents, n):
     if not np.all(signs[:-1] * signs[1:] < 0):
         raise AssertionError(f"the polish of {(qtype, exponents, n)} did not find {n} distinct roots")
     return x.astype(float), (1 / _three_term(x, a, b, mu0)[2]).astype(float)
+
+
+def log_solution_mass(t, u, kappa, log_f, lo, hi):
+    """log of the integral of f(v) p_t(u, v) |v|^(2 kappa) dv over [lo, hi],
+    kappa > 0: adaptive Gauss-Kronrod (scipy.integrate.quad) on each side of
+    0, with the integrand divided by its largest value on a fine grid and
+    breakpoints at geometric distances from lo, 0 and hi, where the mass of
+    a point far from the support sits.  The kernel is the Bessel form of
+    E_kappa through the exponentially scaled scipy.special.ive, and
+    E_kappa = 1 where uv = 0."""
+
+    def log_g(v):
+        v = np.asarray(v, dtype=float)
+        a = u * v / (2.0 * t)
+        z = np.abs(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_e = (
+                gammaln(kappa + 0.5)
+                + (0.5 - kappa) * np.log(z / 2.0)
+                + z
+                + np.log(ive(kappa - 0.5, z) + np.sign(a) * ive(kappa + 0.5, z))
+            )
+            log_e = np.where(z > 0.0, log_e, 0.0)
+            log_c = (kappa + 0.5) * math.log(2.0) + gammaln(kappa + 0.5)
+            log_p = -log_c - (kappa + 0.5) * math.log(2.0 * t) - (u * u + v * v) / (4.0 * t) + log_e
+            return log_f(v) + log_p + 2.0 * kappa * np.log(np.abs(v))
+
+    grid = np.linspace(lo, hi, 100_001)
+    shift = float(np.max(log_g(grid[grid != 0.0])))
+    width = 2.0 * t / max(abs(u) - max(-lo, hi), 2.0 * t)
+    total = 0.0
+    for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
+        if b > a:
+            cuts = {c for j in range(-2, 60) for c in (a + width * 2.0**j, b - width * 2.0**j) if a < c < b}
+            total += integrate.quad(
+                lambda v: math.exp(float(log_g(v)) - shift) if v != 0.0 else 0.0,
+                a,
+                b,
+                points=sorted(cuts),
+                limit=2000,
+                epsabs=0.0,
+                epsrel=1e-13,
+            )[0]
+    return shift + math.log(total)

@@ -457,14 +457,6 @@ class TestExitCodes:
             main([])
         assert exc.value.code == 2
 
-    def test_underflowed_solution_returns_three_with_grid_point(self, capsys):
-        code, _, err = run_cli(
-            ["solution-scan", "--kappa", "0.5", "--t", "0.01", "--coords", "40"], capsys
-        )
-        assert code == 3
-        assert "convergence failure" in err
-        assert "[grid point [0.01, [40.0]]]" in err
-
     # a numpy warning would print to stderr outside pytest
     @pytest.mark.filterwarnings("error")
     def test_far_field_solution_point_returns_three_with_grid_point(self, capsys):
@@ -479,31 +471,46 @@ class TestExitCodes:
 
     # a numpy warning would print to stderr outside pytest
     @pytest.mark.filterwarnings("error")
-    def test_overflowed_kernel_product_returns_three_with_grid_point(self, capsys):
-        # p_s(0, 0) p_t(0, 0) = 1 / (16 s t) at kappa = 0.5 is past the float
-        # range at s = t = 1e-300, though the log of each factor is finite
-        argv = ["semigroup-check", "--kappa", "0.5", "--t", "1e-300", "--coords", "0"]
-        code, out, err = run_cli(argv, capsys)
-        assert code == 3
-        assert out == ""
-        assert err.startswith(
-            "convergence failure: Chapman-Kolmogorov integrand overflows the double range at"
-            " x = 0.0, y = 0.0, s = 1e-300, t = 1e-300:"
-        )
-        assert err.endswith("[grid point [1e-300, 1e-300, [0.0], [0.0]]]\n") and err.count("\n") == 1
-
-    def test_underflowed_kernel_product_returns_three_with_grid_point(self, capsys):
-        # at kappa = 80 the integrand p_1(1, v) p_1(v, 1) underflows in linear
-        # space, though |v|^160 lifts its integral to p_2(1, 1) = 1.95e-191
-        argv = ["semigroup-check", "--kappa", "80", "--t", "1", "--coords", "1"]
-        code, out, err = run_cli(argv, capsys)
-        assert code == 3
-        assert out == ""
-        assert err.startswith(
-            "convergence failure: Chapman-Kolmogorov integral underflowed at"
-            " x = 1.0, y = 1.0, s = 1.0, t = 1.0:"
-        )
-        assert err.endswith("[grid point [1.0, 1.0, [1.0], [1.0]]]\n") and err.count("\n") == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # p_s p_t is e^-717, subnormal, at s = t = 10, x = y = -3, and
+            # |v|^100 brings its integral back into the double range
+            ["semigroup-check", "--kappa", "50"],
+            ["semigroup-check", "--kappa", "80"],
+            # p_1(1, v) p_1(v, 1) is below the double range; its integral,
+            # p_2(1, 1) = 1.95e-191, is not
+            ["semigroup-check", "--kappa", "80", "--t", "1", "--coords", "1"],
+            # |v|^200 overflows past |v| = 34.6
+            ["semigroup-check", "--kappa", "100", "--t", "1", "--coords", "1"],
+            # p_s(0, 0) p_t(0, 0) = 1 / (16 s t) is past the double range
+            ["semigroup-check", "--kappa", "0.5", "--t", "1e-300", "--coords", "0"],
+            # u(t, x) is below the double range at the far-field points
+            ["solution-scan", "--kappa", "0.5", "--t", "1e-4,100", "--coords=-8,0,8"],
+            ["solution-scan", "--kappa", "0.5", "--t", "0.01", "--coords", "40"],
+            # log p_1(1, v) is about -1139 inside the support
+            ["solution-scan", "--kappa", "200", "--t", "1", "--coords", "1"],
+            ["harnack-scan", "--kappa", "100"],
+        ],
+        ids=[
+            "semigroup-k50",
+            "semigroup-k80",
+            "semigroup-k80-t1-x1",
+            "semigroup-k100-t1-x1",
+            "semigroup-k0.5-t1e-300-x0",
+            "solution-k0.5-far-field",
+            "solution-k0.5-t0.01-x40",
+            "solution-k200-t1-x1",
+            "harnack-k100",
+        ],
+    )
+    def test_integrals_beyond_the_double_range_pass(self, capsys, argv):
+        code, out, err = run_cli([*argv, "--reproducible"], capsys)
+        assert code == 0
+        assert err == ""
+        meta, rows = parse_jsonl(out)
+        assert meta["command"] == argv[0]
+        assert rows and all(row["pass"] for row in rows)
 
     def test_far_apart_chapman_kolmogorov_times_pass(self, capsys):
         # at s = 1e-6, t = 1000 the hull of the two kernels' windows needed

@@ -65,6 +65,26 @@ def test_bump_profile_shape():
         bump_profile(0.0, 1.0, power=0)
 
 
+@pytest.mark.parametrize("power", [2.5, math.nan, math.inf, "3", True, 0, -1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda power: bump_profile(0.0, 1.0, power),
+        lambda power: InitialDatum.bumps([0.0], [1.0], power=power),
+    ],
+    ids=["bump_profile", "InitialDatum.bumps"],
+)
+def test_bump_power_must_be_a_positive_integer(build, power):
+    # int() would truncate 2.5 and inf, and take "3" and True as powers
+    message = f"bump power must be a positive integer, got {power!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build(power)
+
+
+def test_bump_power_accepts_numpy_integers():
+    assert bump_profile(0.0, 1.0, np.int64(3)).fn(np.array([0.5]))[0] == 0.75**3
+
+
 def test_two_bump_profile_records_interior_kinks():
     p = two_bump_profile(-2.0, 2.0, 0.8, power=3)
     assert (p.lo, p.hi) == (-2.8, 2.8)
@@ -177,15 +197,49 @@ def test_solution_field_derivatives_match_finite_differences():
 
 
 @pytest.mark.parametrize("t, x", [(0.01, 40.0), (1e-4, -8.0)])
-def test_underflowed_solution_raises_on_every_path(t, x):
-    # the CLI's bump datum at kappa = 0.5: the mass at x underflows to 0
+def test_far_field_solution_matches_the_reference_on_every_path(t, x):
+    # the CLI's bump datum at kappa = 0.5, where u(t, x) is e^-37084 and
+    # e^-105661: the integrand is below the double range, its log is not.
+    # At t = 1e-4 the window around x misses the support, so the whole
+    # support is integrated
     f = InitialDatum.bumps([0.0], [1.5], power=3)
     u = semigroup_solution(f, [0.5])
+
+    def log_f(v):
+        return 3.0 * np.log(np.maximum(1.0 - (v / 1.5) ** 2, 0.0))
+
+    want = oracle.log_solution_mass(t, x, 0.5, log_f, -1.5, 1.5)
+    assert u.log_value(t, [x]) == pytest.approx(want, abs=1e-9)
+    for evaluate in (u.log_gradient, u.log_hessian_diag, u.log_time_derivative):
+        assert np.isfinite(evaluate(t, [x])).all()
+    assert math.isfinite(liyau_for_solution(u, t, [x], [0.5]).lhs)
+
+
+def test_solution_between_two_bumps_integrates_the_whole_support():
+    # the CLI's two_bump datum at x = 0, t = 1e-4: the window |v| <= 0.42
+    # lies between the bumps, where f p_t is 0 at every node, and the mass
+    # sits at their inner edges
+    u = semigroup_solution(InitialDatum((two_bump_profile(-2.0, 2.0, 0.8, power=3),)), [0.5])
+
+    def log_f(v):
+        with np.errstate(divide="ignore"):
+            return np.log(sum(np.maximum(1.0 - ((v - c) / 0.8) ** 2, 0.0) ** 3 for c in (-2.0, 2.0)))
+
+    want = oracle.log_solution_mass(1e-4, 0.0, 0.5, log_f, -2.8, 2.8)
+    assert u.log_value(1e-4, [0.0]) == pytest.approx(want, abs=1e-9)
+
+
+def test_solution_zero_on_the_whole_support_raises_on_every_path():
+    # (u - v)^2 overflows, so log p_1(1e200, v) is -inf at every node of
+    # the support: no log value is left to report
+    f = InitialDatum.bumps([0.0], [1.5], power=3)
+    u = semigroup_solution(f, [0.0])
+    where = re.escape("solution mass underflowed at u = 1e+200, t = 1.0:")
     for evaluate in (u.log_value, u.log_gradient, u.log_hessian_diag, u.log_time_derivative):
-        with pytest.raises(ConvergenceError, match="underflowed"):
-            evaluate(t, [x])
-    with pytest.raises(ConvergenceError, match="underflowed"):
-        liyau_for_solution(u, t, [x], [0.5])
+        with pytest.raises(ConvergenceError, match=f"^{where}"):
+            evaluate(1.0, [1e200])
+    with pytest.raises(ConvergenceError, match=f"^{where}"):
+        liyau_for_solution(u, 1.0, [1e200], [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +247,20 @@ def test_underflowed_solution_raises_on_every_path(t, x):
 
 
 def _panel_formula(a, b, exponent, n):
-    """One panel's nodes and weights, the formula the level builder
+    """One panel's nodes and log-weights, the formula the level builder
     broadcasts over every panel of a level."""
     if exponent > 0.0 and (a == 0.0 or b == 0.0):
         rule = semigroup.gauss_jacobi_rule(0.0, exponent, n)
         scale = (b if a == 0.0 else -a) / 2.0
         v = scale * (1.0 + rule.nodes)
-        w = scale ** (exponent + 1.0) * rule.weights
-        return (-v if b == 0.0 else v), w
+        log_w = (exponent + 1.0) * math.log(scale) + np.log(rule.weights)
+        return (-v if b == 0.0 else v), log_w
     rule = semigroup.gauss_jacobi_rule(0.0, 0.0, n)
     v = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
-    w = 0.5 * (b - a) * rule.weights
+    log_w = np.log(0.5 * (b - a)) + np.log(rule.weights)
     if exponent != 0.0:
-        w = w * np.abs(v) ** exponent
-    return v, w
+        log_w = log_w + exponent * np.log(np.abs(v))
+    return v, log_w
 
 
 @pytest.mark.parametrize("exponent", [0.0, 1.0, 3.0, 0.5])
@@ -241,9 +295,13 @@ def test_panel_ladder_looks_each_rule_up_once_per_level(monkeypatch, exponent):
     monkeypatch.setattr(semigroup, "_PANEL_NODE_CAP", 128)
     panels = semigroup._panels(0.0, 2.3, 0.11)
     noise = np.random.default_rng(3)
+
+    def values(v):
+        return np.zeros(v.size), noise.random((1, v.size))
+
     with pytest.raises(ConvergenceError, match="stalled at 128 nodes"):
         # noise never settles, so the ladder climbs through all three levels
-        semigroup._adaptive_panel_sum(panels, exponent, lambda v: noise.random((1, v.size)), np.ones(1))
+        semigroup._adaptive_panel_sum(panels, exponent, values, np.ones(1))
     kinds = [(0.0, 0.0)] + ([(0.0, exponent)] if exponent > 0.0 else [])
     assert lookups == {(*kind, n): 1 for kind in kinds for n in (32, 64, 128)}
 
@@ -371,23 +429,18 @@ def test_kernel_window_lost_to_rounding_raises_convergence_error(check, where):
         check()
 
 
-@pytest.mark.parametrize(
-    "integral, where",
-    [
-        # p_1(1, .) at kappa = 150 carries 1 / c_kappa ~ 1e-307 and no weight
-        (
-            lambda: semigroup._plain_mass(1.0, 1.0, 150.0, 0.0),
-            "kernel mass underflowed at u = 1.0, t = 1.0",
-        ),
-        (
-            lambda: chapman_kolmogorov_check(1.0, 1.0, [1.0], [1.0], [80.0]),
-            "Chapman-Kolmogorov integral underflowed at x = 1.0, y = 1.0, s = 1.0, t = 1.0",
-        ),
-    ],
-)
-def test_kernel_integral_underflowed_to_zero_raises_convergence_error(integral, where):
-    with pytest.raises(ConvergenceError, match=f"^{re.escape(where)}:"):
-        integral()
+def test_normalization_past_the_linear_range_passes():
+    # p_1(1, .) at kappa = 150 carries 1 / c_kappa ~ 1e-307, and the weight
+    # |v|^300 overflows past |v| = 10.6, inside the window
+    assert normalization_check(1.0, [1.0], [150.0]).passed
+
+
+def test_chapman_kolmogorov_past_the_linear_range_matches_the_bessel_form():
+    # at kappa = 80 the integrand p_1(1, v) p_1(v, 1) is below the double
+    # range, though |v|^160 lifts its integral to p_2(1, 1) = 1.95e-191
+    r = chapman_kolmogorov_check(1.0, 1.0, [1.0], [1.0], [80.0])
+    assert r.passed
+    assert r.lhs == pytest.approx(math.exp(oracle.log_kernel_1d(2.0, 1.0, 1.0, 80.0)), rel=1e-10)
 
 
 def test_solution_scan_runs_one_ladder_per_distinct_coordinate_integral(monkeypatch, capsys):
