@@ -7,10 +7,12 @@ absorbs the singularity exactly by construction, so only the bounded smooth
 part of an integrand is ever sampled.  Nodes are the eigenvalues of the
 symmetric tridiagonal (Jacobi) matrix of recurrence coefficients, stored
 dense and solved by numpy.linalg.eigh; weights are mu0 times the squared
-first eigenvector components.  The scans and checks build rules of 32 to
-256 nodes, where the dense solve costs about what a tridiagonal solver
-does and needs nothing beyond numpy; a ladder that climbs towards NODE_CAP
-pays more, cubically in n.
+first eigenvector components.  The same recurrence gives each rule its
+log_norm, the constant of the a priori Gauss remainder bound.  At their
+defaults the scans and checks build rules of 32 to 128 nodes (a panel
+ladder may climb to 512), where the dense solve costs about what a
+tridiagonal solver does and needs nothing beyond numpy; a ladder that
+climbs towards NODE_CAP pays more, cubically in n.
 
 Rules are immutable and cached: scans request the same (alpha, beta, n)
 thousands of times and adaptive callers walk the same doubling ladder.
@@ -68,6 +70,11 @@ class GaussRule:
 
     nodes: np.ndarray
     weights: np.ndarray
+    # log of the integral of pi_n^2 against the weight, pi_n the monic
+    # orthogonal polynomial of degree n: the rule's error on f is
+    # f^(2n)(xi) e^log_norm / (2n)! for some xi in the support (Gautschi,
+    # Orthogonal Polynomials, 2004, 1.4)
+    log_norm: float
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -97,11 +104,17 @@ def _validate_order(n) -> int:
     return int(n)
 
 
-def _golub_welsch(diag, off, mu0, family: str, domain: tuple[float, float], params) -> GaussRule:
-    """The rule of the recurrence (diag, off) with weight sum mu0, checked:
-    nodes inside the open domain and strictly increasing, weights >= 0 and
-    summing to mu0.  Messages name the family and its params."""
+def _golub_welsch(diag, squared_off, log_mu0, family: str, domain: tuple[float, float], params) -> GaussRule:
+    """The rule of the monic recurrence pi_(k+1) = (s - diag_k) pi_k -
+    squared_off_k pi_(k-1), given diag_0..diag_(n-1), squared_off_1..
+    squared_off_n and the log of the weight sum mu0, checked: nodes inside
+    the open domain and strictly increasing, weights >= 0 and summing to
+    mu0.  The Jacobi matrix takes the square roots of the first n - 1
+    squared_off; the last one only enters log_norm = log(mu0 squared_off_1
+    ... squared_off_n).  Messages name the family and its params."""
     n = diag.size
+    mu0 = math.exp(log_mu0)
+    off = np.sqrt(squared_off[:-1])
     jacobi = np.zeros((n, n))
     jacobi.flat[:: n + 1] = diag
     jacobi.flat[1 :: n + 1] = off
@@ -121,7 +134,7 @@ def _golub_welsch(diag, off, mu0, family: str, domain: tuple[float, float], para
         raise RuntimeError(f"negative {family} weight for {params}")
     if abs(float(weights.sum()) - mu0) > _WEIGHT_SUM_RTOL * mu0:
         raise RuntimeError(f"{family} weight sum off for {params}")
-    return GaussRule(nodes=nodes, weights=weights)
+    return GaussRule(nodes=nodes, weights=weights, log_norm=log_mu0 + float(np.log(squared_off).sum()))
 
 
 def _build_jacobi(alpha: float, beta: float, n: int) -> GaussRule:
@@ -131,25 +144,20 @@ def _build_jacobi(alpha: float, beta: float, n: int) -> GaussRule:
     if n > 1:
         k = np.arange(1.0, n)
         diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-    off = np.empty(n - 1) if n > 1 else np.empty(0)
+    squared_off = np.empty(n)
+    # k = 1 needs its own formula: the generic one is 0/0 when ab = -1
+    squared_off[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
     if n > 1:
-        # k = 1 needs its own formula: the generic one is 0/0 when ab = -1
-        off[0] = math.sqrt(
-            4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
-        )
-    if n > 2:
-        k = np.arange(2.0, n)
+        k = np.arange(2.0, n + 1)
         s = 2.0 * k + ab
-        off[1:] = np.sqrt(
-            4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0))
-        )
-    mu0 = math.exp(
+        squared_off[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0))
+    log_mu0 = (
         (ab + 1.0) * math.log(2.0)
         + log_gamma(alpha + 1.0)
         + log_gamma(beta + 1.0)
         - log_gamma(ab + 2.0)
     )
-    return _golub_welsch(diag, off, mu0, "Jacobi", (-1.0, 1.0), (alpha, beta, n))
+    return _golub_welsch(diag, squared_off, log_mu0, "Jacobi", (-1.0, 1.0), (alpha, beta, n))
 
 
 def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> GaussRule:
@@ -171,11 +179,11 @@ def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> GaussRule:
 
 
 def _build_laguerre(exponent: float, n: int) -> GaussRule:
-    k = np.arange(float(n))
-    diag = 2.0 * k + exponent + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + exponent)) if n > 1 else np.empty(0)
-    mu0 = math.exp(log_gamma(exponent + 1.0))
-    return _golub_welsch(diag, off, mu0, "Laguerre", (0.0, math.inf), (exponent, n))
+    k = np.arange(float(n + 1))
+    diag = 2.0 * k[:-1] + exponent + 1.0
+    squared_off = k[1:] * (k[1:] + exponent)
+    log_mu0 = log_gamma(exponent + 1.0)
+    return _golub_welsch(diag, squared_off, log_mu0, "Laguerre", (0.0, math.inf), (exponent, n))
 
 
 def gauss_laguerre_rule(exponent: float, n: int) -> GaussRule:

@@ -137,6 +137,28 @@ def f_reference(a, kappa):
         return float(2 * aa * r1 + log_m0(-aa) - log_m0(aa))
 
 
+def kummer_log_moments(a, kappa):
+    """(log m0, r1, r2 - r1^2) at the tilt a from Kummer's function M at 60
+    digits.  s = 2x - 1 gives m0(a) = 2^(2 kappa) B(kappa + 1, kappa) e^(-a)
+    M(kappa + 1, 2 kappa + 1, 2a), and since r1 and the variance are the
+    first two derivatives of log m0 in a, the derivative rule
+    d^n/dz^n M(p, q, z) = (p)_n / (q)_n M(p + n, q + n, z) (DLMF 13.3.15)
+    gives, with M_j = M(kappa + 1 + j, 2 kappa + 1 + j, 2a),
+
+        r1 = -1 + 2 (kappa + 1)/(2 kappa + 1) M_1/M_0,
+        variance = 4 ((kappa + 1)(kappa + 2)/((2 kappa + 1)(2 kappa + 2)) M_2/M_0
+                      - ((kappa + 1)/(2 kappa + 1) M_1/M_0)^2).
+
+    The working precision absorbs the cancellation in the variance."""
+    with mpmath.workdps(60):
+        aa, k = mpmath.mpf(a), mpmath.mpf(kappa)
+        m = [mpmath.hyp1f1(k + 1 + j, 2 * k + 1 + j, 2 * aa) for j in range(3)]
+        d1 = (k + 1) / (2 * k + 1) * m[1] / m[0]
+        d2 = (k + 1) * (k + 2) / ((2 * k + 1) * (2 * k + 2)) * m[2] / m[0]
+        log_m0 = 2 * k * mpmath.log(2) + mpmath.log(mpmath.beta(k + 1, k)) - aa + mpmath.log(m[0])
+        return float(log_m0), float(2 * d1 - 1), float(4 * (d2 - d1 * d1))
+
+
 def brute_force_log_e(x, y, kappa, n_panels=100_000):
     """log E_kappa(x, y) from the brute-force m0 and the exact constant."""
     log_c = gammaln(kappa + 0.5) - 0.5 * math.log(math.pi) - gammaln(kappa)

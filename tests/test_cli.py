@@ -391,6 +391,29 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout == "[]\n"
 
 
+def test_report_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # every CLI process would pay their import: scipy.special costs about
+    # 0.24 s and 26 MB, and numpy.ma, which np.unique pulls in, about 6 ms
+    # and 1.5 MB
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    argv = ["report", "--t", "1", "--coords", "0,1", "--reproducible", "--out", str(tmp_path / "out.jsonl")]
+    code = (
+        "import sys\n"
+        "from dunklheat import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "names = [m.split('.') for m in sys.modules]\n"
+        "print(sorted('.'.join(m) for m in names if m[0] == 'scipy' or m[:2] == ['numpy', 'ma']))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -636,6 +636,28 @@ def test_harnack_degenerates_to_equality():
     assert r.passed and abs(r.deficit) < 1e-4
 
 
+@pytest.mark.parametrize("kappa", [(0.5, 1.5), (1e-8, 3.0), (20.0, 0.25)])
+def test_harnack_and_liyau_are_sharp_for_the_fundamental_solution(kappa):
+    # u = p_t(., 0) = C t^-(lambda + d/2) e^(-|x|^2/(4t)) attains the Harnack
+    # bound along y = (t/s) x, both its exponent and its Gaussian term, and
+    # the Li-Yau bound at y = 0: lowering either makes every point fail
+    d, lam = len(kappa), sum(kappa)
+    u = kernel_solution_field([0.0] * d, kappa)
+    lowered = lam - 1e-6 * (lam + 1.0)
+    rng = np.random.default_rng(16)
+    for _ in range(150):
+        s = float(10.0 ** rng.uniform(-1.0, 0.3))
+        t = s * float(rng.uniform(1.05, 8.0))
+        x = rng.uniform(-2.5, 2.5, d)
+        y = (t / s) * x
+        r = harnack_check(u, s, x, t, y, lambda_kappa=lam, d=d)
+        assert abs(r.deficit) <= 1e-12 * max(1.0, abs(r.rhs)), (s, t, x)
+        assert not harnack_check(u, s, x, t, y, lambda_kappa=lowered, d=d, tol=1e-9).passed
+        liyau = liyau_functional(t, x, np.zeros(d), kappa)
+        lowered_bound = (d + 2.0 * lam) * (1.0 - 1e-6) / (2.0 * t)
+        assert not VerificationReport.build("liyau", (t,), liyau.total, lowered_bound, 1e-9).passed
+
+
 def test_harnack_rejects_bad_times():
     u = kernel_solution_field([0.0], [0.5])
     with pytest.raises(DomainError):

@@ -115,10 +115,56 @@ def test_moment_domain_errors():
 
 
 def test_moment_convergence_error_on_tiny_cap(monkeypatch):
-    # one rung of the ladder: no two orders to compare
+    # one rung of the Laguerre ladder: no two orders to compare
     monkeypatch.setattr(kernel, "NODE_CAP", NODE_START)
     with pytest.raises(ConvergenceError, match=f"did not settle within {NODE_START} nodes"):
-        moment_stats(np.array([3.0]), 0.5)
+        moment_stats(np.array([100.0]), 0.5)
+
+
+def test_jacobi_tilts_take_one_rule_without_the_ladder(monkeypatch):
+    def no_ladder(evaluate, a_sub):
+        raise AssertionError("the Jacobi branch reached the settle ladder")
+
+    monkeypatch.setattr(kernel, "_adaptive_eval", no_ladder)
+    calls = []
+    sums = kernel._accel.jacobi_tilted_sums
+
+    def counted(nodes, weights, a):
+        calls.append(a.size)
+        return sums(nodes, weights, a)
+
+    monkeypatch.setattr(kernel._accel, "jacobi_tilted_sums", counted)
+    a = np.linspace(-TILT_SWITCH, TILT_SWITCH, 101)
+    moment_stats(a, 0.5)
+    # every tilt is summed once, by one of at most three rules
+    assert sum(calls) == a.size and len(calls) <= 3
+
+
+@pytest.mark.parametrize("kappa", np.geomspace(1e-8, 1e3, 11).tolist())
+def test_four_rungs_certify_every_jacobi_tilt(monkeypatch, kappa):
+    # the Gauss remainder bound at 4 NODE_START nodes reaches |a| = TILT_SWITCH
+    monkeypatch.setattr(kernel, "NODE_CAP", 4 * NODE_START)
+    assert np.isfinite(moment_stats(np.array([-TILT_SWITCH, TILT_SWITCH]), kappa)).all()
+
+
+def test_jacobi_error_bound_unmet_on_tiny_cap(monkeypatch):
+    monkeypatch.setattr(kernel, "NODE_CAP", NODE_START)
+    with pytest.raises(ConvergenceError, match=f"error bound not met within {NODE_START} nodes"):
+        moment_stats(np.array([3.0, TILT_SWITCH]), 0.5)
+
+
+@pytest.mark.parametrize("kappa", [0.25, 0.5, 1.5, 20.0, 100.0, 1000.0])
+def test_moment_stats_matches_the_kummer_reference(kappa):
+    # the tilts straddle the reach of each rule order (about 17.7 and 40.6
+    # for 32 and 64 nodes at kappa <= 1.5); kappa = 1e-8 misses by about
+    # 4e-10, where r2 - r1^2 cancels (ROADMAP item 14)
+    tilts = [sign * t for t in (0.3, 5.9, 16.0, 17.0, 18.0, 39.0, 41.0, 49.99) for sign in (1.0, -1.0)]
+    got = moment_stats(np.array(tilts), kappa)
+    for a, (log_m0, r1, r2) in zip(tilts, got.T.tolist()):
+        want_log_m0, want_r1, want_variance = oracle.kummer_log_moments(a, kappa)
+        assert abs(log_m0 - want_log_m0) <= 1e-12 * max(1.0, abs(want_log_m0)), a
+        assert abs(r1 - want_r1) <= 1e-12, a
+        assert abs((r2 - r1 * r1) - want_variance) <= 1e-12, a
 
 
 def test_moment_stats_rejects_tilt_arrays_that_are_not_1d():
@@ -145,8 +191,9 @@ def test_moment_stats_is_batch_invariant(kappa):
 
 
 def test_moment_stats_bounds_its_temporaries():
-    # 50,000 Jacobi tilts need at least NODE_START nodes each; the tilts go
-    # through in blocks, so no (batch, nodes) array of the whole call is made
+    # 50,000 Jacobi tilts take one rule of at least NODE_START nodes each;
+    # the tilts go through in blocks, so no (batch, nodes) array of the
+    # whole call is made
     a = np.random.default_rng(5).uniform(-TILT_SWITCH, TILT_SWITCH, 50_000)
     moment_stats(a[:10], 0.5)  # rules built outside the measurement
     tracemalloc.start()

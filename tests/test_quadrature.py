@@ -241,6 +241,29 @@ def test_long_double_reference_matches_mpmath(qtype, exponents):
     assert np.abs(weights - want_weights).max() <= 1e-15 * want_weights.sum()
 
 
+@pytest.mark.parametrize(
+    "qtype,exponents",
+    [("jacobi", (kappa - 1.0, kappa)) for kappa in (1e-8, 0.5, 20.0, 1000.0)]
+    + [("glaguerre", (kappa - 1.0,)) for kappa in (1e-8, 0.5, 20.0)],
+)
+@pytest.mark.parametrize("n", [8, 32])
+def test_log_norm_is_the_squared_norm_of_the_monic_polynomial(qtype, exponents, n):
+    # log_norm = log(mu0 beta_1 ... beta_n) against the integral of pi_n^2:
+    # pi_n runs through the reference recurrence at the nodes of the
+    # (n + 4)-point rule, which integrates the degree-2n polynomial exactly;
+    # the reference rule's weights are accurate in relative terms, as the far
+    # Laguerre tail, where pi_n^2 is largest, needs
+    diag, off, _ = oracle._recurrence(qtype, exponents, n)
+    nodes, weights = oracle.polished_rule_reference(qtype, exponents, n + 4)
+    x = nodes.astype(np.longdouble)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(n):
+        prev, cur = cur, (x - diag[k]) * cur - (off[k - 1] ** 2 * prev if k else 0.0)
+    integral = weights.astype(np.longdouble) @ (cur * cur)
+    log_norm = _rule(qtype, exponents, n).log_norm
+    assert abs(math.expm1(log_norm - float(np.log(integral)))) <= 1e-6
+
+
 def test_cache_returns_identical_object():
     a = gauss_jacobi_rule(-0.5, 0.5, 16)
     b = gauss_jacobi_rule(-0.5, 0.5, 16)
