@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import heapq
 import itertools
 import json
@@ -73,6 +74,7 @@ from .operators import (
 from .quadrature import ConvergenceError, DomainError
 from .semigroup import (
     InitialDatum,
+    _solution_log_values,
     bump_profile,
     chapman_kolmogorov_check,
     heat_residual,
@@ -348,7 +350,7 @@ def _liyau_scan(cfg: RunConfig) -> Iterator[_Row]:
     try:
         decs = iter_liyau_points(sorted(points), cfg.kappa)
     except (ArithmeticError, RuntimeError):
-        _replay(points, cfg)
+        _replay(points, lambda t, x, y: liyau_functional(t, x, y, cfg.kappa))
         raise
     augment = (_augment_row(dec, cfg) for dec in decs)
     # stable: a grid row goes before an augment row of equal key, and once
@@ -362,11 +364,11 @@ def _augment_row(dec: LiYauDecomposition, cfg: RunConfig) -> _Row:
     return row(dec.x, dec.y, ",".join(map(repr, dec.x)), ",".join(map(repr, dec.y)), terms)
 
 
-def _replay(points, cfg: RunConfig) -> None:
-    """After a batched evaluation failed, go through its points one by one to
-    name the first that stops."""
-    for t, x, y in points:
-        _at_point((t, x, y), lambda: liyau_functional(t, x, y, cfg.kappa))
+def _replay(points, check) -> None:
+    """After a batched evaluation failed, go through its points one by one,
+    check(*point) each, to name the first that stops."""
+    for point in points:
+        _at_point(point, lambda: check(*point))
 
 
 def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
@@ -383,7 +385,8 @@ def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
             tables = {k: liyau_coordinate_table(t, k, coords) for k in dict.fromkeys(cfg.kappa)}
         except (ArithmeticError, RuntimeError):
             # a coordinate table failed
-            _replay(((t, x, y) for x, y in itertools.product(cfg.points, repeat=2)), cfg)
+            grid = ((t, x, y) for x, y in itertools.product(cfg.points, repeat=2))
+            _replay(grid, lambda t, x, y: liyau_functional(t, x, y, cfg.kappa))
             raise
         term_texts = {
             k: tuple(tuple(map(_term_texts, entries)) for entries in table.entries)
@@ -430,26 +433,34 @@ def _solution_scan(cfg: RunConfig) -> list[_Row]:
 
 
 def _harnack_scan(cfg: RunConfig) -> list[_Row]:
-    rows = []
+    """Rows for random (s, x, t, y).  log u at every (s, x) and (t, y) comes
+    first, from one batched ladder per coordinate; each row then reads its
+    two values through a field that holds them."""
     count = cfg.augment if cfg.augment else 200
     datum = _initial_data(cfg.dimension)["bump"]
     field = semigroup_solution(datum, cfg.kappa)
     lam = sum(cfg.kappa)
     rng = np.random.default_rng(cfg.seed)
+    points = []
     for _ in range(count):
         s = float(10.0 ** rng.uniform(-1.0, 0.3))
         t = s * float(rng.uniform(1.05, 8.0))
         x = tuple(float(v) for v in rng.uniform(-2.5, 2.5, cfg.dimension))
         y = tuple(float(v) for v in rng.uniform(-2.5, 2.5, cfg.dimension))
-        point = (s, x, t, y)
-        report = _at_point(
-            point,
-            lambda: harnack_check(
-                field, s, x, t, y, lambda_kappa=lam, d=cfg.dimension, tol=cfg.tol
-            ),
-        )
-        rows.append(_row(report, extra={"datum": "bump"}))
-    return sorted(rows, key=_sort_key)
+        points.append((s, x, t, y))
+
+    def check(u, s, x, t, y):
+        return harnack_check(u, s, x, t, y, lambda_kappa=lam, d=cfg.dimension, tol=cfg.tol)
+
+    evaluated = [(s, x) for s, x, _, _ in points] + [(t, y) for _, _, t, y in points]
+    try:
+        log_u = dict(zip(evaluated, _solution_log_values(datum, cfg.kappa, evaluated).tolist()))
+    except (ConvergenceError, ArithmeticError, RuntimeError):
+        _replay(points, lambda *point: check(field, *point))
+        raise
+    held = dataclasses.replace(field, log_value=lambda t, x: log_u[t, tuple(x.tolist())])
+    reports = [_at_point(point, lambda: check(held, *point)) for point in points]
+    return sorted((_row(report, extra={"datum": "bump"}) for report in reports), key=_sort_key)
 
 
 def _time_pairs(t_grid):

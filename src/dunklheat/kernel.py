@@ -416,12 +416,25 @@ def log_kernel_derivatives(t, x, y, kappa) -> KernelPoint:
     )
 
 
-def kernel_derivatives_1d_batch(t: float, u: float, v, kappa: float):
+def kernel_derivatives_1d_batch(t, u, v, kappa: float):
     """(log p, d/du log p, d2/du2 log p, d/dt log p) for one coordinate at a
-    batch of right arguments v, the workhorse of semigroup quadrature.
-    Entries take their IEEE values without a numpy warning (past the float
-    range a term is infinite); callers check the entries they use."""
+    batch of right arguments v, the workhorse of semigroup quadrature.  t and
+    u are floats, or arrays shaped like v that give each entry its own time
+    and left argument, as a batched panel ladder passes them.
+
+    An entry of an array call equals the scalar call at its (t, u, v) bit for
+    bit, except in the last bits of log(2t) (log(4 pi t) at kappa = 0): an
+    array of times takes it from numpy's log, a float time from math.log,
+    and the two differ by one ulp for a small share of inputs (0.1% of
+    uniform draws on (0, 10) on an AVX-512 machine).  Entries take their
+    IEEE values without a numpy warning (past the float range a term is
+    infinite); callers check the entries they use."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    t = _validate_time(t)
+    u = np.asarray(u, dtype=float) if isinstance(u, np.ndarray) else float(u)
+    for name, w in (("t", t), ("u", u)):
+        if isinstance(w, np.ndarray) and w.shape != v.shape:
+            raise DomainError(f"{name} must be a float or shaped like v {v.shape}, got shape {w.shape}")
     with np.errstate(all="ignore"):
-        c = _coordinate(_validate_time(t), float(u), v, _validate_multiplicity(kappa))
+        c = _coordinate(t, u, v, _validate_multiplicity(kappa))
     return c.log_p, c.d_u, c.d_uu, c.d_t

@@ -96,8 +96,15 @@ def _validate_multiplicity(k) -> float:
     return k
 
 
-def _validate_time(t) -> float:
-    """The one time check of the package: t must be a finite int or float > 0."""
+def _validate_time(t):
+    """The one time check of the package: t must be a finite int or float > 0,
+    or an array of such times, returned as a float array."""
+    if isinstance(t, np.ndarray):
+        times = np.asarray(t, dtype=float)
+        bad = ~(np.isfinite(times) & (times > 0.0))
+        if bad.any():
+            raise DomainError(f"time must be finite and > 0, got {float(times[bad][0])!r}")
+        return times
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0.0):
         raise DomainError(f"time must be finite and > 0, got {t!r}")
     return float(t)

@@ -12,7 +12,9 @@ sigma of |u|, sigma = sqrt(2t): E_kappa(a) <= e^|a| (Rosler 1998) bounds
 the kernel by a Gaussian in the reflection distance ||u| - |v||, so the
 omitted region carries less than e^(-450) of the mass.  A profile's
 integral intersects it with the support, or takes the whole support when
-they miss or the integrand is 0 all over the window.  In Chapman-Kolmogorov
+they miss or the integrand is 0 all over the window; those panels grade
+geometrically towards the support's points nearest u, where the mass of a
+far point sits in a sliver (`_graded_panels`).  In Chapman-Kolmogorov
 the two kernels' Gaussians multiply to one Gaussian in |v|, centred between
 |x| and |y| and narrower than either, and the integral takes that
 envelope's window; at kappa = 0, where the kernels are signed Gaussians, it
@@ -30,6 +32,19 @@ exponentiates shifted by their largest term.  Each integral returns its
 log, found wherever that log is finite, however far outside the double
 range the integrand or weight is.
 
+`_adaptive_panel_sum` sums a batch of integrals that share one exponent.
+Each keeps its own panels, shift and settle test, and leaves the batch once
+it settles; at each level the nodes of those left go through the integrand
+in calls of at most _BATCH_NODES (4096) nodes, whole integrals each (one
+whose level alone is larger goes alone).  A call's temporaries are a few
+dozen float64 rows of its nodes, so a batch of any length holds about 1 MB
+of them; moment_stats splits the tilts further into its own blocks.  The
+kernel gives a node the same bits in any call, and each integral sums its
+own slice, so an integral's bits do not depend on its batch.
+`_solution_moments` runs the solution integrals of B points at once;
+`_profile_moments` is its batch of one, and `_solution_log_values` gives
+harnack-scan log u at all of its points with one batch per coordinate.
+
 Each integral is a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries,
 called with positional arguments that name the point alone, since the
 accuracy contract is fixed: `_profile_moments` feeds every solution path,
@@ -37,8 +52,9 @@ accuracy contract is fixed: `_profile_moments` feeds every solution path,
 `chapman_kolmogorov_check`.  They raise ConvergenceError where no value is
 representable: where a solution's integrand is 0 on the whole support (u^2
 overflows far from it), where 30 sigma vanishes next to |u| in double
-precision, leaving a window no width, and where a layout would need more
-than _PANEL_CAP panels.
+precision, leaving a window no width, where a graded panel would be
+narrower than one ulp, and where a layout would need more than _PANEL_CAP
+panels.
 
 A fourth LRU cache, `_log_row`, keeps the last _ROW_CACHE_SIZE (32)
 log-kernel rows log p_t(u, .) that Chapman-Kolmogorov integrands read,
@@ -55,6 +71,7 @@ cache holds at most 4 MiB.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -107,6 +124,8 @@ _PANEL_REL_TOL = 1e-10
 # temporaries (23,886 panels peaked at 951 MB), and sigma = inf asks for NaN
 _PANEL_CAP = 10_000
 _PROFILE_SAMPLES = 257
+# nodes per `values` call of a batched panel ladder
+_BATCH_NODES = 4096
 _SOLUTION_CACHE_SIZE = 4096
 # log-kernel rows kept for the Chapman-Kolmogorov integrals.  Default
 # semigroup-check reuses a row at most 19 distinct rows later, when (s, t)
@@ -236,24 +255,70 @@ def _panels(inner, outer, sigma, lo=-math.inf, hi=math.inf, knots=()) -> np.ndar
     _PANEL_SIGMAS sigma wide.  Empty when that set is, which includes a window
     that rounding has left without width.  Raises ConvergenceError for more
     than _PANEL_CAP panels or a sigma that is not finite."""
-    lo_edges, hi_edges, count = [], [], 0
+    edges = []
     for a, b in ((max(-outer, lo), min(-inner, hi)), (max(inner, lo), min(outer, hi))):
         if b > a:
             cuts = [a, *(k for k in knots if a < k < b), b]
             for c, d in zip(cuts[:-1], cuts[1:]):
                 pieces = (d - c) / (_PANEL_SIGMAS * sigma)
-                if not count + pieces <= _PANEL_CAP:
+                if not len(edges) + pieces <= _PANEL_CAP:
                     raise ConvergenceError(
                         f"panel layout over [{c}, {d}] needs {pieces:.3g} panels of"
                         f" {_PANEL_SIGMAS:g} sigma, sigma = {sigma:.3g}, more than the cap of {_PANEL_CAP}"
                     )
-                edges = np.linspace(c, d, max(1, math.ceil(pieces)) + 1)
-                lo_edges.append(edges[:-1])
-                hi_edges.append(edges[1:])
-                count += edges.size - 1
-    if not lo_edges:
-        return np.empty((0, 2))
-    return np.array([np.concatenate(lo_edges), np.concatenate(hi_edges)]).T
+                # the points of np.linspace(c, d, n + 1), as it computes them
+                n = max(1, math.ceil(pieces))
+                step = (d - c) / n
+                points = [i * step + c for i in range(n)] + [d]
+                edges.extend(zip(points[:-1], points[1:]))
+    return np.array(edges).reshape(-1, 2)
+
+
+def _graded_panels(t, u, kappa_i, profile) -> np.ndarray:
+    """The (m, 2) edges of panels covering a profile's whole support, cut at
+    0 and at the knots, each piece graded towards its point nearest u in the
+    kernel's distance: |v| nearest |u| for kappa_i > 0, where the kernel is
+    at most a Gaussian in ||u| - |v||, and v nearest u at kappa_i = 0.  The
+    integrand falls by e over step = 2t / gap there, gap the distance to u
+    (step at most sigma), and the panel edges sit step, 2 step, 4 step, ...
+    from the point.  The mass of a point far from the support sits in a
+    sliver at the support's edge, which the first few panels resolve.
+    Raises ConvergenceError where step is below one ulp of the point, or the
+    layout needs more than _PANEL_CAP panels; a point so far away that its
+    log p overflows gets panels from one ulp on instead."""
+    sigma = math.sqrt(2.0 * t)
+    cuts = {profile.lo, profile.hi, *profile.knots}
+    if profile.lo < 0.0 < profile.hi:
+        cuts.add(0.0)
+    cuts = sorted(cuts)
+    edges = [cuts[0]]
+    for c, d in zip(cuts[:-1], cuts[1:]):
+        center = u if kappa_i == 0.0 else math.copysign(abs(u), c + d)
+        target = min(max(center, c), d)
+        gap = abs(center - target)
+        step = 2.0 * t / max(gap, sigma)
+        # where gap^2 / (4t), the Gaussian's log, overflows, the panels
+        # start one ulp out and the integrand reports the mass underflowed
+        if not step >= math.ulp(target) and math.isfinite(gap * gap / (4.0 * t)):
+            raise ConvergenceError(
+                f"panel layout over [{c}, {d}] needs a first panel of {step:.3g} at v = {target},"
+                " narrower than one ulp there"
+            )
+        step = max(step, math.ulp(target))
+        piece = {target, d}
+        for side in (-1.0, 1.0):
+            r = step
+            while c < target + side * r < d:
+                piece.add(target + side * r)
+                r *= 2.0
+        edges.extend(sorted(piece - {c}))
+    if len(edges) - 1 > _PANEL_CAP:
+        raise ConvergenceError(
+            f"panel layout over [{profile.lo}, {profile.hi}] needs {len(edges) - 1} graded panels,"
+            f" more than the cap of {_PANEL_CAP}"
+        )
+    edges = np.array(edges)
+    return np.column_stack([edges[:-1], edges[1:]])
 
 
 def _panel_levels(panels, exponent: float):
@@ -266,11 +331,12 @@ def _panel_levels(panels, exponent: float):
     each rule up once and lays out all panels from it."""
     a, b = panels.T
     mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
-    # (row, half-width, side) of the panels at 0, at most one on each side
-    ends = []
-    for j in np.flatnonzero(((a == 0.0) | (b == 0.0)) & (exponent > 0.0)):
-        scale = (b[j] if a[j] == 0.0 else -a[j]) / 2.0
-        ends.append((j, scale, -1.0 if b[j] == 0.0 else 1.0))
+    # the rows of the panels at 0, with their half-widths and sides
+    ends = np.flatnonzero(((a == 0.0) | (b == 0.0)) & (exponent > 0.0))
+    scale = np.where(a[ends] == 0.0, b[ends], -a[ends]) / 2.0
+    side = np.where(b[ends] == 0.0, -1.0, 1.0)[:, None]
+    log_scale = (exponent + 1.0) * np.array([[math.log(x)] for x in scale.tolist()])
+    scale = scale[:, None]
 
     def level(n: int):
         rule = gauss_jacobi_rule(0.0, 0.0, n)
@@ -278,58 +344,93 @@ def _panel_levels(panels, exponent: float):
         log_w = np.log(half) + np.log(rule.weights)
         if exponent != 0.0:
             log_w += exponent * np.log(np.abs(v))
-        if ends:
+        if ends.size:
             rule = gauss_jacobi_rule(0.0, exponent, n)
             with np.errstate(divide="ignore"):
                 log_weights = np.log(rule.weights)
-            for j, scale, side in ends:
-                v[j] = side * (scale * (1.0 + rule.nodes))
-                log_w[j] = (exponent + 1.0) * math.log(scale) + log_weights
+            v[ends] = side * (scale * (1.0 + rule.nodes))
+            log_w[ends] = log_scale + log_weights
         return v.ravel(), log_w.ravel()
 
     return level
 
 
-def _adaptive_panel_sum(panels, exponent, values, units):
-    """(shift, sums): the integrals sum_j w_j g(v_j) factors[i, j] over all
-    panels, as exp(shift) * sums[i], doubling every panel's node count until
-    two levels agree to _PANEL_REL_TOL, up to _PANEL_NODE_CAP.
+def _chunks(batch: list, nodes: list):
+    """batch cut in order into runs of at most _BATCH_NODES nodes, nodes[i]
+    those of batch[i]; one that alone holds more runs alone."""
+    start, total = 0, 0
+    for i, size in enumerate(nodes):
+        if i > start and total + size > _BATCH_NODES:
+            yield batch[start:i]
+            start, total = i, 0
+        total += size
+    yield batch[start:]
 
-    `values` maps a node array (m,) to log g (-inf where g is 0) and factor
-    rows (k, m).  This is where logs become numbers: each term is exp(log g
-    + log w - shift), the shift fixed at the first call's largest log term,
-    one exp per node.  If g is 0 at every node of that call, the shift is
-    -inf and the sums are ones.  `units` rescales the k sums to a common magnitude so
-    the stopping test is relative in the largest component and absolute, at
-    the same scale, in the rest.
+
+def _adaptive_panel_sum(layouts, exponent, values, units):
+    """(shift, sums): for each integral b of a batch, the sums
+    sum_j w_j g(v_j) factors[i, j] over its panels layouts[b], (m_b, 2)
+    edges, as exp(shift[b]) * sums[b, i], doubling every panel's node count
+    until two levels agree to _PANEL_REL_TOL, up to _PANEL_NODE_CAP.
+
+    `values` maps a node array (m,) and owner (m,), the index in the batch
+    of the integral each node belongs to, to log g (-inf where g is 0) and
+    factor rows (k, m).  This is where logs become numbers: each term is
+    exp(log g + log w - shift), an integral's shift fixed at the largest log
+    term of its first call, one exp per node.  If g is 0 at every node of
+    that call, the shift is -inf and the sums are ones.  units[b] rescales
+    integral b's k sums to a common magnitude so its stopping test is
+    relative in the largest component and absolute, at the same scale, in
+    the rest.
 
     Nearly every ladder stops at its second level, so the first two levels
-    share one `values` call.  The kernel gives a node the same bits in any
-    batch, and each level sums its own contiguous slice, so the sums equal
-    those of one call per level.
+    share one call.  An integral leaves the batch when it settles; the next
+    level lays out the panels of those left.  A level's nodes reach
+    `values` in chunks of whole integrals of at most _BATCH_NODES nodes, so
+    a long batch holds bounded temporaries.  The kernel gives a node the
+    same bits in any batch, and each integral sums its own contiguous slice
+    of each level, so its (shift, sums) are the bits it gets alone and in
+    one call per level.  Raises ConvergenceError if an integral has not
+    settled at the cap.
     """
-    level = _panel_levels(panels, exponent)
+    shift, sums, prev = [-math.inf] * len(layouts), [None] * len(layouts), [None] * len(layouts)
     ladder = list(node_ladder(NODE_START, _PANEL_NODE_CAP))
-    shift, prev = None, None
-    for calls in (ladder[:2], *([n] for n in ladder[2:])):
-        layouts = [level(n) for n in calls]
-        log_g, factors = values(np.concatenate([v for v, _ in layouts]))
-        log_terms = log_g + np.concatenate([log_w for _, log_w in layouts])
-        if shift is None:
-            shift = float(log_terms.max())
-            if shift == -math.inf:
-                return shift, np.ones(len(units))
-        terms = np.exp(log_terms - shift)
-        start = 0
-        for v, _ in layouts:
-            cur = np.ascontiguousarray(factors[:, start : start + v.size]) @ terms[start : start + v.size]
-            start += v.size
-            if prev is not None:
-                scaled = cur * units
-                err = np.abs(scaled - prev * units).max()
-                if err <= _PANEL_REL_TOL * max(np.abs(scaled).max(), np.abs(prev * units).max()):
-                    return shift, cur
-            prev = cur
+    pending = list(range(len(layouts)))
+    for first, calls in ((True, ladder[:2]), *((False, [n]) for n in ladder[2:])):
+        left = []
+        for chunk in _chunks(pending, [len(layouts[b]) * sum(calls) for b in pending]):
+            panels = layouts[chunk[0]] if len(chunk) == 1 else np.concatenate([layouts[b] for b in chunk])
+            level = _panel_levels(panels, exponent)
+            layout = [level(n) for n in calls]
+            # one slice per integral and level, level after level
+            owners = chunk * len(calls)
+            sizes = [len(layouts[b]) * n for n in calls for b in chunk]
+            ends = list(itertools.accumulate(sizes))
+            log_g, factors = values(np.concatenate([v for v, _ in layout]), np.array(owners).repeat(sizes))
+            log_terms = log_g + np.concatenate([log_w for _, log_w in layout])
+            if first:
+                peaks = np.maximum.reduceat(log_terms, [e - n for e, n in zip(ends, sizes)])
+                for b, peak in zip(owners, peaks.tolist()):
+                    shift[b] = max(shift[b], peak)
+            for i, b in enumerate(chunk):
+                if shift[b] == -math.inf:
+                    sums[b] = np.ones(units.shape[-1])
+                    continue
+                for e, n in zip(ends[i :: len(chunk)], sizes[i :: len(chunk)]):
+                    terms = np.exp(log_terms[e - n : e] - shift[b])
+                    cur = np.ascontiguousarray(factors[:, e - n : e]) @ terms
+                    if prev[b] is not None:
+                        scaled, before = cur * units[b], prev[b] * units[b]
+                        err = np.abs(scaled - before).max()
+                        if err <= _PANEL_REL_TOL * max(np.abs(scaled).max(), np.abs(before).max()):
+                            sums[b] = cur
+                            break
+                    prev[b] = cur
+                else:
+                    left.append(b)
+        pending = left
+        if not pending:
+            return np.array(shift), np.array(sums)
     raise ConvergenceError(f"panel quadrature stalled at {_PANEL_NODE_CAP} nodes per panel")
 
 
@@ -342,44 +443,83 @@ def _log_total(center, sigma, exponent, values, where) -> float:
             f"integration window lost to rounding at {where}: 30 sigma vanishes next to the"
             " coordinate in double precision"
         )
-    shift, sums = _adaptive_panel_sum(panels, exponent, values, np.ones(1))
-    return shift + math.log(sums[0])
+    shift, sums = _adaptive_panel_sum([panels], exponent, values, np.ones((1, 1)))
+    return float(shift[0]) + math.log(sums[0, 0])
+
+
+def _solution_moments(t, u, kappa_i, profile) -> np.ndarray:
+    """(B, 4) rows (log I0, I1/I0, I2/I0, It/I0), I the integrals of f(v) D
+    p_t(u, v) |v|^(2 kappa) dv for D = id, d/du, d^2/du^2, d/dt, at B
+    points: t and u are floats, a batch of one, or arrays of B.
+    Differentiation happens under the integral sign, on the kernel factor,
+    so the four share one node set, and the B integrals share one batched
+    ladder.  An array of times reaches the kernel as an array, which takes
+    log(2t) with numpy's log (see kernel_derivatives_1d_batch)."""
+    times, points = np.atleast_1d(t).tolist(), np.atleast_1d(u).tolist()
+    sigmas = [math.sqrt(2.0 * ti) for ti in times]
+    units = np.array([(1.0, si, si * si, ti) for si, ti in zip(sigmas, times)])
+    shift, sums = [-math.inf] * len(times), [None] * len(times)
+
+    def ladder(batch, layouts):
+        index = np.array(batch)
+
+        def values(v, owner):
+            node_t, node_u = (w if isinstance(w, float) else w[index[owner]] for w in (t, u))
+            log_p, d1, d2, dt = kernel_derivatives_1d_batch(node_t, node_u, v, kappa_i)
+            # f may dip to -1e-12 of its peak (InitialDatum's check): that is 0
+            with np.errstate(divide="ignore"):
+                log_g = np.log(np.maximum(np.asarray(profile.fn(v), dtype=float), 0.0)) + log_p
+            # where g is 0, far from the support, d1^2 can overflow: zero it there
+            d1, d2, dt = (np.where(log_g == -math.inf, 0.0, d) for d in (d1, d2, dt))
+            return log_g, np.stack([np.ones_like(d1), d1, d2 + d1 * d1, dt])
+
+        found = _adaptive_panel_sum(layouts, 2.0 * kappa_i, values, units[index])
+        for b, peak, row in zip(batch, *found):
+            shift[b], sums[b] = peak, row
+
+    layouts = [
+        _panels(*_window(ui, si), si, profile.lo, profile.hi, profile.knots)
+        for ui, si in zip(points, sigmas)
+    ]
+    batch = [b for b, panels in enumerate(layouts) if len(panels)]
+    if batch:
+        ladder(batch, [layouts[b] for b in batch])
+    # a window that misses the support, or where f p_t is 0 at every node,
+    # gets the whole support: the mass is tiny there, not zero
+    batch = [b for b, peak in enumerate(shift) if peak == -math.inf]
+    if batch:
+        ladder(batch, [_graded_panels(times[b], points[b], kappa_i, profile) for b in batch])
+    for b in (b for b, peak in enumerate(shift) if peak == -math.inf):
+        raise ConvergenceError(
+            f"solution mass underflowed at u = {points[b]}, t = {times[b]}: the point is too far"
+            " from the support for double precision"
+        )
+    sums = np.array(sums)
+    log_mass = [peak + math.log(mass) for peak, mass in zip(shift, sums[:, 0].tolist())]
+    return np.column_stack([log_mass, sums[:, 1:] / sums[:, :1]])
 
 
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
 def _profile_moments(t, u, kappa_i, profile) -> np.ndarray:
-    """(log I0, I1/I0, I2/I0, It/I0), I the integrals of f(v) D p_t(u, v)
-    |v|^(2 kappa) dv for D = id, d/du, d^2/du^2, d/dt, as a read-only array.
-    Differentiation happens under the integral sign, on the kernel factor, so
-    the four share one node set.  Positional arguments only: one key each."""
-    sigma = math.sqrt(2.0 * t)
-
-    def values(v):
-        log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, u, v, kappa_i)
-        # f may dip to -1e-12 of its peak (InitialDatum's check): that is 0
-        with np.errstate(divide="ignore"):
-            log_g = np.log(np.maximum(np.asarray(profile.fn(v), dtype=float), 0.0)) + log_p
-        # where g is 0, far from the support, d1^2 can overflow: zero it there
-        d1, d2, dt = (np.where(log_g == -math.inf, 0.0, d) for d in (d1, d2, dt))
-        return log_g, np.stack([np.ones_like(d1), d1, d2 + d1 * d1, dt])
-
-    units = np.array([1.0, sigma, sigma * sigma, t])
-    # a window that misses the support, or where f p_t is 0 at every node,
-    # gets the whole support: the mass is tiny there, not zero
-    for window in (_window(u, sigma), (0.0, math.inf)):
-        panels = _panels(*window, sigma, profile.lo, profile.hi, profile.knots)
-        if len(panels):
-            shift, sums = _adaptive_panel_sum(panels, 2.0 * kappa_i, values, units)
-            if shift > -math.inf:
-                break
-    else:
-        raise ConvergenceError(
-            f"solution mass underflowed at u = {u}, t = {t}: the point is too far"
-            " from the support for double precision"
-        )
-    moments = np.array([shift + math.log(sums[0]), *(sums[1:] / sums[0])])
+    """The _solution_moments row of one point, as a read-only array.
+    Positional arguments only: one key each."""
+    moments = _solution_moments(t, u, kappa_i, profile)[0]
     moments.setflags(write=False)
     return moments
+
+
+def _solution_log_values(f: InitialDatum, kappa, points) -> np.ndarray:
+    """log u at each (t, x) of `points` for the solution started from f: the
+    sum of its coordinates' log I0, one batched ladder per coordinate.  It
+    equals semigroup_solution(f, kappa).log_value(t, x) but in the last bits
+    of a log(2t) that numpy's log rounds unlike math.log."""
+    kappa = MultiplicityZ2.of(kappa)
+    times = np.array([_validate_time(t) for t, _ in points])
+    coords = np.array([_validate_point(x, kappa.d) for _, x in points]).reshape(len(points), kappa.d)
+    total = np.zeros(len(points))
+    for column, k, p in zip(coords.T, kappa.values, f.profiles):
+        total += _solution_moments(times, np.ascontiguousarray(column), k, p)[:, 0]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +603,7 @@ MARKOV_CONVENTION = MeasureConvention(
 @functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
 def _plain_mass(t, u, kappa_i, exponent) -> float:
     """log of the integral of p_t(u, v) |v|^exponent dv."""
-    def values(v):
+    def values(v, owner):
         return kernel_derivatives_1d_batch(t, u, v, kappa_i)[0], np.ones((1, v.size))
 
     return _log_total(u, math.sqrt(2.0 * t), exponent, values, f"u = {u}, t = {t}")
@@ -549,7 +689,7 @@ def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
     else:
         center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
 
-    def values(v):
+    def values(v, owner):
         nodes = v.tobytes()
         return _log_row(s, xi, kappa_i, nodes) + _log_row(t, yi, kappa_i, nodes), np.ones((1, v.size))
 

@@ -19,11 +19,11 @@ import sys
 import numpy as np
 import pytest
 
-from dunklheat import cli, inequalities
+from dunklheat import cli, inequalities, semigroup
 from dunklheat.cli import _COLUMNS, main
 from dunklheat.inequalities import VerificationReport, iter_liyau_points, liyau_functional
 from dunklheat.kernel import log_gaussian_mass, log_kernel_derivatives
-from dunklheat.semigroup import MeasureConvention, normalization_check
+from dunklheat.semigroup import MeasureConvention, normalization_check, semigroup_solution
 
 
 def run_cli(argv, capsys):
@@ -514,6 +514,9 @@ class TestExitCodes:
             # log p_1(1, v) is about -1139 inside the support
             ["solution-scan", "--kappa", "200", "--t", "1", "--coords", "1"],
             ["harnack-scan", "--kappa", "100"],
+            # the mass of u(1e-4, -40) sits within 1e-4 of the support's
+            # edges, which the graded whole-support panels resolve
+            ["solution-scan", "--kappa", "0.5", "--t", "1e-4", "--coords=-40"],
         ],
         ids=[
             "semigroup-k50",
@@ -525,6 +528,7 @@ class TestExitCodes:
             "solution-k0.5-t0.01-x40",
             "solution-k200-t1-x1",
             "harnack-k100",
+            "solution-k0.5-t1e-4-x-40",
         ],
     )
     def test_integrals_beyond_the_double_range_pass(self, capsys, argv):
@@ -589,8 +593,8 @@ class TestExitCodes:
         [
             # sigma = sqrt(2t) overflows to inf, so the panel width is inf/inf
             (["semigroup-check", "--t", "1e308"], "[grid point [1e+308, [-3.0, -3.0]]]"),
-            # the window rounds away and the whole-support fallback would ask
-            # for ~1e149 panels of 8 sigma
+            # the window rounds away, and the whole-support fallback's graded
+            # panels would start 1.4e-150 from |v| = 1, below one ulp there
             (
                 ["solution-scan", "--kappa", "0.5", "--t", "1e-300", "--coords", "1"],
                 "[grid point [1e-300, [1.0]]]",
@@ -658,6 +662,85 @@ class TestExitCodes:
             "numerical failure: OverflowError: math range error [grid point "
             "[0.07958454908395947, [-3.9966743017754913], [7.471068907925236]]]\n"
         )
+
+    def test_harnack_failure_names_the_first_tuple_that_stops(self, capsys):
+        # the kappa = 1000 Gauss-Jacobi panel rule overflows at every point;
+        # the batch fails, and the first tuple in draw order is named
+        code, out, err = run_cli(["harnack-scan", "--kappa", "1000", "--reproducible"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "numerical failure: OverflowError: math range error [grid point [0.6495672292688088,"
+            " [1.3784284512259677], 4.732510335897177, [-1.3739640500470407]]]\n"
+        )
+
+    def test_harnack_batch_failure_is_replayed_in_draw_order(self, capsys, monkeypatch):
+        evaluated = []
+        batched = cli._solution_log_values
+
+        def recorded(datum, kappa, points):
+            evaluated.extend(points)
+            return batched(datum, kappa, points)
+
+        monkeypatch.setattr(cli, "_solution_log_values", recorded)
+        argv = ["harnack-scan", "--kappa", "0.5", "--augment", "20", "--reproducible"]
+        assert run_cli(argv, capsys)[0] == 0
+        # the (t, y) of tuple 7 and the (s, x) of tuple 12 stop the kernel;
+        # the batch fails at whichever it meets first, and the replay names
+        # tuple 7, the first in draw order
+        (s7, x7), (t7, y7) = evaluated[7], evaluated[20 + 7]
+        (s12, x12), (t12, y12) = evaluated[12], evaluated[20 + 12]
+        bad = {y7[0], x12[0]}
+        kernel = semigroup.kernel_derivatives_1d_batch
+
+        def failing(t, u, v, kappa_i):
+            if bad & set(np.atleast_1d(u).tolist()):
+                raise OverflowError("boom")
+            return kernel(t, u, v, kappa_i)
+
+        monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", failing)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (4, "")
+        assert err == f"numerical failure: OverflowError: boom [grid point {[s7, list(x7), t7, list(y7)]}]\n"
+
+    @pytest.mark.parametrize("kappa", ["0.5,1.5", "1e-8,3", "20,0.25"])
+    def test_harnack_rows_from_batched_values_match_the_solution_field(self, capsys, monkeypatch, kappa):
+        argv = ["harnack-scan", "--kappa", kappa, "--augment", "50", "--seed", "5", "--reproducible"]
+        code, out, _ = run_cli(argv, capsys)
+
+        def one_by_one(datum, kappa, points):
+            u = semigroup_solution(datum, kappa)
+            return np.array([u.log_value(t, x) for t, x in points])
+
+        monkeypatch.setattr(cli, "_solution_log_values", one_by_one)
+        want_code, want, _ = run_cli(argv, capsys)
+        assert code == want_code == 0
+        rows, want_rows = parse_jsonl(out)[1], parse_jsonl(want)[1]
+        assert len(rows) == len(want_rows) == 50
+        for got, ref in zip(rows, want_rows):
+            assert (got["grid_point"], got["pass"]) == (ref["grid_point"], ref["pass"])
+            # equal but in the last bits of a log(2t), which numpy's log
+            # rounds unlike math.log for a small share of times
+            scale = max(1.0, abs(ref["lhs"]), abs(ref["rhs"]))
+            for key in ("lhs", "rhs", "deficit"):
+                assert abs(got[key] - ref[key]) <= 1e-14 * scale
+
+    def test_long_harnack_scan_keeps_every_kernel_call_within_the_chunk(self, capsys, monkeypatch):
+        sizes = []
+        kernel = semigroup.kernel_derivatives_1d_batch
+
+        def counted(t, u, v, kappa_i):
+            sizes.append(v.size)
+            return kernel(t, u, v, kappa_i)
+
+        monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", counted)
+        code, out, _ = run_cli(["harnack-scan", "--augment", "5000", "--reproducible"], capsys)
+        assert code == 0
+        assert out.count("\n") == 1 + 5000
+        # 2 axes of 10,000 integrals each, in calls of at most _BATCH_NODES
+        # nodes: far fewer calls than integrals
+        assert max(sizes) <= semigroup._BATCH_NODES
+        assert len(sizes) < 2 * 10_000 / 10
 
     @pytest.mark.parametrize("command", ["kernel-eval", "liyau-scan"])
     def test_tilt_overflow_returns_four_with_grid_point(self, capsys, command):

@@ -452,6 +452,55 @@ def test_batch_derivatives_match_scalar_path():
         )
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.75])
+def test_batch_arrays_of_t_and_u_equal_scalar_calls(kappa):
+    # an array of times takes log(2t) (log(4 pi t) at kappa = 0) from numpy's
+    # log, a float time from math.log.  The two differ by one ulp for a small
+    # share of inputs (about 1 in 1,000 uniform on (0, 10) on an AVX-512
+    # machine), so where they differ log p moves by (kappa + 1/2) ulps of
+    # that log and the roundings of the sum that follows; every other entry,
+    # and log p everywhere else, is the same bits
+    rng = np.random.default_rng(11)
+    t = 10.0 ** rng.uniform(-3.0, 2.0, 3000)
+    u = rng.uniform(-5.0, 5.0, t.size)
+    v = rng.uniform(-5.0, 5.0, t.size)
+    moved = 0
+    for t_arg, u_arg in ((t, u), (t, 0.7), (0.3, u)):
+        batch = kernel_derivatives_1d_batch(t_arg, u_arg, v, kappa)
+        times = np.broadcast_to(t_arg, v.shape).tolist()
+        coords = np.broadcast_to(u_arg, v.shape).tolist()
+        alone = np.array(
+            [
+                [entry[0] for entry in kernel_derivatives_1d_batch(tj, uj, vj, kappa)]
+                for tj, uj, vj in zip(times, coords, v)
+            ]
+        ).T
+        for entry in (1, 2, 3):
+            assert batch[entry].tobytes() == alone[entry].tobytes()
+        scale = 4.0 * math.pi if kappa == 0.0 else 2.0
+        log_t = np.log(scale * np.array(times))
+        same = log_t == np.array([math.log(scale * tj) for tj in times])
+        assert batch[0][same].tobytes() == alone[0][same].tobytes()
+        # the largest term of the sum bounds the roundings after the log
+        terms = np.abs(log_t) * (kappa + 0.5) + (np.square(coords) + v * v) / (4.0 * np.array(times))
+        bound = (kappa + 0.5) * np.spacing(np.abs(log_t)) + 4.0 * np.spacing(terms + np.abs(alone[0]))
+        assert np.all(np.abs(batch[0] - alone[0]) <= bound)
+        moved += int(np.count_nonzero(batch[0] != alone[0]))
+    assert moved <= 0.01 * 3 * t.size
+
+
+def test_batch_rejects_bad_times_and_shapes_in_an_array():
+    v = np.linspace(-1.0, 1.0, 3)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        # the scalar check's message, from the same validator
+        with pytest.raises(DomainError, match=re.escape(f"time must be finite and > 0, got {bad!r}")):
+            kernel_derivatives_1d_batch(np.array([0.5, bad, 0.5]), 1.0, v, 0.5)
+    with pytest.raises(DomainError, match=r"t must be a float or shaped like v \(3,\)"):
+        kernel_derivatives_1d_batch(np.ones(2), 1.0, v, 0.5)
+    with pytest.raises(DomainError, match=r"u must be a float or shaped like v \(3,\)"):
+        kernel_derivatives_1d_batch(0.5, np.ones((3, 1)), v, 0.5)
+
+
 def test_log_kernel_is_exactly_the_log_p_of_the_derivative_path():
     # both paths evaluate the same per-coordinate formulas, so they agree to
     # the last bit, including on the hyperplanes x_i = 0 or y_i = 0 (a = 0)

@@ -296,14 +296,153 @@ def test_panel_ladder_looks_each_rule_up_once_per_level(monkeypatch, exponent):
     panels = semigroup._panels(0.0, 2.3, 0.11)
     noise = np.random.default_rng(3)
 
-    def values(v):
+    def values(v, owner):
         return np.zeros(v.size), noise.random((1, v.size))
 
     with pytest.raises(ConvergenceError, match="stalled at 128 nodes"):
         # noise never settles, so the ladder climbs through all three levels
-        semigroup._adaptive_panel_sum(panels, exponent, values, np.ones(1))
+        semigroup._adaptive_panel_sum([panels], exponent, values, np.ones((1, 1)))
     kinds = [(0.0, 0.0)] + ([(0.0, exponent)] if exponent > 0.0 else [])
     assert lookups == {(*kind, n): 1 for kind in kinds for n in (32, 64, 128)}
+
+
+# (layout, c) of integrals of exp(-c v^2) [1, v^2] |v|: c = 1 settles at the
+# second level, c = 1000 climbs to a third, c = 1e5 to a fourth, and c = None
+# is 0 at every node
+_LADDER_CASES = [
+    (semigroup._panels(0.0, 2.3, 0.11), 1.0),
+    (semigroup._panels(0.0, 2.3, 0.11), 1000.0),
+    (semigroup._panels(0.5, 3.0, 0.2), None),
+    (semigroup._panels(0.0, 1.0, 0.05), 1e5),
+    (semigroup._panels(0.0, 2.3, 0.4), 30.0),
+]
+
+
+def _gaussian_rows(cases, calls):
+    def values(v, owner):
+        calls.append(sorted(set(owner.tolist())))
+        c = np.array([math.inf if cases[b][1] is None else cases[b][1] for b in owner.tolist()])
+        with np.errstate(invalid="ignore"):
+            log_g = np.where(c == math.inf, -math.inf, -c * v * v)
+        return log_g, np.stack([np.ones_like(v), v * v])
+
+    return values
+
+
+@pytest.mark.parametrize("batch_nodes", [semigroup._BATCH_NODES, 1000, 1])
+def test_panel_ladder_gives_each_integral_of_a_batch_its_bits_alone(monkeypatch, batch_nodes):
+    alone, levels = [], []
+    for case in _LADDER_CASES:
+        calls = []
+        values = _gaussian_rows([case], calls)
+        alone.append(semigroup._adaptive_panel_sum([case[0]], 1.0, values, np.ones((1, 2))))
+        levels.append(len(calls))
+    assert levels == [1, 2, 1, 3, 1]
+    monkeypatch.setattr(semigroup, "_BATCH_NODES", batch_nodes)
+    calls = []
+    layouts = [layout for layout, _ in _LADDER_CASES]
+    values = _gaussian_rows(_LADDER_CASES, calls)
+    shift, sums = semigroup._adaptive_panel_sum(layouts, 1.0, values, np.ones((5, 2)))
+    for b, (want_shift, want_sums) in enumerate(alone):
+        assert shift[b : b + 1].tobytes() == want_shift.tobytes()
+        assert sums[b : b + 1].tobytes() == want_sums.tobytes()
+    assert shift[2] == -math.inf and sums[2].tolist() == [1.0, 1.0]
+    # an integral leaves the batch once it settles; a call holds whole
+    # integrals of at most batch_nodes nodes, or one integral alone
+    assert [b for owners in calls for b in owners].count(1) == 2
+    assert [b for owners in calls for b in owners].count(3) == 3
+    if batch_nodes == 1:
+        assert all(len(owners) == 1 for owners in calls)
+
+
+def test_panel_ladder_batch_raises_the_stall_of_any_integral(monkeypatch):
+    # at a cap of 64 nodes the third-level integral stalls alone and in a
+    # batch; the others settle alone as before
+    monkeypatch.setattr(semigroup, "_PANEL_NODE_CAP", 64)
+    layouts = [layout for layout, _ in _LADDER_CASES[:2]]
+    values = _gaussian_rows(_LADDER_CASES, [])
+    alone = _gaussian_rows(_LADDER_CASES[1:], [])
+    with pytest.raises(ConvergenceError, match="stalled at 64 nodes per panel"):
+        semigroup._adaptive_panel_sum(layouts[1:], 1.0, alone, np.ones((1, 2)))
+    with pytest.raises(ConvergenceError, match="stalled at 64 nodes per panel"):
+        semigroup._adaptive_panel_sum(layouts, 1.0, values, np.ones((2, 2)))
+    shift, _ = semigroup._adaptive_panel_sum(layouts[:1], 1.0, values, np.ones((1, 2)))
+    assert np.isfinite(shift).all()
+
+
+_BUMP = bump_profile(0.0, 1.5, power=3)
+_TWO_BUMPS = two_bump_profile(-2.0, 2.0, 0.8, power=3)
+# (profile, (t, u) points, kernel calls of each alone) at kappa = 0.5: an
+# integral that settles at its second level, one that climbs to a third,
+# one whose window misses the support, so that the graded whole support is
+# integrated in its place, and one whose window lies between the two bumps,
+# where f p_t is 0 at every node, before the graded whole support
+_SOLUTION_CASES = {
+    "bump": (_BUMP, [(0.5, 1.0), (1e-3, 2.5), (1e-4, -40.0), (0.3, -0.7)], [1, 2, 1, 1]),
+    "two_bump": (_TWO_BUMPS, [(0.5, 1.0), (1e-4, -0.5), (0.02, 2.0), (1e-4, 0.0)], [1, 2, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("batch_nodes", [semigroup._BATCH_NODES, 1000, 1])
+@pytest.mark.parametrize("case", sorted(_SOLUTION_CASES))
+def test_batched_solution_moments_are_the_bits_of_each_alone(monkeypatch, case, batch_nodes):
+    profile, points, kernel_calls = _SOLUTION_CASES[case]
+    times, coords = (np.array(c) for c in zip(*points))
+    calls = []
+    batch = semigroup.kernel_derivatives_1d_batch
+
+    def counted(t, u, v, kappa_i):
+        calls.append(v.size)
+        return batch(t, u, v, kappa_i)
+
+    monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", counted)
+    alone = []
+    for j in range(len(points)):
+        calls.clear()
+        alone.append(semigroup._solution_moments(times[j : j + 1], coords[j : j + 1], 0.5, profile))
+        assert len(calls) == kernel_calls[j]
+    monkeypatch.setattr(semigroup, "_BATCH_NODES", batch_nodes)
+    moments = semigroup._solution_moments(times, coords, 0.5, profile)
+    assert moments.shape == (len(points), 4)
+    for j, row in enumerate(alone):
+        assert moments[j].tobytes() == row[0].tobytes()
+
+
+def test_batched_solution_moments_raise_the_stall_of_any_integral(monkeypatch):
+    monkeypatch.setattr(semigroup, "_PANEL_NODE_CAP", 64)
+    with pytest.raises(ConvergenceError, match="stalled at 64 nodes per panel"):
+        semigroup._solution_moments(np.array([0.5, 1e-3]), np.array([1.0, 2.5]), 0.5, _BUMP)
+    assert np.isfinite(semigroup._solution_moments(0.5, 1.0, 0.5, _BUMP)).all()
+
+
+def test_graded_fallback_panels_start_at_the_decay_length_next_to_the_edge():
+    # u = -40 at t = 1e-4: the integrand falls by e every 2t / 38.5 = 5.2e-6
+    # inside both edges of the support, where |v| = 1.5 is nearest |u|
+    panels = semigroup._graded_panels(1e-4, -40.0, 0.5, _BUMP)
+    assert panels[0, 0] == -1.5 and panels[-1, 1] == 1.5
+    assert (panels[1:, 0] == panels[:-1, 1]).all() and (panels[:, 1] > panels[:, 0]).all()
+    assert 0.0 in panels
+    step = 2e-4 / 38.5
+    assert panels[0, 1] - panels[0, 0] == pytest.approx(step, rel=1e-12)
+    assert panels[-1, 1] - panels[-1, 0] == pytest.approx(step, rel=1e-12)
+    widths = np.diff(panels, axis=1).ravel()
+    assert len(panels) < 50 and widths.max() < 1.0
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("u", [-40.0, 40.0])
+def test_graded_fallback_matches_the_reference_far_from_the_support(u):
+    # the CLI's three data at kappa = 0.5, t = 1e-4, where 8-sigma panels
+    # of the whole support stalled at 512 nodes per panel
+    for name, datum in cli._initial_data(1).items():
+        p = datum.profiles[0]
+
+        def log_f(v, p=p):
+            with np.errstate(divide="ignore"):
+                return np.log(np.maximum(p.fn(np.asarray(v, dtype=float)), 0.0))
+
+        want = oracle.log_solution_mass(1e-4, u, 0.5, log_f, p.lo, p.hi)
+        assert semigroup._profile_moments(1e-4, u, 0.5, p)[0] == pytest.approx(want, abs=1e-9), name
 
 
 def _count_ladders(monkeypatch) -> list:
@@ -358,8 +497,8 @@ def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkey
     # each Chapman-Kolmogorov integral covers the window of its product's
     # Gaussian envelope (the hull of the two kernels' windows took 2,096)
     panels = collections.Counter()
-    for layout, _, values, *_ in calls:
-        panels[values.__qualname__.split(".")[0]] += len(layout)
+    for layouts, _, values, *_ in calls:
+        panels[values.__qualname__.split(".")[0]] += sum(map(len, layouts))
     assert panels["_ck_coordinate"] == 1248
 
 
