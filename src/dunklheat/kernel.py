@@ -214,12 +214,16 @@ def moment_stats(a, kappa: float):
             if idx.size:
                 block_out[:, idx] = moments(block[idx])
 
-    if not (np.all(out[1] > -1.0) and np.all(out[1] < 1.0)):
-        raise RuntimeError("moment ratio r1 escaped (-1, 1)")
-    if not (np.all(out[2] > 0.0) and np.all(out[2] < 1.0)):
-        raise RuntimeError("moment ratio r2 escaped (0, 1)")
-    if np.any(out[2] - out[1] * out[1] < 0.0):
-        raise RuntimeError("tilted moment variance went negative")
+    r1, r2 = out[1], out[2]
+    # one pass: r1^2 <= r2 < 1 implies |r1| < 1, and r1^2 <= r2 holds
+    # exactly when r2 - r1^2 >= 0 does; the checks below name the failure
+    if not ((r1 * r1 <= r2) & (r2 > 0.0) & (r2 < 1.0)).all():
+        if not (np.all(r1 > -1.0) and np.all(r1 < 1.0)):
+            raise RuntimeError("moment ratio r1 escaped (-1, 1)")
+        if not (np.all(r2 > 0.0) and np.all(r2 < 1.0)):
+            raise RuntimeError("moment ratio r2 escaped (0, 1)")
+        if np.any(r2 - r1 * r1 < 0.0):
+            raise RuntimeError("tilted moment variance went negative")
     return out
 
 

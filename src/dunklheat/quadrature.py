@@ -9,10 +9,10 @@ symmetric tridiagonal (Jacobi) matrix of recurrence coefficients, stored
 dense and solved by numpy.linalg.eigh; weights are mu0 times the squared
 first eigenvector components.  The same recurrence gives each rule its
 log_norm, the constant of the a priori Gauss remainder bound.  At their
-defaults the scans and checks build rules of 32 to 128 nodes (a panel
-ladder may climb to 512), where the dense solve costs about what a
-tridiagonal solver does and needs nothing beyond numpy; a ladder that
-climbs towards NODE_CAP pays more, cubically in n.
+defaults the scans and checks build rules of 16 to 128 nodes (a panel
+ladder starts at 16 and may climb to 512), where the dense solve costs
+about what a tridiagonal solver does and needs nothing beyond numpy; a
+ladder that climbs towards NODE_CAP pays more, cubically in n.
 
 Rules are immutable and cached: scans request the same (alpha, beta, n)
 thousands of times and adaptive callers walk the same doubling ladder.

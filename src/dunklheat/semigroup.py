@@ -22,15 +22,18 @@ is centred between x and y.  Panels are cut at 0, at knots and every few
 sigma; one touching v = 0 absorbs the |v|^(2 kappa) factor into a
 Gauss-Jacobi rule so low multiplicities keep full accuracy through the
 kink, elsewhere Gauss-Legendre panels apply the weight pointwise.  All node
-counts double together until two levels' weighted sums agree to
-_PANEL_REL_TOL (1e-10), up to _PANEL_NODE_CAP (512) nodes per panel; the
-kernel values inside them settle to the kernel's fixed 1e-10.  A level's
-nodes and weights are built for all panels at once, with one lookup of each
-Gauss rule.  Integrands and weights are logs (log f + log p_t or two
-log-kernel rows, and 2 kappa log|v|), which `_adaptive_panel_sum`
-exponentiates shifted by their largest term.  Each integral returns its
-log, found wherever that log is finite, however far outside the double
-range the integrand or weight is.
+counts double together from _PANEL_NODE_START (16) nodes per panel until
+two levels' weighted sums agree to _PANEL_REL_TOL (1e-10), up to
+_PANEL_NODE_CAP (512); the kernel values inside them settle to the
+kernel's fixed 1e-10.  Panels are at most 8 sigma wide, so 16 and 32
+nodes agree for nearly every integral: at the defaults 4 of
+`semigroup-check`'s 166 integrals and 14 of `solution-scan`'s 120 take a
+third level, at 64 nodes.  A level's nodes and weights are built for all
+panels at once, with one lookup of each Gauss rule.  Integrands and
+weights are logs (log f + log p_t or two log-kernel rows, and 2 kappa
+log|v|), which `_adaptive_panel_sum` exponentiates shifted by their
+largest term.  Each integral returns its log, found wherever that log is
+finite, however far outside the double range the integrand or weight is.
 
 `_adaptive_panel_sum` sums a batch of integrals that share one exponent.
 Each keeps its own panels, shift and settle test, and leaves the batch once
@@ -62,7 +65,7 @@ keyed on (t, u, kappa_i) and the bytes of the node array.  For kappa_i > 0
 the envelope's window depends on |x_i| and |y_i| alone, so the integrals of
 (x_i, y_i) and (x_i, -y_i) lay out the same nodes and share the row of x_i;
 at s = t and x_i = y_i the two factors are one row.  Default
-`semigroup-check` reads 252 rows and computes 100.  An entry holds 16 bytes
+`semigroup-check` reads 260 rows and computes 104.  An entry holds 16 bytes
 per node, the key's and the row's.  A 60-sigma window cut every 8 sigma is
 at most 16 panels, so an entry has at most 16 * 512 nodes, 128 KiB, and the
 cache holds at most 4 MiB.
@@ -95,7 +98,6 @@ from .operators import (
     dunkl_laplacian,
 )
 from .quadrature import (
-    NODE_START,
     ConvergenceError,
     DomainError,
     gauss_jacobi_rule,
@@ -118,6 +120,8 @@ __all__ = [
 
 _WINDOW_SIGMAS = 30.0
 _PANEL_SIGMAS = 8.0
+# nodes per panel at a ladder's first level (the moments start at NODE_START)
+_PANEL_NODE_START = 16
 _PANEL_NODE_CAP = 512
 _PANEL_REL_TOL = 1e-10
 # panels per layout; past it one ladder level holds hundreds of MB of node
@@ -129,7 +133,7 @@ _BATCH_NODES = 4096
 _SOLUTION_CACHE_SIZE = 4096
 # log-kernel rows kept for the Chapman-Kolmogorov integrals.  Default
 # semigroup-check reuses a row at most 19 distinct rows later, when (s, t)
-# and (t, s) at x_i = y_i share both; at 16 it recomputed 6 of its 100 rows
+# and (t, s) at x_i = y_i share both; at 16 it recomputes 6 of its 104 rows
 _ROW_CACHE_SIZE = 32
 
 
@@ -371,7 +375,8 @@ def _adaptive_panel_sum(layouts, exponent, values, units):
     """(shift, sums): for each integral b of a batch, the sums
     sum_j w_j g(v_j) factors[i, j] over its panels layouts[b], (m_b, 2)
     edges, as exp(shift[b]) * sums[b, i], doubling every panel's node count
-    until two levels agree to _PANEL_REL_TOL, up to _PANEL_NODE_CAP.
+    from _PANEL_NODE_START until two levels agree to _PANEL_REL_TOL, up to
+    _PANEL_NODE_CAP.
 
     `values` maps a node array (m,) and owner (m,), the index in the batch
     of the integral each node belongs to, to log g (-inf where g is 0) and
@@ -394,7 +399,7 @@ def _adaptive_panel_sum(layouts, exponent, values, units):
     settled at the cap.
     """
     shift, sums, prev = [-math.inf] * len(layouts), [None] * len(layouts), [None] * len(layouts)
-    ladder = list(node_ladder(NODE_START, _PANEL_NODE_CAP))
+    ladder = list(node_ladder(_PANEL_NODE_START, _PANEL_NODE_CAP))
     pending = list(range(len(layouts)))
     for first, calls in ((True, ladder[:2]), *((False, [n]) for n in ladder[2:])):
         left = []

@@ -114,6 +114,45 @@ def test_moment_domain_errors():
         moment_ratios(float("inf"), 0.5)
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        # the variance kappa / a^2 falls below the rounding of r2 and r1^2
+        ([29999981.82454288], "tilted moment variance went negative"),
+        ([1e15], "tilted moment variance went negative"),
+        ([1e17], r"moment ratio r1 escaped \(-1, 1\)"),
+        ([-1e17], r"moment ratio r1 escaped \(-1, 1\)"),
+    ],
+)
+def test_moment_stats_names_the_ratio_that_failed(a, message):
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        moment_stats(a, 0.5)
+
+
+@pytest.mark.parametrize(
+    "r1, r2, message",
+    [
+        (1.0, 0.5, r"r1 escaped \(-1, 1\)"),
+        (float("nan"), 0.5, r"r1 escaped \(-1, 1\)"),
+        # r1 is checked first, then r2, then the variance
+        (-1.5, 2.0, r"r1 escaped \(-1, 1\)"),
+        (0.0, 0.0, r"r2 escaped \(0, 1\)"),
+        (0.0, 1.0, r"r2 escaped \(0, 1\)"),
+        (0.9, 1.0, r"r2 escaped \(0, 1\)"),
+        (0.5, 0.2, "variance went negative"),
+    ],
+)
+def test_moment_stats_checks_each_ratio_in_order(monkeypatch, r1, r2, message):
+    def certified(a_sub, kappa):
+        rows = np.array([[0.0, 0.0], [0.1, r1], [0.2, r2]])
+        return rows[:, : a_sub.size]
+
+    monkeypatch.setattr(kernel, "_certified_jacobi", certified)
+    assert moment_stats([1.0], 0.5).tolist() == [[0.0], [0.1], [0.2]]
+    with pytest.raises(RuntimeError, match=message):
+        moment_stats([1.0, 2.0], 0.5)
+
+
 def test_moment_convergence_error_on_tiny_cap(monkeypatch):
     # one rung of the Laguerre ladder: no two orders to compare
     monkeypatch.setattr(kernel, "NODE_CAP", NODE_START)

@@ -292,29 +292,29 @@ def test_panel_ladder_looks_each_rule_up_once_per_level(monkeypatch, exponent):
         return rule(alpha, beta, n)
 
     monkeypatch.setattr(semigroup, "gauss_jacobi_rule", counted)
-    monkeypatch.setattr(semigroup, "_PANEL_NODE_CAP", 128)
+    monkeypatch.setattr(semigroup, "_PANEL_NODE_CAP", 64)
     panels = semigroup._panels(0.0, 2.3, 0.11)
     noise = np.random.default_rng(3)
 
     def values(v, owner):
         return np.zeros(v.size), noise.random((1, v.size))
 
-    with pytest.raises(ConvergenceError, match="stalled at 128 nodes"):
+    with pytest.raises(ConvergenceError, match="stalled at 64 nodes"):
         # noise never settles, so the ladder climbs through all three levels
         semigroup._adaptive_panel_sum([panels], exponent, values, np.ones((1, 1)))
     kinds = [(0.0, 0.0)] + ([(0.0, exponent)] if exponent > 0.0 else [])
-    assert lookups == {(*kind, n): 1 for kind in kinds for n in (32, 64, 128)}
+    assert lookups == {(*kind, n): 1 for kind in kinds for n in (16, 32, 64)}
 
 
 # (layout, c) of integrals of exp(-c v^2) [1, v^2] |v|: c = 1 settles at the
-# second level, c = 1000 climbs to a third, c = 1e5 to a fourth, and c = None
+# second level, c = 100 climbs to a third, c = 1e4 to a fourth, and c = None
 # is 0 at every node
 _LADDER_CASES = [
     (semigroup._panels(0.0, 2.3, 0.11), 1.0),
-    (semigroup._panels(0.0, 2.3, 0.11), 1000.0),
+    (semigroup._panels(0.0, 2.3, 0.11), 100.0),
     (semigroup._panels(0.5, 3.0, 0.2), None),
-    (semigroup._panels(0.0, 1.0, 0.05), 1e5),
-    (semigroup._panels(0.0, 2.3, 0.4), 30.0),
+    (semigroup._panels(0.0, 1.0, 0.05), 1e4),
+    (semigroup._panels(0.0, 2.3, 0.4), 3.0),
 ]
 
 
@@ -356,15 +356,15 @@ def test_panel_ladder_gives_each_integral_of_a_batch_its_bits_alone(monkeypatch,
 
 
 def test_panel_ladder_batch_raises_the_stall_of_any_integral(monkeypatch):
-    # at a cap of 64 nodes the third-level integral stalls alone and in a
+    # at a cap of 32 nodes the third-level integral stalls alone and in a
     # batch; the others settle alone as before
-    monkeypatch.setattr(semigroup, "_PANEL_NODE_CAP", 64)
+    monkeypatch.setattr(semigroup, "_PANEL_NODE_CAP", 32)
     layouts = [layout for layout, _ in _LADDER_CASES[:2]]
     values = _gaussian_rows(_LADDER_CASES, [])
     alone = _gaussian_rows(_LADDER_CASES[1:], [])
-    with pytest.raises(ConvergenceError, match="stalled at 64 nodes per panel"):
+    with pytest.raises(ConvergenceError, match="stalled at 32 nodes per panel"):
         semigroup._adaptive_panel_sum(layouts[1:], 1.0, alone, np.ones((1, 2)))
-    with pytest.raises(ConvergenceError, match="stalled at 64 nodes per panel"):
+    with pytest.raises(ConvergenceError, match="stalled at 32 nodes per panel"):
         semigroup._adaptive_panel_sum(layouts, 1.0, values, np.ones((2, 2)))
     shift, _ = semigroup._adaptive_panel_sum(layouts[:1], 1.0, values, np.ones((1, 2)))
     assert np.isfinite(shift).all()
@@ -378,8 +378,8 @@ _TWO_BUMPS = two_bump_profile(-2.0, 2.0, 0.8, power=3)
 # integrated in its place, and one whose window lies between the two bumps,
 # where f p_t is 0 at every node, before the graded whole support
 _SOLUTION_CASES = {
-    "bump": (_BUMP, [(0.5, 1.0), (1e-3, 2.5), (1e-4, -40.0), (0.3, -0.7)], [1, 2, 1, 1]),
-    "two_bump": (_TWO_BUMPS, [(0.5, 1.0), (1e-4, -0.5), (0.02, 2.0), (1e-4, 0.0)], [1, 2, 1, 2]),
+    "bump": (_BUMP, [(0.5, 1.0), (1e-3, 2.0), (1e-4, -40.0), (0.3, -0.7)], [1, 2, 1, 1]),
+    "two_bump": (_TWO_BUMPS, [(0.5, 1.0), (1e-4, -0.5), (0.05, 2.0), (1e-4, 0.0)], [1, 2, 1, 2]),
 }
 
 
@@ -520,12 +520,71 @@ def test_chapman_kolmogorov_integrals_compute_each_kernel_row_once(monkeypatch, 
     monkeypatch.setattr(semigroup, "_log_row", requested)
     monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", evaluated)
     assert cli.main(["semigroup-check", "--reproducible"]) == 0
-    # each of the 7 * 2 * 9 integrals settles in its first ladder call, which
-    # reads two rows; most are shared by (x_i, y_i) and (x_i, -y_i) or by the
-    # two factors at s = t, x_i = y_i
-    assert len(rows) == 252
-    assert len(computed) == len(set(rows)) == 100
+    # 122 of the 7 * 2 * 9 integrals settle in their first ladder call and 4
+    # take a second; each call reads two rows, most shared by (x_i, y_i) and
+    # (x_i, -y_i) or by the two factors at s = t, x_i = y_i
+    assert len(rows) == 260
+    assert len(computed) == len(set(rows)) == 104
     assert set(computed) == set(rows)
+
+
+@pytest.mark.parametrize(
+    "command, nodes",
+    [("semigroup-check", 80_512), ("harnack-scan", 76_800), ("solution-scan", 19_344)],
+)
+def test_default_suites_evaluate_a_fixed_number_of_panel_nodes(monkeypatch, capsys, command, nodes):
+    _clear_coordinate_caches()
+    counted = []
+    ladder = semigroup._adaptive_panel_sum
+
+    def counting(layouts, exponent, values, units):
+        def wrapped(v, owner):
+            counted.append(v.size)
+            return values(v, owner)
+
+        return ladder(layouts, exponent, wrapped, units)
+
+    monkeypatch.setattr(semigroup, "_adaptive_panel_sum", counting)
+    assert cli.main([command, "--reproducible"]) == 0
+    # the count moves with the ladder's start, cap or settle test and with
+    # the panel layouts
+    assert sum(counted) == nodes
+
+
+# (t, u) of normalization and (s, t, x_i, y_i) of Chapman-Kolmogorov
+# integrals whose tilts stay below |a| = 50 at kappa = 100, past which the
+# Laguerre moments stall there (ROADMAP item 13), and (t, u) of solution
+# integrals far from, at the centre of and wide around the CLI's data
+_MASS_POINTS = [(0.01, 0.0), (0.1, 0.5), (1.0, 1.0), (10.0, -3.0)]
+_CK_POINTS = [(0.1, 0.1, 0.5, 0.5), (1.0, 1.0, 1.0, -1.0), (0.1, 1.0, 0.0, 3.0), (10.0, 10.0, -3.0, 3.0)]
+_SOLUTION_POINTS = [(1e-4, 40.0), (1e-4, -40.0), (1e-4, 0.0), (0.01, 40.0), (0.01, -40.0), (100.0, 8.0)]
+# (datum, kappa, t, u) next to a support edge at small t, where a settle
+# test of 1e-6 stops a level early and misses by 2.6e-11 and 4.5e-11; at
+# the points above 32 nodes per panel are already within 1e-11
+_EDGE_INTEGRALS = [("offset_bump", 1.5, 3e-4, -1.6), ("two_bump", 1.5, 2e-4, -2.7)]
+
+
+def _panel_integrals() -> np.ndarray:
+    out = []
+    for kappa in (1e-8, 0.5, 100.0):
+        out += [semigroup._plain_mass.__wrapped__(t, u, kappa, 2.0 * kappa) for t, u in _MASS_POINTS]
+        out += [semigroup._ck_coordinate.__wrapped__(*point, kappa) for point in _CK_POINTS]
+    data = cli._initial_data(1)
+    times, coords = (np.array(c) for c in zip(*_SOLUTION_POINTS))
+    for datum in data.values():
+        for kappa in (0.5, 1.5):
+            out += semigroup._solution_moments(times, coords, kappa, datum.profiles[0]).ravel().tolist()
+    for name, kappa, t, u in _EDGE_INTEGRALS:
+        out += semigroup._solution_moments(t, u, kappa, data[name].profiles[0]).ravel().tolist()
+    return np.array(out)
+
+
+def test_panel_ladder_agrees_with_one_started_at_128_nodes(monkeypatch):
+    got = _panel_integrals()
+    monkeypatch.setattr(semigroup, "_PANEL_NODE_START", 128)
+    want = _panel_integrals()
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert err.max() <= 1e-11, (err.max(), err.argmax())
 
 
 def test_log_row_is_cached_and_read_only():
