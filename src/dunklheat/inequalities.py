@@ -114,8 +114,8 @@ def _f_values(a: np.ndarray, kappa_i: float) -> tuple[np.ndarray, np.ndarray]:
         # f(a) = int_{-a}^{a} (s + a) var(s) ds (oriented), and s = a*n
         s = tilts[small]
         rule = gauss_jacobi_rule(0.0, 0.0, _F_RULE_NODES)
-        _, r1, r2 = moment_stats(np.outer(s, rule.nodes).ravel(), kappa_i).reshape(3, s.size, -1)
-        terms = (rule.weights * (1.0 + rule.nodes)) * (r2 - r1 * r1)
+        variance = moment_stats(np.outer(s, rule.nodes).ravel(), kappa_i)[2].reshape(s.size, -1)
+        terms = (rule.weights * (1.0 + rule.nodes)) * variance
         # a running sum in node order: the same bits as a node-by-node sum
         phi[small] = np.cumsum(terms, axis=1)[:, -1]
         f[small] = s * s * phi[small]

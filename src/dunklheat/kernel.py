@@ -10,15 +10,14 @@ tilt a = u v / (2t), against the density (1-s)^(kappa-1) (1+s)^kappa on
 [-1, 1].  Everything the package computes about the kernel reduces to the
 first three tilted moments m_k(a) = int s^k (1-s)^(kappa-1) (1+s)^kappa
 e^(s a) ds, always handled in log space: log m0 carries the size, and the
-ratios r1 = m1/m0, r2 = m2/m0 carry the shape (r1 is d/da log m0, and
-r2 - r1^2 >= 0 is the variance of s under the tilted density).
+tilted mean r1 and variance of s (d/da and d^2/da^2 of log m0) the shape.
 
 Two quadrature branches cover all tilts.  Gauss-Jacobi on [-1, 1] resolves
 |a| <= 50; its node demand grows linearly with |a| because e^(sa) becomes a
 boundary layer at s = sign(a).  Beyond that the exact substitution
 1 -+ s = r/|a| maps the moments onto a generalized Gauss-Laguerre rule
-whose node demand is flat in |a|, so tilts of order 10^4 (small t, far
-corners of a grid) cost the same as tilts of order 10^2.
+whose node demand is flat in |a| (tilts of order 10^4 cost the same as
+10^2), and there the variance ~ kappa/a^2 is summed about its centre.
 
 The integrand of the Jacobi branch is entire in s, so the Gauss remainder
 bounds its error in advance: each tilt is evaluated once, at the first order
@@ -108,7 +107,7 @@ def _log_normalizers(kappa: float) -> tuple[float, float]:
 
 
 def _adaptive_eval(evaluate, a_sub):
-    """Double the node count until (log m0, r1, r2) settle entry by entry.
+    """Double the node count until (log m0, r1, variance) settle entry by entry.
 
     evaluate(n, a) returns the three arrays at rule order n; two successive
     orders within _MOMENT_REL_TOL certify an entry.  The log m0 comparison is
@@ -140,15 +139,16 @@ def _adaptive_eval(evaluate, a_sub):
 
 
 def _certified_jacobi(a_sub, kappa: float):
-    """(log m0, r1, r2) at tilts |a| <= TILT_SWITCH, each from one Gauss-Jacobi
-    rule: the first ladder order n whose a priori error bound eps_n(|a|) is at
-    most _MOMENT_REL_TOL / 2.
+    """(log m0, r1, variance) at tilts |a| <= TILT_SWITCH, each from one
+    Gauss-Jacobi rule: the first ladder order n whose a priori error bound
+    eps_n(|a|) is at most _MOMENT_REL_TOL / 2.
 
     The shifted sums S_k integrate g_k(s) = s^k e^(a (s - sign a)), k <= 2,
     whose 2n-th derivative is at most (|a| + 2)^(2n) on [-1, 1], so S_k is
     off by at most e^log_norm (|a| + 2)^(2n) / (2n)!.  Jensen's inequality
     puts S_0 at least mu0 e^(-2|a|), where mu0 = 1/C_kappa, which gives eps_n.
-    log m0 is then within about eps_n, and r1, r2 within 2 eps_n / (1 - eps_n).
+    log m0 is then within about eps_n, and r1, S_2/S_0 within 2 eps_n / (1 - eps_n).
+    The variance S_2/S_0 - r1^2 cancels mildly here, except as kappa -> 0.
     """
     abs_a = np.abs(a_sub)
     log_growth = np.log(abs_a + 2.0)
@@ -162,7 +162,8 @@ def _certified_jacobi(a_sub, kappa: float):
         idx = pending[certified]
         if idx.size:
             s0, s1, s2 = _accel.jacobi_tilted_sums(rule.nodes, rule.weights, a_sub[idx])
-            out[:, idx] = abs_a[idx] + np.log(s0), s1 / s0, s2 / s0
+            r1 = s1 / s0
+            out[:, idx] = abs_a[idx] + np.log(s0), r1, s2 / s0 - r1 * r1
         pending = pending[~certified]
         if pending.size == 0:
             return out
@@ -174,7 +175,7 @@ def _certified_jacobi(a_sub, kappa: float):
 
 
 def moment_stats(a, kappa: float):
-    """(log m0, r1, r2) for a batch of tilts, as a (3, len(a)) array.
+    """(log m0, r1, variance) for a batch of tilts, as a (3, len(a)) array.
 
     Requires kappa > 0; kappa = 0 callers use their Gaussian closed forms
     and never need moments.  Each tilt's values are the same bits alone, in
@@ -214,37 +215,31 @@ def moment_stats(a, kappa: float):
             if idx.size:
                 block_out[:, idx] = moments(block[idx])
 
-    r1, r2 = out[1], out[2]
-    # one pass: r1^2 <= r2 < 1 implies |r1| < 1, and r1^2 <= r2 holds
-    # exactly when r2 - r1^2 >= 0 does; the checks below name the failure
-    if not ((r1 * r1 <= r2) & (r2 > 0.0) & (r2 < 1.0)).all():
-        if not (np.all(r1 > -1.0) and np.all(r1 < 1.0)):
-            raise RuntimeError("moment ratio r1 escaped (-1, 1)")
-        if not (np.all(r2 > 0.0) and np.all(r2 < 1.0)):
-            raise RuntimeError("moment ratio r2 escaped (0, 1)")
-        if np.any(r2 - r1 * r1 < 0.0):
-            raise RuntimeError("tilted moment variance went negative")
+    # one pass, then the failed check is named.  A mean on [-1, 1] rounds into the closed
+    # interval: 1 - |r1| ~ kappa/|a| is below half an ulp at large |a|.  NaN fails both.
+    in_range = np.abs(out[1]) <= 1.0
+    if not (in_range & (out[2] >= 0.0)).all():
+        if not in_range.all():
+            raise RuntimeError("moment ratio r1 escaped [-1, 1]")
+        raise RuntimeError("tilted moment variance went negative")
     return out
 
 
 @dataclass(frozen=True)
 class MomentRatios:
-    """log m0 and the first two moment ratios of the tilted density at one
-    tilt.  variance = r2 - r1^2 is the tilted density's variance of s, the
-    quantity whose nonnegativity drives every inequality downstream."""
+    """log m0, the mean r1 and the variance of s under the tilted density at one
+    tilt; every inequality downstream rests on the variance being >= 0."""
 
     a: float
     kappa: float
     log_m0: float
     r1: float
-    r2: float
-
-    @property
-    def variance(self) -> float:
-        return self.r2 - self.r1 * self.r1
+    variance: float
 
 
+# past _MOMENT_CACHE_SIZE entries the first (oldest) key is evicted
 _MOMENT_CACHE: dict[tuple, MomentRatios] = {}
+_MOMENT_CACHE_SIZE = 4096
 _MOMENT_LOCK = threading.Lock()
 
 
@@ -260,34 +255,37 @@ def moment_ratios(a: float, kappa: float) -> MomentRatios:
         hit = _MOMENT_CACHE.get(key)
     if hit is not None:
         return hit
-    log_m0, r1, r2 = (float(v) for v in moment_stats(a, kappa)[:, 0])
-    ratios = MomentRatios(a=float(a), kappa=float(kappa), log_m0=log_m0, r1=r1, r2=r2)
+    log_m0, r1, variance = (float(v) for v in moment_stats(a, kappa)[:, 0])
+    ratios = MomentRatios(a=float(a), kappa=float(kappa), log_m0=log_m0, r1=r1, variance=variance)
     with _MOMENT_LOCK:
-        return _MOMENT_CACHE.setdefault(key, ratios)
+        ratios = _MOMENT_CACHE.setdefault(key, ratios)
+        if len(_MOMENT_CACHE) > _MOMENT_CACHE_SIZE:
+            del _MOMENT_CACHE[next(iter(_MOMENT_CACHE))]
+        return ratios
 
 
 def _tilted_terms(a, kappa: float):
-    """(log E_kappa, r1, r2) at the tilt a, a float or an array, for kappa > 0.
+    """(log E_kappa, r1, variance) at the tilt a, a float or an array, kappa > 0.
 
     A float tilt reads the cached scalar moment_ratios, an array makes one
     moment_stats call; the two give the same bits.  a = 0 is the exact
-    limit: E_kappa = 1 and r1 = r2 = 1/(2 kappa + 1), the moments of the
-    untilted density.
+    limit: E_kappa = 1, r1 = 1/(2 kappa + 1) and variance
+    2 kappa/(2 kappa + 1)^2, the moments of the untilted density.
     """
-    at_zero = 1.0 / (2.0 * kappa + 1.0)
+    r1_at_zero, var_at_zero = 1.0 / (2.0 * kappa + 1.0), 2.0 * kappa / (2.0 * kappa + 1.0) ** 2
     if not isinstance(a, np.ndarray):
         if a == 0.0:
-            return 0.0, at_zero, at_zero
+            return 0.0, r1_at_zero, var_at_zero
         ratios = moment_ratios(a, kappa)
-        return _log_normalizers(kappa)[1] + ratios.log_m0, ratios.r1, ratios.r2
+        return _log_normalizers(kappa)[1] + ratios.log_m0, ratios.r1, ratios.variance
     log_e = np.zeros(a.shape)
-    r1 = np.full(a.shape, at_zero)
-    r2 = np.full(a.shape, at_zero)
+    r1 = np.full(a.shape, r1_at_zero)
+    variance = np.full(a.shape, var_at_zero)
     live = a != 0.0
     if live.any():
-        log_m0, r1[live], r2[live] = moment_stats(a[live], kappa)
+        log_m0, r1[live], variance[live] = moment_stats(a[live], kappa)
         log_e[live] = _log_normalizers(kappa)[1] + log_m0
-    return log_e, r1, r2
+    return log_e, r1, variance
 
 
 def log_e_kappa(x: float, y: float, kappa: float) -> float:
@@ -318,13 +316,13 @@ class _Coordinate(NamedTuple):
 def _coordinate(t, u, v, kappa: float) -> _Coordinate:
     """The per-coordinate kernel formulas, at validated times t.  v is a
     float or an array; t and u are floats, or arrays shaped like v.  For
-    kappa > 0, with p = u/(2t), w = v/(2t), the tilt a = u v / (2t) and the
-    moment ratios r1, r2 at a:
+    kappa > 0, with p = u/(2t), w = v/(2t), the tilt a = u v / (2t), and the
+    mean r1 and the variance var of the tilted density at a:
 
         log p_t = -log c_kappa - (kappa + 1/2) log(2t) - (u^2 + v^2)/(4t)
                   + log E_kappa(a)
         d_u     = -p + w r1
-        d_uu    = -1/(2t) + variance_term,  variance_term = w^2 (r2 - r1^2)
+        d_uu    = -1/(2t) + variance_term,  variance_term = w^2 var
         d_t     = -(kappa + 1/2)/t + (p^2 + w^2) - (a/t) r1
 
     kappa = 0 is the Gauss-Weierstrass kernel, in closed form, with
@@ -345,7 +343,7 @@ def _coordinate(t, u, v, kappa: float) -> _Coordinate:
             bad = ~np.isfinite(a)
             u_at, t_at = (float(np.broadcast_to(w, bad.shape)[bad][0]) for w in (u, t))
             raise OverflowError(f"tilt u v / (2t) overflows at u = {u_at!r}, t = {t_at!r}")
-        log_e, r1, r2 = _tilted_terms(a, kappa)
+        log_e, r1, variance = _tilted_terms(a, kappa)
         log_p = (
             -_log_normalizers(kappa)[0]
             - (kappa + 0.5) * log(2.0 * t)
@@ -354,7 +352,7 @@ def _coordinate(t, u, v, kappa: float) -> _Coordinate:
         )
         p, w = u / (2.0 * t), v / (2.0 * t)
         d_u = -p + w * r1
-        variance_term = w * w * (r2 - r1 * r1)
+        variance_term = w * w * variance
         d_t = -(kappa + 0.5) / t + (p * p + w * w) - (a / t) * r1
     return _Coordinate(a, log_p, d_u, variance_term, -1.0 / (2.0 * t) + variance_term, d_t)
 

@@ -282,7 +282,7 @@ def test_08_brute_force_oracle_equivalence():
 
         ratios = moment_ratios(a, k)
         worst = max(worst, abs(ratios.r1 - r1_b) / abs(r1_b))
-        worst = max(worst, abs(ratios.r2 - r2_b) / abs(r2_b))
+        worst = max(worst, abs(ratios.r1 * ratios.r1 + ratios.variance - r2_b) / abs(r2_b))
 
         f_brute = 2.0 * a * r1_b + log_m0_neg - log_m0_pos
         worst = max(worst, abs(f_of_a(a, k) - f_brute) / max(1.0, abs(f_brute)))

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from dunklheat import cli, inequalities, semigroup
+from dunklheat import cli, inequalities, kernel, semigroup
 from dunklheat.cli import _COLUMNS, main
 from dunklheat.inequalities import VerificationReport, iter_liyau_points, liyau_functional
 from dunklheat.kernel import log_gaussian_mass, log_kernel_derivatives
@@ -563,16 +563,44 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, cause",
         [
-            (["--kappa", "1e-8", "--t", "1e-6", "--coords=-1000,0,1000"], "RuntimeError"),
+            # no tilt of the documented domain trips the moment range check,
+            # so the RuntimeError comes from a stubbed Jacobi branch
+            (["--kappa", "0.5", "--t", "1", "--coords=-1,1"], "RuntimeError"),
             (["--kappa", "200", "--t", "0.01", "--coords=-3,3"], "OverflowError"),
         ],
     )
-    def test_numerical_failure_returns_four_with_grid_point(self, capsys, argv, cause):
+    def test_numerical_failure_returns_four_with_grid_point(self, monkeypatch, capsys, argv, cause):
+        if cause == "RuntimeError":
+
+            def r1_out_of_range(a_sub, kappa):
+                return np.stack([np.zeros(a_sub.size), np.full(a_sub.size, 1.5), np.zeros(a_sub.size)])
+
+            monkeypatch.setattr(kernel, "_MOMENT_CACHE", {})
+            monkeypatch.setattr(kernel, "_certified_jacobi", r1_out_of_range)
         code, out, err = run_cli(["liyau-scan", *argv], capsys)
         assert code == 4
         assert out == ""
         assert err.startswith(f"numerical failure: {cause}")
         assert "[grid point [" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solution-scan", "--kappa", "1e-8", "--t", "1e-4", "--coords", "1"],
+            ["solution-scan", "--kappa", "1e-8", "--t", "1e-4,0.01", "--coords=-3,-1,0,1,3"],
+            ["liyau-scan", "--kappa", "0.5", "--t", "1e-7", "--coords=-10,0,10"],
+            # a = 5e11: r1 rounds to -1 at kappa = 1e-8
+            ["liyau-scan", "--kappa", "1e-8", "--t", "1e-6", "--coords=-1000,0,1000"],
+        ],
+    )
+    def test_far_tilts_keep_their_moments(self, capsys, argv):
+        # tilts of 5e3 to 5e11, where the variance kappa/a^2 lies below the
+        # rounding of m2/m0 and r1^2
+        code, out, err = run_cli([*argv, "--reproducible"], capsys)
+        assert code == 0
+        assert err == ""
+        assert out
 
     @pytest.mark.parametrize(
         "argv, where",

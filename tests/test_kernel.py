@@ -39,7 +39,7 @@ KAPPA_GRID = [0.25, 0.5, 1.0, 2.5]
 def test_ratios_at_zero_tilt_match_beta_reduction(kappa):
     r = moment_ratios(0.0, kappa)
     assert abs(r.r1 - oracle.r1_at_zero(kappa)) < 1e-12
-    assert abs(r.r2 - oracle.r2_at_zero(kappa)) < 1e-12
+    assert abs(r.r1 * r.r1 + r.variance - oracle.r2_at_zero(kappa)) < 1e-12
     assert abs(r.variance - oracle.variance_at_zero(kappa)) < 1e-12
 
 
@@ -49,7 +49,7 @@ def test_frozen_moment_values_kappa_half_tilt_three():
     r = moment_ratios(3.0, 0.5)
     assert abs(r.log_m0 - 3.3233562280216393) < 1e-11
     assert abs(r.r1 - 0.8508302255896728) < 1e-11
-    assert abs(r.r2 - 0.7661131829402181) < 1e-11
+    assert abs(r.r1 * r.r1 + r.variance - 0.7661131829402181) < 1e-11
 
 
 def test_moment_stats_against_brute_force():
@@ -57,22 +57,22 @@ def test_moment_stats_against_brute_force():
     for _ in range(30):
         a = float(rng.uniform(-200.0, 200.0))
         kappa = float(rng.uniform(0.2, 3.0))
-        log_m0, r1, r2 = (float(v) for v in moment_stats(a, kappa)[:, 0])
+        log_m0, r1, variance = (float(v) for v in moment_stats(a, kappa)[:, 0])
         want = oracle.brute_force_log_moments(a, kappa, n_panels=20_000)
         assert abs(log_m0 - want[0]) <= 1e-10 * max(1.0, abs(want[0]))
         assert abs(r1 - want[1]) <= 1e-10
-        assert abs(r2 - want[2]) <= 1e-10
+        assert abs(r1 * r1 + variance - want[2]) <= 1e-10
 
 
 @pytest.mark.parametrize("a", [49.99, -49.99, 50.01, -50.01])
 @pytest.mark.parametrize("kappa", [0.25, 2.5])
 def test_branch_agreement_beside_the_switch(a, kappa):
     assert TILT_SWITCH == 50.0
-    log_m0, r1, r2 = (float(v) for v in moment_stats(a, kappa)[:, 0])
+    log_m0, r1, variance = (float(v) for v in moment_stats(a, kappa)[:, 0])
     want = oracle.brute_force_log_moments(a, kappa, n_panels=20_000)
     assert abs(log_m0 - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
     assert abs(r1 - want[1]) <= 1e-12
-    assert abs(r2 - want[2]) <= 1e-12
+    assert abs(r1 * r1 + variance - want[2]) <= 1e-12
 
 
 @pytest.mark.parametrize("kappa", KAPPA_GRID)
@@ -80,10 +80,11 @@ def test_ratio_invariants_across_tilts(kappa):
     tilts = np.concatenate(
         [np.linspace(-200.0, 200.0, 81), [-5000.0, -421.7, 421.7, 5000.0]]
     )
-    log_m0, r1, r2 = moment_stats(tilts, kappa)
+    log_m0, r1, variance = moment_stats(tilts, kappa)
     assert np.all(r1 > -1.0) and np.all(r1 < 1.0)
+    r2 = r1 * r1 + variance
     assert np.all(r2 > 0.0) and np.all(r2 < 1.0)
-    assert np.all(r2 - r1 * r1 >= 0.0)
+    assert np.all(variance >= 0.0)
     # r1 is the derivative of log m0, strictly increasing in the tilt
     order = np.argsort(tilts)
     assert np.all(np.diff(r1[order]) > 0.0)
@@ -105,6 +106,19 @@ def test_moment_cache_returns_identical_object():
     assert a is b
 
 
+def test_moment_cache_is_bounded(monkeypatch):
+    # a randomized scan rarely repeats a tilt: past _MOMENT_CACHE_SIZE
+    # entries the oldest one goes, and the newest stay hits
+    cache = {}
+    monkeypatch.setattr(kernel, "_MOMENT_CACHE", cache)
+    tilts = np.linspace(-TILT_SWITCH, TILT_SWITCH, 5000).tolist()
+    for a in tilts:
+        last = moment_ratios(a, 0.75)
+    assert len(cache) <= 4096
+    assert (tilts[0], 0.75) not in cache
+    assert moment_ratios(tilts[-1], 0.75) is last
+
+
 def test_moment_domain_errors():
     with pytest.raises(DomainError):
         moment_ratios(1.0, 0.0)
@@ -115,36 +129,42 @@ def test_moment_domain_errors():
 
 
 @pytest.mark.parametrize(
-    "a, message",
+    "a, r1, variance_times_a2",
     [
-        # the variance kappa / a^2 falls below the rounding of r2 and r1^2
-        ([29999981.82454288], "tilted moment variance went negative"),
-        ([1e15], "tilted moment variance went negative"),
-        ([1e17], r"moment ratio r1 escaped \(-1, 1\)"),
-        ([-1e17], r"moment ratio r1 escaped \(-1, 1\)"),
+        # the variance kappa / a^2 (kappa + 1 for a < 0) lies below the
+        # rounding of r2 and r1^2, and from |a| ~ 1e16 on 1 - |r1| ~ kappa/|a|
+        # lies below half an ulp of 1, so r1 rounds to +-1
+        (29999981.82454288, 0.9999999833333236, 0.5),
+        (1e15, 0.9999999999999997, 0.5),
+        (1e17, 1.0, 0.5),
+        (-1e17, -1.0, 1.5),
     ],
 )
-def test_moment_stats_names_the_ratio_that_failed(a, message):
-    with pytest.raises(RuntimeError, match=f"^{message}$"):
-        moment_stats(a, 0.5)
+def test_moment_stats_where_the_variance_is_below_the_rounding_of_one(a, r1, variance_times_a2):
+    log_m0, got_r1, variance = moment_stats([a], 0.5)[:, 0].tolist()
+    assert abs(got_r1 - r1) <= 2.3e-16
+    # Watson asymptotics: the variance is kappa/a^2 + O(1/|a|^3)
+    assert abs(variance * a * a - variance_times_a2) <= 1e-6
+    if abs(a) < 1e16:
+        want = oracle.laguerre_log_moments(a, 0.5)
+        assert abs(log_m0 - want[0]) <= 1e-12 * abs(want[0])
+        assert abs(variance - want[2]) <= 1e-13 * want[2]
 
 
 @pytest.mark.parametrize(
-    "r1, r2, message",
+    "r1, variance, message",
     [
-        (1.0, 0.5, r"r1 escaped \(-1, 1\)"),
-        (float("nan"), 0.5, r"r1 escaped \(-1, 1\)"),
-        # r1 is checked first, then r2, then the variance
-        (-1.5, 2.0, r"r1 escaped \(-1, 1\)"),
-        (0.0, 0.0, r"r2 escaped \(0, 1\)"),
-        (0.0, 1.0, r"r2 escaped \(0, 1\)"),
-        (0.9, 1.0, r"r2 escaped \(0, 1\)"),
-        (0.5, 0.2, "variance went negative"),
+        (1.5, 0.5, r"r1 escaped \[-1, 1\]"),
+        (float("nan"), 0.5, r"r1 escaped \[-1, 1\]"),
+        # r1 is checked first, then the variance
+        (-1.5, -2.0, r"r1 escaped \[-1, 1\]"),
+        (0.5, -1e-300, "variance went negative"),
+        (1.0, float("nan"), "variance went negative"),
     ],
 )
-def test_moment_stats_checks_each_ratio_in_order(monkeypatch, r1, r2, message):
+def test_moment_stats_checks_each_ratio_in_order(monkeypatch, r1, variance, message):
     def certified(a_sub, kappa):
-        rows = np.array([[0.0, 0.0], [0.1, r1], [0.2, r2]])
+        rows = np.array([[0.0, 0.0], [0.1, r1], [0.2, variance]])
         return rows[:, : a_sub.size]
 
     monkeypatch.setattr(kernel, "_certified_jacobi", certified)
@@ -196,14 +216,48 @@ def test_jacobi_error_bound_unmet_on_tiny_cap(monkeypatch):
 def test_moment_stats_matches_the_kummer_reference(kappa):
     # the tilts straddle the reach of each rule order (about 17.7 and 40.6
     # for 32 and 64 nodes at kappa <= 1.5); kappa = 1e-8 misses by about
-    # 4e-10, where r2 - r1^2 cancels (ROADMAP item 14)
+    # 4e-10, where the Jacobi branch's S2/S0 - r1^2 cancels (ROADMAP item 14)
     tilts = [sign * t for t in (0.3, 5.9, 16.0, 17.0, 18.0, 39.0, 41.0, 49.99) for sign in (1.0, -1.0)]
     got = moment_stats(np.array(tilts), kappa)
-    for a, (log_m0, r1, r2) in zip(tilts, got.T.tolist()):
+    for a, (log_m0, r1, variance) in zip(tilts, got.T.tolist()):
         want_log_m0, want_r1, want_variance = oracle.kummer_log_moments(a, kappa)
         assert abs(log_m0 - want_log_m0) <= 1e-12 * max(1.0, abs(want_log_m0)), a
         assert abs(r1 - want_r1) <= 1e-12, a
-        assert abs((r2 - r1 * r1) - want_variance) <= 1e-12, a
+        assert abs(variance - want_variance) <= 1e-12, a
+
+
+# Laguerre tilts up to |a| = 1e12; the reference leaves out a > 0 at
+# kappa <= 1e-4, where its own quadrature is unreliable
+_FAR_TILTS = (60.0, 1e3, 1e4, 3e7, 1e9, 1.2e11, 1e12)
+
+
+@pytest.mark.parametrize(
+    "kappa, signs",
+    [(0.5, (1.0, -1.0)), (20.0, (1.0, -1.0)), (1e-8, (-1.0,)), (1e-4, (-1.0,))],
+    ids=["0.5", "20.0", "1e-08-negative", "0.0001-negative"],
+)
+def test_far_tilt_variance_matches_the_laguerre_reference(kappa, signs):
+    # the variance ~ kappa/a^2 is summed about its own centre, so it keeps
+    # its relative accuracy where m2/m0 - r1^2 would cancel to nothing
+    tilts = [sign * t for t in _FAR_TILTS for sign in signs]
+    got = moment_stats(np.array(tilts), kappa)
+    for a, (log_m0, r1, variance) in zip(tilts, got.T.tolist()):
+        want_log_m0, want_r1, want_variance = oracle.laguerre_log_moments(a, kappa)
+        assert abs(log_m0 - want_log_m0) <= 1e-12 * abs(want_log_m0), a
+        assert abs(r1 - want_r1) <= 1e-12, a
+        assert abs(variance - want_variance) <= 1e-13 * want_variance, a
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kappa", [1e-8, 1e-4, 0.5, 20.0])
+def test_moment_stats_holds_up_to_tilt_1e12(kappa):
+    # every tilt of the documented domain past TILT_SWITCH: no ratio check
+    # trips, and the centred variance stays nonnegative
+    far = np.logspace(1.8, 12.0, 400)
+    log_m0, r1, variance = moment_stats(np.concatenate([far, -far]), kappa)
+    assert np.isfinite(log_m0).all()
+    assert (np.abs(r1) <= 1.0).all()
+    assert (variance >= 0.0).all()
 
 
 def test_moment_stats_rejects_tilt_arrays_that_are_not_1d():
@@ -226,7 +280,7 @@ def test_moment_stats_is_batch_invariant(kappa):
     for i, ai in enumerate(a.tolist()):
         alone = moment_stats(a[i : i + 1], kappa)[:, 0]
         ratios = moment_ratios(ai, kappa)
-        assert batch[:, i].tolist() == alone.tolist() == [ratios.log_m0, ratios.r1, ratios.r2], ai
+        assert batch[:, i].tolist() == alone.tolist() == [ratios.log_m0, ratios.r1, ratios.variance], ai
 
 
 def test_moment_stats_bounds_its_temporaries():
