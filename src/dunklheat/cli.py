@@ -233,6 +233,11 @@ def _at_point(point, fn):
         raise _failure(e, point) from e
 
 
+def _report_at(claim_id, point, **fields) -> VerificationReport:
+    """VerificationReport.build, a non-finite field failing at its grid point."""
+    return _at_point(point, lambda: VerificationReport.build(claim_id, point, **fields))
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -275,9 +280,7 @@ def _kernel_eval(cfg: RunConfig) -> Iterator[_Row]:
             point = (t, x, y)
             kp = _at_point(point, lambda: log_kernel_derivatives(t, x, y, cfg.kappa))
             p = kp.p if math.isfinite(kp.p) else None
-            report = VerificationReport.build(
-                "kernel_point", point, lhs=kp.log_p, rhs=kp.log_p, tolerance=cfg.tol
-            )
+            report = _report_at("kernel_point", point, lhs=kp.log_p, rhs=kp.log_p, tolerance=cfg.tol)
             yield _row(
                 report,
                 extra={
@@ -489,9 +492,7 @@ def _semigroup_check(cfg: RunConfig) -> list[_Row]:
             residual = _at_point(point, lambda: heat_residual(t, x, y, cfg.kappa))
             on_hyperplane = any(v == 0.0 for v in x)
             bound = 1e-6 if on_hyperplane else 1e-7
-            report = VerificationReport.build(
-                "heat_equation", point, lhs=residual, rhs=bound, tolerance=0.0
-            )
+            report = _report_at("heat_equation", point, lhs=residual, rhs=bound, tolerance=0.0)
             rows.append(_row(report, extra={"hyperplane": on_hyperplane}))
     return sorted(rows, key=_sort_key)
 
@@ -538,21 +539,17 @@ def _claims_verify(cfg: RunConfig) -> list[_Row]:
         for a in np.linspace(-200.0, 200.0, 41):
             point = (float(a), k)
             value = _at_point(point, lambda: f_of_a(float(a), k))
-            report = VerificationReport.build(
-                "f_nonneg", point, lhs=0.0, rhs=value, tolerance=1e-10
-            )
+            report = _report_at("f_nonneg", point, lhs=0.0, rhs=value, tolerance=1e-10)
             rows.append(_row(report))
         grid = np.linspace(-5.0, 5.0, 101)
         h = [_at_point((float(a), k), lambda: h_of_a(float(a), k)) for a in grid]
         for a in grid[grid >= 0.0]:
             point = (float(a), k)
             gap = _at_point(point, lambda: abs(h_of_a(float(a), k) + h_of_a(-float(a), k)))
-            report = VerificationReport.build(
-                "h_antisymmetric", point, lhs=gap, rhs=0.0, tolerance=1e-10, deficit=-gap
-            )
+            report = _report_at("h_antisymmetric", point, lhs=gap, rhs=0.0, tolerance=1e-10, deficit=-gap)
             rows.append(_row(report))
         for i in range(len(grid) - 1):
-            report = VerificationReport.build(
+            report = _report_at(
                 "h_monotone",
                 (float(grid[i]), float(grid[i + 1]), k),
                 lhs=h[i],
@@ -568,17 +565,13 @@ def _claims_verify(cfg: RunConfig) -> list[_Row]:
     ]
     for name, field in fields.items():
         for x in eval_points:
-            value = pi_psi(field, PSI_LOG, x, cfg.kappa)
-            report = VerificationReport.build(
-                "pi_log_sign", (name, x), lhs=value, rhs=0.0, tolerance=1e-12
-            )
-            rows.append(_row(report))
+            value = _at_point((name, x), lambda: pi_psi(field, PSI_LOG, x, cfg.kappa))
+            rows.append(_row(_report_at("pi_log_sign", (name, x), lhs=value, rhs=0.0, tolerance=1e-12)))
             for psi in (PSI_LOG, PSI_EXP, PSI_SQUARE, PSI_CUBE):
-                res = chain_rule_residual(field, psi, x, cfg.kappa)
+                point = (name, psi.name, x)
+                res = _at_point(point, lambda: chain_rule_residual(field, psi, x, cfg.kappa))
                 normalized = abs(res.lhs - res.rhs) / res.scale
-                report = VerificationReport.build(
-                    "chain_rule", (name, psi.name, x), lhs=normalized, rhs=1e-8, tolerance=0.0
-                )
+                report = _report_at("chain_rule", point, lhs=normalized, rhs=1e-8, tolerance=0.0)
                 rows.append(_row(report, extra={"scale": res.scale}))
 
     rng = np.random.default_rng(cfg.seed)

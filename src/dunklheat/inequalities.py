@@ -131,8 +131,6 @@ def h_of_a(a: float, kappa_i: float) -> float:
     """
     (a,) = _validate_tilts(float(a)).tolist()
     kappa_i = _validate_multiplicity(kappa_i)
-    if a == 0.0:
-        return 0.0
     return moment_ratios(a, kappa_i).r1 - moment_ratios(-a, kappa_i).r1
 
 
@@ -146,6 +144,7 @@ class VerificationReport:
 
     The deficit is rhs - lhs, possibly recomputed in a cancellation-free
     form by the producing check; pass holds iff deficit >= -tolerance.
+    Raises FloatingPointError for a non-finite field, DomainError for a wrong flag.
     """
 
     claim_id: str
@@ -159,7 +158,7 @@ class VerificationReport:
     def __post_init__(self):
         for name in ("lhs", "rhs", "deficit", "tolerance"):
             if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"report field {name} is not finite")
+                raise FloatingPointError(f"report field {name} is not finite")
         if self.passed != (self.deficit >= -self.tolerance):
             raise DomainError("pass flag inconsistent with deficit and tolerance")
 

@@ -55,8 +55,8 @@ from .quadrature import (
     NODE_START,
     ConvergenceError,
     DomainError,
-    gauss_jacobi_rule,
-    gauss_laguerre_rule,
+    _jacobi_rule,
+    _laguerre_rule,
     log_gamma,
     node_ladder,
 )
@@ -149,14 +149,19 @@ def _certified_jacobi(a_sub, kappa: float):
     puts S_0 at least mu0 e^(-2|a|), where mu0 = 1/C_kappa, which gives eps_n.
     log m0 is then within about eps_n, and r1, S_2/S_0 within 2 eps_n / (1 - eps_n).
     The variance S_2/S_0 - r1^2 cancels mildly here, except as kappa -> 0.
+    a = 0 is not summed: it takes the moments of the untilted density.
     """
     abs_a = np.abs(a_sub)
     log_growth = np.log(abs_a + 2.0)
-    log_tol = math.log(0.5 * _MOMENT_REL_TOL) - _log_normalizers(kappa)[1]
+    log_c = _log_normalizers(kappa)[1]
+    log_tol = math.log(0.5 * _MOMENT_REL_TOL) - log_c
     out = np.empty((3, a_sub.size))
-    pending = np.arange(a_sub.size)
+    pending = np.flatnonzero(a_sub)
+    if pending.size < a_sub.size:
+        at_zero = (-log_c, 1.0 / (2.0 * kappa + 1.0), 2.0 * kappa / (2.0 * kappa + 1.0) ** 2)
+        out[:, a_sub == 0.0] = np.array(at_zero)[:, None]
     for n in node_ladder(NODE_START, NODE_CAP):
-        rule = gauss_jacobi_rule(kappa - 1.0, kappa, n)
+        rule = _jacobi_rule(kappa - 1.0, kappa, kappa, kappa + 1.0, n)
         log_remainder = rule.log_norm - log_gamma(2.0 * n + 1.0)
         certified = log_remainder + 2.0 * n * log_growth[pending] + 2.0 * abs_a[pending] <= log_tol
         idx = pending[certified]
@@ -174,42 +179,45 @@ def _certified_jacobi(a_sub, kappa: float):
     )
 
 
+def _laguerre_moments(kappa: float, sign: float, n: int, a_sub):
+    """(log m0, r1, variance) at n nodes for tilts of one sign past TILT_SWITCH.
+
+    1 - sign s = r/|a| turns the weight into r^e e^(-r), e = kappa - 1 for
+    a > 0 and kappa for a < 0, times the smooth factor (2 - r/|a|)^(other
+    exponent): log m0 = |a| - (e + 1) log|a| + log S_0, r1 = sign S_1/S_0.
+    """
+    if sign > 0.0:
+        exponent, offset, factor_exp = kappa - 1.0, kappa, kappa
+    else:
+        exponent, offset, factor_exp = kappa, kappa + 1.0, kappa - 1.0
+    abs_a = sign * a_sub
+    rule = _laguerre_rule(exponent, offset, n)
+    s0, s1, s2 = _accel.laguerre_tilted_sums(rule.nodes, rule.weights, abs_a, factor_exp)
+    return abs_a - offset * np.log(abs_a) + np.log(s0), sign * (s1 / s0), s2 / s0
+
+
 def moment_stats(a, kappa: float):
     """(log m0, r1, variance) for a batch of tilts, as a (3, len(a)) array.
 
     Requires kappa > 0; kappa = 0 callers use their Gaussian closed forms
-    and never need moments.  Each tilt's values are the same bits alone, in
-    any batch, or through moment_ratios: the tilts go through in blocks of
-    _TILT_BLOCK, which bounds the (block, nodes) temporaries of the tilted
-    sums, and every sum is reduced tilt by tilt.
+    and never need moments; a = 0 gives log m0 = -log C_kappa, r1 = 1/(2 kappa
+    + 1) and variance 2 kappa/(2 kappa + 1)^2 exactly.  Each tilt's values are
+    the same bits alone, in any batch, or through moment_ratios: the tilts go
+    through in blocks of _TILT_BLOCK, which bounds the (block, nodes)
+    temporaries of the tilted sums, and every sum is reduced tilt by tilt.
     """
     kappa = _validate_multiplicity(kappa)
     if kappa == 0.0:
         raise DomainError(f"moment_stats requires kappa > 0, got {kappa}")
     a = _validate_tilts(a)
-
-    # 1 - s = r/a: weight becomes r^(kappa-1) e^(-r), the leftover factor
-    # (2 - r/a)^kappa is smooth, and log m0 = a - kappa log a + log(sum)
-    def eval_pos(n, sub):
-        rule = gauss_laguerre_rule(kappa - 1.0, n)
-        s0, s1, s2 = _accel.laguerre_tilted_sums(rule.nodes, rule.weights, sub, kappa)
-        return sub - kappa * np.log(sub) + np.log(s0), s1 / s0, s2 / s0
-
-    # mirror substitution 1 + s = r/|a|: weight r^kappa e^(-r), factor
-    # (2 - r/|a|)^(kappa-1), s = -(1 - r/|a|) so the odd moment flips sign
-    def eval_neg(n, sub):
-        aa = -sub
-        rule = gauss_laguerre_rule(kappa, n)
-        s0, s1, s2 = _accel.laguerre_tilted_sums(rule.nodes, rule.weights, aa, kappa - 1.0)
-        return aa - (kappa + 1.0) * np.log(aa) + np.log(s0), -s1 / s0, s2 / s0
-
+    positive, negative = (functools.partial(_laguerre_moments, kappa, sign) for sign in (1.0, -1.0))
     out = np.empty((3, a.size))
     for lo in range(0, a.size, _TILT_BLOCK):
         block, block_out = a[lo : lo + _TILT_BLOCK], out[:, lo : lo + _TILT_BLOCK]
         for moments, chosen in (
             (lambda sub: _certified_jacobi(sub, kappa), np.abs(block) <= TILT_SWITCH),
-            (lambda sub: _adaptive_eval(eval_pos, sub), block > TILT_SWITCH),
-            (lambda sub: _adaptive_eval(eval_neg, sub), block < -TILT_SWITCH),
+            (lambda sub: _adaptive_eval(positive, sub), block > TILT_SWITCH),
+            (lambda sub: _adaptive_eval(negative, sub), block < -TILT_SWITCH),
         ):
             idx = np.flatnonzero(chosen)
             if idx.size:
@@ -267,25 +275,16 @@ def moment_ratios(a: float, kappa: float) -> MomentRatios:
 def _tilted_terms(a, kappa: float):
     """(log E_kappa, r1, variance) at the tilt a, a float or an array, kappa > 0.
 
-    A float tilt reads the cached scalar moment_ratios, an array makes one
-    moment_stats call; the two give the same bits.  a = 0 is the exact
-    limit: E_kappa = 1, r1 = 1/(2 kappa + 1) and variance
-    2 kappa/(2 kappa + 1)^2, the moments of the untilted density.
+    A float tilt reads the cached scalar moment_ratios, a memo of the same
+    bits as the one moment_stats call an array makes.  At a = 0, log E_kappa
+    = log C_kappa - log C_kappa = 0 exactly.
     """
-    r1_at_zero, var_at_zero = 1.0 / (2.0 * kappa + 1.0), 2.0 * kappa / (2.0 * kappa + 1.0) ** 2
-    if not isinstance(a, np.ndarray):
-        if a == 0.0:
-            return 0.0, r1_at_zero, var_at_zero
+    if isinstance(a, np.ndarray):
+        log_m0, r1, variance = moment_stats(a, kappa)
+    else:
         ratios = moment_ratios(a, kappa)
-        return _log_normalizers(kappa)[1] + ratios.log_m0, ratios.r1, ratios.variance
-    log_e = np.zeros(a.shape)
-    r1 = np.full(a.shape, r1_at_zero)
-    variance = np.full(a.shape, var_at_zero)
-    live = a != 0.0
-    if live.any():
-        log_m0, r1[live], variance[live] = moment_stats(a[live], kappa)
-        log_e[live] = _log_normalizers(kappa)[1] + log_m0
-    return log_e, r1, variance
+        log_m0, r1, variance = ratios.log_m0, ratios.r1, ratios.variance
+    return _log_normalizers(kappa)[1] + log_m0, r1, variance
 
 
 def log_e_kappa(x: float, y: float, kappa: float) -> float:
@@ -327,26 +326,25 @@ def _coordinate(t, u, v, kappa: float) -> _Coordinate:
 
     kappa = 0 is the Gauss-Weierstrass kernel, in closed form, with
     d_t = -1/(2t) + d_u^2.  No formula divides by t^2, which underflows at
-    tiny t.
+    tiny t.  A float t and an array take the same numpy log.
     """
-    log = np.log if isinstance(t, np.ndarray) else math.log
     a = u * v / (2.0 * t)
     if kappa == 0.0:
         diff = u - v
-        log_p = -0.5 * log(4.0 * math.pi * t) - diff * diff / (4.0 * t)
+        log_p = -0.5 * np.log(4.0 * math.pi * t) - diff * diff / (4.0 * t)
         d_u = -diff / (2.0 * t)
         variance_term = 0.0 * abs(v)  # +0.0, shaped like v
         d_t = -0.5 / t + d_u * d_u
     else:
         # an infinite tilt is an overflow of u v / (2t), not a bad input
-        if not (np.isfinite(a).all() if isinstance(a, np.ndarray) else math.isfinite(a)):
+        if not np.isfinite(a).all():
             bad = ~np.isfinite(a)
             u_at, t_at = (float(np.broadcast_to(w, bad.shape)[bad][0]) for w in (u, t))
             raise OverflowError(f"tilt u v / (2t) overflows at u = {u_at!r}, t = {t_at!r}")
         log_e, r1, variance = _tilted_terms(a, kappa)
         log_p = (
             -_log_normalizers(kappa)[0]
-            - (kappa + 0.5) * log(2.0 * t)
+            - (kappa + 0.5) * np.log(2.0 * t)
             - (u * u + v * v) / (4.0 * t)
             + log_e
         )
@@ -425,12 +423,8 @@ def kernel_derivatives_1d_batch(t, u, v, kappa: float):
     and left argument, as a batched panel ladder passes them.
 
     An entry of an array call equals the scalar call at its (t, u, v) bit for
-    bit, except in the last bits of log(2t) (log(4 pi t) at kappa = 0): an
-    array of times takes it from numpy's log, a float time from math.log,
-    and the two differ by one ulp for a small share of inputs (0.1% of
-    uniform draws on (0, 10) on an AVX-512 machine).  Entries take their
-    IEEE values without a numpy warning (past the float range a term is
-    infinite); callers check the entries they use."""
+    bit.  Entries take their IEEE values without a numpy warning (past the
+    float range a term is infinite); callers check the entries they use."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     t = _validate_time(t)
     u = np.asarray(u, dtype=float) if isinstance(u, np.ndarray) else float(u)

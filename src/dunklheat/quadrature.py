@@ -137,7 +137,7 @@ def _golub_welsch(diag, squared_off, log_mu0, family: str, domain: tuple[float, 
     return GaussRule(nodes=nodes, weights=weights, log_norm=log_mu0 + float(np.log(squared_off).sum()))
 
 
-def _build_jacobi(alpha: float, beta: float, n: int) -> GaussRule:
+def _build_jacobi(alpha: float, beta: float, alpha1: float, beta1: float, n: int) -> GaussRule:
     ab = alpha + beta
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)
@@ -146,17 +146,12 @@ def _build_jacobi(alpha: float, beta: float, n: int) -> GaussRule:
         diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
     squared_off = np.empty(n)
     # k = 1 needs its own formula: the generic one is 0/0 when ab = -1
-    squared_off[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    squared_off[0] = 4.0 * alpha1 * beta1 / ((ab + 2.0) ** 2 * (ab + 3.0))
     if n > 1:
         k = np.arange(2.0, n + 1)
         s = 2.0 * k + ab
         squared_off[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s * s - 1.0))
-    log_mu0 = (
-        (ab + 1.0) * math.log(2.0)
-        + log_gamma(alpha + 1.0)
-        + log_gamma(beta + 1.0)
-        - log_gamma(ab + 2.0)
-    )
+    log_mu0 = (ab + 1.0) * math.log(2.0) + log_gamma(alpha1) + log_gamma(beta1) - log_gamma(ab + 2.0)
     return _golub_welsch(diag, squared_off, log_mu0, "Jacobi", (-1.0, 1.0), (alpha, beta, n))
 
 
@@ -175,15 +170,24 @@ def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> GaussRule:
     if not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"Jacobi exponents must exceed -1, got {(alpha, beta)}")
     key = ("jacobi", alpha, beta, n)
-    return _cached(key, lambda: _build_jacobi(alpha, beta, n))
+    return _cached(key, lambda: _build_jacobi(alpha, beta, alpha + 1.0, beta + 1.0, n))
 
 
-def _build_laguerre(exponent: float, n: int) -> GaussRule:
+def _jacobi_rule(alpha: float, beta: float, alpha1: float, beta1: float, n: int) -> GaussRule:
+    """gauss_jacobi_rule(alpha, beta, n), unchecked, with the offsets alpha1 =
+    alpha + 1 and beta1 = beta + 1 given exactly: formed from a rounded
+    exponent near -1 ((1e-8 - 1) + 1 = 1.00000000502e-8), an offset would
+    carry that rounding into squared_off[0] and mu0 as a relative error."""
+    key = ("jacobi", alpha, beta, n, alpha1, beta1)
+    return _cached(key, lambda: _build_jacobi(alpha, beta, alpha1, beta1, n))
+
+
+def _build_laguerre(exponent: float, offset: float, n: int) -> GaussRule:
     k = np.arange(float(n + 1))
     diag = 2.0 * k[:-1] + exponent + 1.0
     squared_off = k[1:] * (k[1:] + exponent)
-    log_mu0 = log_gamma(exponent + 1.0)
-    return _golub_welsch(diag, squared_off, log_mu0, "Laguerre", (0.0, math.inf), (exponent, n))
+    diag[0] = squared_off[0] = offset
+    return _golub_welsch(diag, squared_off, log_gamma(offset), "Laguerre", (0.0, math.inf), (exponent, n))
 
 
 def gauss_laguerre_rule(exponent: float, n: int) -> GaussRule:
@@ -197,7 +201,14 @@ def gauss_laguerre_rule(exponent: float, n: int) -> GaussRule:
     if not exponent > -1.0:
         raise DomainError(f"Laguerre exponent must exceed -1, got {exponent}")
     key = ("laguerre", exponent, n)
-    return _cached(key, lambda: _build_laguerre(exponent, n))
+    return _cached(key, lambda: _build_laguerre(exponent, exponent + 1.0, n))
+
+
+def _laguerre_rule(exponent: float, offset: float, n: int) -> GaussRule:
+    """gauss_laguerre_rule(exponent, n), unchecked, with offset = exponent + 1
+    given exactly, as in _jacobi_rule."""
+    key = ("laguerre", exponent, n, offset)
+    return _cached(key, lambda: _build_laguerre(exponent, offset, n))
 
 
 def node_ladder(start: int = NODE_START, cap: int = NODE_CAP):

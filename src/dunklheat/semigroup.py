@@ -77,6 +77,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -289,7 +290,8 @@ def _graded_panels(t, u, kappa_i, profile) -> np.ndarray:
     sliver at the support's edge, which the first few panels resolve.
     Raises ConvergenceError where step is below one ulp of the point, or the
     layout needs more than _PANEL_CAP panels; a point so far away that its
-    log p overflows gets panels from one ulp on instead."""
+    log p overflows gets panels from one ulp on instead.  No step is below
+    the smallest normal float, whose half still has a finite log."""
     sigma = math.sqrt(2.0 * t)
     cuts = {profile.lo, profile.hi, *profile.knots}
     if profile.lo < 0.0 < profile.hi:
@@ -308,7 +310,7 @@ def _graded_panels(t, u, kappa_i, profile) -> np.ndarray:
                 f"panel layout over [{c}, {d}] needs a first panel of {step:.3g} at v = {target},"
                 " narrower than one ulp there"
             )
-        step = max(step, math.ulp(target))
+        step = max(step, math.ulp(target), sys.float_info.min)
         piece = {target, d}
         for side in (-1.0, 1.0):
             r = step
@@ -458,8 +460,8 @@ def _solution_moments(t, u, kappa_i, profile) -> np.ndarray:
     points: t and u are floats, a batch of one, or arrays of B.
     Differentiation happens under the integral sign, on the kernel factor,
     so the four share one node set, and the B integrals share one batched
-    ladder.  An array of times reaches the kernel as an array, which takes
-    log(2t) with numpy's log (see kernel_derivatives_1d_batch)."""
+    ladder.  A float t or u reaches the kernel as a float, which spares a
+    per-node array; the kernel gives the same bits either way."""
     times, points = np.atleast_1d(t).tolist(), np.atleast_1d(u).tolist()
     sigmas = [math.sqrt(2.0 * ti) for ti in times]
     units = np.array([(1.0, si, si * si, ti) for si, ti in zip(sigmas, times)])
@@ -516,8 +518,7 @@ def _profile_moments(t, u, kappa_i, profile) -> np.ndarray:
 def _solution_log_values(f: InitialDatum, kappa, points) -> np.ndarray:
     """log u at each (t, x) of `points` for the solution started from f: the
     sum of its coordinates' log I0, one batched ladder per coordinate.  It
-    equals semigroup_solution(f, kappa).log_value(t, x) but in the last bits
-    of a log(2t) that numpy's log rounds unlike math.log."""
+    equals semigroup_solution(f, kappa).log_value(t, x) bit for bit."""
     kappa = MultiplicityZ2.of(kappa)
     times = np.array([_validate_time(t) for t, _ in points])
     coords = np.array([_validate_point(x, kappa.d) for _, x in points]).reshape(len(points), kappa.d)

@@ -102,7 +102,7 @@ SMALL_TILTS = [
             marks=pytest.mark.xfail(
                 strict=True,
                 reason="the Jacobi branch's variance S2/S0 - r1^2 cancels at tiny kappa (up to "
-                "6.9e-5 relative on the Kummer tilts); phi is 1.6e-8 relative off (ROADMAP item 14)",
+                "6.9e-5 relative on the Kummer tilts); phi is 1.0e-8 relative off (ROADMAP item 14)",
             ),
         ),
     ],
@@ -140,9 +140,8 @@ DIRECT_TILTS = [
             marks=pytest.mark.xfail(
                 strict=True,
                 reason="at |a| <= 50 the Jacobi branch's variance S2/S0 - r1^2 cancels at tiny "
-                "kappa (phi 1.6e-8 relative off at small tilts, 3.6e-8 direct); at a > 50 the "
-                "Laguerre rule at exponent -0.99999999 puts log m0 and the variance 5e-9 "
-                "relative off (phi 4e-11) (ROADMAP item 14)",
+                "kappa (phi 1.0e-8 relative off at small tilts), and the direct formula loses "
+                "3.6e-8 of phi at 1 <= |a| <= 50; past |a| = 50 phi holds to 4e-16 (ROADMAP item 14)",
             ),
         ),
     ],
@@ -251,7 +250,8 @@ def test_report_build_and_pass_logic():
 
 
 def test_report_rejects_bad_fields():
-    with pytest.raises(DomainError):
+    # a non-finite field is a numerical failure, an inconsistent flag a bad input
+    with pytest.raises(FloatingPointError, match="report field lhs is not finite"):
         VerificationReport.build("demo", (1.0,), lhs=float("inf"), rhs=1.0, tolerance=1e-9)
     with pytest.raises(DomainError):
         VerificationReport(

@@ -195,8 +195,9 @@ def test_jacobi_tilts_take_one_rule_without_the_ladder(monkeypatch):
     monkeypatch.setattr(kernel._accel, "jacobi_tilted_sums", counted)
     a = np.linspace(-TILT_SWITCH, TILT_SWITCH, 101)
     moment_stats(a, 0.5)
-    # every tilt is summed once, by one of at most three rules
-    assert sum(calls) == a.size and len(calls) <= 3
+    # every tilt but a = 0, which takes its closed form, is summed once, by
+    # one of at most three rules
+    assert sum(calls) == np.count_nonzero(a) and len(calls) <= 3
 
 
 @pytest.mark.parametrize("kappa", np.geomspace(1e-8, 1e3, 11).tolist())
@@ -212,11 +213,12 @@ def test_jacobi_error_bound_unmet_on_tiny_cap(monkeypatch):
         moment_stats(np.array([3.0, TILT_SWITCH]), 0.5)
 
 
-@pytest.mark.parametrize("kappa", [0.25, 0.5, 1.5, 20.0, 100.0, 1000.0])
+@pytest.mark.parametrize("kappa", [1e-8, 0.25, 0.5, 1.5, 20.0, 100.0, 1000.0])
 def test_moment_stats_matches_the_kummer_reference(kappa):
     # the tilts straddle the reach of each rule order (about 17.7 and 40.6
-    # for 32 and 64 nodes at kappa <= 1.5); kappa = 1e-8 misses by about
-    # 4e-10, where the Jacobi branch's S2/S0 - r1^2 cancels (ROADMAP item 14)
+    # for 32 and 64 nodes at kappa <= 1.5).  At kappa = 1e-8 the rules must
+    # come from the exact offset kappa of the exponent kappa - 1: built from
+    # the rounded (kappa - 1) + 1 they would put log m0 4e-10 off
     tilts = [sign * t for t in (0.3, 5.9, 16.0, 17.0, 18.0, 39.0, 41.0, 49.99) for sign in (1.0, -1.0)]
     got = moment_stats(np.array(tilts), kappa)
     for a, (log_m0, r1, variance) in zip(tilts, got.T.tolist()):
@@ -224,6 +226,29 @@ def test_moment_stats_matches_the_kummer_reference(kappa):
         assert abs(log_m0 - want_log_m0) <= 1e-12 * max(1.0, abs(want_log_m0)), a
         assert abs(r1 - want_r1) <= 1e-12, a
         assert abs(variance - want_variance) <= 1e-12, a
+
+
+def test_kappa_floor_laguerre_moments_match_the_kummer_reference():
+    # both Laguerre rules at kappa = 1e-8 come from their exact offsets
+    # kappa and kappa + 1: built from the rounded kappa - 1, the a > 0 rule
+    # would put log m0 and the variance 5e-9 relative off
+    kappa = 1e-8
+    tilts = [sign * t for t in (50.5, 169.7, 1000.0) for sign in (1.0, -1.0)]
+    got = moment_stats(np.array(tilts), kappa)
+    for a, (log_m0, r1, variance) in zip(tilts, got.T.tolist()):
+        want_log_m0, want_r1, want_variance = oracle.kummer_log_moments(a, kappa)
+        assert abs(log_m0 - want_log_m0) <= 1e-12 * max(1.0, abs(want_log_m0)), a
+        assert abs(r1 - want_r1) <= 1e-12, a
+        assert abs(variance - want_variance) <= 1e-13 * want_variance, a
+
+
+@pytest.mark.parametrize("kappa", [1e-8, 0.5, 1.5, 1000.0])
+def test_moment_stats_at_zero_tilt_is_the_closed_form(kappa):
+    # the moments of the untilted density, as the kernel writes them, for
+    # +0.0 and -0.0 alike: log m0 = -log C_kappa
+    log_c = math.lgamma(kappa + 0.5) - 0.5 * math.log(math.pi) - math.lgamma(kappa)
+    want = [-log_c, 1.0 / (2.0 * kappa + 1.0), 2.0 * kappa / (2.0 * kappa + 1.0) ** 2]
+    assert moment_stats([0.0, -0.0], kappa).T.tolist() == [want, want]
 
 
 # Laguerre tilts up to |a| = 1e12; the reference leaves out a > 0 at
@@ -547,17 +572,17 @@ def test_batch_derivatives_match_scalar_path():
 
 @pytest.mark.parametrize("kappa", [0.0, 0.75])
 def test_batch_arrays_of_t_and_u_equal_scalar_calls(kappa):
-    # an array of times takes log(2t) (log(4 pi t) at kappa = 0) from numpy's
-    # log, a float time from math.log.  The two differ by one ulp for a small
-    # share of inputs (about 1 in 1,000 uniform on (0, 10) on an AVX-512
-    # machine), so where they differ log p moves by (kappa + 1/2) ulps of
-    # that log and the roundings of the sum that follows; every other entry,
-    # and log p everywhere else, is the same bits
+    # every entry is the scalar call's bits, log p included: float and array
+    # times take log(2t) (log(4 pi t) at kappa = 0) from the same log.
+    # math.log and numpy's log differ by an ulp at 2t for t = 1.1344455733228427
+    # and at 4 pi t for t = 0.05473796892967582
+    odd_times = [1.1344455733228427, 0.05473796892967582]
     rng = np.random.default_rng(11)
-    t = 10.0 ** rng.uniform(-3.0, 2.0, 3000)
+    t = np.append(10.0 ** rng.uniform(-3.0, 2.0, 3000), odd_times)
     u = rng.uniform(-5.0, 5.0, t.size)
     v = rng.uniform(-5.0, 5.0, t.size)
-    moved = 0
+    # u = v: at kappa = 0 log p is then -log(4 pi t)/2 alone, and keeps its ulp
+    u[-2:] = v[-2:]
     for t_arg, u_arg in ((t, u), (t, 0.7), (0.3, u)):
         batch = kernel_derivatives_1d_batch(t_arg, u_arg, v, kappa)
         times = np.broadcast_to(t_arg, v.shape).tolist()
@@ -568,18 +593,8 @@ def test_batch_arrays_of_t_and_u_equal_scalar_calls(kappa):
                 for tj, uj, vj in zip(times, coords, v)
             ]
         ).T
-        for entry in (1, 2, 3):
+        for entry in range(4):
             assert batch[entry].tobytes() == alone[entry].tobytes()
-        scale = 4.0 * math.pi if kappa == 0.0 else 2.0
-        log_t = np.log(scale * np.array(times))
-        same = log_t == np.array([math.log(scale * tj) for tj in times])
-        assert batch[0][same].tobytes() == alone[0][same].tobytes()
-        # the largest term of the sum bounds the roundings after the log
-        terms = np.abs(log_t) * (kappa + 0.5) + (np.square(coords) + v * v) / (4.0 * np.array(times))
-        bound = (kappa + 0.5) * np.spacing(np.abs(log_t)) + 4.0 * np.spacing(terms + np.abs(alone[0]))
-        assert np.all(np.abs(batch[0] - alone[0]) <= bound)
-        moved += int(np.count_nonzero(batch[0] != alone[0]))
-    assert moved <= 0.01 * 3 * t.size
 
 
 def test_batch_rejects_bad_times_and_shapes_in_an_array():
