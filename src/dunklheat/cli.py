@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import heapq
 import itertools
 import json
@@ -74,7 +73,7 @@ from .operators import (
 from .quadrature import ConvergenceError, DomainError
 from .semigroup import (
     InitialDatum,
-    _solution_log_values,
+    _solution_field,
     bump_profile,
     chapman_kolmogorov_check,
     heat_residual,
@@ -420,8 +419,14 @@ def _initial_data(d: int) -> dict[str, InitialDatum]:
 def _solution_scan(cfg: RunConfig) -> list[_Row]:
     rows = []
     kappa = MultiplicityZ2.of(cfg.kappa)
+    grid = [(t, x) for t in cfg.t_grid for x in cfg.points]
     for name, datum in _initial_data(cfg.dimension).items():
-        field = semigroup_solution(datum, cfg.kappa)
+        try:
+            field = _solution_field(datum, cfg.kappa, grid)
+        except (ConvergenceError, ArithmeticError, RuntimeError):
+            lazy = semigroup_solution(datum, cfg.kappa)
+            _replay(grid, lambda t, x: liyau_for_solution(lazy, t, x, cfg.kappa, tol=cfg.tol))
+            raise
         for t in cfg.t_grid:
             beta = _liyau_bound(t, kappa)
             for x in cfg.points:
@@ -436,12 +441,11 @@ def _solution_scan(cfg: RunConfig) -> list[_Row]:
 
 
 def _harnack_scan(cfg: RunConfig) -> list[_Row]:
-    """Rows for random (s, x, t, y).  log u at every (s, x) and (t, y) comes
-    first, from one batched ladder per coordinate; each row then reads its
-    two values through a field that holds them."""
+    """Rows for random (s, x, t, y), from a field that computes log u at
+    every (s, x) and (t, y) first; a failure names the first tuple in draw
+    order that stops."""
     count = cfg.augment if cfg.augment else 200
     datum = _initial_data(cfg.dimension)["bump"]
-    field = semigroup_solution(datum, cfg.kappa)
     lam = sum(cfg.kappa)
     rng = np.random.default_rng(cfg.seed)
     points = []
@@ -457,12 +461,12 @@ def _harnack_scan(cfg: RunConfig) -> list[_Row]:
 
     evaluated = [(s, x) for s, x, _, _ in points] + [(t, y) for _, _, t, y in points]
     try:
-        log_u = dict(zip(evaluated, _solution_log_values(datum, cfg.kappa, evaluated).tolist()))
+        field = _solution_field(datum, cfg.kappa, evaluated)
     except (ConvergenceError, ArithmeticError, RuntimeError):
-        _replay(points, lambda *point: check(field, *point))
+        lazy = semigroup_solution(datum, cfg.kappa)
+        _replay(points, lambda *point: check(lazy, *point))
         raise
-    held = dataclasses.replace(field, log_value=lambda t, x: log_u[t, tuple(x.tolist())])
-    reports = [_at_point(point, lambda: check(held, *point)) for point in points]
+    reports = [_at_point(point, lambda: check(field, *point)) for point in points]
     return sorted((_row(report, extra={"datum": "bump"}) for report in reports), key=_sort_key)
 
 

@@ -30,7 +30,6 @@ from .kernel import (
     moment_stats,
 )
 from .operators import (
-    EPS_REFLECTION_SCALE,
     MultiplicityZ2,
     SpaceTimeField,
     _validate_multiplicity,
@@ -245,9 +244,6 @@ def _liyau_terms(t, u, v, kappa_i: float) -> tuple[list[float], ...]:
     v, all at one kappa_i: one list per LiYauCoordinate field, in field
     order.  Each entry is the same bits in any batch.  Raises
     FloatingPointError where a term other than the tilt is not finite."""
-    # the one hyperplane rule: a coordinate within EPS_REFLECTION_SCALE of
-    # its own scale sits on x_i = 0, where a = 0
-    u = np.where(np.abs(u) < EPS_REFLECTION_SCALE * (1.0 + np.abs(u)), 0.0, u)
     # scalar float semantics, silently: a product past the float range is
     # inf, and the check below refuses the non-finite terms a row would carry
     with np.errstate(all="ignore"):
@@ -279,11 +275,10 @@ def liyau_functional(t, x, y, kappa) -> LiYauDecomposition:
     """Evaluate -Delta_kappa(log p_t(., y))(x) coordinate by coordinate.
 
     Every coordinate takes the one moment-ratio form in w = y_i/(2t) and
-    the tilt a; a coordinate with |x_i| < EPS_REFLECTION_SCALE (1 + |x_i|)
-    sits on its hyperplane and takes it at a = 0, which is the
-    removable-singularity limit of the generic Dunkl Laplacian.  The rule
-    reads x_i alone, so every point of a product grid gets the terms of its
-    coordinate tables.
+    the tilt a = x_i y_i/(2t); on the hyperplane x_i = 0 that is a = 0, the
+    removable-singularity limit of the generic Dunkl Laplacian.  The terms
+    read (t, x_i, y_i) alone, so every point of a product grid gets the
+    terms of its coordinate tables.
     """
     return next(iter_liyau_points([(t, x, y)], kappa))
 

@@ -44,22 +44,20 @@ dozen float64 rows of its nodes, so a batch of any length holds about 1 MB
 of them; moment_stats splits the tilts further into its own blocks.  The
 kernel gives a node the same bits in any call, and each integral sums its
 own slice, so an integral's bits do not depend on its batch.
-`_solution_moments` runs the solution integrals of B points at once;
-`_profile_moments` is its batch of one, and `_solution_log_values` gives
-harnack-scan log u at all of its points with one batch per coordinate.
+`_solution_moments` runs the solution integrals of B points at once, and
+a solution field keeps the rows it computed (`_solution_field`).
 
-Each integral is a process-wide LRU cache of _SOLUTION_CACHE_SIZE entries,
-called with positional arguments that name the point alone, since the
-accuracy contract is fixed: `_profile_moments` feeds every solution path,
-`_plain_mass` feeds `normalization_check` and `_ck_coordinate` feeds
-`chapman_kolmogorov_check`.  They raise ConvergenceError where no value is
-representable: where a solution's integrand is 0 on the whole support (u^2
-overflows far from it), where 30 sigma vanishes next to |u| in double
-precision, leaving a window no width, where a graded panel would be
-narrower than one ulp, and where a layout would need more than _PANEL_CAP
-panels.
+`_plain_mass` (normalization_check) and `_ck_coordinate`
+(chapman_kolmogorov_check) are process-wide LRU caches of
+_SOLUTION_CACHE_SIZE entries, called with positional arguments that name
+the point alone, since the accuracy contract is fixed.  The integrals raise
+ConvergenceError where no value is representable: where a solution's
+integrand is 0 on the whole support (u^2 overflows far from it), where 30
+sigma vanishes next to |u| in double precision, leaving a window no width,
+where a graded panel would be narrower than one ulp, and where a layout
+would need more than _PANEL_CAP panels.
 
-A fourth LRU cache, `_log_row`, keeps the last _ROW_CACHE_SIZE (32)
+A third LRU cache, `_log_row`, keeps the last _ROW_CACHE_SIZE (32)
 log-kernel rows log p_t(u, .) that Chapman-Kolmogorov integrands read,
 keyed on (t, u, kappa_i) and the bytes of the node array.  For kappa_i > 0
 the envelope's window depends on |x_i| and |y_i| alone, so the integrals of
@@ -506,28 +504,6 @@ def _solution_moments(t, u, kappa_i, profile) -> np.ndarray:
     return np.column_stack([log_mass, sums[:, 1:] / sums[:, :1]])
 
 
-@functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
-def _profile_moments(t, u, kappa_i, profile) -> np.ndarray:
-    """The _solution_moments row of one point, as a read-only array.
-    Positional arguments only: one key each."""
-    moments = _solution_moments(t, u, kappa_i, profile)[0]
-    moments.setflags(write=False)
-    return moments
-
-
-def _solution_log_values(f: InitialDatum, kappa, points) -> np.ndarray:
-    """log u at each (t, x) of `points` for the solution started from f: the
-    sum of its coordinates' log I0, one batched ladder per coordinate.  It
-    equals semigroup_solution(f, kappa).log_value(t, x) bit for bit."""
-    kappa = MultiplicityZ2.of(kappa)
-    times = np.array([_validate_time(t) for t, _ in points])
-    coords = np.array([_validate_point(x, kappa.d) for _, x in points]).reshape(len(points), kappa.d)
-    total = np.zeros(len(points))
-    for column, k, p in zip(coords.T, kappa.values, f.profiles):
-        total += _solution_moments(times, np.ascontiguousarray(column), k, p)[:, 0]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # semigroup application
 
@@ -540,17 +516,41 @@ def semigroup_solution(f: InitialDatum, kappa) -> SpaceTimeField:
     and each derivative of log u is a moment ratio: nothing forms u itself,
     or any I0, which underflow long before their logs leave the double range.
 
-    Every callable reads the per-coordinate moments from the module's
-    bounded cache, so fields built for the same datum share their work, and
-    raises ConvergenceError at a point where a coordinate's mass underflows."""
+    Each callable reads the per-coordinate moments from the field's own
+    tables (`_solution_field`), filled as points are asked, and raises
+    ConvergenceError at a point where a coordinate's mass underflows."""
+    return _solution_field(f, kappa, ())
+
+
+def _solution_field(f: InitialDatum, kappa, points) -> SpaceTimeField:
+    """semigroup_solution(f, kappa), its moments at the (t, x) of `points`
+    computed first, one _solution_moments batch per coordinate, which gives
+    each integral the bits it gets alone; a point asked later and missing (a
+    reflection off `points`) is computed alone.  One table per coordinate
+    maps (t, x_i), -0.0 as 0.0, to its read-only row: 4 floats per
+    coordinate and distinct (t, x_i) asked of the field, freed with it."""
     kappa = MultiplicityZ2.of(kappa)
     if f.dimension != kappa.d:
         raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
+    tables = [{} for _ in range(kappa.d)]
+
+    def fill(i, keys):
+        if keys:
+            rows = _solution_moments(*map(np.array, zip(*keys)), kappa.values[i], f.profiles[i])
+            rows.setflags(write=False)
+            tables[i].update(zip(keys, rows))
+
+    points = [(_validate_time(t), _validate_point(x, kappa.d).tolist()) for t, x in points]
+    for i in range(kappa.d):
+        fill(i, list(dict.fromkeys((t, x[i]) for t, x in points)))
 
     def moments(t, x) -> list[np.ndarray]:
         t = _validate_time(t)
-        x = _validate_point(x, kappa.d)
-        return [_profile_moments(t, float(xi), k, p) for xi, k, p in zip(x, kappa.values, f.profiles)]
+        keys = [(t, u) for u in _validate_point(x, kappa.d).tolist()]
+        for i, key in enumerate(keys):
+            if key not in tables[i]:
+                fill(i, [key])
+        return [table[key] for table, key in zip(tables, keys)]
 
     def log_value(t, x) -> float:
         return float(sum(m[0] for m in moments(t, x)))

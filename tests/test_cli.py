@@ -739,13 +739,13 @@ class TestExitCodes:
 
     def test_harnack_batch_failure_is_replayed_in_draw_order(self, capsys, monkeypatch):
         evaluated = []
-        batched = cli._solution_log_values
+        batched = cli._solution_field
 
         def recorded(datum, kappa, points):
             evaluated.extend(points)
             return batched(datum, kappa, points)
 
-        monkeypatch.setattr(cli, "_solution_log_values", recorded)
+        monkeypatch.setattr(cli, "_solution_field", recorded)
         argv = ["harnack-scan", "--kappa", "0.5", "--augment", "20", "--reproducible"]
         assert run_cli(argv, capsys)[0] == 0
         # the (t, y) of tuple 7 and the (s, x) of tuple 12 stop the kernel;
@@ -774,16 +774,52 @@ class TestExitCodes:
         argv = ["harnack-scan", "--kappa", kappa, "--augment", "50", "--seed", seed, "--reproducible"]
         code, out, _ = run_cli(argv, capsys)
 
-        def one_by_one(datum, kappa, points):
-            u = semigroup_solution(datum, kappa)
-            return np.array([u.log_value(t, x) for t, x in points])
-
-        monkeypatch.setattr(cli, "_solution_log_values", one_by_one)
+        monkeypatch.setattr(cli, "_solution_field", lambda datum, kappa, points: semigroup_solution(datum, kappa))
         want_code, want, _ = run_cli(argv, capsys)
         assert code == want_code == 0
         rows, want_rows = parse_jsonl(out)[1], parse_jsonl(want)[1]
         assert len(rows) == len(want_rows) == 50
         assert rows == want_rows
+
+    @pytest.mark.parametrize(
+        "args", [[], ["--coords=-2,0.5,1.7", "--t", "0.05,2"], ["--kappa", "1e-8,3"]]
+    )
+    def test_solution_rows_from_the_batched_field_match_the_lazy_field(self, capsys, monkeypatch, args):
+        # the second grid leaves the reflections of its points to the field's
+        # misses
+        argv = ["solution-scan", *args, "--reproducible"]
+        code, out, _ = run_cli(argv, capsys)
+        monkeypatch.setattr(cli, "_solution_field", lambda datum, kappa, points: semigroup_solution(datum, kappa))
+        want_code, want, _ = run_cli(argv, capsys)
+        assert code == want_code == 0
+        rows, want_rows = parse_jsonl(out)[1], parse_jsonl(want)[1]
+        assert len(rows) == len(want_rows) > 0
+        assert rows == want_rows
+
+    def test_solution_batch_failure_is_replayed_in_grid_order(self, capsys, monkeypatch):
+        # the kernel fails at u = 2 on both axes of the second datum; its
+        # batch meets axis 0 first, at grid point [2, -1], and the replay
+        # names the first grid point in loop order that stops, [-1, 2]
+        argv = ["solution-scan", "--kappa", "0.5,1.5", "--t", "0.5", "--coords=-1,0,2", "--reproducible"]
+        kernel, batched = semigroup.kernel_derivatives_1d_batch, cli._solution_field
+        data, raised = [], []
+
+        def failing(t, u, v, kappa_i):
+            if len(data) == 2 and 2.0 in np.atleast_1d(u).tolist():
+                raised.append(kappa_i)
+                raise OverflowError("boom")
+            return kernel(t, u, v, kappa_i)
+
+        def counted(datum, kappa, points):
+            data.append(datum)
+            return batched(datum, kappa, points)
+
+        monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", failing)
+        monkeypatch.setattr(cli, "_solution_field", counted)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (4, "")
+        assert err == "numerical failure: OverflowError: boom [grid point [0.5, [-1.0, 2.0]]]\n"
+        assert raised == [0.5, 1.5]
 
     def test_long_harnack_scan_keeps_every_kernel_call_within_the_chunk(self, capsys, monkeypatch):
         sizes = []

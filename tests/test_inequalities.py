@@ -162,7 +162,7 @@ def test_hyperplane_deficit_is_the_a_zero_value(kappa):
     for t, y in ((0.3, 1.7), (0.01, -3.0), (100.0, 10.0), (1e-200, 1e-50)):
         w = y / (2.0 * t)
         want = w * w * 2.0 * kappa / (2.0 * kappa + 1.0)
-        for x in (0.0, -0.0, 5e-8):
+        for x in (0.0, -0.0):
             got = liyau_functional(t, [x], [y], [kappa]).coordinates[0].deficit
             assert abs(got - want) <= 1e-15 * want, (t, y, x)
 
@@ -440,15 +440,18 @@ def test_batched_points_equal_points_one_by_one():
     assert list(iter_liyau_points([], kappa)) == []
 
 
-def test_hyperplane_rule_reads_the_coordinate_alone():
-    # |x_i| below 1e-7 (1 + |x_i|) is the hyperplane whatever the other
-    # coordinates are; 1.5e-7 is not, even next to a large coordinate
-    for other in (0.0, 10.0, 1e6):
-        on = liyau_functional(0.5, [5e-8, other], [1.0, 2.0], [0.5, 1.5]).coordinates[0]
-        off = liyau_functional(0.5, [1.5e-7, other], [1.0, 2.0], [0.5, 1.5]).coordinates[0]
-        assert on == liyau_functional(0.5, [0.0], [1.0], [0.5]).coordinates[0]
-        assert off == liyau_functional(0.5, [1.5e-7], [1.0], [0.5]).coordinates[0]
-        assert off.a != 0.0 and on.a == 0.0
+@pytest.mark.parametrize("t", [1e-9, 0.01])
+def test_coordinate_next_to_its_hyperplane_matches_the_kummer_reference(t):
+    # |x_i| = 5e-8 is below 1e-7 (1 + |x_i|), but the tilt x_i y_i / (2t) is
+    # 75 at t = 1e-9: the terms follow the tilt, whatever the size of x_i
+    kappa, x, y = 0.5, 5e-8, 3.0
+    w, a = y / (2.0 * t), x * y / (2.0 * t)
+    variance = oracle.kummer_log_moments(a, kappa)[2]
+    want = w * w * (variance + kappa * oracle.f_reference(a, kappa) / (a * a))
+    point = liyau_functional(t, [x], [y], [kappa]).coordinates[0]
+    table = liyau_coordinate_table(t, kappa, (x, y)).entries[0][1]
+    assert point == table
+    assert point.deficit == pytest.approx(want, rel=1e-12)
 
 
 def test_extrema_agree_with_enumeration():

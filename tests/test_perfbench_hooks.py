@@ -59,7 +59,7 @@ def test_traced_liyau_scan_reports_every_declared_layer_metric():
 def test_traced_semigroup_check_sees_the_panel_quadrature():
     tracer_module = _load_tracer()
     # cold caches, so every coordinate integral runs its ladder under the tracer
-    for cache in (semigroup._profile_moments, semigroup._plain_mass, semigroup._ck_coordinate):
+    for cache in (semigroup._plain_mass, semigroup._ck_coordinate):
         cache.cache_clear()
     semigroup._log_row.cache_clear()
     before = _bindings()

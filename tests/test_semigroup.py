@@ -442,7 +442,7 @@ def test_graded_fallback_matches_the_reference_far_from_the_support(u):
                 return np.log(np.maximum(p.fn(np.asarray(v, dtype=float)), 0.0))
 
         want = oracle.log_solution_mass(1e-4, u, 0.5, log_f, p.lo, p.hi)
-        assert semigroup._profile_moments(1e-4, u, 0.5, p)[0] == pytest.approx(want, abs=1e-9), name
+        assert semigroup._solution_moments(1e-4, u, 0.5, p)[0, 0] == pytest.approx(want, abs=1e-9), name
 
 
 def _count_ladders(monkeypatch) -> list:
@@ -457,28 +457,47 @@ def _count_ladders(monkeypatch) -> list:
     return calls
 
 
-def test_solution_moments_are_cached_read_only_and_bounded(monkeypatch):
+def test_solution_field_computes_each_coordinate_integral_once_read_only(monkeypatch):
     calls = _count_ladders(monkeypatch)
-    f = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3)
+    made = []
+    moments = semigroup._solution_moments
+
+    def kept(*args):
+        made.append(moments(*args))
+        return made[-1]
+
+    monkeypatch.setattr(semigroup, "_solution_moments", kept)
+    f, kappa = InitialDatum.bumps([0.5, -1.0], [1.0, 2.0], power=3), [0.5, 1.5]
     t, x = 0.7, [1.0, 2.0]
-    first = semigroup_solution(f, [0.5, 1.5])
-    value = first.log_value(t, x)
+    u = semigroup_solution(f, kappa)
+    value = u.log_value(t, x)
     assert len(calls) == 2
-    # a second field and the derivatives all hit the cache
-    second = semigroup_solution(f, [0.5, 1.5])
-    assert second.log_value(t, x) == value
-    second.log_gradient(t, x)
-    second.log_time_derivative(t, x)
+    # the derivatives and a second request read the field's tables, and a
+    # point that shares (t, x_0) computes its second coordinate alone
+    assert u.log_value(t, x) == value
+    u.log_gradient(t, x)
+    u.log_hessian_diag(t, x)
+    u.log_time_derivative(t, x)
     assert len(calls) == 2
-    moments = semigroup._profile_moments(t, 1.0, 0.5, f.profiles[0])
-    assert not moments.flags.writeable
+    u.log_value(t, [1.0, -2.0])
+    assert len(calls) == 3
+    # built with points: one batch per coordinate of its distinct (t, x_i),
+    # -0.0 sharing the entry of 0.0; the points it was built with are hits
+    calls.clear()
+    points = [(t, x), (t, [1.0, -2.0]), (0.3, x), (t, [-0.0, 2.0]), (t, [0.0, 2.0])]
+    v = semigroup._solution_field(f, kappa, points)
+    assert [len(layouts) for layouts, *_ in calls] == [3, 3]
+    for s, y in points:
+        v.log_value(s, y)
+    assert len(calls) == 2
+    assert v.log_value(t, x) == value
+    assert made and not any(rows.flags.writeable for rows in made)
     with pytest.raises(ValueError):
-        moments[0] = 0.0
-    assert semigroup._profile_moments.cache_info().maxsize == semigroup._SOLUTION_CACHE_SIZE
+        made[0][0, 0] = 0.0
 
 
 def _clear_coordinate_caches():
-    for cache in (semigroup._profile_moments, semigroup._plain_mass, semigroup._ck_coordinate):
+    for cache in (semigroup._plain_mass, semigroup._ck_coordinate):
         cache.cache_clear()
         assert cache.cache_info().maxsize == semigroup._SOLUTION_CACHE_SIZE
     semigroup._log_row.cache_clear()
@@ -645,15 +664,16 @@ def test_solution_scan_runs_one_ladder_per_distinct_coordinate_integral(monkeypa
     calls = _count_ladders(monkeypatch)
     argv = ["solution-scan", "--kappa", "0.5,1.5", "--t", "0.5", "--coords=-1,0,1", "--reproducible"]
     assert cli.main(argv) == 0
-    # one per (datum, t, axis, u): 3 data, 1 time, 2 axes, 3 coordinates
-    assert len(calls) == 3 * 1 * 2 * 3
+    # one per (datum, axis) of the (t, u) of 1 time and 3 coordinates: the
+    # reflections of the grid points are grid points
+    assert [len(layouts) for layouts, *_ in calls] == [1 * 3] * (3 * 2)
 
 
 def test_liyau_for_solution_agrees_cold_and_after_the_field_filled_the_cache(monkeypatch):
     kappa, t, x = [0.5, 1.5], 0.7, [1.0, -2.0]
 
     def datum():
-        # fresh profile objects, so nothing is cached for them yet
+        # fresh profile objects for each field
         return InitialDatum(
             (bump_profile(0.5, 1.0, power=3), two_bump_profile(-2.0, 2.0, 0.8, power=3))
         )

@@ -37,6 +37,8 @@ CONFIGURATIONS = (
     ("solution-scan", "--t", "0.037,1.3"),
     ("semigroup-check", "--kappa", "1e-8"),
     ("liyau-scan", "--kappa", "1e-8,0.5"),
+    ("solution-scan", "--coords=-2,0.5,1.7", "--t", "0.05,2"),
+    ("liyau-scan", "--kappa", "0.5", "--t", "1e-9,0.01", "--coords=5e-8,3"),
 )
 
 # `python -m dunklheat.cli` would import the module without calling main
