@@ -26,8 +26,8 @@ counts double together from _PANEL_NODE_START (16) nodes per panel until
 two levels' weighted sums agree to _PANEL_REL_TOL (1e-10), up to
 _PANEL_NODE_CAP (512); the kernel values inside them settle to the
 kernel's fixed 1e-10.  Panels are at most 8 sigma wide, so 16 and 32
-nodes agree for nearly every integral: at the defaults 4 of
-`semigroup-check`'s 166 integrals and 14 of `solution-scan`'s 120 take a
+nodes agree for nearly every integral: at the defaults 2 of
+`semigroup-check`'s 94 integrals and 14 of `solution-scan`'s 120 take a
 third level, at 64 nodes.  A level's nodes and weights are built for all
 panels at once, with one lookup of each Gauss rule.  Integrands and
 weights are logs (log f + log p_t or two log-kernel rows, and 2 kappa
@@ -49,7 +49,7 @@ a solution field keeps the rows it computed (`_solution_field`).
 
 `_plain_mass` (normalization_check) and `_ck_coordinate`
 (chapman_kolmogorov_check) are process-wide LRU caches of
-_SOLUTION_CACHE_SIZE entries, called with positional arguments that name
+_INTEGRAL_CACHE_SIZE entries, called with positional arguments that name
 the point alone, since the accuracy contract is fixed.  The integrals raise
 ConvergenceError where no value is representable: where a solution's
 integrand is 0 on the whole support (u^2 overflows far from it), where 30
@@ -57,16 +57,13 @@ sigma vanishes next to |u| in double precision, leaving a window no width,
 where a graded panel would be narrower than one ulp, and where a layout
 would need more than _PANEL_CAP panels.
 
-A third LRU cache, `_log_row`, keeps the last _ROW_CACHE_SIZE (32)
-log-kernel rows log p_t(u, .) that Chapman-Kolmogorov integrands read,
-keyed on (t, u, kappa_i) and the bytes of the node array.  For kappa_i > 0
-the envelope's window depends on |x_i| and |y_i| alone, so the integrals of
-(x_i, y_i) and (x_i, -y_i) lay out the same nodes and share the row of x_i;
-at s = t and x_i = y_i the two factors are one row.  Default
-`semigroup-check` reads 260 rows and computes 104.  An entry holds 16 bytes
-per node, the key's and the row's.  A 60-sigma window cut every 8 sigma is
-at most 16 panels, so an entry has at most 16 * 512 nodes, 128 KiB, and the
-cache holds at most 4 MiB.
+The kernel is invariant when one reflection flips both arguments,
+p_t(-u, -v) = p_t(u, v) (Rosler 1998; at kappa = 0 a Gaussian in u - v),
+and every weight |v|^e is even, so each integral has one value on the
+orbit of a joint sign flip.  The two caches take one point of each orbit:
+|u| for `_plain_mass`, and for `_ck_coordinate` whichever of (x_i, y_i)
+and (-x_i, -y_i) has x_i > 0, or x_i = 0 and y_i >= 0.  A sign flip of a
+check's points therefore gives the same bits.
 """
 
 from __future__ import annotations
@@ -129,11 +126,7 @@ _PANEL_CAP = 10_000
 _PROFILE_SAMPLES = 257
 # nodes per `values` call of a batched panel ladder
 _BATCH_NODES = 4096
-_SOLUTION_CACHE_SIZE = 4096
-# log-kernel rows kept for the Chapman-Kolmogorov integrals.  Default
-# semigroup-check reuses a row at most 19 distinct rows later, when (s, t)
-# and (t, s) at x_i = y_i share both; at 16 it recomputes 6 of its 104 rows
-_ROW_CACHE_SIZE = 32
+_INTEGRAL_CACHE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +451,9 @@ def _solution_moments(t, u, kappa_i, profile) -> np.ndarray:
     points: t and u are floats, a batch of one, or arrays of B.
     Differentiation happens under the integral sign, on the kernel factor,
     so the four share one node set, and the B integrals share one batched
-    ladder.  A float t or u reaches the kernel as a float, which spares a
-    per-node array; the kernel gives the same bits either way."""
-    times, points = np.atleast_1d(t).tolist(), np.atleast_1d(u).tolist()
+    ladder."""
+    t, u = np.atleast_1d(t), np.atleast_1d(u)
+    times, points = t.tolist(), u.tolist()
     sigmas = [math.sqrt(2.0 * ti) for ti in times]
     units = np.array([(1.0, si, si * si, ti) for si, ti in zip(sigmas, times)])
     shift, sums = [-math.inf] * len(times), [None] * len(times)
@@ -469,8 +462,8 @@ def _solution_moments(t, u, kappa_i, profile) -> np.ndarray:
         index = np.array(batch)
 
         def values(v, owner):
-            node_t, node_u = (w if isinstance(w, float) else w[index[owner]] for w in (t, u))
-            log_p, d1, d2, dt = kernel_derivatives_1d_batch(node_t, node_u, v, kappa_i)
+            at = index[owner]
+            log_p, d1, d2, dt = kernel_derivatives_1d_batch(t[at], u[at], v, kappa_i)
             # f may dip to -1e-12 of its peak (InitialDatum's check): that is 0
             with np.errstate(divide="ignore"):
                 log_g = np.log(np.maximum(np.asarray(profile.fn(v), dtype=float), 0.0)) + log_p
@@ -606,7 +599,7 @@ MARKOV_CONVENTION = MeasureConvention(
     log_normalizer=log_gaussian_mass,
 )
 
-@functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
+@functools.lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
 def _plain_mass(t, u, kappa_i, exponent) -> float:
     """log of the integral of p_t(u, v) |v|^exponent dv."""
     def values(v, owner):
@@ -627,7 +620,8 @@ def normalization_check(
 
     Under an alternative convention the kernel is renormalized accordingly
     (its own constant divided out, the candidate's put in) so the check
-    measures the convention, not a mix.
+    measures the convention, not a mix.  A sign flip of any coordinates of
+    x gives the same bits: each coordinate's integral is taken at |x_i|.
     """
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
@@ -638,7 +632,7 @@ def normalization_check(
         exponent = float(convention.weight_exponent(k))
         if not exponent > -1.0:
             raise DomainError(f"weight exponent must exceed -1, got {exponent}")
-        log_lhs += shift + _plain_mass(t, float(x[i]), k, exponent)
+        log_lhs += shift + _plain_mass(t, abs(float(x[i])), k, exponent)
     return VerificationReport.build(
         "kernel_normalization",
         (t, tuple(float(v) for v in x)),
@@ -651,13 +645,19 @@ def normalization_check(
 
 def chapman_kolmogorov_check(s: float, t: float, x, y, kappa, tol: float = 1e-6) -> VerificationReport:
     """integral of p_s(x, z) p_t(z, y) dmu(z) equals p_(s+t)(x, y), compared
-    in relative terms since the kernel value sets the only natural scale."""
+    in relative terms since the kernel value sets the only natural scale.
+    A sign flip of the same coordinates of x and y gives the same bits: each
+    coordinate's integral is taken at one point of its orbit."""
     kappa = MultiplicityZ2.of(kappa)
     s = _validate_time(s)
     t = _validate_time(t)
     x = _validate_point(x, kappa.d)
     y = _validate_point(y, kappa.d)
-    log_lhs = sum(_ck_coordinate(s, t, float(x[i]), float(y[i]), k) for i, k in enumerate(kappa.values))
+    log_lhs = 0.0
+    for xi, yi, k in zip(x.tolist(), y.tolist(), kappa.values):
+        if (xi, yi) < (0.0, 0.0):  # the orbit's point with x_i > 0, or x_i = 0 and y_i >= 0
+            xi, yi = -xi, -yi
+        log_lhs += _ck_coordinate(s, t, xi, yi, k)
     log_rhs = log_kernel(s + t, x, y, kappa)
     return VerificationReport.build(
         "chapman_kolmogorov",
@@ -669,7 +669,7 @@ def chapman_kolmogorov_check(s: float, t: float, x, y, kappa, tol: float = 1e-6)
     )
 
 
-@functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
+@functools.lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
 def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
     """log of the integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the
     window of the product's own Gaussian envelope.  Each kernel is at most
@@ -696,20 +696,12 @@ def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
         center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
 
     def values(v, owner):
-        nodes = v.tobytes()
-        return _log_row(s, xi, kappa_i, nodes) + _log_row(t, yi, kappa_i, nodes), np.ones((1, v.size))
+        log_p = kernel_derivatives_1d_batch(s, xi, v, kappa_i)[0]
+        # at s = t and xi = yi the two factors are one row
+        other = log_p if (s, xi) == (t, yi) else kernel_derivatives_1d_batch(t, yi, v, kappa_i)[0]
+        return log_p + other, np.ones((1, v.size))
 
     return _log_total(center, sigma, 2.0 * kappa_i, values, f"x = {xi}, y = {yi}, s = {s}, t = {t}")
-
-
-@functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _log_row(t, u, kappa_i, nodes) -> np.ndarray:
-    """log p_t(u, v) at the nodes v whose float64 bytes are `nodes`, as a
-    read-only array shared by every integrand that reads it.  u = -0.0
-    shares the key of 0.0, which leaves log p unchanged."""
-    row = kernel_derivatives_1d_batch(t, u, np.frombuffer(nodes), kappa_i)[0]
-    row.setflags(write=False)
-    return row
 
 
 def heat_residual(t: float, x, y, kappa) -> float:

@@ -61,7 +61,6 @@ def test_traced_semigroup_check_sees_the_panel_quadrature():
     # cold caches, so every coordinate integral runs its ladder under the tracer
     for cache in (semigroup._plain_mass, semigroup._ck_coordinate):
         cache.cache_clear()
-    semigroup._log_row.cache_clear()
     before = _bindings()
     with tracer_module.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["semigroup-check", "--t", "0.5", "--coords", "0,1", "--reproducible"])

@@ -3,9 +3,10 @@ normalization, Chapman-Kolmogorov, the heat equation itself, and the bound
 for solutions started from product bumps."""
 
 import collections
+import inspect
+import itertools
 import math
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -499,8 +500,7 @@ def test_solution_field_computes_each_coordinate_integral_once_read_only(monkeyp
 def _clear_coordinate_caches():
     for cache in (semigroup._plain_mass, semigroup._ck_coordinate):
         cache.cache_clear()
-        assert cache.cache_info().maxsize == semigroup._SOLUTION_CACHE_SIZE
-    semigroup._log_row.cache_clear()
+        assert cache.cache_info().maxsize == semigroup._INTEGRAL_CACHE_SIZE
 
 
 def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkeypatch, capsys):
@@ -509,47 +509,57 @@ def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkey
     assert cli.main(["semigroup-check", "--reproducible"]) == 0
     # the integrand is a closure of the integral that laid out the panels
     integrals = collections.Counter(values.__qualname__.split(".")[0] for _, _, values, *_ in calls)
-    # normalization: 4 times, 5 coordinates, 2 axes.  Chapman-Kolmogorov: 7
-    # time pairs, 2 axes and 9 (x_i, y_i): y_i = x_i at 5 coordinates and
-    # y_i = -x_i at 4, since (0, -0.0) is the integral of (0, 0)
-    assert integrals == {"_plain_mass": 4 * 5 * 2, "_ck_coordinate": 7 * 2 * 9}
+    # one integral per orbit of the joint sign flip.  normalization: 4 times,
+    # 3 values of |x_i| and 2 axes.  Chapman-Kolmogorov: 7 time pairs, 2 axes
+    # and 5 orbits of (x_i, y_i): y_i = x_i at |x_i| = 0, 1, 3 and y_i = -x_i
+    # at |x_i| = 1, 3, since (0, -0.0) is the integral of (0, 0)
+    assert integrals == {"_plain_mass": 4 * 3 * 2, "_ck_coordinate": 7 * 2 * 5}
     # each Chapman-Kolmogorov integral covers the window of its product's
-    # Gaussian envelope (the hull of the two kernels' windows took 2,096)
+    # Gaussian envelope
     panels = collections.Counter()
     for layouts, _, values, *_ in calls:
         panels[values.__qualname__.split(".")[0]] += sum(map(len, layouts))
-    assert panels["_ck_coordinate"] == 1248
+    assert panels["_ck_coordinate"] == 680
 
 
-def test_chapman_kolmogorov_integrals_compute_each_kernel_row_once(monkeypatch, capsys):
+def test_chapman_kolmogorov_integrands_evaluate_each_kernel_factor_once(monkeypatch, capsys):
     _clear_coordinate_caches()
-    rows, computed = [], []
-    log_row, batch = semigroup._log_row, semigroup.kernel_derivatives_1d_batch
-
-    def requested(t, u, kappa_i, nodes):
-        # u = -0.0 shares the key of 0.0
-        rows.append((t, u + 0.0, kappa_i, nodes))
-        return log_row(t, u, kappa_i, nodes)
+    kernel_calls, integrands = [], []
+    ladder, batch = semigroup._adaptive_panel_sum, semigroup.kernel_derivatives_1d_batch
 
     def evaluated(t, u, v, kappa_i):
-        if sys._getframe(1).f_code.co_name == "_log_row":
-            computed.append((t, u + 0.0, kappa_i, v.tobytes()))
+        kernel_calls.append((t, u))
         return batch(t, u, v, kappa_i)
 
-    monkeypatch.setattr(semigroup, "_log_row", requested)
+    def counted(layouts, exponent, values, units):
+        if not values.__qualname__.startswith("_ck_coordinate."):
+            return ladder(layouts, exponent, values, units)
+        point = inspect.getclosurevars(values).nonlocals
+
+        def wrapped(v, owner):
+            kernel_calls.clear()
+            out = values(v, owner)
+            integrands.append(((point["s"], point["xi"]), (point["t"], point["yi"]), list(kernel_calls)))
+            return out
+
+        return ladder(layouts, exponent, wrapped, units)
+
     monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", evaluated)
+    monkeypatch.setattr(semigroup, "_adaptive_panel_sum", counted)
     assert cli.main(["semigroup-check", "--reproducible"]) == 0
-    # 122 of the 7 * 2 * 9 integrals settle in their first ladder call and 4
-    # take a second; each call reads two rows, most shared by (x_i, y_i) and
-    # (x_i, -y_i) or by the two factors at s = t, x_i = y_i
-    assert len(rows) == 260
-    assert len(computed) == len(set(rows)) == 104
-    assert set(computed) == set(rows)
+    # one kernel call per factor and integrand call, one for both factors
+    # at s = t and x_i = y_i
+    for first, second, made in integrands:
+        assert made == ([first] if first == second else [first, second])
+    # 68 of the 7 * 2 * 5 integrals settle in their first ladder call and 2
+    # take a second; 26 of the 72 calls are at s = t, x_i = y_i
+    assert len(integrands) == 72
+    assert sum(len(made) for *_, made in integrands) == 2 * 72 - 26
 
 
 @pytest.mark.parametrize(
     "command, nodes",
-    [("semigroup-check", 80_512), ("harnack-scan", 76_800), ("solution-scan", 19_344)],
+    [("semigroup-check", 44_480), ("harnack-scan", 76_800), ("solution-scan", 19_344)],
 )
 def test_default_suites_evaluate_a_fixed_number_of_panel_nodes(monkeypatch, capsys, command, nodes):
     _clear_coordinate_caches()
@@ -606,14 +616,6 @@ def test_panel_ladder_agrees_with_one_started_at_128_nodes(monkeypatch):
     assert err.max() <= 1e-11, (err.max(), err.argmax())
 
 
-def test_log_row_is_cached_and_read_only():
-    v = np.linspace(-2.0, 2.0, 9)
-    row = semigroup._log_row(0.5, 1.0, 0.5, v.tobytes())
-    assert semigroup._log_row(0.5, 1.0, 0.5, v.tobytes()) is row
-    assert not row.flags.writeable
-    np.testing.assert_array_equal(row, semigroup.kernel_derivatives_1d_batch(0.5, 1.0, v, 0.5)[0])
-
-
 def test_kernel_checks_read_cached_coordinate_integrals(monkeypatch):
     kappa, x = [0.5, 1.5], [1.0, 0.0]
     _clear_coordinate_caches()
@@ -627,6 +629,23 @@ def test_kernel_checks_read_cached_coordinate_integrals(monkeypatch):
     assert normalization_check(0.5, x, kappa) == cold_mass
     assert chapman_kolmogorov_check(0.3, 0.7, x, [-1.0, -0.0], kappa) == cold_ck
     assert calls == []
+
+
+@pytest.mark.parametrize("kappa", [[0.0, 0.5], [0.5, 1.5]])
+def test_kernel_checks_give_the_same_bits_under_a_sign_flip(kappa):
+    # p_t(gx, gy) = p_t(x, y) for every g in Z_2^2, flipping any axes of
+    # both points, and the weight |v|^(2 kappa) is even
+    rng = np.random.default_rng(27)
+    for _ in range(4):
+        s, t = (float(10.0 ** e) for e in rng.uniform(-1.5, 0.5, 2))
+        x, y = rng.uniform(-3.0, 3.0, (2, 2))
+        mass = normalization_check(t, x, kappa)
+        ck = chapman_kolmogorov_check(s, t, x, y, kappa)
+        for g in itertools.product((1.0, -1.0), repeat=2):
+            flipped = normalization_check(t, np.multiply(g, x), kappa)
+            assert (flipped.lhs, flipped.rhs, flipped.deficit) == (mass.lhs, mass.rhs, mass.deficit), g
+            flipped = chapman_kolmogorov_check(s, t, np.multiply(g, x), np.multiply(g, y), kappa)
+            assert (flipped.lhs, flipped.rhs, flipped.deficit) == (ck.lhs, ck.rhs, ck.deficit), g
 
 
 @pytest.mark.parametrize(
@@ -740,11 +759,19 @@ def test_alternative_convention_fails_with_time_dependent_error():
 # Chapman-Kolmogorov
 
 
-def test_chapman_kolmogorov_gaussian_closed_form():
-    r = chapman_kolmogorov_check(0.3, 0.7, [1.0], [-0.5], [0.0])
-    want = math.exp(oracle.gaussian_log_kernel(1.0, 1.0, -0.5))
+@pytest.mark.parametrize("x, y", [(1.0, -0.5), (-1.0, 0.5)])
+def test_chapman_kolmogorov_gaussian_closed_form(x, y):
+    r = chapman_kolmogorov_check(0.3, 0.7, [x], [y], [0.0])
+    want = math.exp(oracle.gaussian_log_kernel(1.0, x, y))
     assert r.passed and r.rhs == pytest.approx(want, rel=1e-13)
     assert r.lhs == pytest.approx(want, rel=1e-10)
+
+
+def test_chapman_kolmogorov_at_negative_coordinates_matches_the_bessel_form():
+    # the integral is taken at the orbit's representative (1.0, 0.5)
+    r = chapman_kolmogorov_check(0.3, 0.7, [-1.0], [-0.5], [0.5])
+    assert r.passed
+    assert r.lhs == pytest.approx(math.exp(oracle.log_kernel_1d(1.0, -1.0, -0.5, 0.5)), rel=1e-10)
 
 
 def test_chapman_kolmogorov_squares_to_the_double_time_diagonal():

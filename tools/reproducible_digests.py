@@ -39,6 +39,8 @@ CONFIGURATIONS = (
     ("liyau-scan", "--kappa", "1e-8,0.5"),
     ("solution-scan", "--coords=-2,0.5,1.7", "--t", "0.05,2"),
     ("liyau-scan", "--kappa", "0.5", "--t", "1e-9,0.01", "--coords=5e-8,3"),
+    ("semigroup-check", "--coords=-2,0.5,1.7", "--t", "0.05,2"),
+    ("semigroup-check", "--kappa", "0,0.5", "--t", "1", "--coords=-33,33"),
 )
 
 # `python -m dunklheat.cli` would import the module without calling main
