@@ -19,7 +19,7 @@ Exit status: 0 when every row passes, 1 on any violation, 2 for
 configuration errors (an --out path that cannot be written included), 3
 when quadrature fails to converge (an integration window lost to rounding
 included), 4 when any other numerical failure (an overflow, a moment ratio
-out of range, a Li-Yau sum past the float range, a non-finite value that
+out of range, a Li-Yau term or sum past the float range, a non-finite value that
 JSON cannot spell) stops a grid point; then nothing is written.  For 3 and 4 the offending grid point is
 named on stderr.
 """
@@ -168,21 +168,16 @@ class _Row(NamedTuple):
     texts: Callable[[], tuple[str, str, str, str, str, str]]
 
 
-def _encode(value, point) -> str:
-    """The JSON text of value; a _NumericalFailure naming the grid point if
-    it holds a non-finite float."""
-    try:
-        return _COMPACT_JSON.encode(value)
-    except ValueError as e:
-        raise _failure(e, point) from e
-
-
 def _encoded_row(claim_id, grid_point, lhs, rhs, deficit, tol, passed, extra) -> _Row:
-    """A row whose column texts come from the JSON encoder."""
+    """A row whose column texts come from the JSON encoder; a non-finite
+    float, which JSON cannot spell, fails at the row's grid point."""
     values = (grid_point, lhs, rhs, deficit, tol, extra)
 
     def texts():
-        return tuple(_encode(v, grid_point) for v in values)
+        try:
+            return tuple(map(_COMPACT_JSON.encode, values))
+        except ValueError as e:
+            raise _failure(e, grid_point) from e
 
     return _Row(claim_id, tuple(grid_point), passed, deficit, texts)
 
@@ -293,11 +288,8 @@ def _kernel_eval(cfg: RunConfig) -> Iterator[_Row]:
 
 def _term_texts(c: LiYauCoordinate) -> tuple:
     """A coordinate term as Li-Yau rows read it: the two floats a row sums,
-    then the JSON text of its a, variance_term, f_value and i_value.  Only a
-    Gaussian coordinate's tilt can be non-finite; it stays a float, which
-    JSON cannot spell, and a row that joins it refuses."""
-    a = repr(c.a) if math.isfinite(c.a) else c.a
-    return c.i_value, c.deficit, a, repr(c.variance_term), repr(c.f_value), repr(c.i_value)
+    then the JSON text of its a, variance_term, f_value and i_value."""
+    return c.i_value, c.deficit, repr(c.a), repr(c.variance_term), repr(c.f_value), repr(c.i_value)
 
 
 def _liyau_rows(t: float, cfg: RunConfig):
@@ -322,13 +314,9 @@ def _liyau_rows(t: float, cfg: RunConfig):
                     raise _failure(error, point)
 
         def texts():
-            try:
-                a_text = ",".join(a)
-            except TypeError:
-                _encode(a, point)  # a tilt stayed a float: the encoder refuses it
             equality = "true" if deficit <= _EQUALITY_FLAG else "false"
             extra = (
-                f'{{"equality":{equality},"a":[{a_text}],"variance_term":[{",".join(variance)}],'
+                f'{{"equality":{equality},"a":[{",".join(a)}],"variance_term":[{",".join(variance)}],'
                 f'"f_value":[{",".join(f)}],"i_value":[{",".join(i)}]}}'
             )
             point_text = f"[{t_text},[{x_text}],[{y_text}]]"
@@ -349,11 +337,11 @@ def _liyau_scan(cfg: RunConfig) -> Iterator[_Row]:
         x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
         y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
         points.append((t, x, y))
-    try:
-        decs = iter_liyau_points(sorted(points), cfg.kappa)
-    except (ArithmeticError, RuntimeError):
-        _replay(points, lambda t, x, y: liyau_functional(t, x, y, cfg.kappa))
-        raise
+    decs = _batched(
+        lambda: iter_liyau_points(sorted(points), cfg.kappa),
+        points,
+        lambda t, x, y: liyau_functional(t, x, y, cfg.kappa),
+    )
     augment = (_augment_row(dec, cfg) for dec in decs)
     # stable: a grid row goes before an augment row of equal key, and once
     # one input runs out no more keys are computed
@@ -366,11 +354,16 @@ def _augment_row(dec: LiYauDecomposition, cfg: RunConfig) -> _Row:
     return row(dec.x, dec.y, ",".join(map(repr, dec.x)), ",".join(map(repr, dec.y)), terms)
 
 
-def _replay(points, check) -> None:
-    """After a batched evaluation failed, go through its points one by one,
-    check(*point) each, to name the first that stops."""
-    for point in points:
-        _at_point(point, lambda: check(*point))
+def _batched(evaluate, points, check):
+    """evaluate(), a batched evaluation at points.  If it fails, go through
+    the points one by one, check(*point) each, to name the first that stops;
+    the batch's own error is raised only if none does."""
+    try:
+        return evaluate()
+    except (ArithmeticError, RuntimeError):
+        for point in points:
+            _at_point(point, lambda: check(*point))
+        raise
 
 
 def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
@@ -383,13 +376,11 @@ def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
         for ix in itertools.product(range(len(coords)), repeat=cfg.dimension)
     }
     for t, pairs in _grid_walk(cfg):
-        try:
-            tables = {k: liyau_coordinate_table(t, k, coords) for k in dict.fromkeys(cfg.kappa)}
-        except (ArithmeticError, RuntimeError):
-            # a coordinate table failed
-            grid = ((t, x, y) for x, y in itertools.product(cfg.points, repeat=2))
-            _replay(grid, lambda t, x, y: liyau_functional(t, x, y, cfg.kappa))
-            raise
+        tables = _batched(
+            lambda: {k: liyau_coordinate_table(t, k, coords) for k in dict.fromkeys(cfg.kappa)},
+            ((t, x, y) for x, y in itertools.product(cfg.points, repeat=2)),
+            lambda t, x, y: liyau_functional(t, x, y, cfg.kappa),
+        )
         term_texts = {
             k: tuple(tuple(map(_term_texts, entries)) for entries in table.entries)
             for k, table in tables.items()
@@ -421,12 +412,12 @@ def _solution_scan(cfg: RunConfig) -> list[_Row]:
     kappa = MultiplicityZ2.of(cfg.kappa)
     grid = [(t, x) for t in cfg.t_grid for x in cfg.points]
     for name, datum in _initial_data(cfg.dimension).items():
-        try:
-            field = _solution_field(datum, cfg.kappa, grid)
-        except (ConvergenceError, ArithmeticError, RuntimeError):
-            lazy = semigroup_solution(datum, cfg.kappa)
-            _replay(grid, lambda t, x: liyau_for_solution(lazy, t, x, cfg.kappa, tol=cfg.tol))
-            raise
+        lazy = semigroup_solution(datum, cfg.kappa)
+        field = _batched(
+            lambda: _solution_field(datum, cfg.kappa, grid),
+            grid,
+            lambda t, x: liyau_for_solution(lazy, t, x, cfg.kappa, tol=cfg.tol),
+        )
         for t in cfg.t_grid:
             beta = _liyau_bound(t, kappa)
             for x in cfg.points:
@@ -460,12 +451,10 @@ def _harnack_scan(cfg: RunConfig) -> list[_Row]:
         return harnack_check(u, s, x, t, y, lambda_kappa=lam, d=cfg.dimension, tol=cfg.tol)
 
     evaluated = [(s, x) for s, x, _, _ in points] + [(t, y) for _, _, t, y in points]
-    try:
-        field = _solution_field(datum, cfg.kappa, evaluated)
-    except (ConvergenceError, ArithmeticError, RuntimeError):
-        lazy = semigroup_solution(datum, cfg.kappa)
-        _replay(points, lambda *point: check(lazy, *point))
-        raise
+    lazy = semigroup_solution(datum, cfg.kappa)
+    field = _batched(
+        lambda: _solution_field(datum, cfg.kappa, evaluated), points, lambda *point: check(lazy, *point)
+    )
     reports = [_at_point(point, lambda: check(field, *point)) for point in points]
     return sorted((_row(report, extra={"datum": "bump"}) for report in reports), key=_sort_key)
 

@@ -97,27 +97,24 @@ def _f_values(a: np.ndarray, kappa_i: float) -> tuple[np.ndarray, np.ndarray]:
     instead, and f = a^2 phi: every factor is nonnegative, so both carry
     full relative accuracy all the way down to the closed form phi(0) =
     2 var(0) = 4 kappa/(2 kappa + 1)^2.  One moment_stats call gives the
-    variance at every node tilt of every such a.
+    moments at [d, -d] for the direct tilts d and at every node tilt of
+    every such a.
     """
     tilts, inverse = np.unique(a, return_inverse=True)
     f = np.zeros(tilts.size)
     phi = np.full(tilts.size, 4.0 * kappa_i / (2.0 * kappa_i + 1.0) ** 2)
     direct = np.abs(tilts) >= _F_DIRECT_SWITCH
-    if direct.any():
-        d = tilts[direct]
-        log_m0, r1, _ = moment_stats(np.concatenate([d, -d]), kappa_i)
-        f[direct] = 2.0 * d * r1[: d.size] + log_m0[d.size :] - log_m0[: d.size]
-        phi[direct] = f[direct] / d / d
     small = ~direct & (tilts != 0.0)
-    if small.any():
-        # f(a) = int_{-a}^{a} (s + a) var(s) ds (oriented), and s = a*n
-        s = tilts[small]
-        rule = gauss_jacobi_rule(0.0, 0.0, _F_RULE_NODES)
-        variance = moment_stats(np.outer(s, rule.nodes).ravel(), kappa_i)[2].reshape(s.size, -1)
-        terms = (rule.weights * (1.0 + rule.nodes)) * variance
-        # a running sum in node order: the same bits as a node-by-node sum
-        phi[small] = np.cumsum(terms, axis=1)[:, -1]
-        f[small] = s * s * phi[small]
+    d, s = tilts[direct], tilts[small]
+    rule = gauss_jacobi_rule(0.0, 0.0, _F_RULE_NODES)
+    log_m0, r1, variance = moment_stats(np.concatenate([d, -d, np.outer(s, rule.nodes).ravel()]), kappa_i)
+    f[direct] = 2.0 * d * r1[: d.size] + log_m0[d.size : 2 * d.size] - log_m0[: d.size]
+    phi[direct] = f[direct] / d / d
+    # f(a) = int_{-a}^{a} (s + a) var(s) ds (oriented), and s = a*n
+    terms = (rule.weights * (1.0 + rule.nodes)) * variance[2 * d.size :].reshape(s.size, _F_RULE_NODES)
+    # a running sum in node order: the same bits as a node-by-node sum
+    phi[small] = np.cumsum(terms, axis=1)[:, -1]
+    f[small] = s * s * phi[small]
     return f[inverse], phi[inverse]
 
 
@@ -243,7 +240,7 @@ def _liyau_terms(t, u, v, kappa_i: float) -> tuple[list[float], ...]:
     """The terms at each (t, x_i, y_i) of the equal-length float arrays t, u,
     v, all at one kappa_i: one list per LiYauCoordinate field, in field
     order.  Each entry is the same bits in any batch.  Raises
-    FloatingPointError where a term other than the tilt is not finite."""
+    FloatingPointError where a term, the tilt included, is not finite."""
     # scalar float semantics, silently: a product past the float range is
     # inf, and the check below refuses the non-finite terms a row would carry
     with np.errstate(all="ignore"):
@@ -260,8 +257,7 @@ def _liyau_terms(t, u, v, kappa_i: float) -> tuple[list[float], ...]:
         i_value = c.d_uu + j_value
         deficit = c.variance_term + reflection
     terms = (c.a, c.variance_term, f_value, j_value, i_value, deficit)
-    # a Gaussian coordinate's tilt may overflow without harm to its terms
-    for field, term in zip(fields(LiYauCoordinate)[1:], terms[1:]):
+    for field, term in zip(fields(LiYauCoordinate), terms):
         bad = np.flatnonzero(~np.isfinite(term))
         if bad.size:
             u_at, v_at, t_at = (float(w[bad[0]]) for w in (u, v, t))

@@ -127,6 +127,8 @@ _PROFILE_SAMPLES = 257
 # nodes per `values` call of a batched panel ladder
 _BATCH_NODES = 4096
 _INTEGRAL_CACHE_SIZE = 4096
+_NORMALIZATION_TOL = 1e-8
+_CHAPMAN_KOLMOGOROV_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +611,7 @@ def _plain_mass(t, u, kappa_i, exponent) -> float:
 
 
 def normalization_check(
-    t: float,
-    x,
-    kappa,
-    tol: float = 1e-8,
-    *,
-    convention: MeasureConvention = MARKOV_CONVENTION,
+    t: float, x, kappa, *, convention: MeasureConvention = MARKOV_CONVENTION
 ) -> VerificationReport:
     """integral of p_t(x, .) against the measure equals 1.
 
@@ -638,12 +635,12 @@ def normalization_check(
         (t, tuple(float(v) for v in x)),
         lhs=math.exp(log_lhs),
         rhs=1.0,
-        tolerance=tol,
+        tolerance=_NORMALIZATION_TOL,
         deficit=-abs(math.expm1(log_lhs)),
     )
 
 
-def chapman_kolmogorov_check(s: float, t: float, x, y, kappa, tol: float = 1e-6) -> VerificationReport:
+def chapman_kolmogorov_check(s: float, t: float, x, y, kappa) -> VerificationReport:
     """integral of p_s(x, z) p_t(z, y) dmu(z) equals p_(s+t)(x, y), compared
     in relative terms since the kernel value sets the only natural scale.
     A sign flip of the same coordinates of x and y gives the same bits: each
@@ -664,7 +661,7 @@ def chapman_kolmogorov_check(s: float, t: float, x, y, kappa, tol: float = 1e-6)
         (s, t, tuple(float(v) for v in x), tuple(float(v) for v in y)),
         lhs=math.exp(log_lhs),
         rhs=math.exp(log_rhs),
-        tolerance=tol,
+        tolerance=_CHAPMAN_KOLMOGOROV_TOL,
         deficit=-abs(math.expm1(log_lhs - log_rhs)),
     )
 

@@ -313,15 +313,20 @@ class TestReport:
     def test_only_the_summary_rows_are_rendered(self, monkeypatch, capsys):
         # the suites' rows are tallied, never written, so never encoded
         encoded = []
-        original = cli._encode
-        monkeypatch.setattr(cli, "_encode", lambda value, point: encoded.append(point) or original(value, point))
+        build = cli._encoded_row
+
+        def recorded(claim_id, grid_point, *rest):
+            row = build(claim_id, grid_point, *rest)
+            return row._replace(texts=lambda: encoded.append(grid_point) or row.texts())
+
+        monkeypatch.setattr(cli, "_encoded_row", recorded)
         argv = ["report", "--kappa", "0.5", "--t", "0.5", "--coords", "0,1", "--augment", "2"]
         code, out, _ = run_cli([*argv, "--reproducible"], capsys)
         assert code == 0
         _, rows = parse_jsonl(out)
         assert len(rows) > 5
-        # six encoded columns per summary row
-        assert encoded == [("summary",)] * 6 * len(rows)
+        # one encoding per summary row
+        assert encoded == [("summary",)] * len(rows)
 
 
 class TestOutputForms:
@@ -719,13 +724,21 @@ class TestExitCodes:
         # the tilt a = u v / (2t) overflows to inf at u = v = 1e200
         argv = ["liyau-scan", "--kappa", "0", "--t", "1", "--coords", "1e200", "--format", output_format]
         want = (
-            "numerical failure: ValueError: Out of range float values are not JSON compliant"
-            " [grid point [1.0, [1e+200], [1e+200]]]\n"
+            "numerical failure: FloatingPointError: Li-Yau a is not finite at u = 1e+200,"
+            " v = 1e+200, t = 1.0 [grid point [1.0, [1e+200], [1e+200]]]\n"
         )
         assert run_cli([*argv, "--reproducible"], capsys) == (4, "", want)
         target = tmp_path / "rows"
         assert run_cli([*argv, "--out", str(target)], capsys) == (4, "", want)
         assert not target.exists()
+
+    def test_report_stops_at_the_overflowed_tilt_as_liyau_scan_does(self, capsys):
+        # report renders no Li-Yau row, so the refusal cannot wait for the
+        # JSON encoder
+        args = ["--kappa", "0", "--t", "1", "--coords", "1e200", "--reproducible"]
+        want = run_cli(["liyau-scan", *args], capsys)
+        assert want[0] == 4
+        assert run_cli(["report", *args], capsys) == want
 
     @pytest.mark.parametrize("augment", ["0", "1"])
     @pytest.mark.parametrize("output_format", ["json-lines", "csv"])

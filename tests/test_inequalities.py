@@ -4,6 +4,7 @@ parabolic inequalities."""
 import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,20 +402,35 @@ def test_table_computes_f_once_per_distinct_tilt(monkeypatch):
     coords = (-3.0, -1.0, 0.0, 1.0, 3.0)
     grid = [(t, k) for t in (0.01, 0.1, 1.0, 10.0) for k in (0.5, 1.5, 0.25)]
     tables = [liyau_coordinate_table(t, k, coords) for t, k in grid]
-    # at most one call per branch and table: [a, -a] for the direct tilts,
-    # a times every rule node for the integral-form tilts 0 < |a| < 1
-    direct = [a for a in calls if np.all(np.abs(a) >= inequalities._F_DIRECT_SWITCH)]
-    integral = [a for a in calls if np.all(np.abs(a) < inequalities._F_DIRECT_SWITCH)]
-    assert len(direct) + len(integral) == len(calls) <= 2 * 12
+    # one call per table: [a, -a] for the direct tilts, then a times every
+    # rule node for the integral-form tilts 0 < |a| < 1
+    assert len(calls) == 12
+    tilts = np.concatenate(calls)
+    integral = np.abs(tilts) < inequalities._F_DIRECT_SWITCH
     # the integral form runs at six tilts at t = 10 and two at t = 1
-    assert sum(a.size for a in integral) == 3 * (6 + 2) * inequalities._F_RULE_NODES
-    assert sum(a.size for a in direct) == 2 * (12 * 6 - 3 * (6 + 2))
+    assert np.count_nonzero(integral) == 3 * (6 + 2) * inequalities._F_RULE_NODES
+    assert np.count_nonzero(~integral) == 2 * (12 * 6 - 3 * (6 + 2))
     monkeypatch.undo()
     for (t, k), table in zip(grid, tables):
         for ix, u in enumerate(coords):
             for iy, v in enumerate(coords):
                 want = liyau_functional(t, [u], [v], [k]).coordinates[0]
                 assert repr(table.entries[ix][iy]) == repr(want)
+
+
+def test_overflowed_gaussian_tilt_is_refused_with_its_terms():
+    # at kappa_i = 0 the tilt a = uv/(2t) overflows to inf at u = v = 1e200
+    # while every other term stays finite; the terms refuse it, as they do at
+    # kappa_i > 0, rather than hand a row an a that JSON cannot spell
+    message = re.escape("Li-Yau a is not finite at u = 1e+200, v = 1e+200, t = 1.0")
+    big = np.array([1e200])
+    for evaluate in (
+        lambda: inequalities._liyau_terms(np.array([1.0]), big, big, 0.0),
+        lambda: liyau_functional(1.0, [1e200], [1e200], [0.0]),
+        lambda: liyau_coordinate_table(1.0, 0.0, [1e200]),
+    ):
+        with pytest.raises(FloatingPointError, match=message):
+            evaluate()
 
 
 def test_batched_points_equal_points_one_by_one():

@@ -657,7 +657,8 @@ def test_no_public_function_takes_a_ladder_tolerance_or_cap(capsys):
     assert dunklheat.moment_stats in functions and dunklheat.semigroup_solution in functions
     for fn in functions:
         assert not {"rel_tol", "max_nodes"} & set(inspect.signature(fn).parameters), fn.__name__
-    assert "tol" not in inspect.signature(dunklheat.semigroup_solution).parameters
+    for fn in (dunklheat.semigroup_solution, dunklheat.normalization_check, dunklheat.chapman_kolmogorov_check):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__
     assert "max_nodes" not in {f.name for f in dataclasses.fields(cli.RunConfig)}
     with pytest.raises(SystemExit) as exc:
         cli.main(["semigroup-check", "--max-nodes", "512"])
