@@ -46,6 +46,8 @@ from .inequalities import (
     LiYauCoordinate,
     LiYauDecomposition,
     VerificationReport,
+    _f_values,
+    _h_values,
     _liyau_bound,
     gradient_form_check,
     harnack_check,
@@ -292,11 +294,11 @@ def _term_texts(c: LiYauCoordinate) -> tuple:
     return c.i_value, c.deficit, repr(c.a), repr(c.variance_term), repr(c.f_value), repr(c.i_value)
 
 
-def _liyau_rows(t: float, cfg: RunConfig):
+def _liyau_rows(t: float, kappa: MultiplicityZ2, cfg: RunConfig):
     """The Li-Yau row builder at time t: row(x, y, x_text, y_text, terms)
     with terms[i] the _term_texts of axis i.  The texts of t, the bound
     and tol are rendered here, once."""
-    bound = _liyau_bound(t, MultiplicityZ2.of(cfg.kappa))
+    bound = _liyau_bound(t, kappa)
     t_text, bound_text, tol, tol_text = repr(t), repr(bound), cfg.tol, repr(cfg.tol)
     isfinite = math.isfinite
     bound_finite = isfinite(bound)
@@ -349,7 +351,7 @@ def _liyau_scan(cfg: RunConfig) -> Iterator[_Row]:
 
 
 def _augment_row(dec: LiYauDecomposition, cfg: RunConfig) -> _Row:
-    row = _liyau_rows(dec.t, cfg)
+    row = _liyau_rows(dec.t, dec.kappa, cfg)
     terms = tuple(map(_term_texts, dec.coordinates))
     return row(dec.x, dec.y, ",".join(map(repr, dec.x)), ",".join(map(repr, dec.y)), terms)
 
@@ -386,7 +388,7 @@ def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
             for k, table in tables.items()
         }
         axes = [term_texts[k] for k in cfg.kappa]
-        row = _liyau_rows(t, cfg)
+        row = _liyau_rows(t, MultiplicityZ2.of(cfg.kappa), cfg)
         last = None
         for ix, iy in pairs:
             if ix != last:
@@ -529,34 +531,30 @@ def _claims_verify(cfg: RunConfig) -> list[_Row]:
     kappa_values = sorted(set(cfg.kappa) - {0.0}) or [0.5]
 
     for k in kappa_values:
-        for a in np.linspace(-200.0, 200.0, 41):
-            point = (float(a), k)
-            value = _at_point(point, lambda: f_of_a(float(a), k))
-            report = _report_at("f_nonneg", point, lhs=0.0, rhs=value, tolerance=1e-10)
-            rows.append(_row(report))
+        tilts = np.linspace(-200.0, 200.0, 41)
+        points = [(a, k) for a in tilts.tolist()]
+        f, _ = _batched(lambda: _f_values(tilts, k), points, f_of_a)
+        for point, value in zip(points, f.tolist()):
+            rows.append(_row(_report_at("f_nonneg", point, lhs=0.0, rhs=value, tolerance=1e-10)))
         grid = np.linspace(-5.0, 5.0, 101)
-        h = [_at_point((float(a), k), lambda: h_of_a(float(a), k)) for a in grid]
-        for a in grid[grid >= 0.0]:
-            point = (float(a), k)
-            gap = _at_point(point, lambda: abs(h_of_a(float(a), k) + h_of_a(-float(a), k)))
+        a = grid.tolist()
+        h = _batched(lambda: _h_values(grid, k), [(b, k) for b in a], h_of_a).tolist()
+        # h at the mirror tilts -b of the b >= 0, named by b as their rows are
+        nonneg = grid[grid >= 0.0]
+        points = [(b, k) for b in nonneg.tolist()]
+        mirror = _batched(lambda: _h_values(-nonneg, k), points, lambda b, k: h_of_a(-b, k))
+        for point, h_b, h_minus_b in zip(points, h[-len(points) :], mirror.tolist()):
+            gap = abs(h_b + h_minus_b)
             report = _report_at("h_antisymmetric", point, lhs=gap, rhs=0.0, tolerance=1e-10, deficit=-gap)
             rows.append(_row(report))
-        for i in range(len(grid) - 1):
-            report = _report_at(
-                "h_monotone",
-                (float(grid[i]), float(grid[i + 1]), k),
-                lhs=h[i],
-                rhs=h[i + 1],
-                tolerance=1e-12,
-            )
-            rows.append(_row(report))
+        for point, lhs, rhs in zip(zip(a, a[1:], itertools.repeat(k)), h, h[1:]):
+            rows.append(_row(_report_at("h_monotone", point, lhs=lhs, rhs=rhs, tolerance=1e-12)))
 
-    fields = _claim_fields(cfg.dimension)
     eval_points = [
         tuple(0.7 * (-1.0) ** i for i in range(cfg.dimension)),
         (0.0,) + tuple(1.1 for _ in range(cfg.dimension - 1)),
     ]
-    for name, field in fields.items():
+    for name, field in _claim_fields(cfg.dimension).items():
         for x in eval_points:
             value = _at_point((name, x), lambda: pi_psi(field, PSI_LOG, x, cfg.kappa))
             rows.append(_row(_report_at("pi_log_sign", (name, x), lhs=value, rhs=0.0, tolerance=1e-12)))
@@ -577,10 +575,8 @@ def _claims_verify(cfg: RunConfig) -> list[_Row]:
         rows.append(_row(report))
         z1 = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
         z2 = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
-        report = _at_point(
-            (t, z1, z2, y),
-            lambda: log_convexity_midpoint_check(t, z1, z2, y, cfg.kappa, tol=cfg.tol),
-        )
+        point = (t, z1, z2, y)
+        report = _at_point(point, lambda: log_convexity_midpoint_check(*point, cfg.kappa, tol=cfg.tol))
         rows.append(_row(report))
     return sorted(rows, key=_sort_key)
 

@@ -26,7 +26,6 @@ from .kernel import (
     _coordinate,
     log_kernel,
     log_kernel_derivatives,
-    moment_ratios,
     moment_stats,
 )
 from .operators import (
@@ -123,11 +122,16 @@ def h_of_a(a: float, kappa_i: float) -> float:
 
     The unscaled h is a difference of products of moment integrals and
     overflows for |a| > ~350; dividing by the positive factor m0(a) m0(-a)
-    preserves the sign, the zero at a = 0, and the monotonicity.
+    preserves the sign, the zero at a = 0, and the monotonicity.  The scalar
+    face of _h_values, which gives the same bits for a in any batch.
     """
-    (a,) = _validate_tilts(float(a)).tolist()
-    kappa_i = _validate_multiplicity(kappa_i)
-    return moment_ratios(a, kappa_i).r1 - moment_ratios(-a, kappa_i).r1
+    return float(_h_values(_validate_tilts(float(a)), _validate_multiplicity(kappa_i))[0])
+
+
+def _h_values(a: np.ndarray, kappa_i: float) -> np.ndarray:
+    """r1(a) - r1(-a) at each tilt of a, from one moment_stats call on [a, -a]."""
+    r1 = moment_stats(np.concatenate([a, -a]), kappa_i)[1]
+    return r1[: a.size] - r1[a.size :]
 
 
 # ---------------------------------------------------------------------------

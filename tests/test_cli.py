@@ -263,6 +263,24 @@ class TestClaimsVerify:
         } == claims
         assert sum(r["claim_id"] == "chain_rule" for r in rows) >= 10
 
+    def test_default_run_batches_its_f_and_h_grids(self, monkeypatch, capsys):
+        # one moment_stats call per kappa for the f tilts, the h grid and its
+        # mirror tilts; the other 402 are the memo misses of the log-convexity rows
+        calls = []
+        stats = kernel.moment_stats
+
+        def counting(a, *rest):
+            calls.append(np.size(a))
+            return stats(a, *rest)
+
+        monkeypatch.setattr(kernel, "_MOMENT_CACHE", {})
+        monkeypatch.setattr(kernel, "moment_stats", counting)
+        monkeypatch.setattr(inequalities, "moment_stats", counting)
+        code, _, _ = run_cli(["claims-verify", "--reproducible"], capsys)
+        assert code == 0
+        assert len(calls) == 408
+        assert calls.count(202) == 2
+
     def test_scaled_normalizer_fails_normalization_rows_only(self, monkeypatch, capsys):
         # the negative control: a normalizer 1.5 times too large
         scaled = MeasureConvention(
@@ -948,6 +966,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numerical failure: OverflowError")
         assert "[grid point [-200.0, 200.0]]" in err
+
+    def test_claims_verify_h_failure_replays_to_its_grid_point(self, monkeypatch, capsys):
+        # r1 escapes only at 0 < |a| <= 5, which no f tilt of the default grid reaches,
+        # so the h batch fails and its replay names the first h grid point
+        certified = kernel._certified_jacobi
+
+        def r1_out_of_range(a_sub, kappa):
+            out = certified(a_sub, kappa)
+            out[1, (a_sub != 0.0) & (np.abs(a_sub) <= 5.0)] = 1.5
+            return out
+
+        monkeypatch.setattr(kernel, "_MOMENT_CACHE", {})
+        monkeypatch.setattr(kernel, "_certified_jacobi", r1_out_of_range)
+        code, out, err = run_cli(["claims-verify", "--kappa", "0.5,1.5", "--reproducible"], capsys)
+        assert (code, out) == (4, "")
+        assert err == (
+            "numerical failure: RuntimeError: moment ratio r1 escaped [-1, 1] [grid point [-5.0, 0.5]]\n"
+        )
 
 
 class TestLiYauGrid:

@@ -169,30 +169,28 @@ def test_hyperplane_deficit_is_the_a_zero_value(kappa):
 
 
 def test_f_small_tilt_is_one_batched_moment_call(monkeypatch):
-    stats_calls, ratio_calls = [], []
-    stats, ratios = inequalities.moment_stats, inequalities.moment_ratios
+    stats_calls = []
+    stats = inequalities.moment_stats
 
     def counting_stats(a, *rest):
         stats_calls.append(np.size(a))
         return stats(a, *rest)
 
-    def counting_ratios(a, *rest):
-        ratio_calls.append(a)
-        return ratios(a, *rest)
-
     monkeypatch.setattr(inequalities, "moment_stats", counting_stats)
-    monkeypatch.setattr(inequalities, "moment_ratios", counting_ratios)
     entries = len(_MOMENT_CACHE)
     f_of_a(0.3712345, 0.75)
     assert stats_calls == [inequalities._F_RULE_NODES]
-    assert ratio_calls == []
     assert len(_MOMENT_CACHE) == entries
     # the direct branch is the displayed formula: r1 and log m0 at +-a, from
     # one batched call
     stats_calls.clear()
     f_of_a(-1.2345678, 0.75)
     assert stats_calls == [2]
-    assert ratio_calls == []
+    assert len(_MOMENT_CACHE) == entries
+    # h likewise reads r1 at +-a from one batched call, past the memo
+    stats_calls.clear()
+    h_of_a(0.3712345, 0.75)
+    assert stats_calls == [2]
     assert len(_MOMENT_CACHE) == entries
 
 
@@ -227,6 +225,18 @@ def test_h_zero_and_exact_antisymmetry():
         a = float(rng.uniform(-40.0, 40.0))
         kappa = float(rng.choice(KAPPA_GRID))
         assert h_of_a(a, kappa) + h_of_a(-a, kappa) == 0.0
+
+
+@pytest.mark.parametrize("kappa", [1e-8, 0.5, 20.0])
+def test_h_batch_is_the_scalar_and_the_memo_formula_bit_for_bit(kappa):
+    rng = np.random.default_rng(29)
+    tilts = np.concatenate(
+        [[0.0, -0.0], rng.uniform(-50.0, 50.0, 12), rng.uniform(50.0, 400.0, 4), rng.uniform(-400.0, -50.0, 4)]
+    )
+    batch = inequalities._h_values(tilts, kappa).tolist()
+    for a, value in zip(tilts.tolist(), batch):
+        assert value == h_of_a(a, kappa), (a, kappa)
+        assert value == moment_ratios(a, kappa).r1 - moment_ratios(-a, kappa).r1, (a, kappa)
 
 
 @pytest.mark.parametrize("kappa", KAPPA_GRID)

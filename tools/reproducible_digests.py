@@ -41,11 +41,13 @@ CONFIGURATIONS = (
     ("liyau-scan", "--kappa", "0.5", "--t", "1e-9,0.01", "--coords=5e-8,3"),
     ("semigroup-check", "--coords=-2,0.5,1.7", "--t", "0.05,2"),
     ("semigroup-check", "--kappa", "0,0.5", "--t", "1", "--coords=-33,33"),
+    ("claims-verify", "--kappa", "0,2.5"),
     # failures: nothing on stdout, so the listing pins their exit codes
     ("liyau-scan", "--kappa", "0", "--t", "1", "--coords", "1e200"),
     ("report", "--kappa", "0", "--t", "1", "--coords", "1e200"),
     ("kernel-eval", "--kappa", "0.5", "--t", "1", "--coords", "1e200"),
     ("solution-scan", "--kappa", "0", "--t", "1", "--coords", "1e200"),
+    ("claims-verify", "--kappa", "200"),
 )
 
 # `python -m dunklheat.cli` would import the module without calling main
