@@ -12,16 +12,18 @@ into its JSON or CSV line.  Li-Yau rows join texts rendered once per
 coordinate-table entry, coordinate value and time (repr, which is how the
 JSON encoder writes a float), so a row renders only its lhs and deficit;
 every other row takes its texts from the JSON encoder.  The bytes are those
-of encoding each whole row.  All rows are built before the first write, and
-the lines are then written one by one, never joined into one text.
+of encoding each whole row.  Each line goes to an anonymous temporary file
+(the spool) as soon as its row is built, so memory keeps only a pass-flag
+byte per row; only after the last row is the output opened and the spool
+copied into it, so a run that fails writes nothing.
 
 Exit status: 0 when every row passes, 1 on any violation, 2 for
-configuration errors (an --out path that cannot be written included), 3
-when quadrature fails to converge (an integration window lost to rounding
-included), 4 when any other numerical failure (an overflow, a moment ratio
-out of range, a Li-Yau term or sum past the float range, a non-finite value that
-JSON cannot spell) stops a grid point; then nothing is written.  For 3 and 4 the offending grid point is
-named on stderr.
+configuration errors (an --out path or a spool that cannot be written
+included), 3 when quadrature fails to converge (an integration window lost
+to rounding included), 4 when any other numerical failure (an overflow, a
+moment ratio out of range, a Li-Yau term or sum past the float range, a
+non-finite value that JSON cannot spell) stops a grid point; then nothing is
+written.  For 3 and 4 the offending grid point is named on stderr.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ import heapq
 import itertools
 import json
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -294,12 +298,12 @@ def _term_texts(c: LiYauCoordinate) -> tuple:
     return c.i_value, c.deficit, repr(c.a), repr(c.variance_term), repr(c.f_value), repr(c.i_value)
 
 
-def _liyau_rows(t: float, kappa: MultiplicityZ2, cfg: RunConfig):
+def _liyau_rows(t: float, kappa: MultiplicityZ2, tol: float, tol_text: str):
     """The Li-Yau row builder at time t: row(x, y, x_text, y_text, terms)
-    with terms[i] the _term_texts of axis i.  The texts of t, the bound
-    and tol are rendered here, once."""
+    with terms[i] the _term_texts of axis i.  The texts of t and the bound
+    are rendered here, once; tol_text, once per run, by the caller."""
     bound = _liyau_bound(t, kappa)
-    t_text, bound_text, tol, tol_text = repr(t), repr(bound), cfg.tol, repr(cfg.tol)
+    t_text, bound_text = repr(t), repr(bound)
     isfinite = math.isfinite
     bound_finite = isfinite(bound)
 
@@ -344,14 +348,15 @@ def _liyau_scan(cfg: RunConfig) -> Iterator[_Row]:
         points,
         lambda t, x, y: liyau_functional(t, x, y, cfg.kappa),
     )
-    augment = (_augment_row(dec, cfg) for dec in decs)
+    tol_text = repr(cfg.tol)
+    augment = (_augment_row(dec, cfg.tol, tol_text) for dec in decs)
     # stable: a grid row goes before an augment row of equal key, and once
     # one input runs out no more keys are computed
-    return heapq.merge(_liyau_grid_rows(cfg), augment, key=_sort_key)
+    return heapq.merge(_liyau_grid_rows(cfg, tol_text), augment, key=_sort_key)
 
 
-def _augment_row(dec: LiYauDecomposition, cfg: RunConfig) -> _Row:
-    row = _liyau_rows(dec.t, dec.kappa, cfg)
+def _augment_row(dec: LiYauDecomposition, tol: float, tol_text: str) -> _Row:
+    row = _liyau_rows(dec.t, dec.kappa, tol, tol_text)
     terms = tuple(map(_term_texts, dec.coordinates))
     return row(dec.x, dec.y, ",".join(map(repr, dec.x)), ",".join(map(repr, dec.y)), terms)
 
@@ -368,7 +373,7 @@ def _batched(evaluate, points, check):
         raise
 
 
-def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
+def _liyau_grid_rows(cfg: RunConfig, tol_text: str) -> Iterator[_Row]:
     """Grid rows in output order, each joined from texts rendered once: per
     coordinate-table entry, per index tuple and per time."""
     coords = cfg.coord_grid
@@ -388,7 +393,7 @@ def _liyau_grid_rows(cfg: RunConfig) -> Iterator[_Row]:
             for k, table in tables.items()
         }
         axes = [term_texts[k] for k in cfg.kappa]
-        row = _liyau_rows(t, MultiplicityZ2.of(cfg.kappa), cfg)
+        row = _liyau_rows(t, MultiplicityZ2.of(cfg.kappa), cfg.tol, tol_text)
         last = None
         for ix, iy in pairs:
             if ix != last:
@@ -616,11 +621,17 @@ def _report(cfg: RunConfig) -> list[_Row]:
     return sorted(rows, key=_sort_key)
 
 
-def run(config: RunConfig) -> list[tuple[bool, str]]:
-    """Execute the configured suite: one (pass flag, output line) per row, in
-    output order, each line rendered as soon as its row is built."""
+def run(config: RunConfig, spool: TextIO) -> bytearray:
+    """Execute the configured suite, writing each row's output line to spool
+    as soon as the row is built, in output order.  Returns one pass flag per
+    row, a byte each: all that this keeps per row."""
     suite = _report if config.command == "report" else _SUITES[config.command]
-    return [(row.passed, _render(row, config.output_format)) for row in suite(config)]
+    write = spool.write
+    passed = bytearray()
+    for row in suite(config):
+        write(_render(row, config.output_format))
+        passed.append(row.passed)
+    return passed
 
 
 # ---------------------------------------------------------------------------
@@ -664,16 +675,18 @@ def _render(row: _Row, output_format: str) -> str:
     return _CSV_LINE.writerow((row.claim_id, grid_point, lhs, rhs, deficit, tol, passed, extra))
 
 
-def _emit(header: str, rows: list[tuple[bool, str]], cfg: RunConfig) -> None:
-    """Write the header, then the row lines one by one, so the output is
-    never held as one joined text."""
+def _emit(header: str, spool: TextIO, cfg: RunConfig) -> None:
+    """Open the target, stdout or --out, only now that every row is in the
+    spool; write the header, then copy the spool out from its start in
+    chunks, so the output is never held whole."""
     if cfg.output_path is None:
         target = contextlib.nullcontext(sys.stdout)
     else:
         target = open(cfg.output_path, "w", encoding="utf-8")
     with target as handle:
         handle.write(header)
-        handle.writelines(line for _, line in rows)
+        spool.seek(0)
+        shutil.copyfileobj(spool, handle)
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +789,16 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_join_list_flags(list(argv)))
+    # what an OSError failed to write: the spool until the run is done
+    target = "temporary file"
     try:
         config = RunConfig(**vars(args))
-        rows = run(config)
-        header = _header(config)
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            passed = run(config, spool)
+            # flush the spool, so that a full disk stops the run here
+            spool.flush()
+            target = config.output_path or "stdout"
+            _emit(_header(config), spool, config)
     except DomainError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
@@ -789,10 +808,7 @@ def main(argv=None) -> int:
     except _NumericalFailure as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    try:
-        _emit(header, rows, config)
     except OSError as e:
-        target = config.output_path or "stdout"
         print(f"configuration error: cannot write {target}: {e.strerror or e}", file=sys.stderr)
         return 2
-    return 0 if all(passed for passed, _ in rows) else 1
+    return 0 if all(passed) else 1

@@ -6,6 +6,7 @@ contract (JSON lines or CSV) and the exit code is the verdict.
 
 import collections
 import csv
+import errno
 import functools
 import io
 import itertools
@@ -15,6 +16,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -447,6 +449,45 @@ def test_report_loads_neither_scipy_nor_numpy_ma(tmp_path):
     assert out.stdout == "[]\n"
 
 
+# the CLI's own peak resident set: VmHWM, since Linux carries the spawning
+# process's high-water mark into a child's ru_maxrss, which under pytest
+# would read pytest's peak for both runs
+_PEAK_RSS = (
+    "import sys\n"
+    "from dunklheat.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+    "print(code, peak.split()[1], file=sys.stderr)\n"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "pipe"])
+def test_peak_memory_does_not_grow_with_the_row_count(tmp_path, to_file):
+    # rows are spooled to a temporary file as they are built: the 62,500
+    # rows of a d=3 scan (25 MB of JSON lines) peak within 10 MB of the
+    # 2,500 of the d=2 default, where holding every line took about 30 MB more
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+
+    def peak_mb(rows, *argv):
+        argv = ["liyau-scan", *argv, "--reproducible"]
+        if to_file:
+            argv += ["--out", str(tmp_path / "rows.jsonl")]
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            check=True,
+        )
+        code, kib = done.stderr.decode().split()
+        assert code == "0"
+        written = (tmp_path / "rows.jsonl").read_bytes() if to_file else done.stdout
+        assert written.count(b"\n") == rows + 1
+        return int(kib) / 1024
+
+    assert peak_mb(62_500, "--kappa", "0.5,1.5,0.25") - peak_mb(2_500) < 10.0
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -506,6 +547,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith(f"configuration error: cannot write {path}: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_unwritable_spool_returns_two(self, capsys, monkeypatch, tmp_path, out):
+        # rows are spooled to a temporary file before the target is opened:
+        # a temporary directory that is full or missing is a configuration
+        # error, and nothing is written
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", full)
+        path = tmp_path / "x.jsonl"
+        argv = ["liyau-scan", "--kappa", "0.5", "--t", "1", "--coords", "0"]
+        code, stdout, err = run_cli([*argv, *(["--out", str(path)] if out else [])], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "configuration error: cannot write temporary file: No space left on device\n"
         assert not path.exists()
 
     def test_missing_subcommand_exits_two(self, capsys):
@@ -749,6 +806,10 @@ class TestExitCodes:
         target = tmp_path / "rows"
         assert run_cli([*argv, "--out", str(target)], capsys) == (4, "", want)
         assert not target.exists()
+        # an --out file that is there already keeps its bytes
+        target.write_bytes(b"earlier output\n")
+        assert run_cli([*argv, "--out", str(target)], capsys) == (4, "", want)
+        assert target.read_bytes() == b"earlier output\n"
 
     def test_report_stops_at_the_overflowed_tilt_as_liyau_scan_does(self, capsys):
         # report renders no Li-Yau row, so the refusal cannot wait for the

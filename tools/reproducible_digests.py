@@ -42,6 +42,9 @@ CONFIGURATIONS = (
     ("semigroup-check", "--coords=-2,0.5,1.7", "--t", "0.05,2"),
     ("semigroup-check", "--kappa", "0,0.5", "--t", "1", "--coords=-33,33"),
     ("claims-verify", "--kappa", "0,2.5"),
+    # CSV through the same spool as JSON lines
+    ("liyau-scan", "--kappa", "0.5,1.5,0.25", "--format", "csv"),
+    ("report", "--format", "csv"),
     # failures: nothing on stdout, so the listing pins their exit codes
     ("liyau-scan", "--kappa", "0", "--t", "1", "--coords", "1e200"),
     ("report", "--kappa", "0", "--t", "1", "--coords", "1e200"),
