@@ -5,17 +5,17 @@ row per checked point, as JSON lines (canonical) or CSV (a fixed-column
 projection of the same rows).  Every row carries claim_id, grid_point, lhs,
 rhs, deficit, tol, pass, extra; the rows are in order of claim and grid point,
 so output is deterministic for a fixed configuration and seed.  The two grid
-suites (kernel-eval, liyau-scan) walk their (t, x, y) grid in that order and
-render each row as soon as it is built, with no sort of the full row list;
-the other suites sort their rows.  One renderer joins a row's column texts
-into its JSON or CSV line.  Li-Yau rows join texts rendered once per
-coordinate-table entry, coordinate value and time (repr, which is how the
-JSON encoder writes a float), so a row renders only its lhs and deficit;
-every other row takes its texts from the JSON encoder.  The bytes are those
-of encoding each whole row.  Each line goes to an anonymous temporary file
-(the spool) as soon as its row is built, so memory keeps only a pass-flag
-byte per row; only after the last row is the output opened and the spool
-copied into it, so a run that fails writes nothing.
+suites (kernel-eval, liyau-scan) walk their (t, x, y) grid in that order,
+with no sort of the full row list; the other suites sort their rows.  One
+renderer joins a row's column texts into its JSON or CSV line.  liyau-scan
+builds and renders its rows in blocks of at most 256 by array operations,
+from texts rendered once per coordinate-table entry, grid point and time
+(repr, which is how the JSON encoder writes a float); every other row takes
+its texts from the JSON encoder.  The bytes are those of encoding each whole
+row.  Each block's lines go to an anonymous temporary file (the spool) as
+soon as it is built, so memory keeps a pass-flag byte per row and one block;
+only after the last row is the output opened and the spool copied into it,
+so a run that fails writes nothing.
 
 Exit status: 0 when every row passes, 1 on any violation, 2 for
 configuration errors (an --out path or a spool that cannot be written
@@ -29,9 +29,9 @@ written.  For 3 and 4 the offending grid point is named on stderr.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import csv
-import heapq
 import itertools
 import json
 import math
@@ -47,16 +47,14 @@ from typing import Callable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from .inequalities import (
-    LiYauCoordinate,
-    LiYauDecomposition,
     VerificationReport,
+    _added,
     _f_values,
     _h_values,
     _liyau_bound,
+    _liyau_terms,
     gradient_form_check,
     harnack_check,
-    iter_liyau_points,
-    liyau_coordinate_table,
     liyau_functional,
     log_convexity_check,
     log_convexity_midpoint_check,
@@ -105,6 +103,10 @@ _DEFAULT_KAPPA = (0.5, 1.5)
 _DEFAULT_T = (0.01, 0.1, 1.0, 10.0)
 _DEFAULT_COORDS = (-3.0, -1.0, 0.0, 1.0, 3.0)
 _EQUALITY_FLAG = 1e-8
+# rows per Li-Yau block, which is summed, checked and rendered by array
+# operations: more rows hold more at once (tracemalloc peak of a d=3 scan
+# 0.56 MB at 256 rows, 1.74 MB at 1,024) for little more speed
+_BLOCK_ROWS = 256
 # one encoder for every JSON line and CSV column: json.dumps with separators
 # builds a new JSONEncoder on each call.  NaN and Infinity are not JSON, so
 # a row holding one fails to encode rather than printing them.
@@ -161,34 +163,35 @@ class RunConfig:
 # row assembly
 
 
-class _Row(NamedTuple):
-    """One output row: what the merge, the sort and the report tally read,
-    and texts(), the JSON text of the grid_point, lhs, rhs, deficit, tol and
-    extra columns, which _render joins into a JSON or CSV line.  The texts
-    are made only for a row that is written: report tallies rows unwritten."""
+class _Block(NamedTuple):
+    """Consecutive rows of one claim, what run writes and the report tallies:
+    a pass flag byte per row, the least deficit (the first of equal ones) and
+    text(output_format), their lines, made only for a block that is written.
+    A sorted suite's row is a block of its own, sorted by its grid point."""
 
     claim_id: str
     grid_point: tuple
-    passed: bool
-    deficit: float
-    texts: Callable[[], tuple[str, str, str, str, str, str]]
+    passed: bytes
+    worst: float
+    text: Callable[[str], str]
 
 
-def _encoded_row(claim_id, grid_point, lhs, rhs, deficit, tol, passed, extra) -> _Row:
+def _encoded_row(claim_id, grid_point, lhs, rhs, deficit, tol, passed, extra) -> _Block:
     """A row whose column texts come from the JSON encoder; a non-finite
     float, which JSON cannot spell, fails at the row's grid point."""
     values = (grid_point, lhs, rhs, deficit, tol, extra)
 
-    def texts():
+    def text(output_format: str) -> str:
         try:
-            return tuple(map(_COMPACT_JSON.encode, values))
+            texts = tuple(map(_COMPACT_JSON.encode, values))
         except ValueError as e:
             raise _failure(e, grid_point) from e
+        return _render(claim_id, passed, texts, output_format)
 
-    return _Row(claim_id, tuple(grid_point), passed, deficit, texts)
+    return _Block(claim_id, tuple(grid_point), bytes((passed,)), deficit, text)
 
 
-def _row(report: VerificationReport, extra: dict | None = None) -> _Row:
+def _row(report: VerificationReport, extra: dict | None = None) -> _Block:
     return _encoded_row(
         report.claim_id,
         report.grid_point,
@@ -211,7 +214,7 @@ def _plain(value):
     return value
 
 
-def _sort_key(row: _Row):
+def _sort_key(row: _Block):
     # the grid points of one claim share one shape, so they compare as tuples
     return (row.claim_id, row.grid_point)
 
@@ -249,34 +252,28 @@ def _value_groups(values) -> list[list[int]]:
     return [list(group) for _, group in itertools.groupby(order, key=values.__getitem__)]
 
 
-def _grid_walk(cfg: RunConfig) -> Iterator[tuple[float, Iterator]]:
+def _grid_walk(cfg: RunConfig) -> Iterator[tuple[float, Iterator[tuple[int, int]]]]:
     """The (t, x, y) product grid in output order: one (t, index pairs) per
-    group of equal times, where each pair (ix, iy) of index tuples into the
-    coordinate grid is one row.
+    group of equal times, where each pair (ix, iy) of indices into cfg.points
+    is one row.
 
     Output order is a stable sort by (t, x, y) values of the generation order
-    (t position, x index tuple, y index tuple), so rows of equal values keep
-    their index order.  The walk nests: t value, x values, y values, then t
-    position, x index tuple, y index tuple.  Sorting the indices alone would
-    break ties in the wrong places.
+    (t position, x index, y index), so rows of equal values keep their index
+    order.  The walk nests: t value, x value, y value, then t position, x
+    index, y index.  Sorting the indices alone would break ties in the wrong
+    places.
     """
-    blocks = [
-        list(itertools.product(*groups))
-        for groups in itertools.product(_value_groups(cfg.coord_grid), repeat=cfg.dimension)
-    ]
+    groups = _value_groups(cfg.points)
     for times in _value_groups(cfg.t_grid):
-        pairs = (
-            pair for xs in blocks for ys in blocks for _ in times for pair in itertools.product(xs, ys)
-        )
+        pairs = (pair for xs in groups for ys in groups for _ in times for pair in itertools.product(xs, ys))
         yield cfg.t_grid[times[0]], pairs
 
 
-def _kernel_eval(cfg: RunConfig) -> Iterator[_Row]:
-    coords = tuple(float(c) for c in cfg.coord_grid)
+def _kernel_eval(cfg: RunConfig) -> Iterator[_Block]:
+    points = [tuple(map(float, point)) for point in cfg.points]
     for t, pairs in _grid_walk(cfg):
         for ix, iy in pairs:
-            x = tuple(map(coords.__getitem__, ix))
-            y = tuple(map(coords.__getitem__, iy))
+            x, y = points[ix], points[iy]
             point = (t, x, y)
             kp = _at_point(point, lambda: log_kernel_derivatives(t, x, y, cfg.kappa))
             p = kp.p if math.isfinite(kp.p) else None
@@ -292,50 +289,60 @@ def _kernel_eval(cfg: RunConfig) -> Iterator[_Row]:
             )
 
 
-def _term_texts(c: LiYauCoordinate) -> tuple:
-    """A coordinate term as Li-Yau rows read it: the two floats a row sums,
-    then the JSON text of its a, variance_term, f_value and i_value."""
-    return c.i_value, c.deficit, repr(c.a), repr(c.variance_term), repr(c.f_value), repr(c.i_value)
+def _axis_terms(a, variance_term, f_value, j_value, i_value, deficit) -> tuple:
+    """Coordinate terms, one sequence per LiYauCoordinate field, as Li-Yau
+    blocks read them: i_value and deficit as float arrays, and per term a row
+    of the JSON text of its a, variance_term, f_value and i_value."""
+    texts = [list(map(repr, column)) for column in (a, variance_term, f_value, i_value)]
+    return np.array(i_value, dtype=float), np.array(deficit, dtype=float), np.array(texts, dtype=object).T
 
 
-def _liyau_rows(t: float, kappa: MultiplicityZ2, tol: float, tol_text: str):
-    """The Li-Yau row builder at time t: row(x, y, x_text, y_text, terms)
-    with terms[i] the _term_texts of axis i.  The texts of t and the bound
-    are rendered here, once; tol_text, once per run, by the caller."""
-    bound = _liyau_bound(t, kappa)
-    t_text, bound_text = repr(t), repr(bound)
-    isfinite = math.isfinite
-    bound_finite = isfinite(bound)
+def _liyau_block(axes, bound, texts, point, tol: float) -> _Block:
+    """Li-Yau rows from the _axis_terms of each axis, one entry per row.
+    bound is the rhs, and texts the JSON text of t, x, y (inside their
+    brackets) and the rhs, each one for the block or one per row; point(r)
+    is row r's grid point, named if the row fails."""
+    # LiYauDecomposition's total and deficit, a sum past the float range
+    # going to inf as in float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = -_added(i_value for i_value, _, _ in axes)
+        deficit = _added(d_value for _, d_value, _ in axes)
+    finite = np.isfinite(np.broadcast_arrays(lhs, bound, deficit))
+    if not finite.all():
+        r = int(finite.all(axis=0).argmin())
+        name = ("lhs", "rhs", "deficit")[int(finite[:, r].argmin())]
+        raise _failure(FloatingPointError(f"Li-Yau {name} is not finite"), point(r))
+    passed = deficit >= -tol
+    deficits = deficit.tolist()
 
-    def row(x, y, x_text, y_text, terms) -> _Row:
-        i_values, deficits, a, variance, f, i = zip(*terms)
-        # LiYauDecomposition's total and deficit: the same sums, in axis order
-        lhs = -sum(i_values)
-        deficit = sum(deficits)
-        point = (t, x, y)
-        if not (isfinite(lhs) and bound_finite and isfinite(deficit)):
-            for name, value in (("lhs", lhs), ("rhs", bound), ("deficit", deficit)):
-                if not isfinite(value):
-                    error = FloatingPointError(f"Li-Yau {name} is not finite")
-                    raise _failure(error, point)
+    def text(output_format: str) -> str:
+        # each line is that of a row of placeholders, split at them, with
+        # the row's texts in between
+        d = len(axes)
+        axes_text = ",".join(["%s"] * d)
+        terms = ",".join(f'"{name}":[{axes_text}]' for name in ("a", "variance_term", "f_value", "i_value"))
+        placeholders = ("[%s,[%s],[%s]]", "%s", "%s", "%s", repr(tol), f'{{"equality":%s,{terms}}}')
+        lines = [_render("liyau_log_kernel", ok, placeholders, output_format).split("%s") for ok in (0, 1)]
+        pieces = np.empty((len(deficits), 2 * len(lines[0]) - 1), dtype=object)
+        pieces[:, ::2] = np.array(lines, dtype=object)[passed.view(np.int8)]
+        at = pieces[:, 1::2]
+        # t, x, y, lhs, rhs, deficit, equality, then the terms of each axis
+        at[:, 0], at[:, 1], at[:, 2], at[:, 4] = texts
+        at[:, 3], at[:, 5] = list(map(repr, lhs.tolist())), list(map(repr, deficits))
+        at[:, 6] = np.where(deficit <= _EQUALITY_FLAG, "true", "false")
+        for i, (_, _, term_texts) in enumerate(axes):
+            at[:, 7 + i :: d] = term_texts
+        return "".join(pieces.ravel().tolist())
 
-        def texts():
-            equality = "true" if deficit <= _EQUALITY_FLAG else "false"
-            extra = (
-                f'{{"equality":{equality},"a":[{",".join(a)}],"variance_term":[{",".join(variance)}],'
-                f'"f_value":[{",".join(f)}],"i_value":[{",".join(i)}]}}'
-            )
-            point_text = f"[{t_text},[{x_text}],[{y_text}]]"
-            return (point_text, repr(lhs), bound_text, repr(deficit), tol_text, extra)
-
-        return _Row("liyau_log_kernel", point, deficit >= -tol, deficit, texts)
-
-    return row
+    return _Block("liyau_log_kernel", (), passed.tobytes(), min(deficits), text)
 
 
-def _liyau_scan(cfg: RunConfig) -> Iterator[_Row]:
-    """Grid rows in output order, merged with the --augment rows: their
-    points are sorted, then evaluated first, in one batch."""
+def _liyau_scan(cfg: RunConfig) -> Iterator[_Block]:
+    """Grid rows in output order, each --augment row placed after the grid
+    rows of lesser or equal (t, x, y), as a stable sort would.  The augment
+    points are sorted, then evaluated first, in one batch per axis; a failure
+    names the first in draw order."""
+    kappa = MultiplicityZ2.of(cfg.kappa)
     rng = np.random.default_rng(cfg.seed)
     points = []
     for _ in range(cfg.augment):
@@ -343,22 +350,71 @@ def _liyau_scan(cfg: RunConfig) -> Iterator[_Row]:
         x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
         y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
         points.append((t, x, y))
-    decs = _batched(
-        lambda: iter_liyau_points(sorted(points), cfg.kappa),
+    order = sorted(points)
+    ts = np.array([point[0] for point in order])
+    xs, ys = (np.array([point[i] for point in order]).reshape(-1, kappa.d) for i in (1, 2))
+    # the terms at every point now, in one batch per axis; their texts a
+    # block at a time
+    augment_terms = _batched(
+        lambda: [_liyau_terms(ts, xs[:, i], ys[:, i], k) for i, k in enumerate(kappa.values)],
         points,
-        lambda t, x, y: liyau_functional(t, x, y, cfg.kappa),
+        lambda *point: liyau_functional(*point, kappa),
     )
-    tol_text = repr(cfg.tol)
-    augment = (_augment_row(dec, cfg.tol, tol_text) for dec in decs)
-    # stable: a grid row goes before an augment row of equal key, and once
-    # one input runs out no more keys are computed
-    return heapq.merge(_liyau_grid_rows(cfg, tol_text), augment, key=_sort_key)
+    bounds = _liyau_bound(ts, kappa)
 
+    def augment(lo: int, hi: int) -> Iterator[_Block]:
+        for start in range(lo, hi, _BLOCK_ROWS):
+            rows = slice(start, min(start + _BLOCK_ROWS, hi))
+            axes = [_axis_terms(*(column[rows] for column in axis)) for axis in augment_terms]
+            texts = [[repr(t), ",".join(map(repr, x)), ",".join(map(repr, y))] for t, x, y in order[rows]]
+            texts = (*zip(*texts), list(map(repr, bounds[rows].tolist())))
+            yield _liyau_block(axes, bounds[rows], texts, order[start:].__getitem__, cfg.tol)
 
-def _augment_row(dec: LiYauDecomposition, tol: float, tol_text: str) -> _Row:
-    row = _liyau_rows(dec.t, dec.kappa, tol, tol_text)
-    terms = tuple(map(_term_texts, dec.coordinates))
-    return row(dec.x, dec.y, ",".join(map(repr, dec.x)), ",".join(map(repr, dec.y)), terms)
+    # the grid rows before each augment row, counted from the sorted grid
+    # values rather than keyed one by one; inf after the last
+    times, grid = sorted(cfg.t_grid), sorted(cfg.points)
+    n = len(grid)
+    cuts = []
+    for t, x, y in order:
+        earlier, later = bisect.bisect_left(times, t), bisect.bisect_right(times, t)
+        below, upto = bisect.bisect_left(grid, x), bisect.bisect_right(grid, x)
+        before = below * n + (upto - below) * bisect.bisect_right(grid, y)
+        cuts.append(earlier * n * n + (later - earlier) * before)
+    cuts.append(math.inf)
+    coords = np.array(cfg.coord_grid, dtype=float)
+    m, shape = len(coords), (len(coords),) * cfg.dimension
+    # each grid point's JSON text inside the brackets
+    point_texts = np.array([",".join(map(repr, point)) for point in cfg.points], dtype=object)
+    placed = done = 0  # augment rows and grid rows yielded
+    for t, pairs in _grid_walk(cfg):
+        # per kappa_i, the terms at every (x_i, y_i), flat index x_i m + y_i
+        tables = _batched(
+            lambda: {
+                k: _axis_terms(*_liyau_terms(np.full(m * m, t), np.repeat(coords, m), np.tile(coords, m), k))
+                for k in dict.fromkeys(kappa.values)
+            },
+            ((t, x, y) for x, y in itertools.product(cfg.points, repeat=2)),
+            lambda t, x, y: liyau_functional(t, x, y, kappa),
+        )
+        bound = _liyau_bound(t, kappa)
+        while True:
+            end = bisect.bisect_right(cuts, done, placed)
+            yield from augment(placed, end)
+            placed = end
+            block = list(itertools.islice(pairs, min(_BLOCK_ROWS, cuts[placed] - done)))
+            if not block:
+                break
+            done += len(block)
+            x, y = np.array(block).T
+            # axis i reads its table's entry (x_i, y_i), flat x_i m + y_i
+            axes = [
+                tuple(column[u * m + v] for column in tables[k])
+                for k, u, v in zip(kappa.values, np.unravel_index(x, shape), np.unravel_index(y, shape))
+            ]
+            texts = (repr(t), point_texts[x], point_texts[y], repr(bound))
+            point = lambda r: (t, cfg.points[x[r]], cfg.points[y[r]])  # noqa: E731
+            yield _liyau_block(axes, bound, texts, point, cfg.tol)
+    yield from augment(placed, len(order))
 
 
 def _batched(evaluate, points, check):
@@ -373,38 +429,6 @@ def _batched(evaluate, points, check):
         raise
 
 
-def _liyau_grid_rows(cfg: RunConfig, tol_text: str) -> Iterator[_Row]:
-    """Grid rows in output order, each joined from texts rendered once: per
-    coordinate-table entry, per index tuple and per time."""
-    coords = cfg.coord_grid
-    # every index tuple's point and its JSON text inside the brackets
-    points = {
-        ix: (tuple(map(coords.__getitem__, ix)), ",".join(repr(coords[i]) for i in ix))
-        for ix in itertools.product(range(len(coords)), repeat=cfg.dimension)
-    }
-    for t, pairs in _grid_walk(cfg):
-        tables = _batched(
-            lambda: {k: liyau_coordinate_table(t, k, coords) for k in dict.fromkeys(cfg.kappa)},
-            ((t, x, y) for x, y in itertools.product(cfg.points, repeat=2)),
-            lambda t, x, y: liyau_functional(t, x, y, cfg.kappa),
-        )
-        term_texts = {
-            k: tuple(tuple(map(_term_texts, entries)) for entries in table.entries)
-            for k, table in tables.items()
-        }
-        axes = [term_texts[k] for k in cfg.kappa]
-        row = _liyau_rows(t, MultiplicityZ2.of(cfg.kappa), cfg.tol, tol_text)
-        last = None
-        for ix, iy in pairs:
-            if ix != last:
-                # the table row of x_i on each axis; y_i then picks the entry
-                rows = [entries[u] for entries, u in zip(axes, ix)]
-                x, x_text = points[ix]
-                last = ix
-            y, y_text = points[iy]
-            yield row(x, y, x_text, y_text, tuple(map(tuple.__getitem__, rows, iy)))
-
-
 def _initial_data(d: int) -> dict[str, InitialDatum]:
     tail = [bump_profile(0.5, 1.0, power=3) for _ in range(d - 1)]
     return {
@@ -414,7 +438,7 @@ def _initial_data(d: int) -> dict[str, InitialDatum]:
     }
 
 
-def _solution_scan(cfg: RunConfig) -> list[_Row]:
+def _solution_scan(cfg: RunConfig) -> list[_Block]:
     rows = []
     kappa = MultiplicityZ2.of(cfg.kappa)
     grid = [(t, x) for t in cfg.t_grid for x in cfg.points]
@@ -438,7 +462,7 @@ def _solution_scan(cfg: RunConfig) -> list[_Row]:
     return sorted(rows, key=_sort_key)
 
 
-def _harnack_scan(cfg: RunConfig) -> list[_Row]:
+def _harnack_scan(cfg: RunConfig) -> list[_Block]:
     """Rows for random (s, x, t, y), from a field that computes log u at
     every (s, x) and (t, y) first; a failure names the first tuple in draw
     order that stops."""
@@ -472,7 +496,7 @@ def _time_pairs(t_grid):
     return pairs
 
 
-def _semigroup_check(cfg: RunConfig) -> list[_Row]:
+def _semigroup_check(cfg: RunConfig) -> list[_Block]:
     rows = []
     for t in cfg.t_grid:
         for x in cfg.points:
@@ -531,7 +555,7 @@ def _claim_fields(d: int):
     return {"exponential": exponential(), "shifted_square": shifted_square(), "gaussian": gaussian()}
 
 
-def _claims_verify(cfg: RunConfig) -> list[_Row]:
+def _claims_verify(cfg: RunConfig) -> list[_Block]:
     rows = []
     kappa_values = sorted(set(cfg.kappa) - {0.0}) or [0.5]
 
@@ -596,15 +620,15 @@ _SUITES = {
 }
 
 
-def _report(cfg: RunConfig) -> list[_Row]:
+def _report(cfg: RunConfig) -> list[_Block]:
     """Aggregate every claim suite into one summary row per claim."""
     tallies: dict[str, list] = {}  # claim_id -> [rows, failures, worst deficit]
     for command in ("liyau-scan", "solution-scan", "harnack-scan", "semigroup-check", "claims-verify"):
-        for row in _SUITES[command](cfg):
-            tally = tallies.setdefault(row.claim_id, [0, 0, math.inf])
-            tally[0] += 1
-            tally[1] += not row.passed
-            tally[2] = min(tally[2], row.deficit)
+        for block in _SUITES[command](cfg):
+            tally = tallies.setdefault(block.claim_id, [0, 0, math.inf])
+            tally[0] += len(block.passed)
+            tally[1] += block.passed.count(0)
+            tally[2] = min(tally[2], block.worst)
     rows = [
         _encoded_row(
             claim_id,
@@ -622,15 +646,15 @@ def _report(cfg: RunConfig) -> list[_Row]:
 
 
 def run(config: RunConfig, spool: TextIO) -> bytearray:
-    """Execute the configured suite, writing each row's output line to spool
-    as soon as the row is built, in output order.  Returns one pass flag per
-    row, a byte each: all that this keeps per row."""
+    """Execute the configured suite, writing each block's output lines to
+    spool as soon as the block is built, in output order.  Returns one pass
+    flag per row, a byte each: all that this keeps per row."""
     suite = _report if config.command == "report" else _SUITES[config.command]
     write = spool.write
     passed = bytearray()
-    for row in suite(config):
-        write(_render(row, config.output_format))
-        passed.append(row.passed)
+    for block in suite(config):
+        write(block.text(config.output_format))
+        passed += block.passed
     return passed
 
 
@@ -660,19 +684,20 @@ def _header(cfg: RunConfig) -> str:
     return "# " + _COMPACT_JSON.encode(_meta_line(cfg)) + "\n" + _CSV_LINE.writerow(_COLUMNS)
 
 
-def _render(row: _Row, output_format: str) -> str:
+def _render(claim_id: str, passed: bool, texts: tuple, output_format: str) -> str:
     """The one renderer: a row's output line, newline included, for every
-    suite and both formats."""
-    grid_point, lhs, rhs, deficit, tol, extra = row.texts()
+    suite and both formats, from the JSON text of its grid_point, lhs, rhs,
+    deficit, tol and extra."""
+    grid_point, lhs, rhs, deficit, tol, extra = texts
     if output_format == "json-lines":
         # claim ids are plain identifiers, which JSON quotes as they are
-        passed = "true" if row.passed else "false"
+        passed = "true" if passed else "false"
         return (
-            f'{{"claim_id":"{row.claim_id}","grid_point":{grid_point},"lhs":{lhs},"rhs":{rhs},'
+            f'{{"claim_id":"{claim_id}","grid_point":{grid_point},"lhs":{lhs},"rhs":{rhs},'
             f'"deficit":{deficit},"tol":{tol},"pass":{passed},"extra":{extra}}}\n'
         )
-    passed = "pass" if row.passed else "fail"
-    return _CSV_LINE.writerow((row.claim_id, grid_point, lhs, rhs, deficit, tol, passed, extra))
+    passed = "pass" if passed else "fail"
+    return _CSV_LINE.writerow((claim_id, grid_point, lhs, rhs, deficit, tol, passed, extra))
 
 
 def _emit(header: str, spool: TextIO, cfg: RunConfig) -> None:

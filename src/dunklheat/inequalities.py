@@ -199,6 +199,15 @@ class LiYauCoordinate:
     deficit: float
 
 
+def _added(values):
+    """values added left to right from 0.0, the one order of the Li-Yau sums:
+    the built-in sum compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class LiYauDecomposition:
     """-Delta_kappa(log p_t(., y))(x) <= (d + 2 lambda_kappa)/(2t), split
@@ -213,7 +222,7 @@ class LiYauDecomposition:
 
     @property
     def total(self) -> float:
-        return float(-sum(c.i_value for c in self.coordinates))
+        return -_added(c.i_value for c in self.coordinates)
 
     @property
     def bound(self) -> float:
@@ -222,7 +231,7 @@ class LiYauDecomposition:
     @property
     def deficit(self) -> float:
         """bound - total, assembled from the per-coordinate cancelled forms."""
-        return float(sum(c.deficit for c in self.coordinates))
+        return _added(c.deficit for c in self.coordinates)
 
     def report(self, tol: float = DEFAULT_TOLERANCE) -> "VerificationReport":
         return VerificationReport.build(

@@ -331,15 +331,21 @@ class TestReport:
 
 
     def test_only_the_summary_rows_are_rendered(self, monkeypatch, capsys):
-        # the suites' rows are tallied, never written, so never encoded
+        # the suites' rows are tallied, never written, so never encoded,
+        # and the Li-Yau blocks never rendered
         encoded = []
-        build = cli._encoded_row
+        build, liyau_block = cli._encoded_row, cli._liyau_block
 
         def recorded(claim_id, grid_point, *rest):
             row = build(claim_id, grid_point, *rest)
-            return row._replace(texts=lambda: encoded.append(grid_point) or row.texts())
+            return row._replace(text=lambda fmt: encoded.append(grid_point) or row.text(fmt))
+
+        def recorded_block(*args):
+            block = liyau_block(*args)
+            return block._replace(text=lambda fmt: encoded.append("liyau") or block.text(fmt))
 
         monkeypatch.setattr(cli, "_encoded_row", recorded)
+        monkeypatch.setattr(cli, "_liyau_block", recorded_block)
         argv = ["report", "--kappa", "0.5", "--t", "0.5", "--coords", "0,1", "--augment", "2"]
         code, out, _ = run_cli([*argv, "--reproducible"], capsys)
         assert code == 0
@@ -347,6 +353,23 @@ class TestReport:
         assert len(rows) > 5
         # one encoding per summary row
         assert encoded == [("summary",)] * len(rows)
+
+    def test_liyau_summary_is_the_tally_of_the_liyau_scan_rows(self, capsys):
+        # more rows than a block, --augment rows merged in, and no y = 0
+        # row, so the worst deficit is not an exact 0.0
+        args = ["--kappa", "0.5,1.5", "--t", "0.5,2", "--coords=-1,0.3,1,2,-2.5", "--augment", "40"]
+        code, out, _ = run_cli(["liyau-scan", *args, "--reproducible"], capsys)
+        assert code == 0
+        _, rows = parse_jsonl(out)
+        assert len(rows) == 2 * 5**4 + 40
+        code, out, _ = run_cli(["report", *args, "--reproducible"], capsys)
+        assert code == 0
+        _, summaries = parse_jsonl(out)
+        (summary,) = [row for row in summaries if row["claim_id"] == "liyau_log_kernel"]
+        worst = min(row["deficit"] for row in rows)
+        assert worst > 0.0
+        want = {"rows": len(rows), "failures": sum(not row["pass"] for row in rows), "worst_deficit": worst}
+        assert summary["extra"] == want
 
 
 class TestOutputForms:
@@ -837,6 +860,24 @@ class TestExitCodes:
         assert run_cli([*argv, "--out", str(target)], capsys) == (4, "", want)
         assert not target.exists()
 
+    @pytest.mark.parametrize("output_format", ["json-lines", "csv"])
+    def test_overflowing_row_sum_inside_a_block_returns_four_and_writes_nothing(
+        self, capsys, tmp_path, output_format
+    ):
+        # every coordinate term is finite, and the rows whose y has four
+        # coordinates 1.33e54 sum their deficits to 1.6e308; the first row
+        # with all five, row 31 of the first block, overflows
+        argv = ["liyau-scan", "--kappa=3,3,3,3,3", "--t=1e-100", "--coords=0,1.33e54"]
+        argv += ["--format", output_format]
+        want = (
+            "numerical failure: FloatingPointError: Li-Yau lhs is not finite [grid point [1e-100,"
+            " [0.0, 0.0, 0.0, 0.0, 0.0], [1.33e+54, 1.33e+54, 1.33e+54, 1.33e+54, 1.33e+54]]]\n"
+        )
+        assert run_cli([*argv, "--reproducible"], capsys) == (4, "", want)
+        target = tmp_path / "rows"
+        assert run_cli([*argv, "--out", str(target)], capsys) == (4, "", want)
+        assert not target.exists()
+
     def test_grid_failure_names_the_first_grid_point_that_stops(self, capsys):
         # the kappa = 200 table overflows; its first entry is on axis 1
         code, _, err = run_cli(
@@ -1084,7 +1125,7 @@ class TestLiYauGrid:
                 terms[(kappa_i, *pair)] += 1
             return original(t, u, v, kappa_i, *rest)
 
-        monkeypatch.setattr(inequalities, "_liyau_terms", counting)
+        monkeypatch.setattr(cli, "_liyau_terms", counting)
         monkeypatch.setattr(cli, "liyau_functional", lambda *a: pointwise.append(a))
         argv = ["liyau-scan", "--kappa", "0.5,1.5,0.25", "--t", "0.5", "--coords=-1,0,1"]
         code, out, _ = run_cli(argv, capsys)
@@ -1107,6 +1148,12 @@ class TestLiYauGrid:
             # a tol other than the default, a Gaussian axis beside a
             # reflecting one, equality rows (y = 0) beside the others
             ("1.5,0", "0.5,2", "0,-2,1,-0.0", 5, 1e-3),
+            # the time of the third --augment point at seed 3, from a first
+            # run, so that row falls inside a block of grid rows of its
+            # time; 625 rows a time, so blocks end inside a time group
+            pytest.param(
+                "0.5,1.5", "1,0.36720853082526783", "-3,-1,0,1,3", 4, 1e-9, id="augment-time-on-the-grid"
+            ),
         ],
     )
     def test_output_is_the_sorted_generation_order(
@@ -1133,10 +1180,20 @@ class TestLiYauGrid:
                 x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, len(kappa_values)))
                 y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, len(kappa_values)))
                 rows.append(_grid_row(command, t, x, y, kappa_values, tol))
+            augment_points = [row["grid_point"] for row in rows[len(rows) - augment :]]
             equality = [row["extra"]["equality"] for row in rows]
             assert any(equality) and not all(equality)
         rows = sorted(rows, key=lambda row: (row["claim_id"], row["grid_point"]))
         assert {row["tol"] for row in rows} == {tol}
+        if command == "liyau-scan":
+            # an --augment row falls between grid rows of its own time
+            # exactly when its time is on the grid
+            grid_times = {float(v) for v in t_grid.split(",")}
+            order = [row["grid_point"] for row in rows]
+            for t, x, y in augment_points:
+                i = order.index((t, x, y))
+                inside = 0 < i < len(order) - 1 and order[i - 1][0] == t == order[i + 1][0]
+                assert inside == (t in grid_times)
         encode = cli._COMPACT_JSON.encode
         if output_format == "json-lines":
             want = [encode(row) for row in rows]
@@ -1160,31 +1217,45 @@ class TestLiYauGrid:
             )
         assert out.splitlines()[1:] == buffer.getvalue().splitlines()
 
-    def test_grid_rows_are_not_sorted(self, monkeypatch, capsys):
-        keys = []
-        original = cli._sort_key
+    @pytest.mark.parametrize("augment", ["0", "300"])
+    def test_grid_rows_are_not_sorted(self, monkeypatch, capsys, augment):
+        keys, blocks = [], []
+        original, liyau_block = cli._sort_key, cli._liyau_block
 
         def counting(row):
             keys.append(row.grid_point)
             return original(row)
 
+        def recorded(*args):
+            block = liyau_block(*args)
+            blocks.append(len(block.passed))
+            return block
+
         monkeypatch.setattr(cli, "_sort_key", counting)
-        argv = ["liyau-scan", "--kappa", "0.5,1.5,0.25", "--t", "0.5", "--coords=-1,0,1"]
+        monkeypatch.setattr(cli, "_liyau_block", recorded)
+        argv = ["liyau-scan", "--kappa=0.5,1.5,0.25", "--t=0.5", "--coords=-1,0,1", "--augment", augment]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        assert len(out.splitlines()) == 1 + 3**6
-        # the merge with no --augment rows keys the first grid row at most
-        assert len(keys) <= 1
+        assert len(out.splitlines()) == 1 + 3**6 + int(augment)
+        # no row is keyed: the --augment rows go where the sorted grid values
+        # put them, and the grid rows come a block at a time
+        assert keys == []
+        if augment == "0":
+            assert blocks == [256, 256, 217]
+        else:
+            assert sum(blocks) == 3**6 + 300 and max(blocks) <= 256
 
     def test_one_table_per_distinct_time_and_multiplicity(self, monkeypatch, capsys):
         builds = collections.Counter()
-        original = cli.liyau_coordinate_table
+        original = cli._liyau_terms
 
-        def counting(t, kappa_i, *rest):
-            builds[(t, kappa_i)] += 1
-            return original(t, kappa_i, *rest)
+        def counting(t, u, v, kappa_i):
+            # the --augment terms, of no points here, are not a table
+            if len(t):
+                builds[(*set(t.tolist()), kappa_i)] += 1
+            return original(t, u, v, kappa_i)
 
-        monkeypatch.setattr(cli, "liyau_coordinate_table", counting)
+        monkeypatch.setattr(cli, "_liyau_terms", counting)
         argv = ["liyau-scan", "--kappa", "0.5,1.5,0.25", "--t", "0.5,0.5", "--coords=-1,0,1"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0

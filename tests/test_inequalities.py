@@ -29,7 +29,7 @@ from dunklheat.inequalities import (
     log_convexity_midpoint_check,
 )
 from dunklheat.kernel import _MOMENT_CACHE, log_kernel, log_kernel_derivatives, moment_ratios
-from dunklheat.operators import ScalarField, SpaceTimeField, dunkl_laplacian
+from dunklheat.operators import MultiplicityZ2, ScalarField, SpaceTimeField, dunkl_laplacian
 from dunklheat.quadrature import DomainError, gauss_jacobi_rule
 from dunklheat.semigroup import InitialDatum, semigroup_solution
 
@@ -316,6 +316,16 @@ def test_decomposition_fields_are_consistent():
     assert abs(dec.total - (-sum(c.i_value for c in dec.coordinates))) < 1e-14
 
 
+def test_decomposition_adds_its_coordinates_left_to_right():
+    # the CLI adds a row's axes left to right from 0.0; math.fsum, and the
+    # built-in sum from Python 3.12 on, compensate the rounding and give 1.0
+    values = (1e16, 1.0, -1e16)
+    coordinates = tuple(inequalities.LiYauCoordinate(0.0, 0.0, 0.0, 0.0, v, v) for v in values)
+    dec = LiYauDecomposition(1.0, (0.0,) * 3, (0.0,) * 3, MultiplicityZ2.of((0.5,) * 3), coordinates)
+    assert math.fsum(values) == 1.0
+    assert (dec.total, dec.deficit) == (-0.0, 0.0)
+
+
 @pytest.mark.parametrize(
     "t,x,y,kappa",
     [
@@ -464,6 +474,26 @@ def test_batched_points_equal_points_one_by_one():
     for dec, (t, x, y) in zip(batched, points):
         assert repr(dec) == repr(liyau_functional(t, x, y, kappa))
     assert list(iter_liyau_points([], kappa)) == []
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0, [1.0, 2.0], [0.5, 0.5]), "time must be finite and > 0, got 0"),
+        ((0.5, [1.0], [0.5, 0.5]), "expected a point with 2 coordinates, got shape (1,)"),
+        (("0.5", [1.0, 2.0], [0.5, 0.5]), "time must be finite and > 0, got '0.5'"),
+    ],
+)
+@pytest.mark.parametrize("at", [0, 3])
+def test_the_first_bad_point_of_a_batch_is_named(bad, message, at):
+    # each point is checked in turn: a bad point later on is not the one
+    # named
+    good = [(0.5, [1.0, 2.0], [0.3, -1.0])] * 5
+    points = [*good[:at], bad, *good[at:]]
+    for batch in (points, [*points, (-1.0, [1.0, 2.0], [0.3, -1.0])]):
+        with pytest.raises(DomainError) as error:
+            iter_liyau_points(batch, (0.5, 1.5))
+        assert str(error.value) == message
 
 
 @pytest.mark.parametrize("t", [1e-9, 0.01])

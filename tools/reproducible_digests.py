@@ -45,6 +45,11 @@ CONFIGURATIONS = (
     # CSV through the same spool as JSON lines
     ("liyau-scan", "--kappa", "0.5,1.5,0.25", "--format", "csv"),
     ("report", "--format", "csv"),
+    # Li-Yau blocks: --augment rows merged across blocks, blocks that do not
+    # align with the time groups, and CSV through the same blocks
+    ("liyau-scan", "--kappa", "0.5,1.5,0.25", "--augment", "50"),
+    ("liyau-scan", "--kappa", "0.5,1.5,0.25,1", "--coords=-1,0,1"),
+    ("liyau-scan", "--kappa", "0.5,1.5,0.25", "--augment", "50", "--format", "csv"),
     # failures: nothing on stdout, so the listing pins their exit codes
     ("liyau-scan", "--kappa", "0", "--t", "1", "--coords", "1e200"),
     ("report", "--kappa", "0", "--t", "1", "--coords", "1e200"),
