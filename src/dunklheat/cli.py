@@ -24,6 +24,14 @@ to rounding included), 4 when any other numerical failure (an overflow, a
 moment ratio out of range, a Li-Yau term or sum past the float range, a
 non-finite value that JSON cannot spell) stops a grid point; then nothing is
 written.  For 3 and 4 the offending grid point is named on stderr.
+
+The point checks run batched: each solution field's moments, the
+solution-scan rows of each time, the harnack-scan tuples, the log-convexity
+rows of claims-verify and the heat-equation rows of each time are one call
+each over all their points, with each point's bits.  A batch that fails is
+replayed point by point through the one-point checks (`_batched`), so the
+failure names the first point in loop order that stops, as a point-by-point
+loop would.
 """
 
 from __future__ import annotations
@@ -48,11 +56,14 @@ import numpy as np
 
 from .inequalities import (
     VerificationReport,
-    _added,
     _f_values,
+    _gradient_form_reports,
     _h_values,
+    _harnack_reports,
     _liyau_bound,
     _liyau_terms,
+    _log_convexity_midpoint_reports,
+    _log_convexity_reports,
     gradient_form_check,
     harnack_check,
     liyau_functional,
@@ -69,6 +80,7 @@ from .operators import (
     PSI_SQUARE,
     MultiplicityZ2,
     ScalarField,
+    _added,
     _validate_point,
     _validate_time,
     chain_rule_residual,
@@ -77,6 +89,8 @@ from .operators import (
 from .quadrature import ConvergenceError, DomainError
 from .semigroup import (
     InitialDatum,
+    _heat_residuals,
+    _liyau_solution_reports,
     _solution_field,
     bump_profile,
     chapman_kolmogorov_check,
@@ -439,8 +453,13 @@ def _initial_data(d: int) -> dict[str, InitialDatum]:
 
 
 def _solution_scan(cfg: RunConfig) -> list[_Block]:
+    """Li-Yau and gradient-form rows of each datum's solution, from a field
+    that computes the moments at every grid point first; per time, one
+    batched check of each claim over the grid, and a failure names the first
+    grid point in loop order that stops."""
     rows = []
     kappa = MultiplicityZ2.of(cfg.kappa)
+    points = np.array(cfg.points, dtype=float)
     grid = [(t, x) for t in cfg.t_grid for x in cfg.points]
     for name, datum in _initial_data(cfg.dimension).items():
         lazy = semigroup_solution(datum, cfg.kappa)
@@ -451,21 +470,26 @@ def _solution_scan(cfg: RunConfig) -> list[_Block]:
         )
         for t in cfg.t_grid:
             beta = _liyau_bound(t, kappa)
-            for x in cfg.points:
-                point = (t, x)
-                report = _at_point(point, lambda: liyau_for_solution(field, t, x, cfg.kappa, tol=cfg.tol))
-                rows.append(_row(report, extra={"datum": name}))
-                report = _at_point(
-                    point, lambda: gradient_form_check(field, t, x, beta, tol=cfg.tol)
-                )
-                rows.append(_row(report, extra={"datum": name, "beta": beta}))
+            liyau, gradient = _batched(
+                lambda: (
+                    _liyau_solution_reports(field, t, points, kappa, cfg.tol),
+                    _gradient_form_reports(field, t, points, beta, cfg.tol),
+                ),
+                [(t, x) for x in cfg.points],
+                lambda t, x: (
+                    liyau_for_solution(field, t, x, kappa, tol=cfg.tol),
+                    gradient_form_check(field, t, x, beta, tol=cfg.tol),
+                ),
+            )
+            rows.extend(_row(report, extra={"datum": name}) for report in liyau)
+            rows.extend(_row(report, extra={"datum": name, "beta": beta}) for report in gradient)
     return sorted(rows, key=_sort_key)
 
 
 def _harnack_scan(cfg: RunConfig) -> list[_Block]:
     """Rows for random (s, x, t, y), from a field that computes log u at
-    every (s, x) and (t, y) first; a failure names the first tuple in draw
-    order that stops."""
+    every (s, x) and (t, y) first, and one batched check of every tuple; a
+    failure names the first tuple in draw order that stops."""
     count = cfg.augment if cfg.augment else 200
     datum = _initial_data(cfg.dimension)["bump"]
     lam = sum(cfg.kappa)
@@ -486,7 +510,12 @@ def _harnack_scan(cfg: RunConfig) -> list[_Block]:
     field = _batched(
         lambda: _solution_field(datum, cfg.kappa, evaluated), points, lambda *point: check(lazy, *point)
     )
-    reports = [_at_point(point, lambda: check(field, *point)) for point in points]
+    s, x, t, y = (np.array(column, dtype=float) for column in zip(*points))
+    reports = _batched(
+        lambda: _harnack_reports(field, s, x, t, y, lam, cfg.dimension, cfg.tol),
+        points,
+        lambda *point: check(field, *point),
+    )
     return sorted((_row(report, extra={"datum": "bump"}) for report in reports), key=_sort_key)
 
 
@@ -509,12 +538,16 @@ def _semigroup_check(cfg: RunConfig) -> list[_Block]:
                 point = (s, t, x, y)
                 report = _at_point(point, lambda: chapman_kolmogorov_check(s, t, x, y, cfg.kappa))
                 rows.append(_row(report))
+    # the heat equation at (x, y) pairs of the grid, one batch per time
     reversed_points = list(reversed(cfg.points))
+    xs, ys = np.array(cfg.points, dtype=float), np.array(reversed_points, dtype=float)
     for t in cfg.t_grid:
-        for x, y in zip(cfg.points, reversed_points):
-            point = (t, x, y)
-            residual = _at_point(point, lambda: heat_residual(t, x, y, cfg.kappa))
-            on_hyperplane = any(v == 0.0 for v in x)
+        pairs = [(t, x, y) for x, y in zip(cfg.points, reversed_points)]
+        residuals = _batched(
+            lambda: _heat_residuals(t, xs, ys, cfg.kappa), pairs, lambda *point: heat_residual(*point, cfg.kappa)
+        )
+        for point, residual in zip(pairs, residuals.tolist()):
+            on_hyperplane = any(v == 0.0 for v in point[1])
             bound = 1e-6 if on_hyperplane else 1e-7
             report = _report_at("heat_equation", point, lhs=residual, rhs=bound, tolerance=0.0)
             rows.append(_row(report, extra={"hyperplane": on_hyperplane}))
@@ -594,19 +627,32 @@ def _claims_verify(cfg: RunConfig) -> list[_Block]:
                 report = _report_at("chain_rule", point, lhs=normalized, rhs=1e-8, tolerance=0.0)
                 rows.append(_row(report, extra={"scale": res.scale}))
 
+    # log-convexity at random draws, each claim one batch over all of them;
+    # a failure names the first row in draw order that stops, a draw's
+    # diagonal row (t, x, y) before its midpoint row (t, z1, z2, y)
     rng = np.random.default_rng(cfg.seed)
     count = cfg.augment if cfg.augment else 50
+    draws = []
     for _ in range(count):
         t = float(10.0 ** rng.uniform(-1.0, 1.0))
-        x = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
-        y = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
-        report = _at_point((t, x, y), lambda: log_convexity_check(t, x, y, cfg.kappa, tol=cfg.tol))
-        rows.append(_row(report))
-        z1 = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
-        z2 = tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension))
-        point = (t, z1, z2, y)
-        report = _at_point(point, lambda: log_convexity_midpoint_check(*point, cfg.kappa, tol=cfg.tol))
-        rows.append(_row(report))
+        x, y, z1, z2 = (tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension)) for _ in range(4))
+        draws.append((t, x, y, z1, z2))
+    t, x, y, z1, z2 = (np.array(column, dtype=float) for column in zip(*draws))
+
+    def check(t, *points):
+        if len(points) == 2:
+            return log_convexity_check(t, *points, cfg.kappa, tol=cfg.tol)
+        return log_convexity_midpoint_check(t, *points, cfg.kappa, tol=cfg.tol)
+
+    reports = _batched(
+        lambda: (
+            _log_convexity_reports(t, x, y, cfg.kappa, cfg.tol)
+            + _log_convexity_midpoint_reports(t, z1, z2, y, cfg.kappa, cfg.tol)
+        ),
+        [point for t, x, y, z1, z2 in draws for point in ((t, x, y), (t, z1, z2, y))],
+        check,
+    )
+    rows.extend(map(_row, reports))
     return sorted(rows, key=_sort_key)
 
 

@@ -22,15 +22,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .kernel import (
-    _coordinate,
-    log_kernel,
-    log_kernel_derivatives,
-    moment_stats,
-)
+from .kernel import _coordinate, _kernel_points, moment_stats
 from .operators import (
     MultiplicityZ2,
     SpaceTimeField,
+    _added,
     _validate_multiplicity,
     _validate_point,
     _validate_tilts,
@@ -197,15 +193,6 @@ class LiYauCoordinate:
     j_value: float
     i_value: float
     deficit: float
-
-
-def _added(values):
-    """values added left to right from 0.0, the one order of the Li-Yau sums:
-    the built-in sum compensates its rounding from Python 3.12 on."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @dataclass(frozen=True)
@@ -418,29 +405,43 @@ def kernel_solution_field(y0, kappa) -> SpaceTimeField:
     """log u(t, x) = log p_t(x, y0), the fundamental solution centred at y0.
 
     Every callable reads one field of the same kernel evaluation, kept for
-    the last (t, x) asked for.
+    the last (t, x) asked for.  x is one point, or n points as an (n, d)
+    array with a float or (n,) times; the evaluation is one _kernel_points
+    batch, and a point's entries are the bits of log_kernel and
+    log_kernel_derivatives there.
     """
     kappa = MultiplicityZ2.of(kappa)
     y0 = _validate_point(y0, kappa.d)
     last = {}
 
     def derivatives(t, x):
-        key = (_validate_time(t), _validate_point(x, kappa.d).tobytes())
+        t = _validate_time(t)
+        x = _validate_point(x, kappa.d, batch=True)
+        key = (np.asarray(t).tobytes(), x.shape, x.tobytes())
         if key not in last:
             last.clear()
-            last[key] = log_kernel_derivatives(t, x, y0, kappa)
+            points = x.reshape(-1, kappa.d)
+            kp = _kernel_points(t, points, np.broadcast_to(y0, points.shape), kappa)
+            one = x.ndim == 1
+            last[key] = (float(kp.log_p[0]), kp.grad[0], kp.hess[0], float(kp.dt[0])) if one else kp[1:]
         return last[key]
 
     return SpaceTimeField(
-        log_value=lambda t, x: derivatives(t, x).log_p,
-        log_gradient=lambda t, x: derivatives(t, x).grad_x_log_p,
-        log_hessian_diag=lambda t, x: derivatives(t, x).hess_diag_x_log_p,
-        log_time_derivative=lambda t, x: derivatives(t, x).dt_log_p,
+        log_value=lambda t, x: derivatives(t, x)[0],
+        log_gradient=lambda t, x: derivatives(t, x)[1],
+        log_hessian_diag=lambda t, x: derivatives(t, x)[2],
+        log_time_derivative=lambda t, x: derivatives(t, x)[3],
     )
 
 
 # ---------------------------------------------------------------------------
-# the derived parabolic inequalities
+# the derived parabolic inequalities: each check is the one-point face of an
+# array form that reads its field, or evaluates the kernel, once for n points
+
+
+def _times(t, n: int) -> list[float]:
+    """A float time or (n,) times as n floats, one per point."""
+    return np.broadcast_to(t, n).tolist()
 
 
 def gradient_form_check(
@@ -451,17 +452,23 @@ def gradient_form_check(
     tol: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """|grad log u|^2 - d_t log u <= beta at (t, x)."""
-    t = _validate_time(t)
     x = _validate_point(x, np.size(x))
+    return _gradient_form_reports(u, t, x, beta, tol)[0]
+
+
+def _gradient_form_reports(u: SpaceTimeField, t, x, beta: float, tol: float) -> list[VerificationReport]:
+    """gradient_form_check at one point x, shape (d,), or at each of n points,
+    shape (n, d), at a float or (n,) times t: one read of u's gradient and
+    one of its time derivative, with the points as given."""
+    t = _validate_time(t)
+    x = _validate_point(x, np.shape(x)[-1], batch=True)
     g = np.asarray(u.log_gradient(t, x), dtype=float)
-    lhs = float(g @ g) - float(u.log_time_derivative(t, x))
-    return VerificationReport.build(
-        claim_id="gradient_form",
-        grid_point=(t, tuple(x)),
-        lhs=lhs,
-        rhs=float(beta),
-        tolerance=tol,
-    )
+    lhs = np.atleast_1d(np.vecdot(g, g) - np.asarray(u.log_time_derivative(t, x), dtype=float))
+    points = x.reshape(len(lhs), -1).tolist()
+    return [
+        VerificationReport.build("gradient_form", (s, tuple(p)), value, float(beta), tol)
+        for s, p, value in zip(_times(t, len(lhs)), points, lhs.tolist())
+    ]
 
 
 def harnack_check(
@@ -479,23 +486,38 @@ def harnack_check(
     Compared in log space: the right-hand side overflows long before the
     inequality gets interesting.
     """
-    s = _validate_time(s)
-    t = _validate_time(t)
-    if not s < t:
-        raise DomainError(f"need 0 < s < t, got s={s!r}, t={t!r}")
     x = _validate_point(x, d)
     y = _validate_point(y, d)
-    gap = float((x - y) @ (x - y))
-    lhs = float(u.log_value(s, x))
-    rhs = float(u.log_value(t, y)) + (lambda_kappa + d / 2.0) * math.log(t / s)
-    rhs += gap / (4.0 * (t - s))
-    return VerificationReport.build(
-        claim_id="harnack",
-        grid_point=(s, tuple(x), t, tuple(y)),
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tol,
-    )
+    return _harnack_reports(u, s, x, t, y, lambda_kappa, d, tol)[0]
+
+
+def _harnack_reports(
+    u: SpaceTimeField, s, x, t, y, lambda_kappa: float, d: int, tol: float
+) -> list[VerificationReport]:
+    """harnack_check at one tuple, x and y of shape (d,), or at each of n
+    tuples, x and y of shape (n, d) and s and t floats or (n,) times: one read
+    of log u at the (s, x) and one at the (t, y)."""
+    s = _validate_time(s)
+    t = _validate_time(t)
+    x = _validate_point(x, d, batch=True)
+    y = _validate_point(y, d, batch=True)
+    n = len(x.reshape(-1, d))
+    early, late = _times(s, n), _times(t, n)
+    for s_at, t_at in zip(early, late):
+        if not s_at < t_at:
+            raise DomainError(f"need 0 < s < t, got s={s_at!r}, t={t_at!r}")
+    gap = np.vecdot(x - y, x - y)
+    lhs = np.atleast_1d(np.asarray(u.log_value(s, x), dtype=float))
+    # math.log, as one tuple takes it: numpy's log differs in the last bit
+    growth = (lambda_kappa + d / 2.0) * np.array([math.log(b / a) for a, b in zip(early, late)])
+    rhs = np.atleast_1d(np.asarray(u.log_value(t, y), dtype=float)) + growth
+    rhs += gap / (4.0 * (np.array(late) - np.array(early)))
+    return [
+        VerificationReport.build("harnack", (a, tuple(p), b, tuple(q)), left, right, tol)
+        for a, p, b, q, left, right in zip(
+            early, x.reshape(n, d).tolist(), late, y.reshape(n, d).tolist(), lhs.tolist(), rhs.tolist()
+        )
+    ]
 
 
 def log_convexity_check(
@@ -511,20 +533,32 @@ def log_convexity_check(
     diagonal with entries (y_i/2t)^2 var(a_i); convexity is exactly their
     nonnegativity.  lhs is the largest violation, rhs is 0.
     """
-    t = _validate_time(t)
     kappa = MultiplicityZ2.of(kappa)
     x = _validate_point(x, kappa.d)
     y = _validate_point(y, kappa.d)
-    worst = -math.inf
-    for u, v, k in zip(x.tolist(), y.tolist(), kappa.values):
-        worst = max(worst, -_coordinate(t, u, v, k).variance_term)
-    return VerificationReport.build(
-        claim_id="log_convexity_diag",
-        grid_point=(t, tuple(x), tuple(y)),
-        lhs=float(worst),
-        rhs=0.0,
-        tolerance=tol,
-    )
+    return _log_convexity_reports(t, x[None], y[None], kappa, tol)[0]
+
+
+def _log_convexity_reports(t, x, y, kappa, tol: float) -> list[VerificationReport]:
+    """log_convexity_check at each of the n points of x and y, (n, d) each,
+    at a float or (n,) times t: the variance terms of one _coordinate call
+    per axis."""
+    t = _validate_time(t)
+    kappa = MultiplicityZ2.of(kappa)
+    x = _validate_point(x, kappa.d, batch=True)
+    y = _validate_point(y, kappa.d, batch=True)
+    times = _times(t, len(x))
+    worst = np.full(len(x), -math.inf)
+    # scalar float semantics, silently
+    with np.errstate(all="ignore"):
+        for i, k in enumerate(kappa.values):
+            violation = -_coordinate(np.array(times), x[:, i], y[:, i], k).variance_term
+            # Python's max: the later term only where it is larger
+            worst = np.where(violation > worst, violation, worst)
+    return [
+        VerificationReport.build("log_convexity_diag", (s, tuple(p), tuple(q)), value, 0.0, tol)
+        for s, p, q, value in zip(times, x.tolist(), y.tolist(), worst.tolist())
+    ]
 
 
 def log_convexity_midpoint_check(
@@ -537,23 +571,31 @@ def log_convexity_midpoint_check(
 ) -> VerificationReport:
     """Midpoint convexity of log q_t(., y) checked by direct evaluation:
     log q((z1+z2)/2) <= (log q(z1) + log q(z2)) / 2."""
+    kappa = MultiplicityZ2.of(kappa)
+    z1, z2, y = (_validate_point(z, kappa.d)[None] for z in (z1, z2, y))
+    return _log_convexity_midpoint_reports(t, z1, z2, y, kappa, tol)[0]
+
+
+def _log_convexity_midpoint_reports(t, z1, z2, y, kappa, tol: float) -> list[VerificationReport]:
+    """log_convexity_midpoint_check at each of the n points of z1, z2 and y,
+    (n, d) each, at a float or (n,) times t.  log q = log p_t(., y) - log
+    p_t(., 0) at the midpoints, the z1 and the z2 comes from one _coordinate
+    call per axis, each log p the bits of log_kernel."""
     t = _validate_time(t)
     kappa = MultiplicityZ2.of(kappa)
-    z1 = _validate_point(z1, kappa.d)
-    z2 = _validate_point(z2, kappa.d)
-    y = _validate_point(y, kappa.d)
-
-    def log_q(z):
-        zero = np.zeros(kappa.d)
-        return log_kernel(t, z, y, kappa) - log_kernel(t, z, zero, kappa)
-
-    mid = 0.5 * (z1 + z2)
-    lhs = log_q(mid)
-    rhs = 0.5 * (log_q(z1) + log_q(z2))
-    return VerificationReport.build(
-        claim_id="log_convexity_midpoint",
-        grid_point=(t, tuple(z1), tuple(z2), tuple(y)),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        tolerance=tol,
-    )
+    z1, z2, y = (_validate_point(z, kappa.d, batch=True) for z in (z1, z2, y))
+    n = len(y)
+    times = _times(t, n)
+    # the midpoints, z1 and z2, against y and then against 0
+    u = np.tile(np.concatenate([0.5 * (z1 + z2), z1, z2]), (2, 1))
+    v = np.concatenate([np.tile(y, (3, 1)), np.zeros((3 * n, kappa.d))])
+    with np.errstate(all="ignore"):
+        log_p = _added(
+            _coordinate(np.tile(times, 6), u[:, i], v[:, i], k).log_p for i, k in enumerate(kappa.values)
+        )
+    log_q = log_p[: 3 * n] - log_p[3 * n :]
+    lhs, rhs = log_q[:n], 0.5 * (log_q[n : 2 * n] + log_q[2 * n :])
+    return [
+        VerificationReport.build("log_convexity_midpoint", (s, tuple(a), tuple(b), tuple(c)), left, right, tol)
+        for s, a, b, c, left, right in zip(times, z1.tolist(), z2.tolist(), y.tolist(), lhs.tolist(), rhs.tolist())
+    ]

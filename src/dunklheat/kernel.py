@@ -45,6 +45,7 @@ import numpy as np
 from . import _accel
 from .operators import (
     MultiplicityZ2,
+    _added,
     _validate_multiplicity,
     _validate_point,
     _validate_tilts,
@@ -414,6 +415,33 @@ def log_kernel_derivatives(t, x, y, kappa) -> KernelPoint:
         hess_diag_x_log_p=np.array([c.d_uu for c in coords]),
         dt_log_p=float(sum(c.d_t for c in coords)),
     )
+
+
+class _KernelPoints(NamedTuple):
+    """log_kernel_derivatives at n points, as arrays: each axis's log p, (n,)
+    each, their sum log p (n,), the gradient and diagonal Hessian (n, d) and
+    d_t log p (n,)."""
+
+    log_p_axes: list[np.ndarray]
+    log_p: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
+    dt: np.ndarray
+
+
+def _kernel_points(t, x, y, kappa: MultiplicityZ2) -> _KernelPoints:
+    """log_kernel_derivatives at the n point pairs of x and y, validated (n, d)
+    arrays, at a validated float or (n,) times t: one _coordinate call per
+    axis, so no entry reads the moment memo, and each entry is the bits of
+    the scalar call.  Raises FloatingPointError where KernelPoint would."""
+    # scalar float semantics, silently: a term past the float range is inf
+    with np.errstate(all="ignore"):
+        coords = [_coordinate(t, x[:, i], y[:, i], k) for i, k in enumerate(kappa.values)]
+    log_p, dt = _added(c.log_p for c in coords), _added(c.d_t for c in coords)
+    if not (np.isfinite(log_p) & np.isfinite(dt)).all():
+        raise FloatingPointError("kernel point has non-finite entries")
+    grad, hess = (np.column_stack([getattr(c, name) for c in coords]) for name in ("d_u", "d_uu"))
+    return _KernelPoints([c.log_p for c in coords], log_p, grad, hess, dt)
 
 
 def kernel_derivatives_1d_batch(t, u, v, kappa: float):

@@ -11,7 +11,8 @@ with r_i the sign flip of coordinate i, and the Dunkl Laplacian is
 Both difference quotients have removable singularities on the hyperplanes
 x_i = 0; within a scaled tolerance of a hyperplane the evaluation switches
 to the Taylor limit, which costs one order of accuracy (error O(x_i))
-instead of losing everything to cancellation.
+instead of losing everything to cancellation.  The Laplacian also takes n
+points at once; the other operators take one.
 """
 
 from __future__ import annotations
@@ -110,11 +111,11 @@ def _validate_time(t):
     return float(t)
 
 
-def _validate_point(x, d: int) -> np.ndarray:
+def _validate_point(x, d: int, batch: bool = False) -> np.ndarray:
     """The one point check of the package: x as a 1-d float array of d finite
-    coordinates."""
+    coordinates, or with batch also an (n, d) array of n such points."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1 or x.size != d:
+    if x.ndim > 1 + batch or x.shape[-1] != d:
         raise DomainError(f"expected a point with {d} coordinates, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise DomainError("coordinates must be finite")
@@ -139,6 +140,16 @@ def _validate_axis(axis: int, d: int) -> int:
     return axis
 
 
+def _added(values):
+    """values added left to right from 0.0, the one order of the package's
+    sums over axes, of floats or of arrays (one entry per point): the
+    built-in sum compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def reflect(x: np.ndarray, axis: int) -> np.ndarray:
     """Image of x under the sign flip of the given coordinate (0-based)."""
     x = np.asarray(x, dtype=float)
@@ -148,9 +159,12 @@ def reflect(x: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def reflection_epsilon(x: np.ndarray) -> float:
-    """Distance below which a coordinate counts as sitting on its hyperplane."""
-    return EPS_REFLECTION_SCALE * (1.0 + float(np.linalg.norm(x)))
+def reflection_epsilon(x: np.ndarray):
+    """Distance below which a coordinate counts as sitting on its hyperplane:
+    a float for one point, shape (d,), and one per point, shape (n,), for n
+    points, shape (n, d), each the bits of its one-point call."""
+    eps = EPS_REFLECTION_SCALE * (1.0 + np.sqrt(np.vecdot(x, x)))
+    return float(eps) if np.ndim(eps) == 0 else eps
 
 
 @dataclass(frozen=True)
@@ -210,7 +224,13 @@ class SpaceTimeField:
     """A positive space-time function u(t, x), held as log u with the
     derivatives the parabolic inequalities consume: its space gradient,
     diagonal space Hessian and time derivative.  All callables take (t, x).
-    The log form stays finite where u itself underflows."""
+    The log form stays finite where u itself underflows.
+
+    The package's own fields (`semigroup_solution`, `kernel_solution_field`)
+    also take n points at once: x of shape (n, d) and t a float or (n,)
+    times, returning (n,) values and (n, d) gradients and Hessians, each row
+    the bits of its one-point call.  The batched checks behind the CLI read
+    them that way; a field that takes one point serves the public checks."""
 
     log_value: Callable[[float, np.ndarray], float]
     log_gradient: Callable[[float, np.ndarray], np.ndarray]
@@ -268,31 +288,62 @@ def dunkl_derivative(f: ScalarField, x, axis: int, kappa) -> float:
     return di + k / x[axis] * (f.value(x) - f.value(reflect(x, axis)))
 
 
-def dunkl_laplacian(f: ScalarField, x, kappa) -> float:
+def dunkl_laplacian(f: ScalarField, x, kappa):
     """L f(x) = Delta f(x) + sum_i kappa_i/x_i^2 (2 x_i d_i f - f + f o r_i).
 
     The i-th correction term takes its removable-singularity limit
     2 kappa_i d_ii f(x) when |x_i| < eps, so the whole i-th contribution
     degenerates to (1 + 2 kappa_i) d_ii f(x) there.
+
+    x is one point, shape (d,), or n points, shape (n, d), validated once.
+    One point gives a float and calls the field's callables with one point;
+    n points give an (n,) array, each entry the bits of its one-point call,
+    and call them with (m, d) arrays of points, for which value returns (m,)
+    values and gradient and hessian_diag (m, d) arrays.
     """
     kappa = MultiplicityZ2.of(kappa)
-    x = _validate_point(x, kappa.d)
-    grad = np.asarray(f.gradient(x), dtype=float)
-    hess = np.asarray(f.hessian_diag(x), dtype=float)
-    total = float(hess.sum())
-    eps = reflection_epsilon(x)
-    fx = None
+    x = _validate_point(x, kappa.d, batch=True)
+    if x.ndim == 1:
+        # the field sees the one point, or its image, as a 1-d array
+        def value(rows, axis):
+            return [f.value(x if axis is None else reflect(x, axis))]
+
+        grad, hess = (np.asarray(g(x), dtype=float)[None] for g in (f.gradient, f.hessian_diag))
+        return float(_laplacian(x[None], kappa, grad, hess, value)[0])
+
+    def value(rows, axis):
+        z = x[rows]
+        if axis is not None:
+            z[:, axis] = -z[:, axis]
+        return f.value(z)
+
+    grad, hess = (np.asarray(g(x), dtype=float) for g in (f.gradient, f.hessian_diag))
+    return _laplacian(x, kappa, grad, hess, value)
+
+
+def _laplacian(x, kappa: MultiplicityZ2, grad, hess, value) -> np.ndarray:
+    """dunkl_laplacian at the n points x, (n, d), from the field's gradients
+    and diagonal Hessians there, (n, d) each, and value(rows, axis), its
+    values at the points x[rows] (axis None) or at their images under the
+    flip of axis.  value is asked only where a point's own sum reads it: f(x)
+    at the points with a coordinate outside its band, and f(r_i x) at those
+    outside the band of axis i.  Each point's sum is added axis by axis from
+    0.0, the order of a one-point call."""
+    total = _added(hess.T)
+    far = ~(np.abs(x) < reflection_epsilon(x)[:, None]) & (np.array(kappa.values) != 0.0)
+    fx = np.empty(len(x))
+    need = np.flatnonzero(far.any(axis=1))
+    if need.size:
+        fx[need] = value(need, None)
     for i, k in enumerate(kappa.values):
         if k == 0.0:
             continue
-        if abs(x[i]) < eps:
-            total += 2.0 * k * hess[i]
-        else:
-            if fx is None:
-                fx = f.value(x)
-            total += k / (x[i] * x[i]) * (
-                2.0 * x[i] * grad[i] - fx + f.value(reflect(x, i))
-            )
+        term = 2.0 * k * hess[:, i]
+        rows = np.flatnonzero(far[:, i])
+        if rows.size:
+            xi = x[rows, i]
+            term[rows] = k / (xi * xi) * (2.0 * xi * grad[rows, i] - fx[rows] + value(rows, i))
+        total = total + term
     return total
 
 

@@ -45,7 +45,12 @@ of them; moment_stats splits the tilts further into its own blocks.  The
 kernel gives a node the same bits in any call, and each integral sums its
 own slice, so an integral's bits do not depend on its batch.
 `_solution_moments` runs the solution integrals of B points at once, and
-a solution field keeps the rows it computed (`_solution_field`).
+a solution field keeps the rows it computed (`_solution_field`).  The
+field's callables take n points as an (n, d) array, so the Li-Yau check of
+a solution (`_liyau_solution_reports`) reads it once for all points of a
+time, and the heat residual (`_heat_residuals`) evaluates the kernel for
+all its points in one batch per axis; the public checks are their
+one-point faces, with the same bits.
 
 `_plain_mass` (normalization_check) and `_ck_coordinate`
 (chapman_kolmogorov_check) are process-wide LRU caches of
@@ -80,15 +85,18 @@ import numpy as np
 
 from .inequalities import DEFAULT_TOLERANCE, VerificationReport, _liyau_bound
 from .kernel import (
+    _coordinate,
+    _kernel_points,
     kernel_derivatives_1d_batch,
     log_gaussian_mass,
     log_kernel,
-    log_kernel_derivatives,
 )
 from .operators import (
     MultiplicityZ2,
     ScalarField,
     SpaceTimeField,
+    _added,
+    _laplacian,
     _validate_point,
     _validate_time,
     dunkl_laplacian,
@@ -511,55 +519,71 @@ def semigroup_solution(f: InitialDatum, kappa) -> SpaceTimeField:
     and each derivative of log u is a moment ratio: nothing forms u itself,
     or any I0, which underflow long before their logs leave the double range.
 
-    Each callable reads the per-coordinate moments from the field's own
-    tables (`_solution_field`), filled as points are asked, and raises
-    ConvergenceError at a point where a coordinate's mass underflows."""
+    Each callable takes one point, or n points as an (n, d) array with a
+    float or (n,) times, and reads the per-coordinate moments from the
+    field's own tables (`_solution_field`), filled as points are asked; it
+    raises ConvergenceError at a point where a coordinate's mass underflows."""
     return _solution_field(f, kappa, ())
 
 
 def _solution_field(f: InitialDatum, kappa, points) -> SpaceTimeField:
     """semigroup_solution(f, kappa), its moments at the (t, x) of `points`
-    computed first, one _solution_moments batch per coordinate, which gives
-    each integral the bits it gets alone; a point asked later and missing (a
-    reflection off `points`) is computed alone.  One table per coordinate
-    maps (t, x_i), -0.0 as 0.0, to its read-only row: 4 floats per
-    coordinate and distinct (t, x_i) asked of the field, freed with it."""
+    computed first.  One table per coordinate maps (t, x_i), -0.0 as 0.0, to
+    its read-only row: 4 floats per coordinate and distinct (t, x_i) asked of
+    the field, freed with it.  A call reads each table once for all its
+    points, and computes the distinct (t, x_i) missing from it in one
+    _solution_moments batch per coordinate, which gives each integral the
+    bits it gets alone.  Sums over the coordinates are added left to right
+    from 0.0, so a point's entry of an n-point call is the bits of its
+    one-point call."""
     kappa = MultiplicityZ2.of(kappa)
     if f.dimension != kappa.d:
         raise DomainError(f"datum has {f.dimension} coordinates, multiplicity has {kappa.d}")
     tables = [{} for _ in range(kappa.d)]
 
-    def fill(i, keys):
-        if keys:
-            rows = _solution_moments(*map(np.array, zip(*keys)), kappa.values[i], f.profiles[i])
-            rows.setflags(write=False)
-            tables[i].update(zip(keys, rows))
-
-    points = [(_validate_time(t), _validate_point(x, kappa.d).tolist()) for t, x in points]
-    for i in range(kappa.d):
-        fill(i, list(dict.fromkeys((t, x[i]) for t, x in points)))
-
-    def moments(t, x) -> list[np.ndarray]:
+    def moments(t, x) -> tuple[np.ndarray, bool]:
+        """The (n, d, 4) rows of the points x, and whether x was one point."""
         t = _validate_time(t)
-        keys = [(t, u) for u in _validate_point(x, kappa.d).tolist()]
-        for i, key in enumerate(keys):
-            if key not in tables[i]:
-                fill(i, [key])
-        return [table[key] for table, key in zip(tables, keys)]
+        x = _validate_point(x, kappa.d, batch=True)
+        points = x.reshape(-1, kappa.d)
+        times = np.broadcast_to(t, len(points)).tolist()
+        rows = []
+        for i, table in enumerate(tables):
+            keys = list(zip(times, points[:, i].tolist()))
+            missing = [key for key in dict.fromkeys(keys) if key not in table]
+            if missing:
+                found = _solution_moments(*map(np.array, zip(*missing)), kappa.values[i], f.profiles[i])
+                found.setflags(write=False)
+                table.update(zip(missing, found))
+            rows.append([table[key] for key in keys])
+        return np.array(rows).reshape(kappa.d, len(points), 4).transpose(1, 0, 2), x.ndim == 1
 
-    def log_value(t, x) -> float:
-        return float(sum(m[0] for m in moments(t, x)))
+    if points:
+        moments(np.array([t for t, _ in points], dtype=float), np.array([x for _, x in points], dtype=float))
 
-    def log_gradient(t, x) -> np.ndarray:
-        return np.array([m[1] for m in moments(t, x)])
+    def read(combine):
+        """A field callable; combine maps the (n, d, 4) rows to its values."""
 
-    def log_hessian_diag(t, x) -> np.ndarray:
-        return np.array([m[2] - m[1] ** 2 for m in moments(t, x)])
+        def at(t, x):
+            rows, one = moments(t, x)
+            value = combine(rows)
+            if not one:
+                return value
+            return float(value[0]) if value.ndim == 1 else value[0]
 
-    def log_time_derivative(t, x) -> float:
-        return float(sum(m[3] for m in moments(t, x)))
+        return at
 
-    return SpaceTimeField(log_value, log_gradient, log_hessian_diag, log_time_derivative)
+    def squares(r1):
+        # each square as the one-point call takes it, a float's power, which
+        # differs from r1 * r1 and from numpy's array power in the last bit
+        return np.array([v**2 for v in r1.ravel().tolist()]).reshape(r1.shape)
+
+    return SpaceTimeField(
+        log_value=read(lambda rows: _added(rows[..., 0].T)),
+        log_gradient=read(lambda rows: rows[..., 1]),
+        log_hessian_diag=read(lambda rows: rows[..., 2] - squares(rows[..., 1])),
+        log_time_derivative=read(lambda rows: _added(rows[..., 3].T)),
+    )
 
 
 def liyau_for_solution(
@@ -567,15 +591,27 @@ def liyau_for_solution(
 ) -> VerificationReport:
     """-L log u(t, x) <= (d + 2 lambda)/(2t) for the solution field u, with L
     applied as the generic difference operator to the time-t slice of log u,
-    so nothing here reuses the per-coordinate moment analysis."""
+    so nothing here reuses the per-coordinate moment analysis.  The one-point
+    face of _liyau_solution_reports."""
+    kappa = MultiplicityZ2.of(kappa)
+    return _liyau_solution_reports(u, t, _validate_point(x, kappa.d), kappa, tol)[0]
+
+
+def _liyau_solution_reports(u: SpaceTimeField, t: float, x, kappa, tol: float) -> list[VerificationReport]:
+    """liyau_for_solution at one point x, shape (d,), or at each of n points,
+    shape (n, d), all at the time t: one dunkl_laplacian call, which reads u
+    with the points as given."""
     kappa = MultiplicityZ2.of(kappa)
     t = _validate_time(t)
-    x = _validate_point(x, kappa.d)
+    x = _validate_point(x, kappa.d, batch=True)
     slices = (u.log_value, u.log_gradient, u.log_hessian_diag)
     field = ScalarField(*(functools.partial(g, t) for g in slices))
-    lhs = -dunkl_laplacian(field, x, kappa)
+    lhs = np.atleast_1d(-dunkl_laplacian(field, x, kappa))
     rhs = _liyau_bound(t, kappa)
-    return VerificationReport.build("liyau_solution", (t, tuple(float(v) for v in x)), lhs, rhs, tol)
+    return [
+        VerificationReport.build("liyau_solution", (t, tuple(point)), value, rhs, tol)
+        for point, value in zip(x.reshape(-1, kappa.d).tolist(), lhs.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -704,23 +740,38 @@ def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
 def heat_residual(t: float, x, y, kappa) -> float:
     """Relative defect of d/dt p = L p at (t, x, y): the time derivative from
     the moment analysis against the generic difference operator applied to
-    the kernel as a plain spatial field, scaled by p(x, y) throughout."""
+    the kernel as a plain spatial field, scaled by p(x, y) throughout.  The
+    one-point face of _heat_residuals."""
     kappa = MultiplicityZ2.of(kappa)
-    t = _validate_time(t)
     x = _validate_point(x, kappa.d)
     y = _validate_point(y, kappa.d)
-    ref = log_kernel_derivatives(t, x, y, kappa)
-    g = ref.grad_x_log_p
+    return float(_heat_residuals(t, x[None], y[None], kappa)[0])
 
-    def value(z) -> float:
-        # p(z, y) / p(x, y): exactly 1 at x, where log_kernel equals ref.log_p
-        if np.array_equal(z, x):
+
+def _heat_residuals(t: float, x, y, kappa) -> np.ndarray:
+    """heat_residual at each of the n point pairs of x and y, (n, d) each,
+    all at the time t.  The kernel's derivatives at x come from one
+    _kernel_points batch; the Laplacian reads the field p(., y) /
+    p(x, y), which is 1 at x, and at the images r_i x outside the hyperplane
+    band it takes log p from one _coordinate call per axis, at the flipped
+    coordinate, with the other axes' terms from the batch at x.  A point's
+    residual is the bits of its one-point call, and as there, where
+    p(r_i x, y) / p(x, y) overflows math.exp raises OverflowError."""
+    kappa = MultiplicityZ2.of(kappa)
+    t = _validate_time(t)
+    x = _validate_point(x, kappa.d, batch=True)
+    y = _validate_point(y, kappa.d, batch=True)
+    ref = _kernel_points(t, x, y, kappa)
+
+    def value(rows, axis):
+        if axis is None:
             return 1.0
-        return math.exp(log_kernel(t, z, y, kappa) - ref.log_p)
+        terms = [log_p[rows] for log_p in ref.log_p_axes]
+        with np.errstate(all="ignore"):
+            terms[axis] = _coordinate(t, -x[rows, axis], y[rows, axis], kappa.values[axis]).log_p
+        # math.exp, as one point takes it: numpy's exp differs in the last bit
+        return [math.exp(v) for v in (_added(terms) - ref.log_p[rows]).tolist()]
 
-    # dunkl_laplacian takes the derivatives at x only, where ref holds them
-    field = ScalarField(value, lambda z: g, lambda z: ref.hess_diag_x_log_p + g * g)
-    lap = dunkl_laplacian(field, x, kappa)
-    dt = ref.dt_log_p
-    scale = max(abs(dt), abs(lap), 1.0 / t)
-    return float(abs(dt - lap) / scale)
+    lap = _laplacian(x, kappa, ref.grad, ref.hess + ref.grad * ref.grad, value)
+    scale = np.maximum(np.maximum(np.abs(ref.dt), np.abs(lap)), 1.0 / t)
+    return np.abs(ref.dt - lap) / scale

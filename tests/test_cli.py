@@ -267,7 +267,9 @@ class TestClaimsVerify:
 
     def test_default_run_batches_its_f_and_h_grids(self, monkeypatch, capsys):
         # one moment_stats call per kappa for the f tilts, the h grid and its
-        # mirror tilts; the other 402 are the memo misses of the log-convexity rows
+        # mirror tilts, and one per axis for each log-convexity claim: the 50
+        # diagonal tilts, and the 300 of the midpoint rows (the midpoints, z1
+        # and z2, against y and against 0); no row reads the memo
         calls = []
         stats = kernel.moment_stats
 
@@ -280,8 +282,10 @@ class TestClaimsVerify:
         monkeypatch.setattr(inequalities, "moment_stats", counting)
         code, _, _ = run_cli(["claims-verify", "--reproducible"], capsys)
         assert code == 0
-        assert len(calls) == 408
+        assert len(calls) == 3 * 2 + 2 * 2
         assert calls.count(202) == 2
+        assert calls.count(50) == calls.count(300) == 2
+        assert kernel._MOMENT_CACHE == {}
 
     def test_scaled_normalizer_fails_normalization_rows_only(self, monkeypatch, capsys):
         # the negative control: a normalizer 1.5 times too large
@@ -809,7 +813,8 @@ class TestExitCodes:
     def test_non_finite_report_field_returns_four_with_grid_point(self, capsys, monkeypatch):
         # every row's report is built at its grid point, so a non-finite
         # field is a numerical failure there, not a configuration error
-        monkeypatch.setattr(cli, "heat_residual", lambda t, x, y, kappa: math.inf)
+        # the heat-equation rows of one time come from one batch
+        monkeypatch.setattr(cli, "_heat_residuals", lambda t, x, y, kappa: np.full(len(x), math.inf))
         code, out, err = run_cli(["semigroup-check", "--t", "1", "--coords", "0,1"], capsys)
         assert (code, out) == (4, "")
         assert err == (
@@ -1086,6 +1091,128 @@ class TestExitCodes:
         assert err == (
             "numerical failure: RuntimeError: moment ratio r1 escaped [-1, 1] [grid point [-5.0, 0.5]]\n"
         )
+
+    # A failure inside each batched point check is replayed point by point,
+    # and the run ends as the point-by-point loop it replaced ended: the same
+    # exit code and the same stderr, naming the first point in loop order.
+
+    @staticmethod
+    def _raising(monkeypatch, name):
+        """Record each exception that the batch cli.<name> raises."""
+        raised, batch = [], getattr(cli, name)
+
+        def recorded(*args):
+            try:
+                return batch(*args)
+            except Exception as e:
+                raised.append(type(e).__name__)
+                raise
+
+        monkeypatch.setattr(cli, name, recorded)
+        return raised
+
+    @staticmethod
+    def _solution_rows(monkeypatch, column, where, value):
+        """Solution moments with one column set to value at the u where holds."""
+        moments = semigroup._solution_moments
+
+        def altered(t, u, kappa_i, profile):
+            rows = moments(t, u, kappa_i, profile)
+            rows[where(np.atleast_1d(u)), column] = value
+            return rows
+
+        monkeypatch.setattr(semigroup, "_solution_moments", altered)
+
+    @staticmethod
+    def _r1_escapes(monkeypatch, where):
+        """r1 out of [-1, 1] at the Jacobi tilts where holds, from a cold memo."""
+        certified = kernel._certified_jacobi
+
+        def escaped(a_sub, kappa):
+            out = certified(a_sub, kappa)
+            out[1, where(a_sub)] = 1.5
+            return out
+
+        monkeypatch.setattr(kernel, "_MOMENT_CACHE", {})
+        monkeypatch.setattr(kernel, "_certified_jacobi", escaped)
+
+    def test_solution_liyau_batch_failure_at_a_reflection_replays_in_grid_order(self, capsys, monkeypatch):
+        # u = -1.7 is off the grid: only the Li-Yau batch asks for it, at the
+        # reflections of the points with a coordinate 1.7
+        kernel_batch = semigroup.kernel_derivatives_1d_batch
+
+        def failing(t, u, v, kappa_i):
+            if -1.7 in np.atleast_1d(u).tolist():
+                raise OverflowError("boom")
+            return kernel_batch(t, u, v, kappa_i)
+
+        monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", failing)
+        raised = self._raising(monkeypatch, "_liyau_solution_reports")
+        argv = ["solution-scan", "--kappa", "0.5,1.5", "--coords=-2,0.5,1.7", "--t", "0.05,2", "--reproducible"]
+        assert run_cli(argv, capsys) == (
+            4, "", "numerical failure: OverflowError: boom [grid point [0.05, [-2.0, 1.7]]]\n"
+        )
+        assert raised == ["OverflowError"]
+
+    def test_solution_gradient_batch_failure_replays_in_grid_order(self, capsys, monkeypatch):
+        # d_t log u is infinite wherever a coordinate is 1.7: the Li-Yau rows
+        # do not read it, the gradient-form rows fail
+        self._solution_rows(monkeypatch, 3, lambda u: u == 1.7, math.inf)
+        raised = self._raising(monkeypatch, "_gradient_form_reports")
+        argv = ["solution-scan", "--kappa", "0.5,1.5", "--coords=-2,0.5,1.7", "--t", "0.05,2", "--reproducible"]
+        assert run_cli(argv, capsys) == (
+            4,
+            "",
+            "numerical failure: FloatingPointError: report field lhs is not finite"
+            " [grid point [0.05, [-2.0, 1.7]]]\n",
+        )
+        assert raised == ["FloatingPointError"]
+
+    def test_harnack_check_batch_failure_replays_in_draw_order(self, capsys, monkeypatch):
+        # log u is NaN wherever a coordinate exceeds 2.3; the first tuple in
+        # draw order with one has it in y, on the rhs
+        self._solution_rows(monkeypatch, 0, lambda u: u > 2.3, math.nan)
+        raised = self._raising(monkeypatch, "_harnack_reports")
+        argv = ["harnack-scan", "--kappa", "0.5,1.5", "--augment", "40", "--reproducible"]
+        assert run_cli(argv, capsys) == (
+            4,
+            "",
+            "numerical failure: FloatingPointError: report field rhs is not finite [grid point"
+            " [0.21445217928888138, [0.02274129478976672, 0.2674867603724622], 0.8885354952906549,"
+            " [2.477501417171963, 1.4633095960687652]]]\n",
+        )
+        assert raised == ["FloatingPointError"]
+
+    def test_log_convexity_batch_failure_replays_in_draw_order(self, capsys, monkeypatch):
+        # r1 escapes at 5 < |a| < 7.5 off the f and h grids, which only the
+        # log-convexity rows reach.  The diagonal batch runs first and fails
+        # at a later draw, but the first row in draw order that stops is the
+        # midpoint row of draw 1
+        self._r1_escapes(monkeypatch, lambda a: (np.abs(a) > 5.0) & (np.abs(a) < 7.5) & (a != np.round(a, 1)))
+        raised = self._raising(monkeypatch, "_log_convexity_reports")
+        code, out, err = run_cli(["claims-verify", "--reproducible"], capsys)
+        assert (code, out) == (4, "")
+        assert err == (
+            "numerical failure: RuntimeError: moment ratio r1 escaped [-1, 1] [grid point"
+            " [0.8627200784746581, [0.04548258957953344, 0.5349735207449244],"
+            " [4.955002834343926, 2.9266191921375304], [-2.451304123458754, -0.5492369411735343]]]\n"
+        )
+        assert raised == ["RuntimeError"]
+
+    @pytest.mark.parametrize("tilt", [-0.5, 0.5])
+    def test_heat_residual_batch_failure_replays_in_grid_order(self, capsys, monkeypatch, tilt):
+        # at t = 1 the heat rows pair x with -x: the derivative batch at x
+        # takes the tilts -x_i^2 / 2, the flipped coordinates +x_i^2 / 2, and
+        # no normalization or Chapman-Kolmogorov row reaches either
+        self._r1_escapes(monkeypatch, lambda a: a == tilt)
+        raised = self._raising(monkeypatch, "_heat_residuals")
+        assert run_cli(["semigroup-check", "--reproducible"], capsys) == (
+            4,
+            "",
+            "numerical failure: RuntimeError: moment ratio r1 escaped [-1, 1]"
+            " [grid point [1.0, [-3.0, -1.0], [3.0, 1.0]]]\n",
+        )
+        assert raised == ["RuntimeError"]
 
 
 class TestLiYauGrid:

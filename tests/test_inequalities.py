@@ -1,7 +1,6 @@
 """Li-Yau bound, its scalar ingredients f and h, and the derived
 parabolic inequalities."""
 
-import collections
 import itertools
 import math
 import re
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from dunklheat import inequalities
+from dunklheat import inequalities, kernel
 from dunklheat.inequalities import (
     DEFAULT_COORDS,
     GridExtrema,
@@ -578,18 +577,29 @@ def test_gradient_form_on_kernel_solutions():
 
 
 def test_kernel_solution_field_evaluates_the_kernel_once_per_point(monkeypatch):
-    calls = collections.Counter()
-    for name in ("log_kernel", "log_kernel_derivatives"):
+    calls = []
+    coordinate = kernel._coordinate
 
-        def counting(*args, _name=name, _original=getattr(inequalities, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counting(t, u, v, kappa_i):
+        calls.append(np.asarray(u).tolist())
+        return coordinate(t, u, v, kappa_i)
 
-        monkeypatch.setattr(inequalities, name, counting)
+    monkeypatch.setattr(kernel, "_coordinate", counting)
     kappa, y0, t = [0.5, 1.5], [0.5, -1.0], 0.7
     u = kernel_solution_field(y0, kappa)
+    # one evaluation, one _coordinate call per axis, serves both reads
     gradient_form_check(u, t, [1.0, 2.0], beta=10.0)
-    assert calls == {"log_kernel_derivatives": 1}
+    assert calls == [[1.0], [2.0]]
+    calls.clear()
+    points = np.array([[1.0, 2.0], [-0.3, 0.0], [-0.3, -0.0]])
+    inequalities._gradient_form_reports(u, t, points, 10.0, 1e-9)
+    assert calls == [[1.0, -0.3, -0.3], [2.0, 0.0, -0.0]]
+    batch = [g(t, points) for g in (u.log_value, u.log_gradient, u.log_hessian_diag, u.log_time_derivative)]
+    for i, x in enumerate(points.tolist()):
+        assert u.log_value(t, x) == batch[0][i]
+        np.testing.assert_array_equal(u.log_gradient(t, x), batch[1][i])
+        np.testing.assert_array_equal(u.log_hessian_diag(t, x), batch[2][i])
+        assert u.log_time_derivative(t, x) == batch[3][i]
     for x in ([1.0, 2.0], [-0.3, 0.0], [-0.3, -0.0], [1.0, 2.0]):
         kp = log_kernel_derivatives(t, x, y0, kappa)
         assert u.log_value(t, x) == log_kernel(t, x, y0, kappa)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from dunklheat import cli, semigroup
+from dunklheat import cli, kernel, semigroup
 from dunklheat.inequalities import gradient_form_check, harnack_check, liyau_functional
 from dunklheat.kernel import log_gaussian_mass, log_kernel
 from dunklheat.operators import ScalarField
@@ -844,27 +844,27 @@ def test_heat_residual_on_hyperplane():
 
 def test_heat_residual_evaluates_the_kernel_once_per_point(monkeypatch):
     calls = []
+    coordinate = kernel._coordinate
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls.append((name, tuple(args[1])))
-            return fn(*args)
+    def counted(t, u, v, kappa_i):
+        calls.append(np.asarray(u).tolist())
+        return coordinate(t, u, v, kappa_i)
 
-        return wrapper
-
-    monkeypatch.setattr(semigroup, "log_kernel", counted("log_kernel", semigroup.log_kernel))
-    monkeypatch.setattr(
-        semigroup,
-        "log_kernel_derivatives",
-        counted("derivatives", semigroup.log_kernel_derivatives),
-    )
-    assert heat_residual(0.5, [1.0, -2.0], [0.3, 1.5], [0.5, 1.5]) < 1e-7
-    # the derivatives at x, then the kernel at each reflected point
-    assert calls == [
-        ("derivatives", (1.0, -2.0)),
-        ("log_kernel", (-1.0, -2.0)),
-        ("log_kernel", (1.0, 2.0)),
-    ]
+    # the batch at x runs in the kernel module, the flipped coordinates here
+    monkeypatch.setattr(kernel, "_coordinate", counted)
+    monkeypatch.setattr(semigroup, "_coordinate", counted)
+    x, y = [[1.0, -2.0], [0.5, 3.0]], [[0.3, 1.5], [-1.0, 0.25]]
+    residuals = semigroup._heat_residuals(0.5, x, y, [0.5, 1.5])
+    assert (residuals < 1e-7).all()
+    # the derivatives at x, one call per axis for all points, then the
+    # kernel at each reflected point: one call per axis at the flipped
+    # coordinate, the other axes' terms taken from the call at x
+    assert calls == [[1.0, 0.5], [-2.0, 3.0], [-1.0, -0.5], [2.0, -3.0]]
+    # each point's residual is the bits of the one-point face
+    calls.clear()
+    for i, row in enumerate(residuals.tolist()):
+        assert heat_residual(0.5, x[i], y[i], [0.5, 1.5]) == row
+    assert calls == [[1.0], [-2.0], [-1.0], [2.0], [0.5], [3.0], [-0.5], [-3.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@
 
 Each configuration runs `dunklheat.cli.main` in a fresh interpreter with the
 `src/` of the checkout this script sits in.  One line per configuration: the
-first 16 hex digits of the sha256 of its stdout, its exit code and its
-arguments.  Comparing two trees is a `diff` of the two listings.
+first 16 hex digits of the sha256 of its stdout and of its stderr, its exit
+code and its arguments.  A failure writes nothing to stdout, so its stderr
+digest pins the message and the grid point it names.  Comparing two trees is
+a `diff` of the two listings.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ CONFIGURATIONS = (
     ("liyau-scan", "--kappa", "0.5,1.5,0.25", "--augment", "50"),
     ("liyau-scan", "--kappa", "0.5,1.5,0.25,1", "--coords=-1,0,1"),
     ("liyau-scan", "--kappa", "0.5,1.5,0.25", "--augment", "50", "--format", "csv"),
-    # failures: nothing on stdout, so the listing pins their exit codes
+    # failures: nothing on stdout, so the listing pins their exit codes and
+    # the stderr that names the failing grid point
     ("liyau-scan", "--kappa", "0", "--t", "1", "--coords", "1e200"),
     ("report", "--kappa", "0", "--t", "1", "--coords", "1e200"),
     ("kernel-eval", "--kappa", "0.5", "--t", "1", "--coords", "1e200"),
@@ -62,23 +65,23 @@ CONFIGURATIONS = (
 _ENTRY = "import sys; from dunklheat.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def digest(argv: tuple[str, ...]) -> tuple[str, int]:
-    """(sha256 prefix of stdout, exit code) of one configuration."""
+def digest(argv: tuple[str, ...]) -> tuple[str, str, int]:
+    """(sha256 prefix of stdout, of stderr, exit code) of one configuration."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", _ENTRY, *argv, "--reproducible"],
         env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        capture_output=True,
         check=False,
     )
-    return hashlib.sha256(done.stdout).hexdigest()[:16], done.returncode
+    out, err = (hashlib.sha256(stream).hexdigest()[:16] for stream in (done.stdout, done.stderr))
+    return out, err, done.returncode
 
 
 def main() -> int:
     for argv in CONFIGURATIONS:
-        prefix, code = digest(argv)
-        print(f"{prefix} {code} {' '.join(argv)}", flush=True)
+        out, err, code = digest(argv)
+        print(f"{out} {err} {code} {' '.join(argv)}", flush=True)
     return 0
 
 
