@@ -29,9 +29,9 @@ The point checks run batched: each solution field's moments, the
 solution-scan rows of each time, the harnack-scan tuples, the log-convexity
 rows of claims-verify and the heat-equation rows of each time are one call
 each over all their points, with each point's bits.  A batch that fails is
-replayed point by point through the one-point checks (`_batched`), so the
-failure names the first point in loop order that stops, as a point-by-point
-loop would.
+replayed point by point through the same check, given one point at a time
+(`_batched`), so the failure names the first point in loop order that
+stops, as a point-by-point loop would.
 """
 
 from __future__ import annotations
@@ -57,13 +57,9 @@ import numpy as np
 from .inequalities import (
     VerificationReport,
     _f_values,
-    _gradient_form_reports,
     _h_values,
-    _harnack_reports,
     _liyau_bound,
     _liyau_terms,
-    _log_convexity_midpoint_reports,
-    _log_convexity_reports,
     gradient_form_check,
     harnack_check,
     liyau_functional,
@@ -89,9 +85,6 @@ from .operators import (
 from .quadrature import ConvergenceError, DomainError
 from .semigroup import (
     InitialDatum,
-    _heat_residuals,
-    _liyau_solution_reports,
-    _solution_field,
     bump_profile,
     chapman_kolmogorov_check,
     heat_residual,
@@ -453,43 +446,38 @@ def _initial_data(d: int) -> dict[str, InitialDatum]:
 
 
 def _solution_scan(cfg: RunConfig) -> list[_Block]:
-    """Li-Yau and gradient-form rows of each datum's solution, from a field
-    that computes the moments at every grid point first; per time, one
-    batched check of each claim over the grid, and a failure names the first
-    grid point in loop order that stops."""
+    """Li-Yau and gradient-form rows of each datum's solution, from one field
+    per datum, filled by one read at every grid point first; per time, one
+    call of each check over the grid, and a failure names the first grid
+    point in loop order that stops."""
     rows = []
     kappa = MultiplicityZ2.of(cfg.kappa)
     points = np.array(cfg.points, dtype=float)
     grid = [(t, x) for t in cfg.t_grid for x in cfg.points]
+    times, grid_points = (np.array(column, dtype=float) for column in zip(*grid))
     for name, datum in _initial_data(cfg.dimension).items():
-        lazy = semigroup_solution(datum, cfg.kappa)
-        field = _batched(
-            lambda: _solution_field(datum, cfg.kappa, grid),
-            grid,
-            lambda t, x: liyau_for_solution(lazy, t, x, cfg.kappa, tol=cfg.tol),
-        )
+        field = semigroup_solution(datum, cfg.kappa)
+
+        def liyau(t, x):
+            return liyau_for_solution(field, t, x, kappa, tol=cfg.tol)
+
+        _batched(lambda: field.log_value(times, grid_points), grid, liyau)
         for t in cfg.t_grid:
             beta = _liyau_bound(t, kappa)
-            liyau, gradient = _batched(
-                lambda: (
-                    _liyau_solution_reports(field, t, points, kappa, cfg.tol),
-                    _gradient_form_reports(field, t, points, beta, cfg.tol),
-                ),
-                [(t, x) for x in cfg.points],
-                lambda t, x: (
-                    liyau_for_solution(field, t, x, kappa, tol=cfg.tol),
-                    gradient_form_check(field, t, x, beta, tol=cfg.tol),
-                ),
-            )
-            rows.extend(_row(report, extra={"datum": name}) for report in liyau)
-            rows.extend(_row(report, extra={"datum": name, "beta": beta}) for report in gradient)
+
+            def checks(t, x):
+                return liyau(t, x), gradient_form_check(field, t, x, beta, tol=cfg.tol)
+
+            reports = _batched(lambda: checks(t, points), [(t, x) for x in cfg.points], checks)
+            rows.extend(_row(report, extra={"datum": name}) for report in reports[0])
+            rows.extend(_row(report, extra={"datum": name, "beta": beta}) for report in reports[1])
     return sorted(rows, key=_sort_key)
 
 
 def _harnack_scan(cfg: RunConfig) -> list[_Block]:
-    """Rows for random (s, x, t, y), from a field that computes log u at
-    every (s, x) and (t, y) first, and one batched check of every tuple; a
-    failure names the first tuple in draw order that stops."""
+    """Rows for random (s, x, t, y), from one field filled by one read at
+    every (s, x) and (t, y) first, and one check of every tuple; a failure
+    names the first tuple in draw order that stops."""
     count = cfg.augment if cfg.augment else 200
     datum = _initial_data(cfg.dimension)["bump"]
     lam = sum(cfg.kappa)
@@ -501,21 +489,14 @@ def _harnack_scan(cfg: RunConfig) -> list[_Block]:
         x = tuple(float(v) for v in rng.uniform(-2.5, 2.5, cfg.dimension))
         y = tuple(float(v) for v in rng.uniform(-2.5, 2.5, cfg.dimension))
         points.append((s, x, t, y))
+    field = semigroup_solution(datum, cfg.kappa)
 
-    def check(u, s, x, t, y):
-        return harnack_check(u, s, x, t, y, lambda_kappa=lam, d=cfg.dimension, tol=cfg.tol)
+    def check(s, x, t, y):
+        return harnack_check(field, s, x, t, y, lambda_kappa=lam, d=cfg.dimension, tol=cfg.tol)
 
-    evaluated = [(s, x) for s, x, _, _ in points] + [(t, y) for _, _, t, y in points]
-    lazy = semigroup_solution(datum, cfg.kappa)
-    field = _batched(
-        lambda: _solution_field(datum, cfg.kappa, evaluated), points, lambda *point: check(lazy, *point)
-    )
     s, x, t, y = (np.array(column, dtype=float) for column in zip(*points))
-    reports = _batched(
-        lambda: _harnack_reports(field, s, x, t, y, lam, cfg.dimension, cfg.tol),
-        points,
-        lambda *point: check(field, *point),
-    )
+    _batched(lambda: field.log_value(np.concatenate([s, t]), np.concatenate([x, y])), points, check)
+    reports = _batched(lambda: check(s, x, t, y), points, check)
     return sorted((_row(report, extra={"datum": "bump"}) for report in reports), key=_sort_key)
 
 
@@ -541,11 +522,13 @@ def _semigroup_check(cfg: RunConfig) -> list[_Block]:
     # the heat equation at (x, y) pairs of the grid, one batch per time
     reversed_points = list(reversed(cfg.points))
     xs, ys = np.array(cfg.points, dtype=float), np.array(reversed_points, dtype=float)
+
+    def heat(t, x, y):
+        return heat_residual(t, x, y, cfg.kappa)
+
     for t in cfg.t_grid:
         pairs = [(t, x, y) for x, y in zip(cfg.points, reversed_points)]
-        residuals = _batched(
-            lambda: _heat_residuals(t, xs, ys, cfg.kappa), pairs, lambda *point: heat_residual(*point, cfg.kappa)
-        )
+        residuals = _batched(lambda: heat(t, xs, ys), pairs, heat)
         for point, residual in zip(pairs, residuals.tolist()):
             on_hyperplane = any(v == 0.0 for v in point[1])
             bound = 1e-6 if on_hyperplane else 1e-7
@@ -645,10 +628,7 @@ def _claims_verify(cfg: RunConfig) -> list[_Block]:
         return log_convexity_midpoint_check(t, *points, cfg.kappa, tol=cfg.tol)
 
     reports = _batched(
-        lambda: (
-            _log_convexity_reports(t, x, y, cfg.kappa, cfg.tol)
-            + _log_convexity_midpoint_reports(t, z1, z2, y, cfg.kappa, cfg.tol)
-        ),
+        lambda: check(t, x, y) + check(t, z1, z2, y),
         [point for t, x, y, z1, z2 in draws for point in ((t, x, y), (t, z1, z2, y))],
         check,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .operators import (
     _added,
     _validate_multiplicity,
     _validate_point,
+    _validate_points,
     _validate_tilts,
     _validate_time,
 )
@@ -47,7 +48,6 @@ __all__ = [
     "gradient_form_check",
     "h_of_a",
     "harnack_check",
-    "iter_liyau_points",
     "kernel_solution_field",
     "liyau_coordinate_table",
     "liyau_functional",
@@ -276,30 +276,14 @@ def liyau_functional(t, x, y, kappa) -> LiYauDecomposition:
     read (t, x_i, y_i) alone, so every point of a product grid gets the
     terms of its coordinate tables.
     """
-    return next(iter_liyau_points([(t, x, y)], kappa))
-
-
-def iter_liyau_points(points, kappa) -> Iterator[LiYauDecomposition]:
-    """liyau_functional at each (t, x, y) of points, in order, bit for bit,
-    from one batched evaluation of the coordinate terms per axis.  The terms
-    are computed before this returns, so a point that fails raises here."""
     kappa = MultiplicityZ2.of(kappa)
-    ts, xs, ys = [], [], []
-    for t, x, y in points:
-        ts.append(_validate_time(t))
-        xs.append(tuple(_validate_point(x, kappa.d).tolist()))
-        ys.append(tuple(_validate_point(y, kappa.d).tolist()))
-    t_all = np.array(ts)
-    x_all = np.array(xs).reshape(len(ts), kappa.d)
-    y_all = np.array(ys).reshape(len(ts), kappa.d)
-    axes = [
-        map(LiYauCoordinate, *_liyau_terms(t_all, x_all[:, i], y_all[:, i], k))
-        for i, k in enumerate(kappa.values)
-    ]
-    return (
-        LiYauDecomposition(t=t, x=x, y=y, kappa=kappa, coordinates=coords)
-        for t, x, y, coords in zip(ts, xs, ys, zip(*axes))
+    t = _validate_time(t)
+    x, y = (tuple(_validate_point(p, kappa.d).tolist()) for p in (x, y))
+    coordinates = tuple(
+        LiYauCoordinate(*(term[0] for term in _liyau_terms(np.array([t]), np.array([u]), np.array([v]), k)))
+        for u, v, k in zip(x, y, kappa.values)
     )
+    return LiYauDecomposition(t=t, x=x, y=y, kappa=kappa, coordinates=coordinates)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +399,8 @@ def kernel_solution_field(y0, kappa) -> SpaceTimeField:
     last = {}
 
     def derivatives(t, x):
-        t = _validate_time(t)
         x = _validate_point(x, kappa.d, batch=True)
+        t = _validate_time(t, len(np.atleast_2d(x)))
         key = (np.asarray(t).tobytes(), x.shape, x.tobytes())
         if key not in last:
             last.clear()
@@ -435,8 +419,10 @@ def kernel_solution_field(y0, kappa) -> SpaceTimeField:
 
 
 # ---------------------------------------------------------------------------
-# the derived parabolic inequalities: each check is the one-point face of an
-# array form that reads its field, or evaluates the kernel, once for n points
+# the derived parabolic inequalities: each check takes one point, shape (d,),
+# and gives its report, or n points, shape (n, d), at a float or (n,) times,
+# and gives a list of n reports, each the bits of its one-point call; it reads
+# its field, or evaluates the kernel, once for all its points
 
 
 def _times(t, n: int) -> list[float]:
@@ -444,64 +430,51 @@ def _times(t, n: int) -> list[float]:
     return np.broadcast_to(t, n).tolist()
 
 
+def _one_or_all(x: np.ndarray, reports: list[VerificationReport]):
+    """The report of one point x, shape (d,), or the reports of n points."""
+    return reports[0] if x.ndim == 1 else reports
+
+
 def gradient_form_check(
     u: SpaceTimeField,
-    t: float,
+    t,
     x,
     beta: float,
     tol: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
-    """|grad log u|^2 - d_t log u <= beta at (t, x)."""
-    x = _validate_point(x, np.size(x))
-    return _gradient_form_reports(u, t, x, beta, tol)[0]
-
-
-def _gradient_form_reports(u: SpaceTimeField, t, x, beta: float, tol: float) -> list[VerificationReport]:
-    """gradient_form_check at one point x, shape (d,), or at each of n points,
-    shape (n, d), at a float or (n,) times t: one read of u's gradient and
-    one of its time derivative, with the points as given."""
-    t = _validate_time(t)
-    x = _validate_point(x, np.shape(x)[-1], batch=True)
+) -> VerificationReport | list[VerificationReport]:
+    """|grad log u|^2 - d_t log u <= beta at (t, x): one read of u's gradient
+    and one of its time derivative, with the points as given."""
+    x = _validate_point(x, np.shape(x)[-1] if np.ndim(x) > 1 else np.size(x), batch=True)
+    points = np.atleast_2d(x)
+    t = _validate_time(t, len(points))
     g = np.asarray(u.log_gradient(t, x), dtype=float)
     lhs = np.atleast_1d(np.vecdot(g, g) - np.asarray(u.log_time_derivative(t, x), dtype=float))
-    points = x.reshape(len(lhs), -1).tolist()
-    return [
+    reports = [
         VerificationReport.build("gradient_form", (s, tuple(p)), value, float(beta), tol)
-        for s, p, value in zip(_times(t, len(lhs)), points, lhs.tolist())
+        for s, p, value in zip(_times(t, len(points)), points.tolist(), lhs.tolist())
     ]
+    return _one_or_all(x, reports)
 
 
 def harnack_check(
     u: SpaceTimeField,
-    s: float,
+    s,
     x,
-    t: float,
+    t,
     y,
     lambda_kappa: float,
     d: int,
     tol: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
+) -> VerificationReport | list[VerificationReport]:
     """u(s, x) <= u(t, y) (t/s)^(lambda + d/2) exp(|x-y|^2 / (4(t-s))).
 
     Compared in log space: the right-hand side overflows long before the
-    inequality gets interesting.
+    inequality gets interesting.  One read of log u at the (s, x) and one at
+    the (t, y), with the points as given.
     """
-    x = _validate_point(x, d)
-    y = _validate_point(y, d)
-    return _harnack_reports(u, s, x, t, y, lambda_kappa, d, tol)[0]
-
-
-def _harnack_reports(
-    u: SpaceTimeField, s, x, t, y, lambda_kappa: float, d: int, tol: float
-) -> list[VerificationReport]:
-    """harnack_check at one tuple, x and y of shape (d,), or at each of n
-    tuples, x and y of shape (n, d) and s and t floats or (n,) times: one read
-    of log u at the (s, x) and one at the (t, y)."""
-    s = _validate_time(s)
-    t = _validate_time(t)
-    x = _validate_point(x, d, batch=True)
-    y = _validate_point(y, d, batch=True)
-    n = len(x.reshape(-1, d))
+    x, y = _validate_points(d, x, y)
+    n = len(np.atleast_2d(x))
+    s, t = _validate_time(s, n), _validate_time(t, n)
     early, late = _times(s, n), _times(t, n)
     for s_at, t_at in zip(early, late):
         if not s_at < t_at:
@@ -512,12 +485,12 @@ def _harnack_reports(
     growth = (lambda_kappa + d / 2.0) * np.array([math.log(b / a) for a, b in zip(early, late)])
     rhs = np.atleast_1d(np.asarray(u.log_value(t, y), dtype=float)) + growth
     rhs += gap / (4.0 * (np.array(late) - np.array(early)))
-    return [
+    tuples = zip(early, np.atleast_2d(x).tolist(), late, np.atleast_2d(y).tolist(), lhs.tolist(), rhs.tolist())
+    reports = [
         VerificationReport.build("harnack", (a, tuple(p), b, tuple(q)), left, right, tol)
-        for a, p, b, q, left, right in zip(
-            early, x.reshape(n, d).tolist(), late, y.reshape(n, d).tolist(), lhs.tolist(), rhs.tolist()
-        )
+        for a, p, b, q, left, right in tuples
     ]
+    return _one_or_all(x, reports)
 
 
 def log_convexity_check(
@@ -526,39 +499,30 @@ def log_convexity_check(
     y,
     kappa,
     tol: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
+) -> VerificationReport | list[VerificationReport]:
     """Convexity of x -> log(p_t(x, y) / p_t(x, 0)).
 
     The normalized log-kernel splits coordinate-wise and its Hessian is
     diagonal with entries (y_i/2t)^2 var(a_i); convexity is exactly their
-    nonnegativity.  lhs is the largest violation, rhs is 0.
+    nonnegativity.  lhs is the largest violation, rhs is 0.  The variance
+    terms of all points come from one _coordinate call per axis.
     """
     kappa = MultiplicityZ2.of(kappa)
-    x = _validate_point(x, kappa.d)
-    y = _validate_point(y, kappa.d)
-    return _log_convexity_reports(t, x[None], y[None], kappa, tol)[0]
-
-
-def _log_convexity_reports(t, x, y, kappa, tol: float) -> list[VerificationReport]:
-    """log_convexity_check at each of the n points of x and y, (n, d) each,
-    at a float or (n,) times t: the variance terms of one _coordinate call
-    per axis."""
-    t = _validate_time(t)
-    kappa = MultiplicityZ2.of(kappa)
-    x = _validate_point(x, kappa.d, batch=True)
-    y = _validate_point(y, kappa.d, batch=True)
-    times = _times(t, len(x))
-    worst = np.full(len(x), -math.inf)
+    x, y = _validate_points(kappa.d, x, y)
+    points, ys = np.atleast_2d(x, y)
+    times = _times(_validate_time(t, len(points)), len(points))
+    worst = np.full(len(points), -math.inf)
     # scalar float semantics, silently
     with np.errstate(all="ignore"):
         for i, k in enumerate(kappa.values):
-            violation = -_coordinate(np.array(times), x[:, i], y[:, i], k).variance_term
+            violation = -_coordinate(np.array(times), points[:, i], ys[:, i], k).variance_term
             # Python's max: the later term only where it is larger
             worst = np.where(violation > worst, violation, worst)
-    return [
+    reports = [
         VerificationReport.build("log_convexity_diag", (s, tuple(p), tuple(q)), value, 0.0, tol)
-        for s, p, q, value in zip(times, x.tolist(), y.tolist(), worst.tolist())
+        for s, p, q, value in zip(times, points.tolist(), ys.tolist(), worst.tolist())
     ]
+    return _one_or_all(x, reports)
 
 
 def log_convexity_midpoint_check(
@@ -568,24 +532,16 @@ def log_convexity_midpoint_check(
     y,
     kappa,
     tol: float = DEFAULT_TOLERANCE,
-) -> VerificationReport:
+) -> VerificationReport | list[VerificationReport]:
     """Midpoint convexity of log q_t(., y) checked by direct evaluation:
-    log q((z1+z2)/2) <= (log q(z1) + log q(z2)) / 2."""
+    log q((z1+z2)/2) <= (log q(z1) + log q(z2)) / 2.  log q = log p_t(., y) -
+    log p_t(., 0) at the midpoints, the z1 and the z2 of all points comes
+    from one _coordinate call per axis, each log p the bits of log_kernel."""
     kappa = MultiplicityZ2.of(kappa)
-    z1, z2, y = (_validate_point(z, kappa.d)[None] for z in (z1, z2, y))
-    return _log_convexity_midpoint_reports(t, z1, z2, y, kappa, tol)[0]
-
-
-def _log_convexity_midpoint_reports(t, z1, z2, y, kappa, tol: float) -> list[VerificationReport]:
-    """log_convexity_midpoint_check at each of the n points of z1, z2 and y,
-    (n, d) each, at a float or (n,) times t.  log q = log p_t(., y) - log
-    p_t(., 0) at the midpoints, the z1 and the z2 comes from one _coordinate
-    call per axis, each log p the bits of log_kernel."""
-    t = _validate_time(t)
-    kappa = MultiplicityZ2.of(kappa)
-    z1, z2, y = (_validate_point(z, kappa.d, batch=True) for z in (z1, z2, y))
+    given = _validate_points(kappa.d, z1, z2, y)
+    z1, z2, y = np.atleast_2d(*given)
     n = len(y)
-    times = _times(t, n)
+    times = _times(_validate_time(t, n), n)
     # the midpoints, z1 and z2, against y and then against 0
     u = np.tile(np.concatenate([0.5 * (z1 + z2), z1, z2]), (2, 1))
     v = np.concatenate([np.tile(y, (3, 1)), np.zeros((3 * n, kappa.d))])
@@ -595,7 +551,8 @@ def _log_convexity_midpoint_reports(t, z1, z2, y, kappa, tol: float) -> list[Ver
         )
     log_q = log_p[: 3 * n] - log_p[3 * n :]
     lhs, rhs = log_q[:n], 0.5 * (log_q[n : 2 * n] + log_q[2 * n :])
-    return [
+    reports = [
         VerificationReport.build("log_convexity_midpoint", (s, tuple(a), tuple(b), tuple(c)), left, right, tol)
         for s, a, b, c, left, right in zip(times, z1.tolist(), z2.tolist(), y.tolist(), lhs.tolist(), rhs.tolist())
     ]
+    return _one_or_all(given[0], reports)

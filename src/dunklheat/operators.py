@@ -97,11 +97,14 @@ def _validate_multiplicity(k) -> float:
     return k
 
 
-def _validate_time(t):
+def _validate_time(t, n: int | None = None):
     """The one time check of the package: t must be a finite int or float > 0,
-    or an array of such times, returned as a float array."""
+    or an array of such times, returned as a float array; given n, the
+    number of points they go with, an array must hold n times."""
     if isinstance(t, np.ndarray):
         times = np.asarray(t, dtype=float)
+        if n is not None and times.shape not in ((), (n,)):
+            raise DomainError(f"expected one time or {n} times, one per point, got times of shape {times.shape}")
         bad = ~(np.isfinite(times) & (times > 0.0))
         if bad.any():
             raise DomainError(f"time must be finite and > 0, got {float(times[bad][0])!r}")
@@ -120,6 +123,15 @@ def _validate_point(x, d: int, batch: bool = False) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DomainError("coordinates must be finite")
     return x
+
+
+def _validate_points(d: int, *points) -> list[np.ndarray]:
+    """_validate_point with batch for each of points, which must share one
+    shape: one point each, or n points each."""
+    points = [_validate_point(p, d, batch=True) for p in points]
+    if len({p.shape for p in points}) > 1:
+        raise DomainError(f"expected points of one shape, got shapes {', '.join(str(p.shape) for p in points)}")
+    return points
 
 
 def _validate_tilts(a) -> np.ndarray:
@@ -229,8 +241,8 @@ class SpaceTimeField:
     The package's own fields (`semigroup_solution`, `kernel_solution_field`)
     also take n points at once: x of shape (n, d) and t a float or (n,)
     times, returning (n,) values and (n, d) gradients and Hessians, each row
-    the bits of its one-point call.  The batched checks behind the CLI read
-    them that way; a field that takes one point serves the public checks."""
+    the bits of its one-point call.  A check reads its field with the points
+    it is given, so a field that takes one point serves one-point checks."""
 
     log_value: Callable[[float, np.ndarray], float]
     log_gradient: Callable[[float, np.ndarray], np.ndarray]

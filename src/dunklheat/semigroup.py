@@ -45,12 +45,12 @@ of them; moment_stats splits the tilts further into its own blocks.  The
 kernel gives a node the same bits in any call, and each integral sums its
 own slice, so an integral's bits do not depend on its batch.
 `_solution_moments` runs the solution integrals of B points at once, and
-a solution field keeps the rows it computed (`_solution_field`).  The
+a solution field keeps the rows it computed (`semigroup_solution`).  The
 field's callables take n points as an (n, d) array, so the Li-Yau check of
-a solution (`_liyau_solution_reports`) reads it once for all points of a
-time, and the heat residual (`_heat_residuals`) evaluates the kernel for
-all its points in one batch per axis; the public checks are their
-one-point faces, with the same bits.
+a solution (`liyau_for_solution`) reads it once for all points of a time,
+and the heat residual (`heat_residual`) evaluates the kernel for all its
+points in one batch per axis; each gives a point the bits of its
+one-point call.
 
 `_plain_mass` (normalization_check) and `_ck_coordinate`
 (chapman_kolmogorov_check) are process-wide LRU caches of
@@ -83,7 +83,7 @@ from typing import Callable
 
 import numpy as np
 
-from .inequalities import DEFAULT_TOLERANCE, VerificationReport, _liyau_bound
+from .inequalities import DEFAULT_TOLERANCE, VerificationReport, _liyau_bound, _one_or_all
 from .kernel import (
     _coordinate,
     _kernel_points,
@@ -98,6 +98,7 @@ from .operators import (
     _added,
     _laplacian,
     _validate_point,
+    _validate_points,
     _validate_time,
     dunkl_laplacian,
 )
@@ -520,20 +521,14 @@ def semigroup_solution(f: InitialDatum, kappa) -> SpaceTimeField:
     or any I0, which underflow long before their logs leave the double range.
 
     Each callable takes one point, or n points as an (n, d) array with a
-    float or (n,) times, and reads the per-coordinate moments from the
-    field's own tables (`_solution_field`), filled as points are asked; it
-    raises ConvergenceError at a point where a coordinate's mass underflows."""
-    return _solution_field(f, kappa, ())
-
-
-def _solution_field(f: InitialDatum, kappa, points) -> SpaceTimeField:
-    """semigroup_solution(f, kappa), its moments at the (t, x) of `points`
-    computed first.  One table per coordinate maps (t, x_i), -0.0 as 0.0, to
-    its read-only row: 4 floats per coordinate and distinct (t, x_i) asked of
-    the field, freed with it.  A call reads each table once for all its
-    points, and computes the distinct (t, x_i) missing from it in one
-    _solution_moments batch per coordinate, which gives each integral the
-    bits it gets alone.  Sums over the coordinates are added left to right
+    float or (n,) times, and raises ConvergenceError at a point where a
+    coordinate's mass underflows.  One table per coordinate maps (t, x_i),
+    -0.0 as 0.0, to its read-only row of moments: 4 floats per coordinate
+    and distinct (t, x_i) asked of the field, freed with it.  A call reads
+    each table once for all its points, and computes the distinct (t, x_i)
+    missing from it in one _solution_moments batch per coordinate, which
+    gives each integral the bits it gets alone; a batch that fails adds
+    nothing to its table.  Sums over the coordinates are added left to right
     from 0.0, so a point's entry of an n-point call is the bits of its
     one-point call."""
     kappa = MultiplicityZ2.of(kappa)
@@ -543,10 +538,9 @@ def _solution_field(f: InitialDatum, kappa, points) -> SpaceTimeField:
 
     def moments(t, x) -> tuple[np.ndarray, bool]:
         """The (n, d, 4) rows of the points x, and whether x was one point."""
-        t = _validate_time(t)
         x = _validate_point(x, kappa.d, batch=True)
         points = x.reshape(-1, kappa.d)
-        times = np.broadcast_to(t, len(points)).tolist()
+        times = np.broadcast_to(_validate_time(t, len(points)), len(points)).tolist()
         rows = []
         for i, table in enumerate(tables):
             keys = list(zip(times, points[:, i].tolist()))
@@ -557,9 +551,6 @@ def _solution_field(f: InitialDatum, kappa, points) -> SpaceTimeField:
                 table.update(zip(missing, found))
             rows.append([table[key] for key in keys])
         return np.array(rows).reshape(kappa.d, len(points), 4).transpose(1, 0, 2), x.ndim == 1
-
-    if points:
-        moments(np.array([t for t, _ in points], dtype=float), np.array([x for _, x in points], dtype=float))
 
     def read(combine):
         """A field callable; combine maps the (n, d, 4) rows to its values."""
@@ -588,30 +579,29 @@ def _solution_field(f: InitialDatum, kappa, points) -> SpaceTimeField:
 
 def liyau_for_solution(
     u: SpaceTimeField, t: float, x, kappa, tol: float = DEFAULT_TOLERANCE
-) -> VerificationReport:
+) -> VerificationReport | list[VerificationReport]:
     """-L log u(t, x) <= (d + 2 lambda)/(2t) for the solution field u, with L
     applied as the generic difference operator to the time-t slice of log u,
-    so nothing here reuses the per-coordinate moment analysis.  The one-point
-    face of _liyau_solution_reports."""
-    kappa = MultiplicityZ2.of(kappa)
-    return _liyau_solution_reports(u, t, _validate_point(x, kappa.d), kappa, tol)[0]
+    so nothing here reuses the per-coordinate moment analysis.
 
-
-def _liyau_solution_reports(u: SpaceTimeField, t: float, x, kappa, tol: float) -> list[VerificationReport]:
-    """liyau_for_solution at one point x, shape (d,), or at each of n points,
-    shape (n, d), all at the time t: one dunkl_laplacian call, which reads u
-    with the points as given."""
+    x is one point, shape (d,), giving its report, or n points, shape (n, d),
+    all at the one time t, giving a list of n reports, each the bits of its
+    one-point call: one dunkl_laplacian call, which reads u with the points
+    as given."""
     kappa = MultiplicityZ2.of(kappa)
-    t = _validate_time(t)
     x = _validate_point(x, kappa.d, batch=True)
+    t = _validate_time(t)
+    if np.ndim(t):
+        raise DomainError(f"expected one time, got times of shape {np.shape(t)}")
     slices = (u.log_value, u.log_gradient, u.log_hessian_diag)
     field = ScalarField(*(functools.partial(g, t) for g in slices))
     lhs = np.atleast_1d(-dunkl_laplacian(field, x, kappa))
     rhs = _liyau_bound(t, kappa)
-    return [
+    reports = [
         VerificationReport.build("liyau_solution", (t, tuple(point)), value, rhs, tol)
-        for point, value in zip(x.reshape(-1, kappa.d).tolist(), lhs.tolist())
+        for point, value in zip(np.atleast_2d(x).tolist(), lhs.tolist())
     ]
+    return _one_or_all(x, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -737,30 +727,23 @@ def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
     return _log_total(center, sigma, 2.0 * kappa_i, values, f"x = {xi}, y = {yi}, s = {s}, t = {t}")
 
 
-def heat_residual(t: float, x, y, kappa) -> float:
+def heat_residual(t, x, y, kappa) -> float | np.ndarray:
     """Relative defect of d/dt p = L p at (t, x, y): the time derivative from
     the moment analysis against the generic difference operator applied to
-    the kernel as a plain spatial field, scaled by p(x, y) throughout.  The
-    one-point face of _heat_residuals."""
-    kappa = MultiplicityZ2.of(kappa)
-    x = _validate_point(x, kappa.d)
-    y = _validate_point(y, kappa.d)
-    return float(_heat_residuals(t, x[None], y[None], kappa)[0])
+    the kernel as a plain spatial field, scaled by p(x, y) throughout.
 
-
-def _heat_residuals(t: float, x, y, kappa) -> np.ndarray:
-    """heat_residual at each of the n point pairs of x and y, (n, d) each,
-    all at the time t.  The kernel's derivatives at x come from one
-    _kernel_points batch; the Laplacian reads the field p(., y) /
+    x and y are one point each, shape (d,), giving a float, or n points
+    each, shape (n, d), at a float or (n,) times, giving an (n,) array, each
+    entry the bits of its one-point call.  The kernel's derivatives at x come
+    from one _kernel_points batch; the Laplacian reads the field p(., y) /
     p(x, y), which is 1 at x, and at the images r_i x outside the hyperplane
     band it takes log p from one _coordinate call per axis, at the flipped
-    coordinate, with the other axes' terms from the batch at x.  A point's
-    residual is the bits of its one-point call, and as there, where
+    coordinate, with the other axes' terms from the batch at x.  Where
     p(r_i x, y) / p(x, y) overflows math.exp raises OverflowError."""
     kappa = MultiplicityZ2.of(kappa)
-    t = _validate_time(t)
-    x = _validate_point(x, kappa.d, batch=True)
-    y = _validate_point(y, kappa.d, batch=True)
+    given, y = _validate_points(kappa.d, x, y)
+    x, y = np.atleast_2d(given, y)
+    t = _validate_time(t, len(x))
     ref = _kernel_points(t, x, y, kappa)
 
     def value(rows, axis):
@@ -768,10 +751,12 @@ def _heat_residuals(t: float, x, y, kappa) -> np.ndarray:
             return 1.0
         terms = [log_p[rows] for log_p in ref.log_p_axes]
         with np.errstate(all="ignore"):
-            terms[axis] = _coordinate(t, -x[rows, axis], y[rows, axis], kappa.values[axis]).log_p
+            at = t[rows] if np.ndim(t) else t
+            terms[axis] = _coordinate(at, -x[rows, axis], y[rows, axis], kappa.values[axis]).log_p
         # math.exp, as one point takes it: numpy's exp differs in the last bit
         return [math.exp(v) for v in (_added(terms) - ref.log_p[rows]).tolist()]
 
     lap = _laplacian(x, kappa, ref.grad, ref.hess + ref.grad * ref.grad, value)
     scale = np.maximum(np.maximum(np.abs(ref.dt), np.abs(lap)), 1.0 / t)
-    return np.abs(ref.dt - lap) / scale
+    residuals = np.abs(ref.dt - lap) / scale
+    return float(residuals[0]) if given.ndim == 1 else residuals

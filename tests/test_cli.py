@@ -6,6 +6,7 @@ contract (JSON lines or CSV) and the exit code is the verdict.
 
 import collections
 import csv
+import dataclasses
 import errno
 import functools
 import io
@@ -23,8 +24,9 @@ import pytest
 
 from dunklheat import cli, inequalities, kernel, semigroup
 from dunklheat.cli import _COLUMNS, main
-from dunklheat.inequalities import VerificationReport, iter_liyau_points, liyau_functional
+from dunklheat.inequalities import VerificationReport, liyau_functional
 from dunklheat.kernel import log_gaussian_mass, log_kernel_derivatives
+from dunklheat.operators import SpaceTimeField
 from dunklheat.semigroup import MeasureConvention, normalization_check, semigroup_solution
 
 
@@ -39,6 +41,22 @@ def parse_jsonl(text):
     meta = json.loads(lines[0])["meta"]
     rows = [json.loads(line) for line in lines[1:]]
     return meta, rows
+
+
+def one_point_at_a_time(datum, kappa) -> SpaceTimeField:
+    """A fresh semigroup_solution(datum, kappa) that answers an n-point read
+    by reading each point alone, so no two integrals share a batch."""
+    u = semigroup_solution(datum, kappa)
+
+    def each(read):
+        def at(t, x):
+            if np.ndim(x) == 1:
+                return read(t, x)
+            return np.array([read(s, p) for s, p in zip(np.broadcast_to(t, len(x)).tolist(), x)])
+
+        return at
+
+    return SpaceTimeField(*(each(getattr(u, field.name)) for field in dataclasses.fields(u)))
 
 
 class TestRowContract:
@@ -813,8 +831,13 @@ class TestExitCodes:
     def test_non_finite_report_field_returns_four_with_grid_point(self, capsys, monkeypatch):
         # every row's report is built at its grid point, so a non-finite
         # field is a numerical failure there, not a configuration error
-        # the heat-equation rows of one time come from one batch
-        monkeypatch.setattr(cli, "_heat_residuals", lambda t, x, y, kappa: np.full(len(x), math.inf))
+        # the heat-equation rows of one time come from one n-point call
+        residual = cli.heat_residual
+
+        def infinite(t, x, y, kappa):
+            return np.full(len(x), math.inf) if np.ndim(x) == 2 else residual(t, x, y, kappa)
+
+        monkeypatch.setattr(cli, "heat_residual", infinite)
         code, out, err = run_cli(["semigroup-check", "--t", "1", "--coords", "0,1"], capsys)
         assert (code, out) == (4, "")
         assert err == (
@@ -919,14 +942,20 @@ class TestExitCodes:
         )
 
     def test_harnack_batch_failure_is_replayed_in_draw_order(self, capsys, monkeypatch):
+        # the points of the n-point read that fills the field, in order
         evaluated = []
-        batched = cli._solution_field
 
-        def recorded(datum, kappa, points):
-            evaluated.extend(points)
-            return batched(datum, kappa, points)
+        def recorded(datum, kappa):
+            u = semigroup_solution(datum, kappa)
 
-        monkeypatch.setattr(cli, "_solution_field", recorded)
+            def log_value(t, x):
+                if not evaluated:
+                    evaluated.extend(zip(np.broadcast_to(t, len(x)).tolist(), np.asarray(x).tolist()))
+                return u.log_value(t, x)
+
+            return dataclasses.replace(u, log_value=log_value)
+
+        monkeypatch.setattr(cli, "semigroup_solution", recorded)
         argv = ["harnack-scan", "--kappa", "0.5", "--augment", "20", "--reproducible"]
         assert run_cli(argv, capsys)[0] == 0
         # the (t, y) of tuple 7 and the (s, x) of tuple 12 stop the kernel;
@@ -950,12 +979,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("kappa", ["0.5,1.5", "1e-8,3", "20,0.25"])
     @pytest.mark.parametrize("seed", ["5", "22"])
     def test_harnack_rows_from_batched_values_match_the_solution_field(self, capsys, monkeypatch, kappa, seed):
-        # the same bits; seed 22 draws a time whose log(2t) differs by an ulp
-        # between math.log and numpy's log
+        # the same bits as a fresh field read one point at a time; seed 22
+        # draws a time whose log(2t) differs by an ulp between math.log and
+        # numpy's log
         argv = ["harnack-scan", "--kappa", kappa, "--augment", "50", "--seed", seed, "--reproducible"]
         code, out, _ = run_cli(argv, capsys)
 
-        monkeypatch.setattr(cli, "_solution_field", lambda datum, kappa, points: semigroup_solution(datum, kappa))
+        monkeypatch.setattr(cli, "semigroup_solution", one_point_at_a_time)
         want_code, want, _ = run_cli(argv, capsys)
         assert code == want_code == 0
         rows, want_rows = parse_jsonl(out)[1], parse_jsonl(want)[1]
@@ -967,10 +997,10 @@ class TestExitCodes:
     )
     def test_solution_rows_from_the_batched_field_match_the_lazy_field(self, capsys, monkeypatch, args):
         # the second grid leaves the reflections of its points to the field's
-        # misses
+        # misses; the reference is a fresh field read one point at a time
         argv = ["solution-scan", *args, "--reproducible"]
         code, out, _ = run_cli(argv, capsys)
-        monkeypatch.setattr(cli, "_solution_field", lambda datum, kappa, points: semigroup_solution(datum, kappa))
+        monkeypatch.setattr(cli, "semigroup_solution", one_point_at_a_time)
         want_code, want, _ = run_cli(argv, capsys)
         assert code == want_code == 0
         rows, want_rows = parse_jsonl(out)[1], parse_jsonl(want)[1]
@@ -982,7 +1012,7 @@ class TestExitCodes:
         # batch meets axis 0 first, at grid point [2, -1], and the replay
         # names the first grid point in loop order that stops, [-1, 2]
         argv = ["solution-scan", "--kappa", "0.5,1.5", "--t", "0.5", "--coords=-1,0,2", "--reproducible"]
-        kernel, batched = semigroup.kernel_derivatives_1d_batch, cli._solution_field
+        kernel = semigroup.kernel_derivatives_1d_batch
         data, raised = [], []
 
         def failing(t, u, v, kappa_i):
@@ -991,12 +1021,12 @@ class TestExitCodes:
                 raise OverflowError("boom")
             return kernel(t, u, v, kappa_i)
 
-        def counted(datum, kappa, points):
+        def counted(datum, kappa):
             data.append(datum)
-            return batched(datum, kappa, points)
+            return semigroup_solution(datum, kappa)
 
         monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", failing)
-        monkeypatch.setattr(cli, "_solution_field", counted)
+        monkeypatch.setattr(cli, "semigroup_solution", counted)
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (4, "")
         assert err == "numerical failure: OverflowError: boom [grid point [0.5, [-1.0, 2.0]]]\n"
@@ -1098,14 +1128,16 @@ class TestExitCodes:
 
     @staticmethod
     def _raising(monkeypatch, name):
-        """Record each exception that the batch cli.<name> raises."""
-        raised, batch = [], getattr(cli, name)
+        """Record each exception that the check cli.<name> raises when it is
+        given n points, as an (n, d) array."""
+        raised, check = [], getattr(cli, name)
 
-        def recorded(*args):
+        def recorded(*args, **kwargs):
             try:
-                return batch(*args)
+                return check(*args, **kwargs)
             except Exception as e:
-                raised.append(type(e).__name__)
+                if any(np.ndim(arg) == 2 for arg in args):
+                    raised.append(type(e).__name__)
                 raise
 
         monkeypatch.setattr(cli, name, recorded)
@@ -1147,7 +1179,7 @@ class TestExitCodes:
             return kernel_batch(t, u, v, kappa_i)
 
         monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", failing)
-        raised = self._raising(monkeypatch, "_liyau_solution_reports")
+        raised = self._raising(monkeypatch, "liyau_for_solution")
         argv = ["solution-scan", "--kappa", "0.5,1.5", "--coords=-2,0.5,1.7", "--t", "0.05,2", "--reproducible"]
         assert run_cli(argv, capsys) == (
             4, "", "numerical failure: OverflowError: boom [grid point [0.05, [-2.0, 1.7]]]\n"
@@ -1158,7 +1190,7 @@ class TestExitCodes:
         # d_t log u is infinite wherever a coordinate is 1.7: the Li-Yau rows
         # do not read it, the gradient-form rows fail
         self._solution_rows(monkeypatch, 3, lambda u: u == 1.7, math.inf)
-        raised = self._raising(monkeypatch, "_gradient_form_reports")
+        raised = self._raising(monkeypatch, "gradient_form_check")
         argv = ["solution-scan", "--kappa", "0.5,1.5", "--coords=-2,0.5,1.7", "--t", "0.05,2", "--reproducible"]
         assert run_cli(argv, capsys) == (
             4,
@@ -1172,7 +1204,7 @@ class TestExitCodes:
         # log u is NaN wherever a coordinate exceeds 2.3; the first tuple in
         # draw order with one has it in y, on the rhs
         self._solution_rows(monkeypatch, 0, lambda u: u > 2.3, math.nan)
-        raised = self._raising(monkeypatch, "_harnack_reports")
+        raised = self._raising(monkeypatch, "harnack_check")
         argv = ["harnack-scan", "--kappa", "0.5,1.5", "--augment", "40", "--reproducible"]
         assert run_cli(argv, capsys) == (
             4,
@@ -1189,7 +1221,7 @@ class TestExitCodes:
         # at a later draw, but the first row in draw order that stops is the
         # midpoint row of draw 1
         self._r1_escapes(monkeypatch, lambda a: (np.abs(a) > 5.0) & (np.abs(a) < 7.5) & (a != np.round(a, 1)))
-        raised = self._raising(monkeypatch, "_log_convexity_reports")
+        raised = self._raising(monkeypatch, "log_convexity_check")
         code, out, err = run_cli(["claims-verify", "--reproducible"], capsys)
         assert (code, out) == (4, "")
         assert err == (
@@ -1205,7 +1237,7 @@ class TestExitCodes:
         # takes the tilts -x_i^2 / 2, the flipped coordinates +x_i^2 / 2, and
         # no normalization or Chapman-Kolmogorov row reaches either
         self._r1_escapes(monkeypatch, lambda a: a == tilt)
-        raised = self._raising(monkeypatch, "_heat_residuals")
+        raised = self._raising(monkeypatch, "heat_residual")
         assert run_cli(["semigroup-check", "--reproducible"], capsys) == (
             4,
             "",
@@ -1236,9 +1268,8 @@ class TestLiYauGrid:
         n = len(coords.split(","))
         assert len(lines) == len(t_grid.split(",")) * n ** (2 * len(kappa_values))
         points = [json.loads(line)["grid_point"] for line in lines]
-        # one batch equals liyau_functional point by point, bit for bit
-        # (tests/test_inequalities.py pins that)
-        for line, dec in zip(lines, iter_liyau_points(points, kappa_values), strict=True):
+        # each row is the row of liyau_functional at its point, bit for bit
+        for line, dec in zip(lines, (liyau_functional(*p, kappa_values) for p in points), strict=True):
             # JSON text compares every float to the bit, signed zeros too
             assert line == cli._COMPACT_JSON.encode(_liyau_row(dec, 1e-9))
 

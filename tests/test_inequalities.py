@@ -13,13 +13,13 @@ from dunklheat import inequalities, kernel
 from dunklheat.inequalities import (
     DEFAULT_COORDS,
     GridExtrema,
+    LiYauCoordinate,
     LiYauDecomposition,
     VerificationReport,
     f_of_a,
     gradient_form_check,
     h_of_a,
     harnack_check,
-    iter_liyau_points,
     kernel_solution_field,
     liyau_coordinate_table,
     liyau_functional,
@@ -468,11 +468,16 @@ def test_batched_points_equal_points_one_by_one():
         (0.01, [-3.0, 3.0, 9.0], [0.0, -3.0, 9.0]),
         (0.01, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
     ]
-    batched = list(iter_liyau_points(points, kappa))
-    assert len(batched) == len(points)
-    for dec, (t, x, y) in zip(batched, points):
-        assert repr(dec) == repr(liyau_functional(t, x, y, kappa))
-    assert list(iter_liyau_points([], kappa)) == []
+    t = np.array([p[0] for p in points])
+    x, y = (np.array([p[i] for p in points], dtype=float) for i in (1, 2))
+    axes = [
+        list(map(LiYauCoordinate, *inequalities._liyau_terms(t, x[:, i], y[:, i], k))) for i, k in enumerate(kappa)
+    ]
+    for n, (ti, xi, yi) in enumerate(points):
+        want = liyau_functional(ti, xi, yi, kappa).coordinates
+        assert repr(tuple(axis[n] for axis in axes)) == repr(want)
+    empty = np.array([])
+    assert inequalities._liyau_terms(empty, empty, empty, 0.5) == ([],) * 6
 
 
 @pytest.mark.parametrize(
@@ -483,16 +488,10 @@ def test_batched_points_equal_points_one_by_one():
         (("0.5", [1.0, 2.0], [0.5, 0.5]), "time must be finite and > 0, got '0.5'"),
     ],
 )
-@pytest.mark.parametrize("at", [0, 3])
-def test_the_first_bad_point_of_a_batch_is_named(bad, message, at):
-    # each point is checked in turn: a bad point later on is not the one
-    # named
-    good = [(0.5, [1.0, 2.0], [0.3, -1.0])] * 5
-    points = [*good[:at], bad, *good[at:]]
-    for batch in (points, [*points, (-1.0, [1.0, 2.0], [0.3, -1.0])]):
-        with pytest.raises(DomainError) as error:
-            iter_liyau_points(batch, (0.5, 1.5))
-        assert str(error.value) == message
+def test_liyau_functional_names_its_bad_input(bad, message):
+    with pytest.raises(DomainError) as error:
+        liyau_functional(*bad, (0.5, 1.5))
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize("t", [1e-9, 0.01])
@@ -592,7 +591,7 @@ def test_kernel_solution_field_evaluates_the_kernel_once_per_point(monkeypatch):
     assert calls == [[1.0], [2.0]]
     calls.clear()
     points = np.array([[1.0, 2.0], [-0.3, 0.0], [-0.3, -0.0]])
-    inequalities._gradient_form_reports(u, t, points, 10.0, 1e-9)
+    gradient_form_check(u, t, points, beta=10.0)
     assert calls == [[1.0, -0.3, -0.3], [2.0, 0.0, -0.0]]
     batch = [g(t, points) for g in (u.log_value, u.log_gradient, u.log_hessian_diag, u.log_time_derivative)]
     for i, x in enumerate(points.tolist()):

@@ -208,9 +208,10 @@ def test_every_kappa_entry_point_rejects_bad_multiplicities(name, kappa, message
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("x", [[math.nan], [0.5, math.inf], [[0.5]]])
+@pytest.mark.parametrize("x", [[math.nan], [0.5, math.inf], [[[0.5]]]])
 def test_gradient_form_check_rejects_bad_points(x):
-    # the field fixes no dimension, so any length of a 1-d point is accepted
+    # the field fixes no dimension, so any length of a 1-d point, or of the
+    # rows of an (n, d) array of points, is accepted
     with pytest.raises(DomainError):
         dh.gradient_form_check(_CONSTANT_FIELD, 1.0, x, 1.0)
 

@@ -1,8 +1,8 @@
-"""The array forms of the point checks against their one-point faces.
+"""The n-point calls of the point checks against their one-point calls.
 
-Each batched check reads its field, or evaluates the kernel, once for n
-points; each public check is its one-point face.  A point's entry of a batch
-must be the bits of its one-point call, on the CLI's default grids and at the
+Each check takes one point or n points, and reads its field, or evaluates
+the kernel, once for all its points.  A point's entry of an n-point call must
+be the bits of its one-point call, on the CLI's default grids and at the
 awkward points: x_i = 0 and -0.0, just inside and just outside the hyperplane
 band |x_i| < 1e-7 (1 + |x|), kappa_i = 0, and d = 1 and 3.
 """
@@ -11,6 +11,7 @@ import contextlib
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,10 +19,7 @@ import pytest
 from _oracles import exp_field
 from dunklheat import cli, inequalities, kernel, operators, semigroup
 from dunklheat.inequalities import (
-    _gradient_form_reports,
-    _harnack_reports,
-    _log_convexity_midpoint_reports,
-    _log_convexity_reports,
+    VerificationReport,
     gradient_form_check,
     harnack_check,
     kernel_solution_field,
@@ -30,14 +28,13 @@ from dunklheat.inequalities import (
 )
 from dunklheat.kernel import _coordinate, log_kernel, log_kernel_derivatives
 from dunklheat.operators import ScalarField, dunkl_laplacian, reflect, reflection_epsilon
+from dunklheat.quadrature import DomainError
 from dunklheat.semigroup import (
     InitialDatum,
-    _heat_residuals,
-    _liyau_solution_reports,
-    _solution_field,
     bump_profile,
     heat_residual,
     liyau_for_solution,
+    semigroup_solution,
     two_bump_profile,
 )
 
@@ -129,7 +126,7 @@ def test_solution_field_batch_reads_are_the_bits_of_each_point(kappa):
     d = len(kappa)
     points = _grid(d, (-3.0, -0.0, 0.0, 6e-7, 1.0))
     times = np.resize([0.05, 1.0], len(points))
-    field = _solution_field(_datum(d), kappa, [(t, x) for t, x in zip(times.tolist(), points.tolist())])
+    field = semigroup_solution(_datum(d), kappa)
     reads = (field.log_value, field.log_gradient, field.log_hessian_diag, field.log_time_derivative)
     for read in reads:
         batch = read(times, points)
@@ -169,26 +166,27 @@ def _report_bits(reports) -> list:
 def test_solution_checks_batch_are_the_bits_of_each_point(kappa):
     d = len(kappa)
     points = _grid(d, (-3.0, -0.0, 0.0, 1.5e-7, 6e-7, 1.0))
-    field = _solution_field(_datum(d), kappa, [(0.3, x) for x in points.tolist()])
+    field = semigroup_solution(_datum(d), kappa)
+    field.log_value(0.3, points)
     bound = (d + 2.0 * sum(kappa)) / 0.6
-    batch = _liyau_solution_reports(field, 0.3, points, kappa, 1e-9)
+    batch = liyau_for_solution(field, 0.3, points, kappa)
     assert _report_bits(batch) == _report_bits(liyau_for_solution(field, 0.3, x, kappa) for x in points)
-    batch = _gradient_form_reports(field, 0.3, points, bound, 1e-9)
+    batch = gradient_form_check(field, 0.3, points, bound)
     assert _report_bits(batch) == _report_bits(gradient_form_check(field, 0.3, x, bound) for x in points)
     rng = np.random.default_rng(3)
     s = 10.0 ** rng.uniform(-1.0, 0.3, len(points))
     t = s * rng.uniform(1.05, 8.0, len(points))
     y = points[rng.permutation(len(points))]
-    batch = _harnack_reports(field, s, points, t, y, sum(kappa), d, 1e-9)
+    batch = harnack_check(field, s, points, t, y, sum(kappa), d)
     tuples = zip(s.tolist(), points, t.tolist(), y)
-    faces = [harnack_check(field, *tup, lambda_kappa=sum(kappa), d=d) for tup in tuples]
-    assert _report_bits(batch) == _report_bits(faces)
+    each = [harnack_check(field, *tup, lambda_kappa=sum(kappa), d=d) for tup in tuples]
+    assert _report_bits(batch) == _report_bits(each)
 
 
 @pytest.mark.parametrize("kappa", _KAPPAS)
 def test_kernel_checks_batch_are_the_bits_of_the_memo_path(kappa):
-    # the faces no longer read the moment memo; the memo's scalar kernel
-    # gives the same bits
+    # the checks do not read the moment memo; the memo's scalar kernel gives
+    # the same bits
     d = len(kappa)
     rng = np.random.default_rng(11)
     points = _grid(d, (-3.0, -0.0, 0.0, 1.5e-7, 6e-7, 1.0))
@@ -196,8 +194,8 @@ def test_kernel_checks_batch_are_the_bits_of_the_memo_path(kappa):
     t = 10.0 ** rng.uniform(-1.0, 1.0, n)
     y, z1 = (points[rng.permutation(n)] for _ in range(2))
     z2 = rng.uniform(-5.0, 5.0, (n, d))
-    diagonal = _log_convexity_reports(t, points, y, kappa, 1e-9)
-    midpoint = _log_convexity_midpoint_reports(t, z1, z2, y, kappa, 1e-9)
+    diagonal = log_convexity_check(t, points, y, kappa)
+    midpoint = log_convexity_midpoint_check(t, z1, z2, y, kappa)
     for i, (ti, x, yi, a, b) in enumerate(zip(t.tolist(), points, y, z1, z2)):
         assert _report_bits([diagonal[i]]) == _report_bits([log_convexity_check(ti, x, yi, kappa)])
         assert _report_bits([midpoint[i]]) == _report_bits([log_convexity_midpoint_check(ti, a, b, yi, kappa)])
@@ -233,7 +231,7 @@ def _pointwise_heat_residual(t, x, y, kappa) -> float:
 def test_heat_residual_batch_is_the_bits_of_the_pointwise_residual(kappa, t):
     points = _grid(len(kappa), (-3.0, -0.0, 0.0, 1.5e-7, 6e-7, 1.0))
     y = points[::-1]
-    batch = _heat_residuals(t, points, y, kappa)
+    batch = heat_residual(t, points, y, kappa)
     assert _bits(batch) == _bits([heat_residual(t, x, yi, kappa) for x, yi in zip(points, y)])
     assert _bits(batch) == _bits([_pointwise_heat_residual(t, x, yi, kappa) for x, yi in zip(points, y)])
 
@@ -243,12 +241,77 @@ def test_the_cli_default_grids_are_batched_with_the_bits_of_each_point():
     points = _grid(2, cli._DEFAULT_COORDS)
     for t in times:
         want = [_pointwise_heat_residual(t, x, y, kappa) for x, y in zip(points, points[::-1])]
-        assert _bits(_heat_residuals(t, points, points[::-1], kappa)) == _bits(want)
-    datum = cli._initial_data(2)["two_bump"]
-    field = _solution_field(datum, kappa, [(t, x) for t in times for x in points.tolist()])
+        assert _bits(heat_residual(t, points, points[::-1], kappa)) == _bits(want)
+    field = semigroup_solution(cli._initial_data(2)["two_bump"], kappa)
+    field.log_value(np.repeat(times, len(points)), np.tile(points, (len(times), 1)))
     for t in times:
-        batch = _liyau_solution_reports(field, t, points, kappa, 1e-9)
+        batch = liyau_for_solution(field, t, points, kappa)
         assert _report_bits(batch) == _report_bits(liyau_for_solution(field, t, x, kappa) for x in points)
+
+
+# ---------------------------------------------------------------------------
+# one point or n points
+
+
+_X = np.array([[1.0, 2.0], [-0.3, 0.0], [0.7, -1.1]])
+_KAPPA = (0.5, 1.5)
+
+
+def _checks():
+    """Each check, and the kernel field's and a solution field's callables,
+    as a map of (t, x, y) with x and y one point each or n points each."""
+    u = kernel_solution_field([0.5, -1.0], _KAPPA)
+    solution = semigroup_solution(_datum(2), _KAPPA)
+    fields = {"kernel": u, "solution": solution}
+    checks = {
+        "gradient_form_check": lambda t, x, y: gradient_form_check(u, t, x, 10.0),
+        "harnack_check at s": lambda t, x, y: harnack_check(u, t, x, 5.0, y, sum(_KAPPA), 2),
+        "harnack_check at t": lambda t, x, y: harnack_check(u, 0.1, x, t, y, sum(_KAPPA), 2),
+        "liyau_for_solution": lambda t, x, y: liyau_for_solution(u, t, x, _KAPPA),
+        "log_convexity_check": lambda t, x, y: log_convexity_check(t, x, y, _KAPPA),
+        "log_convexity_midpoint_check": lambda t, x, y: log_convexity_midpoint_check(t, x, y, y, _KAPPA),
+        "heat_residual": lambda t, x, y: heat_residual(t, x, y, _KAPPA),
+    }
+    for name, field in fields.items():
+        for read in ("log_value", "log_gradient", "log_hessian_diag", "log_time_derivative"):
+            checks[f"{name} {read}"] = lambda t, x, y, read=getattr(field, read): read(t, x)
+    return checks
+
+
+_CHECKS = [name for name in _checks() if " log_" not in name]
+
+
+@pytest.mark.parametrize("name", _CHECKS)
+def test_each_check_gives_one_result_per_point(name):
+    # gradient_form_check took x of shape (3, 2) for one point of R^6
+    check = _checks()[name]
+    y = _X[::-1]
+    one = check(0.7, _X[0], y[0])
+    each = check(0.7, _X, y)
+    if name == "heat_residual":
+        assert type(one) is float and each.shape == (3,)
+        assert _bits(each) == _bits([check(0.7, x, yi) for x, yi in zip(_X, y)])
+    else:
+        assert isinstance(one, VerificationReport) and len(each) == 3
+        assert _report_bits(each) == _report_bits(check(0.7, x, yi) for x, yi in zip(_X, y))
+
+
+@pytest.mark.parametrize("name", list(_checks()))
+def test_a_times_array_of_the_wrong_length_is_a_domain_error(name):
+    message = "expected one time or 3 times, one per point, got times of shape (2,)"
+    if name == "liyau_for_solution":
+        # the Laplacian of the time-t slice: one time for all points
+        message = "expected one time, got times of shape (2,)"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        _checks()[name](np.array([1.0, 2.0]), _X, _X[::-1])
+
+
+@pytest.mark.parametrize(
+    "name", ["harnack_check at s", "log_convexity_check", "log_convexity_midpoint_check", "heat_residual"]
+)
+def test_points_of_two_shapes_are_a_domain_error(name):
+    with pytest.raises(DomainError, match=re.escape("expected points of one shape, got shapes (3, 2), (2,)")):
+        _checks()[name](0.7, _X, _X[0])
 
 
 # ---------------------------------------------------------------------------

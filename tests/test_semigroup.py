@@ -482,11 +482,12 @@ def test_solution_field_computes_each_coordinate_integral_once_read_only(monkeyp
     assert len(calls) == 2
     u.log_value(t, [1.0, -2.0])
     assert len(calls) == 3
-    # built with points: one batch per coordinate of its distinct (t, x_i),
-    # -0.0 sharing the entry of 0.0; the points it was built with are hits
+    # filled by one n-point read: one batch per coordinate of its distinct
+    # (t, x_i), -0.0 sharing the entry of 0.0; the points it read are hits
     calls.clear()
     points = [(t, x), (t, [1.0, -2.0]), (0.3, x), (t, [-0.0, 2.0]), (t, [0.0, 2.0])]
-    v = semigroup._solution_field(f, kappa, points)
+    v = semigroup_solution(f, kappa)
+    v.log_value(np.array([s for s, _ in points]), np.array([y for _, y in points]))
     assert [len(layouts) for layouts, *_ in calls] == [3, 3]
     for s, y in points:
         v.log_value(s, y)
@@ -854,13 +855,13 @@ def test_heat_residual_evaluates_the_kernel_once_per_point(monkeypatch):
     monkeypatch.setattr(kernel, "_coordinate", counted)
     monkeypatch.setattr(semigroup, "_coordinate", counted)
     x, y = [[1.0, -2.0], [0.5, 3.0]], [[0.3, 1.5], [-1.0, 0.25]]
-    residuals = semigroup._heat_residuals(0.5, x, y, [0.5, 1.5])
+    residuals = heat_residual(0.5, x, y, [0.5, 1.5])
     assert (residuals < 1e-7).all()
     # the derivatives at x, one call per axis for all points, then the
     # kernel at each reflected point: one call per axis at the flipped
     # coordinate, the other axes' terms taken from the call at x
     assert calls == [[1.0, 0.5], [-2.0, 3.0], [-1.0, -0.5], [2.0, -3.0]]
-    # each point's residual is the bits of the one-point face
+    # each point's residual is the bits of its one-point call
     calls.clear()
     for i, row in enumerate(residuals.tolist()):
         assert heat_residual(0.5, x[i], y[i], [0.5, 1.5]) == row

@@ -59,6 +59,15 @@ CONFIGURATIONS = (
     ("kernel-eval", "--kappa", "0.5", "--t", "1", "--coords", "1e200"),
     ("solution-scan", "--kappa", "0", "--t", "1", "--coords", "1e200"),
     ("claims-verify", "--kappa", "200"),
+    # failures inside the batched point checks, replayed point by point to
+    # name the first point that stops: harnack-scan's solution field (exit
+    # 4), a solution-scan mass that underflows (3) and the log-convexity
+    # rows of claims-verify (3); and the heat-equation rows at t = 1e8,
+    # which exit 1 on a false violation (ROADMAP item 19)
+    ("harnack-scan", "--kappa", "1000"),
+    ("solution-scan", "--kappa", "0.5", "--t", "1e-6", "--coords=-40"),
+    ("claims-verify", "--kappa", "150"),
+    ("semigroup-check", "--t", "1e8"),
 )
 
 # `python -m dunklheat.cli` would import the module without calling main
