@@ -27,8 +27,9 @@ written.  For 3 and 4 the offending grid point is named on stderr.
 
 The point checks run batched: each solution field's moments, the
 solution-scan rows of each time, the harnack-scan tuples, the log-convexity
-rows of claims-verify and the heat-equation rows of each time are one call
-each over all their points, with each point's bits.  A batch that fails is
+rows of claims-verify, and the normalization and heat-equation rows of each
+time and the Chapman-Kolmogorov rows of each time pair in semigroup-check
+are one call each over all their points, with each point's bits.  A batch that fails is
 replayed point by point through the same check, given one point at a time
 (`_batched`), so the failure names the first point in loop order that
 stops, as a point-by-point loop would.
@@ -40,6 +41,7 @@ import argparse
 import bisect
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -507,21 +509,22 @@ def _time_pairs(t_grid):
 
 
 def _semigroup_check(cfg: RunConfig) -> list[_Block]:
+    """One batch per time of normalization and heat-equation rows, and one
+    per time pair of Chapman-Kolmogorov rows at (x, x) and (x, -x)."""
     rows = []
-    for t in cfg.t_grid:
-        for x in cfg.points:
-            point = (t, x)
-            report = _at_point(point, lambda: normalization_check(t, x, cfg.kappa))
-            rows.append(_row(report))
-    for s, t in _time_pairs(cfg.t_grid):
-        for x in cfg.points:
-            for y in (x, tuple(-v for v in x)):
-                point = (s, t, x, y)
-                report = _at_point(point, lambda: chapman_kolmogorov_check(s, t, x, y, cfg.kappa))
-                rows.append(_row(report))
-    # the heat equation at (x, y) pairs of the grid, one batch per time
     reversed_points = list(reversed(cfg.points))
     xs, ys = np.array(cfg.points, dtype=float), np.array(reversed_points, dtype=float)
+    normalization = functools.partial(normalization_check, kappa=cfg.kappa)
+    chapman_kolmogorov = functools.partial(chapman_kolmogorov_check, kappa=cfg.kappa)
+    for t in cfg.t_grid:
+        reports = _batched(lambda: normalization(t, xs), [(t, x) for x in cfg.points], normalization)
+        rows.extend(_row(report) for report in reports)
+    grid_pairs = [(x, y) for x in cfg.points for y in (x, tuple(-v for v in x))]
+    x, y = (np.array(column, dtype=float) for column in zip(*grid_pairs))
+    for s, t in _time_pairs(cfg.t_grid):
+        points = [(s, t, *pair) for pair in grid_pairs]
+        reports = _batched(lambda: chapman_kolmogorov(s, t, x, y), points, chapman_kolmogorov)
+        rows.extend(_row(report) for report in reports)
 
     def heat(t, x, y):
         return heat_residual(t, x, y, cfg.kappa)
@@ -578,7 +581,7 @@ def _claims_verify(cfg: RunConfig) -> list[_Block]:
     for k in kappa_values:
         tilts = np.linspace(-200.0, 200.0, 41)
         points = [(a, k) for a in tilts.tolist()]
-        f, _ = _batched(lambda: _f_values(tilts, k), points, f_of_a)
+        f = _batched(lambda: _f_values(tilts, k), points, f_of_a)[0]
         for point, value in zip(points, f.tolist()):
             rows.append(_row(_report_at("f_nonneg", point, lhs=0.0, rhs=value, tolerance=1e-10)))
         grid = np.linspace(-5.0, 5.0, 101)

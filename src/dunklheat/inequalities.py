@@ -78,12 +78,12 @@ def f_of_a(a: float, kappa_i: float) -> float:
     return float(_f_values(_validate_tilts(float(a)), _validate_multiplicity(kappa_i))[0][0])
 
 
-def _f_values(a: np.ndarray, kappa_i: float) -> tuple[np.ndarray, np.ndarray]:
-    """f and phi(a) = f(a)/a^2 at each finite tilt of the 1-d array a,
-    computed once per distinct tilt.
+def _f_values(a: np.ndarray, kappa_i: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f and phi(a) = f(a)/a^2 at each finite tilt of the 1-d array a, and
+    the (3, len(a)) moment_stats rows at a, computed once per distinct tilt.
 
-    For |a| >= 1 the displayed formula for f is evaluated directly, from one
-    moment_stats call on [a, -a], and phi = f/a^2.  Below that it cancels
+    For |a| >= 1 the displayed formula for f is evaluated directly, from the
+    moments at a and -a, and phi = f/a^2.  Below that it cancels
     catastrophically (the value is ~ 2 var(0) a^2 against O(1) terms), so
     phi comes from the equivalent integral form
 
@@ -92,8 +92,8 @@ def _f_values(a: np.ndarray, kappa_i: float) -> tuple[np.ndarray, np.ndarray]:
     instead, and f = a^2 phi: every factor is nonnegative, so both carry
     full relative accuracy all the way down to the closed form phi(0) =
     2 var(0) = 4 kappa/(2 kappa + 1)^2.  One moment_stats call gives the
-    moments at [d, -d] for the direct tilts d and at every node tilt of
-    every such a.
+    moments at the distinct tilts, at -d for the direct tilts d and at every
+    node tilt of every such a.
     """
     tilts, inverse = np.unique(a, return_inverse=True)
     f = np.zeros(tilts.size)
@@ -102,15 +102,16 @@ def _f_values(a: np.ndarray, kappa_i: float) -> tuple[np.ndarray, np.ndarray]:
     small = ~direct & (tilts != 0.0)
     d, s = tilts[direct], tilts[small]
     rule = gauss_jacobi_rule(0.0, 0.0, _F_RULE_NODES)
-    log_m0, r1, variance = moment_stats(np.concatenate([d, -d, np.outer(s, rule.nodes).ravel()]), kappa_i)
-    f[direct] = 2.0 * d * r1[: d.size] + log_m0[d.size : 2 * d.size] - log_m0[: d.size]
+    stats = moment_stats(np.concatenate([tilts, -d, np.outer(s, rule.nodes).ravel()]), kappa_i)
+    (log_m0, r1, variance), m = stats, tilts.size
+    f[direct] = 2.0 * d * r1[:m][direct] + log_m0[m : m + d.size] - log_m0[:m][direct]
     phi[direct] = f[direct] / d / d
     # f(a) = int_{-a}^{a} (s + a) var(s) ds (oriented), and s = a*n
-    terms = (rule.weights * (1.0 + rule.nodes)) * variance[2 * d.size :].reshape(s.size, _F_RULE_NODES)
+    terms = (rule.weights * (1.0 + rule.nodes)) * variance[m + d.size :].reshape(s.size, _F_RULE_NODES)
     # a running sum in node order: the same bits as a node-by-node sum
     phi[small] = np.cumsum(terms, axis=1)[:, -1]
     f[small] = s * s * phi[small]
-    return f[inverse], phi[inverse]
+    return f[inverse], phi[inverse], stats[:, inverse]
 
 
 def h_of_a(a: float, kappa_i: float) -> float:
@@ -244,9 +245,12 @@ def _liyau_terms(t, u, v, kappa_i: float) -> tuple[list[float], ...]:
     # scalar float semantics, silently: a product past the float range is
     # inf, and the check below refuses the non-finite terms a row would carry
     with np.errstate(all="ignore"):
-        c = _coordinate(t, u, v, kappa_i)
+        a, stats = u * v / (2.0 * t), None  # the tilt as _coordinate forms it
+        if kappa_i > 0.0 and np.isfinite(a).all():
+            # one moment_stats call for the kernel terms and for f
+            f_value, phi, stats = _f_values(a, kappa_i)
+        c = _coordinate(t, u, v, kappa_i, stats)
         if kappa_i > 0.0:
-            f_value, phi = _f_values(c.a, kappa_i)
             w = v / (2.0 * t)
             reflection = kappa_i * (w * w) * phi
         else:

@@ -273,15 +273,16 @@ def moment_ratios(a: float, kappa: float) -> MomentRatios:
         return ratios
 
 
-def _tilted_terms(a, kappa: float):
+def _tilted_terms(a, kappa: float, stats=None):
     """(log E_kappa, r1, variance) at the tilt a, a float or an array, kappa > 0.
 
     A float tilt reads the cached scalar moment_ratios, a memo of the same
-    bits as the one moment_stats call an array makes.  At a = 0, log E_kappa
-    = log C_kappa - log C_kappa = 0 exactly.
+    bits as the one moment_stats call an array makes, or stats, the rows of
+    a call the caller made.  At a = 0, log E_kappa = log C_kappa - log
+    C_kappa = 0 exactly.
     """
     if isinstance(a, np.ndarray):
-        log_m0, r1, variance = moment_stats(a, kappa)
+        log_m0, r1, variance = moment_stats(a, kappa) if stats is None else stats
     else:
         ratios = moment_ratios(a, kappa)
         log_m0, r1, variance = ratios.log_m0, ratios.r1, ratios.variance
@@ -313,9 +314,10 @@ class _Coordinate(NamedTuple):
     d_t: float | np.ndarray
 
 
-def _coordinate(t, u, v, kappa: float) -> _Coordinate:
+def _coordinate(t, u, v, kappa: float, stats=None) -> _Coordinate:
     """The per-coordinate kernel formulas, at validated times t.  v is a
-    float or an array; t and u are floats, or arrays shaped like v.  For
+    float or an array; t and u are floats, or arrays shaped like v; stats,
+    if given, the moment_stats rows at the tilts, already computed.  For
     kappa > 0, with p = u/(2t), w = v/(2t), the tilt a = u v / (2t), and the
     mean r1 and the variance var of the tilted density at a:
 
@@ -342,7 +344,7 @@ def _coordinate(t, u, v, kappa: float) -> _Coordinate:
             bad = ~np.isfinite(a)
             u_at, t_at = (float(np.broadcast_to(w, bad.shape)[bad][0]) for w in (u, t))
             raise OverflowError(f"tilt u v / (2t) overflows at u = {u_at!r}, t = {t_at!r}")
-        log_e, r1, variance = _tilted_terms(a, kappa)
+        log_e, r1, variance = _tilted_terms(a, kappa, stats)
         log_p = (
             -_log_normalizers(kappa)[0]
             - (kappa + 0.5) * np.log(2.0 * t)
@@ -354,6 +356,15 @@ def _coordinate(t, u, v, kappa: float) -> _Coordinate:
         variance_term = w * w * variance
         d_t = -(kappa + 0.5) / t + (p * p + w * w) - (a / t) * r1
     return _Coordinate(a, log_p, d_u, variance_term, -1.0 / (2.0 * t) + variance_term, d_t)
+
+
+def _log_envelope(t, u, v, kappa: float):
+    """log p_t(u, v) <= -log c_kappa - (kappa + 1/2) log(2t) - (|u| - |v|)^2/(4t),
+    from E_kappa(a) <= e^|a| (Rosler 1999), with t, u and v as in _coordinate;
+    at kappa = 0 the Gaussian with |u| and |v| in place of u and v."""
+    gap = np.abs(u) - np.abs(v)
+    with np.errstate(over="ignore"):
+        return -log_gaussian_mass(kappa) - (kappa + 0.5) * np.log(2.0 * t) - gap * gap / (4.0 * t)
 
 
 def log_kernel(t, x, y, kappa) -> float:

@@ -34,6 +34,8 @@ weights are logs (log f + log p_t or two log-kernel rows, and 2 kappa
 log|v|), which `_adaptive_panel_sum` exponentiates shifted by their
 largest term.  Each integral returns its log, found wherever that log is
 finite, however far outside the double range the integrand or weight is.
+A node whose closed-form bound (`kernel._log_envelope`) is e^60 below its
+integral's largest term is skipped, with the same bits.
 
 `_adaptive_panel_sum` sums a batch of integrals that share one exponent.
 Each keeps its own panels, shift and settle test, and leaves the batch once
@@ -52,10 +54,9 @@ and the heat residual (`heat_residual`) evaluates the kernel for all its
 points in one batch per axis; each gives a point the bits of its
 one-point call.
 
-`_plain_mass` (normalization_check) and `_ck_coordinate`
-(chapman_kolmogorov_check) are process-wide LRU caches of
-_INTEGRAL_CACHE_SIZE entries, called with positional arguments that name
-the point alone, since the accuracy contract is fixed.  The integrals raise
+`normalization_check` and `chapman_kolmogorov_check` compute each distinct
+coordinate integral of a call once, and keep none: no caller repeats one
+across calls.  The integrals raise
 ConvergenceError where no value is representable: where a solution's
 integrand is 0 on the whole support (u^2 overflows far from it), where 30
 sigma vanishes next to |u| in double precision, leaving a window no width,
@@ -65,7 +66,7 @@ would need more than _PANEL_CAP panels.
 The kernel is invariant when one reflection flips both arguments,
 p_t(-u, -v) = p_t(u, v) (Rosler 1998; at kappa = 0 a Gaussian in u - v),
 and every weight |v|^e is even, so each integral has one value on the
-orbit of a joint sign flip.  The two caches take one point of each orbit:
+orbit of a joint sign flip.  The two checks take one point of each orbit:
 |u| for `_plain_mass`, and for `_ck_coordinate` whichever of (x_i, y_i)
 and (-x_i, -y_i) has x_i > 0, or x_i = 0 and y_i >= 0.  A sign flip of a
 check's points therefore gives the same bits.
@@ -83,13 +84,13 @@ from typing import Callable
 
 import numpy as np
 
-from .inequalities import DEFAULT_TOLERANCE, VerificationReport, _liyau_bound, _one_or_all
+from .inequalities import DEFAULT_TOLERANCE, VerificationReport, _liyau_bound, _one_or_all, _times
 from .kernel import (
     _coordinate,
     _kernel_points,
+    _log_envelope,
     kernel_derivatives_1d_batch,
     log_gaussian_mass,
-    log_kernel,
 )
 from .operators import (
     MultiplicityZ2,
@@ -135,7 +136,12 @@ _PANEL_CAP = 10_000
 _PROFILE_SAMPLES = 257
 # nodes per `values` call of a batched panel ladder
 _BATCH_NODES = 4096
-_INTEGRAL_CACHE_SIZE = 4096
+# a skipped node adds less than e^-_PRUNE_LOG of its integral's largest
+# term: _PANEL_CAP * _PANEL_NODE_CAP * e^-60 = 4.5e-20 of it in all, far
+# below 2^-53.  The kernel bound gives up a polynomial factor of E_kappa; at
+# _PRUNE_GUESS no default integral needs a second pass (at 10, 12 do)
+_PRUNE_LOG = 60.0
+_PRUNE_GUESS = 25.0
 _NORMALIZATION_TOL = 1e-8
 _CHAPMAN_KOLMOGOROV_TOL = 1e-6
 
@@ -375,7 +381,7 @@ def _chunks(batch: list, nodes: list):
     yield batch[start:]
 
 
-def _adaptive_panel_sum(layouts, exponent, values, units):
+def _adaptive_panel_sum(layouts, exponent, values, envelope, units):
     """(shift, sums): for each integral b of a batch, the sums
     sum_j w_j g(v_j) factors[i, j] over its panels layouts[b], (m_b, 2)
     edges, as exp(shift[b]) * sums[b, i], doubling every panel's node count
@@ -384,13 +390,18 @@ def _adaptive_panel_sum(layouts, exponent, values, units):
 
     `values` maps a node array (m,) and owner (m,), the index in the batch
     of the integral each node belongs to, to log g (-inf where g is 0) and
-    factor rows (k, m).  This is where logs become numbers: each term is
-    exp(log g + log w - shift), an integral's shift fixed at the largest log
-    term of its first call, one exp per node.  If g is 0 at every node of
-    that call, the shift is -inf and the sums are ones.  units[b] rescales
-    integral b's k sums to a common magnitude so its stopping test is
-    relative in the largest component and absolute, at the same scale, in
-    the rest.
+    factor rows (k, m); `envelope` maps them to an upper bound of log g.
+    This is where logs become numbers: each term is exp(log g + log w -
+    shift), an integral's shift fixed at the largest log term of its first
+    call, one exp per node.  If g is 0 at every node of that call, the shift
+    is -inf and the sums are ones.  units[b] rescales integral b's k sums to
+    a common magnitude so its stopping test is relative in the largest
+    component and absolute, at the same scale, in the rest.  A node reaches
+    `values` only if its bound term (envelope + log w) is at least shift -
+    _PRUNE_LOG; the others count as g = 0.  A first call takes the nodes
+    within _PRUNE_LOG + _PRUNE_GUESS of its largest bound term, then those
+    left within _PRUNE_LOG of the largest log term found, which hold the
+    largest of all: the shift is the one every node would give.
 
     Nearly every ladder stops at its second level, so the first two levels
     share one call.  An integral leaves the batch when it settles; the next
@@ -410,17 +421,31 @@ def _adaptive_panel_sum(layouts, exponent, values, units):
         for chunk in _chunks(pending, [len(layouts[b]) * sum(calls) for b in pending]):
             panels = layouts[chunk[0]] if len(chunk) == 1 else np.concatenate([layouts[b] for b in chunk])
             level = _panel_levels(panels, exponent)
-            layout = [level(n) for n in calls]
             # one slice per integral and level, level after level
-            owners = chunk * len(calls)
+            v, log_w = (np.concatenate(parts) for parts in zip(*(level(n) for n in calls)))
             sizes = [len(layouts[b]) * n for n in calls for b in chunk]
             ends = list(itertools.accumulate(sizes))
-            log_g, factors = values(np.concatenate([v for v, _ in layout]), np.array(owners).repeat(sizes))
-            log_terms = log_g + np.concatenate([log_w for _, log_w in layout])
+            owner = np.array(chunk * len(calls)).repeat(sizes)
+            bound = envelope(v, owner) + log_w
+            log_g, factors = np.full(v.size, -math.inf), np.zeros((units.shape[-1], v.size))
+            done = np.zeros(v.size, dtype=bool)
+
+            def evaluate(floor):
+                # the nodes left whose bound term reaches floor[i], i their integral's place in chunk
+                idx = np.flatnonzero(~done & (bound >= np.tile(floor, len(calls)).repeat(sizes)))
+                done[idx] = True
+                if idx.size:
+                    log_g[idx], factors[:, idx] = values(v[idx], owner[idx])
+
+            def peaks(terms):
+                return np.maximum.reduceat(terms, [e - n for e, n in zip(ends, sizes)]).reshape(len(calls), -1).max(0)
+
+            evaluate((peaks(bound) - _PRUNE_GUESS if first else np.array([shift[b] for b in chunk])) - _PRUNE_LOG)
             if first:
-                peaks = np.maximum.reduceat(log_terms, [e - n for e, n in zip(ends, sizes)])
-                for b, peak in zip(owners, peaks.tolist()):
-                    shift[b] = max(shift[b], peak)
+                evaluate(peaks(log_g + log_w) - _PRUNE_LOG)
+                for b, peak in zip(chunk, peaks(log_g + log_w).tolist()):
+                    shift[b] = peak
+            log_terms = log_g + log_w
             for i, b in enumerate(chunk):
                 if shift[b] == -math.inf:
                     sums[b] = np.ones(units.shape[-1])
@@ -443,8 +468,9 @@ def _adaptive_panel_sum(layouts, exponent, values, units):
     raise ConvergenceError(f"panel quadrature stalled at {_PANEL_NODE_CAP} nodes per panel")
 
 
-def _log_total(center, sigma, exponent, values, where) -> float:
-    """log of a kernel integral over the window of `center`, or
+def _log_total(center, sigma, exponent, kappa_i, kernels, where) -> float:
+    """log of the integral of the product of the kernels p_t(u, v), (t, u) in
+    kernels, against |v|^exponent over the window of `center`, or
     ConvergenceError where rounding left that window no width."""
     panels = _panels(*_window(center, sigma), sigma)
     if not len(panels):
@@ -452,7 +478,17 @@ def _log_total(center, sigma, exponent, values, where) -> float:
             f"integration window lost to rounding at {where}: 30 sigma vanishes next to the"
             " coordinate in double precision"
         )
-    shift, sums = _adaptive_panel_sum([panels], exponent, values, np.ones((1, 1)))
+
+    def values(v, owner):
+        # a kernel that repeats, as at s = t and x_i = y_i, is one row
+        rows = {kernel: kernel_derivatives_1d_batch(*kernel, v, kappa_i)[0] for kernel in dict.fromkeys(kernels)}
+        first, *rest = (rows[kernel] for kernel in kernels)
+        return sum(rest, first), np.ones((1, v.size))
+
+    def envelope(v, owner):
+        return sum(_log_envelope(*kernel, v, kappa_i) for kernel in kernels)
+
+    shift, sums = _adaptive_panel_sum([panels], exponent, values, envelope, np.ones((1, 1)))
     return float(shift[0]) + math.log(sums[0, 0])
 
 
@@ -472,17 +508,24 @@ def _solution_moments(t, u, kappa_i, profile) -> np.ndarray:
     def ladder(batch, layouts):
         index = np.array(batch)
 
+        def log_f(v):
+            # f may dip to -1e-12 of its peak (InitialDatum's check): that is 0
+            with np.errstate(divide="ignore"):
+                return np.log(np.maximum(np.asarray(profile.fn(v), dtype=float), 0.0))
+
         def values(v, owner):
             at = index[owner]
             log_p, d1, d2, dt = kernel_derivatives_1d_batch(t[at], u[at], v, kappa_i)
-            # f may dip to -1e-12 of its peak (InitialDatum's check): that is 0
-            with np.errstate(divide="ignore"):
-                log_g = np.log(np.maximum(np.asarray(profile.fn(v), dtype=float), 0.0)) + log_p
+            log_g = log_f(v) + log_p
             # where g is 0, far from the support, d1^2 can overflow: zero it there
             d1, d2, dt = (np.where(log_g == -math.inf, 0.0, d) for d in (d1, d2, dt))
             return log_g, np.stack([np.ones_like(d1), d1, d2 + d1 * d1, dt])
 
-        found = _adaptive_panel_sum(layouts, 2.0 * kappa_i, values, units[index])
+        def envelope(v, owner):
+            at = index[owner]
+            return log_f(v) + _log_envelope(t[at], u[at], v, kappa_i)
+
+        found = _adaptive_panel_sum(layouts, 2.0 * kappa_i, values, envelope, units[index])
         for b, peak, row in zip(batch, *found):
             shift[b], sums[b] = peak, row
 
@@ -627,72 +670,81 @@ MARKOV_CONVENTION = MeasureConvention(
     log_normalizer=log_gaussian_mass,
 )
 
-@functools.lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
 def _plain_mass(t, u, kappa_i, exponent) -> float:
     """log of the integral of p_t(u, v) |v|^exponent dv."""
-    def values(v, owner):
-        return kernel_derivatives_1d_batch(t, u, v, kappa_i)[0], np.ones((1, v.size))
+    return _log_total(u, math.sqrt(2.0 * t), exponent, kappa_i, [(t, u)], f"u = {u}, t = {t}")
 
-    return _log_total(u, math.sqrt(2.0 * t), exponent, values, f"u = {u}, t = {t}")
+
+def _identity_reports(claim_id, points, log_lhs, log_rhs, tolerance) -> list[VerificationReport]:
+    """The reports of lhs = rhs at each point from the logs of both sides,
+    compared in relative terms."""
+    return [
+        VerificationReport.build(
+            claim_id, point, lhs=math.exp(a), rhs=math.exp(b), tolerance=tolerance, deficit=-abs(math.expm1(a - b))
+        )
+        for point, a, b in zip(points, log_lhs, log_rhs)
+    ]
 
 
 def normalization_check(
-    t: float, x, kappa, *, convention: MeasureConvention = MARKOV_CONVENTION
-) -> VerificationReport:
+    t, x, kappa, *, convention: MeasureConvention = MARKOV_CONVENTION
+) -> VerificationReport | list[VerificationReport]:
     """integral of p_t(x, .) against the measure equals 1.
 
     Under an alternative convention the kernel is renormalized accordingly
     (its own constant divided out, the candidate's put in) so the check
-    measures the convention, not a mix.  A sign flip of any coordinates of
-    x gives the same bits: each coordinate's integral is taken at |x_i|.
+    measures the convention, not a mix.  x is one point, shape (d,), or n
+    points, shape (n, d), at a float or (n,) times, giving one report each,
+    the bits of a one-point call.  Each coordinate's integral is taken at
+    |x_i|, once per call, so a sign flip of any coordinates gives the same bits.
     """
     kappa = MultiplicityZ2.of(kappa)
-    t = _validate_time(t)
-    x = _validate_point(x, kappa.d)
-    log_lhs = 0.0
-    for i, k in enumerate(kappa.values):
-        shift = log_gaussian_mass(k) - convention.log_normalizer(k)
-        exponent = float(convention.weight_exponent(k))
-        if not exponent > -1.0:
-            raise DomainError(f"weight exponent must exceed -1, got {exponent}")
-        log_lhs += shift + _plain_mass(t, abs(float(x[i])), k, exponent)
-    return VerificationReport.build(
-        "kernel_normalization",
-        (t, tuple(float(v) for v in x)),
-        lhs=math.exp(log_lhs),
-        rhs=1.0,
-        tolerance=_NORMALIZATION_TOL,
-        deficit=-abs(math.expm1(log_lhs)),
-    )
+    x = _validate_point(x, kappa.d, batch=True)
+    points = np.atleast_2d(x).tolist()
+    times = _times(_validate_time(t, len(points)), len(points))
+    mass, log_lhs = functools.cache(_plain_mass), []
+    for ti, point in zip(times, points):
+        log_lhs.append(0.0)
+        for xi, k in zip(point, kappa.values):
+            exponent = float(convention.weight_exponent(k))
+            if not exponent > -1.0:
+                raise DomainError(f"weight exponent must exceed -1, got {exponent}")
+            log_lhs[-1] += log_gaussian_mass(k) - convention.log_normalizer(k) + mass(ti, abs(xi), k, exponent)
+    grid = [(ti, tuple(point)) for ti, point in zip(times, points)]
+    reports = _identity_reports("kernel_normalization", grid, log_lhs, [0.0] * len(grid), _NORMALIZATION_TOL)
+    return _one_or_all(x, reports)
 
 
-def chapman_kolmogorov_check(s: float, t: float, x, y, kappa) -> VerificationReport:
+def chapman_kolmogorov_check(s, t, x, y, kappa) -> VerificationReport | list[VerificationReport]:
     """integral of p_s(x, z) p_t(z, y) dmu(z) equals p_(s+t)(x, y), compared
     in relative terms since the kernel value sets the only natural scale.
-    A sign flip of the same coordinates of x and y gives the same bits: each
-    coordinate's integral is taken at one point of its orbit."""
+    x and y are one point each, shape (d,), or n points each, shape (n, d),
+    at float or (n,) times, giving one report each, the bits of a one-point
+    call.  Each coordinate's integral is taken once per call at one point of
+    its orbit, so a sign flip of the same coordinates of x and y gives the
+    same bits; the right-hand sides take one _coordinate call per axis."""
     kappa = MultiplicityZ2.of(kappa)
-    s = _validate_time(s)
-    t = _validate_time(t)
-    x = _validate_point(x, kappa.d)
-    y = _validate_point(y, kappa.d)
-    log_lhs = 0.0
-    for xi, yi, k in zip(x.tolist(), y.tolist(), kappa.values):
-        if (xi, yi) < (0.0, 0.0):  # the orbit's point with x_i > 0, or x_i = 0 and y_i >= 0
-            xi, yi = -xi, -yi
-        log_lhs += _ck_coordinate(s, t, xi, yi, k)
-    log_rhs = log_kernel(s + t, x, y, kappa)
-    return VerificationReport.build(
-        "chapman_kolmogorov",
-        (s, t, tuple(float(v) for v in x), tuple(float(v) for v in y)),
-        lhs=math.exp(log_lhs),
-        rhs=math.exp(log_rhs),
-        tolerance=_CHAPMAN_KOLMOGOROV_TOL,
-        deficit=-abs(math.expm1(log_lhs - log_rhs)),
-    )
+    given, y = _validate_points(kappa.d, x, y)
+    x, y = np.atleast_2d(given, y)
+    n = len(x)
+    s, t = _validate_time(s, n), _validate_time(t, n)
+    times = _times(s, n), _times(t, n)
+    coordinate, log_lhs = functools.cache(_ck_coordinate), []
+    for si, ti, p, q in zip(*times, x.tolist(), y.tolist()):
+        log_lhs.append(0.0)
+        for xi, yi, k in zip(p, q, kappa.values):
+            if (xi, yi) < (0.0, 0.0):  # the orbit's point with x_i > 0, or x_i = 0 and y_i >= 0
+                xi, yi = -xi, -yi
+            log_lhs[-1] += coordinate(si, ti, xi, yi, k)
+    total = _validate_time(s + t, n)
+    # scalar float semantics, silently, as log_kernel takes one point
+    with np.errstate(all="ignore"):
+        log_rhs = _added(_coordinate(total, x[:, i], y[:, i], k).log_p for i, k in enumerate(kappa.values))
+    grid = [(si, ti, tuple(p), tuple(q)) for si, ti, p, q in zip(*times, x.tolist(), y.tolist())]
+    reports = _identity_reports("chapman_kolmogorov", grid, log_lhs, log_rhs.tolist(), _CHAPMAN_KOLMOGOROV_TOL)
+    return _one_or_all(given, reports)
 
 
-@functools.lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
 def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
     """log of the integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the
     window of the product's own Gaussian envelope.  Each kernel is at most
@@ -718,13 +770,8 @@ def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
     else:
         center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
 
-    def values(v, owner):
-        log_p = kernel_derivatives_1d_batch(s, xi, v, kappa_i)[0]
-        # at s = t and xi = yi the two factors are one row
-        other = log_p if (s, xi) == (t, yi) else kernel_derivatives_1d_batch(t, yi, v, kappa_i)[0]
-        return log_p + other, np.ones((1, v.size))
-
-    return _log_total(center, sigma, 2.0 * kappa_i, values, f"x = {xi}, y = {yi}, s = {s}, t = {t}")
+    where = f"x = {xi}, y = {yi}, s = {s}, t = {t}"
+    return _log_total(center, sigma, 2.0 * kappa_i, kappa_i, [(s, xi), (t, yi)], where)
 
 
 def heat_residual(t, x, y, kappa) -> float | np.ndarray:

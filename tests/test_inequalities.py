@@ -178,7 +178,8 @@ def test_f_small_tilt_is_one_batched_moment_call(monkeypatch):
     monkeypatch.setattr(inequalities, "moment_stats", counting_stats)
     entries = len(_MOMENT_CACHE)
     f_of_a(0.3712345, 0.75)
-    assert stats_calls == [inequalities._F_RULE_NODES]
+    # the rule's node tilts, and a itself, whose moments a Li-Yau term reads
+    assert stats_calls == [inequalities._F_RULE_NODES + 1]
     assert len(_MOMENT_CACHE) == entries
     # the direct branch is the displayed formula: r1 and log m0 at +-a, from
     # one batched call
@@ -421,13 +422,14 @@ def test_table_computes_f_once_per_distinct_tilt(monkeypatch):
     coords = (-3.0, -1.0, 0.0, 1.0, 3.0)
     grid = [(t, k) for t in (0.01, 0.1, 1.0, 10.0) for k in (0.5, 1.5, 0.25)]
     tables = [liyau_coordinate_table(t, k, coords) for t, k in grid]
-    # one call per table: [a, -a] for the direct tilts, then a times every
-    # rule node for the integral-form tilts 0 < |a| < 1
+    # one call per table, for f and the kernel terms: [a, -a] for the direct
+    # tilts, a times every rule node for the integral-form tilts 0 < |a| < 1,
+    # then those tilts and 0 themselves
     assert len(calls) == 12
     tilts = np.concatenate(calls)
     integral = np.abs(tilts) < inequalities._F_DIRECT_SWITCH
     # the integral form runs at six tilts at t = 10 and two at t = 1
-    assert np.count_nonzero(integral) == 3 * (6 + 2) * inequalities._F_RULE_NODES
+    assert np.count_nonzero(integral) == 3 * (6 + 2) * (inequalities._F_RULE_NODES + 1) + 12
     assert np.count_nonzero(~integral) == 2 * (12 * 6 - 3 * (6 + 2))
     monkeypatch.undo()
     for (t, k), table in zip(grid, tables):

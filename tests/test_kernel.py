@@ -597,6 +597,30 @@ def test_batch_arrays_of_t_and_u_equal_scalar_calls(kappa):
             assert batch[entry].tobytes() == alone[entry].tobytes()
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1e-8, 0.5, 1.5, 20.0, 100.0, 1000.0])
+def test_log_envelope_bounds_the_kernel_from_above(kappa):
+    # E_kappa(a) <= e^|a|: the bound the panel integrals skip nodes by
+    mags = np.concatenate([[0.0], np.logspace(-3.0, 3.0, 13)])
+    coords = np.concatenate([-mags[::-1], mags])
+    t, u, v = (g.ravel() for g in np.meshgrid(np.logspace(-6.0, 6.0, 13), coords, coords, indexing="ij"))
+    a = np.abs(u * v / (2.0 * t))
+    # tilts whose moments evaluate: at kappa = 100 the Laguerre ladder stalls
+    # for 50 < |a| < 60, and at kappa = 1000 its rules overflow (ROADMAP
+    # items 13 and 14), so there only the Jacobi branch is checked
+    keep = (a <= kernel.TILT_SWITCH) | ((kappa < 1000.0) & ~((kappa == 100.0) & (a < 60.0)))
+    t, u, v, a = t[keep], u[keep], v[keep], a[keep]
+    sign, far = np.sign(u * v), a > kernel.TILT_SWITCH
+    # both signs of the tilt on each branch checked
+    for branch in (~far, far) if kappa < 1000.0 else (~far,):
+        assert (sign[branch] > 0).any() and (sign[branch] < 0).any()
+    log_p = kernel_derivatives_1d_batch(t, u, v, kappa)[0]
+    bound = kernel._log_envelope(t, u, v, kappa)
+    # the two sides round apart by a few ulps of their largest terms
+    scale = 1.0 + abs(log_gaussian_mass(kappa)) + np.abs((kappa + 0.5) * np.log(2.0 * t)) + (u * u + v * v) / (4.0 * t)
+    assert np.isfinite(log_p).all()
+    assert (log_p <= bound + 8.0 * np.finfo(float).eps * scale).all()
+
+
 def test_batch_rejects_bad_times_and_shapes_in_an_array():
     v = np.linspace(-1.0, 1.0, 3)
     for bad in (0.0, -1.0, math.inf, math.nan):

@@ -180,9 +180,9 @@ def test_every_time_entry_point_rejects_bad_times(name, t):
 @pytest.mark.parametrize("name", sorted(POINT_ENTRY_POINTS))
 @pytest.mark.parametrize("x", [[math.nan], [math.inf], [1.0, 2.0], [[0.5]]])
 def test_every_point_entry_point_rejects_bad_points(name, x):
-    if name == "dunkl_laplacian" and np.ndim(x) == 2:
-        # the Laplacian also takes n points as an (n, d) array, [[0.5]] being
-        # one point of R^1; an array of more dimensions is no batch
+    if name in ("dunkl_laplacian", "normalization_check") and np.ndim(x) == 2:
+        # these also take n points as an (n, d) array, [[0.5]] being one
+        # point of R^1; an array of more dimensions is no batch
         x = [x]
     with pytest.raises(DomainError):
         POINT_ENTRY_POINTS[name](x)

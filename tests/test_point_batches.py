@@ -32,8 +32,10 @@ from dunklheat.quadrature import DomainError
 from dunklheat.semigroup import (
     InitialDatum,
     bump_profile,
+    chapman_kolmogorov_check,
     heat_residual,
     liyau_for_solution,
+    normalization_check,
     semigroup_solution,
     two_bump_profile,
 )
@@ -209,6 +211,25 @@ def test_kernel_checks_batch_are_the_bits_of_the_memo_path(kappa):
         assert _bits([midpoint[i].lhs, midpoint[i].rhs]) == _bits(want)
 
 
+@pytest.mark.parametrize("kappa", _KAPPAS)
+def test_semigroup_checks_batch_are_the_bits_of_each_point(kappa):
+    # each distinct coordinate integral of a call runs once; a point reads
+    # the integral of its own orbit, which a sign flip or -0.0 shares
+    d = len(kappa)
+    points = _grid(d, (-3.0, -0.0, 0.0, 1.5e-7, 1.0))
+    n = len(points)
+    times = np.resize([0.05, 1.0], n)
+    y = points[np.random.default_rng(5).permutation(n)]
+    batch = normalization_check(times, points, kappa)
+    assert _report_bits(batch) == _report_bits(normalization_check(t, x, kappa) for t, x in zip(times.tolist(), points))
+    batch = chapman_kolmogorov_check(0.3, times, points, y, kappa)
+    each = [chapman_kolmogorov_check(0.3, t, x, yi, kappa) for t, x, yi in zip(times.tolist(), points, y)]
+    assert _report_bits(batch) == _report_bits(each)
+    # the right-hand side is the scalar kernel's, which reads the moment memo
+    for report, t, x, yi in zip(batch, times.tolist(), points, y):
+        assert _bits([report.rhs]) == _bits([math.exp(log_kernel(0.3 + t, x, yi, kappa))])
+
+
 def _pointwise_heat_residual(t, x, y, kappa) -> float:
     """heat_residual as it took one point before its array path: the scalar
     kernel and the pointwise Laplacian."""
@@ -271,6 +292,9 @@ def _checks():
         "log_convexity_check": lambda t, x, y: log_convexity_check(t, x, y, _KAPPA),
         "log_convexity_midpoint_check": lambda t, x, y: log_convexity_midpoint_check(t, x, y, y, _KAPPA),
         "heat_residual": lambda t, x, y: heat_residual(t, x, y, _KAPPA),
+        "normalization_check": lambda t, x, y: normalization_check(t, x, _KAPPA),
+        "chapman_kolmogorov_check at s": lambda t, x, y: chapman_kolmogorov_check(t, 0.3, x, y, _KAPPA),
+        "chapman_kolmogorov_check at t": lambda t, x, y: chapman_kolmogorov_check(0.3, t, x, y, _KAPPA),
     }
     for name, field in fields.items():
         for read in ("log_value", "log_gradient", "log_hessian_diag", "log_time_derivative"):
@@ -307,7 +331,14 @@ def test_a_times_array_of_the_wrong_length_is_a_domain_error(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["harnack_check at s", "log_convexity_check", "log_convexity_midpoint_check", "heat_residual"]
+    "name",
+    [
+        "harnack_check at s",
+        "log_convexity_check",
+        "log_convexity_midpoint_check",
+        "heat_residual",
+        "chapman_kolmogorov_check at s",
+    ],
 )
 def test_points_of_two_shapes_are_a_domain_error(name):
     with pytest.raises(DomainError, match=re.escape("expected points of one shape, got shapes (3, 2), (2,)")):
@@ -318,7 +349,7 @@ def test_points_of_two_shapes_are_a_domain_error(name):
 # what a default report does
 
 
-def test_default_report_reads_the_memo_only_for_chapman_kolmogorov(monkeypatch):
+def test_default_report_never_reads_the_memo(monkeypatch):
     lookups, validated = [], []
     ratios, point = kernel.moment_ratios, operators._validate_point
 
@@ -336,9 +367,10 @@ def test_default_report_reads_the_memo_only_for_chapman_kolmogorov(monkeypatch):
         monkeypatch.setattr(module, "_validate_point", counted_point)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["report", "--reproducible"]) == 0
-    # the right-hand sides of the 350 Chapman-Kolmogorov rows, at d = 2;
-    # 1,920 when every point check read the memo
-    assert len(lookups) == 700
-    # 7,641 when every point check and every field read took one point; 189
-    # of the 1,744 now check a whole array of points
-    assert (len(validated), validated.count(True)) == (1744, 189)
+    # 1,920 when every point check read the memo, and 700, the right-hand
+    # sides of the 350 Chapman-Kolmogorov rows, while they took one point
+    assert len(lookups) == 0
+    # 7,641 when every point check and every field read took one point, and
+    # 1,744 while the normalization and Chapman-Kolmogorov checks did; 207
+    # of the 262 now check a whole array of points
+    assert (len(validated), validated.count(True)) == (262, 207)

@@ -302,7 +302,7 @@ def test_panel_ladder_looks_each_rule_up_once_per_level(monkeypatch, exponent):
 
     with pytest.raises(ConvergenceError, match="stalled at 64 nodes"):
         # noise never settles, so the ladder climbs through all three levels
-        semigroup._adaptive_panel_sum([panels], exponent, values, np.ones((1, 1)))
+        semigroup._adaptive_panel_sum([panels], exponent, values, lambda v, owner: np.zeros(v.size), np.ones((1, 1)))
     kinds = [(0.0, 0.0)] + ([(0.0, exponent)] if exponent > 0.0 else [])
     assert lookups == {(*kind, n): 1 for kind in kinds for n in (16, 32, 64)}
 
@@ -320,14 +320,20 @@ _LADDER_CASES = [
 
 
 def _gaussian_rows(cases, calls):
-    def values(v, owner):
-        calls.append(sorted(set(owner.tolist())))
+    """(values, envelope) of the cases' integrands: the envelope is log g
+    itself, the tightest bound, so the ladder skips every node more than
+    _PRUNE_LOG below an integral's largest term."""
+
+    def log_g(v, owner):
         c = np.array([math.inf if cases[b][1] is None else cases[b][1] for b in owner.tolist()])
         with np.errstate(invalid="ignore"):
-            log_g = np.where(c == math.inf, -math.inf, -c * v * v)
-        return log_g, np.stack([np.ones_like(v), v * v])
+            return np.where(c == math.inf, -math.inf, -c * v * v)
 
-    return values
+    def values(v, owner):
+        calls.append(sorted(set(owner.tolist())))
+        return log_g(v, owner), np.stack([np.ones_like(v), v * v])
+
+    return values, log_g
 
 
 @pytest.mark.parametrize("batch_nodes", [semigroup._BATCH_NODES, 1000, 1])
@@ -335,15 +341,15 @@ def test_panel_ladder_gives_each_integral_of_a_batch_its_bits_alone(monkeypatch,
     alone, levels = [], []
     for case in _LADDER_CASES:
         calls = []
-        values = _gaussian_rows([case], calls)
-        alone.append(semigroup._adaptive_panel_sum([case[0]], 1.0, values, np.ones((1, 2))))
+        rows = _gaussian_rows([case], calls)
+        alone.append(semigroup._adaptive_panel_sum([case[0]], 1.0, *rows, np.ones((1, 2))))
         levels.append(len(calls))
     assert levels == [1, 2, 1, 3, 1]
     monkeypatch.setattr(semigroup, "_BATCH_NODES", batch_nodes)
     calls = []
     layouts = [layout for layout, _ in _LADDER_CASES]
-    values = _gaussian_rows(_LADDER_CASES, calls)
-    shift, sums = semigroup._adaptive_panel_sum(layouts, 1.0, values, np.ones((5, 2)))
+    rows = _gaussian_rows(_LADDER_CASES, calls)
+    shift, sums = semigroup._adaptive_panel_sum(layouts, 1.0, *rows, np.ones((5, 2)))
     for b, (want_shift, want_sums) in enumerate(alone):
         assert shift[b : b + 1].tobytes() == want_shift.tobytes()
         assert sums[b : b + 1].tobytes() == want_sums.tobytes()
@@ -356,18 +362,32 @@ def test_panel_ladder_gives_each_integral_of_a_batch_its_bits_alone(monkeypatch,
         assert all(len(owners) == 1 for owners in calls)
 
 
+def test_panel_ladder_takes_a_second_pass_where_the_bound_is_loose(monkeypatch):
+    # a bound 40 above log g puts the largest bound term more than
+    # _PRUNE_GUESS above the largest term: the first call takes a second
+    # pass, and the ladder still gives the bits of one that skips no node
+    layouts = [layout for layout, _ in _LADDER_CASES]
+    loose_calls, every_calls = [], []
+    values, log_g = _gaussian_rows(_LADDER_CASES, loose_calls)
+    loose = semigroup._adaptive_panel_sum(layouts, 1.0, values, lambda v, o: log_g(v, o) + 40.0, np.ones((5, 2)))
+    monkeypatch.setattr(semigroup, "_PRUNE_LOG", math.inf)
+    every = semigroup._adaptive_panel_sum(layouts, 1.0, *_gaussian_rows(_LADDER_CASES, every_calls), np.ones((5, 2)))
+    assert loose[0].tobytes() == every[0].tobytes() and loose[1].tobytes() == every[1].tobytes()
+    assert len(loose_calls) == len(every_calls) + 1
+
+
 def test_panel_ladder_batch_raises_the_stall_of_any_integral(monkeypatch):
     # at a cap of 32 nodes the third-level integral stalls alone and in a
     # batch; the others settle alone as before
     monkeypatch.setattr(semigroup, "_PANEL_NODE_CAP", 32)
     layouts = [layout for layout, _ in _LADDER_CASES[:2]]
-    values = _gaussian_rows(_LADDER_CASES, [])
+    rows = _gaussian_rows(_LADDER_CASES, [])
     alone = _gaussian_rows(_LADDER_CASES[1:], [])
     with pytest.raises(ConvergenceError, match="stalled at 32 nodes per panel"):
-        semigroup._adaptive_panel_sum(layouts[1:], 1.0, alone, np.ones((1, 2)))
+        semigroup._adaptive_panel_sum(layouts[1:], 1.0, *alone, np.ones((1, 2)))
     with pytest.raises(ConvergenceError, match="stalled at 32 nodes per panel"):
-        semigroup._adaptive_panel_sum(layouts, 1.0, values, np.ones((2, 2)))
-    shift, _ = semigroup._adaptive_panel_sum(layouts[:1], 1.0, values, np.ones((1, 2)))
+        semigroup._adaptive_panel_sum(layouts, 1.0, *rows, np.ones((2, 2)))
+    shift, _ = semigroup._adaptive_panel_sum(layouts[:1], 1.0, *rows, np.ones((1, 2)))
     assert np.isfinite(shift).all()
 
 
@@ -498,18 +518,19 @@ def test_solution_field_computes_each_coordinate_integral_once_read_only(monkeyp
         made[0][0, 0] = 0.0
 
 
-def _clear_coordinate_caches():
-    for cache in (semigroup._plain_mass, semigroup._ck_coordinate):
-        cache.cache_clear()
-        assert cache.cache_info().maxsize == semigroup._INTEGRAL_CACHE_SIZE
+def _integral(values) -> str:
+    """The integral whose ladder runs the integrand `values`: a solution
+    integral, or by its kernel factors a normalization (one) or
+    Chapman-Kolmogorov (two) integral."""
+    if values.__qualname__.startswith("_log_total."):
+        return ("_plain_mass", "_ck_coordinate")[len(inspect.getclosurevars(values).nonlocals["kernels"]) - 1]
+    return values.__qualname__.split(".")[0]
 
 
 def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkeypatch, capsys):
-    _clear_coordinate_caches()
     calls = _count_ladders(monkeypatch)
     assert cli.main(["semigroup-check", "--reproducible"]) == 0
-    # the integrand is a closure of the integral that laid out the panels
-    integrals = collections.Counter(values.__qualname__.split(".")[0] for _, _, values, *_ in calls)
+    integrals = collections.Counter(_integral(values) for _, _, values, *_ in calls)
     # one integral per orbit of the joint sign flip.  normalization: 4 times,
     # 3 values of |x_i| and 2 axes.  Chapman-Kolmogorov: 7 time pairs, 2 axes
     # and 5 orbits of (x_i, y_i): y_i = x_i at |x_i| = 0, 1, 3 and y_i = -x_i
@@ -519,12 +540,11 @@ def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkey
     # Gaussian envelope
     panels = collections.Counter()
     for layouts, _, values, *_ in calls:
-        panels[values.__qualname__.split(".")[0]] += sum(map(len, layouts))
+        panels[_integral(values)] += sum(map(len, layouts))
     assert panels["_ck_coordinate"] == 680
 
 
 def test_chapman_kolmogorov_integrands_evaluate_each_kernel_factor_once(monkeypatch, capsys):
-    _clear_coordinate_caches()
     kernel_calls, integrands = [], []
     ladder, batch = semigroup._adaptive_panel_sum, semigroup.kernel_derivatives_1d_batch
 
@@ -532,18 +552,18 @@ def test_chapman_kolmogorov_integrands_evaluate_each_kernel_factor_once(monkeypa
         kernel_calls.append((t, u))
         return batch(t, u, v, kappa_i)
 
-    def counted(layouts, exponent, values, units):
-        if not values.__qualname__.startswith("_ck_coordinate."):
-            return ladder(layouts, exponent, values, units)
-        point = inspect.getclosurevars(values).nonlocals
+    def counted(layouts, exponent, values, envelope, units):
+        if _integral(values) != "_ck_coordinate":
+            return ladder(layouts, exponent, values, envelope, units)
+        factors = inspect.getclosurevars(values).nonlocals["kernels"]
 
         def wrapped(v, owner):
             kernel_calls.clear()
             out = values(v, owner)
-            integrands.append(((point["s"], point["xi"]), (point["t"], point["yi"]), list(kernel_calls)))
+            integrands.append((*factors, list(kernel_calls)))
             return out
 
-        return ladder(layouts, exponent, wrapped, units)
+        return ladder(layouts, exponent, wrapped, envelope, units)
 
     monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", evaluated)
     monkeypatch.setattr(semigroup, "_adaptive_panel_sum", counted)
@@ -558,27 +578,50 @@ def test_chapman_kolmogorov_integrands_evaluate_each_kernel_factor_once(monkeypa
     assert sum(len(made) for *_, made in integrands) == 2 * 72 - 26
 
 
-@pytest.mark.parametrize(
-    "command, nodes",
-    [("semigroup-check", 44_480), ("harnack-scan", 76_800), ("solution-scan", 19_344)],
-)
-def test_default_suites_evaluate_a_fixed_number_of_panel_nodes(monkeypatch, capsys, command, nodes):
-    _clear_coordinate_caches()
+def _count_panel_nodes(monkeypatch) -> list:
+    """The sizes of the node arrays that reach the panel integrands."""
     counted = []
     ladder = semigroup._adaptive_panel_sum
 
-    def counting(layouts, exponent, values, units):
+    def counting(layouts, exponent, values, envelope, units):
         def wrapped(v, owner):
             counted.append(v.size)
             return values(v, owner)
 
-        return ladder(layouts, exponent, wrapped, units)
+        return ladder(layouts, exponent, wrapped, envelope, units)
 
     monkeypatch.setattr(semigroup, "_adaptive_panel_sum", counting)
+    return counted
+
+
+@pytest.mark.parametrize(
+    "command, nodes",
+    [("semigroup-check", 21_064), ("harnack-scan", 76_800), ("solution-scan", 14_478)],
+)
+def test_default_suites_evaluate_a_fixed_number_of_panel_nodes(monkeypatch, capsys, command, nodes):
+    counted = _count_panel_nodes(monkeypatch)
     assert cli.main([command, "--reproducible"]) == 0
-    # the count moves with the ladder's start, cap or settle test and with
-    # the panel layouts
+    # the count moves with the ladder's start, cap or settle test, with the
+    # panel layouts and with the nodes the integrands' bounds skip: 44,480
+    # and 19,344 before the bounds, while harnack-scan's panels, clipped to
+    # the bump's support, keep every node
     assert sum(counted) == nodes
+
+
+def test_nodes_the_bounds_skip_leave_the_default_suites_bytes_unchanged(monkeypatch, capsys):
+    pruned = {}
+    for command in ("semigroup-check", "solution-scan", "report"):
+        assert cli.main([command, "--reproducible"]) == 0
+        pruned[command] = capsys.readouterr().out
+    # an infinite margin lets every node reach its integrand
+    monkeypatch.setattr(semigroup, "_PRUNE_LOG", math.inf)
+    counted = _count_panel_nodes(monkeypatch)
+    every_node = {"semigroup-check": 44_480, "solution-scan": 19_344, "report": 44_480 + 19_344 + 76_800}
+    for command, out in pruned.items():
+        counted.clear()
+        assert cli.main([command, "--reproducible"]) == 0
+        assert capsys.readouterr().out == out
+        assert sum(counted) == every_node[command]
 
 
 # (t, u) of normalization and (s, t, x_i, y_i) of Chapman-Kolmogorov
@@ -597,8 +640,8 @@ _EDGE_INTEGRALS = [("offset_bump", 1.5, 3e-4, -1.6), ("two_bump", 1.5, 2e-4, -2.
 def _panel_integrals() -> np.ndarray:
     out = []
     for kappa in (1e-8, 0.5, 100.0):
-        out += [semigroup._plain_mass.__wrapped__(t, u, kappa, 2.0 * kappa) for t, u in _MASS_POINTS]
-        out += [semigroup._ck_coordinate.__wrapped__(*point, kappa) for point in _CK_POINTS]
+        out += [semigroup._plain_mass(t, u, kappa, 2.0 * kappa) for t, u in _MASS_POINTS]
+        out += [semigroup._ck_coordinate(*point, kappa) for point in _CK_POINTS]
     data = cli._initial_data(1)
     times, coords = (np.array(c) for c in zip(*_SOLUTION_POINTS))
     for datum in data.values():
@@ -617,19 +660,23 @@ def test_panel_ladder_agrees_with_one_started_at_128_nodes(monkeypatch):
     assert err.max() <= 1e-11, (err.max(), err.argmax())
 
 
-def test_kernel_checks_read_cached_coordinate_integrals(monkeypatch):
-    kappa, x = [0.5, 1.5], [1.0, 0.0]
-    _clear_coordinate_caches()
-    cold_mass = normalization_check(0.5, x, kappa)
-    cold_ck = chapman_kolmogorov_check(0.3, 0.7, x, [-1.0, -0.0], kappa)
-    _clear_coordinate_caches()
-    # fills the y_i = 0.0 entry, which the y_i = -0.0 call below reads
-    assert chapman_kolmogorov_check(0.3, 0.7, x, [-1.0, 0.0], kappa).lhs == cold_ck.lhs
-    normalization_check(0.5, x, kappa)
+def test_kernel_checks_run_each_distinct_coordinate_integral_once_per_call(monkeypatch):
+    # within a call, one ladder per distinct integral, a sign flip (and -0.0)
+    # sharing it; between calls nothing is kept, since no caller repeats one
+    kappa = [0.5, 1.5]
+    x = np.array([[1.0, 0.0], [-1.0, -0.0], [1.0, 0.0]])
+    y = np.array([[-1.0, 0.0], [1.0, -0.0], [-1.0, -0.0]])
     calls = _count_ladders(monkeypatch)
-    assert normalization_check(0.5, x, kappa) == cold_mass
-    assert chapman_kolmogorov_check(0.3, 0.7, x, [-1.0, -0.0], kappa) == cold_ck
-    assert calls == []
+    masses = normalization_check(0.5, x, kappa)
+    # |x_i| = 1 on axis 0 and 0 on axis 1
+    assert len(calls) == 2
+    composed = chapman_kolmogorov_check(0.3, 0.7, x, y, kappa)
+    # the orbits of (1, -1) on axis 0 and of (0, 0) on axis 1
+    assert len(calls) == 2 + 2
+    assert masses[0] == masses[2] and composed[0] == composed[2]
+    assert normalization_check(0.5, x[0], kappa) == masses[0]
+    assert chapman_kolmogorov_check(0.3, 0.7, x[0], y[0], kappa) == composed[0]
+    assert len(calls) == 4 + 2 + 2
 
 
 @pytest.mark.parametrize("kappa", [[0.0, 0.5], [0.5, 1.5]])

@@ -68,6 +68,12 @@ CONFIGURATIONS = (
     ("solution-scan", "--kappa", "0.5", "--t", "1e-6", "--coords=-40"),
     ("claims-verify", "--kappa", "150"),
     ("semigroup-check", "--t", "1e8"),
+    # panel integrals where most nodes sit far below their integral's peak
+    # term (small t), a tilt that overflows inside a solution integral, and
+    # a large multiplicity whose solution integrals stall (exit 3)
+    ("semigroup-check", "--t", "0.001,0.01"),
+    ("solution-scan", "--kappa", "0.5", "--t", "1", "--coords", "1e200"),
+    ("solution-scan", "--kappa", "100"),
 )
 
 # `python -m dunklheat.cli` would import the module without calling main
