@@ -27,12 +27,13 @@ written.  For 3 and 4 the offending grid point is named on stderr.
 
 The point checks run batched: each solution field's moments, the
 solution-scan rows of each time, the harnack-scan tuples, the log-convexity
-rows of claims-verify, and the normalization and heat-equation rows of each
-time and the Chapman-Kolmogorov rows of each time pair in semigroup-check
-are one call each over all their points, with each point's bits.  A batch that fails is
-replayed point by point through the same check, given one point at a time
-(`_batched`), so the failure names the first point in loop order that
-stops, as a point-by-point loop would.
+rows of claims-verify, and the normalization, Chapman-Kolmogorov and
+heat-equation rows of semigroup-check are one call each over all their
+points, with each point's bits.  A batch that fails is replayed point by
+point through the same check, given one point at a time (`_batched`), so
+the failure names the first point in loop order that stops, as a
+point-by-point loop would.  The seeded suites draw all their points in one
+call (`_draws`).
 """
 
 from __future__ import annotations
@@ -352,13 +353,8 @@ def _liyau_scan(cfg: RunConfig) -> Iterator[_Block]:
     points are sorted, then evaluated first, in one batch per axis; a failure
     names the first in draw order."""
     kappa = MultiplicityZ2.of(cfg.kappa)
-    rng = np.random.default_rng(cfg.seed)
-    points = []
-    for _ in range(cfg.augment):
-        t = float(10.0 ** rng.uniform(-2.0, 2.0))
-        x = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
-        y = tuple(float(v) for v in rng.uniform(-10.0, 10.0, cfg.dimension))
-        points.append((t, x, y))
+    groups = [(-2.0, 2.0, 1), (-10.0, 10.0, cfg.dimension), (-10.0, 10.0, cfg.dimension)]
+    points = [(10.0**e, x, y) for (e,), x, y in _draws(cfg.seed, cfg.augment, groups)]
     order = sorted(points)
     ts = np.array([point[0] for point in order])
     xs, ys = (np.array([point[i] for point in order]).reshape(-1, kappa.d) for i in (1, 2))
@@ -438,6 +434,20 @@ def _batched(evaluate, points, check):
         raise
 
 
+def _draws(seed, count: int, groups) -> Iterator[tuple]:
+    """count rows of seeded uniform draws, each one tuple of width floats
+    between low and high per (low, high, width) group, from one
+    Generator.uniform call: the floats of one scalar draw per row and column,
+    row after row, low + (high - low) U as numpy forms them.  No draws make
+    no generator, which would import numpy.random (about 5 MB)."""
+    if not count:
+        return iter(())
+    bounds = [(low, high) for low, high, width in groups for _ in range(width)]
+    columns = np.random.default_rng(seed).uniform(0.0, 1.0, (count, len(bounds))).T.tolist()
+    columns = iter([low + (high - low) * u for u in column] for (low, high), column in zip(bounds, columns))
+    return zip(*(zip(*itertools.islice(columns, width)) for *_, width in groups))
+
+
 def _initial_data(d: int) -> dict[str, InitialDatum]:
     tail = [bump_profile(0.5, 1.0, power=3) for _ in range(d - 1)]
     return {
@@ -483,14 +493,8 @@ def _harnack_scan(cfg: RunConfig) -> list[_Block]:
     count = cfg.augment if cfg.augment else 200
     datum = _initial_data(cfg.dimension)["bump"]
     lam = sum(cfg.kappa)
-    rng = np.random.default_rng(cfg.seed)
-    points = []
-    for _ in range(count):
-        s = float(10.0 ** rng.uniform(-1.0, 0.3))
-        t = s * float(rng.uniform(1.05, 8.0))
-        x = tuple(float(v) for v in rng.uniform(-2.5, 2.5, cfg.dimension))
-        y = tuple(float(v) for v in rng.uniform(-2.5, 2.5, cfg.dimension))
-        points.append((s, x, t, y))
+    groups = [(-1.0, 0.3, 1), (1.05, 8.0, 1), (-2.5, 2.5, cfg.dimension), (-2.5, 2.5, cfg.dimension)]
+    points = [(10.0**e, x, 10.0**e * r, y) for (e,), (r,), x, y in _draws(cfg.seed, count, groups)]
     field = semigroup_solution(datum, cfg.kappa)
 
     def check(s, x, t, y):
@@ -509,34 +513,26 @@ def _time_pairs(t_grid):
 
 
 def _semigroup_check(cfg: RunConfig) -> list[_Block]:
-    """One batch per time of normalization and heat-equation rows, and one
-    per time pair of Chapman-Kolmogorov rows at (x, x) and (x, -x)."""
-    rows = []
-    reversed_points = list(reversed(cfg.points))
-    xs, ys = np.array(cfg.points, dtype=float), np.array(reversed_points, dtype=float)
-    normalization = functools.partial(normalization_check, kappa=cfg.kappa)
-    chapman_kolmogorov = functools.partial(chapman_kolmogorov_check, kappa=cfg.kappa)
-    for t in cfg.t_grid:
-        reports = _batched(lambda: normalization(t, xs), [(t, x) for x in cfg.points], normalization)
-        rows.extend(_row(report) for report in reports)
+    """One call of each check over all its points: normalization and
+    heat-equation rows at every time, Chapman-Kolmogorov rows at (x, x) and
+    (x, -x) for every time pair.  A failure names the first point in loop
+    order that stops."""
+
+    def batched(check, points):
+        at = functools.partial(check, kappa=cfg.kappa)
+        columns = [np.array(column, dtype=float) for column in zip(*points)]
+        return _batched(lambda: at(*columns), points, at)
+
+    rows = list(map(_row, batched(normalization_check, [(t, x) for t in cfg.t_grid for x in cfg.points])))
     grid_pairs = [(x, y) for x in cfg.points for y in (x, tuple(-v for v in x))]
-    x, y = (np.array(column, dtype=float) for column in zip(*grid_pairs))
-    for s, t in _time_pairs(cfg.t_grid):
-        points = [(s, t, *pair) for pair in grid_pairs]
-        reports = _batched(lambda: chapman_kolmogorov(s, t, x, y), points, chapman_kolmogorov)
-        rows.extend(_row(report) for report in reports)
-
-    def heat(t, x, y):
-        return heat_residual(t, x, y, cfg.kappa)
-
-    for t in cfg.t_grid:
-        pairs = [(t, x, y) for x, y in zip(cfg.points, reversed_points)]
-        residuals = _batched(lambda: heat(t, xs, ys), pairs, heat)
-        for point, residual in zip(pairs, residuals.tolist()):
-            on_hyperplane = any(v == 0.0 for v in point[1])
-            bound = 1e-6 if on_hyperplane else 1e-7
-            report = _report_at("heat_equation", point, lhs=residual, rhs=bound, tolerance=0.0)
-            rows.append(_row(report, extra={"hyperplane": on_hyperplane}))
+    pairs = [(*times, *pair) for times in _time_pairs(cfg.t_grid) for pair in grid_pairs]
+    rows.extend(map(_row, batched(chapman_kolmogorov_check, pairs)))
+    points = [(t, x, y) for t in cfg.t_grid for x, y in zip(cfg.points, reversed(cfg.points))]
+    for point, residual in zip(points, batched(heat_residual, points).tolist()):
+        on_hyperplane = any(v == 0.0 for v in point[1])
+        bound = 1e-6 if on_hyperplane else 1e-7
+        report = _report_at("heat_equation", point, lhs=residual, rhs=bound, tolerance=0.0)
+        rows.append(_row(report, extra={"hyperplane": on_hyperplane}))
     return sorted(rows, key=_sort_key)
 
 
@@ -616,13 +612,8 @@ def _claims_verify(cfg: RunConfig) -> list[_Block]:
     # log-convexity at random draws, each claim one batch over all of them;
     # a failure names the first row in draw order that stops, a draw's
     # diagonal row (t, x, y) before its midpoint row (t, z1, z2, y)
-    rng = np.random.default_rng(cfg.seed)
-    count = cfg.augment if cfg.augment else 50
-    draws = []
-    for _ in range(count):
-        t = float(10.0 ** rng.uniform(-1.0, 1.0))
-        x, y, z1, z2 = (tuple(float(v) for v in rng.uniform(-5.0, 5.0, cfg.dimension)) for _ in range(4))
-        draws.append((t, x, y, z1, z2))
+    groups = [(-1.0, 1.0, 1)] + [(-5.0, 5.0, cfg.dimension)] * 4
+    draws = [(10.0**e, *points) for (e,), *points in _draws(cfg.seed, cfg.augment if cfg.augment else 50, groups)]
     t, x, y, z1, z2 = (np.array(column, dtype=float) for column in zip(*draws))
 
     def check(t, *points):

@@ -14,62 +14,52 @@ omitted region carries less than e^(-450) of the mass.  A profile's
 integral intersects it with the support, or takes the whole support when
 they miss or the integrand is 0 all over the window; those panels grade
 geometrically towards the support's points nearest u, where the mass of a
-far point sits in a sliver (`_graded_panels`).  In Chapman-Kolmogorov
-the two kernels' Gaussians multiply to one Gaussian in |v|, centred between
-|x| and |y| and narrower than either, and the integral takes that
-envelope's window; at kappa = 0, where the kernels are signed Gaussians, it
-is centred between x and y.  Panels are cut at 0, at knots and every few
-sigma; one touching v = 0 absorbs the |v|^(2 kappa) factor into a
-Gauss-Jacobi rule so low multiplicities keep full accuracy through the
-kink, elsewhere Gauss-Legendre panels apply the weight pointwise.  All node
-counts double together from _PANEL_NODE_START (16) nodes per panel until
-two levels' weighted sums agree to _PANEL_REL_TOL (1e-10), up to
-_PANEL_NODE_CAP (512); the kernel values inside them settle to the
-kernel's fixed 1e-10.  Panels are at most 8 sigma wide, so 16 and 32
-nodes agree for nearly every integral: at the defaults 2 of
-`semigroup-check`'s 94 integrals and 14 of `solution-scan`'s 120 take a
-third level, at 64 nodes.  A level's nodes and weights are built for all
-panels at once, with one lookup of each Gauss rule.  Integrands and
-weights are logs (log f + log p_t or two log-kernel rows, and 2 kappa
-log|v|), which `_adaptive_panel_sum` exponentiates shifted by their
-largest term.  Each integral returns its log, found wherever that log is
-finite, however far outside the double range the integrand or weight is.
-A node whose closed-form bound (`kernel._log_envelope`) is e^60 below its
-integral's largest term is skipped, with the same bits.
+far point sits in a sliver (`_graded_panels`).  A Chapman-Kolmogorov
+integral takes the window of its two kernels' product (`_ck_integral`).
+Panels are cut at 0, at knots and every few sigma; one touching v = 0
+absorbs the |v|^(2 kappa) factor into a Gauss-Jacobi rule so low
+multiplicities keep full accuracy through the kink, elsewhere
+Gauss-Legendre panels apply the weight pointwise.  All node counts double
+together from _PANEL_NODE_START (16) nodes per panel until two levels'
+weighted sums agree to _PANEL_REL_TOL (1e-10), up to _PANEL_NODE_CAP
+(512); the kernel values inside them settle to the kernel's fixed 1e-10.
+Panels are at most 8 sigma wide, so 16 and 32 nodes agree for nearly every
+integral: at the defaults 2 of `semigroup-check`'s 94 integrals and 14 of
+`solution-scan`'s 120 take a third level, at 64 nodes.  Integrands and
+weights are logs, which `_adaptive_panel_sum` exponentiates shifted by
+their integral's largest term, so each integral returns its log wherever
+that is finite.  A node whose closed-form bound (`kernel._log_envelope`)
+is e^60 below its integral's largest term is skipped, with the same bits.
 
 `_adaptive_panel_sum` sums a batch of integrals that share one exponent.
 Each keeps its own panels, shift and settle test, and leaves the batch once
 it settles; at each level the nodes of those left go through the integrand
 in calls of at most _BATCH_NODES (4096) nodes, whole integrals each (one
-whose level alone is larger goes alone).  A call's temporaries are a few
-dozen float64 rows of its nodes, so a batch of any length holds about 1 MB
-of them; moment_stats splits the tilts further into its own blocks.  The
-kernel gives a node the same bits in any call, and each integral sums its
-own slice, so an integral's bits do not depend on its batch.
-`_solution_moments` runs the solution integrals of B points at once, and
-a solution field keeps the rows it computed (`semigroup_solution`).  The
-field's callables take n points as an (n, d) array, so the Li-Yau check of
-a solution (`liyau_for_solution`) reads it once for all points of a time,
-and the heat residual (`heat_residual`) evaluates the kernel for all its
-points in one batch per axis; each gives a point the bits of its
-one-point call.
+whose level alone is larger goes alone), so a batch of any length holds
+about 1 MB of temporaries.  The kernel gives a node the same bits in any
+call, and each integral sums its own slice, so an integral's bits do not
+depend on its batch.  `_solution_moments` runs the solution integrals of B
+points at once, and a solution field keeps the rows it computed
+(`semigroup_solution`).  The point checks take n points, each given the
+bits of its one-point call.
 
-`normalization_check` and `chapman_kolmogorov_check` compute each distinct
-coordinate integral of a call once, and keep none: no caller repeats one
-across calls.  The integrals raise
-ConvergenceError where no value is representable: where a solution's
-integrand is 0 on the whole support (u^2 overflows far from it), where 30
-sigma vanishes next to |u| in double precision, leaving a window no width,
-where a graded panel would be narrower than one ulp, and where a layout
-would need more than _PANEL_CAP panels.
+`normalization_check` and `chapman_kolmogorov_check` sum the distinct
+coordinate integrals of a call in one ladder per kappa_i, which evaluates a
+kernel row shared at s = t and x_i = y_i once (`_log_integrals`), and keep
+none: no caller repeats one.  The integrals raise ConvergenceError where
+no value is representable: where a solution's integrand is 0 on the whole
+support (u^2 overflows far from it), where 30 sigma vanishes next to |u|
+in double precision, leaving a window no width, where a graded panel would
+be narrower than one ulp, and where a layout would need more than
+_PANEL_CAP panels.
 
 The kernel is invariant when one reflection flips both arguments,
 p_t(-u, -v) = p_t(u, v) (Rosler 1998; at kappa = 0 a Gaussian in u - v),
 and every weight |v|^e is even, so each integral has one value on the
 orbit of a joint sign flip.  The two checks take one point of each orbit:
-|u| for `_plain_mass`, and for `_ck_coordinate` whichever of (x_i, y_i)
-and (-x_i, -y_i) has x_i > 0, or x_i = 0 and y_i >= 0.  A sign flip of a
-check's points therefore gives the same bits.
+|u| for a normalization integral, and for a Chapman-Kolmogorov one
+whichever of (x_i, y_i) and (-x_i, -y_i) has x_i > 0, or x_i = 0 and
+y_i >= 0.  A sign flip of a check's points therefore gives the same bits.
 """
 
 from __future__ import annotations
@@ -386,32 +376,28 @@ def _adaptive_panel_sum(layouts, exponent, values, envelope, units):
     sum_j w_j g(v_j) factors[i, j] over its panels layouts[b], (m_b, 2)
     edges, as exp(shift[b]) * sums[b, i], doubling every panel's node count
     from _PANEL_NODE_START until two levels agree to _PANEL_REL_TOL, up to
-    _PANEL_NODE_CAP.
+    _PANEL_NODE_CAP; ConvergenceError if one has not settled at the cap.
 
-    `values` maps a node array (m,) and owner (m,), the index in the batch
-    of the integral each node belongs to, to log g (-inf where g is 0) and
-    factor rows (k, m); `envelope` maps them to an upper bound of log g.
-    This is where logs become numbers: each term is exp(log g + log w -
-    shift), an integral's shift fixed at the largest log term of its first
-    call, one exp per node.  If g is 0 at every node of that call, the shift
-    is -inf and the sums are ones.  units[b] rescales integral b's k sums to
-    a common magnitude so its stopping test is relative in the largest
-    component and absolute, at the same scale, in the rest.  A node reaches
-    `values` only if its bound term (envelope + log w) is at least shift -
-    _PRUNE_LOG; the others count as g = 0.  A first call takes the nodes
-    within _PRUNE_LOG + _PRUNE_GUESS of its largest bound term, then those
-    left within _PRUNE_LOG of the largest log term found, which hold the
-    largest of all: the shift is the one every node would give.
+    `values` maps nodes v (m,) and their owner (m,), each node's integral's
+    place in the batch, to log g (-inf where g is 0) and factor rows (k, m);
+    `envelope` maps them to an upper bound of log g.  Each term is exp(log g
+    + log w - shift), one exp per chunk of nodes, an integral's shift the
+    largest log term of its first call (-inf, with sums of ones, if g is 0
+    at all its nodes).  units[b] rescales integral b's k sums so its settle
+    test is relative in the largest and absolute, at that scale, in the
+    rest.  A node reaches `values` only if its bound term (envelope + log w)
+    is at least shift - _PRUNE_LOG, else counts as g = 0: a first call takes
+    the nodes within _PRUNE_LOG + _PRUNE_GUESS of its largest bound term,
+    then those left within _PRUNE_LOG of the largest log term found, so the
+    shift is the one every node would give.
 
-    Nearly every ladder stops at its second level, so the first two levels
-    share one call.  An integral leaves the batch when it settles; the next
-    level lays out the panels of those left.  A level's nodes reach
-    `values` in chunks of whole integrals of at most _BATCH_NODES nodes, so
-    a long batch holds bounded temporaries.  The kernel gives a node the
-    same bits in any batch, and each integral sums its own contiguous slice
-    of each level, so its (shift, sums) are the bits it gets alone and in
-    one call per level.  Raises ConvergenceError if an integral has not
-    settled at the cap.
+    The first two levels share one call; a settled integral leaves the
+    batch.  Nodes reach `values` in chunks of whole integrals of at most
+    _BATCH_NODES nodes.  A node's kernel bits do not depend on its call, and
+    each integral sums its own slice, so it gets the bits it gets alone: a
+    batch holds the solution integrals of many points, or the normalization
+    or Chapman-Kolmogorov integrals of one kappa_i, whose integrand
+    evaluates a kernel row shared at s = t and x_i = y_i once.
     """
     shift, sums, prev = [-math.inf] * len(layouts), [None] * len(layouts), [None] * len(layouts)
     ladder = list(node_ladder(_PANEL_NODE_START, _PANEL_NODE_CAP))
@@ -445,14 +431,15 @@ def _adaptive_panel_sum(layouts, exponent, values, envelope, units):
                 evaluate(peaks(log_g + log_w) - _PRUNE_LOG)
                 for b, peak in zip(chunk, peaks(log_g + log_w).tolist()):
                     shift[b] = peak
-            log_terms = log_g + log_w
+            # one exp per chunk, each term less its integral's shift (0 for -inf)
+            offsets = [peak if peak > -math.inf else 0.0 for peak in (shift[b] for b in chunk)]
+            terms = np.exp(log_g + log_w - np.tile(offsets, len(calls)).repeat(sizes))
             for i, b in enumerate(chunk):
                 if shift[b] == -math.inf:
                     sums[b] = np.ones(units.shape[-1])
                     continue
                 for e, n in zip(ends[i :: len(chunk)], sizes[i :: len(chunk)]):
-                    terms = np.exp(log_terms[e - n : e] - shift[b])
-                    cur = np.ascontiguousarray(factors[:, e - n : e]) @ terms
+                    cur = np.ascontiguousarray(factors[:, e - n : e]) @ terms[e - n : e]
                     if prev[b] is not None:
                         scaled, before = cur * units[b], prev[b] * units[b]
                         err = np.abs(scaled - before).max()
@@ -468,28 +455,73 @@ def _adaptive_panel_sum(layouts, exponent, values, envelope, units):
     raise ConvergenceError(f"panel quadrature stalled at {_PANEL_NODE_CAP} nodes per panel")
 
 
-def _log_total(center, sigma, exponent, kappa_i, kernels, where) -> float:
-    """log of the integral of the product of the kernels p_t(u, v), (t, u) in
-    kernels, against |v|^exponent over the window of `center`, or
-    ConvergenceError where rounding left that window no width."""
-    panels = _panels(*_window(center, sigma), sigma)
-    if not len(panels):
-        raise ConvergenceError(
-            f"integration window lost to rounding at {where}: 30 sigma vanishes next to the"
-            " coordinate in double precision"
-        )
+def _mass_integral(t, u, kappa_i, exponent):
+    """p_t(u, v) |v|^exponent over the window of u."""
+    if not exponent > -1.0:
+        raise DomainError(f"weight exponent must exceed -1, got {exponent}")
+    return kappa_i, exponent, [(t, u)], u, math.sqrt(2.0 * t), f"u = {u}, t = {t}"
 
-    def values(v, owner):
-        # a kernel that repeats, as at s = t and x_i = y_i, is one row
-        rows = {kernel: kernel_derivatives_1d_batch(*kernel, v, kappa_i)[0] for kernel in dict.fromkeys(kernels)}
-        first, *rest = (rows[kernel] for kernel in kernels)
-        return sum(rest, first), np.ones((1, v.size))
 
-    def envelope(v, owner):
-        return sum(_log_envelope(*kernel, v, kappa_i) for kernel in kernels)
+def _ck_integral(s, t, xi, yi, kappa_i):
+    """p_s(xi, v) p_t(v, yi) |v|^(2 kappa) over the window of the product of
+    the kernels' Gaussians in ||u| - |v||: one Gaussian in |v| at c = (t |xi|
+    + s |yi|) / (s + t), sigma^2 = 2 s t / (s + t), tight up to a polynomial
+    factor for kappa > 0.  At kappa = 0, E_0(a) = e^a, the signed Gaussians'
+    product sits at (t xi + s yi) / (s + t), which c's window misses when xi
+    yi < 0 (xi = -yi = 33, s = t = 1 loses 99.7% of the mass), so the window
+    is centred there; for kappa > 0 that term weighs about e^(-450) / kappa
+    where c's window misses it, at |xi yi| / (s + t) > 450."""
+    sigma_s, sigma_t = math.sqrt(2.0 * s), math.sqrt(2.0 * t)
+    sigma = sigma_s * sigma_t / math.hypot(sigma_s, sigma_t)
+    # each centre as xi moved towards yi: no product t xi to overflow
+    if kappa_i == 0.0:
+        center = xi + s / (s + t) * (yi - xi)
+    else:
+        center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
+    return kappa_i, 2.0 * kappa_i, [(s, xi), (t, yi)], center, sigma, f"x = {xi}, y = {yi}, s = {s}, t = {t}"
 
-    shift, sums = _adaptive_panel_sum([panels], exponent, values, envelope, np.ones((1, 1)))
-    return float(shift[0]) + math.log(sums[0, 0])
+
+def _log_integrals(keys, integral) -> dict:
+    """key -> log of its integral for each distinct key, integral(*key) being
+    (kappa_i, exponent, kernels, center, sigma, where): the product of the
+    kernels p_t(u, v), one or two (t, u), against |v|^exponent over the
+    window of center.  The first lost window in first-seen order raises
+    ConvergenceError.  One ladder per (kappa_i, exponent) evaluates the first
+    kernel at every node and the second only for the integrals where it
+    differs (s != t or x_i != y_i), elsewhere adding the first row to itself."""
+    groups, logs = {}, {}
+    for key in dict.fromkeys(keys):
+        kappa_i, exponent, kernels, center, sigma, where = integral(*key)
+        panels = _panels(*_window(center, sigma), sigma)
+        if not len(panels):
+            raise ConvergenceError(
+                f"integration window lost to rounding at {where}: 30 sigma vanishes next to the"
+                " coordinate in double precision"
+            )
+        groups.setdefault((kappa_i, exponent), []).append((key, kernels, panels))
+    for (kappa_i, exponent), batch in groups.items():
+        keys, factors, layouts = zip(*batch)
+        # per kernel factor, the (2, B) rows of its t and u over the batch
+        kernels = [np.array(factor).T for factor in zip(*factors)]
+        differ = (kernels[-1] != kernels[0]).any(0)
+
+        def values(v, owner):
+            first, *rest = (kernel[:, owner] for kernel in kernels)
+            log_g = kernel_derivatives_1d_batch(*first, v, kappa_i)[0]
+            for second in rest:
+                row, at = log_g.copy(), np.flatnonzero(differ[owner])
+                if at.size:
+                    row[at] = kernel_derivatives_1d_batch(*second[:, at], v[at], kappa_i)[0]
+                log_g = log_g + row
+            return log_g, np.ones((1, v.size))
+
+        def envelope(v, owner):
+            return sum(_log_envelope(*kernel[:, owner], v, kappa_i) for kernel in kernels)
+
+        shift, sums = _adaptive_panel_sum(layouts, exponent, values, envelope, np.ones((len(batch), 1)))
+        for key, peak, mass in zip(keys, shift.tolist(), sums[:, 0].tolist()):
+            logs[key] = peak + math.log(mass)
+    return logs
 
 
 def _solution_moments(t, u, kappa_i, profile) -> np.ndarray:
@@ -670,10 +702,6 @@ MARKOV_CONVENTION = MeasureConvention(
     log_normalizer=log_gaussian_mass,
 )
 
-def _plain_mass(t, u, kappa_i, exponent) -> float:
-    """log of the integral of p_t(u, v) |v|^exponent dv."""
-    return _log_total(u, math.sqrt(2.0 * t), exponent, kappa_i, [(t, u)], f"u = {u}, t = {t}")
-
 
 def _identity_reports(claim_id, points, log_lhs, log_rhs, tolerance) -> list[VerificationReport]:
     """The reports of lhs = rhs at each point from the logs of both sides,
@@ -702,14 +730,15 @@ def normalization_check(
     x = _validate_point(x, kappa.d, batch=True)
     points = np.atleast_2d(x).tolist()
     times = _times(_validate_time(t, len(points)), len(points))
-    mass, log_lhs = functools.cache(_plain_mass), []
-    for ti, point in zip(times, points):
-        log_lhs.append(0.0)
-        for xi, k in zip(point, kappa.values):
-            exponent = float(convention.weight_exponent(k))
-            if not exponent > -1.0:
-                raise DomainError(f"weight exponent must exceed -1, got {exponent}")
-            log_lhs[-1] += log_gaussian_mass(k) - convention.log_normalizer(k) + mass(ti, abs(xi), k, exponent)
+    keys = [
+        [(ti, abs(xi), k, float(convention.weight_exponent(k))) for xi, k in zip(point, kappa.values)]
+        for ti, point in zip(times, points)
+    ]
+    mass = _log_integrals((key for row in keys for key in row), _mass_integral)
+    log_lhs = [
+        _added(log_gaussian_mass(k) - convention.log_normalizer(k) + mass[ti, u, k, e] for ti, u, k, e in row)
+        for row in keys
+    ]
     grid = [(ti, tuple(point)) for ti, point in zip(times, points)]
     reports = _identity_reports("kernel_normalization", grid, log_lhs, [0.0] * len(grid), _NORMALIZATION_TOL)
     return _one_or_all(x, reports)
@@ -729,13 +758,13 @@ def chapman_kolmogorov_check(s, t, x, y, kappa) -> VerificationReport | list[Ver
     n = len(x)
     s, t = _validate_time(s, n), _validate_time(t, n)
     times = _times(s, n), _times(t, n)
-    coordinate, log_lhs = functools.cache(_ck_coordinate), []
-    for si, ti, p, q in zip(*times, x.tolist(), y.tolist()):
-        log_lhs.append(0.0)
-        for xi, yi, k in zip(p, q, kappa.values):
-            if (xi, yi) < (0.0, 0.0):  # the orbit's point with x_i > 0, or x_i = 0 and y_i >= 0
-                xi, yi = -xi, -yi
-            log_lhs[-1] += coordinate(si, ti, xi, yi, k)
+    # each coordinate at the orbit's point with x_i > 0, or x_i = 0 and y_i >= 0
+    keys = [
+        [(si, ti, *((xi, yi) if (xi, yi) >= (0.0, 0.0) else (-xi, -yi)), k) for xi, yi, k in zip(p, q, kappa.values)]
+        for si, ti, p, q in zip(*times, x.tolist(), y.tolist())
+    ]
+    logs = _log_integrals((key for row in keys for key in row), _ck_integral)
+    log_lhs = [_added(logs[key] for key in row) for row in keys]
     total = _validate_time(s + t, n)
     # scalar float semantics, silently, as log_kernel takes one point
     with np.errstate(all="ignore"):
@@ -743,35 +772,6 @@ def chapman_kolmogorov_check(s, t, x, y, kappa) -> VerificationReport | list[Ver
     grid = [(si, ti, tuple(p), tuple(q)) for si, ti, p, q in zip(*times, x.tolist(), y.tolist())]
     reports = _identity_reports("chapman_kolmogorov", grid, log_lhs, log_rhs.tolist(), _CHAPMAN_KOLMOGOROV_TOL)
     return _one_or_all(given, reports)
-
-
-def _ck_coordinate(s, t, xi, yi, kappa_i) -> float:
-    """log of the integral of p_s(xi, v) p_t(v, yi) |v|^(2 kappa) dv over the
-    window of the product's own Gaussian envelope.  Each kernel is at most
-    its Gaussian in ||u| - |v||, and the two Gaussians multiply to
-        exp(-(|v| - c)^2 / (2 sigma^2)) exp(-(|xi| - |yi|)^2 / (4 (s + t))),
-    c = (t |xi| + s |yi|) / (s + t), sigma^2 = 2 s t / (s + t): one Gaussian
-    in |v|, narrower than either kernel's, centred between their centres.
-
-    For kappa > 0 the envelope is tight up to a polynomial factor: E_kappa(a)
-    grows like e^|a| at both signs of a.  At kappa = 0 it is not, since E_0(a)
-    = e^a: the kernels are signed Gaussians and their product sits at the
-    signed centre (t xi + s yi) / (s + t), which the window of c misses when
-    xi yi < 0 and c is far from 0 (xi = -yi = 33, s = t = 1 loses 99.7% of
-    the mass).  There the window is centred on the signed centre.  The same
-    signed term is part of every E_kappa; c's window misses it only when
-    |xi yi| / (s + t) > 450, where it weighs about e^(-450) / kappa of the
-    integral: below double precision unless kappa is below about 1e-180."""
-    sigma_s, sigma_t = math.sqrt(2.0 * s), math.sqrt(2.0 * t)
-    sigma = sigma_s * sigma_t / math.hypot(sigma_s, sigma_t)
-    # each centre as xi moved towards yi: no product t xi to overflow
-    if kappa_i == 0.0:
-        center = xi + s / (s + t) * (yi - xi)
-    else:
-        center = abs(xi) + s / (s + t) * (abs(yi) - abs(xi))
-
-    where = f"x = {xi}, y = {yi}, s = {s}, t = {t}"
-    return _log_total(center, sigma, 2.0 * kappa_i, kappa_i, [(s, xi), (t, yi)], where)
 
 
 def heat_residual(t, x, y, kappa) -> float | np.ndarray:

@@ -139,6 +139,19 @@ class TestLiYauScan:
         _, out_c, _ = run_cli(args + ["--seed", "8"], capsys)
         assert out_c != out_a
 
+    def test_seeded_draws_are_the_floats_of_one_scalar_draw_each(self):
+        # one Generator.uniform call gives the floats of a loop of one draw
+        # per row and group, so the seeded suites keep their points
+        groups = [(-2.0, 2.0, 1), (1.05, 8.0, 1), (-10.0, 10.0, 3), (-2.5, 2.5, 2)]
+        rng = np.random.default_rng(8)
+        want = [[rng.uniform(low, high, width).tolist() for low, high, width in groups] for _ in range(7)]
+        rows = list(cli._draws(8, 7, groups))
+        assert [[[v.hex() for v in group] for group in row] for row in rows] == [
+            [[v.hex() for v in group] for group in row] for row in want
+        ]
+        assert all(type(v) is float for row in rows for group in row for v in group)
+        assert list(cli._draws(8, 0, groups)) == []
+
     def test_per_coordinate_decomposition_in_extra(self, capsys):
         _, out, _ = run_cli(
             ["liyau-scan", "--kappa", "0.5,1.5", "--t", "1", "--coords", "1", "--reproducible"],

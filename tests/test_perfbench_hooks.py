@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from dunklheat import cli, kernel
+from dunklheat import cli, kernel, semigroup
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,8 +56,15 @@ def test_traced_liyau_scan_reports_every_declared_layer_metric():
     assert metrics["inequalities.liyau_functional_calls"] == 0
 
 
-def test_traced_semigroup_check_sees_the_panel_quadrature():
+def test_traced_semigroup_check_sees_the_panel_quadrature(monkeypatch):
     tracer_module = _load_tracer()
+    layouts, ladder = [], semigroup._adaptive_panel_sum
+
+    def counted(*args):
+        layouts.extend(args[0])
+        return ladder(*args)
+
+    monkeypatch.setattr(semigroup, "_adaptive_panel_sum", counted)
     before = _bindings()
     with tracer_module.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["semigroup-check", "--t", "0.5", "--coords", "0,1", "--reproducible"])
@@ -71,6 +78,8 @@ def test_traced_semigroup_check_sees_the_panel_quadrature():
     assert metrics["semigroup.panel_levels"] > 0
     # the hook reads the node array v as the third argument
     assert metrics["semigroup.panel_nodes"] > metrics["semigroup.panel_levels"]
-    # one ladder per distinct coordinate integral: 2 axes times 2 normalization
-    # coordinates and 3 Chapman-Kolmogorov pairs, (0, -0.0) being (0, 0)
-    assert tracer.calls["semigroup._adaptive_panel_sum"] == 2 * (2 + 3)
+    # one ladder per axis and check, over its distinct coordinate integrals:
+    # 2 normalization coordinates and 3 Chapman-Kolmogorov pairs per axis,
+    # (0, -0.0) being (0, 0)
+    assert tracer.calls["semigroup._adaptive_panel_sum"] == 2 * 2
+    assert len(layouts) == 2 * (2 + 3)

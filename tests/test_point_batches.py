@@ -28,7 +28,7 @@ from dunklheat.inequalities import (
 )
 from dunklheat.kernel import _coordinate, log_kernel, log_kernel_derivatives
 from dunklheat.operators import ScalarField, dunkl_laplacian, reflect, reflection_epsilon
-from dunklheat.quadrature import DomainError
+from dunklheat.quadrature import ConvergenceError, DomainError
 from dunklheat.semigroup import (
     InitialDatum,
     bump_profile,
@@ -230,6 +230,45 @@ def test_semigroup_checks_batch_are_the_bits_of_each_point(kappa):
         assert _bits([report.rhs]) == _bits([math.exp(log_kernel(0.3 + t, x, yi, kappa))])
 
 
+@pytest.mark.parametrize("kappa", [(0.0, -0.0, 0.5), (1.5, -0.0)])
+def test_chapman_kolmogorov_at_n_time_pairs_is_the_bits_of_each_point(kappa):
+    # s and t both (n,): the ladder of each kappa_i holds integrals at s = t
+    # and x_i = y_i, which evaluate one kernel row for both factors, next to
+    # ones that evaluate two; kappa_i = -0.0 shares the ladder of 0.0
+    d = len(kappa)
+    x = _grid(d, (-3.0, -0.0, 0.0, 1.0))
+    n = len(x)
+    rng = np.random.default_rng(11)
+    y = np.where(rng.random((n, d)) < 0.5, x, x[rng.permutation(n)])
+    s = np.resize([0.05, 0.3, 1.0], n)
+    t = np.where(np.arange(n) % 2 == 0, s, np.resize([1.0, 0.05, 0.3, 2.0], n))
+    shared = (s == t)[:, None] & (x == y)
+    assert shared.any() and not shared.all() and (s != t).any()
+    batch = chapman_kolmogorov_check(s, t, x, y, kappa)
+    each = [chapman_kolmogorov_check(si, ti, p, q, kappa) for si, ti, p, q in zip(s.tolist(), t.tolist(), x, y)]
+    assert _report_bits(batch) == _report_bits(each)
+
+
+def test_semigroup_checks_name_the_first_lost_window_in_loop_order():
+    # windows lost to rounding at the second point's axis 1 and the third
+    # point's axis 0: the n-point call raises what the second point's own
+    # call raises, as a loop over the points would
+    kappa = [0.5, 1.5]
+    x = np.array([[1.0, 1.0], [1.0, 1e200], [1e201, 1.0]])
+    with pytest.raises(ConvergenceError) as alone:
+        normalization_check(1.0, x[1], kappa)
+    with pytest.raises(ConvergenceError, match=re.escape(str(alone.value))):
+        normalization_check(1.0, x, kappa)
+    assert "u = 1e+200, t = 1.0" in str(alone.value)
+    x = np.array([[1.0, 1.0], [1.0, 1e17], [1e18, 1.0]])
+    s, t = np.array([0.5, 1e-3, 1e-3]), np.array([1.0, 1e-3, 1e-3])
+    with pytest.raises(ConvergenceError) as alone:
+        chapman_kolmogorov_check(1e-3, 1e-3, x[1], x[1], kappa)
+    with pytest.raises(ConvergenceError, match=re.escape(str(alone.value))):
+        chapman_kolmogorov_check(s, t, x, x, kappa)
+    assert "x = 1e+17, y = 1e+17, s = 0.001, t = 0.001" in str(alone.value)
+
+
 def _pointwise_heat_residual(t, x, y, kappa) -> float:
     """heat_residual as it took one point before its array path: the scalar
     kernel and the pointwise Laplacian."""
@@ -370,7 +409,8 @@ def test_default_report_never_reads_the_memo(monkeypatch):
     # 1,920 when every point check read the memo, and 700, the right-hand
     # sides of the 350 Chapman-Kolmogorov rows, while they took one point
     assert len(lookups) == 0
-    # 7,641 when every point check and every field read took one point, and
-    # 1,744 while the normalization and Chapman-Kolmogorov checks did; 207
-    # of the 262 now check a whole array of points
-    assert (len(validated), validated.count(True)) == (262, 207)
+    # 7,641 when every point check and every field read took one point,
+    # 1,744 while the normalization and Chapman-Kolmogorov checks did, and
+    # 262 while semigroup-check made one call per time or time pair; 186 of
+    # the 241 now check a whole array of points
+    assert (len(validated), validated.count(True)) == (241, 186)

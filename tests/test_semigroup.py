@@ -519,29 +519,31 @@ def test_solution_field_computes_each_coordinate_integral_once_read_only(monkeyp
 
 
 def _integral(values) -> str:
-    """The integral whose ladder runs the integrand `values`: a solution
-    integral, or by its kernel factors a normalization (one) or
-    Chapman-Kolmogorov (two) integral."""
-    if values.__qualname__.startswith("_log_total."):
-        return ("_plain_mass", "_ck_coordinate")[len(inspect.getclosurevars(values).nonlocals["kernels"]) - 1]
+    """The integrals whose ladder runs the integrand `values`: solution
+    integrals, or by their kernel factors normalization (one) or
+    Chapman-Kolmogorov (two) integrals."""
+    if values.__qualname__.startswith("_log_integrals."):
+        return ("normalization", "chapman_kolmogorov")[len(inspect.getclosurevars(values).nonlocals["kernels"]) - 1]
     return values.__qualname__.split(".")[0]
 
 
 def test_semigroup_check_runs_one_ladder_per_distinct_coordinate_integral(monkeypatch, capsys):
     calls = _count_ladders(monkeypatch)
     assert cli.main(["semigroup-check", "--reproducible"]) == 0
-    integrals = collections.Counter(_integral(values) for _, _, values, *_ in calls)
+    # one ladder per axis and check
+    assert [_integral(values) for _, _, values, *_ in calls] == ["normalization"] * 2 + ["chapman_kolmogorov"] * 2
+    integrals, panels = collections.Counter(), collections.Counter()
+    for layouts, _, values, *_ in calls:
+        integrals[_integral(values)] += len(layouts)
+        panels[_integral(values)] += sum(map(len, layouts))
     # one integral per orbit of the joint sign flip.  normalization: 4 times,
     # 3 values of |x_i| and 2 axes.  Chapman-Kolmogorov: 7 time pairs, 2 axes
     # and 5 orbits of (x_i, y_i): y_i = x_i at |x_i| = 0, 1, 3 and y_i = -x_i
     # at |x_i| = 1, 3, since (0, -0.0) is the integral of (0, 0)
-    assert integrals == {"_plain_mass": 4 * 3 * 2, "_ck_coordinate": 7 * 2 * 5}
+    assert integrals == {"normalization": 4 * 3 * 2, "chapman_kolmogorov": 7 * 2 * 5}
     # each Chapman-Kolmogorov integral covers the window of its product's
     # Gaussian envelope
-    panels = collections.Counter()
-    for layouts, _, values, *_ in calls:
-        panels[_integral(values)] += sum(map(len, layouts))
-    assert panels["_ck_coordinate"] == 680
+    assert panels["chapman_kolmogorov"] == 680
 
 
 def test_chapman_kolmogorov_integrands_evaluate_each_kernel_factor_once(monkeypatch, capsys):
@@ -549,18 +551,18 @@ def test_chapman_kolmogorov_integrands_evaluate_each_kernel_factor_once(monkeypa
     ladder, batch = semigroup._adaptive_panel_sum, semigroup.kernel_derivatives_1d_batch
 
     def evaluated(t, u, v, kappa_i):
-        kernel_calls.append((t, u))
+        kernel_calls.append((t, u, v))
         return batch(t, u, v, kappa_i)
 
     def counted(layouts, exponent, values, envelope, units):
-        if _integral(values) != "_ck_coordinate":
+        if _integral(values) != "chapman_kolmogorov":
             return ladder(layouts, exponent, values, envelope, units)
-        factors = inspect.getclosurevars(values).nonlocals["kernels"]
+        first, second = inspect.getclosurevars(values).nonlocals["kernels"]
 
         def wrapped(v, owner):
             kernel_calls.clear()
             out = values(v, owner)
-            integrands.append((*factors, list(kernel_calls)))
+            integrands.append((v, first[:, owner], second[:, owner], list(kernel_calls)))
             return out
 
         return ladder(layouts, exponent, wrapped, envelope, units)
@@ -568,14 +570,22 @@ def test_chapman_kolmogorov_integrands_evaluate_each_kernel_factor_once(monkeypa
     monkeypatch.setattr(semigroup, "kernel_derivatives_1d_batch", evaluated)
     monkeypatch.setattr(semigroup, "_adaptive_panel_sum", counted)
     assert cli.main(["semigroup-check", "--reproducible"]) == 0
-    # one kernel call per factor and integrand call, one for both factors
-    # at s = t and x_i = y_i
-    for first, second, made in integrands:
-        assert made == ([first] if first == second else [first, second])
-    # 68 of the 7 * 2 * 5 integrals settle in their first ladder call and 2
-    # take a second; 26 of the 72 calls are at s = t, x_i = y_i
-    assert len(integrands) == 72
-    assert sum(len(made) for *_, made in integrands) == 2 * 72 - 26
+    # the first factor at every node, the second at the nodes of integrals
+    # where it differs (s != t or x_i != y_i): one kernel row for both
+    # factors at s = t and x_i = y_i
+    nodes = shared = 0
+    for v, first, second, made in integrands:
+        differ = (first != second).any(0)
+        want = [(*first, v)] + ([(*second[:, differ], v[differ])] if differ.any() else [])
+        assert len(made) == len(want)
+        for got, expected in zip(made, want):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        nodes, shared = nodes + v.size, shared + (~differ).sum()
+    # per axis, 5 chunks of at most 4096 nodes over the first two levels and
+    # one integral at a third; 5,640 of the nodes are those of the 24
+    # integrals at s = t and x_i = y_i
+    assert len(integrands) == 12
+    assert (nodes, shared) == (16_154, 5_640)
 
 
 def _count_panel_nodes(monkeypatch) -> list:
@@ -640,8 +650,10 @@ _EDGE_INTEGRALS = [("offset_bump", 1.5, 3e-4, -1.6), ("two_bump", 1.5, 2e-4, -2.
 def _panel_integrals() -> np.ndarray:
     out = []
     for kappa in (1e-8, 0.5, 100.0):
-        out += [semigroup._plain_mass(t, u, kappa, 2.0 * kappa) for t, u in _MASS_POINTS]
-        out += [semigroup._ck_coordinate(*point, kappa) for point in _CK_POINTS]
+        keys = [(t, u, kappa, 2.0 * kappa) for t, u in _MASS_POINTS]
+        out += map(semigroup._log_integrals(keys, semigroup._mass_integral).get, keys)
+        keys = [(*point, kappa) for point in _CK_POINTS]
+        out += map(semigroup._log_integrals(keys, semigroup._ck_integral).get, keys)
     data = cli._initial_data(1)
     times, coords = (np.array(c) for c in zip(*_SOLUTION_POINTS))
     for datum in data.values():
@@ -661,22 +673,27 @@ def test_panel_ladder_agrees_with_one_started_at_128_nodes(monkeypatch):
 
 
 def test_kernel_checks_run_each_distinct_coordinate_integral_once_per_call(monkeypatch):
-    # within a call, one ladder per distinct integral, a sign flip (and -0.0)
-    # sharing it; between calls nothing is kept, since no caller repeats one
+    # within a call, one integral per distinct orbit, a sign flip (and -0.0)
+    # sharing it, in one ladder per axis; between calls nothing is kept,
+    # since no caller repeats one
     kappa = [0.5, 1.5]
     x = np.array([[1.0, 0.0], [-1.0, -0.0], [1.0, 0.0]])
     y = np.array([[-1.0, 0.0], [1.0, -0.0], [-1.0, -0.0]])
     calls = _count_ladders(monkeypatch)
+
+    def integrals():
+        return [len(layouts) for layouts, *_ in calls]
+
     masses = normalization_check(0.5, x, kappa)
     # |x_i| = 1 on axis 0 and 0 on axis 1
-    assert len(calls) == 2
+    assert integrals() == [1, 1]
     composed = chapman_kolmogorov_check(0.3, 0.7, x, y, kappa)
     # the orbits of (1, -1) on axis 0 and of (0, 0) on axis 1
-    assert len(calls) == 2 + 2
+    assert integrals() == [1] * (2 + 2)
     assert masses[0] == masses[2] and composed[0] == composed[2]
     assert normalization_check(0.5, x[0], kappa) == masses[0]
     assert chapman_kolmogorov_check(0.3, 0.7, x[0], y[0], kappa) == composed[0]
-    assert len(calls) == 4 + 2 + 2
+    assert integrals() == [1] * (4 + 2 + 2)
 
 
 @pytest.mark.parametrize("kappa", [[0.0, 0.5], [0.5, 1.5]])

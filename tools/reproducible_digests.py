@@ -74,6 +74,13 @@ CONFIGURATIONS = (
     ("semigroup-check", "--t", "0.001,0.01"),
     ("solution-scan", "--kappa", "0.5", "--t", "1", "--coords", "1e200"),
     ("solution-scan", "--kappa", "100"),
+    # a normalization window and a Chapman-Kolmogorov window lost to
+    # rounding (exit 3), each named by the first point that loses one
+    ("semigroup-check", "--kappa", "0.5", "--t", "1", "--coords", "1e200"),
+    ("semigroup-check", "--kappa", "0", "--t", "1e-300", "--coords", "1"),
+    # d = 3 seeded draws
+    ("harnack-scan", "--kappa", "0.5,1.5,0.25", "--seed", "3"),
+    ("claims-verify", "--kappa", "0.5,1.5,0.25", "--augment", "20"),
 )
 
 # `python -m dunklheat.cli` would import the module without calling main
