@@ -5,11 +5,12 @@ row per checked point, as JSON lines (canonical) or CSV (a fixed-column
 projection of the same rows).  Every row carries claim_id, grid_point, lhs,
 rhs, deficit, tol, pass, extra; the rows are in order of claim and grid point,
 so output is deterministic for a fixed configuration and seed.  The two grid
-suites (kernel-eval, liyau-scan) walk their (t, x, y) grid in that order,
-with no sort of the full row list; the other suites sort their rows.  One
-renderer joins a row's column texts into its JSON or CSV line.  liyau-scan
-builds and renders its rows in blocks of at most 256 by array operations,
-from texts rendered once per coordinate-table entry, grid point and time
+suites (kernel-eval, liyau-scan) walk their (t, x, y) grid in that order, in
+blocks of at most 256 rows, with no sort of the full row list; the other
+suites sort their rows.  A kernel-eval block is one batched kernel
+evaluation.  One renderer joins a row's column texts into its JSON or CSV
+line.  liyau-scan builds and renders its blocks by array operations, from
+texts rendered once per coordinate-table entry, grid point and time
 (repr, which is how the JSON encoder writes a float); every other row takes
 its texts from the JSON encoder.  The bytes are those of encoding each whole
 row.  Each block's lines go to an anonymous temporary file (the spool) as
@@ -71,7 +72,7 @@ from .inequalities import (
     f_of_a,
     h_of_a,
 )
-from .kernel import log_kernel_derivatives
+from .kernel import _exp, _kernel_points, log_kernel_derivatives
 from .operators import (
     PSI_CUBE,
     PSI_EXP,
@@ -215,8 +216,8 @@ def _row(report: VerificationReport, extra: dict | None = None) -> _Block:
 
 
 def _plain(value):
-    """Tuples and arrays to lists, numpy scalars to floats: kernel-eval's
-    derivative arrays as JSON lists, and grid points as messages print them."""
+    """Tuples and arrays to lists, numpy scalars to floats: grid points as
+    messages print them."""
     if isinstance(value, (tuple, list, np.ndarray)):
         return [v if type(v) is float else _plain(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
@@ -280,23 +281,22 @@ def _grid_walk(cfg: RunConfig) -> Iterator[tuple[float, Iterator[tuple[int, int]
 
 
 def _kernel_eval(cfg: RunConfig) -> Iterator[_Block]:
+    """Grid rows in output order, one _kernel_points batch per block of at most
+    _BLOCK_ROWS pairs; a failing block is replayed to name its first point that stops."""
+    kappa = MultiplicityZ2.of(cfg.kappa)
     points = [tuple(map(float, point)) for point in cfg.points]
+    coords = np.array(points).reshape(-1, kappa.d)
     for t, pairs in _grid_walk(cfg):
-        for ix, iy in pairs:
-            x, y = points[ix], points[iy]
-            point = (t, x, y)
-            kp = _at_point(point, lambda: log_kernel_derivatives(t, x, y, cfg.kappa))
-            p = kp.p if math.isfinite(kp.p) else None
-            report = _report_at("kernel_point", point, lhs=kp.log_p, rhs=kp.log_p, tolerance=cfg.tol)
-            yield _row(
-                report,
-                extra={
-                    "p": p,
-                    "grad_x_log_p": _plain(kp.grad_x_log_p),
-                    "hess_diag_x_log_p": _plain(kp.hess_diag_x_log_p),
-                    "dt_log_p": kp.dt_log_p,
-                },
-            )
+        while block := list(itertools.islice(pairs, _BLOCK_ROWS)):
+            ix, iy = np.array(block).T
+            grid = [(t, points[i], points[j]) for i, j in block]
+            evaluate = functools.partial(_kernel_points, t, coords[ix], coords[iy], kappa)
+            kp = _batched(evaluate, grid, lambda *point: log_kernel_derivatives(*point, kappa))
+            for point, log_p, grad, hess, dt in zip(grid, *(column.tolist() for column in kp[1:])):
+                p = _exp(log_p)
+                p = p if math.isfinite(p) else None
+                report = _report_at("kernel_point", point, lhs=log_p, rhs=log_p, tolerance=cfg.tol)
+                yield _row(report, {"p": p, "grad_x_log_p": grad, "hess_diag_x_log_p": hess, "dt_log_p": dt})
 
 
 def _axis_terms(a, variance_term, f_value, j_value, i_value, deficit) -> tuple:
@@ -492,7 +492,7 @@ def _harnack_scan(cfg: RunConfig) -> list[_Block]:
     names the first tuple in draw order that stops."""
     count = cfg.augment if cfg.augment else 200
     datum = _initial_data(cfg.dimension)["bump"]
-    lam = sum(cfg.kappa)
+    lam = MultiplicityZ2.of(cfg.kappa).lambda_total
     groups = [(-1.0, 0.3, 1), (1.05, 8.0, 1), (-2.5, 2.5, cfg.dimension), (-2.5, 2.5, cfg.dimension)]
     points = [(10.0**e, x, 10.0**e * r, y) for (e,), (r,), x, y in _draws(cfg.seed, count, groups)]
     field = semigroup_solution(datum, cfg.kappa)
@@ -857,3 +857,7 @@ def main(argv=None) -> int:
         print(f"configuration error: cannot write {target}: {e.strerror or e}", file=sys.stderr)
         return 2
     return 0 if all(passed) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,7 +26,7 @@ _MOMENT_REL_TOL (1e-10); 128 nodes reach |a| = 50 for every kappa.  The
 Laguerre factor (2 - r/|a|)^kappa is truncated, with no such bound, so that
 branch doubles its node count from NODE_START until two orders agree to
 _MOMENT_REL_TOL, up to NODE_CAP (4096) nodes.  That contract is fixed, so
-the moment cache keys on (a, kappa) alone.
+the moment memo, which only moment_ratios reads, keys on (a, kappa) alone.
 
 kappa = 0 coordinates never touch quadrature: the kernel degenerates to the
 Gauss-Weierstrass kernel and every formula has a closed form.
@@ -273,22 +273,6 @@ def moment_ratios(a: float, kappa: float) -> MomentRatios:
         return ratios
 
 
-def _tilted_terms(a, kappa: float, stats=None):
-    """(log E_kappa, r1, variance) at the tilt a, a float or an array, kappa > 0.
-
-    A float tilt reads the cached scalar moment_ratios, a memo of the same
-    bits as the one moment_stats call an array makes, or stats, the rows of
-    a call the caller made.  At a = 0, log E_kappa = log C_kappa - log
-    C_kappa = 0 exactly.
-    """
-    if isinstance(a, np.ndarray):
-        log_m0, r1, variance = moment_stats(a, kappa) if stats is None else stats
-    else:
-        ratios = moment_ratios(a, kappa)
-        log_m0, r1, variance = ratios.log_m0, ratios.r1, ratios.variance
-    return _log_normalizers(kappa)[1] + log_m0, r1, variance
-
-
 def log_e_kappa(x: float, y: float, kappa: float) -> float:
     """log E_kappa(x, y) for a single coordinate pair.
 
@@ -299,30 +283,31 @@ def log_e_kappa(x: float, y: float, kappa: float) -> float:
     a = float(x) * float(y)
     if kappa == 0.0:
         return a
-    return _tilted_terms(a, kappa)[0]
+    return _log_normalizers(kappa)[1] + float(moment_stats(a, kappa)[0, 0])
 
 
 class _Coordinate(NamedTuple):
     """One coordinate of log p_t(u, v) and its derivatives in u and t; each
-    entry is a float or an array shaped like v."""
+    entry is an array shaped like v."""
 
-    a: float | np.ndarray
-    log_p: float | np.ndarray
-    d_u: float | np.ndarray
-    variance_term: float | np.ndarray
-    d_uu: float | np.ndarray
-    d_t: float | np.ndarray
+    a: np.ndarray
+    log_p: np.ndarray
+    d_u: np.ndarray
+    variance_term: np.ndarray
+    d_uu: np.ndarray
+    d_t: np.ndarray
 
 
 def _coordinate(t, u, v, kappa: float, stats=None) -> _Coordinate:
-    """The per-coordinate kernel formulas, at validated times t.  v is a
-    float or an array; t and u are floats, or arrays shaped like v; stats,
-    if given, the moment_stats rows at the tilts, already computed.  For
-    kappa > 0, with p = u/(2t), w = v/(2t), the tilt a = u v / (2t), and the
-    mean r1 and the variance var of the tilted density at a:
+    """The per-coordinate kernel formulas, at validated times t.  v is an
+    array; t and u are floats, or arrays shaped like v.  For kappa > 0, with
+    p = u/(2t), w = v/(2t), the tilt a = u v / (2t), and log m0, the mean r1
+    and the variance var of the tilted density at a, from stats (the
+    moment_stats rows at the tilts, if the caller has them) or from one
+    moment_stats call, never from the memo of moment_ratios:
 
         log p_t = -log c_kappa - (kappa + 1/2) log(2t) - (u^2 + v^2)/(4t)
-                  + log E_kappa(a)
+                  + log E_kappa(a),  log E_kappa = log C_kappa + log m0
         d_u     = -p + w r1
         d_uu    = -1/(2t) + variance_term,  variance_term = w^2 var
         d_t     = -(kappa + 1/2)/t + (p^2 + w^2) - (a/t) r1
@@ -344,12 +329,13 @@ def _coordinate(t, u, v, kappa: float, stats=None) -> _Coordinate:
             bad = ~np.isfinite(a)
             u_at, t_at = (float(np.broadcast_to(w, bad.shape)[bad][0]) for w in (u, t))
             raise OverflowError(f"tilt u v / (2t) overflows at u = {u_at!r}, t = {t_at!r}")
-        log_e, r1, variance = _tilted_terms(a, kappa, stats)
+        log_mass, log_c = _log_normalizers(kappa)
+        log_m0, r1, variance = moment_stats(a, kappa) if stats is None else stats
         log_p = (
-            -_log_normalizers(kappa)[0]
+            -log_mass
             - (kappa + 0.5) * np.log(2.0 * t)
             - (u * u + v * v) / (4.0 * t)
-            + log_e
+            + (log_c + log_m0)
         )
         p, w = u / (2.0 * t), v / (2.0 * t)
         d_u = -p + w * r1
@@ -368,12 +354,15 @@ def _log_envelope(t, u, v, kappa: float):
 
 
 def log_kernel(t, x, y, kappa) -> float:
-    """log p_t(x, y), the sum of the per-coordinate logs."""
+    """log p_t(x, y), the sum of the per-coordinate logs.  It reads no
+    derivative, so it has a value, -inf past the float range, where
+    log_kernel_derivatives overflows."""
     t = _validate_time(t)
     kappa = MultiplicityZ2.of(kappa)
-    x = _validate_point(x, kappa.d).tolist()
-    y = _validate_point(y, kappa.d).tolist()
-    return float(sum(_coordinate(t, u, v, k).log_p for u, v, k in zip(x, y, kappa.values)))
+    x, y = (_validate_point(z, kappa.d) for z in (x, y))
+    with np.errstate(all="ignore"):  # a term past the float range is inf, silently
+        log_p = _added(_coordinate(t, u, v, k).log_p for u, v, k in zip(x[:, None], y[:, None], kappa.values))
+    return float(log_p[0])
 
 
 @dataclass(frozen=True)
@@ -401,30 +390,33 @@ class KernelPoint:
 
     @property
     def p(self) -> float:
-        try:
-            return math.exp(self.log_p)
-        except OverflowError:
-            return math.inf
+        return _exp(self.log_p)
+
+
+def _exp(log_p: float) -> float:
+    """e^log_p, inf past the float range: the kernel value p of a log p."""
+    try:
+        return math.exp(log_p)
+    except OverflowError:
+        return math.inf
 
 
 def log_kernel_derivatives(t, x, y, kappa) -> KernelPoint:
-    """Derivatives of log p_t(., y) at x, assembled per coordinate: the
-    gradient and diagonal Hessian entries are the coordinates' d_u and d_uu,
-    and d_t log p is the sum of their d_t."""
+    """Derivatives of log p_t(., y) at x: _kernel_points at the one pair."""
     t = _validate_time(t)
     kappa = MultiplicityZ2.of(kappa)
-    x = _validate_point(x, kappa.d)
-    y = _validate_point(y, kappa.d)
-    coords = [_coordinate(t, u, v, k) for u, v, k in zip(x.tolist(), y.tolist(), kappa.values)]
+    x, y = (_validate_point(z, kappa.d) for z in (x, y))
+    kp = _kernel_points(t, x[None], y[None], kappa)
+    # copies: KernelPoint makes its arrays read-only, and x and y may be the caller's
     return KernelPoint(
         t=t,
         x=x.copy(),
         y=y.copy(),
         kappa=kappa,
-        log_p=float(sum(c.log_p for c in coords)),
-        grad_x_log_p=np.array([c.d_u for c in coords]),
-        hess_diag_x_log_p=np.array([c.d_uu for c in coords]),
-        dt_log_p=float(sum(c.d_t for c in coords)),
+        log_p=float(kp.log_p[0]),
+        grad_x_log_p=kp.grad[0],
+        hess_diag_x_log_p=kp.hess[0],
+        dt_log_p=float(kp.dt[0]),
     )
 
 
@@ -443,8 +435,8 @@ class _KernelPoints(NamedTuple):
 def _kernel_points(t, x, y, kappa: MultiplicityZ2) -> _KernelPoints:
     """log_kernel_derivatives at the n point pairs of x and y, validated (n, d)
     arrays, at a validated float or (n,) times t: one _coordinate call per
-    axis, so no entry reads the moment memo, and each entry is the bits of
-    the scalar call.  Raises FloatingPointError where KernelPoint would."""
+    axis, and each entry is the bits of the one-pair call.  Raises
+    FloatingPointError where KernelPoint would."""
     # scalar float semantics, silently: a term past the float range is inf
     with np.errstate(all="ignore"):
         coords = [_coordinate(t, x[:, i], y[:, i], k) for i, k in enumerate(kappa.values)]

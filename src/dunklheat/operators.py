@@ -81,7 +81,7 @@ class MultiplicityZ2:
     @property
     def lambda_total(self) -> float:
         """lambda_kappa = sum_i kappa_i, the homogeneity shift of the measure."""
-        return float(sum(self.values))
+        return _added(self.values)
 
 
 def _validate_multiplicity(k) -> float:

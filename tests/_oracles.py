@@ -3,20 +3,26 @@
 Everything here deliberately avoids the package's own quadrature and moment
 machinery: the fast paths are judged against brute-force graded panels,
 elementary closed forms, and high-precision special-function identities.
-The one exception seeds a long-double Newton polish with the package's Gauss
-nodes, and then checks that the polish found every root.  The analytic
-scalar fields are closed forms held in the package's `ScalarField`.
+Two exceptions: one seeds a long-double Newton polish with the package's
+Gauss nodes, and then checks that the polish found every root; and
+`scalar_kernel_point` takes its tilted moments from the package's scalar
+`moment_ratios`, since it judges the assembly of the kernel formulas, not the
+moments.  The analytic scalar fields are closed forms held in the package's
+`ScalarField`.
 """
 
 import functools
 import math
+import operator
 
 import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.special import gammaln, ive
 
-from dunklheat.operators import ScalarField
+from dunklheat import kernel
+from dunklheat.kernel import KernelPoint
+from dunklheat.operators import MultiplicityZ2, ScalarField
 
 # 4-point Gauss-Legendre rule on [-1, 1], used only as the per-panel rule of
 # the brute-force integrator below.
@@ -295,6 +301,49 @@ def gaussian_log_kernel_derivatives(t, u, v):
         -(u - v) / (2.0 * t),
         -1.0 / (2.0 * t),
         -0.5 / t + (u - v) ** 2 / (4.0 * t * t),
+    )
+
+
+def scalar_coordinate(t, u, v, kappa):
+    """(log p, d_u, variance_term, d_uu, d_t) of one coordinate of log p_t(u, v)
+    in Python floats, as the package assembled them one point at a time before
+    every kernel evaluation became a batch: the formulas of kernel._coordinate,
+    the moments of the one tilt from moment_ratios."""
+    a = u * v / (2.0 * t)
+    if kappa == 0.0:
+        diff = u - v
+        log_p = -0.5 * np.log(4.0 * math.pi * t) - diff * diff / (4.0 * t)
+        d_u = -diff / (2.0 * t)
+        variance_term = 0.0 * abs(v)
+        d_t = -0.5 / t + d_u * d_u
+    else:
+        ratios = kernel.moment_ratios(a, kappa)
+        log_mass, log_c = kernel._log_normalizers(kappa)
+        log_e = log_c + ratios.log_m0
+        log_p = -log_mass - (kappa + 0.5) * np.log(2.0 * t) - (u * u + v * v) / (4.0 * t) + log_e
+        p, w = u / (2.0 * t), v / (2.0 * t)
+        d_u = -p + w * ratios.r1
+        variance_term = w * w * ratios.variance
+        d_t = -(kappa + 0.5) / t + (p * p + w * w) - (a / t) * ratios.r1
+    return log_p, d_u, variance_term, -1.0 / (2.0 * t) + variance_term, d_t
+
+
+def scalar_kernel_point(t, x, y, kappa) -> KernelPoint:
+    """log_kernel_derivatives from scalar_coordinate, coordinate by
+    coordinate, with log p and d_t log p added left to right from 0.0."""
+    kappa = MultiplicityZ2.of(kappa)
+    x, y = (np.array(z, dtype=float).ravel() for z in (x, y))
+    coords = [scalar_coordinate(float(t), u, v, k) for u, v, k in zip(x.tolist(), y.tolist(), kappa.values)]
+    log_p, d_u, _, d_uu, d_t = zip(*coords)
+    return KernelPoint(
+        t=float(t),
+        x=x,
+        y=y,
+        kappa=kappa,
+        log_p=float(functools.reduce(operator.add, log_p, 0.0)),
+        grad_x_log_p=np.array(d_u),
+        hess_diag_x_log_p=np.array(d_uu),
+        dt_log_p=float(functools.reduce(operator.add, d_t, 0.0)),
     )
 
 

@@ -22,10 +22,11 @@ import tempfile
 import numpy as np
 import pytest
 
+import _oracles as oracle
 from dunklheat import cli, inequalities, kernel, semigroup
 from dunklheat.cli import _COLUMNS, main
 from dunklheat.inequalities import VerificationReport, liyau_functional
-from dunklheat.kernel import log_gaussian_mass, log_kernel_derivatives
+from dunklheat.kernel import log_gaussian_mass
 from dunklheat.operators import SpaceTimeField
 from dunklheat.semigroup import MeasureConvention, normalization_check, semigroup_solution
 
@@ -505,6 +506,31 @@ def test_report_loads_neither_scipy_nor_numpy_ma(tmp_path):
         check=True,
     )
     assert out.stdout == "[]\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    # python -m dunklheat.cli runs the CLI: a module that is only imported
+    # exits 0 with no output, having checked nothing
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "dunklheat.cli", *argv, "--kappa", "0.5", "--t", "1", "--reproducible"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+
+    done = run_module("report", "--coords", "0,1")
+    assert done.returncode == 0
+    meta, rows = parse_jsonl(done.stdout)
+    assert meta["command"] == "report"
+    assert len(rows) == 14 and all(row["pass"] for row in rows)
+    # a failure keeps its exit code
+    done = run_module("kernel-eval", "--coords", "1e200")
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("numerical failure: OverflowError")
 
 
 # the CLI's own peak resident set: VmHWM, since Linux carries the spawning
@@ -1435,10 +1461,11 @@ class TestLiYauGrid:
 
 
 def _grid_row(command, t, x, y, kappa, tol):
-    """The row of one (t, x, y) point, evaluated on its own."""
+    """The row of one (t, x, y) point, evaluated on its own: kernel-eval's
+    from the scalar reference kernel, not the batch the CLI runs."""
     if command == "liyau-scan":
         return _liyau_row(liyau_functional(t, x, y, kappa), tol)
-    kp = log_kernel_derivatives(t, x, y, kappa)
+    kp = oracle.scalar_kernel_point(t, x, y, kappa)
     report = VerificationReport.build("kernel_point", (t, x, y), lhs=kp.log_p, rhs=kp.log_p, tolerance=tol)
     extra = {
         "p": kp.p if math.isfinite(kp.p) else None,

@@ -602,8 +602,8 @@ def test_kernel_solution_field_evaluates_the_kernel_once_per_point(monkeypatch):
         np.testing.assert_array_equal(u.log_hessian_diag(t, x), batch[2][i])
         assert u.log_time_derivative(t, x) == batch[3][i]
     for x in ([1.0, 2.0], [-0.3, 0.0], [-0.3, -0.0], [1.0, 2.0]):
-        kp = log_kernel_derivatives(t, x, y0, kappa)
-        assert u.log_value(t, x) == log_kernel(t, x, y0, kappa)
+        kp = oracle.scalar_kernel_point(t, x, y0, kappa)
+        assert u.log_value(t, x) == log_kernel(t, x, y0, kappa) == kp.log_p
         np.testing.assert_array_equal(u.log_gradient(t, x), kp.grad_x_log_p)
         np.testing.assert_array_equal(u.log_hessian_diag(t, x), kp.hess_diag_x_log_p)
         assert u.log_time_derivative(t, x) == kp.dt_log_p

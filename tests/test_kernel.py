@@ -447,6 +447,16 @@ def test_kernel_point_value_is_finite_up_to_the_float_range():
     assert log_kernel_derivatives(1e-300, [0.0], [0.0], [2.0]).p == math.inf
 
 
+def test_log_kernel_has_a_value_where_a_derivative_leaves_the_float_range():
+    # d_t log p holds (v/(2t))^2, past the float range at both points, so
+    # log_kernel_derivatives raises; log p needs none of it
+    assert log_kernel(1e-200, [0.0], [1.0], 0.5) == -2.5e199
+    assert log_kernel(1e-300, [0.0], [1e10], 0.5) == -math.inf
+    for t, y in ((1e-200, [1.0]), (1e-300, [1e10])):
+        with pytest.raises(FloatingPointError):
+            log_kernel_derivatives(t, [0.0], y, 0.5)
+
+
 def test_log_kernel_at_tiny_time_is_finite():
     # p_t(0, 0) = 1/(4t) at kappa = 1/2 is past the float range but its log
     # is not, and no term divides by the 4t^2 that underflows to 0
@@ -555,7 +565,7 @@ def test_batch_derivatives_match_scalar_path():
     assert v[20] == 0.0
     log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, u, v, kappa)
     for j in (0, 7, 20, 33, 40):
-        ref = log_kernel_derivatives(t, [u], [v[j]], [kappa])
+        ref = oracle.scalar_kernel_point(t, [u], [v[j]], [kappa])
         got = (log_p[j], d1[j], d2[j], dt[j])
         want = (ref.log_p, ref.grad_x_log_p[0], ref.hess_diag_x_log_p[0], ref.dt_log_p)
         # batched and scalar moments are the same bits; a = 0 (j = 20) takes
@@ -564,7 +574,7 @@ def test_batch_derivatives_match_scalar_path():
     # u = 0 puts every tilt at 0
     log_p, d1, d2, dt = kernel_derivatives_1d_batch(t, 0.0, v, kappa)
     for j in (0, 7, 20, 33, 40):
-        ref = log_kernel_derivatives(t, [0.0], [v[j]], [kappa])
+        ref = oracle.scalar_kernel_point(t, [0.0], [v[j]], [kappa])
         assert (log_p[j], d1[j], d2[j], dt[j]) == (
             ref.log_p, ref.grad_x_log_p[0], ref.hess_diag_x_log_p[0], ref.dt_log_p
         )

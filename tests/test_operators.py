@@ -70,6 +70,12 @@ def test_multiplicity_lambda_total_and_array():
     assert MultiplicityZ2.of(np.array([0.25, 0.0, 2.5])) == k
 
 
+def test_lambda_total_adds_left_to_right():
+    # the built-in sum compensates its rounding from Python 3.12 on, where
+    # it gives 0.6, so the Li-Yau rhs would differ between versions
+    assert MultiplicityZ2((0.1, 0.2, 0.3)).lambda_total == (0.1 + 0.2) + 0.3 == 0.6000000000000001
+
+
 def test_multiplicity_rejects_bad_values():
     with pytest.raises(DomainError):
         MultiplicityZ2.of([0.5, -0.1])

@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from _oracles import exp_field
+import _oracles as oracle
 from dunklheat import cli, inequalities, kernel, operators, semigroup
 from dunklheat.inequalities import (
     VerificationReport,
@@ -26,7 +26,7 @@ from dunklheat.inequalities import (
     log_convexity_check,
     log_convexity_midpoint_check,
 )
-from dunklheat.kernel import _coordinate, log_kernel, log_kernel_derivatives
+from dunklheat.kernel import log_kernel
 from dunklheat.operators import ScalarField, dunkl_laplacian, reflect, reflection_epsilon
 from dunklheat.quadrature import ConvergenceError, DomainError
 from dunklheat.semigroup import (
@@ -97,7 +97,7 @@ def _datum(d: int) -> InitialDatum:
 @pytest.mark.parametrize("kappa", _KAPPAS)
 def test_dunkl_laplacian_batch_is_the_bits_of_each_point(kappa):
     d = len(kappa)
-    f = exp_field(np.linspace(0.3, -0.2, d))
+    f = oracle.exp_field(np.linspace(0.3, -0.2, d))
     points = _grid(d)
     want = [_pointwise_laplacian(f, x, kappa) for x in points]
     assert _bits(dunkl_laplacian(_each_point(f), points, kappa)) == _bits(want)
@@ -107,7 +107,7 @@ def test_dunkl_laplacian_batch_is_the_bits_of_each_point(kappa):
 def test_dunkl_laplacian_asks_for_values_only_where_a_point_reads_them():
     kappa = (0.5, 0.0)
     asked = []
-    f = exp_field((0.3, -0.2))
+    f = oracle.exp_field((0.3, -0.2))
 
     def value(z):
         asked.append(np.asarray(z).tolist())
@@ -141,6 +141,7 @@ def test_solution_field_batch_reads_are_the_bits_of_each_point(kappa):
 
 @pytest.mark.parametrize("kappa", _KAPPAS)
 def test_kernel_solution_field_batch_is_the_bits_of_the_scalar_kernel(kappa):
+    # the scalar kernel is the reference assembled per coordinate in floats
     d = len(kappa)
     y0 = np.linspace(0.5, -1.0, d)
     u = kernel_solution_field(y0, kappa)
@@ -148,7 +149,7 @@ def test_kernel_solution_field_batch_is_the_bits_of_the_scalar_kernel(kappa):
     times = np.resize([0.05, 0.7, 3.0], len(points))
     batch = [g(times, points) for g in (u.log_value, u.log_gradient, u.log_hessian_diag, u.log_time_derivative)]
     for i, (t, x) in enumerate(zip(times.tolist(), points)):
-        kp = log_kernel_derivatives(t, x, y0, kappa)
+        kp = oracle.scalar_kernel_point(t, x, y0, kappa)
         assert log_kernel(t, x, y0, kappa) == kp.log_p
         assert _bits([batch[0][i], batch[3][i]]) == _bits([kp.log_p, kp.dt_log_p])
         assert _bits(batch[1][i]) == _bits(kp.grad_x_log_p)
@@ -187,8 +188,8 @@ def test_solution_checks_batch_are_the_bits_of_each_point(kappa):
 
 @pytest.mark.parametrize("kappa", _KAPPAS)
 def test_kernel_checks_batch_are_the_bits_of_the_memo_path(kappa):
-    # the checks do not read the moment memo; the memo's scalar kernel gives
-    # the same bits
+    # the checks do not read the moment memo; the reference scalar kernel,
+    # which does, gives the same bits
     d = len(kappa)
     rng = np.random.default_rng(11)
     points = _grid(d, (-3.0, -0.0, 0.0, 1.5e-7, 6e-7, 1.0))
@@ -201,11 +202,13 @@ def test_kernel_checks_batch_are_the_bits_of_the_memo_path(kappa):
     for i, (ti, x, yi, a, b) in enumerate(zip(t.tolist(), points, y, z1, z2)):
         assert _report_bits([diagonal[i]]) == _report_bits([log_convexity_check(ti, x, yi, kappa)])
         assert _report_bits([midpoint[i]]) == _report_bits([log_convexity_midpoint_check(ti, a, b, yi, kappa)])
-        worst = max(-_coordinate(ti, u, v, k).variance_term for u, v, k in zip(x.tolist(), yi.tolist(), kappa))
+        terms = (oracle.scalar_coordinate(ti, u, v, k)[2] for u, v, k in zip(x.tolist(), yi.tolist(), kappa))
+        worst = max(-term for term in terms)
         assert _bits([diagonal[i].lhs]) == _bits([worst])
 
         def log_q(z):
-            return log_kernel(ti, z, yi, kappa) - log_kernel(ti, z, np.zeros(d), kappa)
+            log_p = (oracle.scalar_kernel_point(ti, z, w, kappa).log_p for w in (yi, np.zeros(d)))
+            return next(log_p) - next(log_p)
 
         want = (log_q(0.5 * (a + b)), 0.5 * (log_q(a) + log_q(b)))
         assert _bits([midpoint[i].lhs, midpoint[i].rhs]) == _bits(want)
@@ -270,15 +273,15 @@ def test_semigroup_checks_name_the_first_lost_window_in_loop_order():
 
 
 def _pointwise_heat_residual(t, x, y, kappa) -> float:
-    """heat_residual as it took one point before its array path: the scalar
-    kernel and the pointwise Laplacian."""
-    ref = log_kernel_derivatives(t, x, y, kappa)
+    """heat_residual as it took one point before its array path: the
+    reference scalar kernel and the pointwise Laplacian."""
+    ref = oracle.scalar_kernel_point(t, x, y, kappa)
     g = ref.grad_x_log_p
 
     def value(z):
         if np.array_equal(z, x):
             return 1.0
-        return math.exp(log_kernel(t, z, y, kappa) - ref.log_p)
+        return math.exp(oracle.scalar_kernel_point(t, z, y, kappa).log_p - ref.log_p)
 
     field = ScalarField(value, lambda z: g, lambda z: ref.hess_diag_x_log_p + g * g)
     lap = _pointwise_laplacian(field, np.asarray(x, dtype=float), kappa)
@@ -414,3 +417,28 @@ def test_default_report_never_reads_the_memo(monkeypatch):
     # 262 while semigroup-check made one call per time or time pair; 186 of
     # the 241 now check a whole array of points
     assert (len(validated), validated.count(True)) == (241, 186)
+
+
+def test_default_kernel_eval_never_reads_the_memo(monkeypatch):
+    lookups, tilts = [], []
+    ratios, stats = kernel.moment_ratios, kernel.moment_stats
+
+    def counted_ratios(*args):
+        lookups.append(args)
+        return ratios(*args)
+
+    def counted_stats(a, *rest):
+        tilts.append(np.size(a))
+        return stats(a, *rest)
+
+    monkeypatch.setattr(kernel, "_MOMENT_CACHE", {})
+    monkeypatch.setattr(kernel, "moment_ratios", counted_ratios)
+    monkeypatch.setattr(kernel, "moment_stats", counted_stats)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["kernel-eval", "--reproducible"]) == 0
+    # 5,000 lookups, for 50 distinct tilts, while each row was one scalar
+    # kernel evaluation
+    assert len(lookups) == 0 and kernel._MOMENT_CACHE == {}
+    # one moment_stats call per axis and block: each time's 625 rows are
+    # blocks of 256, 256 and 113
+    assert tilts == [256, 256, 256, 256, 113, 113] * 4

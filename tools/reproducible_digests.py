@@ -1,19 +1,26 @@
 """Digests of the `--reproducible` output of a fixed list of configurations.
 
-    python3 tools/reproducible_digests.py
+    python3 tools/reproducible_digests.py | diff tools/reproducible_digests.txt -
 
 Each configuration runs `dunklheat.cli.main` in a fresh interpreter with the
 `src/` of the checkout this script sits in.  One line per configuration: the
 first 16 hex digits of the sha256 of its stdout and of its stderr, its exit
 code and its arguments.  A failure writes nothing to stdout, so its stderr
-digest pins the message and the grid point it names.  Comparing two trees is
-a `diff` of the two listings.
+digest pins the message and the grid point it names.  A header line names
+Python, numpy and the thread count of numpy's OpenBLAS, since 4096-node
+Laguerre rules can change with the thread count.
+
+tools/reproducible_digests.txt is the listing of this tree; a change that
+moves bytes updates it.  Comparing two trees, or a tree with the committed
+listing, is a `diff` of the two listings.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -81,9 +88,13 @@ CONFIGURATIONS = (
     # d = 3 seeded draws
     ("harnack-scan", "--kappa", "0.5,1.5,0.25", "--seed", "3"),
     ("claims-verify", "--kappa", "0.5,1.5,0.25", "--augment", "20"),
+    # kernel-eval in blocks: a failure at the last coordinate value, and a
+    # d = 3 grid of 62,500 rows over many blocks
+    ("kernel-eval", "--kappa", "0.5,1.5", "--t", "1", "--coords=-3,-1,0,1,3,1e200"),
+    ("kernel-eval", "--kappa", "0.5,1.5,0.25"),
 )
 
-# `python -m dunklheat.cli` would import the module without calling main
+# main as the console script and `python -m dunklheat.cli` call it
 _ENTRY = "import sys; from dunklheat.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -100,7 +111,24 @@ def digest(argv: tuple[str, ...]) -> tuple[str, str, int]:
     return out, err, done.returncode
 
 
+def machine() -> str:
+    """The header line: Python, numpy and the OpenBLAS thread count, read
+    from the OpenBLAS bundled with numpy ("unknown" without one)."""
+    import numpy as np
+
+    threads = "unknown"
+    for library in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        handle = ctypes.CDLL(str(library))
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(handle, name):
+                get = getattr(handle, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                threads = str(get())
+    return f"# Python {platform.python_version()}, numpy {np.__version__}, OpenBLAS threads {threads}"
+
+
 def main() -> int:
+    print(machine(), flush=True)
     for argv in CONFIGURATIONS:
         out, err, code = digest(argv)
         print(f"{out} {err} {code} {' '.join(argv)}", flush=True)
